@@ -54,6 +54,15 @@ class NegativityBreachError(NumericalError):
                          f"at t = {t:g}; step size too coarse for this problem")
 
 
+class NonFiniteStateError(NumericalError):
+    def __init__(self, t: float, component: str, value: float):
+        self.t = t
+        self.component = component
+        self.value = value
+        super().__init__(f"component {component} = {value!r} is not finite "
+                         f"at t = {t:g}; the solution blew up")
+
+
 class OutOfRangeError(ValidationError):
     def __init__(self, t: float, lo: float, hi: float):
         self.t = t
@@ -70,6 +79,10 @@ class NoBracketError(NumericalError):
         self.search_max = search_max
         super().__init__(f"no sign change bracketing a real root within "
                          f"[0, {search_max:g}]")
+
+
+class RootPolishError(NumericalError):
+    """Brent's method could not polish a real-root bracket of G."""
 
 
 class EndemicAbsentError(ValidationError):

@@ -11,8 +11,12 @@ construction, so no step straddles a derivative jump.
 Committed node states are clamped to 0 when a component undershoots within
 -1e-9 (integration noise near an extinct compartment) and abort with
 NegativityBreachError below that, which signals a step size too coarse for
-the problem. With tau = 0 the same stepper runs as a plain ODE RK4 where the
-delayed slot is fed the current stage state.
+the problem. A NaN or -inf node aborts with NonFiniteStateError from the
+same branch. +inf passes the clamp, but each node is the previous one plus
+an increment, so a component that reaches +inf stays +inf or turns NaN:
+checking the final node once per run catches what the clamp lets through.
+With tau = 0 the same stepper runs as a plain ODE RK4 where the delayed slot
+is fed the current stage state.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from . import defaults
 from .errors import (
     EmptyWindowError,
     NegativityBreachError,
+    NonFiniteStateError,
     OutOfRangeError,
     ZeroMosquitoPopulationError,
 )
@@ -132,6 +137,8 @@ def _clamp(value: float, t: float, comp: int) -> float:
         return value
     if value >= -defaults.CLAMP_BAND:
         return 0.0
+    if not math.isfinite(value):
+        raise NonFiniteStateError(t, COMPONENT_NAMES[comp], value)
     raise NegativityBreachError(t, COMPONENT_NAMES[comp], value)
 
 
@@ -245,6 +252,10 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
         dn = d4 if tau > 0 else (na, nb, nc, nd)
         fn = rhs(na, nb, nc, nd, *dn)
         fsh.append(fn[0]); fih.append(fn[1]); fsv.append(fn[2]); fiv.append(fn[3])
+
+    for comp, col in enumerate((sh, ih, sv, iv)):
+        if not math.isfinite(col[-1]):
+            raise NonFiniteStateError(n_steps * h, COMPONENT_NAMES[comp], col[-1])
 
     idx = list(range(0, n_steps + 1, stride))
     if idx[-1] != n_steps:

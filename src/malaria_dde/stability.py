@@ -15,7 +15,12 @@ come out of G:
   w^4 + (a1^2 - 2a2) w^2 + (a2^2 - a3^2) = 0; existence of a real w >= 0 is
   decided from that quadratic-in-w^2 without iteration. For both coefficient
   families here a1^2 - 2a2 > 0, so the verdict reduces to a2^2 - a3^2 <= 0.
-* rightmost_real_root: bracket-and-polish on the real axis.
+* rightmost_real_root: bracket-and-polish on the real axis. The polish is
+  `_brent`, a line-for-line port of scipy's `brentq.c` (Brent 1973,
+  "Algorithms for Minimization without Derivatives", ch. 4): same sign
+  tests, inverse-interpolation/extrapolation steps and bisection fallback,
+  rtol = 4*eps, at most 100 iterations. Fed the same values of G it takes
+  the same steps and returns the same double as scipy.optimize.brentq.
 
 Delay-independent stability then follows the usual argument: stable at
 tau = 0 plus no imaginary-axis crossing for any tau.
@@ -26,14 +31,15 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import defaults
 from .equilibria import disease_free_equilibrium, endemic_equilibrium, r0_squared
-from .errors import EndemicAbsentError, NoBracketError
+from .errors import EndemicAbsentError, NoBracketError, RootPolishError
 from .model import ModelParams
 
 
@@ -140,6 +146,79 @@ def _g_real(coeffs: CharCoeffs, lam: float) -> float:
     return lam * lam + coeffs.a1 * lam + coeffs.a2 + coeffs.a3 * math.exp(e)
 
 
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brent(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """Root of f in the bracket [a, b] by Brent's method.
+
+    Port of scipy's brentq.c. Raises RootPolishError when f(a) and f(b)
+    have the same sign, when f returns NaN, or after _BRENT_MAXITER
+    iterations without meeting the tolerance xtol + 4*eps*|x|.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    if fpre != fpre:
+        raise RootPolishError(f"G(lam) is NaN at lam = {xpre!r}")
+    fcur = f(xcur)
+    if fcur != fcur:
+        raise RootPolishError(f"G(lam) is NaN at lam = {xcur!r}")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise RootPolishError(f"G(lam) has the same sign at both ends of "
+                              f"[{a!r}, {b!r}]")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant (linear inverse interpolation)
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num = -fcur * (fblk * dblk - fpre * dpre)
+                den = dblk * dpre * (fblk - fpre)
+            # C divides by zero to +-inf or NaN, both of which fail the
+            # short-step test below and fall back to bisection
+            if den != 0.0:
+                stry = num / den
+                bound = 3.0 * abs(sbis) - delta
+                if 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                    spre, scur = scur, stry
+                    bisect = False
+        if bisect:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise RootPolishError(f"G(lam) is NaN at lam = {xcur!r}")
+    raise RootPolishError(f"no convergence in {_BRENT_MAXITER} iterations "
+                          f"on [{a!r}, {b!r}]; last iterate {xcur!r}")
+
+
 def rightmost_real_root(coeffs: CharCoeffs,
                         search_max: float = defaults.SEARCH_MAX) -> float | None:
     """Largest real root of G within [-search_max, search_max], or None.
@@ -156,15 +235,15 @@ def rightmost_real_root(coeffs: CharCoeffs,
             s *= 2.0
             if s > search_max:
                 raise NoBracketError(search_max)
-        return float(brentq(g, 0.0, s, xtol=defaults.ROOT_XTOL))
+        return _brent(g, 0.0, s, defaults.ROOT_XTOL)
 
     xs = np.linspace(-search_max, search_max, defaults.ROOT_GRID_POINTS)
     with np.errstate(over="ignore"):
         gs = xs * xs + coeffs.a1 * xs + coeffs.a2 + coeffs.a3 * np.exp(-xs * coeffs.tau)
-    roots = [float(x) for x, v in zip(xs, gs) if v == 0.0]
+    roots = xs[gs == 0.0].tolist()
     sign_flip = np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]
-    for i in sign_flip:
-        roots.append(float(brentq(g, xs[i], xs[i + 1], xtol=defaults.ROOT_XTOL)))
+    for i in sign_flip.tolist():
+        roots.append(_brent(g, float(xs[i]), float(xs[i + 1]), defaults.ROOT_XTOL))
     return max(roots) if roots else None
 
 

@@ -13,6 +13,8 @@ from malaria_dde import (
     HistorySegment,
     IntegrationSpec,
     NegativityBreachError,
+    NonFiniteStateError,
+    NumericalError,
     OutOfRangeError,
     State,
     SystemKind,
@@ -155,6 +157,24 @@ def test_clamp_band():
     assert _clamp(2.5, 1.0, 1) == 2.5
     with pytest.raises(NegativityBreachError):
         _clamp(-1e-8, 1.0, 1)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(NonFiniteStateError):
+            _clamp(bad, 1.0, 1)
+
+
+def test_overflow_exits_through_numerical_error():
+    # NaN by the second step: the clamp reports it
+    p = replace(P_SUPER, beta_h=1e308)
+    with pytest.raises(NonFiniteStateError):
+        integrate(p, _phi(p), spec_full(20.0))
+    # +inf on the only committed node passes the clamp; the final check
+    # catches it
+    p = replace(P_SUPER, beta_h=1.7e308)
+    h = p.tau / 20
+    with pytest.raises(NumericalError) as info:
+        integrate(p, _phi(p), spec_full(h))
+    assert isinstance(info.value, NonFiniteStateError)
+    assert info.value.value == math.inf
 
 
 def test_history_delay_must_match_params():

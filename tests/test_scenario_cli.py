@@ -303,6 +303,29 @@ def test_cli_numerical_exit_code(monkeypatch, tmp_path):
     assert cli_mod.main(["simulate", path]) == 0
 
 
+def test_cli_overflow_exits_with_numerical_code(tmp_path):
+    obj = json.loads(json.dumps(BASE))
+    obj["params"]["beta_h"] = 1e308
+    obj["analyses"] = {"simulate": True, "stability": False}
+    path = write_json(tmp_path / "blowup.json", obj)
+    proc = run_cli("simulate", path, "--out", str(tmp_path / "o"), "--quiet")
+    assert proc.returncode == 2
+    assert "not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_runtime_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; the package and its CLI must not pull
+    # it in (structural check, not a timing bound)
+    code = ("import sys, malaria_dde, malaria_dde.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_seed_changes_random_history(tmp_path):
     path = scenario_file(tmp_path, history={"kind": "random"},
                          integration={"t_end": 5})

@@ -9,6 +9,7 @@ import pytest
 
 from malaria_dde import (
     Classification,
+    RootPolishError,
     EndemicAbsentError,
     EquilibriumKind,
     NoBracketError,
@@ -24,12 +25,19 @@ from malaria_dde import (
     rightmost_real_root,
     routh_hurwitz_tau0,
 )
-from malaria_dde.stability import DfeCharCoeffs, EndemicCharCoeffs
+from malaria_dde import defaults
+from malaria_dde.stability import (
+    DfeCharCoeffs,
+    EndemicCharCoeffs,
+    _brent,
+    _g_real,
+)
 
 from conftest import (
     P_CRIT,
     P_SUB,
     P_SUPER,
+    TAU_CHOICES,
     draw_params,
     draw_subcritical,
     draw_supercritical,
@@ -120,6 +128,66 @@ def test_rightmost_root_is_a_root_and_rightmost(rng):
         xs = np.linspace(root + 1e-6, 50.0, 400)
         vals = [char_eval(c, float(x)).real for x in xs]
         assert all(v > 0 for v in vals)
+
+
+def _scipy_rightmost_real_root(coeffs, brentq):
+    """Reference search: scipy's brentq for the polish and a list
+    comprehension for the exact grid zeros. Returns (root, brackets)."""
+    g = lambda x: _g_real(coeffs, x)
+    if g(0.0) < 0.0:
+        s = 1.0
+        while g(s) <= 0.0:
+            s *= 2.0
+        return float(brentq(g, 0.0, s, xtol=defaults.ROOT_XTOL)), [(0.0, s)]
+    xs = np.linspace(-defaults.SEARCH_MAX, defaults.SEARCH_MAX,
+                     defaults.ROOT_GRID_POINTS)
+    with np.errstate(over="ignore"):
+        gs = xs * xs + coeffs.a1 * xs + coeffs.a2 + coeffs.a3 * np.exp(-xs * coeffs.tau)
+    roots = [float(x) for x, v in zip(xs, gs) if v == 0.0]
+    brackets = []
+    for i in np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]:
+        brackets.append((float(xs[i]), float(xs[i + 1])))
+        roots.append(float(brentq(g, xs[i], xs[i + 1], xtol=defaults.ROOT_XTOL)))
+    return (max(roots) if roots else None), brackets
+
+
+def test_brent_port_is_bit_identical_to_scipy(rng):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    families = []
+    for tau in TAU_CHOICES:
+        for _ in range(20):
+            families.append(DfeCharCoeffs.from_params(draw_params(rng, tau)))
+            p = draw_supercritical(rng, tau)
+            families.append(DfeCharCoeffs.from_params(p))       # doubling path
+            families.append(EndemicCharCoeffs.from_params(p))   # grid path
+    families += [DfeCharCoeffs.from_params(p) for p in (P_SUPER, P_SUB, P_CRIT)]
+    doubling = set()
+    n_brackets = 0
+    for c in families:
+        want, brackets = _scipy_rightmost_real_root(c, brentq)
+        assert rightmost_real_root(c) == want
+        doubling.add(_g_real(c, 0.0) < 0.0)
+        g = lambda x, c=c: _g_real(c, x)
+        for a, b in brackets:
+            n_brackets += 1
+            assert _brent(g, a, b, defaults.ROOT_XTOL) == \
+                brentq(g, a, b, xtol=defaults.ROOT_XTOL)
+    assert doubling == {True, False}   # both search paths were exercised
+    assert n_brackets > len(families)
+
+
+def test_brent_failures_leave_through_the_taxonomy():
+    with pytest.raises(RootPolishError, match="same sign"):
+        _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(RootPolishError, match="NaN"):
+        _brent(lambda x: math.nan, 0.0, 1.0, 1e-12)
+    with pytest.raises(RootPolishError, match="NaN"):
+        _brent(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, 1e-12)
+    # pinning a step at x = 1 down to 4*eps from [-1e300, 1e300] takes about
+    # 1000 bisections, far more than the 100 allowed
+    with pytest.raises(RootPolishError, match="no convergence"):
+        _brent(lambda x: -1.0 if x < 1.0 else 1.0, -1e300, 1e300, 1e-12)
+    assert _brent(lambda x: x - 0.25, 0.25, 1.0, 1e-12) == 0.25
 
 
 def test_no_bracket_when_search_cap_too_small():
