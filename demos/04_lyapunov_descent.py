@@ -39,9 +39,8 @@ show(descend_check(p_sub, phi, FunctionalKind.V_DFE, t_end=200.0),
      "subcritical, disease-free functional")
 
 # supercritical: the endemic functional falls to zero instead
-show(descend_check(p_super, phi, FunctionalKind.V_ENDEMIC, t_end=300.0),
-     "\nsupercritical, endemic functional")
-
 trace = descend_check(p_super, phi, FunctionalKind.V_ENDEMIC, t_end=300.0)
+show(trace, "\nsupercritical, endemic functional")
+
 trace.to_csv("lyapunov_demo.csv")
 print("\nwrote lyapunov_demo.csv")

@@ -10,8 +10,12 @@ the endemic values. Both statements are checkable.
 
 from malaria_dde import (
     HistorySegment,
+    IntegrationSpec,
     ModelParams,
+    SystemKind,
+    default_t_end,
     endemic_equilibrium,
+    integrate,
     persistence_bounds,
     weak_persistence_check,
 )
@@ -28,10 +32,13 @@ for theta in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
     print(f"{theta:5}    {b.s_v_bar:15.6f}    {b.s_h_bar:15.6f}")
 print(f"  E*:    {star.s_v:15.6f}    {star.s_h:15.6f}")
 
-# trajectory check: seed an infection and test the tail of the run
+# trajectory check: seed an infection, run the full system once and test
+# the tail of that run at each fraction
 phi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), p.tau)
+traj = integrate(p, phi, IntegrationSpec(system=SystemKind.FULL,
+                                         t_end=default_t_end(p.mu_h, p.mu_v)))
 for theta in (0.1, 0.5, 0.9):
-    report = weak_persistence_check(p, phi, theta)
+    report = weak_persistence_check(p, traj, theta)
     print(f"\ntheta = {theta}")
     for line in report.as_lines():
         print(" ", line)

@@ -9,6 +9,8 @@ evaluates Lyapunov functionals along trajectories, and checks weak
 persistence of the infected host class.
 """
 
+from types import ModuleType as _ModuleType
+
 from .defaults import (
     CLAMP_BAND,
     DEFAULT_THETA,
@@ -31,6 +33,7 @@ from .errors import (
     EmptyWindowError,
     EndemicAbsentError,
     InvalidHistoryError,
+    InvalidSpecError,
     ModelError,
     NegativeDelayError,
     NegativityBreachError,
@@ -112,87 +115,5 @@ from .stability import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COMPONENT_NAMES",
-    "CLAMP_BAND",
-    "CharCoeffs",
-    "Classification",
-    "DEFAULT_THETA",
-    "DfeCharCoeffs",
-    "DomainFlag",
-    "EmptyWindowError",
-    "EndemicAbsentError",
-    "EndemicCharCoeffs",
-    "EquilibriumKind",
-    "EquilibriumSet",
-    "FunctionalKind",
-    "HistorySegment",
-    "IntegrationSpec",
-    "InvalidHistoryError",
-    "LyapunovTrace",
-    "ModelError",
-    "ModelParams",
-    "NegativeDelayError",
-    "NegativityBreachError",
-    "NoBracketError",
-    "NonFiniteStateError",
-    "NonPositiveArgumentError",
-    "NonPositiveProductError",
-    "NonPositiveRateError",
-    "NotInDomainDError",
-    "NumericalError",
-    "OutOfRangeError",
-    "OutsideOmega1Error",
-    "OutsideOmega2Error",
-    "PersistenceBounds",
-    "PersistenceReport",
-    "RECORD_STRIDE",
-    "RootPolishError",
-    "STEPS_PER_DELAY",
-    "Scenario",
-    "SchemaError",
-    "State",
-    "StabilityReport",
-    "SubcriticalR0Error",
-    "SupercriticalR0Error",
-    "SweepSpec",
-    "SystemKind",
-    "TAIL_WINDOW",
-    "TailStats",
-    "ThetaOutOfRangeError",
-    "Trajectory",
-    "ValidationError",
-    "ZeroMosquitoPopulationError",
-    "basic_reproduction_number",
-    "char_eval",
-    "classify",
-    "convergence_order",
-    "default_ode_step",
-    "default_t_end",
-    "dense_eval",
-    "descend_check",
-    "disease_free_equilibrium",
-    "endemic_equilibrium",
-    "equilibrium_residual",
-    "equilibrium_set",
-    "f_bridge",
-    "full_char_eval",
-    "imaginary_axis_root_exists",
-    "integrate",
-    "load_scenario",
-    "load_sweep",
-    "persistence_bounds",
-    "r0_squared",
-    "rhs_full",
-    "rhs_limiting",
-    "rightmost_real_root",
-    "routh_hurwitz_tau0",
-    "run_scenario",
-    "run_sweep",
-    "tail_stats",
-    "trace_along",
-    "v_dfe",
-    "v_endemic",
-    "validate_params",
-    "weak_persistence_check",
-]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -37,6 +37,11 @@ class InvalidHistoryError(ValidationError):
     """History segment violates its invariants (ordering, sign, mosquito total)."""
 
 
+class InvalidSpecError(ValidationError):
+    """An integration or read-out control is out of its domain (t_end, mesh,
+    stride, tail window, or a trajectory that does not fit the analysis)."""
+
+
 class ZeroMosquitoPopulationError(NumericalError):
     def __init__(self, t: float | None = None):
         self.t = t

@@ -15,6 +15,9 @@ the problem. A NaN or -inf node aborts with NonFiniteStateError from the
 same branch. +inf passes the clamp, but each node is the previous one plus
 an increment, so a component that reaches +inf stays +inf or turns NaN:
 checking the final node once per run catches what the clamp lets through.
+A division by zero inside an RK4 stage is a NegativityBreachError when the
+stage state undershoots below the band, a ZeroMosquitoPopulationError
+otherwise.
 With tau = 0 the same stepper runs as a plain ODE RK4 where the delayed slot
 is fed the current stage state.
 """
@@ -31,6 +34,8 @@ import numpy as np
 from . import defaults
 from .errors import (
     EmptyWindowError,
+    InvalidHistoryError,
+    InvalidSpecError,
     NegativityBreachError,
     NonFiniteStateError,
     OutOfRangeError,
@@ -42,6 +47,7 @@ from .model import (
     ModelParams,
     State,
     _make_rhs,
+    validate_params,
 )
 
 CSV_HEADER = "t,S_h,I_h,S_v,I_v"
@@ -56,7 +62,7 @@ class SystemKind(enum.Enum):
         try:
             return cls(text)
         except ValueError:
-            raise ValueError(f"unknown system kind {text!r}") from None
+            raise InvalidSpecError(f"unknown system kind {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -102,34 +108,34 @@ class Trajectory:
         """
         it = int(np.searchsorted(self.times, t))
         if it >= self.times.size or abs(self.times[it] - t) > 1e-9 * (1 + abs(t)):
-            raise ValueError(f"t = {t!r} is not a recorded node")
+            raise InvalidSpecError(f"t = {t!r} is not a recorded node")
         if self.tau == 0:
             return HistorySegment(np.array([0.0]),
                                   self.states[it:it + 1].copy(), 0.0)
         t0 = t - self.tau
         j0 = int(np.searchsorted(self.times, t0 - 1e-9 * (1 + abs(t0))))
         if j0 >= self.times.size or abs(self.times[j0] - t0) > 1e-9 * (1 + abs(t0)):
-            raise ValueError(f"window start {t0!r} is not a recorded node")
+            raise InvalidSpecError(f"window start {t0!r} is not a recorded node")
         offsets = self.times[j0:it + 1] - t
         offsets[-1] = 0.0
         return HistorySegment(offsets, self.states[j0:it + 1].copy(), self.tau)
 
     def to_csv(self, target: str | IO[str]) -> None:
         """One row per recorded node, 17 significant digits."""
-        close = False
-        if isinstance(target, str):
-            fh = open(target, "w")
-            close = True
-        else:
-            fh = target
-        try:
-            fh.write(CSV_HEADER + "\n")
-            for t, row in zip(self.times, self.states):
-                fh.write(f"{t:.17g},{row[0]:.17g},{row[1]:.17g},"
-                         f"{row[2]:.17g},{row[3]:.17g}\n")
-        finally:
-            if close:
-                fh.close()
+        _write_csv(target, CSV_HEADER, (self.times, *self.states.T))
+
+
+def _write_csv(target: str | IO[str], header: str,
+               columns: tuple[np.ndarray, ...]) -> None:
+    """Header line, then one row per index of the equal-length columns, every
+    value at 17 significant digits (round-trips a float64 exactly)."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    text = header + "\n" + "".join(row % r for r in zip(*(c.tolist() for c in columns)))
+    if isinstance(target, str):
+        with open(target, "w") as fh:
+            fh.write(text)
+    else:
+        target.write(text)
 
 
 def _clamp(value: float, t: float, comp: int) -> float:
@@ -148,33 +154,33 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     t_end is rounded up to the nearest mesh multiple; the trajectory's own
     times record what was actually integrated.
     """
-    tau = p.tau
+    tau = validate_params(p).tau
     if abs(phi.tau - tau) > 1e-9 * (1.0 + abs(tau)):
-        raise ValueError(f"history spans tau = {phi.tau!r} but params have "
-                         f"tau = {tau!r}")
+        raise InvalidHistoryError(f"history spans tau = {phi.tau!r} but params "
+                                  f"have tau = {tau!r}")
     if not (spec.t_end > 0):
-        raise ValueError("t_end must be positive")
+        raise InvalidSpecError("t_end must be positive")
 
     if tau > 0:
         m = spec.steps_per_delay
         if not (isinstance(m, int) and m >= 1):
-            raise ValueError("steps_per_delay must be an integer >= 1")
+            raise InvalidSpecError("steps_per_delay must be an integer >= 1")
         h = tau / m
     else:
         m = 0
         h = spec.step if spec.step is not None else defaults.default_ode_step(p.max_rate)
         if not (h > 0):
-            raise ValueError("step must be positive")
+            raise InvalidSpecError("step must be positive")
     stride = spec.record_stride
     if not (isinstance(stride, int) and stride >= 1):
-        raise ValueError("record_stride must be an integer >= 1")
+        raise InvalidSpecError("record_stride must be an integer >= 1")
 
     n_exact = spec.t_end / h
     n_steps = int(round(n_exact))
     if abs(n_exact - n_steps) > 1e-9 * max(1.0, abs(n_exact)):
         n_steps = int(math.ceil(n_exact))
     if n_steps < 1:
-        raise ValueError("t_end must be at least one step h")
+        raise InvalidSpecError("t_end must be at least one step h")
 
     rhs = _make_rhs(p, limiting=spec.system is SystemKind.LIMITING)
     hh = 0.5 * h
@@ -192,6 +198,7 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
 
     sh = [s0]; ih = [i0]; sv = [v0]; iv = [w0]
     f = rhs(s0, i0, v0, w0, *d0)
+    y = (s0, i0, v0, w0)  # latest RK4 stage state, read when a stage divides by 0
     fsh = [f[0]]; fih = [f[1]]; fsv = [f[2]]; fiv = [f[3]]
 
     for n in range(n_steps):
@@ -239,6 +246,13 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
             nc = c + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
             nd = d + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
         except ZeroDivisionError:
+            # committed nodes keep S_v + I_v > 0, so the zero total is in a
+            # stage; a stage component below the band means the step
+            # overshot, not that the mosquito pool died out
+            for comp, value in enumerate(y):
+                if value < -defaults.CLAMP_BAND:
+                    raise NegativityBreachError(t_next, COMPONENT_NAMES[comp],
+                                                value) from None
             raise ZeroMosquitoPopulationError(t_next) from None
 
         na = _clamp(na, t_next, 0)
@@ -320,7 +334,7 @@ class TailStats:
 
 def tail_stats(traj: Trajectory, window: float = defaults.TAIL_WINDOW) -> TailStats:
     if not (0.0 < window < 1.0):
-        raise ValueError("window must lie strictly inside (0, 1)")
+        raise InvalidSpecError("window must lie strictly inside (0, 1)")
     cut = window * traj.t_end
     mask = traj.times >= cut - 1e-12 * (1.0 + abs(cut))
     if int(mask.sum()) < 2:
@@ -341,13 +355,13 @@ def convergence_order(p: ModelParams, phi: HistorySegment,
     stepper is log2(255/15) ~ 4.09.
 
     Returns None when the coarse error is already below 1e-12 (exactness
-    floor, e.g. dynamics that are linear because a transmission rate is 0).
+    floor, e.g. a history resting at an equilibrium).
     """
     if not (p.tau > 0):
-        raise ValueError("order measurement needs tau > 0")
+        raise InvalidSpecError("order measurement needs tau > 0")
     m = spec.steps_per_delay
     if m % 2 != 0:
-        raise ValueError("steps_per_delay must be even")
+        raise InvalidSpecError("steps_per_delay must be even")
     runs = [integrate(p, phi, replace(spec, steps_per_delay=k * m, record_stride=1))
             for k in (1, 2, 4)]
     coarse, mid, ref = runs

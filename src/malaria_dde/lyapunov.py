@@ -10,10 +10,12 @@ and are built from the bridge x - 1 - ln x (nonnegative, zero only at 1):
   and I_v * S_h > 0 throughout.
 
 Window integrals use the composite trapezoid rule on the window's own sample
-times, which for trajectory windows are the integration mesh nodes.
-descend_check integrates the limiting system and evaluates the requested
-functional at every node t >= tau; a max consecutive increase at rounding
-scale certifies monotone descent.
+times, which for trajectory windows are the integration mesh nodes. One
+formula per functional serves both uses: v_dfe / v_endemic evaluate it on a
+single window, trace_along on every window of a given stride-1 trajectory
+(every node t >= tau), where a max consecutive increase at rounding scale
+certifies monotone descent. descend_check integrates the limiting system
+from a history and then traces it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import numpy as np
 from . import defaults
 from .equilibria import basic_reproduction_number, endemic_equilibrium, r0_squared
 from .errors import (
+    EmptyWindowError,
+    InvalidSpecError,
     NonPositiveArgumentError,
     NonPositiveProductError,
     OutsideOmega1Error,
@@ -35,11 +39,8 @@ from .errors import (
     SubcriticalR0Error,
     SupercriticalR0Error,
 )
-from .integrator import IntegrationSpec, SystemKind, Trajectory, integrate
+from .integrator import IntegrationSpec, SystemKind, Trajectory, _write_csv, integrate
 from .model import HistorySegment, ModelParams
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 class FunctionalKind(enum.Enum):
     V_DFE = "v_dfe"
@@ -53,43 +54,66 @@ def f_bridge(x: float) -> float:
     return 1.0 - x + math.log(x)
 
 
-def v_dfe(p: ModelParams, psi: HistorySegment) -> float:
-    """Disease-free functional on a window. Needs S_h(0) > 0 and S_v(0) > 0."""
-    end = psi.states[-1]
-    if not (end[0] > 0 and end[2] > 0):
+def _window_integrals(integrand: np.ndarray, times: np.ndarray, m: int) -> np.ndarray:
+    """Trapezoid integral over [t_(k-m), t_k] for every sample k >= m."""
+    if m == 0:
+        return np.zeros(times.size)
+    panels = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times)
+    cum = np.concatenate([[0.0], np.cumsum(panels)])
+    return cum[m:] - cum[:cum.size - m]
+
+
+def _v_dfe(p: ModelParams, times: np.ndarray, states: np.ndarray,
+           m: int) -> np.ndarray:
+    """Disease-free functional at every sample k >= m, each on the window of
+    the m sample intervals ending at k. Needs S_h > 0 and S_v > 0 there."""
+    x1, x2, x3, x4 = (states[m:, k] for k in range(4))
+    if not (np.all(x1 > 0) and np.all(x3 > 0)):
         raise OutsideOmega1Error()
     sh0, sv0 = p.s_h0, p.s_v0
     coef = p.mu_v * p.mu_h / (p.c_hv * p.beta_v)
-    point = (sh0 * (end[0] / sh0 - 1.0 - math.log(end[0] / sh0))
-             + end[1]
-             + coef * sv0 * (end[2] / sv0 - 1.0 - math.log(end[2] / sv0))
-             + coef * end[3])
-    integrand = (p.mu_v / p.beta_v) * p.c_vh * psi.states[:, 3] * psi.states[:, 0]
-    return float(point + _trapezoid(integrand, psi.times))
+    point = (sh0 * (x1 / sh0 - 1.0 - np.log(x1 / sh0)) + x2
+             + coef * sv0 * (x3 / sv0 - 1.0 - np.log(x3 / sv0)) + coef * x4)
+    integrand = (p.mu_v / p.beta_v) * p.c_vh * states[:, 3] * states[:, 0]
+    return point + _window_integrals(integrand, times, m)
+
+
+def _v_endemic(p: ModelParams, times: np.ndarray, states: np.ndarray,
+               m: int) -> np.ndarray:
+    """Endemic functional at every sample k >= m, as _v_dfe. Needs R0 > 1,
+    strictly positive states at k >= m, and I_v * S_h > 0 at every sample."""
+    star = endemic_equilibrium(p)
+    if star is None:
+        raise SubcriticalR0Error(basic_reproduction_number(p))
+    if not np.all(states[m:] > 0):
+        raise OutsideOmega2Error()
+    prod = states[:, 3] * states[:, 0]
+    bad = np.nonzero(prod <= 0)[0]
+    if bad.size:
+        raise NonPositiveProductError(float(times[bad[0]]))
+    x1, x2, x3, x4 = (states[m:, k] for k in range(4))
+    weight = p.mu_h * star.i_h / (p.mu_v * star.i_v)
+    point = ((x1 - star.s_h - star.s_h * np.log(x1 / star.s_h))
+             + (x2 - star.i_h - star.i_h * np.log(x2 / star.i_h))
+             + weight * (x3 - star.s_v - star.s_v * np.log(x3 / star.s_v))
+             + weight * (x4 - star.i_v - star.i_v * np.log(x4 / star.i_v)))
+    xarg = p.mu_v * p.c_vh * prod / (p.beta_v * p.mu_h * star.i_h)
+    integrand = xarg - 1.0 - np.log(xarg)
+    return point + p.mu_h * star.i_h * _window_integrals(integrand, times, m)
+
+
+_FORMULAS = {FunctionalKind.V_DFE: _v_dfe, FunctionalKind.V_ENDEMIC: _v_endemic}
+
+
+def v_dfe(p: ModelParams, psi: HistorySegment) -> float:
+    """Disease-free functional on a window. Needs S_h(0) > 0 and S_v(0) > 0."""
+    return float(_v_dfe(p, psi.times, psi.states, psi.times.size - 1)[0])
 
 
 def v_endemic(p: ModelParams, psi: HistorySegment) -> float:
     """Endemic functional on a window. Needs R0 > 1, psi(0) strictly positive
     componentwise, and I_v * S_h > 0 at every window sample."""
-    star = endemic_equilibrium(p)
-    if star is None:
-        raise SubcriticalR0Error(basic_reproduction_number(p))
-    end = psi.states[-1]
-    if not np.all(end > 0):
-        raise OutsideOmega2Error()
-    prod = psi.states[:, 3] * psi.states[:, 0]
-    bad = np.nonzero(prod <= 0)[0]
-    if bad.size:
-        raise NonPositiveProductError(float(psi.times[bad[0]]))
-
-    weight = p.mu_h * star.i_h / (p.mu_v * star.i_v)
-    point = ((end[0] - star.s_h - star.s_h * math.log(end[0] / star.s_h))
-             + (end[1] - star.i_h - star.i_h * math.log(end[1] / star.i_h))
-             + weight * (end[2] - star.s_v - star.s_v * math.log(end[2] / star.s_v))
-             + weight * (end[3] - star.i_v - star.i_v * math.log(end[3] / star.i_v)))
-    x = p.mu_v * p.c_vh * prod / (p.beta_v * p.mu_h * star.i_h)
-    integrand = x - 1.0 - np.log(x)
-    return float(point + p.mu_h * star.i_h * _trapezoid(integrand, psi.times))
+    return float(_v_endemic(p, psi.times, psi.states, psi.times.size - 1)[0])
 
 
 @dataclass(frozen=True)
@@ -106,34 +130,20 @@ class LyapunovTrace:
         return self.max_increase <= scale * (1.0 + abs(float(self.values[0])))
 
     def to_csv(self, target: str | IO[str]) -> None:
-        close = False
-        if isinstance(target, str):
-            fh = open(target, "w")
-            close = True
-        else:
-            fh = target
-        try:
-            fh.write("t,V\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
-        finally:
-            if close:
-                fh.close()
-
-
-def _window_integrals(integrand: np.ndarray, times: np.ndarray, m: int) -> np.ndarray:
-    """Trapezoid integral over [t_k - tau, t_k] for every node k >= m."""
-    if m == 0:
-        return np.zeros(times.size)
-    panels = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times)
-    cum = np.concatenate([[0.0], np.cumsum(panels)])
-    return cum[m:] - cum[:cum.size - m]
+        _write_csv(target, "t,V", (self.times, self.values))
 
 
 def descend_check(p: ModelParams, phi: HistorySegment, kind: FunctionalKind,
                   t_end: float,
                   steps_per_delay: int = defaults.STEPS_PER_DELAY) -> LyapunovTrace:
-    """Integrate the limiting system from phi and trace the functional.
+    """Integrate the limiting system from phi and trace the functional."""
+    spec = IntegrationSpec(system=SystemKind.LIMITING, t_end=t_end,
+                           steps_per_delay=steps_per_delay, record_stride=1)
+    return trace_along(p, integrate(p, phi, spec), kind)
+
+
+def trace_along(p: ModelParams, traj: Trajectory, kind: FunctionalKind) -> LyapunovTrace:
+    """Functional values along a stride-1 limiting trajectory.
 
     Regime gate: V_DFE needs R0 <= 1 (it is also meaningful at exactly 1),
     V_ENDEMIC needs R0 > 1.
@@ -143,49 +153,14 @@ def descend_check(p: ModelParams, phi: HistorySegment, kind: FunctionalKind,
         raise SupercriticalR0Error(math.sqrt(r2))
     if kind is FunctionalKind.V_ENDEMIC and r2 <= 1.0:
         raise SubcriticalR0Error(math.sqrt(r2))
-
-    spec = IntegrationSpec(system=SystemKind.LIMITING, t_end=t_end,
-                           steps_per_delay=steps_per_delay, record_stride=1)
-    traj = integrate(p, phi, spec)
-    return trace_along(p, traj, kind)
-
-
-def trace_along(p: ModelParams, traj: Trajectory, kind: FunctionalKind) -> LyapunovTrace:
-    """Functional values along an existing stride-1 limiting trajectory."""
-    times, states = traj.times, traj.states
+    times = traj.times
+    if times.size != int(round(traj.t_end / traj.h)) + 1:
+        raise InvalidSpecError("trajectory is thinned: windows need every mesh "
+                               "node (record_stride = 1)")
     m = 0 if traj.tau == 0 else int(round(traj.tau / traj.h))
     if times.size - m < 2:
-        raise ValueError("horizon too short: need at least two nodes past tau")
-    x1, x2, x3, x4 = (states[m:, k] for k in range(4))
-
-    if kind is FunctionalKind.V_DFE:
-        if not (np.all(x1 > 0) and np.all(x3 > 0)):
-            raise OutsideOmega1Error()
-        sh0, sv0 = p.s_h0, p.s_v0
-        coef = p.mu_v * p.mu_h / (p.c_hv * p.beta_v)
-        point = (sh0 * (x1 / sh0 - 1.0 - np.log(x1 / sh0)) + x2
-                 + coef * sv0 * (x3 / sv0 - 1.0 - np.log(x3 / sv0)) + coef * x4)
-        integrand = (p.mu_v / p.beta_v) * p.c_vh * states[:, 3] * states[:, 0]
-        values = point + _window_integrals(integrand, times, m)
-    else:
-        star = endemic_equilibrium(p)
-        if star is None:
-            raise SubcriticalR0Error(basic_reproduction_number(p))
-        if not np.all(states[m:] > 0):
-            raise OutsideOmega2Error()
-        prod = states[:, 3] * states[:, 0]
-        bad = np.nonzero(prod <= 0)[0]
-        if bad.size:
-            raise NonPositiveProductError(float(times[bad[0]]))
-        weight = p.mu_h * star.i_h / (p.mu_v * star.i_v)
-        point = ((x1 - star.s_h - star.s_h * np.log(x1 / star.s_h))
-                 + (x2 - star.i_h - star.i_h * np.log(x2 / star.i_h))
-                 + weight * (x3 - star.s_v - star.s_v * np.log(x3 / star.s_v))
-                 + weight * (x4 - star.i_v - star.i_v * np.log(x4 / star.i_v)))
-        xarg = p.mu_v * p.c_vh * prod / (p.beta_v * p.mu_h * star.i_h)
-        integrand = xarg - 1.0 - np.log(xarg)
-        values = point + p.mu_h * star.i_h * _window_integrals(integrand, times, m)
-
-    increase = float(np.max(np.diff(values))) if values.size >= 2 else 0.0
+        raise EmptyWindowError("horizon too short: need at least two nodes past tau")
+    values = _FORMULAS[kind](p, times, traj.states, m)
+    increase = float(np.max(np.diff(values)))
     return LyapunovTrace(kind=kind, times=times[m:], values=values,
                          max_increase=increase)

@@ -9,8 +9,8 @@ along any solution seeded with I_h(0) > 0 are eventually bounded below by
 and the infectious pools cannot settle below theta times their endemic
 levels. Both bounds meet the endemic state exactly at theta = 1, which is
 why theta stays strictly inside (0, 1). weak_persistence_check certifies the
-sup-form conditions on a finite run by proxying limsup/liminf with tail
-window extrema.
+sup-form conditions on a given finite run of the full system by proxying
+limsup/liminf with tail window extrema; it does not integrate.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import defaults
-from .equilibria import basic_reproduction_number, endemic_equilibrium, r0_squared
+from .equilibria import basic_reproduction_number, endemic_equilibrium
 from .errors import NotInDomainDError, SubcriticalR0Error, ThetaOutOfRangeError
-from .integrator import IntegrationSpec, SystemKind, TailStats, integrate, tail_stats
-from .model import DomainFlag, HistorySegment, ModelParams, State
+from .integrator import TailStats, Trajectory, tail_stats
+from .model import DomainFlag, ModelParams, State
 
 
 @dataclass(frozen=True)
@@ -78,24 +78,19 @@ class PersistenceReport:
         return lines
 
 
-def weak_persistence_check(p: ModelParams, phi: HistorySegment, theta: float,
-                           t_end: float | None = None,
-                           window: float = defaults.TAIL_WINDOW,
-                           steps_per_delay: int = defaults.STEPS_PER_DELAY,
-                           ) -> PersistenceReport:
-    """Integrate the full system from phi and test the tail conditions.
+def weak_persistence_check(p: ModelParams, traj: Trajectory,
+                           theta: float) -> PersistenceReport:
+    """Test the tail conditions on a run of the full system.
 
     Passes iff the tail sup of I_h exceeds theta * I_h* and every component's
-    tail sup is strictly positive. phi must seed the infection: I_h(0) > 0.
+    tail sup is strictly positive. The run's history must seed the infection:
+    I_h(0) > 0.
     """
     _require_theta(theta)
     star = _require_supercritical(p)
-    if not DomainFlag.D.contains(phi):
+    if not DomainFlag.D.contains(traj.history):
         raise NotInDomainDError()
-    horizon = t_end if t_end is not None else defaults.default_t_end(p.mu_h, p.mu_v)
-    spec = IntegrationSpec(system=SystemKind.FULL, t_end=horizon,
-                           steps_per_delay=steps_per_delay)
-    tail = tail_stats(integrate(p, phi, spec), window)
+    tail = tail_stats(traj, defaults.TAIL_WINDOW)
     threshold = theta * star.i_h
     sup = tail.sup
     passes = (sup.i_h > threshold

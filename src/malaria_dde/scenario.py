@@ -14,12 +14,13 @@ A scenario is one JSON object (schema 1):
       "output": {"dir": "out", "formats": ["csv"]}
     }
 
-history.kind may also be "table" (times + states arrays) or "random"
-(constant history drawn once from the seeded generator: S-components uniform
-in [0.2, 2] x the disease-free pool, I-components uniform in [0.01, 1] x the
-same scale). Every section except schema/params is optional; omitted values
-fall back to the defaults table. Unknown keys are rejected so typos surface
-as SchemaError instead of silently running defaults.
+history.kind may also be "table" (times from -tau to 0 plus states arrays)
+or "random" (constant history drawn once from the seeded generator:
+S-components uniform in [0.2, 2] x the disease-free pool, I-components
+uniform in [0.01, 1] x the same scale). Every section except schema/params
+is optional; omitted values fall back to the defaults table. Unknown keys
+are rejected so typos surface as SchemaError instead of silently running
+defaults.
 
 A sweep wraps a base scenario, an axis (one parameter name), the values to
 visit in order, and the derived columns to tabulate. Rows are independent; a
@@ -44,13 +45,14 @@ from .equilibria import (
 )
 from .errors import (
     EndemicAbsentError,
+    InvalidSpecError,
     ModelError,
     NegativeDelayError,
     NonPositiveRateError,
     SchemaError,
 )
-from .integrator import IntegrationSpec, SystemKind, integrate, tail_stats
-from .lyapunov import FunctionalKind, descend_check
+from .integrator import IntegrationSpec, SystemKind, Trajectory, integrate, tail_stats
+from .lyapunov import FunctionalKind, trace_along
 from .model import HistorySegment, ModelParams, validate_params
 from .persistence import weak_persistence_check
 from .stability import EquilibriumKind, classify
@@ -226,6 +228,12 @@ def _parse_scenario_dict(obj: Any, path: str = "scenario",
         raise SchemaError(f"{path}.params", "missing")
     params = _parse_params(obj["params"], f"{path}.params")
     history = _parse_history(obj.get("history"), f"{path}.history")
+    if history.kind == "table":
+        span = -history.times[0]
+        if abs(span - params.tau) > 1e-9 * (1.0 + params.tau):
+            raise SchemaError(f"{path}.history.times",
+                              f"span {span!r} differs from params.tau = "
+                              f"{params.tau!r}")
 
     system = SystemKind.FULL
     t_end = None
@@ -242,7 +250,7 @@ def _parse_scenario_dict(obj: Any, path: str = "scenario",
         if "system" in integ:
             try:
                 system = SystemKind.parse(integ["system"])
-            except (ValueError, TypeError):
+            except (InvalidSpecError, TypeError):
                 raise SchemaError(f"{ipath}.system",
                                   f"expected full|limiting, got {integ['system']!r}")
         t_end = _number(integ, "t_end", ipath)
@@ -397,6 +405,11 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, quiet: bool = False,
                  seed: int = 0, only: str | None = None) -> list[str]:
     """Execute a scenario and return the report lines.
 
+    Each distinct IntegrationSpec is integrated once and shared: simulate
+    reads the scenario's own spec, persistence the spec with system FULL and
+    record_stride 1, Lyapunov the spec with system LIMITING and
+    record_stride 1.
+
     `only` restricts the work to one section ("stability", "lyapunov" or
     "persistence") and suppresses file artifacts; otherwise artifacts go to
     out_dir (CLI --out overrides the scenario's own output.dir).
@@ -426,9 +439,16 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, quiet: bool = False,
     phi = None
     if do_simulate or do_lyapunov or thetas:
         phi = scn.history.build(p, rng)
+    spec = scn.integration_spec()
+    runs: dict[IntegrationSpec, Trajectory] = {}
+
+    def run(key: IntegrationSpec) -> Trajectory:
+        if key not in runs:
+            runs[key] = integrate(p, phi, key)
+        return runs[key]
 
     if do_simulate:
-        traj = integrate(p, phi, scn.integration_spec())
+        traj = run(spec)
         lines.append(f"trajectory.t_end = {_fmt(traj.t_end)}")
         lines.append(f"trajectory.nodes = {traj.times.size}")
         tail = tail_stats(traj, defaults.TAIL_WINDOW)
@@ -444,8 +464,8 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, quiet: bool = False,
     if do_lyapunov:
         kind = (FunctionalKind.V_DFE if r0_squared(p) <= 1.0
                 else FunctionalKind.V_ENDEMIC)
-        trace = descend_check(p, phi, kind, scn.resolved_t_end(),
-                              scn.steps_per_delay)
+        trace = trace_along(p, run(replace(spec, system=SystemKind.LIMITING,
+                                           record_stride=1)), kind)
         lines.append(f"lyapunov.kind = {kind.value}")
         lines.append(f"lyapunov.v_first = {_fmt(float(trace.values[0]))}")
         lines.append(f"lyapunov.v_last = {_fmt(float(trace.values[-1]))}")
@@ -458,9 +478,8 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, quiet: bool = False,
             lines.append(f"lyapunov.file = {lya_path}")
 
     for theta in thetas:
-        report = weak_persistence_check(p, phi, theta, t_end=scn.t_end,
-                                        steps_per_delay=scn.steps_per_delay)
-        lines.extend(report.as_lines())
+        full = run(replace(spec, system=SystemKind.FULL, record_stride=1))
+        lines.extend(weak_persistence_check(p, full, theta).as_lines())
 
     if write_files:
         os.makedirs(target, exist_ok=True)
@@ -492,9 +511,7 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
         elif col in _TAIL_COLUMNS:
             if "tail" not in row:  # integrate once, cache all tail cells
                 phi = scn.history.build(p, np.random.default_rng(seed))
-                spec = replace(scn.integration_spec(),
-                               t_end=(scn.t_end if scn.t_end is not None else
-                                      defaults.default_t_end(p.mu_h, p.mu_v)))
+                spec = replace(scn, params=p).integration_spec()
                 tail = tail_stats(integrate(p, phi, spec), defaults.TAIL_WINDOW)
                 for name in ("s_h", "i_h", "s_v", "i_v"):
                     row[f"tail_{name}_inf"] = _fmt(getattr(tail.inf, name))

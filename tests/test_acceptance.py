@@ -225,10 +225,12 @@ def test_c6_lyapunov_descent(p, kind):
 
 def test_c7_weak_persistence_holds_at_every_tested_fraction():
     rng = np.random.default_rng(707)
-    histories = [constant_history(P_SUPER, rng) for _ in range(10)]
+    t_end = 40.0 / min(P_SUPER.mu_h, P_SUPER.mu_v)
+    runs = [integrate(P_SUPER, constant_history(P_SUPER, rng), full_spec(t_end))
+            for _ in range(10)]
     for theta in (0.1, 0.5, 0.9):
-        for phi in histories:
-            assert weak_persistence_check(P_SUPER, phi, theta).passes
+        for traj in runs:
+            assert weak_persistence_check(P_SUPER, traj, theta).passes
 
 
 def test_c7_susceptible_bounds_dominate_the_endemic_state():

@@ -12,12 +12,16 @@ from malaria_dde import (
     EmptyWindowError,
     HistorySegment,
     IntegrationSpec,
+    InvalidHistoryError,
+    InvalidSpecError,
     NegativityBreachError,
     NonFiniteStateError,
+    NonPositiveRateError,
     NumericalError,
     OutOfRangeError,
     State,
     SystemKind,
+    ValidationError,
     convergence_order,
     dense_eval,
     integrate,
@@ -76,10 +80,10 @@ def test_observed_order_is_fourth():
 
 
 def test_order_measurement_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpecError):
         convergence_order(P_SUPER, _phi(P_SUPER), spec_full(6.0, steps_per_delay=7))
     p0 = replace(P_SUPER, tau=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpecError):
         convergence_order(p0, _phi(p0), spec_full(6.0))
 
 
@@ -128,7 +132,7 @@ def test_window_extraction():
     assert w.times[0] == -1.0 and w.times[-1] == 0.0
     assert np.array_equal(w.state_at(0.0).as_array(), dense_eval(traj, 5.0).as_array())
     assert np.array_equal(w.state_at(-1.0).as_array(), dense_eval(traj, 4.0).as_array())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpecError):
         traj.window(5.003)
 
 
@@ -138,9 +142,9 @@ def test_tail_stats_bounds_and_window_validation():
     assert tail.t_start >= 20.0 - 1e-9
     for name in ("s_h", "i_h", "s_v", "i_v"):
         assert getattr(tail.inf, name) <= getattr(tail.sup, name)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpecError):
         tail_stats(traj, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpecError):
         tail_stats(traj, 1.0)
 
 
@@ -178,7 +182,7 @@ def test_overflow_exits_through_numerical_error():
 
 
 def test_history_delay_must_match_params():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidHistoryError):
         integrate(P_SUPER, HistorySegment.constant(X0, 2.0), spec_full(1.0))
 
 
@@ -206,3 +210,47 @@ def test_nonnegativity_holds_from_boundary_history():
     phi = HistorySegment.constant((4.0, 0.0, 50.0, 0.1), 1.0)
     traj = integrate(P_SUB, phi, spec_full(200.0))
     assert float(traj.states.min()) >= 0.0
+
+
+def test_integrate_validates_params():
+    # a negative rate is an input error, not a step size too coarse
+    p = replace(P_SUPER, beta_h=-1.0)
+    with pytest.raises(NonPositiveRateError):
+        integrate(p, _phi(P_SUPER), spec_full(10.0))
+
+
+@pytest.mark.parametrize("tau,kw", [
+    (1.0, dict(t_end=0.0)),
+    (1.0, dict(t_end=1.0, steps_per_delay=0)),
+    (1.0, dict(t_end=1.0, record_stride=0)),
+    (1.0, dict(t_end=1e-12)),  # rounds to zero steps of h
+    (0.0, dict(t_end=1.0, step=-0.1)),
+])
+def test_integrate_spec_errors_are_validation_errors(tau, kw):
+    p = replace(P_SUPER, tau=tau)
+    with pytest.raises(InvalidSpecError) as info:
+        integrate(p, _phi(p), IntegrationSpec(**kw))
+    assert isinstance(info.value, ValidationError)
+
+
+def test_stage_undershoot_is_a_negativity_breach():
+    # the mosquito total obeys a closed-form decay law, so a zero total
+    # inside an RK4 stage at this rate is an overshooting stage, not an
+    # extinct pool
+    p = replace(P_SUPER, beta_h=1e200)
+    with pytest.raises(NegativityBreachError) as info:
+        integrate(p, _phi(p), spec_full(20.0))
+    assert info.value.component == "s_v"
+    assert info.value.value < -1e-9
+    assert info.value.t == pytest.approx(1.05)
+
+
+def test_csv_writers_match_per_value_formatting():
+    # one writer serves both artifacts; it must keep the 17-digit text
+    traj = integrate(P_SUPER, _phi(P_SUPER), spec_full(3.0, steps_per_delay=7))
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    expected = "t,S_h,I_h,S_v,I_v\n" + "".join(
+        f"{t:.17g},{r[0]:.17g},{r[1]:.17g},{r[2]:.17g},{r[3]:.17g}\n"
+        for t, r in zip(traj.times, traj.states))
+    assert buf.getvalue() == expected

@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from malaria_dde import (
+    EmptyWindowError,
     FunctionalKind,
     HistorySegment,
     IntegrationSpec,
+    InvalidSpecError,
     NonPositiveArgumentError,
     NonPositiveProductError,
     OutsideOmega1Error,
@@ -168,3 +171,28 @@ def test_trace_csv_shape():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,V"
     assert len(lines) == trace.times.size + 1
+
+
+def test_trace_along_gates_the_regime():
+    phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
+    lim = IntegrationSpec(system=SystemKind.LIMITING, t_end=5.0)
+    with pytest.raises(SupercriticalR0Error):
+        trace_along(P_SUPER, integrate(P_SUPER, phi, lim), FunctionalKind.V_DFE)
+    with pytest.raises(SubcriticalR0Error):
+        trace_along(P_SUB, integrate(P_SUB, phi, lim), FunctionalKind.V_ENDEMIC)
+
+
+def test_trace_along_rejects_a_thinned_trajectory():
+    # windows of tau must span m mesh nodes; with stride 2 they would span 2 tau
+    phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
+    spec = IntegrationSpec(system=SystemKind.LIMITING, t_end=12.0, record_stride=2)
+    with pytest.raises(InvalidSpecError):
+        trace_along(P_SUB, integrate(P_SUB, phi, spec), FunctionalKind.V_DFE)
+
+
+def test_trace_along_needs_a_horizon_past_tau():
+    p = replace(P_SUB, tau=2.0)
+    phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 2.0)
+    traj = integrate(p, phi, IntegrationSpec(system=SystemKind.LIMITING, t_end=1.0))
+    with pytest.raises(EmptyWindowError):
+        trace_along(p, traj, FunctionalKind.V_DFE)

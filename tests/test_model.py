@@ -169,3 +169,40 @@ def test_domain_flags():
     assert not DomainFlag.D.contains(unseeded)
     assert DomainFlag.OMEGA2.contains(seeded)
     assert not DomainFlag.OMEGA2.contains(boundary)
+
+
+# the package namespace as it was listed by hand, plus InvalidSpecError
+PUBLIC_NAMES = {
+    "CLAMP_BAND", "COMPONENT_NAMES", "CharCoeffs", "Classification",
+    "DEFAULT_THETA", "DfeCharCoeffs", "DomainFlag", "EmptyWindowError",
+    "EndemicAbsentError", "EndemicCharCoeffs", "EquilibriumKind",
+    "EquilibriumSet", "FunctionalKind", "HistorySegment", "IntegrationSpec",
+    "InvalidHistoryError", "InvalidSpecError", "LyapunovTrace", "ModelError",
+    "ModelParams", "NegativeDelayError", "NegativityBreachError",
+    "NoBracketError", "NonFiniteStateError", "NonPositiveArgumentError",
+    "NonPositiveProductError", "NonPositiveRateError", "NotInDomainDError",
+    "NumericalError", "OutOfRangeError", "OutsideOmega1Error",
+    "OutsideOmega2Error", "PersistenceBounds", "PersistenceReport",
+    "RECORD_STRIDE", "RootPolishError", "STEPS_PER_DELAY", "Scenario",
+    "SchemaError", "StabilityReport", "State", "SubcriticalR0Error",
+    "SupercriticalR0Error", "SweepSpec", "SystemKind", "TAIL_WINDOW",
+    "TailStats", "ThetaOutOfRangeError", "Trajectory", "ValidationError",
+    "ZeroMosquitoPopulationError", "basic_reproduction_number", "char_eval",
+    "classify", "convergence_order", "default_ode_step", "default_t_end",
+    "dense_eval", "descend_check", "disease_free_equilibrium",
+    "endemic_equilibrium", "equilibrium_residual", "equilibrium_set",
+    "f_bridge", "full_char_eval", "imaginary_axis_root_exists", "integrate",
+    "load_scenario", "load_sweep", "persistence_bounds", "r0_squared",
+    "rhs_full", "rhs_limiting", "rightmost_real_root", "routh_hurwitz_tau0",
+    "run_scenario", "run_sweep", "tail_stats", "trace_along", "v_dfe",
+    "v_endemic", "validate_params", "weak_persistence_check",
+}
+
+
+def test_public_namespace_is_derived_and_unchanged():
+    import malaria_dde
+
+    assert len(malaria_dde.__all__) == len(set(malaria_dde.__all__))
+    assert set(malaria_dde.__all__) == PUBLIC_NAMES
+    for name in malaria_dde.__all__:
+        assert getattr(malaria_dde, name) is not None

@@ -6,15 +6,26 @@ import pytest
 
 from malaria_dde import (
     HistorySegment,
+    IntegrationSpec,
     NotInDomainDError,
     SubcriticalR0Error,
+    SystemKind,
     ThetaOutOfRangeError,
+    default_t_end,
     endemic_equilibrium,
+    integrate,
     persistence_bounds,
     weak_persistence_check,
 )
 
 from conftest import P_SUB, P_SUPER, constant_history, draw_supercritical
+
+
+def full_run(p, phi, t_end=None):
+    """The full-system run the check reads; the horizon defaults to
+    40 / min(mu_h, mu_v)."""
+    horizon = t_end if t_end is not None else default_t_end(p.mu_h, p.mu_v)
+    return integrate(p, phi, IntegrationSpec(system=SystemKind.FULL, t_end=horizon))
 
 
 def test_bounds_anchor_against_exact_rationals():
@@ -54,7 +65,8 @@ def test_theta_must_be_interior(theta):
         persistence_bounds(P_SUPER, theta)
     with pytest.raises(ThetaOutOfRangeError):
         weak_persistence_check(
-            P_SUPER, HistorySegment.constant((4, 1, 30, 10), 1.0), theta)
+            P_SUPER, full_run(P_SUPER, HistorySegment.constant((4, 1, 30, 10), 1.0)),
+            theta)
 
 
 def test_bounds_require_supercritical():
@@ -65,14 +77,14 @@ def test_bounds_require_supercritical():
 def test_check_requires_seeded_infection():
     unseeded = HistorySegment.constant((4.0, 0.0, 30.0, 10.0), 1.0)
     with pytest.raises(NotInDomainDError):
-        weak_persistence_check(P_SUPER, unseeded, 0.5)
+        weak_persistence_check(P_SUPER, full_run(P_SUPER, unseeded), 0.5)
 
 
 def test_check_passes_on_reference_supercritical_run():
     phi = HistorySegment.table(
         (-1.0, -0.3, 0.0),
         ((6.0, 0.05, 20.0, 2.0), (5.0, 0.3, 30.0, 6.0), (4.0, 0.7, 35.0, 9.0)))
-    report = weak_persistence_check(P_SUPER, phi, 0.9)
+    report = weak_persistence_check(P_SUPER, full_run(P_SUPER, phi), 0.9)
     assert report.passes
     assert report.threshold == pytest.approx(0.9 * 3.0 / 7.0, rel=1e-12)
     assert report.i_h_tail_sup > report.threshold
@@ -81,7 +93,7 @@ def test_check_passes_on_reference_supercritical_run():
 
 def test_report_lines_carry_theta_key():
     phi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), 1.0)
-    report = weak_persistence_check(P_SUPER, phi, 0.25, t_end=80.0)
+    report = weak_persistence_check(P_SUPER, full_run(P_SUPER, phi, t_end=80.0), 0.25)
     lines = report.as_lines()
     assert lines[0].startswith("persistence.theta_0.25.threshold = ")
     assert lines[-1] == f"persistence.theta_0.25.passes = {str(report.passes).lower()}"
@@ -90,4 +102,4 @@ def test_report_lines_carry_theta_key():
 def test_check_subcritical_rejected():
     phi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), 1.0)
     with pytest.raises(SubcriticalR0Error):
-        weak_persistence_check(P_SUB, phi, 0.5)
+        weak_persistence_check(P_SUB, full_run(P_SUB, phi), 0.5)

@@ -1,19 +1,27 @@
 """Scenario/sweep loading, orchestration artifacts, CLI behavior."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import malaria_dde.cli as cli
 from malaria_dde import (
+    FunctionalKind,
+    HistorySegment,
+    IntegrationSpec,
     NumericalError,
     SchemaError,
     SystemKind,
+    integrate,
     load_scenario,
     load_sweep,
     run_scenario,
     run_sweep,
+    trace_along,
+    weak_persistence_check,
 )
 
 BASE = {
@@ -335,3 +343,90 @@ def test_cli_seed_changes_random_history(tmp_path):
     ta = (tmp_path / "sa" / "trajectory.csv").read_text()
     tb = (tmp_path / "sb" / "trajectory.csv").read_text()
     assert ta != tb
+
+
+# ------------------------------------------------ one run per spec, errors
+
+ENDEMIC_DEMO = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "..", "demos", "scenarios", "endemic.json")
+
+
+@pytest.fixture
+def integrate_spy(monkeypatch):
+    import malaria_dde.scenario as scenario_mod
+    calls = []
+    real = scenario_mod.integrate
+
+    def spy(p, phi, spec):
+        calls.append(spec)
+        return real(p, phi, spec)
+
+    monkeypatch.setattr(scenario_mod, "integrate", spy)
+    return calls
+
+
+def test_run_scenario_integrates_each_system_once(tmp_path, integrate_spy):
+    # simulate and both persistence fractions share the full run; Lyapunov
+    # reads the limiting one
+    scn = load_scenario(ENDEMIC_DEMO)
+    assert scn.analyses.lyapunov and len(scn.analyses.persistence) == 2
+    run_scenario(scn, out_dir=str(tmp_path / "out"), quiet=True)
+    assert sorted(s.system.value for s in integrate_spy) == ["full", "limiting"]
+
+    integrate_spy.clear()
+    run_scenario(scn, quiet=True, only="persistence")
+    assert [s.system for s in integrate_spy] == [SystemKind.FULL]
+
+
+def test_zero_delay_step_reaches_every_analysis(tmp_path, integrate_spy):
+    params = {**BASE["params"], "tau": 0.0}
+    path = scenario_file(tmp_path, params=params,
+                         integration={"t_end": 40, "step": 0.01},
+                         analyses={"lyapunov": True, "persistence": [0.5]})
+    scn = load_scenario(path)
+    rep = report_dict(run_scenario(scn, out_dir=str(tmp_path / "o"), quiet=True))
+    assert {s.step for s in integrate_spy} == {0.01}
+
+    p = scn.params
+    phi = HistorySegment.constant(BASE["history"]["state"], 0.0)
+    lim = integrate(p, phi, IntegrationSpec(system=SystemKind.LIMITING,
+                                            t_end=40.0, step=0.01))
+    trace = trace_along(p, lim, FunctionalKind.V_ENDEMIC)
+    assert rep["lyapunov.v_last"] == f"{float(trace.values[-1]):.17g}"
+    full = integrate(p, phi, IntegrationSpec(t_end=40.0, step=0.01))
+    check = weak_persistence_check(p, full, 0.5)
+    assert rep["persistence.theta_0.5.i_h_tail_sup"] == f"{check.i_h_tail_sup:.17g}"
+
+
+def test_cli_lyapunov_horizon_shorter_than_delay_exits_1(tmp_path, capsys):
+    params = {**BASE["params"], "tau": 2.0}
+    path = scenario_file(tmp_path, params=params, integration={"t_end": 1.0},
+                         analyses={"lyapunov": True})
+    assert cli.main(["simulate", path, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "horizon too short" in err and "Traceback" not in err
+
+
+TABLE_HISTORY = {"kind": "table", "times": [-1.0, -0.5, 0.0],
+                 "states": [[4, 0.5, 30, 10], [4, 0.6, 30, 10], [4, 0.7, 30, 10]]}
+
+
+def test_table_history_span_must_match_tau(tmp_path, capsys):
+    params = {**BASE["params"], "tau": 2.0}
+    path = scenario_file(tmp_path, params=params, history=TABLE_HISTORY)
+    with pytest.raises(SchemaError) as err:
+        load_scenario(path)
+    assert err.value.field == "scenario.history.times"
+    assert cli.main(["simulate", path, "--quiet"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_tau_sweep_over_table_history_marks_rows(tmp_path):
+    obj = {"schema": 1,
+           "base": {**BASE, "history": TABLE_HISTORY, "integration": {"t_end": 10}},
+           "axis": "tau", "values": [1.0, 2.0], "columns": ["tail"]}
+    path = write_json(tmp_path / "sw.json", obj)
+    assert cli.main(["sweep", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    assert rows[1].endswith(",")  # tau = 1 matches the table: no error
+    assert "history spans" in rows[2]

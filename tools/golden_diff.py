@@ -1,0 +1,137 @@
+"""Golden diff: compare every demo artifact and output of a git revision with
+the working tree.
+
+    python3 tools/golden_diff.py REV
+
+Both trees run the same commands from the same scratch directory, with the
+same relative --out paths, on their own copies of demos/ (so printed paths
+match):
+
+* `simulate` on each demos/scenarios/*.json scenario (the sweep file aside);
+* `sweep` on demos/scenarios/sweep_c_vh.json;
+* `report --only stability|lyapunov|persistence` on each scenario;
+* each demos/*.py script.
+
+Every file written (report.txt, trajectory.csv, lyapunov.csv, sweep.csv and
+the demos' own files) and every command's stdout, stderr and exit code is
+compared byte for byte. Exit status 0 when all are identical, 1 otherwise.
+REV is exported with `git archive`, so no worktree is registered. Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECTIONS = ("stability", "lyapunov", "persistence")
+STREAMS = "streams"
+
+
+def commands(tree: str) -> list[tuple[str, list[str]]]:
+    """(label, argv) pairs, argv relative to the scratch directory."""
+    cli = [sys.executable, "-m", "malaria_dde"]
+    scen_dir = os.path.join(tree, "demos", "scenarios")
+    scenarios = sorted(f for f in os.listdir(scen_dir)
+                       if f.endswith(".json") and not f.startswith("sweep"))
+    out = []
+    for f in scenarios:
+        name = f[:-5]
+        path = os.path.join("demos", "scenarios", f)
+        out.append((f"simulate_{name}",
+                    cli + ["simulate", path, "--out", f"out/simulate_{name}"]))
+        for section in SECTIONS:
+            out.append((f"report_{name}_{section}",
+                        cli + ["report", path, "--only", section]))
+    out.append(("sweep_c_vh", cli + ["sweep", "demos/scenarios/sweep_c_vh.json",
+                                     "--out", "out/sweep_c_vh"]))
+    for f in sorted(os.listdir(os.path.join(tree, "demos"))):
+        if f.endswith(".py"):
+            out.append((f"demo_{f[:-3]}", [sys.executable, os.path.join("demos", f)]))
+    return out
+
+
+def run_tree(tree: str, work: str, dest: str) -> None:
+    """Run every command of `tree` in `work`, then move `work` to `dest`."""
+    os.makedirs(work)
+    shutil.copytree(os.path.join(tree, "demos"), os.path.join(work, "demos"))
+    os.makedirs(os.path.join(work, STREAMS))
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    for label, argv in commands(tree):
+        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+        for ext, data in (("stdout", proc.stdout), ("stderr", proc.stderr),
+                          ("exit", f"{proc.returncode}\n".encode())):
+            with open(os.path.join(work, STREAMS, f"{label}.{ext}"), "wb") as fh:
+                fh.write(data)
+    shutil.rmtree(os.path.join(work, "demos"))  # inputs, not outputs
+    os.rename(work, dest)
+
+
+def files_under(top: str) -> set[str]:
+    out = set()
+    for dirpath, _, names in os.walk(top):
+        for n in names:
+            out.add(os.path.relpath(os.path.join(dirpath, n), top))
+    return out
+
+
+def first_difference(a: str, b: str) -> str:
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        for k, (la, lb) in enumerate(zip(fa, fb), start=1):
+            if la != lb:
+                return f"line {k}: {la[:80]!r} != {lb[:80]!r}"
+    return "one file is a prefix of the other"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/golden_diff.py REV", file=sys.stderr)
+        return 2
+    rev = argv[0]
+    tmp = tempfile.mkdtemp(prefix="golden_diff_")
+    try:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                                 capture_output=True)
+        if archive.returncode != 0:
+            sys.stderr.write(archive.stderr.decode())
+            return 2
+        base = os.path.join(tmp, "base_tree")
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            # the "data" filter exists from 3.11.4/3.10.12 and is the default in 3.14
+            tar.extractall(base, **({"filter": "data"}
+                                    if hasattr(tarfile, "data_filter") else {}))
+        work = os.path.join(tmp, "work")
+        sides = {rev: os.path.join(tmp, "base"), "working tree": os.path.join(tmp, "change")}
+        for tree, dest in zip((base, ROOT), sides.values()):
+            run_tree(tree, work, dest)
+
+        old, new = sides.values()
+        old_files, new_files = files_under(old), files_under(new)
+        problems = [f"only in {rev}: {f}" for f in sorted(old_files - new_files)]
+        problems += [f"only in working tree: {f}" for f in sorted(new_files - old_files)]
+        same = 0
+        for f in sorted(old_files & new_files):
+            a, b = os.path.join(old, f), os.path.join(new, f)
+            if filecmp.cmp(a, b, shallow=False):
+                same += 1
+            else:
+                problems.append(f"differs: {f} ({first_difference(a, b)})")
+        for line in problems:
+            print(line)
+        print(f"{same} identical, {len(problems)} different "
+              f"({rev} vs working tree)")
+        return 1 if problems else 0
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
