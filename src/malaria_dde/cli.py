@@ -7,7 +7,8 @@
 Exit codes: 0 on success, 1 when the input fails validation (bad JSON,
 schema violations, nonpositive rates, malformed histories), 2 when the run
 itself breaks down numerically (population collapse, root bracketing
-failure, state outside a functional's domain).
+failure, state outside a functional's domain, or a float division by zero
+when admissible but extreme rates underflow).
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ModelError as exc:  # pragma: no cover - base class safety net

@@ -57,13 +57,6 @@ class SystemKind(enum.Enum):
     FULL = "full"
     LIMITING = "limiting"
 
-    @classmethod
-    def parse(cls, text: str) -> "SystemKind":
-        try:
-            return cls(text)
-        except ValueError:
-            raise InvalidSpecError(f"unknown system kind {text!r}") from None
-
 
 @dataclass(frozen=True)
 class IntegrationSpec:
@@ -158,8 +151,8 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     if abs(phi.tau - tau) > 1e-9 * (1.0 + abs(tau)):
         raise InvalidHistoryError(f"history spans tau = {phi.tau!r} but params "
                                   f"have tau = {tau!r}")
-    if not (spec.t_end > 0):
-        raise InvalidSpecError("t_end must be positive")
+    if not (spec.t_end > 0 and math.isfinite(spec.t_end)):
+        raise InvalidSpecError(f"t_end must be positive and finite, got {spec.t_end!r}")
 
     if tau > 0:
         m = spec.steps_per_delay
@@ -169,8 +162,8 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     else:
         m = 0
         h = spec.step if spec.step is not None else defaults.default_ode_step(p.max_rate)
-        if not (h > 0):
-            raise InvalidSpecError("step must be positive")
+        if not (h > 0 and math.isfinite(h)):
+            raise InvalidSpecError(f"step must be positive and finite, got {h!r}")
     stride = spec.record_stride
     if not (isinstance(stride, int) and stride >= 1):
         raise InvalidSpecError("record_stride must be an integer >= 1")

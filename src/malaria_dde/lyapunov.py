@@ -148,6 +148,9 @@ def trace_along(p: ModelParams, traj: Trajectory, kind: FunctionalKind) -> Lyapu
     Regime gate: V_DFE needs R0 <= 1 (it is also meaningful at exactly 1),
     V_ENDEMIC needs R0 > 1.
     """
+    if traj.system is not SystemKind.LIMITING:
+        raise InvalidSpecError(f"the functionals descend along the limiting "
+                               f"system, got a {traj.system.value} trajectory")
     r2 = r0_squared(p)
     if kind is FunctionalKind.V_DFE and r2 > 1.0:
         raise SupercriticalR0Error(math.sqrt(r2))

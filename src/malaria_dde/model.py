@@ -171,9 +171,9 @@ class HistorySegment:
     """Initial data on [-tau, 0]: either a constant state or a sampled table
     interpolated piecewise-linearly.
 
-    Invariants, enforced at construction: sample times strictly increasing
-    from -tau to 0, every sample componentwise >= 0, and S_v + I_v > 0 at
-    every sample.
+    Invariants, enforced at construction: finite sample times strictly
+    increasing from -tau to 0, every sample finite and componentwise >= 0,
+    and S_v + I_v > 0 at every sample.
     """
 
     __slots__ = ("times", "states", "tau")
@@ -208,6 +208,8 @@ class HistorySegment:
         return cls(t, x, -float(t[0]))
 
     def _validate(self) -> None:
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.states))):
+            raise InvalidHistoryError("history times and samples must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise InvalidHistoryError("sample times must be strictly increasing")
         if abs(self.times[0] + self.tau) > 1e-9 * (1.0 + self.tau):

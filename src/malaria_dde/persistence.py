@@ -19,9 +19,14 @@ from dataclasses import dataclass
 
 from . import defaults
 from .equilibria import basic_reproduction_number, endemic_equilibrium
-from .errors import NotInDomainDError, SubcriticalR0Error, ThetaOutOfRangeError
-from .integrator import TailStats, Trajectory, tail_stats
-from .model import DomainFlag, ModelParams, State
+from .errors import (
+    InvalidSpecError,
+    NotInDomainDError,
+    SubcriticalR0Error,
+    ThetaOutOfRangeError,
+)
+from .integrator import SystemKind, TailStats, Trajectory, tail_stats
+from .model import DomainFlag, HistorySegment, ModelParams, State
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,17 @@ class PersistenceReport:
         return lines
 
 
+def _require_preconditions(p: ModelParams, phi: HistorySegment,
+                           theta: float) -> State:
+    """Check what weak_persistence_check needs before anything is integrated:
+    theta in (0, 1), R0 > 1 and a seeded history, I_h(0) > 0. Returns E*."""
+    _require_theta(theta)
+    star = _require_supercritical(p)
+    if not DomainFlag.D.contains(phi):
+        raise NotInDomainDError()
+    return star
+
+
 def weak_persistence_check(p: ModelParams, traj: Trajectory,
                            theta: float) -> PersistenceReport:
     """Test the tail conditions on a run of the full system.
@@ -86,10 +102,10 @@ def weak_persistence_check(p: ModelParams, traj: Trajectory,
     tail sup is strictly positive. The run's history must seed the infection:
     I_h(0) > 0.
     """
-    _require_theta(theta)
-    star = _require_supercritical(p)
-    if not DomainFlag.D.contains(traj.history):
-        raise NotInDomainDError()
+    star = _require_preconditions(p, traj.history, theta)
+    if traj.system is not SystemKind.FULL:
+        raise InvalidSpecError(f"weak persistence is read on the full system, "
+                               f"got a {traj.system.value} trajectory")
     tail = tail_stats(traj, defaults.TAIL_WINDOW)
     threshold = theta * star.i_h
     sup = tail.sup

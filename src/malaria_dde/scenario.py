@@ -17,22 +17,26 @@ A scenario is one JSON object (schema 1):
 history.kind may also be "table" (times from -tau to 0 plus states arrays)
 or "random" (constant history drawn once from the seeded generator:
 S-components uniform in [0.2, 2] x the disease-free pool, I-components
-uniform in [0.01, 1] x the same scale). Every section except schema/params
-is optional; omitted values fall back to the defaults table. Unknown keys
+uniform in [0.01, 1] x the same scale). schema, params and history are
+required; an omitted key keeps its Scenario / Analyses default. Unknown keys
 are rejected so typos surface as SchemaError instead of silently running
-defaults.
+defaults. Numbers must be finite (Python's json accepts NaN and Infinity),
+the six rates strictly positive, tau >= 0, persistence fractions strictly
+inside (0, 1), and a table history must span params.tau.
 
 A sweep wraps a base scenario, an axis (one parameter name), the values to
-visit in order, and the derived columns to tabulate. Rows are independent; a
-failing row records an error marker and the sweep carries on.
+visit in order, and the derived columns to tabulate. Each value is checked at
+load by the rule of params.<axis>. Rows are independent; a failing row
+records an error marker and the sweep carries on.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -43,18 +47,11 @@ from .equilibria import (
     equilibrium_set,
     r0_squared,
 )
-from .errors import (
-    EndemicAbsentError,
-    InvalidSpecError,
-    ModelError,
-    NegativeDelayError,
-    NonPositiveRateError,
-    SchemaError,
-)
+from .errors import EndemicAbsentError, ModelError, SchemaError
 from .integrator import IntegrationSpec, SystemKind, Trajectory, integrate, tail_stats
 from .lyapunov import FunctionalKind, trace_along
 from .model import HistorySegment, ModelParams, validate_params
-from .persistence import weak_persistence_check
+from .persistence import _require_preconditions, weak_persistence_check
 from .stability import EquilibriumKind, classify
 
 SCHEMA_VERSION = 1
@@ -125,206 +122,6 @@ class Scenario:
                                step=self.step, record_stride=self.record_stride)
 
 
-# ---------------------------------------------------------------- loading
-
-def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{path}.{key}", "unknown key")
-
-
-def _number(obj: dict, key: str, path: str, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise SchemaError(f"{path}.{key}", "missing")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
-
-
-def _boolean(obj: dict, key: str, path: str, default: bool) -> bool:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, bool):
-        raise SchemaError(f"{path}.{key}", f"expected a boolean, got {v!r}")
-    return v
-
-
-def _integer(obj: dict, key: str, path: str, default: int) -> int:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{path}.{key}", f"expected an integer, got {v!r}")
-    return v
-
-
-def _check_schema_version(obj: dict, path: str, required: bool) -> None:
-    if "schema" not in obj:
-        if required:
-            raise SchemaError(f"{path}.schema", "missing")
-        return
-    if obj["schema"] != SCHEMA_VERSION:
-        raise SchemaError(f"{path}.schema",
-                          f"unsupported version {obj['schema']!r}")
-
-
-def _parse_params(obj: Any, path: str) -> ModelParams:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    _require_keys(obj, set(PARAM_FIELDS), path)
-    values = {f: _number(obj, f, path, required=True) for f in PARAM_FIELDS}
-    try:
-        return validate_params(ModelParams(**values))
-    except NonPositiveRateError as exc:
-        raise SchemaError(f"{path}.{exc.name}", "must be strictly positive") from None
-    except NegativeDelayError:
-        raise SchemaError(f"{path}.tau", "must be >= 0") from None
-
-
-def _parse_history(obj: Any, path: str) -> HistorySpec:
-    if obj is None:
-        raise SchemaError(path, "missing")
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    kind = obj.get("kind")
-    if kind == "constant":
-        _require_keys(obj, {"kind", "state"}, path)
-        state = obj.get("state")
-        if (not isinstance(state, list) or len(state) != 4
-                or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                       for x in state)):
-            raise SchemaError(f"{path}.state", "expected 4 numbers")
-        return HistorySpec(kind="constant", state=tuple(float(x) for x in state))
-    if kind == "table":
-        _require_keys(obj, {"kind", "times", "states"}, path)
-        times = obj.get("times")
-        states = obj.get("states")
-        if not isinstance(times, list) or not times:
-            raise SchemaError(f"{path}.times", "expected a nonempty array")
-        if (not isinstance(states, list) or len(states) != len(times)
-                or any(not isinstance(r, list) or len(r) != 4 for r in states)):
-            raise SchemaError(f"{path}.states", "expected len(times) rows of 4")
-        return HistorySpec(kind="table",
-                           times=tuple(float(t) for t in times),
-                           states=tuple(tuple(float(x) for x in r) for r in states))
-    if kind == "random":
-        _require_keys(obj, {"kind"}, path)
-        return HistorySpec(kind="random")
-    raise SchemaError(f"{path}.kind", f"expected constant|table|random, got {kind!r}")
-
-
-def _parse_scenario_dict(obj: Any, path: str = "scenario",
-                         schema_required: bool = True) -> Scenario:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected a JSON object")
-    _require_keys(obj, {"schema", "params", "history", "integration",
-                        "analyses", "output"}, path)
-    _check_schema_version(obj, path, schema_required)
-    if "params" not in obj:
-        raise SchemaError(f"{path}.params", "missing")
-    params = _parse_params(obj["params"], f"{path}.params")
-    history = _parse_history(obj.get("history"), f"{path}.history")
-    if history.kind == "table":
-        span = -history.times[0]
-        if abs(span - params.tau) > 1e-9 * (1.0 + params.tau):
-            raise SchemaError(f"{path}.history.times",
-                              f"span {span!r} differs from params.tau = "
-                              f"{params.tau!r}")
-
-    system = SystemKind.FULL
-    t_end = None
-    steps = defaults.STEPS_PER_DELAY
-    step = None
-    stride = defaults.RECORD_STRIDE
-    if "integration" in obj:
-        integ = obj["integration"]
-        if not isinstance(integ, dict):
-            raise SchemaError(f"{path}.integration", "expected an object")
-        ipath = f"{path}.integration"
-        _require_keys(integ, {"system", "t_end", "steps_per_delay", "step",
-                              "record_stride"}, ipath)
-        if "system" in integ:
-            try:
-                system = SystemKind.parse(integ["system"])
-            except (InvalidSpecError, TypeError):
-                raise SchemaError(f"{ipath}.system",
-                                  f"expected full|limiting, got {integ['system']!r}")
-        t_end = _number(integ, "t_end", ipath)
-        if t_end is not None and t_end <= 0:
-            raise SchemaError(f"{ipath}.t_end", "must be positive")
-        steps = _integer(integ, "steps_per_delay", ipath, defaults.STEPS_PER_DELAY)
-        if steps < 1:
-            raise SchemaError(f"{ipath}.steps_per_delay", "must be >= 1")
-        step = _number(integ, "step", ipath)
-        if step is not None and step <= 0:
-            raise SchemaError(f"{ipath}.step", "must be positive")
-        stride = _integer(integ, "record_stride", ipath, defaults.RECORD_STRIDE)
-        if stride < 1:
-            raise SchemaError(f"{ipath}.record_stride", "must be >= 1")
-
-    analyses = Analyses()
-    if "analyses" in obj:
-        ana = obj["analyses"]
-        if not isinstance(ana, dict):
-            raise SchemaError(f"{path}.analyses", "expected an object")
-        apath = f"{path}.analyses"
-        _require_keys(ana, {"simulate", "stability", "lyapunov", "persistence"},
-                      apath)
-        thetas: tuple[float, ...] = ()
-        if "persistence" in ana:
-            tl = ana["persistence"]
-            if (not isinstance(tl, list)
-                    or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                           for x in tl)):
-                raise SchemaError(f"{apath}.persistence",
-                                  "expected an array of numbers")
-            thetas = tuple(float(x) for x in tl)
-        analyses = Analyses(
-            simulate=_boolean(ana, "simulate", apath, True),
-            stability=_boolean(ana, "stability", apath, True),
-            lyapunov=_boolean(ana, "lyapunov", apath, False),
-            persistence=thetas,
-        )
-
-    out_dir = "out"
-    if "output" in obj:
-        out = obj["output"]
-        if not isinstance(out, dict):
-            raise SchemaError(f"{path}.output", "expected an object")
-        opath = f"{path}.output"
-        _require_keys(out, {"dir", "formats"}, opath)
-        if "dir" in out:
-            if not isinstance(out["dir"], str) or not out["dir"]:
-                raise SchemaError(f"{opath}.dir", "expected a nonempty string")
-            out_dir = out["dir"]
-        if "formats" in out:
-            fm = out["formats"]
-            if not isinstance(fm, list) or any(f != "csv" for f in fm):
-                raise SchemaError(f"{opath}.formats", "only [\"csv\"] is supported")
-
-    return Scenario(params=params, history=history, system=system, t_end=t_end,
-                    steps_per_delay=steps, step=step, record_stride=stride,
-                    analyses=analyses, out_dir=out_dir)
-
-
-def _load_json(path: str, what: str) -> Any:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise SchemaError(what, f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(what, f"invalid JSON in {path}: {exc}") from None
-
-
-def load_scenario(path: str) -> Scenario:
-    return _parse_scenario_dict(_load_json(path, "scenario"))
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     base: Scenario
@@ -333,51 +130,222 @@ class SweepSpec:
     columns: tuple[str, ...]
 
 
-def _parse_sweep_dict(obj: Any) -> SweepSpec:
+# ---------------------------------------------------------------- loading
+#
+# One table, _FIELDS: section -> key -> rule. A rule takes (value, field path)
+# and returns the value to keep or raises SchemaError at that field, so every
+# JSON value is checked once, at load. A key left out is not passed on.
+
+_Rule = Callable[[Any, str], Any]
+
+
+def _any(v: Any, field: str) -> Any:
+    return v
+
+
+def _finite(v: Any, field: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(field, f"expected a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise SchemaError(field, f"expected a finite number, got {v!r}")
+    return x
+
+
+def _finite_where(test: Callable[[float], bool], msg: str) -> _Rule:
+    def rule(v: Any, field: str) -> float:
+        x = _finite(v, field)
+        if not test(x):
+            raise SchemaError(field, f"{msg}, got {x!r}")
+        return x
+
+    return rule
+
+
+_positive = _finite_where(lambda x: x > 0, "must be strictly positive")
+_nonnegative = _finite_where(lambda x: x >= 0, "must be >= 0")
+_theta = _finite_where(lambda x: 0 < x < 1, "theta must lie strictly inside (0, 1)")
+
+
+def _count(v: Any, field: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise SchemaError(field, f"expected an integer >= 1, got {v!r}")
+    return v
+
+
+def _boolean(v: Any, field: str) -> bool:
+    if not isinstance(v, bool):
+        raise SchemaError(field, f"expected a boolean, got {v!r}")
+    return v
+
+
+def _array(item: _Rule, size: int | None = None, nonempty: bool = False) -> _Rule:
+    """A JSON array, of exactly `size` items if given, whose items all pass
+    `item`; an item's error is reported at the array's field."""
+    shape = (f"an array of {size}" if size is not None
+             else "a nonempty array" if nonempty else "an array")
+
+    def rule(v: Any, field: str) -> tuple:
+        if (not isinstance(v, list) or (size is not None and len(v) != size)
+                or (nonempty and not v)):
+            raise SchemaError(field, f"expected {shape}")
+        return tuple(item(x, field) for x in v)
+
+    return rule
+
+
+def _system(v: Any, field: str) -> SystemKind:
+    try:
+        return SystemKind(v)
+    except ValueError:
+        raise SchemaError(field, f"expected full|limiting, got {v!r}") from None
+
+
+def _text(v: Any, field: str) -> str:
+    if not isinstance(v, str) or not v:
+        raise SchemaError(field, "expected a nonempty string")
+    return v
+
+
+def _formats(v: Any, field: str) -> tuple[str, ...]:
+    if not isinstance(v, list) or any(f != "csv" for f in v):
+        raise SchemaError(field, "only [\"csv\"] is supported")
+    return tuple(v)
+
+
+def _version(v: Any, field: str) -> int:
+    if isinstance(v, bool) or v != SCHEMA_VERSION:
+        raise SchemaError(field, f"unsupported version {v!r}")
+    return SCHEMA_VERSION
+
+
+def _axis(v: Any, field: str) -> str:
+    if v not in PARAM_FIELDS:
+        raise SchemaError(field,
+                          f"expected one of {'/'.join(PARAM_FIELDS)}, got {v!r}")
+    return v
+
+
+def _columns(v: Any, field: str) -> tuple[str, ...]:
+    if not isinstance(v, list):
+        raise SchemaError(field, "expected an array of column names")
+    out: list[str] = []
+    for c in v:
+        if not isinstance(c, str) or (c not in _COLUMN_ALIASES
+                                      and c not in SWEEP_COLUMNS):
+            raise SchemaError(field, f"unknown column {c!r}")
+        out.extend(_COLUMN_ALIASES.get(c, (c,)))
+    return tuple(out)
+
+
+def _object(name: str, build: Callable[..., Any] = dict) -> _Rule:
+    """A nested section, built from its checked keys."""
+    return lambda v, field: build(**_section(v, name, field))
+
+
+def _history(v: Any, field: str) -> HistorySpec:
+    """One of the history.<kind> sections, picked by its kind."""
+    if not isinstance(v, dict):
+        raise SchemaError(field, "expected an object")
+    kind = v.get("kind")
+    if kind not in ("constant", "table", "random"):
+        raise SchemaError(f"{field}.kind",
+                          f"expected constant|table|random, got {kind!r}")
+    spec = HistorySpec(**_section(v, f"history.{kind}", field))
+    if kind == "table" and len(spec.states) != len(spec.times):
+        raise SchemaError(f"{field}.states", "expected len(times) rows of 4")
+    return spec
+
+
+_FIELDS: dict[str, dict[str, _Rule]] = {
+    "scenario": {"schema": _version, "params": _object("params", ModelParams),
+                 "history": _history, "integration": _object("integration"),
+                 "analyses": _object("analyses", Analyses),
+                 "output": _object("output")},
+    "params": {**dict.fromkeys(PARAM_FIELDS[:-1], _positive), "tau": _nonnegative},
+    "history.constant": {"kind": _any, "state": _array(_finite, 4)},
+    "history.table": {"kind": _any, "times": _array(_finite, nonempty=True),
+                      "states": _array(_array(_finite, 4))},
+    "history.random": {"kind": _any},
+    "integration": {"system": _system, "t_end": _positive,
+                    "steps_per_delay": _count, "step": _positive,
+                    "record_stride": _count},
+    "analyses": {"simulate": _boolean, "stability": _boolean,
+                 "lyapunov": _boolean, "persistence": _array(_theta)},
+    "output": {"dir": _text, "formats": _formats},
+    # each value is checked by the rule of params.<axis> once the axis is known
+    "sweep": {"schema": _version,
+              "base": lambda v, field: _scenario(v, "sweep.base", field),
+              "axis": _axis, "values": _array(_any, nonempty=True),
+              "columns": _columns},
+}
+_FIELDS["sweep.base"] = _FIELDS["scenario"]
+
+_REQUIRED: dict[str, tuple[str, ...]] = {
+    "scenario": ("schema", "params", "history"),
+    "sweep.base": ("params", "history"),
+    "params": PARAM_FIELDS,
+    "history.constant": ("state",),
+    "history.table": ("times", "states"),
+    "sweep": ("schema", "base", "axis", "values"),
+}
+
+
+def _section(obj: Any, name: str, path: str) -> dict[str, Any]:
+    """Check that obj is an object with no unknown keys and every required
+    key, and return each present key's value as its rule keeps it."""
     if not isinstance(obj, dict):
-        raise SchemaError("sweep", "expected a JSON object")
-    _require_keys(obj, {"schema", "base", "axis", "values", "columns"}, "sweep")
-    _check_schema_version(obj, "sweep", required=True)
-    if "base" not in obj:
-        raise SchemaError("sweep.base", "missing")
-    base = _parse_scenario_dict(obj["base"], "sweep.base", schema_required=False)
-    axis = obj.get("axis")
-    if axis not in PARAM_FIELDS:
-        raise SchemaError("sweep.axis",
-                          f"expected one of {'/'.join(PARAM_FIELDS)}, got {axis!r}")
-    values = obj.get("values")
-    if not isinstance(values, list) or not values:
-        raise SchemaError("sweep.values", "expected a nonempty array")
-    out_values = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"sweep.values[{i}]", f"expected a number, got {v!r}")
-        v = float(v)
-        if axis == "tau":
-            if v < 0:
-                raise SchemaError(f"sweep.values[{i}]", "tau must be >= 0")
-        elif v <= 0:
-            raise SchemaError(f"sweep.values[{i}]", f"{axis} must be positive")
-        out_values.append(v)
+        raise SchemaError(path, "expected an object")
+    rules = _FIELDS[name]
+    for key in obj:
+        if key not in rules:
+            raise SchemaError(f"{path}.{key}", "unknown key")
+    out = {}
+    for key, rule in rules.items():
+        if key in obj:
+            out[key] = rule(obj[key], f"{path}.{key}")
+        elif key in _REQUIRED.get(name, ()):
+            raise SchemaError(f"{path}.{key}", "missing")
+    return out
 
-    columns: list[str] = []
-    raw_cols = obj.get("columns", list(DEFAULT_SWEEP_COLUMNS))
-    if not isinstance(raw_cols, list):
-        raise SchemaError("sweep.columns", "expected an array of column names")
-    for c in raw_cols:
-        if c in _COLUMN_ALIASES:
-            columns.extend(_COLUMN_ALIASES[c])
-        elif c in SWEEP_COLUMNS:
-            columns.append(c)
-        else:
-            raise SchemaError("sweep.columns", f"unknown column {c!r}")
 
-    return SweepSpec(base=base, axis=axis, values=tuple(out_values),
-                     columns=tuple(columns))
+def _scenario(obj: Any, name: str, path: str) -> Scenario:
+    s = _section(obj, name, path)
+    params, history = s["params"], s["history"]
+    if history.kind == "table":
+        span = -history.times[0]
+        if abs(span - params.tau) > 1e-9 * (1.0 + params.tau):
+            raise SchemaError(f"{path}.history.times",
+                              f"span {span!r} differs from params.tau = "
+                              f"{params.tau!r}")
+    return Scenario(params=params, history=history, **s.get("integration", {}),
+                    analyses=s.get("analyses", Scenario.analyses),
+                    out_dir=s.get("output", {}).get("dir", Scenario.out_dir))
+
+
+def _load_json(path: str, what: str) -> Any:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SchemaError(what, f"cannot read {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, encoding or nesting
+        raise SchemaError(what, f"invalid JSON in {path}: {exc}") from None
+
+
+def load_scenario(path: str) -> Scenario:
+    return _scenario(_load_json(path, "scenario"), "scenario", "scenario")
 
 
 def load_sweep(path: str) -> SweepSpec:
-    return _parse_sweep_dict(_load_json(path, "sweep"))
+    s = _section(_load_json(path, "sweep"), "sweep", "sweep")
+    rule = _FIELDS["params"][s["axis"]]
+    values = tuple(rule(v, f"sweep.values[{i}]") for i, v in enumerate(s["values"]))
+    return SweepSpec(base=s["base"], axis=s["axis"], values=values,
+                     columns=s.get("columns", DEFAULT_SWEEP_COLUMNS))
 
 
 # ---------------------------------------------------------------- running
@@ -478,6 +446,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, quiet: bool = False,
             lines.append(f"lyapunov.file = {lya_path}")
 
     for theta in thetas:
+        _require_preconditions(p, phi, theta)  # before the full run
         full = run(replace(spec, system=SystemKind.FULL, record_stride=1))
         lines.extend(weak_persistence_check(p, full, theta).as_lines())
 
@@ -538,7 +507,7 @@ def run_sweep(sweep: SweepSpec, out_dir: str | None = None, quiet: bool = False,
                 row = _sweep_row(sweep, value, seed)
                 cells.extend(row.get(c, "") for c in sweep.columns)
                 cells.append("")
-            except ModelError as exc:
+            except (ModelError, ArithmeticError) as exc:  # e.g. rates that underflow
                 cells.extend("" for _ in sweep.columns)
                 text = f"error: {exc}".replace('"', '""')
                 cells.append(f'"{text}"')

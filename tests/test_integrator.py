@@ -225,6 +225,10 @@ def test_integrate_validates_params():
     (1.0, dict(t_end=1.0, record_stride=0)),
     (1.0, dict(t_end=1e-12)),  # rounds to zero steps of h
     (0.0, dict(t_end=1.0, step=-0.1)),
+    (1.0, dict(t_end=math.inf)),  # used to overflow in int(round(inf))
+    (1.0, dict(t_end=math.nan)),
+    (0.0, dict(t_end=1.0, step=math.inf)),
+    (0.0, dict(t_end=1.0, step=math.nan)),
 ])
 def test_integrate_spec_errors_are_validation_errors(tau, kw):
     p = replace(P_SUPER, tau=tau)

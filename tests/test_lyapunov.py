@@ -196,3 +196,11 @@ def test_trace_along_needs_a_horizon_past_tau():
     traj = integrate(p, phi, IntegrationSpec(system=SystemKind.LIMITING, t_end=1.0))
     with pytest.raises(EmptyWindowError):
         trace_along(p, traj, FunctionalKind.V_DFE)
+
+
+def test_trace_along_rejects_a_full_system_trajectory():
+    # the functionals descend along the limiting system only
+    phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
+    full = integrate(P_SUPER, phi, IntegrationSpec(system=SystemKind.FULL, t_end=5.0))
+    with pytest.raises(InvalidSpecError, match="limiting"):
+        trace_along(P_SUPER, full, FunctionalKind.V_ENDEMIC)

@@ -151,6 +151,20 @@ def test_table_history_validation(times, states, why):
         HistorySegment.table(tuple(times), tuple(tuple(r) for r in states))
 
 
+@pytest.mark.parametrize("build", [
+    # a NaN first time used to give a segment with tau = nan
+    lambda: HistorySegment.table((float("nan"), 0.0), [[1, 0, 30, 10]] * 2),
+    lambda: HistorySegment.table((-1.0, 0.0),
+                                 [[1, float("nan"), 30, 10], [1, 0, 30, 10]]),
+    # a NaN in a constant history used to surface as a blown-up solution
+    lambda: HistorySegment.constant((4.0, float("nan"), 30.0, 10.0), 1.0),
+    lambda: HistorySegment.constant((4.0, 0.5, float("inf"), 10.0), 0.0),
+], ids=["table-time", "table-sample", "constant-nan", "constant-inf"])
+def test_history_rejects_non_finite_values(build):
+    with pytest.raises(InvalidHistoryError, match="finite"):
+        build()
+
+
 def test_history_value_out_of_range():
     h = HistorySegment.constant((1.0, 0.0, 30.0, 10.0), 1.0)
     with pytest.raises(OutOfRangeError):

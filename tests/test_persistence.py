@@ -7,6 +7,7 @@ import pytest
 from malaria_dde import (
     HistorySegment,
     IntegrationSpec,
+    InvalidSpecError,
     NotInDomainDError,
     SubcriticalR0Error,
     SystemKind,
@@ -103,3 +104,11 @@ def test_check_subcritical_rejected():
     phi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), 1.0)
     with pytest.raises(SubcriticalR0Error):
         weak_persistence_check(P_SUB, full_run(P_SUB, phi), 0.5)
+
+
+def test_check_rejects_a_limiting_system_trajectory():
+    phi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), 1.0)
+    lim = integrate(P_SUPER, phi, IntegrationSpec(system=SystemKind.LIMITING,
+                                                  t_end=80.0))
+    with pytest.raises(InvalidSpecError, match="full system"):
+        weak_persistence_check(P_SUPER, lim, 0.5)

@@ -347,8 +347,10 @@ def test_cli_seed_changes_random_history(tmp_path):
 
 # ------------------------------------------------ one run per spec, errors
 
-ENDEMIC_DEMO = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            "..", "demos", "scenarios", "endemic.json")
+SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "..", "demos", "scenarios")
+ENDEMIC_DEMO = os.path.join(SCENARIO_DIR, "endemic.json")
+FADEOUT_DEMO = os.path.join(SCENARIO_DIR, "fadeout.json")
 
 
 @pytest.fixture
@@ -430,3 +432,16 @@ def test_tau_sweep_over_table_history_marks_rows(tmp_path):
     rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
     assert rows[1].endswith(",")  # tau = 1 matches the table: no error
     assert "history spans" in rows[2]
+
+
+@pytest.mark.parametrize("history,message", [
+    (None, "requires R0 > 1"),  # fadeout.json: R0 = 0.447
+    ({"kind": "constant", "state": [4, 0, 30, 10]}, "needs I_h(0) > 0"),
+])
+def test_persistence_preconditions_fail_before_integrating(
+        tmp_path, capsys, integrate_spy, history, message):
+    path = (FADEOUT_DEMO if history is None
+            else scenario_file(tmp_path, history=history))
+    assert cli.main(["report", path, "--only", "persistence"]) == 1
+    assert integrate_spy == []
+    assert message in capsys.readouterr().err

@@ -1,0 +1,156 @@
+"""Schema fuzzing: one field of a small valid scenario or sweep is replaced by
+an arbitrary JSON value, and the file goes through the CLI in-process.
+
+`report --only stability` and a sweep without tail columns load every field
+but integrate nothing, so each case is cheap. Whatever the value, the call
+must return 0, 1 or 2: every failure leaves through the error taxonomy.
+"""
+
+import copy
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import malaria_dde.cli as cli
+from malaria_dde import SchemaError, load_scenario, load_sweep
+
+SCENARIO = {
+    "schema": 1,
+    "params": {"beta_h": 2, "beta_v": 5, "mu_h": 0.5, "mu_v": 0.1,
+               "c_vh": 0.2, "c_hv": 0.1, "tau": 1.0},
+    "history": {"kind": "constant", "state": [4, 0.5, 30, 10]},
+    "integration": {"system": "full", "t_end": 40, "steps_per_delay": 20,
+                    "step": 0.05, "record_stride": 1},
+    "analyses": {"simulate": True, "stability": True, "lyapunov": False,
+                 "persistence": [0.5]},
+    "output": {"dir": "out", "formats": ["csv"]},
+}
+TABLE = {"kind": "table", "times": [-1.0, -0.5, 0.0],
+         "states": [[4, 0.5, 30, 10], [4, 0.6, 30, 10], [4, 0.7, 30, 10]]}
+TABLE_SCENARIO = {**SCENARIO, "history": TABLE}
+SWEEP = {"schema": 1,
+         "base": {k: v for k, v in SCENARIO.items() if k != "schema"},
+         "axis": "c_vh", "values": [0.1, 0.2],
+         "columns": ["r0", "r0_squared", "classification", "e_star"]}
+
+
+def field_paths(obj, prefix=()):
+    """The document itself, every key or index path below it, and one new
+    key per object."""
+    out = [prefix]
+    if isinstance(obj, dict):
+        out.append(prefix + ("extra",))
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return out
+    for key, value in children:
+        out.extend(field_paths(value, prefix + (key,)))
+    return out
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+CASES = ([("report", SCENARIO, p) for p in field_paths(SCENARIO)]
+         + [("report", TABLE_SCENARIO, p) for p in field_paths(TABLE, ("history",))]
+         + [("sweep", SWEEP, p) for p in field_paths(SWEEP)])
+
+EXTREMES = [math.nan, math.inf, -math.inf, 10**400, -10**400, 1e308, -1e308,
+            5e-324, 1e-200, 0, -0.0, -1, 1, 1.5, "", "full", "csv", "table"]
+LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+          | st.text(max_size=6) | st.sampled_from(EXTREMES))
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+def run_main(tmp_path, command, doc):
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(doc))
+    if command == "report":
+        return cli.main(["report", str(path), "--only", "stability"])
+    return cli.main(["sweep", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+
+
+@settings(max_examples=300)
+@given(case=st.sampled_from(CASES), value=JSON_VALUES)
+def test_any_one_field_exits_through_the_taxonomy(tmp_path_factory, case, value):
+    command, doc, path = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    assert run_main(tmp, command, replaced(doc, path, value)) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("report", SCENARIO), ("report", TABLE_SCENARIO), ("sweep", SWEEP)])
+def test_fuzz_documents_are_valid_as_written(tmp_path, command, doc):
+    # so a failure above comes from the replaced field
+    assert run_main(tmp_path, command, doc) == 0
+
+
+# ------------------------------------------------ explicit regressions
+
+BAD_TABLE_SAMPLE = {**TABLE, "states": [[4, 0.5, 30, 10], [4, "x", 30, 10],
+                                        [4, 0.7, 30, 10]]}
+
+
+@pytest.mark.parametrize("path,value,field", [
+    # used to end in an OverflowError traceback
+    (("integration", "t_end"), math.inf, "scenario.integration.t_end"),
+    # used to end in a ValueError traceback
+    (("history",), BAD_TABLE_SAMPLE, "scenario.history.states"),
+    # used to run and exit 0
+    (("history",), {**TABLE, "times": [math.nan, -0.5, 0.0]},
+     "scenario.history.times"),
+    # used to exit 2 with "solution blew up"
+    (("history", "state"), [4, math.nan, 30, 10], "scenario.history.state"),
+    (("analyses", "persistence"), [0.5, 1.5], "scenario.analyses.persistence"),
+    (("params", "mu_v"), -math.inf, "scenario.params.mu_v"),
+    (("params", "tau"), 10**400, "scenario.params.tau"),
+    (("schema",), True, "scenario.schema"),
+], ids=["t_end-inf", "table-string", "table-nan-time", "constant-nan",
+        "theta-1.5", "rate-minus-inf", "tau-huge-int", "schema-true"])
+def test_bad_scenario_values_exit_1_at_their_field(tmp_path, capsys, path, value,
+                                                   field):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(replaced(SCENARIO, path, value)))
+    with pytest.raises(SchemaError) as err:
+        load_scenario(str(scn))
+    assert err.value.field == field
+    assert cli.main(["simulate", str(scn), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_sweep_value_fails_the_load(tmp_path, value):
+    # used to give a row error marker and exit 0
+    assert run_main(tmp_path, "sweep", replaced(SWEEP, ("values",), [0.1, value])) == 1
+    with pytest.raises(SchemaError) as err:
+        load_sweep(str(tmp_path / "sweep.json"))
+    assert err.value.field == "sweep.values[1]"
+
+
+def test_underflowing_rates_exit_2_and_mark_their_sweep_row(tmp_path, capsys):
+    # admissible, but mu_h^2 * mu_v underflows to 0 in R0^2
+    doc = replaced(SCENARIO, ("params", "mu_h"), 1e-200)
+    assert run_main(tmp_path, "report", doc) == 2
+    assert "division by zero" in capsys.readouterr().err
+
+    sweep = {**SWEEP, "axis": "mu_h", "values": [0.5, 1e-200]}
+    assert run_main(tmp_path, "sweep", sweep) == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert rows[1].endswith(",") and "division by zero" in rows[2]
