@@ -37,7 +37,6 @@ from .errors import (
     ModelError,
     NegativeDelayError,
     NegativityBreachError,
-    NoBracketError,
     NonFiniteStateError,
     NonPositiveArgumentError,
     NonPositiveProductError,
@@ -47,6 +46,7 @@ from .errors import (
     OutOfRangeError,
     OutsideOmega1Error,
     OutsideOmega2Error,
+    RateUnderflowError,
     RootPolishError,
     SchemaError,
     SubcriticalR0Error,

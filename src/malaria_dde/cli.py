@@ -6,8 +6,8 @@
 
 Exit codes: 0 on success, 1 when the input fails validation (bad JSON,
 schema violations, nonpositive rates, malformed histories), 2 when the run
-itself breaks down numerically (population collapse, root bracketing
-failure, state outside a functional's domain, or a float division by zero
+itself breaks down numerically (population collapse, a real-root polish
+that fails, state outside a functional's domain, or a division by zero
 when admissible but extreme rates underflow).
 """
 

@@ -8,8 +8,6 @@ RECORD_STRIDE           1          trajectory recording
 TAIL_WINDOW             0.5        tail statistics ([w*t_end, t_end])
 CLAMP_BAND              1e-9       negativity clamp/abort threshold
 ROOT_XTOL               1e-12      real-root polish tolerance
-SEARCH_MAX              50.0       real-root search half-width
-ROOT_GRID_POINTS        10_000     sign-change scan resolution
 DESCENT_SLACK_SCALE     1e-7       Lyapunov monotonicity slack scale
 RESIDUAL_TOL            1e-10      endemic equilibrium residual bound
 DEFAULT_THETA           0.5        persistence fraction
@@ -26,8 +24,6 @@ RECORD_STRIDE = 1
 TAIL_WINDOW = 0.5
 CLAMP_BAND = 1e-9
 ROOT_XTOL = 1e-12
-SEARCH_MAX = 50.0
-ROOT_GRID_POINTS = 10_000
 DESCENT_SLACK_SCALE = 1e-7
 RESIDUAL_TOL = 1e-10
 DEFAULT_THETA = 0.5

@@ -10,11 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import RateUnderflowError
 from .model import ModelParams, State, rhs_full
 
 
 def r0_squared(p: ModelParams) -> float:
-    return p.c_vh * p.c_hv * p.beta_h / (p.mu_h * p.mu_h * p.mu_v)
+    den = p.mu_h * p.mu_h * p.mu_v
+    if den == 0.0:
+        raise RateUnderflowError("mu_h * mu_h * mu_v")
+    return p.c_vh * p.c_hv * p.beta_h / den
 
 
 def basic_reproduction_number(p: ModelParams) -> float:

@@ -79,11 +79,11 @@ class EmptyWindowError(ValidationError):
         super().__init__(msg)
 
 
-class NoBracketError(NumericalError):
-    def __init__(self, search_max: float):
-        self.search_max = search_max
-        super().__init__(f"no sign change bracketing a real root within "
-                         f"[0, {search_max:g}]")
+class RateUnderflowError(NumericalError):
+    def __init__(self, product: str):
+        self.product = product
+        super().__init__(f"{product} underflows to 0: division by zero for "
+                         "admissible but extreme rates")
 
 
 class RootPolishError(NumericalError):

@@ -90,9 +90,6 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def state_at_node(self, k: int) -> State:
-        return State(*self.states[k])
-
     def window(self, t: float) -> HistorySegment:
         """Slice [t - tau, t] as a history segment (offsets in [-tau, 0]).
 

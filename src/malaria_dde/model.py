@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,11 +102,6 @@ class State:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.as_tuple(), dtype=float)
-
-    @classmethod
-    def from_sequence(cls, seq: Iterable[float]) -> "State":
-        a, b, c, d = (float(x) for x in seq)
-        return cls(a, b, c, d)
 
 
 COMPONENT_NAMES = ("s_h", "i_h", "s_v", "i_v")

@@ -15,10 +15,16 @@ come out of G:
   w^4 + (a1^2 - 2a2) w^2 + (a2^2 - a3^2) = 0; existence of a real w >= 0 is
   decided from that quadratic-in-w^2 without iteration. For both coefficient
   families here a1^2 - 2a2 > 0, so the verdict reduces to a2^2 - a3^2 <= 0.
-* rightmost_real_root: bracket-and-polish on the real axis. The polish is
-  `_brent`, a line-for-line port of scipy's `brentq.c` (Brent 1973,
-  "Algorithms for Minimization without Derivatives", ch. 4): same sign
-  tests, inverse-interpolation/extrapolation steps and bisection fallback,
+* rightmost_real_root: one bracket from G's shape, then one polish. With
+  validated rates a1 = x + y and a2 = x*y for some x, y > 0, and a3 < 0.
+  On [-a1/2, inf) G' = 2 lam + a1 - a3 tau exp(-lam tau) >= 0, and
+  G(-a1/2) = -(x - y)^2/4 + a3 exp(a1 tau/2) < 0, so G has exactly one zero
+  there and it is the rightmost real root. It lies in [-a1/2, 0] when
+  G(0) >= 0, and in (0, sqrt(a2 - a3)] otherwise, since
+  G(lam) >= 2 a2 + a1 lam > 0 beyond that end. The polish is `_brent`, a
+  line-for-line port of scipy's `brentq.c` (Brent 1973, "Algorithms for
+  Minimization without Derivatives", ch. 4): same sign tests,
+  inverse-interpolation/extrapolation steps and bisection fallback,
   rtol = 4*eps, at most 100 iterations. Fed the same values of G it takes
   the same steps and returns the same double as scipy.optimize.brentq.
 
@@ -35,12 +41,10 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import defaults
 from .equilibria import disease_free_equilibrium, endemic_equilibrium, r0_squared
-from .errors import EndemicAbsentError, NoBracketError, RootPolishError
-from .model import ModelParams
+from .errors import EndemicAbsentError, RateUnderflowError, RootPolishError
+from .model import ModelParams, validate_params
 
 
 @dataclass(frozen=True)
@@ -60,9 +64,10 @@ class DfeCharCoeffs:
 
     @classmethod
     def from_params(cls, p: ModelParams) -> "DfeCharCoeffs":
-        u1 = p.c_hv * p.beta_v / p.mu_v
-        u2 = p.c_vh * p.beta_h * p.mu_v / (p.beta_v * p.mu_h)
-        return cls(q1=p.mu_h + p.mu_v, q2=p.mu_v * p.mu_h, q3=-(u1 * u2),
+        # q3 = -(c_hv beta_v / mu_v) (c_vh beta_h mu_v / (beta_v mu_h)), with
+        # beta_v and mu_v cancelled so that a subnormal beta_v cannot divide by 0
+        return cls(q1=p.mu_h + p.mu_v, q2=p.mu_v * p.mu_h,
+                   q3=-(p.c_vh * p.c_hv * p.beta_h / p.mu_h),
                    tau=p.tau, mu_h=p.mu_h, mu_v=p.mu_v)
 
 
@@ -96,9 +101,12 @@ class EndemicCharCoeffs:
         if star is None:
             raise EndemicAbsentError()
         n_v = star.n_v
+        n_v2 = n_v * n_v
+        if n_v2 == 0.0:
+            raise RateUnderflowError("N_v* * N_v*")
         m1 = p.c_vh * star.i_v / n_v
-        m2 = p.c_vh * star.i_v * star.s_h / (n_v * n_v)
-        m3 = p.c_vh * star.s_v * star.s_h / (n_v * n_v)
+        m2 = p.c_vh * star.i_v * star.s_h / n_v2
+        m3 = p.c_vh * star.s_v * star.s_h / n_v2
         m4 = p.c_hv * star.s_v
         m5 = p.c_hv * star.i_h
         return cls(m1=m1, m2=m2, m3=m3, m4=m4, m5=m5,
@@ -219,32 +227,22 @@ def _brent(f: Callable[[float], float], a: float, b: float, xtol: float) -> floa
                           f"on [{a!r}, {b!r}]; last iterate {xcur!r}")
 
 
-def rightmost_real_root(coeffs: CharCoeffs,
-                        search_max: float = defaults.SEARCH_MAX) -> float | None:
-    """Largest real root of G within [-search_max, search_max], or None.
+def rightmost_real_root(coeffs: CharCoeffs) -> float:
+    """Largest real root of G, polished on the bracket from G's shape (see
+    the module docstring).
 
-    G(0) < 0 guarantees a positive root (G grows like lam^2): bracket by
-    doubling from [0, 1] and polish. Otherwise scan a 10^4-point sign-change
-    grid over the full interval and polish every bracket.
+    When mu_h and mu_v (or their endemic shifts) nearly coincide and a3 is
+    below rounding, G(-a1/2) can round to a value >= 0; -a1/2 is then the
+    root to within the rounding of G, and is returned as it is.
     """
     g = lambda x: _g_real(coeffs, x)
-    g0 = g(0.0)
-    if g0 < 0.0:
-        s = min(1.0, search_max)
-        while g(s) <= 0.0:
-            s *= 2.0
-            if s > search_max:
-                raise NoBracketError(search_max)
-        return _brent(g, 0.0, s, defaults.ROOT_XTOL)
-
-    xs = np.linspace(-search_max, search_max, defaults.ROOT_GRID_POINTS)
-    with np.errstate(over="ignore"):
-        gs = xs * xs + coeffs.a1 * xs + coeffs.a2 + coeffs.a3 * np.exp(-xs * coeffs.tau)
-    roots = xs[gs == 0.0].tolist()
-    sign_flip = np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]
-    for i in sign_flip.tolist():
-        roots.append(_brent(g, float(xs[i]), float(xs[i + 1]), defaults.ROOT_XTOL))
-    return max(roots) if roots else None
+    if g(0.0) < 0.0:
+        lo, hi = 0.0, math.sqrt(coeffs.a2 - coeffs.a3)
+    else:
+        lo, hi = -coeffs.a1 / 2.0, 0.0
+        if g(lo) >= 0.0:
+            return lo
+    return _brent(g, lo, hi, defaults.ROOT_XTOL)
 
 
 class Classification(enum.Enum):
@@ -262,32 +260,31 @@ class EquilibriumKind(enum.Enum):
 class StabilityReport:
     which: EquilibriumKind
     classification: Classification
-    rightmost_real_root: float | None
+    rightmost_real_root: float
     imag_axis_root_exists: bool
     routh_hurwitz_tau0: bool
     factor_roots: tuple[float, float]
 
     def as_lines(self, prefix: str = "stability") -> list[str]:
         key = f"{prefix}.{self.which.value.lower()}"
-        rr = "none" if self.rightmost_real_root is None \
-            else f"{self.rightmost_real_root:.17g}"
         return [
             f"{key}.classification = {self.classification.value}",
-            f"{key}.rightmost_real_root = {rr}",
+            f"{key}.rightmost_real_root = {self.rightmost_real_root:.17g}",
             f"{key}.imag_axis_root_exists = {str(self.imag_axis_root_exists).lower()}",
             f"{key}.routh_hurwitz_tau0 = {str(self.routh_hurwitz_tau0).lower()}",
             f"{key}.factor_roots = {self.factor_roots[0]:.17g},{self.factor_roots[1]:.17g}",
         ]
 
 
-def classify(p: ModelParams, which: EquilibriumKind,
-             search_max: float = defaults.SEARCH_MAX) -> StabilityReport:
+def classify(p: ModelParams, which: EquilibriumKind) -> StabilityReport:
     """Stability verdict plus the numerical evidence behind it.
 
     E0: LAS / Critical / Unstable by R0 below / at / above 1 (compared on
     R0^2). E*: exists only for R0 > 1 (EndemicAbsentError otherwise) and is
-    then LAS at every delay.
+    then LAS at every delay. The rates are validated first: the root
+    bracket relies on them.
     """
+    validate_params(p)
     r2 = r0_squared(p)
     if which is EquilibriumKind.ENDEMIC:
         coeffs: CharCoeffs = EndemicCharCoeffs.from_params(p)
@@ -304,7 +301,7 @@ def classify(p: ModelParams, which: EquilibriumKind,
     return StabilityReport(
         which=which,
         classification=verdict,
-        rightmost_real_root=rightmost_real_root(coeffs, search_max),
+        rightmost_real_root=rightmost_real_root(coeffs),
         imag_axis_root_exists=imaginary_axis_root_exists(coeffs),
         routh_hurwitz_tau0=routh_hurwitz_tau0(coeffs),
         factor_roots=(-p.mu_h, -p.mu_v),

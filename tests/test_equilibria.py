@@ -11,6 +11,7 @@ from scipy.optimize import fsolve
 
 from malaria_dde import (
     ModelParams,
+    RateUnderflowError,
     State,
     basic_reproduction_number,
     disease_free_equilibrium,
@@ -83,6 +84,17 @@ def test_equilibrium_set_bundle():
     assert eq.e0.i_h == 0.0
     assert eq.r0 == pytest.approx(0.4472135954999579, abs=1e-15)
     assert equilibrium_set(P_SUPER).e_star is not None
+
+
+def test_equilibrium_set_at_underflowing_rates():
+    # mu_h^2 * mu_v underflows to 0 in R0^2: a NumericalError naming it
+    with pytest.raises(RateUnderflowError, match=r"mu_h \* mu_h \* mu_v"):
+        equilibrium_set(replace(P_SUPER, mu_h=1e-200))
+    # nothing here divides by a subnormal beta_v
+    eq = equilibrium_set(replace(P_SUPER, beta_v=5e-324))
+    assert eq.r0 == basic_reproduction_number(P_SUPER)
+    assert eq.e0.s_v == 5e-324 / P_SUPER.mu_v
+    assert eq.e_star.s_h == endemic_equilibrium(P_SUPER).s_h
 
 
 def test_r0_scales_exactly_with_transmission():

@@ -1,19 +1,26 @@
 """Characteristic function, root location, and classification evidence."""
 
 import cmath
+import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import malaria_dde.cli as cli
 from malaria_dde import (
     Classification,
     RootPolishError,
     EndemicAbsentError,
     EquilibriumKind,
-    NoBracketError,
+    ModelParams,
+    NegativeDelayError,
+    NonPositiveRateError,
+    RateUnderflowError,
     State,
+    basic_reproduction_number,
     char_eval,
     classify,
     endemic_equilibrium,
@@ -48,7 +55,7 @@ def test_disease_free_coefficients_by_hand():
     c = DfeCharCoeffs.from_params(P_SUPER)
     assert c.q1 == pytest.approx(0.6, abs=1e-15)
     assert c.q2 == pytest.approx(0.05, abs=1e-15)
-    # u1 = 0.1*5/0.1 = 5, u2 = 0.2*2*0.1/(5*0.5) = 0.016
+    # q3 = -c_vh*c_hv*beta_h/mu_h = -0.2*0.1*2/0.5
     assert c.q3 == pytest.approx(-0.08, abs=1e-15)
 
 
@@ -122,58 +129,173 @@ def test_rightmost_root_is_a_root_and_rightmost(rng):
     for p in [P_SUPER, P_SUB] + [draw_params(rng, tau=0.5) for _ in range(10)]:
         c = DfeCharCoeffs.from_params(p)
         root = rightmost_real_root(c)
-        if root is None:
-            continue
         assert abs(char_eval(c, root)) < 1e-8
         xs = np.linspace(root + 1e-6, 50.0, 400)
         vals = [char_eval(c, float(x)).real for x in xs]
         assert all(v > 0 for v in vals)
 
 
-def _scipy_rightmost_real_root(coeffs, brentq):
-    """Reference search: scipy's brentq for the polish and a list
-    comprehension for the exact grid zeros. Returns (root, brackets)."""
+# The root search this package used before the shape bracket, kept as an
+# independent oracle: scan a 10^4-point grid on [-50, 50] for sign changes
+# and exact zeros, polish every sign change, take the largest root.
+GRID_HALF_WIDTH = 50.0
+GRID_POINTS = 10_000
+
+
+def _grid_oracle(coeffs):
+    """(rightmost root in [-50, 50] or None, every sign-change bracket)."""
     g = lambda x: _g_real(coeffs, x)
-    if g(0.0) < 0.0:
-        s = 1.0
-        while g(s) <= 0.0:
-            s *= 2.0
-        return float(brentq(g, 0.0, s, xtol=defaults.ROOT_XTOL)), [(0.0, s)]
-    xs = np.linspace(-defaults.SEARCH_MAX, defaults.SEARCH_MAX,
-                     defaults.ROOT_GRID_POINTS)
+    xs = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, GRID_POINTS)
     with np.errstate(over="ignore"):
         gs = xs * xs + coeffs.a1 * xs + coeffs.a2 + coeffs.a3 * np.exp(-xs * coeffs.tau)
     roots = [float(x) for x, v in zip(xs, gs) if v == 0.0]
     brackets = []
     for i in np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]:
         brackets.append((float(xs[i]), float(xs[i + 1])))
-        roots.append(float(brentq(g, xs[i], xs[i + 1], xtol=defaults.ROOT_XTOL)))
+        roots.append(_brent(g, float(xs[i]), float(xs[i + 1]), defaults.ROOT_XTOL))
     return (max(roots) if roots else None), brackets
 
 
-def test_brent_port_is_bit_identical_to_scipy(rng):
-    brentq = pytest.importorskip("scipy.optimize").brentq
+def _shape_bracket(coeffs):
+    """The bracket the stability module docstring derives from G's shape."""
+    if _g_real(coeffs, 0.0) < 0.0:
+        return 0.0, math.sqrt(coeffs.a2 - coeffs.a3)
+    return -coeffs.a1 / 2.0, 0.0
+
+
+def _seeded_families(rng):
+    """Seeded DFE (both regimes) and E* coefficients at every tau choice."""
     families = []
     for tau in TAU_CHOICES:
         for _ in range(20):
             families.append(DfeCharCoeffs.from_params(draw_params(rng, tau)))
             p = draw_supercritical(rng, tau)
-            families.append(DfeCharCoeffs.from_params(p))       # doubling path
-            families.append(EndemicCharCoeffs.from_params(p))   # grid path
-    families += [DfeCharCoeffs.from_params(p) for p in (P_SUPER, P_SUB, P_CRIT)]
-    doubling = set()
+            families.append(DfeCharCoeffs.from_params(p))       # G(0) < 0
+            families.append(EndemicCharCoeffs.from_params(p))   # G(0) > 0
+    return families + [DfeCharCoeffs.from_params(p) for p in (P_SUPER, P_SUB, P_CRIT)]
+
+
+def _within_xtol(got, want):
+    return abs(got - want) <= defaults.ROOT_XTOL + 4.0 * sys.float_info.epsilon * abs(want)
+
+
+def test_rightmost_root_matches_the_grid_oracle(rng):
+    for c in _seeded_families(rng):
+        want, _ = _grid_oracle(c)
+        assert want is not None
+        assert _within_xtol(rightmost_real_root(c), want), (c, want)
+
+
+def test_brent_port_is_bit_identical_to_scipy(rng):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    families = _seeded_families(rng)
+    sign_at_zero = set()
     n_brackets = 0
     for c in families:
-        want, brackets = _scipy_rightmost_real_root(c, brentq)
-        assert rightmost_real_root(c) == want
-        doubling.add(_g_real(c, 0.0) < 0.0)
         g = lambda x, c=c: _g_real(c, x)
-        for a, b in brackets:
+        lo, hi = _shape_bracket(c)
+        want = brentq(g, lo, hi, xtol=defaults.ROOT_XTOL)
+        assert _brent(g, lo, hi, defaults.ROOT_XTOL) == want
+        assert rightmost_real_root(c) == want
+        sign_at_zero.add(g(0.0) < 0.0)
+        for a, b in _grid_oracle(c)[1]:
             n_brackets += 1
             assert _brent(g, a, b, defaults.ROOT_XTOL) == \
                 brentq(g, a, b, xtol=defaults.ROOT_XTOL)
-    assert doubling == {True, False}   # both search paths were exercised
+    assert sign_at_zero == {True, False}   # both bracket branches were exercised
     assert n_brackets > len(families)
+
+
+def _tau0_root(coeffs):
+    """At tau = 0, G is the quadratic lam^2 + a1 lam + (a2 + a3)."""
+    a1, b = coeffs.a1, coeffs.a2 + coeffs.a3
+    return (-a1 + math.sqrt(a1 * a1 - 4.0 * b)) / 2.0
+
+
+P_LARGE_R0 = ModelParams(beta_h=100.0, beta_v=5.0, mu_h=0.05, mu_v=0.1,
+                         c_vh=1.0, c_hv=1.0, tau=0.0)
+
+
+def test_root_beyond_the_old_search_cap(tmp_path, capsys):
+    # R0 ~ 632 puts the E0 root near 44.6; doubling a bracket from [0, 1]
+    # reaches [0, 64], past the old cap of 50
+    assert basic_reproduction_number(P_LARGE_R0) == pytest.approx(632.4555, rel=1e-6)
+    c = DfeCharCoeffs.from_params(P_LARGE_R0)
+    root = rightmost_real_root(c)
+    assert root == pytest.approx(44.646, abs=1e-3)
+    assert root == pytest.approx(_tau0_root(c), rel=1e-12)
+
+    doc = {"schema": 1, "params": vars(P_LARGE_R0),
+           "history": {"kind": "constant", "state": [1000, 10, 40, 10]},
+           "analyses": {"simulate": True, "stability": True}}
+    path = tmp_path / "large_r0.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", str(path), "--only", "stability"]) == 0
+    assert f"stability.e0.rightmost_real_root = {root:.17g}" in capsys.readouterr().out
+
+
+def test_root_below_the_old_grid():
+    # the grid scan covered [-50, 50] and printed "none" for this root
+    p = replace(P_SUPER, mu_h=80.0, mu_v=120.0, tau=0.0)
+    c = DfeCharCoeffs.from_params(p)
+    root = rightmost_real_root(c)
+    assert root == pytest.approx(-80.0, abs=1e-4)
+    assert root == pytest.approx(_tau0_root(c), rel=1e-12)
+    assert _grid_oracle(c)[0] is None
+    line = classify(p, EquilibriumKind.DISEASE_FREE).as_lines()[1]
+    assert line == f"stability.e0.rightmost_real_root = {root:.17g}"
+
+
+def test_root_with_an_overflowing_lower_end():
+    # exp(a1 tau / 2) = exp(900) overflows, so G(-a1/2) evaluates to -inf
+    p = replace(P_SUPER, mu_h=300.0, mu_v=300.0, tau=3.0)
+    c = DfeCharCoeffs.from_params(p)
+    assert _g_real(c, -c.a1 / 2.0) == -math.inf
+    root = rightmost_real_root(c)
+    assert -c.a1 / 2.0 < root < 0.0
+    assert _g_real(c, root - 1e-9) < 0.0 < _g_real(c, root + 1e-9)
+
+
+def test_degenerate_root_at_the_lower_end():
+    # mu_h = mu_v, so G(-a1/2) = -(mu_h - mu_v)^2/4 + a3 is 0 up to rounding,
+    # and a3 underflows to -0.0
+    p = replace(P_SUPER, beta_h=5e-324, mu_h=0.0013254, mu_v=0.0013254, tau=0.0)
+    c = DfeCharCoeffs.from_params(p)
+    assert _g_real(c, -c.a1 / 2.0) >= 0.0
+    assert rightmost_real_root(c) == -c.a1 / 2.0
+    rep = classify(p, EquilibriumKind.DISEASE_FREE)
+    assert rep.classification is Classification.LAS
+    assert rep.rightmost_real_root == -0.0013254
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("mu_h", -0.5, NonPositiveRateError),
+    ("tau", -1.0, NegativeDelayError),
+    ("c_vh", math.nan, NonPositiveRateError),
+])
+def test_classify_validates_its_parameters(field, value, error):
+    p = replace(P_SUPER, **{field: value})
+    for which in EquilibriumKind:
+        with pytest.raises(error):
+            classify(p, which)
+
+
+def test_underflowing_rates_leave_through_the_taxonomy():
+    # mu_h^2 * mu_v underflows to 0 in R0^2
+    p = replace(P_SUPER, mu_h=1e-200)
+    for which in EquilibriumKind:
+        with pytest.raises(RateUnderflowError) as err:
+            classify(p, which)
+        assert err.value.product == "mu_h * mu_h * mu_v"
+    # beta_v cancels from q3, so E0 is classified as for P_SUPER; at E*,
+    # N_v* = 5e-323 and its square underflows
+    p = replace(P_SUPER, beta_v=5e-324)
+    assert DfeCharCoeffs.from_params(p) == DfeCharCoeffs.from_params(P_SUPER)
+    assert classify(p, EquilibriumKind.DISEASE_FREE) == \
+        classify(P_SUPER, EquilibriumKind.DISEASE_FREE)
+    with pytest.raises(RateUnderflowError) as err:
+        classify(p, EquilibriumKind.ENDEMIC)
+    assert err.value.product == "N_v* * N_v*"
 
 
 def test_brent_failures_leave_through_the_taxonomy():
@@ -188,12 +310,6 @@ def test_brent_failures_leave_through_the_taxonomy():
     with pytest.raises(RootPolishError, match="no convergence"):
         _brent(lambda x: -1.0 if x < 1.0 else 1.0, -1e300, 1e300, 1e-12)
     assert _brent(lambda x: x - 0.25, 0.25, 1.0, 1e-12) == 0.25
-
-
-def test_no_bracket_when_search_cap_too_small():
-    c = DfeCharCoeffs.from_params(P_SUPER)  # positive root near 0.0417
-    with pytest.raises(NoBracketError):
-        rightmost_real_root(c, search_max=0.01)
 
 
 def test_jacobian_determinant_ties_coefficients_to_dynamics():

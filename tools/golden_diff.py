@@ -14,7 +14,8 @@ match):
 
 Every file written (report.txt, trajectory.csv, lyapunov.csv, sweep.csv and
 the demos' own files) and every command's stdout, stderr and exit code is
-compared byte for byte. Exit status 0 when all are identical, 1 otherwise.
+compared byte for byte, and each differing file is listed with every line
+that differs. Exit status 0 when all are identical, 1 otherwise.
 REV is exported with `git archive`, so no worktree is registered. Standard
 library only.
 """
@@ -83,12 +84,15 @@ def files_under(top: str) -> set[str]:
     return out
 
 
-def first_difference(a: str, b: str) -> str:
+def differing_lines(a: str, b: str) -> list[str]:
+    """Every line that differs between the two files, one entry each."""
     with open(a, "rb") as fa, open(b, "rb") as fb:
-        for k, (la, lb) in enumerate(zip(fa, fb), start=1):
-            if la != lb:
-                return f"line {k}: {la[:80]!r} != {lb[:80]!r}"
-    return "one file is a prefix of the other"
+        la, lb = fa.readlines(), fb.readlines()
+    out = [f"  line {k}: {x[:80]!r} != {y[:80]!r}"
+           for k, (x, y) in enumerate(zip(la, lb), start=1) if x != y]
+    if len(la) != len(lb):
+        out.append(f"  {len(la)} lines != {len(lb)} lines")
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -123,7 +127,7 @@ def main(argv: list[str]) -> int:
             if filecmp.cmp(a, b, shallow=False):
                 same += 1
             else:
-                problems.append(f"differs: {f} ({first_difference(a, b)})")
+                problems.append("\n".join([f"differs: {f}", *differing_lines(a, b)]))
         for line in problems:
             print(line)
         print(f"{same} identical, {len(problems)} different "
