@@ -8,6 +8,10 @@ interval m steps back, whose O(h^4) accuracy preserves the classical order.
 Breakpoints of the solution (t = 0, tau, 2tau, ...) land on mesh nodes by
 construction, so no step straddles a derivative jump.
 
+The node derivatives kept for Hermite output double as the next step's k1
+(first-same-as-last; Hairer, Norsett & Wanner, Solving ODEs I), so a step
+makes 4 rhs calls: k2, k3, k4 and the new node's derivative.
+
 Committed node states are clamped to 0 when a component undershoots within
 -1e-9 (integration noise near an extinct compartment) and abort with
 NegativityBreachError below that, which signals a step size too coarse for
@@ -27,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -181,55 +186,42 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
         a, b, c, d = phi.value_at(theta)
         return (float(a), float(b), float(c), float(d))
 
-    s0, i0, v0, w0 = hist(0.0)
-    if v0 + w0 <= 0.0:
+    y0 = hist(0.0)
+    if y0[2] + y0[3] <= 0.0:
         raise ZeroMosquitoPopulationError(0.0)
-    d0 = hist(-tau) if tau > 0 else (s0, i0, v0, w0)
-
-    sh = [s0]; ih = [i0]; sv = [v0]; iv = [w0]
-    f = rhs(s0, i0, v0, w0, *d0)
-    y = (s0, i0, v0, w0)  # latest RK4 stage state, read when a stage divides by 0
-    fsh = [f[0]]; fih = [f[1]]; fsv = [f[2]]; fiv = [f[3]]
+    # nodes and their derivatives as 4-tuples; F[n] is also step n's k1
+    Y = [y0]
+    F = [rhs(y0, hist(-tau) if tau > 0 else y0)]
 
     for n in range(n_steps):
-        a, b, c, d = sh[n], ih[n], sv[n], iv[n]
+        a, b, c, d = Y[n]
+        k1 = F[n]
         t_next = (n + 1) * h
         try:
+            # y is the latest stage state, read when a stage divides by 0
+            y = (a + hh * k1[0], b + hh * k1[1], c + hh * k1[2], d + hh * k1[3])
             if tau > 0:
                 j = n - m
                 if j >= 0:
-                    d1 = (sh[j], ih[j], sv[j], iv[j])
+                    d1, d4, f1, f4 = Y[j], Y[j + 1], F[j], F[j + 1]
+                    d2 = (0.5 * (d1[0] + d4[0]) + eighth * (f1[0] - f4[0]),
+                          0.5 * (d1[1] + d4[1]) + eighth * (f1[1] - f4[1]),
+                          0.5 * (d1[2] + d4[2]) + eighth * (f1[2] - f4[2]),
+                          0.5 * (d1[3] + d4[3]) + eighth * (f1[3] - f4[3]))
                 else:
-                    d1 = hist(n * h - tau)
-                jj = j + 1
-                if jj >= 0:
-                    d4 = (sh[jj], ih[jj], sv[jj], iv[jj])
-                else:
-                    d4 = hist(t_next - tau)
-                if j >= 0:
-                    d2 = (0.5 * (d1[0] + d4[0]) + eighth * (fsh[j] - fsh[jj]),
-                          0.5 * (d1[1] + d4[1]) + eighth * (fih[j] - fih[jj]),
-                          0.5 * (d1[2] + d4[2]) + eighth * (fsv[j] - fsv[jj]),
-                          0.5 * (d1[3] + d4[3]) + eighth * (fiv[j] - fiv[jj]))
-                else:
+                    d4 = Y[0] if j == -1 else hist(t_next - tau)
                     d2 = hist(n * h + hh - tau)
-
-                k1 = rhs(a, b, c, d, *d1)
-                y = (a + hh * k1[0], b + hh * k1[1], c + hh * k1[2], d + hh * k1[3])
-                k2 = rhs(*y, *d2)
+                k2 = rhs(y, d2)
                 y = (a + hh * k2[0], b + hh * k2[1], c + hh * k2[2], d + hh * k2[3])
-                k3 = rhs(*y, *d2)
+                k3 = rhs(y, d2)
                 y = (a + h * k3[0], b + h * k3[1], c + h * k3[2], d + h * k3[3])
-                k4 = rhs(*y, *d4)
+                k4 = rhs(y, d4)
             else:
-                y = (a, b, c, d)
-                k1 = rhs(*y, *y)
-                y = (a + hh * k1[0], b + hh * k1[1], c + hh * k1[2], d + hh * k1[3])
-                k2 = rhs(*y, *y)
+                k2 = rhs(y, y)
                 y = (a + hh * k2[0], b + hh * k2[1], c + hh * k2[2], d + hh * k2[3])
-                k3 = rhs(*y, *y)
+                k3 = rhs(y, y)
                 y = (a + h * k3[0], b + h * k3[1], c + h * k3[2], d + h * k3[3])
-                k4 = rhs(*y, *y)
+                k4 = rhs(y, y)
 
             na = a + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
             nb = b + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
@@ -245,29 +237,28 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
                                                 value) from None
             raise ZeroMosquitoPopulationError(t_next) from None
 
-        na = _clamp(na, t_next, 0)
-        nb = _clamp(nb, t_next, 1)
-        nc = _clamp(nc, t_next, 2)
-        nd = _clamp(nd, t_next, 3)
+        # a NaN fails `>= 0` too, and _clamp reports it
+        na = na if na >= 0.0 else _clamp(na, t_next, 0)
+        nb = nb if nb >= 0.0 else _clamp(nb, t_next, 1)
+        nc = nc if nc >= 0.0 else _clamp(nc, t_next, 2)
+        nd = nd if nd >= 0.0 else _clamp(nd, t_next, 3)
         if nc + nd <= 0.0:
             raise ZeroMosquitoPopulationError(t_next)
 
-        sh.append(na); ih.append(nb); sv.append(nc); iv.append(nd)
-        dn = d4 if tau > 0 else (na, nb, nc, nd)
-        fn = rhs(na, nb, nc, nd, *dn)
-        fsh.append(fn[0]); fih.append(fn[1]); fsv.append(fn[2]); fiv.append(fn[3])
+        node = (na, nb, nc, nd)
+        Y.append(node)
+        F.append(rhs(node, d4 if tau > 0 else node))
 
-    for comp, col in enumerate((sh, ih, sv, iv)):
-        if not math.isfinite(col[-1]):
-            raise NonFiniteStateError(n_steps * h, COMPONENT_NAMES[comp], col[-1])
+    for comp, value in enumerate(Y[-1]):
+        if not math.isfinite(value):
+            raise NonFiniteStateError(n_steps * h, COMPONENT_NAMES[comp], value)
 
-    idx = list(range(0, n_steps + 1, stride))
-    if idx[-1] != n_steps:
-        idx.append(n_steps)
-    ia = np.array(idx)
+    states = np.fromiter(chain.from_iterable(Y), float, 4 * len(Y)).reshape(-1, 4)
+    derivs = np.fromiter(chain.from_iterable(F), float, 4 * len(F)).reshape(-1, 4)
+    ia = np.append(np.arange(0, n_steps, stride), n_steps)  # the final node always
+    if stride > 1:
+        states, derivs = states[ia], derivs[ia]
     times = ia * h
-    states = np.column_stack([np.asarray(col)[ia] for col in (sh, ih, sv, iv)])
-    derivs = np.column_stack([np.asarray(col)[ia] for col in (fsh, fih, fsv, fiv)])
     return Trajectory(times=times, states=states, derivs=derivs, history=phi,
                       tau=float(tau), h=h, system=spec.system)
 

@@ -110,10 +110,10 @@ COMPONENT_NAMES = ("s_h", "i_h", "s_v", "i_v")
 def _make_rhs(p: ModelParams, limiting: bool) -> Callable[..., Deriv]:
     """Scalar right-hand side closure shared by the public ops and the stepper.
 
-    Signature: rhs(sh, ih, sv, iv, shd, ihd, svd, ivd) where the d-suffixed
-    arguments are the delayed state. The mosquito infection flux is computed
-    once per state so that d/dt(S_v + I_v) cancels it exactly in floating
-    point.
+    Signature: rhs(y, yd) where y = (sh, ih, sv, iv) is the current state and
+    yd the delayed one, both 4-tuples (the stepper's nodes are stored as
+    such). The mosquito infection flux is computed once per state so that
+    d/dt(S_v + I_v) cancels it exactly in floating point.
     """
     beta_h, beta_v = p.beta_h, p.beta_v
     mu_h, mu_v = p.mu_h, p.mu_v
@@ -122,7 +122,9 @@ def _make_rhs(p: ModelParams, limiting: bool) -> Callable[..., Deriv]:
     if limiting:
         inv_nv = 1.0 / p.s_v0
 
-        def rhs(sh, ih, sv, iv, shd, ihd, svd, ivd):
+        def rhs(y, yd):
+            sh, ih, sv, iv = y
+            shd, _, _, ivd = yd
             flux_v = c_hv * ih * sv
             return (
                 beta_h - c_vh * (iv * inv_nv) * sh - mu_h * sh,
@@ -132,7 +134,9 @@ def _make_rhs(p: ModelParams, limiting: bool) -> Callable[..., Deriv]:
             )
     else:
 
-        def rhs(sh, ih, sv, iv, shd, ihd, svd, ivd):
+        def rhs(y, yd):
+            sh, ih, sv, iv = y
+            shd, _, svd, ivd = yd
             flux_v = c_hv * ih * sv
             return (
                 beta_h - c_vh * (iv / (sv + iv)) * sh - mu_h * sh,
@@ -153,13 +157,13 @@ def rhs_full(p: ModelParams, now: State, delayed: State) -> Deriv:
     if now.n_v <= 0 or delayed.n_v <= 0:
         raise ZeroMosquitoPopulationError()
     f = _make_rhs(p, limiting=False)
-    return f(*now.as_tuple(), *delayed.as_tuple())
+    return f(now.as_tuple(), delayed.as_tuple())
 
 
 def rhs_limiting(p: ModelParams, now: State, delayed: State) -> Deriv:
     """Time derivative of the limiting system (denominator frozen at S_v0)."""
     f = _make_rhs(p, limiting=True)
-    return f(*now.as_tuple(), *delayed.as_tuple())
+    return f(now.as_tuple(), delayed.as_tuple())
 
 
 class HistorySegment:

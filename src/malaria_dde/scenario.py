@@ -41,12 +41,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import defaults
-from .equilibria import (
-    basic_reproduction_number,
-    endemic_equilibrium,
-    equilibrium_set,
-    r0_squared,
-)
+from .equilibria import _endemic_equilibrium, _r0_squared, equilibrium_set
 from .errors import EndemicAbsentError, ModelError, SchemaError
 from .integrator import IntegrationSpec, SystemKind, Trajectory, integrate, tail_stats
 from .lyapunov import FunctionalKind, trace_along
@@ -355,9 +350,9 @@ def _fmt(x: float) -> str:
 
 
 def _equilibria_lines(p: ModelParams) -> list[str]:
-    eq = equilibrium_set(p)
+    eq = equilibrium_set(p)  # validates p
     lines = [f"r0 = {_fmt(eq.r0)}",
-             f"r0_squared = {_fmt(r0_squared(p))}"]
+             f"r0_squared = {_fmt(_r0_squared(p))}"]
     for name in ("s_h", "i_h", "s_v", "i_v"):
         lines.append(f"e0.{name} = {_fmt(getattr(eq.e0, name))}")
     if eq.e_star is None:
@@ -430,7 +425,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, quiet: bool = False,
             lines.append(f"trajectory.file = {csv_path}")
 
     if do_lyapunov:
-        kind = (FunctionalKind.V_DFE if r0_squared(p) <= 1.0
+        kind = (FunctionalKind.V_DFE if _r0_squared(p) <= 1.0
                 else FunctionalKind.V_ENDEMIC)
         trace = trace_along(p, run(replace(spec, system=SystemKind.LIMITING,
                                            record_stride=1)), kind)
@@ -463,12 +458,13 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
     scn = sweep.base
     p = validate_params(replace(scn.params, **{sweep.axis: value}))
     row: dict[str, str] = {}
-    star = endemic_equilibrium(p)
+    r2 = _r0_squared(p)
+    star = _endemic_equilibrium(p, r2)
     for col in sweep.columns:
         if col == "r0":
-            row[col] = _fmt(basic_reproduction_number(p))
+            row[col] = _fmt(math.sqrt(r2))
         elif col == "r0_squared":
-            row[col] = _fmt(r0_squared(p))
+            row[col] = _fmt(r2)
         elif col == "classification_e0":
             row[col] = classify(p, EquilibriumKind.DISEASE_FREE).classification.value
         elif col == "classification_e_star":

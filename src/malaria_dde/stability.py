@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import defaults
-from .equilibria import disease_free_equilibrium, endemic_equilibrium, r0_squared
+from .equilibria import _endemic_equilibrium, _r0_squared
 from .errors import EndemicAbsentError, RateUnderflowError, RootPolishError
 from .model import ModelParams, validate_params
 
@@ -97,7 +97,7 @@ class EndemicCharCoeffs:
 
     @classmethod
     def from_params(cls, p: ModelParams) -> "EndemicCharCoeffs":
-        star = endemic_equilibrium(p)
+        star = _endemic_equilibrium(p, _r0_squared(p))
         if star is None:
             raise EndemicAbsentError()
         n_v = star.n_v
@@ -285,12 +285,11 @@ def classify(p: ModelParams, which: EquilibriumKind) -> StabilityReport:
     bracket relies on them.
     """
     validate_params(p)
-    r2 = r0_squared(p)
+    r2 = _r0_squared(p)
     if which is EquilibriumKind.ENDEMIC:
         coeffs: CharCoeffs = EndemicCharCoeffs.from_params(p)
         verdict = Classification.LAS
     else:
-        disease_free_equilibrium(p)
         coeffs = DfeCharCoeffs.from_params(p)
         if r2 < 1.0:
             verdict = Classification.LAS

@@ -1,5 +1,6 @@
 """Closed-form equilibria against hand arithmetic and a root-finding oracle."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from scipy.optimize import fsolve
 
 from malaria_dde import (
     ModelParams,
+    NonPositiveRateError,
     RateUnderflowError,
     State,
     basic_reproduction_number,
@@ -95,6 +97,19 @@ def test_equilibrium_set_at_underflowing_rates():
     assert eq.r0 == basic_reproduction_number(P_SUPER)
     assert eq.e0.s_v == 5e-324 / P_SUPER.mu_v
     assert eq.e_star.s_h == endemic_equilibrium(P_SUPER).s_h
+
+
+@pytest.mark.parametrize("entry", [r0_squared, basic_reproduction_number,
+                                   disease_free_equilibrium, endemic_equilibrium,
+                                   equilibrium_set])
+@pytest.mark.parametrize("field,value", [("mu_h", -0.5), ("c_vh", -0.5),
+                                         ("c_hv", math.nan)])
+def test_equilibrium_entries_validate_rates(entry, field, value):
+    # unvalidated, these gave an E0 with S_h = -4, a bare "math domain
+    # error" from the square root, and NaN states
+    with pytest.raises(NonPositiveRateError) as info:
+        entry(replace(P_SUPER, **{field: value}))
+    assert info.value.name == field
 
 
 def test_r0_scales_exactly_with_transmission():

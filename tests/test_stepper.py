@@ -1,0 +1,135 @@
+"""The RK4 step loop itself: bit-exact output, four rhs calls per step, the
+node-derivative identity that first-same-as-last relies on, and the clamp
+fast path as seen through `integrate`."""
+
+import hashlib
+import io
+import math
+from dataclasses import replace
+
+import pytest
+
+from malaria_dde import (
+    HistorySegment,
+    IntegrationSpec,
+    NegativityBreachError,
+    NonFiniteStateError,
+    SystemKind,
+    integrate,
+)
+from malaria_dde import integrator, model
+
+from conftest import P_SUPER
+
+X0 = (4.0, 0.5, 30.0, 10.0)
+TABLE = HistorySegment.table(
+    [-1.0, -0.7, -0.2, 0.0],
+    [[3.0, 0.2, 35.0, 5.0], [4.5, 0.4, 32.0, 8.0], [5.0, 0.1, 30.0, 12.0], X0])
+
+# (params, history, spec): each covers the first delay interval, where the
+# delayed argument comes from the history, and the Hermite-interpolated rest
+RUNS = {
+    "full": (P_SUPER, HistorySegment.constant(X0, 1.0),
+             IntegrationSpec(system=SystemKind.FULL, t_end=6.0, steps_per_delay=10)),
+    "limiting": (P_SUPER, HistorySegment.constant(X0, 1.0),
+                 IntegrationSpec(system=SystemKind.LIMITING, t_end=6.0,
+                                 steps_per_delay=10, record_stride=3)),
+    "ode": (replace(P_SUPER, tau=0.0), HistorySegment.constant(X0, 0.0),
+            IntegrationSpec(system=SystemKind.FULL, t_end=3.0, step=0.05)),
+    "table": (P_SUPER, TABLE,
+              IntegrationSpec(system=SystemKind.FULL, t_end=6.0, steps_per_delay=8)),
+}
+
+# sha256 of Trajectory.to_csv for each run, recorded before the step loop
+# took its first-same-as-last form; any changed bit in a node shows here
+CSV_SHA256 = {
+    "full": "43475eb547cb903d62b15624085f1ff861debb9f904d5caa8df667cf8f5aff02",
+    "limiting": "43d7436da11d70dd81a3d8b01db5e9e0642fe5e4d2afc0cd29b9e45cd9e708c4",
+    "ode": "497a314af1d0f16de016b3212dc969fe30a67bdd5ea889ba7fbed02843125493",
+    "table": "67cbbf0c1745e2c3d51ac129000a517fff8aca72879421972ff2c57360c81537",
+}
+
+
+def _csv_sha256(name):
+    buf = io.StringIO()
+    integrate(*RUNS[name]).to_csv(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_trajectory_csv_is_bit_exact(name):
+    assert _csv_sha256(name) == CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["full", "limiting", "ode"])
+def test_stepper_makes_four_rhs_calls_per_step(monkeypatch, name):
+    calls = 0
+
+    def counting_make_rhs(p, limiting):
+        rhs = model._make_rhs(p, limiting)
+
+        def spy(y, yd):
+            nonlocal calls
+            calls += 1
+            return rhs(y, yd)
+        return spy
+
+    monkeypatch.setattr(integrator, "_make_rhs", counting_make_rhs)
+    traj = integrate(*RUNS[name])
+    n_steps = round(traj.t_end / traj.h)
+    # k2, k3, k4 and the new node's derivative (the next step's k1), plus
+    # the derivative of the initial node
+    assert calls == 4 * n_steps + 1
+
+
+@pytest.mark.parametrize("name", ["full", "limiting", "ode", "table"])
+def test_node_derivatives_are_the_rhs_at_the_node(name):
+    p, phi, spec = RUNS[name]
+    spec = replace(spec, record_stride=1)
+    traj = integrate(p, phi, spec)
+    rhs = model._make_rhs(p, spec.system is SystemKind.LIMITING)
+    states = traj.states.tolist()
+    m = spec.steps_per_delay if traj.tau > 0 else 0
+    for n, y in enumerate(states):
+        if traj.tau == 0:
+            yd = y
+        elif n >= m:
+            yd = states[n - m]
+        else:
+            yd = [float(v) for v in phi.value_at(n * traj.h - traj.tau)]
+        assert rhs(tuple(y), tuple(yd)) == tuple(traj.derivs[n].tolist()), n
+
+
+def _constant_rhs(monkeypatch, rate):
+    """Every rhs call returns I_h' = rate and 0 elsewhere."""
+    monkeypatch.setattr(integrator, "_make_rhs",
+                        lambda p, limiting: lambda y, yd: (0.0, rate, 0.0, 0.0))
+
+
+def test_clamp_zeroes_a_rounding_level_dip_inside_integrate(monkeypatch):
+    h = P_SUPER.tau / 10
+    rate = -5e-11 / h
+    raw = 0.0 + h / 6.0 * (rate + 2.0 * (rate + rate) + rate)
+    assert -1e-9 < raw < 0.0  # each step would dip below 0 unclamped
+    _constant_rhs(monkeypatch, rate)
+    phi = HistorySegment.constant((4.0, 0.0, 30.0, 10.0), P_SUPER.tau)
+    traj = integrate(P_SUPER, phi, IntegrationSpec(t_end=3 * h, steps_per_delay=10))
+    assert traj.states[1:, 1].tolist() == [0.0, 0.0, 0.0]
+    assert traj.states[:, 0].tolist() == [4.0] * 4
+
+
+@pytest.mark.parametrize("rate,error", [(-1.5e-8, NegativityBreachError),
+                                        (math.nan, NonFiniteStateError)])
+def test_clamp_breach_inside_integrate_names_node_and_component(monkeypatch, rate,
+                                                                error):
+    # I_h falls from 2e-8 by 1.5e-8 per step: 5e-9 at t = h, about -1e-8 at
+    # t = 2h, which is below the band
+    h = P_SUPER.tau / 10
+    _constant_rhs(monkeypatch, rate / h)
+    phi = HistorySegment.constant((4.0, 2e-8, 30.0, 10.0), P_SUPER.tau)
+    with pytest.raises(error) as info:
+        integrate(P_SUPER, phi, IntegrationSpec(t_end=5 * h, steps_per_delay=10))
+    assert info.value.component == "i_h"
+    assert info.value.t == (2 * h if error is NegativityBreachError else h)
+    if error is NegativityBreachError:
+        assert info.value.value == pytest.approx(-1e-8, rel=1e-6)
