@@ -38,7 +38,7 @@ n_v = traj.states[:, 2] + traj.states[:, 3]
 exact = p.s_v0 + (40.0 - p.s_v0) * np.exp(-p.mu_v * traj.times)
 print("\nmosquito-total error vs closed form:", float(np.max(np.abs(n_v - exact))))
 
-tail = tail_stats(traj, window=0.5)
+tail = tail_stats(traj)
 print("tail of the run (component inf/sup over the last half):")
 for name in ("s_h", "i_h", "s_v", "i_v"):
     print(f"  {name}: [{getattr(tail.inf, name):.6f}, {getattr(tail.sup, name):.6f}]")

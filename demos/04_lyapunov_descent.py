@@ -13,8 +13,11 @@ from dataclasses import replace
 from malaria_dde import (
     FunctionalKind,
     HistorySegment,
+    IntegrationSpec,
     ModelParams,
-    descend_check,
+    SystemKind,
+    integrate,
+    trace_along,
 )
 
 p_super = ModelParams(beta_h=2.0, beta_v=5.0, mu_h=0.5, mu_v=0.1,
@@ -34,12 +37,18 @@ def show(trace, label):
 
 phi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), 1.0)
 
+
+def limiting_run(p, t_end):
+    spec = IntegrationSpec(SystemKind.LIMITING, t_end, record_stride=1)
+    return integrate(p, phi, spec)
+
+
 # subcritical: the disease-free functional falls to zero
-show(descend_check(p_sub, phi, FunctionalKind.V_DFE, t_end=200.0),
+show(trace_along(p_sub, limiting_run(p_sub, 200.0), FunctionalKind.V_DFE),
      "subcritical, disease-free functional")
 
 # supercritical: the endemic functional falls to zero instead
-trace = descend_check(p_super, phi, FunctionalKind.V_ENDEMIC, t_end=300.0)
+trace = trace_along(p_super, limiting_run(p_super, 300.0), FunctionalKind.V_ENDEMIC)
 show(trace, "\nsupercritical, endemic functional")
 
 trace.to_csv("lyapunov_demo.csv")

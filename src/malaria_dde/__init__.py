@@ -38,7 +38,6 @@ from .errors import (
     NegativeDelayError,
     NegativityBreachError,
     NonFiniteStateError,
-    NonPositiveArgumentError,
     NonPositiveProductError,
     NonPositiveRateError,
     NotInDomainDError,
@@ -60,7 +59,6 @@ from .integrator import (
     SystemKind,
     TailStats,
     Trajectory,
-    convergence_order,
     dense_eval,
     integrate,
     tail_stats,
@@ -68,20 +66,16 @@ from .integrator import (
 from .lyapunov import (
     FunctionalKind,
     LyapunovTrace,
-    descend_check,
-    f_bridge,
     trace_along,
     v_dfe,
     v_endemic,
 )
 from .model import (
     COMPONENT_NAMES,
-    DomainFlag,
     HistorySegment,
     ModelParams,
     State,
     rhs_full,
-    rhs_limiting,
     validate_params,
 )
 from .persistence import (
@@ -107,7 +101,6 @@ from .stability import (
     StabilityReport,
     char_eval,
     classify,
-    full_char_eval,
     imaginary_axis_root_exists,
     rightmost_real_root,
     routh_hurwitz_tau0,

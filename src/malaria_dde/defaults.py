@@ -9,7 +9,6 @@ TAIL_WINDOW             0.5        tail statistics ([w*t_end, t_end])
 CLAMP_BAND              1e-9       negativity clamp/abort threshold
 ROOT_XTOL               1e-12      real-root polish tolerance
 DESCENT_SLACK_SCALE     1e-7       Lyapunov monotonicity slack scale
-RESIDUAL_TOL            1e-10      endemic equilibrium residual bound
 DEFAULT_THETA           0.5        persistence fraction
 ==========================================================================
 
@@ -25,7 +24,6 @@ TAIL_WINDOW = 0.5
 CLAMP_BAND = 1e-9
 ROOT_XTOL = 1e-12
 DESCENT_SLACK_SCALE = 1e-7
-RESIDUAL_TOL = 1e-10
 DEFAULT_THETA = 0.5
 
 

@@ -39,7 +39,7 @@ class InvalidHistoryError(ValidationError):
 
 class InvalidSpecError(ValidationError):
     """An integration or read-out control is out of its domain (t_end, mesh,
-    stride, tail window, or a trajectory that does not fit the analysis)."""
+    stride, or a trajectory that does not fit the analysis)."""
 
 
 class ZeroMosquitoPopulationError(NumericalError):
@@ -93,12 +93,6 @@ class RootPolishError(NumericalError):
 class EndemicAbsentError(ValidationError):
     def __init__(self):
         super().__init__("endemic equilibrium does not exist (R0 <= 1)")
-
-
-class NonPositiveArgumentError(ValidationError):
-    def __init__(self, x: float):
-        self.x = x
-        super().__init__(f"argument must be strictly positive, got {x!r}")
 
 
 class OutsideOmega1Error(ValidationError):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import IO
 
@@ -271,7 +271,7 @@ def dense_eval(traj: Trajectory, t: float) -> State:
     cubic Hermite interpolant of the bracketing recorded interval.
     """
     eps = 1e-9 * (1.0 + abs(traj.t_end))
-    if t < -traj.tau - eps or t > traj.t_end + eps:
+    if not (-traj.tau - eps <= t <= traj.t_end + eps):  # NaN fails too
         raise OutOfRangeError(t, -traj.tau, traj.t_end)
     if t < 0.0:
         if traj.tau > 0.0:
@@ -305,50 +305,22 @@ def dense_eval(traj: Trajectory, t: float) -> State:
 
 @dataclass(frozen=True)
 class TailStats:
-    """Componentwise inf/sup over the recorded nodes in [window*t_end, t_end]."""
+    """Componentwise inf/sup over the recorded nodes in
+    [TAIL_WINDOW * t_end, t_end]."""
 
-    window: float
     t_start: float
     inf: State
     sup: State
 
 
-def tail_stats(traj: Trajectory, window: float = defaults.TAIL_WINDOW) -> TailStats:
-    if not (0.0 < window < 1.0):
-        raise InvalidSpecError("window must lie strictly inside (0, 1)")
-    cut = window * traj.t_end
+def tail_stats(traj: Trajectory) -> TailStats:
+    cut = defaults.TAIL_WINDOW * traj.t_end
     mask = traj.times >= cut - 1e-12 * (1.0 + abs(cut))
     if int(mask.sum()) < 2:
         raise EmptyWindowError()
     block = traj.states[mask]
     lo = block.min(axis=0)
     hi = block.max(axis=0)
-    return TailStats(window=window,
-                     t_start=float(traj.times[mask][0]),
+    return TailStats(t_start=float(traj.times[mask][0]),
                      inf=State(*(float(x) for x in lo)),
                      sup=State(*(float(x) for x in hi)))
-
-
-def convergence_order(p: ModelParams, phi: HistorySegment,
-                      spec: IntegrationSpec) -> float | None:
-    """Observed order via Richardson: runs with m and 2m measured against a
-    4m reference on the coarse nodes; the expected value for a 4th-order
-    stepper is log2(255/15) ~ 4.09.
-
-    Returns None when the coarse error is already below 1e-12 (exactness
-    floor, e.g. a history resting at an equilibrium).
-    """
-    if not (p.tau > 0):
-        raise InvalidSpecError("order measurement needs tau > 0")
-    m = spec.steps_per_delay
-    if m % 2 != 0:
-        raise InvalidSpecError("steps_per_delay must be even")
-    runs = [integrate(p, phi, replace(spec, steps_per_delay=k * m, record_stride=1))
-            for k in (1, 2, 4)]
-    coarse, mid, ref = runs
-    n = coarse.times.size
-    err1 = float(np.max(np.abs(coarse.states - ref.states[::4][:n])))
-    err2 = float(np.max(np.abs(mid.states[::2][:n] - ref.states[::4][:n])))
-    if err1 < 1e-12 or err2 <= 0.0:
-        return None
-    return math.log2(err1 / err2)

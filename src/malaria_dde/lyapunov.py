@@ -10,12 +10,9 @@ and are built from the bridge x - 1 - ln x (nonnegative, zero only at 1):
   and I_v * S_h > 0 throughout.
 
 Window integrals use the composite trapezoid rule on the window's own sample
-times, which for trajectory windows are the integration mesh nodes. One
-formula per functional serves both uses: v_dfe / v_endemic evaluate it on a
-single window, trace_along on every window of a given stride-1 trajectory
-(every node t >= tau), where a max consecutive increase at rounding scale
-certifies monotone descent. descend_check integrates the limiting system
-from a history and then traces it.
+times. One formula per functional serves v_dfe / v_endemic (one window) and
+trace_along (every window of a stride-1 limiting trajectory), where a max
+consecutive increase at rounding scale certifies monotone descent.
 """
 
 from __future__ import annotations
@@ -32,26 +29,19 @@ from .equilibria import basic_reproduction_number, endemic_equilibrium, r0_squar
 from .errors import (
     EmptyWindowError,
     InvalidSpecError,
-    NonPositiveArgumentError,
     NonPositiveProductError,
     OutsideOmega1Error,
     OutsideOmega2Error,
     SubcriticalR0Error,
     SupercriticalR0Error,
 )
-from .integrator import IntegrationSpec, SystemKind, Trajectory, _write_csv, integrate
+from .integrator import SystemKind, Trajectory, _write_csv
 from .model import HistorySegment, ModelParams
+
 
 class FunctionalKind(enum.Enum):
     V_DFE = "v_dfe"
     V_ENDEMIC = "v_endemic"
-
-
-def f_bridge(x: float) -> float:
-    """1 - x + ln x for x > 0: nonpositive, and zero only at x = 1."""
-    if not (x > 0):
-        raise NonPositiveArgumentError(x)
-    return 1.0 - x + math.log(x)
 
 
 def _window_integrals(integrand: np.ndarray, times: np.ndarray, m: int) -> np.ndarray:
@@ -125,21 +115,13 @@ class LyapunovTrace:
     values: np.ndarray
     max_increase: float
 
-    def passes_descent(self, scale: float = defaults.DESCENT_SLACK_SCALE) -> bool:
-        """Monotone within slack scale * (1 + |V at the first node|)."""
-        return self.max_increase <= scale * (1.0 + abs(float(self.values[0])))
+    def passes_descent(self) -> bool:
+        """Monotone within DESCENT_SLACK_SCALE * (1 + |V at the first node|)."""
+        return self.max_increase <= (defaults.DESCENT_SLACK_SCALE
+                                     * (1.0 + abs(float(self.values[0]))))
 
     def to_csv(self, target: str | IO[str]) -> None:
         _write_csv(target, "t,V", (self.times, self.values))
-
-
-def descend_check(p: ModelParams, phi: HistorySegment, kind: FunctionalKind,
-                  t_end: float,
-                  steps_per_delay: int = defaults.STEPS_PER_DELAY) -> LyapunovTrace:
-    """Integrate the limiting system from phi and trace the functional."""
-    spec = IntegrationSpec(system=SystemKind.LIMITING, t_end=t_end,
-                           steps_per_delay=steps_per_delay, record_stride=1)
-    return trace_along(p, integrate(p, phi, spec), kind)
 
 
 def trace_along(p: ModelParams, traj: Trajectory, kind: FunctionalKind) -> LyapunovTrace:

@@ -20,7 +20,6 @@ limiting system; simulation defaults to the full one.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -100,9 +99,6 @@ class State:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.s_h, self.i_h, self.s_v, self.i_v)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple(), dtype=float)
-
 
 COMPONENT_NAMES = ("s_h", "i_h", "s_v", "i_v")
 
@@ -160,19 +156,13 @@ def rhs_full(p: ModelParams, now: State, delayed: State) -> Deriv:
     return f(now.as_tuple(), delayed.as_tuple())
 
 
-def rhs_limiting(p: ModelParams, now: State, delayed: State) -> Deriv:
-    """Time derivative of the limiting system (denominator frozen at S_v0)."""
-    f = _make_rhs(p, limiting=True)
-    return f(now.as_tuple(), delayed.as_tuple())
-
-
 class HistorySegment:
     """Initial data on [-tau, 0]: either a constant state or a sampled table
     interpolated piecewise-linearly.
 
-    Invariants, enforced at construction: finite sample times strictly
-    increasing from -tau to 0, every sample finite and componentwise >= 0,
-    and S_v + I_v > 0 at every sample.
+    Invariants, enforced at construction: one 4-vector sample per time,
+    finite sample times strictly increasing from -tau to 0, every sample
+    finite and componentwise >= 0, and S_v + I_v > 0 at every sample.
     """
 
     __slots__ = ("times", "states", "tau")
@@ -199,14 +189,16 @@ class HistorySegment:
     @classmethod
     def table(cls, times: Sequence[float], states: Sequence[Sequence[float]]) -> "HistorySegment":
         t = np.asarray(times, dtype=float)
-        x = np.asarray(states, dtype=float)
-        if t.ndim != 1 or x.shape != (t.size, 4):
-            raise InvalidHistoryError("table needs times (n,) and states (n, 4)")
+        if t.ndim != 1:
+            raise InvalidHistoryError("table needs sample times of shape (n,)")
         if t.size < 1 or t[-1] != 0.0:
             raise InvalidHistoryError("last sample time must be exactly 0")
-        return cls(t, x, -float(t[0]))
+        return cls(t, np.asarray(states, dtype=float), -float(t[0]))
 
     def _validate(self) -> None:
+        if self.states.shape != (self.times.size, 4):
+            raise InvalidHistoryError(f"history needs one 4-vector sample per "
+                                      f"time, got shape {self.states.shape}")
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.states))):
             raise InvalidHistoryError("history times and samples must be finite")
         if np.any(np.diff(self.times) <= 0):
@@ -221,7 +213,7 @@ class HistorySegment:
 
     def value_at(self, theta: float) -> tuple[float, float, float, float]:
         """Piecewise-linear evaluation at offset theta in [-tau, 0]."""
-        if theta < self.times[0] - 1e-12 or theta > 1e-12:
+        if not (self.times[0] - 1e-12 <= theta <= 1e-12):  # NaN fails too
             raise OutOfRangeError(theta, -self.tau, 0.0)
         if self.times.size == 1:
             row = self.states[0]
@@ -230,26 +222,3 @@ class HistorySegment:
 
     def state_at(self, theta: float) -> State:
         return State(*self.value_at(theta))
-
-
-class DomainFlag(enum.Enum):
-    """Nested admissible sets for initial data: OMEGA2 <= D <= C_PLUS.
-
-    C_PLUS: componentwise nonnegative with S_v + I_v > 0 pointwise (this is
-    exactly the HistorySegment invariant). D adds I_h(0) > 0, the seed needed
-    for persistence. OMEGA2 adds strict positivity of all of phi(0).
-    """
-
-    C_PLUS = "c_plus"
-    D = "d"
-    OMEGA2 = "omega2"
-
-    def contains(self, phi: HistorySegment) -> bool:
-        ok = bool(np.all(phi.states >= 0)
-                  and np.all(phi.states[:, 2] + phi.states[:, 3] > 0))
-        if self is DomainFlag.C_PLUS:
-            return ok
-        end = phi.states[-1]
-        if self is DomainFlag.D:
-            return ok and end[1] > 0
-        return ok and bool(np.all(end > 0))

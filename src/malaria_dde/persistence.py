@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import defaults
 from .equilibria import basic_reproduction_number, endemic_equilibrium
 from .errors import (
     InvalidSpecError,
@@ -26,7 +25,7 @@ from .errors import (
     ThetaOutOfRangeError,
 )
 from .integrator import SystemKind, TailStats, Trajectory, tail_stats
-from .model import DomainFlag, HistorySegment, ModelParams, State
+from .model import HistorySegment, ModelParams, State
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,8 @@ class PersistenceReport:
     tail: TailStats
     passes: bool
 
-    def as_lines(self, prefix: str = "persistence") -> list[str]:
-        key = f"{prefix}.theta_{self.theta:g}"
+    def as_lines(self) -> list[str]:
+        key = f"persistence.theta_{self.theta:g}"
         lines = [
             f"{key}.threshold = {self.threshold:.17g}",
             f"{key}.i_h_tail_sup = {self.i_h_tail_sup:.17g}",
@@ -89,7 +88,7 @@ def _require_preconditions(p: ModelParams, phi: HistorySegment,
     theta in (0, 1), R0 > 1 and a seeded history, I_h(0) > 0. Returns E*."""
     _require_theta(theta)
     star = _require_supercritical(p)
-    if not DomainFlag.D.contains(phi):
+    if not phi.states[-1, 1] > 0:
         raise NotInDomainDError()
     return star
 
@@ -106,7 +105,7 @@ def weak_persistence_check(p: ModelParams, traj: Trajectory,
     if traj.system is not SystemKind.FULL:
         raise InvalidSpecError(f"weak persistence is read on the full system, "
                                f"got a {traj.system.value} trajectory")
-    tail = tail_stats(traj, defaults.TAIL_WINDOW)
+    tail = tail_stats(traj)
     threshold = theta * star.i_h
     sup = tail.sup
     passes = (sup.i_h > threshold

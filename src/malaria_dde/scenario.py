@@ -414,7 +414,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, quiet: bool = False,
         traj = run(spec)
         lines.append(f"trajectory.t_end = {_fmt(traj.t_end)}")
         lines.append(f"trajectory.nodes = {traj.times.size}")
-        tail = tail_stats(traj, defaults.TAIL_WINDOW)
+        tail = tail_stats(traj)
         for name in ("s_h", "i_h", "s_v", "i_v"):
             lines.append(f"tail.{name}.inf = {_fmt(getattr(tail.inf, name))}")
             lines.append(f"tail.{name}.sup = {_fmt(getattr(tail.sup, name))}")
@@ -458,6 +458,7 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
     scn = sweep.base
     p = validate_params(replace(scn.params, **{sweep.axis: value}))
     row: dict[str, str] = {}
+    tail = None
     r2 = _r0_squared(p)
     star = _endemic_equilibrium(p, r2)
     for col in sweep.columns:
@@ -474,17 +475,15 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
             name = col[:-5]  # strip _star
             row[col] = "" if star is None else _fmt(getattr(star, name))
         elif col in _TAIL_COLUMNS:
-            if "tail" not in row:  # integrate once, cache all tail cells
+            if tail is None:  # integrate once, fill all tail cells
                 phi = scn.history.build(p, np.random.default_rng(seed))
                 spec = replace(scn, params=p).integration_spec()
-                tail = tail_stats(integrate(p, phi, spec), defaults.TAIL_WINDOW)
+                tail = tail_stats(integrate(p, phi, spec))
                 for name in ("s_h", "i_h", "s_v", "i_v"):
                     row[f"tail_{name}_inf"] = _fmt(getattr(tail.inf, name))
                     row[f"tail_{name}_sup"] = _fmt(getattr(tail.sup, name))
-                row["tail"] = "done"
         else:  # pragma: no cover - column set is validated at load time
             raise SchemaError("sweep.columns", f"unknown column {col!r}")
-    row.pop("tail", None)
     return row
 
 

@@ -125,12 +125,6 @@ def char_eval(coeffs: CharCoeffs, lam: complex) -> complex:
     return lam * lam + coeffs.a1 * lam + coeffs.a2 + coeffs.a3 * cmath.exp(-lam * coeffs.tau)
 
 
-def full_char_eval(coeffs: CharCoeffs, lam: complex) -> complex:
-    """(lam + mu_h)(lam + mu_v) * G(lam): the full 4th-degree factorization."""
-    lam = complex(lam)
-    return (lam + coeffs.mu_h) * (lam + coeffs.mu_v) * char_eval(coeffs, lam)
-
-
 def routh_hurwitz_tau0(coeffs: CharCoeffs) -> bool:
     return coeffs.a1 > 0 and coeffs.a2 + coeffs.a3 > 0
 
@@ -265,8 +259,8 @@ class StabilityReport:
     routh_hurwitz_tau0: bool
     factor_roots: tuple[float, float]
 
-    def as_lines(self, prefix: str = "stability") -> list[str]:
-        key = f"{prefix}.{self.which.value.lower()}"
+    def as_lines(self) -> list[str]:
+        key = f"stability.{self.which.value.lower()}"
         return [
             f"{key}.classification = {self.classification.value}",
             f"{key}.rightmost_real_root = {self.rightmost_real_root:.17g}",

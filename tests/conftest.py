@@ -1,6 +1,8 @@
-"""Shared reference parameter sets, randomized samplers, and the acceptance
-summary hook (one PASS/FAIL line per criterion at the end of the run)."""
+"""Shared reference parameter sets, randomized samplers, run helpers, and
+the acceptance summary hook (one PASS/FAIL line per criterion at the end of
+the run)."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -8,7 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from malaria_dde import HistorySegment, ModelParams, r0_squared
+from malaria_dde import (
+    HistorySegment,
+    IntegrationSpec,
+    ModelParams,
+    SystemKind,
+    integrate,
+    r0_squared,
+    trace_along,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -64,6 +74,32 @@ def constant_history(p: ModelParams, rng, infected_floor: float = 0.01
         rng.uniform(infected_floor, 1.0) * p.s_h0,
         rng.uniform(0.2, 2.0) * p.s_v0,
         rng.uniform(0.01, 1.0) * p.s_v0), p.tau)
+
+
+def limiting_trace(p, phi, kind, t_end):
+    """The functional `kind` along a stride-1 run of the limiting system."""
+    spec = IntegrationSpec(SystemKind.LIMITING, t_end, record_stride=1)
+    return trace_along(p, integrate(p, phi, spec), kind)
+
+
+def convergence_order(p, phi, spec):
+    """Observed order via Richardson: runs with m and 2m measured against a
+    4m reference on the coarse nodes; the expected value for a 4th-order
+    stepper is log2(255/15) ~ 4.09. Needs tau > 0.
+
+    Returns None when the coarse error is already below 1e-12 (exactness
+    floor, e.g. a history resting at an equilibrium).
+    """
+    m = spec.steps_per_delay
+    coarse, mid, ref = (
+        integrate(p, phi, replace(spec, steps_per_delay=k * m, record_stride=1))
+        for k in (1, 2, 4))
+    n = coarse.times.size
+    err1 = float(np.max(np.abs(coarse.states - ref.states[::4][:n])))
+    err2 = float(np.max(np.abs(mid.states[::2][:n] - ref.states[::4][:n])))
+    if err1 < 1e-12 or err2 <= 0.0:
+        return None
+    return math.log2(err1 / err2)
 
 
 @pytest.fixture

@@ -23,8 +23,6 @@ from malaria_dde import (
     SystemKind,
     basic_reproduction_number,
     classify,
-    convergence_order,
-    descend_check,
     disease_free_equilibrium,
     endemic_equilibrium,
     equilibrium_residual,
@@ -41,9 +39,11 @@ from conftest import (
     P_SUB,
     P_SUPER,
     constant_history,
+    convergence_order,
     draw_params,
     draw_subcritical,
     draw_supercritical,
+    limiting_trace,
 )
 
 
@@ -215,7 +215,7 @@ def test_c6_lyapunov_descent(p, kind):
     t_end = 40.0 / min(p.mu_h, p.mu_v)
     for _ in range(20):
         phi = constant_history(p, rng)
-        trace = descend_check(p, phi, kind, t_end)
+        trace = limiting_trace(p, phi, kind, t_end)
         slack = 1e-7 * (1.0 + abs(float(trace.values[0])))
         assert trace.max_increase <= slack
         assert float(trace.values[-1]) < 1e-3

@@ -58,7 +58,7 @@ def test_endemic_matches_root_finder(rng):
         found = State(*(float(v) for v in sol))
         if found.i_h <= 1e-8:  # root finder slid to the disease-free branch
             continue
-        assert star.as_array() == pytest.approx(found.as_array(), rel=1e-7)
+        assert star.as_tuple() == pytest.approx(found.as_tuple(), rel=1e-7)
 
 
 def test_endemic_absent_at_and_below_threshold():

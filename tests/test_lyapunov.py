@@ -6,8 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from malaria_dde import (
     EmptyWindowError,
@@ -15,40 +13,20 @@ from malaria_dde import (
     HistorySegment,
     IntegrationSpec,
     InvalidSpecError,
-    NonPositiveArgumentError,
     NonPositiveProductError,
     OutsideOmega1Error,
     OutsideOmega2Error,
     SubcriticalR0Error,
     SupercriticalR0Error,
     SystemKind,
-    descend_check,
     endemic_equilibrium,
-    f_bridge,
     integrate,
     trace_along,
     v_dfe,
     v_endemic,
 )
 
-from conftest import P_CRIT, P_SUB, P_SUPER, constant_history
-
-
-def test_bridge_function_values():
-    assert f_bridge(1.0) == 0.0
-    assert f_bridge(2.0) == pytest.approx(-1.0 + math.log(2.0), abs=1e-15)
-    assert f_bridge(0.5) == pytest.approx(0.5 + math.log(0.5), abs=1e-15)
-
-
-@given(st.floats(min_value=1e-6, max_value=1e6))
-def test_bridge_function_nonpositive(x):
-    assert f_bridge(x) <= 0.0
-
-
-def test_bridge_function_rejects_nonpositive():
-    for bad in (0.0, -1.0):
-        with pytest.raises(NonPositiveArgumentError):
-            f_bridge(bad)
+from conftest import P_CRIT, P_SUB, P_SUPER, constant_history, limiting_trace
 
 
 def test_v_dfe_constant_window_anchor():
@@ -84,7 +62,7 @@ def test_v_dfe_requires_positive_entry_state():
 def test_v_dfe_rejects_supercritical():
     psi = HistorySegment.constant((4.0, 1.0, 50.0, 10.0), 1.0)
     with pytest.raises(SupercriticalR0Error):
-        descend_check(P_SUPER, psi, FunctionalKind.V_DFE, 50.0)
+        limiting_trace(P_SUPER, psi, FunctionalKind.V_DFE, 50.0)
 
 
 def test_v_endemic_vanishes_at_equilibrium():
@@ -120,12 +98,12 @@ def test_v_endemic_domain_gates():
 def test_descend_check_gate_for_endemic_kind():
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
     with pytest.raises(SubcriticalR0Error):
-        descend_check(P_SUB, phi, FunctionalKind.V_ENDEMIC, 50.0)
+        limiting_trace(P_SUB, phi, FunctionalKind.V_ENDEMIC, 50.0)
 
 
 def test_descend_check_subcritical_descends():
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
-    trace = descend_check(P_SUB, phi, FunctionalKind.V_DFE, 200.0)
+    trace = limiting_trace(P_SUB, phi, FunctionalKind.V_DFE, 200.0)
     assert trace.passes_descent()
     assert trace.values[-1] < trace.values[0]
     assert trace.values[-1] < 1e-4
@@ -134,7 +112,7 @@ def test_descend_check_subcritical_descends():
 
 def test_descend_check_supercritical_descends():
     phi = HistorySegment.constant((3.0, 1.0, 30.0, 10.0), 1.0)
-    trace = descend_check(P_SUPER, phi, FunctionalKind.V_ENDEMIC, 300.0)
+    trace = limiting_trace(P_SUPER, phi, FunctionalKind.V_ENDEMIC, 300.0)
     assert trace.passes_descent()
     assert trace.values[-1] < 1e-6
 
@@ -142,7 +120,7 @@ def test_descend_check_supercritical_descends():
 def test_descent_allowed_at_exact_threshold():
     # the disease-free functional is still defined at the threshold point
     phi = HistorySegment.constant((1.5, 0.4, 15.0, 3.0), 1.0)
-    trace = descend_check(P_CRIT, phi, FunctionalKind.V_DFE, 120.0)
+    trace = limiting_trace(P_CRIT, phi, FunctionalKind.V_DFE, 120.0)
     assert trace.passes_descent()
 
 
@@ -159,13 +137,13 @@ def test_trace_matches_single_window_evaluation():
 
 def test_trace_max_increase_is_the_worst_step():
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
-    trace = descend_check(P_SUB, phi, FunctionalKind.V_DFE, 40.0)
+    trace = limiting_trace(P_SUB, phi, FunctionalKind.V_DFE, 40.0)
     assert trace.max_increase == float(np.diff(trace.values).max())
 
 
 def test_trace_csv_shape():
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
-    trace = descend_check(P_SUB, phi, FunctionalKind.V_DFE, 5.0)
+    trace = limiting_trace(P_SUB, phi, FunctionalKind.V_DFE, 5.0)
     buf = io.StringIO()
     trace.to_csv(buf)
     lines = buf.getvalue().splitlines()

@@ -1,4 +1,6 @@
-"""Vector field, parameter validation, history segments, domain flags."""
+"""Vector field, parameter validation, history segments."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from malaria_dde import (
-    DomainFlag,
     HistorySegment,
     InvalidHistoryError,
     ModelParams,
@@ -19,9 +20,9 @@ from malaria_dde import (
     default_ode_step,
     default_t_end,
     rhs_full,
-    rhs_limiting,
     validate_params,
 )
+from malaria_dde.model import _make_rhs
 
 from conftest import P_SUB, P_SUPER
 
@@ -37,7 +38,7 @@ def test_limiting_freezes_delayed_denominator():
     now = State(4.0, 0.0, 40.0, 10.0)
     delayed = State(4.0, 0.0, 30.0, 10.0)  # pool 40, not the resting 50
     d_full = rhs_full(P_SUPER, now, delayed)
-    d_lim = rhs_limiting(P_SUPER, now, delayed)
+    d_lim = _make_rhs(P_SUPER, limiting=True)(now.as_tuple(), delayed.as_tuple())
     assert d_full[1] == pytest.approx(0.2 * (10 / 40) * 4, abs=1e-12)
     assert d_lim[1] == pytest.approx(0.2 * (10 / 50) * 4, abs=1e-12)
 
@@ -89,7 +90,6 @@ def test_state_accessors():
     s = State(1.0, 2.0, 3.0, 4.0)
     assert s.n_v == 7.0
     assert s.as_tuple() == (1.0, 2.0, 3.0, 4.0)
-    assert np.array_equal(s.as_array(), np.array([1.0, 2.0, 3.0, 4.0]))
 
 
 def test_params_pools():
@@ -170,30 +170,35 @@ def test_history_value_out_of_range():
         h.state_at(-1.5)
     with pytest.raises(OutOfRangeError):
         h.state_at(0.5)
+    # NaN fails both range comparisons, so it once returned four NaNs
+    for seg in (h, HistorySegment.constant((1.0, 0.0, 30.0, 10.0), 0.0)):
+        with pytest.raises(OutOfRangeError):
+            seg.value_at(math.nan)
 
 
-def test_domain_flags():
-    seeded = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), 1.0)
-    unseeded = HistorySegment.constant((4.0, 0.0, 30.0, 10.0), 1.0)
-    boundary = HistorySegment.constant((0.0, 0.5, 30.0, 10.0), 1.0)
-    assert DomainFlag.C_PLUS.contains(seeded)
-    assert DomainFlag.C_PLUS.contains(unseeded)
-    assert DomainFlag.D.contains(seeded)
-    assert not DomainFlag.D.contains(unseeded)
-    assert DomainFlag.OMEGA2.contains(seeded)
-    assert not DomainFlag.OMEGA2.contains(boundary)
+@pytest.mark.parametrize("state", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)],
+                         ids=["three", "five"])
+def test_history_state_must_be_a_four_vector(state):
+    # three components once raised a bare IndexError; five were accepted
+    for build in (lambda: HistorySegment.constant(state, 0.0),
+                  lambda: HistorySegment.constant(state, 1.0),
+                  lambda: HistorySegment.table((-1.0, 0.0), (state, state))):
+        with pytest.raises(InvalidHistoryError, match="4-vector"):
+            build()
 
 
 # the package namespace as it was listed by hand, plus InvalidSpecError and
-# RateUnderflowError, less NoBracketError
+# RateUnderflowError, less NoBracketError and the test-only names
+# convergence_order, descend_check, DomainFlag, f_bridge, full_char_eval,
+# NonPositiveArgumentError and rhs_limiting
 PUBLIC_NAMES = {
     "CLAMP_BAND", "COMPONENT_NAMES", "CharCoeffs", "Classification",
-    "DEFAULT_THETA", "DfeCharCoeffs", "DomainFlag", "EmptyWindowError",
+    "DEFAULT_THETA", "DfeCharCoeffs", "EmptyWindowError",
     "EndemicAbsentError", "EndemicCharCoeffs", "EquilibriumKind",
     "EquilibriumSet", "FunctionalKind", "HistorySegment", "IntegrationSpec",
     "InvalidHistoryError", "InvalidSpecError", "LyapunovTrace", "ModelError",
     "ModelParams", "NegativeDelayError", "NegativityBreachError",
-    "NonFiniteStateError", "NonPositiveArgumentError",
+    "NonFiniteStateError",
     "NonPositiveProductError", "NonPositiveRateError", "NotInDomainDError",
     "NumericalError", "OutOfRangeError", "OutsideOmega1Error",
     "OutsideOmega2Error", "PersistenceBounds", "PersistenceReport",
@@ -203,12 +208,12 @@ PUBLIC_NAMES = {
     "SupercriticalR0Error", "SweepSpec", "SystemKind", "TAIL_WINDOW",
     "TailStats", "ThetaOutOfRangeError", "Trajectory", "ValidationError",
     "ZeroMosquitoPopulationError", "basic_reproduction_number", "char_eval",
-    "classify", "convergence_order", "default_ode_step", "default_t_end",
-    "dense_eval", "descend_check", "disease_free_equilibrium",
+    "classify", "default_ode_step", "default_t_end",
+    "dense_eval", "disease_free_equilibrium",
     "endemic_equilibrium", "equilibrium_residual", "equilibrium_set",
-    "f_bridge", "full_char_eval", "imaginary_axis_root_exists", "integrate",
+    "imaginary_axis_root_exists", "integrate",
     "load_scenario", "load_sweep", "persistence_bounds", "r0_squared",
-    "rhs_full", "rhs_limiting", "rightmost_real_root", "routh_hurwitz_tau0",
+    "rhs_full", "rightmost_real_root", "routh_hurwitz_tau0",
     "run_scenario", "run_sweep", "tail_stats", "trace_along", "v_dfe",
     "v_endemic", "validate_params", "weak_persistence_check",
 }
