@@ -13,7 +13,6 @@ from malaria_dde import (
     IntegrationSpec,
     ModelParams,
     SystemKind,
-    default_t_end,
     endemic_equilibrium,
     integrate,
     persistence_bounds,
@@ -33,10 +32,10 @@ for theta in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
 print(f"  E*:    {star.s_v:15.6f}    {star.s_h:15.6f}")
 
 # trajectory check: seed an infection, run the full system once and test
-# the tail of that run at each fraction
+# the tail of that run at each fraction; with t_end left unset the run goes
+# to the default horizon 40 / min(mu_h, mu_v)
 phi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), p.tau)
-traj = integrate(p, phi, IntegrationSpec(system=SystemKind.FULL,
-                                         t_end=default_t_end(p.mu_h, p.mu_v)))
+traj = integrate(p, phi, IntegrationSpec(system=SystemKind.FULL))
 for theta in (0.1, 0.5, 0.9):
     report = weak_persistence_check(p, traj, theta)
     print(f"\ntheta = {theta}")

@@ -13,7 +13,8 @@ DEFAULT_THETA           0.5        persistence fraction
 ==========================================================================
 
 t_end and the tau = 0 step size depend on the parameters, so they are
-functions here rather than constants.
+functions here rather than constants. integrate resolves both when its
+IntegrationSpec leaves them as None.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO
@@ -67,13 +68,15 @@ class SystemKind(enum.Enum):
 class IntegrationSpec:
     """Mesh and recording controls.
 
+    t_end = None integrates to 40 / min(mu_h, mu_v) of the params passed to
+    integrate, so one spec gives each parameter set its own default horizon.
     steps_per_delay fixes h = tau / m when tau > 0; step fixes h directly
     when tau = 0 (None picks min(0.05, 0.1/max_rate)). record_stride thins
     the recorded nodes; the final node is always kept.
     """
 
     system: SystemKind = SystemKind.FULL
-    t_end: float = 0.0
+    t_end: float | None = None
     steps_per_delay: int = defaults.STEPS_PER_DELAY
     step: float | None = None
     record_stride: int = defaults.RECORD_STRIDE
@@ -143,6 +146,12 @@ def _clamp(value: float, t: float, comp: int) -> float:
     raise NegativityBreachError(t, COMPONENT_NAMES[comp], value)
 
 
+def _positive_finite(x: object) -> bool:
+    # the scenario loader's rule for t_end and step: a bool is not a number
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and x > 0 and math.isfinite(x))
+
+
 def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Trajectory:
     """March the system from history phi to spec.t_end.
 
@@ -153,24 +162,24 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     if abs(phi.tau - tau) > 1e-9 * (1.0 + abs(tau)):
         raise InvalidHistoryError(f"history spans tau = {phi.tau!r} but params "
                                   f"have tau = {tau!r}")
-    if not (spec.t_end > 0 and math.isfinite(spec.t_end)):
-        raise InvalidSpecError(f"t_end must be positive and finite, got {spec.t_end!r}")
+    if not isinstance(spec.system, SystemKind):
+        raise InvalidSpecError(f"system must be a SystemKind, got {spec.system!r}")
+    t_end = defaults.default_t_end(p.mu_h, p.mu_v) if spec.t_end is None else spec.t_end
+    if not _positive_finite(t_end):
+        raise InvalidSpecError(f"t_end must be positive and finite, got {t_end!r}")
+    for name in ("steps_per_delay", "record_stride"):  # the loader's count rule
+        n = getattr(spec, name)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise InvalidSpecError(f"{name} must be an integer >= 1")
+    if not (spec.step is None or _positive_finite(spec.step)):
+        raise InvalidSpecError(f"step must be positive and finite, got {spec.step!r}")
 
     if tau > 0:
-        m = spec.steps_per_delay
-        if not (isinstance(m, int) and m >= 1):
-            raise InvalidSpecError("steps_per_delay must be an integer >= 1")
-        h = tau / m
+        m, h = spec.steps_per_delay, tau / spec.steps_per_delay
     else:
-        m = 0
-        h = spec.step if spec.step is not None else defaults.default_ode_step(p.max_rate)
-        if not (h > 0 and math.isfinite(h)):
-            raise InvalidSpecError(f"step must be positive and finite, got {h!r}")
-    stride = spec.record_stride
-    if not (isinstance(stride, int) and stride >= 1):
-        raise InvalidSpecError("record_stride must be an integer >= 1")
+        m, h = 0, spec.step or defaults.default_ode_step(p.max_rate)
 
-    n_exact = spec.t_end / h
+    n_exact = t_end / h
     n_steps = int(round(n_exact))
     if abs(n_exact - n_steps) > 1e-9 * max(1.0, abs(n_exact)):
         n_steps = int(math.ceil(n_exact))
@@ -255,6 +264,7 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
 
     states = np.fromiter(chain.from_iterable(Y), float, 4 * len(Y)).reshape(-1, 4)
     derivs = np.fromiter(chain.from_iterable(F), float, 4 * len(F)).reshape(-1, 4)
+    stride = spec.record_stride
     ia = np.append(np.arange(0, n_steps, stride), n_steps)  # the final node always
     if stride > 1:
         states, derivs = states[ia], derivs[ia]

@@ -177,23 +177,23 @@ class HistorySegment:
     def constant(cls, state: State | Sequence[float], tau: float) -> "HistorySegment":
         if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau >= 0):
             raise NegativeDelayError(tau)
-        row = state.as_tuple() if isinstance(state, State) else tuple(float(x) for x in state)
-        if tau == 0:
-            times = np.array([0.0])
-            states = np.array([row], dtype=float)
-        else:
-            times = np.array([-float(tau), 0.0])
-            states = np.array([row, row], dtype=float)
-        return cls(times, states, float(tau))
+        row = state.as_tuple() if isinstance(state, State) else state
+        times = [-float(tau), 0.0] if tau > 0 else [0.0]
+        return cls.table(times, [row] * len(times))
 
     @classmethod
     def table(cls, times: Sequence[float], states: Sequence[Sequence[float]]) -> "HistorySegment":
-        t = np.asarray(times, dtype=float)
+        try:
+            t = np.asarray(times, dtype=float)
+            x = np.asarray(states, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+            raise InvalidHistoryError(f"history needs numeric times and 4-vector "
+                                      f"samples: {exc}") from None
         if t.ndim != 1:
             raise InvalidHistoryError("table needs sample times of shape (n,)")
         if t.size < 1 or t[-1] != 0.0:
             raise InvalidHistoryError("last sample time must be exactly 0")
-        return cls(t, np.asarray(states, dtype=float), -float(t[0]))
+        return cls(t, x, 0.0 - float(t[0]))  # tau = 0, not -0.0, from times [0]
 
     def _validate(self) -> None:
         if self.states.shape != (self.times.size, 4):

@@ -25,7 +25,7 @@ from .errors import (
     ThetaOutOfRangeError,
 )
 from .integrator import SystemKind, TailStats, Trajectory, tail_stats
-from .model import HistorySegment, ModelParams, State
+from .model import COMPONENT_NAMES, HistorySegment, ModelParams, State
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class PersistenceReport:
             f"{key}.threshold = {self.threshold:.17g}",
             f"{key}.i_h_tail_sup = {self.i_h_tail_sup:.17g}",
         ]
-        for name in ("s_h", "i_h", "s_v", "i_v"):
+        for name in COMPONENT_NAMES:
             lines.append(f"{key}.tail_inf.{name} = "
                          f"{getattr(self.tail.inf, name):.17g}")
             lines.append(f"{key}.tail_sup.{name} = "

@@ -18,11 +18,11 @@ history.kind may also be "table" (times from -tau to 0 plus states arrays)
 or "random" (constant history drawn once from the seeded generator:
 S-components uniform in [0.2, 2] x the disease-free pool, I-components
 uniform in [0.01, 1] x the same scale). schema, params and history are
-required; an omitted key keeps its Scenario / Analyses default. Unknown keys
-are rejected so typos surface as SchemaError instead of silently running
-defaults. Numbers must be finite (Python's json accepts NaN and Infinity),
-the six rates strictly positive, tau >= 0, persistence fractions strictly
-inside (0, 1), and a table history must span params.tau.
+required; an omitted key keeps its Scenario / IntegrationSpec / Analyses
+default. Unknown keys are rejected so typos surface as SchemaError instead
+of silently running defaults. Numbers must be finite (Python's json accepts
+NaN and Infinity), the six rates strictly positive, tau >= 0, persistence
+fractions strictly inside (0, 1), and a table history must span params.tau.
 
 A sweep wraps a base scenario, an axis (one parameter name), the values to
 visit in order, and the derived columns to tabulate. Each value is checked at
@@ -45,7 +45,7 @@ from .equilibria import _endemic_equilibrium, _r0_squared, equilibrium_set
 from .errors import EndemicAbsentError, ModelError, SchemaError
 from .integrator import IntegrationSpec, SystemKind, Trajectory, integrate, tail_stats
 from .lyapunov import FunctionalKind, trace_along
-from .model import HistorySegment, ModelParams, validate_params
+from .model import COMPONENT_NAMES, HistorySegment, ModelParams, validate_params
 from .persistence import _require_preconditions, weak_persistence_check
 from .stability import EquilibriumKind, classify
 
@@ -54,7 +54,7 @@ SCHEMA_VERSION = 1
 PARAM_FIELDS = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv", "tau")
 
 _STAR_COLUMNS = ("s_h_star", "i_h_star", "s_v_star", "i_v_star")
-_TAIL_COLUMNS = tuple(f"tail_{c}_{b}" for c in ("s_h", "i_h", "s_v", "i_v")
+_TAIL_COLUMNS = tuple(f"tail_{c}_{b}" for c in COMPONENT_NAMES
                       for b in ("inf", "sup"))
 _COLUMN_ALIASES = {
     "classification": ("classification_e0", "classification_e_star"),
@@ -98,23 +98,9 @@ class Analyses:
 class Scenario:
     params: ModelParams
     history: HistorySpec
-    system: SystemKind = SystemKind.FULL
-    t_end: float | None = None
-    steps_per_delay: int = defaults.STEPS_PER_DELAY
-    step: float | None = None
-    record_stride: int = defaults.RECORD_STRIDE
+    integration: IntegrationSpec = IntegrationSpec()
     analyses: Analyses = Analyses()
     out_dir: str = "out"
-
-    def resolved_t_end(self) -> float:
-        if self.t_end is not None:
-            return self.t_end
-        return defaults.default_t_end(self.params.mu_h, self.params.mu_v)
-
-    def integration_spec(self) -> IntegrationSpec:
-        return IntegrationSpec(system=self.system, t_end=self.resolved_t_end(),
-                               steps_per_delay=self.steps_per_delay,
-                               step=self.step, record_stride=self.record_stride)
 
 
 @dataclass(frozen=True)
@@ -257,7 +243,8 @@ def _history(v: Any, field: str) -> HistorySpec:
 
 _FIELDS: dict[str, dict[str, _Rule]] = {
     "scenario": {"schema": _version, "params": _object("params", ModelParams),
-                 "history": _history, "integration": _object("integration"),
+                 "history": _history,
+                 "integration": _object("integration", IntegrationSpec),
                  "analyses": _object("analyses", Analyses),
                  "output": _object("output")},
     "params": {**dict.fromkeys(PARAM_FIELDS[:-1], _positive), "tau": _nonnegative},
@@ -316,7 +303,8 @@ def _scenario(obj: Any, name: str, path: str) -> Scenario:
             raise SchemaError(f"{path}.history.times",
                               f"span {span!r} differs from params.tau = "
                               f"{params.tau!r}")
-    return Scenario(params=params, history=history, **s.get("integration", {}),
+    return Scenario(params=params, history=history,
+                    integration=s.get("integration", Scenario.integration),
                     analyses=s.get("analyses", Scenario.analyses),
                     out_dir=s.get("output", {}).get("dir", Scenario.out_dir))
 
@@ -353,13 +341,13 @@ def _equilibria_lines(p: ModelParams) -> list[str]:
     eq = equilibrium_set(p)  # validates p
     lines = [f"r0 = {_fmt(eq.r0)}",
              f"r0_squared = {_fmt(_r0_squared(p))}"]
-    for name in ("s_h", "i_h", "s_v", "i_v"):
+    for name in COMPONENT_NAMES:
         lines.append(f"e0.{name} = {_fmt(getattr(eq.e0, name))}")
     if eq.e_star is None:
         lines.append("e_star.exists = false")
     else:
         lines.append("e_star.exists = true")
-        for name in ("s_h", "i_h", "s_v", "i_v"):
+        for name in COMPONENT_NAMES:
             lines.append(f"e_star.{name} = {_fmt(getattr(eq.e_star, name))}")
     return lines
 
@@ -402,7 +390,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, quiet: bool = False,
     phi = None
     if do_simulate or do_lyapunov or thetas:
         phi = scn.history.build(p, rng)
-    spec = scn.integration_spec()
+    spec = scn.integration
     runs: dict[IntegrationSpec, Trajectory] = {}
 
     def run(key: IntegrationSpec) -> Trajectory:
@@ -415,7 +403,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, quiet: bool = False,
         lines.append(f"trajectory.t_end = {_fmt(traj.t_end)}")
         lines.append(f"trajectory.nodes = {traj.times.size}")
         tail = tail_stats(traj)
-        for name in ("s_h", "i_h", "s_v", "i_v"):
+        for name in COMPONENT_NAMES:
             lines.append(f"tail.{name}.inf = {_fmt(getattr(tail.inf, name))}")
             lines.append(f"tail.{name}.sup = {_fmt(getattr(tail.sup, name))}")
         if write_files:
@@ -477,9 +465,8 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
         elif col in _TAIL_COLUMNS:
             if tail is None:  # integrate once, fill all tail cells
                 phi = scn.history.build(p, np.random.default_rng(seed))
-                spec = replace(scn, params=p).integration_spec()
-                tail = tail_stats(integrate(p, phi, spec))
-                for name in ("s_h", "i_h", "s_v", "i_v"):
+                tail = tail_stats(integrate(p, phi, scn.integration))
+                for name in COMPONENT_NAMES:
                     row[f"tail_{name}_inf"] = _fmt(getattr(tail.inf, name))
                     row[f"tail_{name}_sup"] = _fmt(getattr(tail.sup, name))
         else:  # pragma: no cover - column set is validated at load time

@@ -205,6 +205,15 @@ def test_nonnegativity_holds_from_boundary_history():
     assert float(traj.states.min()) >= 0.0
 
 
+def test_default_horizon_is_forty_slowest_lifetimes():
+    # IntegrationSpec() leaves t_end unset; integrate resolves it from p
+    p = replace(P_SUPER, mu_h=0.08)
+    traj = integrate(p, _phi(p), IntegrationSpec(steps_per_delay=2))
+    assert traj.t_end == 40.0 / min(p.mu_h, p.mu_v) == 500.0
+    traj = integrate(P_SUPER, _phi(P_SUPER), IntegrationSpec(steps_per_delay=2))
+    assert traj.t_end == 40.0 / min(P_SUPER.mu_h, P_SUPER.mu_v) == 400.0
+
+
 def test_integrate_validates_params():
     # a negative rate is an input error, not a step size too coarse
     p = replace(P_SUPER, beta_h=-1.0)
@@ -222,6 +231,12 @@ def test_integrate_validates_params():
     (1.0, dict(t_end=math.nan)),
     (0.0, dict(t_end=1.0, step=math.inf)),
     (0.0, dict(t_end=1.0, step=math.nan)),
+    # each spec field is held to its scenario-loader rule: a str system once
+    # ran the full system, and a bool count ran as 1
+    (1.0, dict(system="limiting", t_end=5.0)),
+    (1.0, dict(t_end=1.0, steps_per_delay=True)),
+    (1.0, dict(t_end=1.0, record_stride=True)),
+    (1.0, dict(t_end=True)),
 ])
 def test_integrate_spec_errors_are_validation_errors(tau, kw):
     p = replace(P_SUPER, tau=tau)

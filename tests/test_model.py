@@ -176,13 +176,24 @@ def test_history_value_out_of_range():
             seg.value_at(math.nan)
 
 
-@pytest.mark.parametrize("state", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)],
-                         ids=["three", "five"])
-def test_history_state_must_be_a_four_vector(state):
-    # three components once raised a bare IndexError; five were accepted
-    for build in (lambda: HistorySegment.constant(state, 0.0),
-                  lambda: HistorySegment.constant(state, 1.0),
-                  lambda: HistorySegment.table((-1.0, 0.0), (state, state))):
+def _every_build(state):
+    return (lambda: HistorySegment.constant(state, 0.0),
+            lambda: HistorySegment.constant(state, 1.0),
+            lambda: HistorySegment.table((-1.0, 0.0), (state, state)))
+
+
+@pytest.mark.parametrize("builds", [
+    _every_build((1.0, 2.0, 3.0)),
+    _every_build((1.0, 2.0, 3.0, 4.0, 5.0)),
+    (lambda: HistorySegment.constant(5.0, 1.0),),
+    (lambda: HistorySegment.table((-1.0, 0.0), [[1, 2, 3, 4], [1, 2]]),),
+    (lambda: HistorySegment.table((-1.0, 0.0), [[1, 2, 3, 4], [1, 2, "x", 4]]),),
+], ids=["three", "five", "scalar", "ragged", "non_numeric"])
+def test_history_state_must_be_a_four_vector(builds):
+    # three components once raised a bare IndexError and five were accepted;
+    # a scalar state raised TypeError, a ragged or non-numeric table numpy's
+    # ValueError
+    for build in builds:
         with pytest.raises(InvalidHistoryError, match="4-vector"):
             build()
 

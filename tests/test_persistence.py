@@ -12,7 +12,6 @@ from malaria_dde import (
     SubcriticalR0Error,
     SystemKind,
     ThetaOutOfRangeError,
-    default_t_end,
     endemic_equilibrium,
     integrate,
     persistence_bounds,
@@ -23,10 +22,9 @@ from conftest import P_SUB, P_SUPER, constant_history, draw_supercritical
 
 
 def full_run(p, phi, t_end=None):
-    """The full-system run the check reads; the horizon defaults to
+    """The full-system run the check reads; integrate's default horizon is
     40 / min(mu_h, mu_v)."""
-    horizon = t_end if t_end is not None else default_t_end(p.mu_h, p.mu_v)
-    return integrate(p, phi, IntegrationSpec(system=SystemKind.FULL, t_end=horizon))
+    return integrate(p, phi, IntegrationSpec(system=SystemKind.FULL, t_end=t_end))
 
 
 def test_bounds_anchor_against_exact_rationals():

@@ -55,9 +55,7 @@ def report_dict(lines):
 def test_load_scenario_defaults(tmp_path):
     scn = load_scenario(scenario_file(tmp_path))
     assert scn.params.beta_h == 2.0
-    assert scn.system is SystemKind.FULL
-    assert scn.t_end is None and scn.resolved_t_end() == 400.0
-    assert scn.steps_per_delay == 20
+    assert scn.integration == IntegrationSpec()
     assert scn.analyses.simulate and scn.analyses.stability
     assert not scn.analyses.lyapunov
     assert scn.analyses.persistence == ()
@@ -365,6 +363,32 @@ def integrate_spy(monkeypatch):
 
     monkeypatch.setattr(scenario_mod, "integrate", spy)
     return calls
+
+
+def test_load_scenario_builds_the_integration_spec():
+    scn = load_scenario(ENDEMIC_DEMO)
+    assert scn.integration == IntegrationSpec(SystemKind.FULL, 200.0, 20)
+
+
+def test_sweep_rows_integrate_to_their_own_default_horizon(tmp_path, monkeypatch):
+    import malaria_dde.scenario as scenario_mod
+    ends = []
+    real = scenario_mod.integrate
+
+    def spy(p, phi, spec):
+        traj = real(p, phi, spec)
+        ends.append(traj.t_end)
+        return traj
+
+    monkeypatch.setattr(scenario_mod, "integrate", spy)
+    values = [0.2, 0.08, 0.05]
+    obj = {"schema": 1,
+           "base": {**BASE, "integration": {"steps_per_delay": 2}},
+           "axis": "mu_h", "values": values, "columns": ["tail"]}
+    run_sweep(load_sweep(write_json(tmp_path / "sw.json", obj)),
+              out_dir=str(tmp_path / "o"), quiet=True)
+    mu_v = BASE["params"]["mu_v"]
+    assert ends == [40.0 / min(mu_h, mu_v) for mu_h in values] == [400.0, 500.0, 800.0]
 
 
 def test_run_scenario_integrates_each_system_once(tmp_path, integrate_spy):
