@@ -20,7 +20,7 @@ here = os.path.dirname(os.path.abspath(__file__))
 
 # run one scenario: prints the report and writes trajectory/report files
 scn = load_scenario(os.path.join(here, "scenarios", "endemic.json"))
-lines = run_scenario(scn, out_dir="out_endemic", quiet=True)
+lines = run_scenario(scn, out_dir="out_endemic")
 print("scenario report:")
 for ln in lines:
     print(" ", ln)
@@ -28,7 +28,7 @@ for ln in lines:
 # sweep the vector-to-host transmission rate across the R0 = 1 threshold:
 # the endemic column switches from absent to LAS as R0 crosses 1
 sweep = load_sweep(os.path.join(here, "scenarios", "sweep_c_vh.json"))
-path = run_sweep(sweep, out_dir="out_sweep", quiet=True)
+path = run_sweep(sweep, out_dir="out_sweep")
 print("\nsweep table:")
 with open(path) as fh:
     for row in fh:

@@ -60,14 +60,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "simulate":
             scn = load_scenario(args.scenario)
-            run_scenario(scn, out_dir=args.out, quiet=args.quiet, seed=args.seed)
+            lines = run_scenario(scn, out_dir=args.out, seed=args.seed)
         elif args.command == "sweep":
             spec = load_sweep(args.sweep)
-            run_sweep(spec, out_dir=args.out, quiet=args.quiet, seed=args.seed)
+            path = run_sweep(spec, out_dir=args.out, seed=args.seed)
+            lines = [f"sweep.file = {path}", f"sweep.rows = {len(spec.values)}"]
         else:
             scn = load_scenario(args.scenario)
             section = args.only if args.only is not None else "stability"
-            run_scenario(scn, quiet=False, seed=args.seed, only=section)
+            lines = run_scenario(scn, seed=args.seed, only=section)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -77,6 +78,8 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:  # pragma: no cover - base class safety net
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not getattr(args, "quiet", False):
+        print("\n".join(lines))
     return 0
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO
@@ -52,6 +51,7 @@ from .model import (
     HistorySegment,
     ModelParams,
     State,
+    _finite_real,
     _make_rhs,
     validate_params,
 )
@@ -146,12 +146,6 @@ def _clamp(value: float, t: float, comp: int) -> float:
     raise NegativityBreachError(t, COMPONENT_NAMES[comp], value)
 
 
-def _positive_finite(x: object) -> bool:
-    # the scenario loader's rule for t_end and step: a bool is not a number
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and x > 0 and math.isfinite(x))
-
-
 def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Trajectory:
     """March the system from history phi to spec.t_end.
 
@@ -165,13 +159,13 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     if not isinstance(spec.system, SystemKind):
         raise InvalidSpecError(f"system must be a SystemKind, got {spec.system!r}")
     t_end = defaults.default_t_end(p.mu_h, p.mu_v) if spec.t_end is None else spec.t_end
-    if not _positive_finite(t_end):
+    if not (_finite_real(t_end) and t_end > 0):
         raise InvalidSpecError(f"t_end must be positive and finite, got {t_end!r}")
     for name in ("steps_per_delay", "record_stride"):  # the loader's count rule
         n = getattr(spec, name)
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise InvalidSpecError(f"{name} must be an integer >= 1")
-    if not (spec.step is None or _positive_finite(spec.step)):
+    if not (spec.step is None or (_finite_real(spec.step) and spec.step > 0)):
         raise InvalidSpecError(f"step must be positive and finite, got {spec.step!r}")
 
     if tau > 0:

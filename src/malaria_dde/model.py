@@ -21,6 +21,7 @@ limiting system; simulation defaults to the full one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -71,13 +72,25 @@ class ModelParams:
                    self.c_vh, self.c_hv)
 
 
+def _finite_real(x: object) -> bool:
+    """The scenario loader's number rule: a real that is not a bool and is
+    finite as a float."""
+    # float and int first: they skip the slower numbers.Real ABC check
+    if not isinstance(x, (float, int, numbers.Real)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def validate_params(p: ModelParams) -> ModelParams:
     """Check positivity of the six rates and tau >= 0; return p unchanged."""
     for name in _RATE_FIELDS:
         v = getattr(p, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+        if not (_finite_real(v) and v > 0):
             raise NonPositiveRateError(name, v)
-    if not (isinstance(p.tau, (int, float)) and math.isfinite(p.tau) and p.tau >= 0):
+    if not (_finite_real(p.tau) and p.tau >= 0):
         raise NegativeDelayError(p.tau)
     return p
 
@@ -175,7 +188,7 @@ class HistorySegment:
 
     @classmethod
     def constant(cls, state: State | Sequence[float], tau: float) -> "HistorySegment":
-        if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau >= 0):
+        if not (_finite_real(tau) and tau >= 0):
             raise NegativeDelayError(tau)
         row = state.as_tuple() if isinstance(state, State) else state
         times = [-float(tau), 0.0] if tau > 0 else [0.0]
@@ -184,11 +197,15 @@ class HistorySegment:
     @classmethod
     def table(cls, times: Sequence[float], states: Sequence[Sequence[float]]) -> "HistorySegment":
         try:
-            t = np.asarray(times, dtype=float)
-            x = np.asarray(states, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+            t = np.asarray(times)
+            x = np.asarray(states)
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged
             raise InvalidHistoryError(f"history needs numeric times and 4-vector "
                                       f"samples: {exc}") from None
+        if t.dtype.kind not in "iuf" or x.dtype.kind not in "iuf":  # bools, strings
+            raise InvalidHistoryError(f"history needs numeric times and 4-vector "
+                                      f"samples, got dtypes {t.dtype} and {x.dtype}")
+        t, x = t.astype(float, copy=False), x.astype(float, copy=False)
         if t.ndim != 1:
             raise InvalidHistoryError("table needs sample times of shape (n,)")
         if t.size < 1 or t[-1] != 0.0:

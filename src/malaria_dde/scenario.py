@@ -352,8 +352,8 @@ def _equilibria_lines(p: ModelParams) -> list[str]:
     return lines
 
 
-def run_scenario(scn: Scenario, out_dir: str | None = None, quiet: bool = False,
-                 seed: int = 0, only: str | None = None) -> list[str]:
+def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
+                 only: str | None = None) -> list[str]:
     """Execute a scenario and return the report lines.
 
     Each distinct IntegrationSpec is integrated once and shared: simulate
@@ -437,8 +437,6 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, quiet: bool = False,
         os.makedirs(target, exist_ok=True)
         with open(os.path.join(target, "report.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    if not quiet:
-        print("\n".join(lines))
     return lines
 
 
@@ -474,8 +472,7 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
     return row
 
 
-def run_sweep(sweep: SweepSpec, out_dir: str | None = None, quiet: bool = False,
-              seed: int = 0) -> str:
+def run_sweep(sweep: SweepSpec, out_dir: str | None = None, seed: int = 0) -> str:
     """Run every row, write <out>/sweep.csv, return its path."""
     target = out_dir if out_dir is not None else sweep.base.out_dir
     os.makedirs(target, exist_ok=True)
@@ -494,7 +491,4 @@ def run_sweep(sweep: SweepSpec, out_dir: str | None = None, quiet: bool = False,
                 text = f"error: {exc}".replace('"', '""')
                 cells.append(f'"{text}"')
             fh.write(",".join(cells) + "\n")
-    if not quiet:
-        print(f"sweep.file = {path}")
-        print(f"sweep.rows = {len(sweep.values)}")
     return path

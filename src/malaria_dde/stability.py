@@ -5,8 +5,10 @@ into (lam + mu_h)(lam + mu_v) (two exact negative roots) times
 
     G(lam) = lam^2 + a1*lam + a2 + a3*exp(-lam*tau),
 
-with one (a1, a2, a3) triple per equilibrium. Three closed-form verdicts
-come out of G:
+with one (a1, a2, a3) triple per equilibrium. One record type, CharCoeffs,
+holds that triple and tau; DfeCharCoeffs.from_params and
+EndemicCharCoeffs.from_params build it at E0 and at E*. Three closed-form
+verdicts come out of G:
 
 * routh_hurwitz_tau0: at tau = 0, both roots of the quadratic
   lam^2 + a1*lam + (a2 + a3) lie in the open left half plane iff a1 > 0 and
@@ -48,75 +50,53 @@ from .model import ModelParams, validate_params
 
 
 @dataclass(frozen=True)
-class DfeCharCoeffs:
-    """Transcendental-factor coefficients at the disease-free state."""
+class CharCoeffs:
+    """The coefficients of G(lam) = lam^2 + a1*lam + a2 + a3*exp(-lam*tau)
+    at one equilibrium."""
 
-    q1: float
-    q2: float
-    q3: float
+    a1: float
+    a2: float
+    a3: float
     tau: float
-    mu_h: float
-    mu_v: float
 
-    a1 = property(lambda self: self.q1)
-    a2 = property(lambda self: self.q2)
-    a3 = property(lambda self: self.q3)
+
+class DfeCharCoeffs(CharCoeffs):
+    """G's coefficients at the disease-free state."""
 
     @classmethod
     def from_params(cls, p: ModelParams) -> "DfeCharCoeffs":
-        # q3 = -(c_hv beta_v / mu_v) (c_vh beta_h mu_v / (beta_v mu_h)), with
+        # a3 = -(c_hv beta_v / mu_v) (c_vh beta_h mu_v / (beta_v mu_h)), with
         # beta_v and mu_v cancelled so that a subnormal beta_v cannot divide by 0
-        return cls(q1=p.mu_h + p.mu_v, q2=p.mu_v * p.mu_h,
-                   q3=-(p.c_vh * p.c_hv * p.beta_h / p.mu_h),
-                   tau=p.tau, mu_h=p.mu_h, mu_v=p.mu_v)
+        return cls(a1=p.mu_h + p.mu_v, a2=p.mu_v * p.mu_h,
+                   a3=-(p.c_vh * p.c_hv * p.beta_h / p.mu_h), tau=p.tau)
 
 
-@dataclass(frozen=True)
-class EndemicCharCoeffs:
-    """Transcendental-factor coefficients at the endemic state.
+def _endemic_weights(p: ModelParams) -> tuple[float, float, float, float, float]:
+    """The linearization weights m1..m5 at E*. In their terms G's endemic
+    coefficients satisfy a1^2 - 2 a2 = (mu_h + m1)^2 + (mu_v + m5)^2 > 0."""
+    star = _endemic_equilibrium(p, _r0_squared(p))
+    if star is None:
+        raise EndemicAbsentError()
+    n_v = star.n_v
+    n_v2 = n_v * n_v
+    if n_v2 == 0.0:
+        raise RateUnderflowError("N_v* * N_v*")
+    return (p.c_vh * star.i_v / n_v,
+            p.c_vh * star.i_v * star.s_h / n_v2,
+            p.c_vh * star.s_v * star.s_h / n_v2,
+            p.c_hv * star.s_v,
+            p.c_hv * star.i_h)
 
-    m1..m5 are the linearization weights evaluated at E*; kept because the
-    identity p1^2 - 2p2 = (mu_h + m1)^2 + (mu_v + m5)^2 is a useful invariant.
-    """
 
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-    m5: float
-    p1: float
-    p2: float
-    p3: float
-    tau: float
-    mu_h: float
-    mu_v: float
-
-    a1 = property(lambda self: self.p1)
-    a2 = property(lambda self: self.p2)
-    a3 = property(lambda self: self.p3)
+class EndemicCharCoeffs(CharCoeffs):
+    """G's coefficients at the endemic state."""
 
     @classmethod
     def from_params(cls, p: ModelParams) -> "EndemicCharCoeffs":
-        star = _endemic_equilibrium(p, _r0_squared(p))
-        if star is None:
-            raise EndemicAbsentError()
-        n_v = star.n_v
-        n_v2 = n_v * n_v
-        if n_v2 == 0.0:
-            raise RateUnderflowError("N_v* * N_v*")
-        m1 = p.c_vh * star.i_v / n_v
-        m2 = p.c_vh * star.i_v * star.s_h / n_v2
-        m3 = p.c_vh * star.s_v * star.s_h / n_v2
-        m4 = p.c_hv * star.s_v
-        m5 = p.c_hv * star.i_h
-        return cls(m1=m1, m2=m2, m3=m3, m4=m4, m5=m5,
-                   p1=p.mu_h + m1 + p.mu_v + m5,
-                   p2=(p.mu_h + m1) * (p.mu_v + m5),
-                   p3=-m4 * (m3 + m2),
-                   tau=p.tau, mu_h=p.mu_h, mu_v=p.mu_v)
-
-
-CharCoeffs = DfeCharCoeffs | EndemicCharCoeffs
+        m1, m2, m3, m4, m5 = _endemic_weights(p)
+        return cls(a1=p.mu_h + m1 + p.mu_v + m5,
+                   a2=(p.mu_h + m1) * (p.mu_v + m5),
+                   a3=-m4 * (m3 + m2), tau=p.tau)
 
 
 def char_eval(coeffs: CharCoeffs, lam: complex) -> complex:

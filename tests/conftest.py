@@ -3,6 +3,7 @@ the acceptance summary hook (one PASS/FAIL line per criterion at the end of
 the run)."""
 
 import math
+import os
 import re
 from dataclasses import replace
 
@@ -22,6 +23,16 @@ from malaria_dde import (
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment for a child interpreter: this tree's src first on
+    PYTHONPATH (pytest's own pythonpath setting reaches only this process)."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path,
+                PYTHONDONTWRITEBYTECODE="1")
 
 # One reference set per threshold regime. All rates are dyadic so closed
 # forms evaluate without rounding.

@@ -91,10 +91,10 @@ def test_c2_reproduction_number_identities():
         r2 = r0_squared(p)
         r0 = basic_reproduction_number(p)
         q = DfeCharCoeffs.from_params(p)
-        assert q.q2 + q.q3 == pytest.approx(
+        assert q.a2 + q.a3 == pytest.approx(
             p.mu_v * p.mu_h * (1.0 - r2), rel=1e-10)
         c = EndemicCharCoeffs.from_params(p)
-        assert c.p2 + c.p3 == pytest.approx(
+        assert c.a2 + c.a3 == pytest.approx(
             (r0 + 1.0) * p.mu_v * p.mu_h * (r0 - 1.0), rel=1e-10)
         star = endemic_equilibrium(p)
         assert r2 == pytest.approx(

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conftest import subprocess_env
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = os.path.join(ROOT, "demos")
 
@@ -14,12 +16,8 @@ DEMOS = os.path.join(ROOT, "demos")
 def test_demo_runs_cleanly(demo, tmp_path):
     # run from an empty directory, as tools/golden_diff.py does, so the
     # files a demo writes land in tmp_path
-    src = os.path.join(ROOT, "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path,
-               PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, os.path.join(DEMOS, demo)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=120)
+                          cwd=tmp_path, env=subprocess_env(), capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

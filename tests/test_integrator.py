@@ -237,6 +237,10 @@ def test_integrate_validates_params():
     (1.0, dict(t_end=1.0, steps_per_delay=True)),
     (1.0, dict(t_end=1.0, record_stride=True)),
     (1.0, dict(t_end=True)),
+    (1.0, dict(t_end=False)),
+    (1.0, dict(t_end="4")),
+    (1.0, dict(t_end=10 ** 400)),
+    (0.0, dict(t_end=1.0, step=True)),
 ])
 def test_integrate_spec_errors_are_validation_errors(tau, kw):
     p = replace(P_SUPER, tau=tau)

@@ -74,15 +74,20 @@ def test_rhs_rejects_zero_vector_population():
 
 @pytest.mark.parametrize("field", ["beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv"])
 def test_validate_rejects_nonpositive_rates(field):
-    for bad in (0.0, -1.0):
+    # a bool is not a number: beta_h = True once gave R0 = 0.894; an int
+    # beyond the float range once raised a bare OverflowError
+    for bad in (0.0, -1.0, True, False, "4", 10 ** 400):
         with pytest.raises(NonPositiveRateError) as err:
             validate_params(replace(P_SUPER, **{field: bad}))
         assert err.value.name == field
 
 
 def test_validate_delay():
-    with pytest.raises(NegativeDelayError):
-        validate_params(replace(P_SUPER, tau=-0.5))
+    for bad in (-0.5, True, False, "4", 10 ** 400):
+        with pytest.raises(NegativeDelayError):
+            validate_params(replace(P_SUPER, tau=bad))
+        with pytest.raises(NegativeDelayError):
+            HistorySegment.constant((4.0, 0.5, 30.0, 10.0), bad)
     assert validate_params(replace(P_SUPER, tau=0.0)) is not None
 
 
@@ -188,11 +193,15 @@ def _every_build(state):
     (lambda: HistorySegment.constant(5.0, 1.0),),
     (lambda: HistorySegment.table((-1.0, 0.0), [[1, 2, 3, 4], [1, 2]]),),
     (lambda: HistorySegment.table((-1.0, 0.0), [[1, 2, 3, 4], [1, 2, "x", 4]]),),
-], ids=["three", "five", "scalar", "ragged", "non_numeric"])
+    (lambda: HistorySegment.table(("-1", 0.0), [["4", "0.5", "30", "10"]] * 2),),
+    (lambda: HistorySegment.table((-1.0, 0.0), [[True, False, True, True]] * 2),),
+    (lambda: HistorySegment.constant((True, False, True, True), 1.0),),
+], ids=["three", "five", "scalar", "ragged", "non_numeric", "numeric_strings",
+        "bool_table", "bool_constant"])
 def test_history_state_must_be_a_four_vector(builds):
     # three components once raised a bare IndexError and five were accepted;
     # a scalar state raised TypeError, a ragged or non-numeric table numpy's
-    # ValueError
+    # ValueError; numeric strings and bools were once read as numbers
     for build in builds:
         with pytest.raises(InvalidHistoryError, match="4-vector"):
             build()

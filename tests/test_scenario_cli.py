@@ -23,6 +23,7 @@ from malaria_dde import (
     trace_along,
     weak_persistence_check,
 )
+from conftest import subprocess_env
 
 BASE = {
     "schema": 1,
@@ -134,7 +135,7 @@ def test_run_scenario_artifacts_and_report(tmp_path):
         analyses={"simulate": True, "stability": True, "lyapunov": False,
                   "persistence": [0.5]})
     scn = load_scenario(path)
-    lines = run_scenario(scn, out_dir=str(tmp_path / "out"), quiet=True)
+    lines = run_scenario(scn, out_dir=str(tmp_path / "out"))
     rep = report_dict(lines)
     assert float(rep["r0"]) == pytest.approx(1.2649110640673518, rel=1e-15)
     assert rep["e_star.exists"] == "true"
@@ -154,13 +155,13 @@ def test_run_scenario_report_only_sections(tmp_path):
     path = scenario_file(tmp_path, analyses={"simulate": True, "stability": True,
                                              "lyapunov": True, "persistence": [0.5]})
     scn = load_scenario(path)
-    lines = run_scenario(scn, quiet=True, only="stability")
+    lines = run_scenario(scn, only="stability")
     rep = report_dict(lines)
     assert "stability.e0.classification" in rep
     assert not any(k.startswith(("lyapunov.", "persistence.", "trajectory."))
                    for k in rep)
 
-    lines = run_scenario(scn, quiet=True, only="lyapunov")
+    lines = run_scenario(scn, only="lyapunov")
     rep = report_dict(lines)
     assert rep["lyapunov.kind"] == "v_endemic"
     assert rep["lyapunov.descends"] == "true"
@@ -175,9 +176,9 @@ def test_run_scenario_random_history_deterministic(tmp_path):
     def content(lines):  # drop the artifact paths, they differ per out dir
         return [ln for ln in lines if ".file = " not in ln]
 
-    a = run_scenario(scn, out_dir=str(tmp_path / "a"), quiet=True, seed=7)
-    b = run_scenario(scn, out_dir=str(tmp_path / "b"), quiet=True, seed=7)
-    c = run_scenario(scn, out_dir=str(tmp_path / "c"), quiet=True, seed=8)
+    a = run_scenario(scn, out_dir=str(tmp_path / "a"), seed=7)
+    b = run_scenario(scn, out_dir=str(tmp_path / "b"), seed=7)
+    c = run_scenario(scn, out_dir=str(tmp_path / "c"), seed=8)
     assert content(a) == content(b)
     assert content(a) != content(c)
     bytes_a = (tmp_path / "a" / "trajectory.csv").read_bytes()
@@ -189,7 +190,7 @@ def test_run_sweep_monotone_and_constant_columns(tmp_path):
     obj = {"schema": 1, "base": dict(BASE), "axis": "c_vh",
            "values": [0.05, 0.1, 0.2], "columns": ["r0"]}
     sw = load_sweep(write_json(tmp_path / "sw.json", obj))
-    out = run_sweep(sw, out_dir=str(tmp_path / "o1"), quiet=True)
+    out = run_sweep(sw, out_dir=str(tmp_path / "o1"))
     rows = [ln.split(",") for ln in open(out).read().splitlines()]
     assert rows[0] == ["c_vh", "r0", "error"]
     r0s = [float(r[1]) for r in rows[1:]]
@@ -199,7 +200,7 @@ def test_run_sweep_monotone_and_constant_columns(tmp_path):
            "values": [0, 0.5, 1, 2],
            "columns": ["r0", "classification", "i_h_star"]}
     sw = load_sweep(write_json(tmp_path / "sw2.json", obj))
-    out = run_sweep(sw, out_dir=str(tmp_path / "o2"), quiet=True)
+    out = run_sweep(sw, out_dir=str(tmp_path / "o2"))
     rows = [ln.split(",") for ln in open(out).read().splitlines()[1:]]
     assert len({tuple(r[1:]) for r in rows}) == 1  # delay changes nothing
     assert rows[0][2] == "Unstable" and rows[0][3] == "LAS"
@@ -209,7 +210,7 @@ def test_run_sweep_row_order_follows_values(tmp_path):
     obj = {"schema": 1, "base": dict(BASE), "axis": "c_vh",
            "values": [0.2, 0.05, 0.1], "columns": ["r0"]}
     sw = load_sweep(write_json(tmp_path / "sw.json", obj))
-    out = run_sweep(sw, out_dir=str(tmp_path / "o3"), quiet=True)
+    out = run_sweep(sw, out_dir=str(tmp_path / "o3"))
     first_col = [ln.split(",")[0] for ln in open(out).read().splitlines()[1:]]
     assert [float(v) for v in first_col] == [0.2, 0.05, 0.1]
 
@@ -228,7 +229,7 @@ def test_run_sweep_row_error_marker(tmp_path, monkeypatch):
         return real(sweep, value, seed)
 
     monkeypatch.setattr(scenario_mod, "_sweep_row", flaky)
-    out = run_sweep(sw, out_dir=str(tmp_path / "o4"), quiet=True)
+    out = run_sweep(sw, out_dir=str(tmp_path / "o4"))
     rows = open(out).read().splitlines()
     assert "synthetic row failure" in rows[1]
     assert rows[2].split(",")[-1] == ""  # second row unaffected
@@ -239,7 +240,7 @@ def test_sweep_tail_columns(tmp_path):
            "base": {**BASE, "integration": {"t_end": 60}},
            "axis": "c_vh", "values": [0.2], "columns": ["tail"]}
     sw = load_sweep(write_json(tmp_path / "sw.json", obj))
-    out = run_sweep(sw, out_dir=str(tmp_path / "o5"), quiet=True)
+    out = run_sweep(sw, out_dir=str(tmp_path / "o5"))
     header, row = open(out).read().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert float(cells["tail_i_h_sup"]) > 0
@@ -250,7 +251,7 @@ def test_sweep_tail_columns(tmp_path):
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "malaria_dde", *args],
-                          capture_output=True, text=True)
+                          env=subprocess_env(), capture_output=True, text=True)
 
 
 def test_cli_simulate_roundtrip(tmp_path):
@@ -295,6 +296,18 @@ def test_cli_sweep(tmp_path):
     assert (tmp_path / "o" / "sweep.csv").exists()
 
 
+def test_only_the_cli_prints(tmp_path, capsys):
+    path = scenario_file(tmp_path, integration={"t_end": 40})
+    lines = run_scenario(load_scenario(path), out_dir=str(tmp_path / "out"))
+    obj = {"schema": 1, "base": dict(BASE), "axis": "tau", "values": [0, 1],
+           "columns": ["r0"]}
+    run_sweep(load_sweep(write_json(tmp_path / "sw.json", obj)),
+              out_dir=str(tmp_path / "o"))
+    assert capsys.readouterr().out == ""
+    assert cli.main(["simulate", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 def test_cli_numerical_exit_code(monkeypatch, tmp_path):
     # the mapping itself, without needing a scenario that breaks numerically
     path = scenario_file(tmp_path)
@@ -327,7 +340,7 @@ def test_runtime_import_leaves_scipy_unloaded():
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          env=subprocess_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -386,7 +399,7 @@ def test_sweep_rows_integrate_to_their_own_default_horizon(tmp_path, monkeypatch
            "base": {**BASE, "integration": {"steps_per_delay": 2}},
            "axis": "mu_h", "values": values, "columns": ["tail"]}
     run_sweep(load_sweep(write_json(tmp_path / "sw.json", obj)),
-              out_dir=str(tmp_path / "o"), quiet=True)
+              out_dir=str(tmp_path / "o"))
     mu_v = BASE["params"]["mu_v"]
     assert ends == [40.0 / min(mu_h, mu_v) for mu_h in values] == [400.0, 500.0, 800.0]
 
@@ -396,11 +409,11 @@ def test_run_scenario_integrates_each_system_once(tmp_path, integrate_spy):
     # reads the limiting one
     scn = load_scenario(ENDEMIC_DEMO)
     assert scn.analyses.lyapunov and len(scn.analyses.persistence) == 2
-    run_scenario(scn, out_dir=str(tmp_path / "out"), quiet=True)
+    run_scenario(scn, out_dir=str(tmp_path / "out"))
     assert sorted(s.system.value for s in integrate_spy) == ["full", "limiting"]
 
     integrate_spy.clear()
-    run_scenario(scn, quiet=True, only="persistence")
+    run_scenario(scn, only="persistence")
     assert [s.system for s in integrate_spy] == [SystemKind.FULL]
 
 
@@ -410,7 +423,7 @@ def test_zero_delay_step_reaches_every_analysis(tmp_path, integrate_spy):
                          integration={"t_end": 40, "step": 0.01},
                          analyses={"lyapunov": True, "persistence": [0.5]})
     scn = load_scenario(path)
-    rep = report_dict(run_scenario(scn, out_dir=str(tmp_path / "o"), quiet=True))
+    rep = report_dict(run_scenario(scn, out_dir=str(tmp_path / "o")))
     assert {s.step for s in integrate_spy} == {0.01}
 
     p = scn.params

@@ -4,7 +4,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -33,9 +33,11 @@ from malaria_dde import (
 )
 from malaria_dde import defaults
 from malaria_dde.stability import (
+    CharCoeffs,
     DfeCharCoeffs,
     EndemicCharCoeffs,
     _brent,
+    _endemic_weights,
     _g_real,
 )
 
@@ -52,20 +54,28 @@ from conftest import (
 
 def test_disease_free_coefficients_by_hand():
     c = DfeCharCoeffs.from_params(P_SUPER)
-    assert c.q1 == pytest.approx(0.6, abs=1e-15)
-    assert c.q2 == pytest.approx(0.05, abs=1e-15)
-    # q3 = -c_vh*c_hv*beta_h/mu_h = -0.2*0.1*2/0.5
-    assert c.q3 == pytest.approx(-0.08, abs=1e-15)
+    assert c.a1 == pytest.approx(0.6, abs=1e-15)
+    assert c.a2 == pytest.approx(0.05, abs=1e-15)
+    # a3 = -c_vh*c_hv*beta_h/mu_h = -0.2*0.1*2/0.5
+    assert c.a3 == pytest.approx(-0.08, abs=1e-15)
 
 
 def test_endemic_coefficients_by_hand():
+    m1, _, _, m4, m5 = _endemic_weights(P_SUPER)
+    assert m1 == pytest.approx(0.06, abs=1e-14)       # 0.2*15/50
+    assert m4 == pytest.approx(3.5, abs=1e-14)        # 0.1*35
+    assert m5 == pytest.approx(3.0 / 70.0, abs=1e-14)
     c = EndemicCharCoeffs.from_params(P_SUPER)
-    assert c.m1 == pytest.approx(0.06, abs=1e-14)       # 0.2*15/50
-    assert c.m4 == pytest.approx(3.5, abs=1e-14)        # 0.1*35
-    assert c.m5 == pytest.approx(3.0 / 70.0, abs=1e-14)
-    assert c.p1 == pytest.approx(0.7028571428571428, abs=1e-12)
-    assert c.p2 == pytest.approx(0.08, abs=1e-14)
-    assert c.p3 == pytest.approx(-0.05, abs=1e-14)
+    assert c.a1 == pytest.approx(0.7028571428571428, abs=1e-12)
+    assert c.a2 == pytest.approx(0.08, abs=1e-14)
+    assert c.a3 == pytest.approx(-0.05, abs=1e-14)
+
+
+def test_both_constructors_build_one_coefficient_type():
+    for cls in (DfeCharCoeffs, EndemicCharCoeffs):
+        c = cls.from_params(P_SUPER)
+        assert type(c) is cls and isinstance(c, CharCoeffs)
+        assert tuple(f.name for f in fields(c)) == ("a1", "a2", "a3", "tau")
 
 
 def test_char_eval_anchors():
@@ -79,14 +89,14 @@ def test_char_eval_anchors():
 
 
 def test_explicit_factor_roots_kill_the_quartic():
-    def quartic(c, lam):  # (lam + mu_h)(lam + mu_v) * G(lam)
-        return (lam + c.mu_h) * (lam + c.mu_v) * char_eval(c, lam)
+    def quartic(p, lam):  # (lam + mu_h)(lam + mu_v) * G(lam) at E0
+        g = char_eval(DfeCharCoeffs.from_params(p), lam)
+        return (lam + p.mu_h) * (lam + p.mu_v) * g
 
     for p in (P_SUPER, P_SUB):
-        c = DfeCharCoeffs.from_params(p)
-        assert quartic(c, complex(-p.mu_h)) == 0.0
-        assert quartic(c, complex(-p.mu_v)) == 0.0
-        assert abs(quartic(c, 0.3 + 0.2j)) > 0.0
+        assert quartic(p, complex(-p.mu_h)) == 0.0
+        assert quartic(p, complex(-p.mu_v)) == 0.0
+        assert abs(quartic(p, 0.3 + 0.2j)) > 0.0
 
 
 def test_routh_hurwitz_flags():
@@ -289,7 +299,7 @@ def test_underflowing_rates_leave_through_the_taxonomy():
         with pytest.raises(RateUnderflowError) as err:
             classify(p, which)
         assert err.value.product == "mu_h * mu_h * mu_v"
-    # beta_v cancels from q3, so E0 is classified as for P_SUPER; at E*,
+    # beta_v cancels from a3, so E0 is classified as for P_SUPER; at E*,
     # N_v* = 5e-323 and its square underflows
     p = replace(P_SUPER, beta_v=5e-324)
     assert DfeCharCoeffs.from_params(p) == DfeCharCoeffs.from_params(P_SUPER)
@@ -335,12 +345,12 @@ def test_jacobian_determinant_ties_coefficients_to_dynamics():
     c = EndemicCharCoeffs.from_params(p)
     star = endemic_equilibrium(p)
     det = float(np.linalg.det(num_jacobian(p, star.as_tuple())))
-    assert det == pytest.approx(p.mu_h * p.mu_v * (c.p2 + c.p3), rel=1e-5)
+    assert det == pytest.approx(p.mu_h * p.mu_v * (c.a2 + c.a3), rel=1e-5)
 
     c0 = DfeCharCoeffs.from_params(p)
     e0 = disease_free_equilibrium(p)
     det0 = float(np.linalg.det(num_jacobian(p, e0.as_tuple())))
-    assert det0 == pytest.approx(p.mu_h * p.mu_v * (c0.q2 + c0.q3), rel=1e-5)
+    assert det0 == pytest.approx(p.mu_h * p.mu_v * (c0.a2 + c0.a3), rel=1e-5)
 
 
 def test_coefficient_sum_identities(rng):
@@ -350,11 +360,12 @@ def test_coefficient_sum_identities(rng):
         q = DfeCharCoeffs.from_params(p)
         e = EndemicCharCoeffs.from_params(p)
         scale = p.mu_v * p.mu_h
-        assert q.q2 + q.q3 == pytest.approx(scale * (1.0 - r2), rel=1e-10)
-        assert e.p2 + e.p3 == pytest.approx(scale * (r2 - 1.0), rel=1e-10)
+        assert q.a2 + q.a3 == pytest.approx(scale * (1.0 - r2), rel=1e-10)
+        assert e.a2 + e.a3 == pytest.approx(scale * (r2 - 1.0), rel=1e-10)
         # shifted-square identity for the quartic discriminant combination
-        assert e.p1 ** 2 - 2.0 * e.p2 == pytest.approx(
-            (p.mu_h + e.m1) ** 2 + (p.mu_v + e.m5) ** 2, rel=1e-12)
+        m1, _, _, _, m5 = _endemic_weights(p)
+        assert e.a1 ** 2 - 2.0 * e.a2 == pytest.approx(
+            (p.mu_h + m1) ** 2 + (p.mu_v + m5) ** 2, rel=1e-12)
 
 
 def test_classification_benchmarks():
