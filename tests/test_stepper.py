@@ -38,15 +38,23 @@ RUNS = {
             IntegrationSpec(system=SystemKind.FULL, t_end=3.0, step=0.05)),
     "table": (P_SUPER, TABLE,
               IntegrationSpec(system=SystemKind.FULL, t_end=6.0, steps_per_delay=8)),
+    "ode_limiting": (replace(P_SUPER, tau=0.0), HistorySegment.constant(X0, 0.0),
+                     IntegrationSpec(system=SystemKind.LIMITING, t_end=3.0, step=0.05)),
+    "table_limiting": (P_SUPER, TABLE,
+                       IntegrationSpec(system=SystemKind.LIMITING, t_end=6.0,
+                                       steps_per_delay=8)),
 }
 
 # sha256 of Trajectory.to_csv for each run, recorded before the step loop
-# took its first-same-as-last form; any changed bit in a node shows here
+# took its first-same-as-last form (the two *_limiting runs: before the model
+# was written inline into the loop); any changed bit in a node shows here
 CSV_SHA256 = {
     "full": "43475eb547cb903d62b15624085f1ff861debb9f904d5caa8df667cf8f5aff02",
     "limiting": "43d7436da11d70dd81a3d8b01db5e9e0642fe5e4d2afc0cd29b9e45cd9e708c4",
     "ode": "497a314af1d0f16de016b3212dc969fe30a67bdd5ea889ba7fbed02843125493",
     "table": "67cbbf0c1745e2c3d51ac129000a517fff8aca72879421972ff2c57360c81537",
+    "ode_limiting": "74bef4cdc4e93f9fcfe0c21ce9e84b43d254a2ae00220673fe3b05adefeb8fef",
+    "table_limiting": "e3ddf13f0412f8b58df75f5e2ac232d447f8688044cc4718db5158ebc2ffb743",
 }
 
 
@@ -82,7 +90,7 @@ def test_stepper_makes_four_rhs_calls_per_step(monkeypatch, name):
     assert calls == 4 * n_steps + 1
 
 
-@pytest.mark.parametrize("name", ["full", "limiting", "ode", "table"])
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_node_derivatives_are_the_rhs_at_the_node(name):
     p, phi, spec = RUNS[name]
     spec = replace(spec, record_stride=1)
