@@ -10,6 +10,7 @@ CLAMP_BAND              1e-9       negativity clamp/abort threshold
 ROOT_XTOL               1e-12      real-root polish tolerance
 DESCENT_SLACK_SCALE     1e-7       Lyapunov monotonicity slack scale
 DEFAULT_THETA           0.5        persistence fraction
+MAX_STEPS               1_000_000  ceiling on RK4 steps per integrate
 ==========================================================================
 
 t_end and the tau = 0 step size depend on the parameters, so they are
@@ -26,6 +27,9 @@ CLAMP_BAND = 1e-9
 ROOT_XTOL = 1e-12
 DESCENT_SLACK_SCALE = 1e-7
 DEFAULT_THETA = 0.5
+# 125x the largest mesh the tests, demos and benchmark pools run (8,000
+# steps); a run at the ceiling takes seconds and a few hundred MB
+MAX_STEPS = 1_000_000
 
 
 def default_t_end(mu_h: float, mu_v: float) -> float:

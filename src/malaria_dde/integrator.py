@@ -8,9 +8,20 @@ interval m steps back, whose O(h^4) accuracy preserves the classical order.
 Breakpoints of the solution (t = 0, tau, 2tau, ...) land on mesh nodes by
 construction, so no step straddles a derivative jump.
 
-The node derivatives kept for Hermite output double as the next step's k1
-(first-same-as-last; Hairer, Norsett & Wanner, Solving ODEs I), so a step
-makes 4 rhs calls: k2, k3, k4 and the new node's derivative.
+The delay enters the model only through the incidence
+lambda = c_vh * (I_v / N_v) * S_h, which drives S_h' now and I_h' one delay
+later. The step loop has the model written out on local floats and keeps
+each node's incidence in a list, so a node's delayed incidence is read off
+m entries back rather than recomputed; the Hermite midpoint is built only
+for S_h, S_v and I_v, and its incidence serves both half-step stages. In
+the first delay interval the delayed incidences come from the history, all
+computed once per call. The node derivatives kept for Hermite output double
+as the next step's k1 (first-same-as-last; Hairer, Norsett & Wanner, Solving
+ODEs I). Every float expression is the one `model._make_rhs` evaluates, in
+the same order, so a node derivative equals that rhs at the node bit for bit.
+
+A run needs t_end / h steps; more than defaults.MAX_STEPS is rejected before
+anything is allocated.
 
 Committed node states are clamped to 0 when a component undershoots within
 -1e-9 (integration noise near an extinct compartment) and abort with
@@ -22,8 +33,8 @@ checking the final node once per run catches what the clamp lets through.
 A division by zero inside an RK4 stage is a NegativityBreachError when the
 stage state undershoots below the band, a ZeroMosquitoPopulationError
 otherwise.
-With tau = 0 the same stepper runs as a plain ODE RK4 where the delayed slot
-is fed the current stage state.
+With tau = 0 the same loop runs as a plain ODE RK4 where the delayed
+incidence is the current stage's own.
 """
 
 from __future__ import annotations
@@ -52,7 +63,6 @@ from .model import (
     ModelParams,
     State,
     _finite_real,
-    _make_rhs,
     validate_params,
 )
 
@@ -128,12 +138,14 @@ def _write_csv(target: str | IO[str], header: str,
     """Header line, then one row per index of the equal-length columns, every
     value at 17 significant digits (round-trips a float64 exactly)."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    text = header + "\n" + "".join(row % r for r in zip(*(c.tolist() for c in columns)))
+    values = chain.from_iterable(zip(*(c.tolist() for c in columns)))
+    # one % over all rows; the header goes out on its own, not copied in
+    parts = (header + "\n", row * len(columns[0]) % tuple(values))
     if isinstance(target, str):
         with open(target, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        target.write(text)
+        target.writelines(parts)
 
 
 def _clamp(value: float, t: float, comp: int) -> float:
@@ -144,6 +156,23 @@ def _clamp(value: float, t: float, comp: int) -> float:
     if not math.isfinite(value):
         raise NonFiniteStateError(t, COMPONENT_NAMES[comp], value)
     raise NegativityBreachError(t, COMPONENT_NAMES[comp], value)
+
+
+def _history_incidence(phi: HistorySegment, offsets: list[float], c_vh: float,
+                       inv_nv: float | None) -> list[float]:
+    """The incidence c_vh * (I_v / N_v) * S_h of the history at each offset,
+    with 1 / N_v fixed at inv_nv on the limiting system.
+
+    The offsets ascend and stay below 0, so value_at's range check needs
+    only the first. np.interp over an array and numpy's elementwise
+    arithmetic round each value as value_at and the scalar step loop do.
+    """
+    if not phi.times[0] - 1e-12 <= offsets[0]:
+        raise OutOfRangeError(offsets[0], -phi.tau, 0.0)
+    x = np.array(offsets)
+    sh, sv, iv = (np.interp(x, phi.times, phi.states[:, k]) for k in (0, 2, 3))
+    lam = c_vh * (iv / (sv + iv)) * sh if inv_nv is None else c_vh * (iv * inv_nv) * sh
+    return lam.tolist()
 
 
 def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Trajectory:
@@ -173,6 +202,9 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     else:
         m, h = 0, spec.step or defaults.default_ode_step(p.max_rate)
 
+    if t_end > defaults.MAX_STEPS * h:  # also catches an h that underflowed to 0
+        raise InvalidSpecError(f"t_end = {t_end!r} needs more than "
+                               f"{defaults.MAX_STEPS} steps of h = {h!r}")
     n_exact = t_end / h
     n_steps = int(round(n_exact))
     if abs(n_exact - n_steps) > 1e-9 * max(1.0, abs(n_exact)):
@@ -180,84 +212,108 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     if n_steps < 1:
         raise InvalidSpecError("t_end must be at least one step h")
 
-    rhs = _make_rhs(p, limiting=spec.system is SystemKind.LIMITING)
+    # the model as model._make_rhs writes it; lam is an incidence
+    # c_vh * (I_v / N_v) * S_h, with 1 / N_v fixed at inv_nv if limiting
+    full = spec.system is SystemKind.FULL
+    beta_h, beta_v, mu_h, mu_v = p.beta_h, p.beta_v, p.mu_h, p.mu_v
+    c_vh, c_hv = p.c_vh, p.c_hv
+    inv_nv = None if full else 1.0 / p.s_v0
+    delayed = tau > 0
     hh = 0.5 * h
     sixth = h / 6.0
     eighth = 0.125 * h
 
-    def hist(theta: float) -> tuple[float, float, float, float]:
-        a, b, c, d = phi.value_at(theta)
-        return (float(a), float(b), float(c), float(d))
-
-    y0 = hist(0.0)
-    if y0[2] + y0[3] <= 0.0:
+    a, b, c, d = (float(v) for v in phi.value_at(0.0))
+    if c + d <= 0.0:
         raise ZeroMosquitoPopulationError(0.0)
-    # nodes and their derivatives as 4-tuples; F[n] is also step n's k1
-    Y = [y0]
-    F = [rhs(y0, hist(-tau) if tau > 0 else y0)]
+    # L[n] is node n's delayed incidence and L[n + m] its own; the first m
+    # come from the history, as do M[n], step n's midpoint ones, for n < m
+    L, M = [], []
+    if delayed:
+        L = _history_incidence(phi, [k * h - tau for k in range(m)], c_vh, inv_nv)
+        M = _history_incidence(phi, [k * h + hh - tau for k in range(m)], c_vh, inv_nv)
+    Y, F = [], []  # nodes and their derivatives, four floats each
 
-    for n in range(n_steps):
-        a, b, c, d = Y[n]
-        k1 = F[n]
+    for n in range(n_steps + 1):
+        # node n's derivative: its Hermite slope and the next step's k1
+        lam = c_vh * (d / (c + d)) * a if full else c_vh * (d * inv_nv) * a
+        L.append(lam)
+        flux = c_hv * b * c
+        fa = beta_h - lam - mu_h * a
+        fb = L[n] - mu_h * b
+        fc = beta_v - flux - mu_v * c
+        fd = flux - mu_v * d
+        Y += (a, b, c, d)
+        F += (fa, fb, fc, fd)
+        if n == n_steps:
+            break
+
         t_next = (n + 1) * h
         try:
-            # y is the latest stage state, read when a stage divides by 0
-            y = (a + hh * k1[0], b + hh * k1[1], c + hh * k1[2], d + hh * k1[3])
-            if tau > 0:
-                j = n - m
-                if j >= 0:
-                    d1, d4, f1, f4 = Y[j], Y[j + 1], F[j], F[j + 1]
-                    d2 = (0.5 * (d1[0] + d4[0]) + eighth * (f1[0] - f4[0]),
-                          0.5 * (d1[1] + d4[1]) + eighth * (f1[1] - f4[1]),
-                          0.5 * (d1[2] + d4[2]) + eighth * (f1[2] - f4[2]),
-                          0.5 * (d1[3] + d4[3]) + eighth * (f1[3] - f4[3]))
+            # (sh, ih, sv, iv) is the latest stage state, read when a stage
+            # divides by 0, so each is assigned before its divisions
+            sh, ih, sv, iv = a + hh * fa, b + hh * fb, c + hh * fc, d + hh * fd
+            if delayed:
+                j = 4 * (n - m)
+                if j >= 0:  # S_h, S_v, I_v at the midpoint of interval n - m
+                    sh_m = 0.5 * (Y[j] + Y[j + 4]) + eighth * (F[j] - F[j + 4])
+                    sv_m = 0.5 * (Y[j + 2] + Y[j + 6]) + eighth * (F[j + 2] - F[j + 6])
+                    iv_m = 0.5 * (Y[j + 3] + Y[j + 7]) + eighth * (F[j + 3] - F[j + 7])
+                    lam_m = (c_vh * (iv_m / (sv_m + iv_m)) * sh_m if full
+                             else c_vh * (iv_m * inv_nv) * sh_m)
                 else:
-                    d4 = Y[0] if j == -1 else hist(t_next - tau)
-                    d2 = hist(n * h + hh - tau)
-                k2 = rhs(y, d2)
-                y = (a + hh * k2[0], b + hh * k2[1], c + hh * k2[2], d + hh * k2[3])
-                k3 = rhs(y, d2)
-                y = (a + h * k3[0], b + h * k3[1], c + h * k3[2], d + h * k3[3])
-                k4 = rhs(y, d4)
-            else:
-                k2 = rhs(y, y)
-                y = (a + hh * k2[0], b + hh * k2[1], c + hh * k2[2], d + hh * k2[3])
-                k3 = rhs(y, y)
-                y = (a + h * k3[0], b + h * k3[1], c + h * k3[2], d + h * k3[3])
-                k4 = rhs(y, y)
+                    lam_m = M[n]
+            lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
+            flux = c_hv * ih * sv
+            k2a = beta_h - lam - mu_h * sh
+            k2b = (lam_m if delayed else lam) - mu_h * ih
+            k2c = beta_v - flux - mu_v * sv
+            k2d = flux - mu_v * iv
 
-            na = a + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-            nb = b + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-            nc = c + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-            nd = d + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
+            sh, ih, sv, iv = a + hh * k2a, b + hh * k2b, c + hh * k2c, d + hh * k2d
+            lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
+            flux = c_hv * ih * sv
+            k3a = beta_h - lam - mu_h * sh
+            k3b = (lam_m if delayed else lam) - mu_h * ih
+            k3c = beta_v - flux - mu_v * sv
+            k3d = flux - mu_v * iv
+
+            sh, ih, sv, iv = a + h * k3a, b + h * k3b, c + h * k3c, d + h * k3d
+            lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
+            flux = c_hv * ih * sv
+            k4a = beta_h - lam - mu_h * sh
+            k4b = (L[n + 1] if delayed else lam) - mu_h * ih
+            k4c = beta_v - flux - mu_v * sv
+            k4d = flux - mu_v * iv
+
+            na = a + sixth * (fa + 2.0 * (k2a + k3a) + k4a)
+            nb = b + sixth * (fb + 2.0 * (k2b + k3b) + k4b)
+            nc = c + sixth * (fc + 2.0 * (k2c + k3c) + k4c)
+            nd = d + sixth * (fd + 2.0 * (k2d + k3d) + k4d)
         except ZeroDivisionError:
             # committed nodes keep S_v + I_v > 0, so the zero total is in a
             # stage; a stage component below the band means the step
             # overshot, not that the mosquito pool died out
-            for comp, value in enumerate(y):
+            for comp, value in enumerate((sh, ih, sv, iv)):
                 if value < -defaults.CLAMP_BAND:
                     raise NegativityBreachError(t_next, COMPONENT_NAMES[comp],
                                                 value) from None
             raise ZeroMosquitoPopulationError(t_next) from None
 
         # a NaN fails `>= 0` too, and _clamp reports it
-        na = na if na >= 0.0 else _clamp(na, t_next, 0)
-        nb = nb if nb >= 0.0 else _clamp(nb, t_next, 1)
-        nc = nc if nc >= 0.0 else _clamp(nc, t_next, 2)
-        nd = nd if nd >= 0.0 else _clamp(nd, t_next, 3)
-        if nc + nd <= 0.0:
+        a = na if na >= 0.0 else _clamp(na, t_next, 0)
+        b = nb if nb >= 0.0 else _clamp(nb, t_next, 1)
+        c = nc if nc >= 0.0 else _clamp(nc, t_next, 2)
+        d = nd if nd >= 0.0 else _clamp(nd, t_next, 3)
+        if c + d <= 0.0:
             raise ZeroMosquitoPopulationError(t_next)
 
-        node = (na, nb, nc, nd)
-        Y.append(node)
-        F.append(rhs(node, d4 if tau > 0 else node))
-
-    for comp, value in enumerate(Y[-1]):
+    for comp, value in enumerate((a, b, c, d)):
         if not math.isfinite(value):
             raise NonFiniteStateError(n_steps * h, COMPONENT_NAMES[comp], value)
 
-    states = np.fromiter(chain.from_iterable(Y), float, 4 * len(Y)).reshape(-1, 4)
-    derivs = np.fromiter(chain.from_iterable(F), float, 4 * len(F)).reshape(-1, 4)
+    states = np.array(Y).reshape(-1, 4)
+    derivs = np.array(F).reshape(-1, 4)
     stride = spec.record_stride
     ia = np.append(np.arange(0, n_steps, stride), n_steps)  # the final node always
     if stride > 1:

@@ -117,12 +117,13 @@ COMPONENT_NAMES = ("s_h", "i_h", "s_v", "i_v")
 
 
 def _make_rhs(p: ModelParams, limiting: bool) -> Callable[..., Deriv]:
-    """Scalar right-hand side closure shared by the public ops and the stepper.
+    """Scalar right-hand side closure: the body of rhs_full, and the
+    reference whose arithmetic the stepper's inline loop repeats bit for bit.
 
     Signature: rhs(y, yd) where y = (sh, ih, sv, iv) is the current state and
-    yd the delayed one, both 4-tuples (the stepper's nodes are stored as
-    such). The mosquito infection flux is computed once per state so that
-    d/dt(S_v + I_v) cancels it exactly in floating point.
+    yd the delayed one, both 4-tuples. The mosquito infection flux is
+    computed once per state so that d/dt(S_v + I_v) cancels it exactly in
+    floating point.
     """
     beta_h, beta_v = p.beta_h, p.beta_v
     mu_h, mu_v = p.mu_h, p.mu_v

@@ -114,6 +114,19 @@ def convergence_order(p, phi, spec):
 
 
 @pytest.fixture
+def no_runs_at_tiny_delays(monkeypatch):
+    """Fail at once, rather than hang, if integrate starts reading a history
+    whose tau is below 1e-200 (0 included): the step-ceiling tests feed it
+    meshes of about 1e202 steps, which only the ceiling stops."""
+    real = HistorySegment.value_at
+
+    def guarded(self, theta):
+        assert self.tau >= 1e-200, "integrate started a run past the step ceiling"
+        return real(self, theta)
+    monkeypatch.setattr(HistorySegment, "value_at", guarded)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260825)
 

@@ -27,6 +27,7 @@ from malaria_dde import (
     rhs_full,
     tail_stats,
 )
+from malaria_dde import defaults
 from malaria_dde.integrator import _clamp
 
 from conftest import P_SUB, P_SUPER, convergence_order
@@ -241,8 +242,16 @@ def test_integrate_validates_params():
     (1.0, dict(t_end="4")),
     (1.0, dict(t_end=10 ** 400)),
     (0.0, dict(t_end=1.0, step=True)),
+    # meshes past defaults.MAX_STEPS, rejected before the run starts: h =
+    # 1e-201 (the default tau = 0 step 0.1 / max_rate at beta_h = 1e200),
+    # h = tau / m = 5e-302, an h that underflows to 0 (t_end / h raised
+    # ZeroDivisionError) and one step past the ceiling
+    (0.0, dict(t_end=20.0, step=1e-201)),
+    (1e-300, dict(t_end=20.0)),
+    (5e-324, dict(t_end=1.0)),
+    (0.0, dict(t_end=(defaults.MAX_STEPS + 1) * 0.05, step=0.05)),
 ])
-def test_integrate_spec_errors_are_validation_errors(tau, kw):
+def test_integrate_spec_errors_are_validation_errors(no_runs_at_tiny_delays, tau, kw):
     p = replace(P_SUPER, tau=tau)
     with pytest.raises(InvalidSpecError) as info:
         integrate(p, _phi(p), IntegrationSpec(**kw))

@@ -471,6 +471,26 @@ def test_tau_sweep_over_table_history_marks_rows(tmp_path):
     assert "history spans" in rows[2]
 
 
+def test_cli_mesh_past_the_step_ceiling_exits_1(tmp_path, capsys, no_runs_at_tiny_delays):
+    # tau = 0 takes the default step 0.1 / max_rate = 1e-201
+    path = scenario_file(tmp_path, params={**BASE["params"], "tau": 0, "beta_h": 1e200},
+                         analyses={"simulate": True, "stability": False})
+    assert cli.main(["simulate", path, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "steps of h" in err and "Traceback" not in err
+
+
+def test_sweep_marks_a_row_past_the_step_ceiling(tmp_path, no_runs_at_tiny_delays):
+    obj = {"schema": 1,
+           "base": {**BASE, "integration": {"t_end": 10}},
+           "axis": "tau", "values": [1.0, 1e-300], "columns": ["tail"]}
+    path = write_json(tmp_path / "sw.json", obj)
+    assert cli.main(["sweep", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    assert rows[1].endswith(",")  # tau = 1: no error
+    assert "steps of h" in rows[2]
+
+
 @pytest.mark.parametrize("history,message", [
     (None, "requires R0 > 1"),  # fadeout.json: R0 = 0.447
     ({"kind": "constant", "state": [4, 0, 30, 10]}, "needs I_h(0) > 0"),

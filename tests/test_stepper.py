@@ -1,6 +1,6 @@
-"""The RK4 step loop itself: bit-exact output, four rhs calls per step, the
-node-derivative identity that first-same-as-last relies on, and the clamp
-fast path as seen through `integrate`."""
+"""The RK4 step loop itself: bit-exact output, the node-derivative identity
+that first-same-as-last relies on (which also holds the inlined model to
+`model._make_rhs`), and the clamp fast path as seen through `integrate`."""
 
 import hashlib
 import io
@@ -69,27 +69,6 @@ def test_trajectory_csv_is_bit_exact(name):
     assert _csv_sha256(name) == CSV_SHA256[name]
 
 
-@pytest.mark.parametrize("name", ["full", "limiting", "ode"])
-def test_stepper_makes_four_rhs_calls_per_step(monkeypatch, name):
-    calls = 0
-
-    def counting_make_rhs(p, limiting):
-        rhs = model._make_rhs(p, limiting)
-
-        def spy(y, yd):
-            nonlocal calls
-            calls += 1
-            return rhs(y, yd)
-        return spy
-
-    monkeypatch.setattr(integrator, "_make_rhs", counting_make_rhs)
-    traj = integrate(*RUNS[name])
-    n_steps = round(traj.t_end / traj.h)
-    # k2, k3, k4 and the new node's derivative (the next step's k1), plus
-    # the derivative of the initial node
-    assert calls == 4 * n_steps + 1
-
-
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_node_derivatives_are_the_rhs_at_the_node(name):
     p, phi, spec = RUNS[name]
@@ -108,10 +87,12 @@ def test_node_derivatives_are_the_rhs_at_the_node(name):
         assert rhs(tuple(y), tuple(yd)) == tuple(traj.derivs[n].tolist()), n
 
 
-def _constant_rhs(monkeypatch, rate):
-    """Every rhs call returns I_h' = rate and 0 elsewhere."""
-    monkeypatch.setattr(integrator, "_make_rhs",
-                        lambda p, limiting: lambda y, yd: (0.0, rate, 0.0, 0.0))
+def _inject_incidence(monkeypatch, rate_at):
+    """The history's incidence at offset theta is rate_at(theta), so that
+    I_h' = rate_at(t - tau) - mu_h * I_h while the first delay interval
+    lasts; every step below lies inside it."""
+    monkeypatch.setattr(integrator, "_history_incidence",
+                        lambda phi, offsets, c_vh, inv_nv: [rate_at(x) for x in offsets])
 
 
 def test_clamp_zeroes_a_rounding_level_dip_inside_integrate(monkeypatch):
@@ -119,9 +100,12 @@ def test_clamp_zeroes_a_rounding_level_dip_inside_integrate(monkeypatch):
     rate = -5e-11 / h
     raw = 0.0 + h / 6.0 * (rate + 2.0 * (rate + rate) + rate)
     assert -1e-9 < raw < 0.0  # each step would dip below 0 unclamped
-    _constant_rhs(monkeypatch, rate)
-    phi = HistorySegment.constant((4.0, 0.0, 30.0, 10.0), P_SUPER.tau)
-    traj = integrate(P_SUPER, phi, IntegrationSpec(t_end=3 * h, steps_per_delay=10))
+    _inject_incidence(monkeypatch, lambda theta: rate)
+    # S_h sits at beta_h / mu_h = 4, and c_vh is below half an ulp of beta_h
+    # in S_h' = beta_h - c_vh * (I_v / N_v) * S_h - mu_h * S_h, so S_h' = 0
+    p = replace(P_SUPER, c_vh=1e-300)
+    phi = HistorySegment.constant((4.0, 0.0, 30.0, 10.0), p.tau)
+    traj = integrate(p, phi, IntegrationSpec(t_end=3 * h, steps_per_delay=10))
     assert traj.states[1:, 1].tolist() == [0.0, 0.0, 0.0]
     assert traj.states[:, 0].tolist() == [4.0] * 4
 
@@ -131,12 +115,21 @@ def test_clamp_zeroes_a_rounding_level_dip_inside_integrate(monkeypatch):
 def test_clamp_breach_inside_integrate_names_node_and_component(monkeypatch, rate,
                                                                 error):
     # I_h falls from 2e-8 by 1.5e-8 per step: 5e-9 at t = h, about -1e-8 at
-    # t = 2h, which is below the band
-    h = P_SUPER.tau / 10
-    _constant_rhs(monkeypatch, rate / h)
-    phi = HistorySegment.constant((4.0, 2e-8, 30.0, 10.0), P_SUPER.tau)
+    # t = 2h, which is below the band; a tiny mu_h (with S_h0 = 4 kept)
+    # leaves mu_h * I_h far below the tolerance
+    p = replace(P_SUPER, mu_h=2.0**-30, beta_h=2.0**-28)
+    h = p.tau / 10
+    if error is NegativityBreachError:
+        _inject_incidence(monkeypatch, lambda theta: rate / h)
+    else:
+        # NaN from node 1's delayed time on, so it enters I_h first through
+        # k4: a NaN in an earlier stage would reach S_h through the mosquito
+        # flux and the incidence, and the clamp checks S_h first
+        _inject_incidence(monkeypatch,
+                          lambda theta: rate / h if theta >= h - p.tau else 0.0)
+    phi = HistorySegment.constant((4.0, 2e-8, 30.0, 10.0), p.tau)
     with pytest.raises(error) as info:
-        integrate(P_SUPER, phi, IntegrationSpec(t_end=5 * h, steps_per_delay=10))
+        integrate(p, phi, IntegrationSpec(t_end=5 * h, steps_per_delay=10))
     assert info.value.component == "i_h"
     assert info.value.t == (2 * h if error is NegativityBreachError else h)
     if error is NegativityBreachError:
