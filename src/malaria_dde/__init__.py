@@ -76,7 +76,6 @@ from .model import (
     ModelParams,
     State,
     rhs_full,
-    validate_params,
 )
 from .persistence import (
     PersistenceBounds,

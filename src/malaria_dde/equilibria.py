@@ -3,9 +3,6 @@
 R0^2 = c_vh * c_hv * beta_h / (mu_h^2 * mu_v). The disease-free state E0
 always exists; the endemic state E* exists exactly when R0 > 1. Threshold
 comparisons are made on R0^2 to avoid a sqrt rounding cliff at 1.
-
-The public functions validate p; `_r0_squared` and `_endemic_equilibrium`
-do not, for callers that already have (`classify`, the sweep rows).
 """
 
 from __future__ import annotations
@@ -14,18 +11,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import RateUnderflowError
-from .model import ModelParams, State, rhs_full, validate_params
+from .model import ModelParams, State, rhs_full
 
 
-def _r0_squared(p: ModelParams) -> float:
+def r0_squared(p: ModelParams) -> float:
     den = p.mu_h * p.mu_h * p.mu_v
     if den == 0.0:
         raise RateUnderflowError("mu_h * mu_h * mu_v")
     return p.c_vh * p.c_hv * p.beta_h / den
-
-
-def r0_squared(p: ModelParams) -> float:
-    return _r0_squared(validate_params(p))
 
 
 def basic_reproduction_number(p: ModelParams) -> float:
@@ -33,11 +26,12 @@ def basic_reproduction_number(p: ModelParams) -> float:
 
 
 def disease_free_equilibrium(p: ModelParams) -> State:
-    validate_params(p)
     return State(p.beta_h / p.mu_h, 0.0, p.beta_v / p.mu_v, 0.0)
 
 
-def _endemic_equilibrium(p: ModelParams, r2: float) -> State | None:
+def endemic_equilibrium(p: ModelParams) -> State | None:
+    """Closed-form endemic state, or None when R0 <= 1 (compared on R0^2)."""
+    r2 = r0_squared(p)
     if r2 <= 1.0:
         return None
     den_h = p.beta_h * p.c_hv + p.mu_v * p.mu_h * r2
@@ -47,11 +41,6 @@ def _endemic_equilibrium(p: ModelParams, r2: float) -> State | None:
     s_v = p.beta_v * (p.c_vh + p.mu_h) / den_v
     i_v = p.beta_v * p.mu_h * (r2 - 1.0) / den_v
     return State(s_h, i_h, s_v, i_v)
-
-
-def endemic_equilibrium(p: ModelParams) -> State | None:
-    """Closed-form endemic state, or None when R0 <= 1 (compared on R0^2)."""
-    return _endemic_equilibrium(p, r0_squared(p))
 
 
 def equilibrium_residual(p: ModelParams, state: State) -> float:
@@ -72,6 +61,6 @@ class EquilibriumSet:
 
 
 def equilibrium_set(p: ModelParams) -> EquilibriumSet:
-    e0 = disease_free_equilibrium(p)  # validates p
-    r2 = _r0_squared(p)
-    return EquilibriumSet(r0=math.sqrt(r2), e0=e0, e_star=_endemic_equilibrium(p, r2))
+    return EquilibriumSet(r0=basic_reproduction_number(p),
+                          e0=disease_free_equilibrium(p),
+                          e_star=endemic_equilibrium(p))

@@ -63,7 +63,7 @@ from .model import (
     ModelParams,
     State,
     _finite_real,
-    validate_params,
+    _spans,
 )
 
 CSV_HEADER = "t,S_h,I_h,S_v,I_v"
@@ -82,7 +82,8 @@ class IntegrationSpec:
     integrate, so one spec gives each parameter set its own default horizon.
     steps_per_delay fixes h = tau / m when tau > 0; step fixes h directly
     when tau = 0 (None picks min(0.05, 0.1/max_rate)). record_stride thins
-    the recorded nodes; the final node is always kept.
+    the recorded nodes; the final node is always kept. Construction holds
+    each field to its scenario-loader rule (InvalidSpecError).
     """
 
     system: SystemKind = SystemKind.FULL
@@ -90,6 +91,18 @@ class IntegrationSpec:
     steps_per_delay: int = defaults.STEPS_PER_DELAY
     step: float | None = None
     record_stride: int = defaults.RECORD_STRIDE
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.system, SystemKind):
+            raise InvalidSpecError(f"system must be a SystemKind, got {self.system!r}")
+        for name in ("t_end", "step"):
+            v = getattr(self, name)
+            if not (v is None or (_finite_real(v) and v > 0)):
+                raise InvalidSpecError(f"{name} must be positive and finite, got {v!r}")
+        for name in ("steps_per_delay", "record_stride"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise InvalidSpecError(f"{name} must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -163,12 +176,10 @@ def _history_incidence(phi: HistorySegment, offsets: list[float], c_vh: float,
     """The incidence c_vh * (I_v / N_v) * S_h of the history at each offset,
     with 1 / N_v fixed at inv_nv on the limiting system.
 
-    The offsets ascend and stay below 0, so value_at's range check needs
-    only the first. np.interp over an array and numpy's elementwise
-    arithmetic round each value as value_at and the scalar step loop do.
+    The offsets lie in [-tau, 0), and integrate checked phi's span against
+    tau. np.interp over an array and numpy's elementwise arithmetic round
+    each value as value_at and the scalar step loop do.
     """
-    if not phi.times[0] - 1e-12 <= offsets[0]:
-        raise OutOfRangeError(offsets[0], -phi.tau, 0.0)
     x = np.array(offsets)
     sh, sv, iv = (np.interp(x, phi.times, phi.states[:, k]) for k in (0, 2, 3))
     lam = c_vh * (iv / (sv + iv)) * sh if inv_nv is None else c_vh * (iv * inv_nv) * sh
@@ -178,24 +189,15 @@ def _history_incidence(phi: HistorySegment, offsets: list[float], c_vh: float,
 def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Trajectory:
     """March the system from history phi to spec.t_end.
 
-    t_end is rounded up to the nearest mesh multiple; the trajectory's own
-    times record what was actually integrated.
+    Each argument checked its own domain on construction; here phi's span
+    must match p.tau, and the mesh stay within MAX_STEPS. t_end is rounded
+    up to the nearest mesh multiple; the trajectory's times say what ran.
     """
-    tau = validate_params(p).tau
-    if abs(phi.tau - tau) > 1e-9 * (1.0 + abs(tau)):
+    tau = p.tau
+    if not _spans(phi.tau, tau):
         raise InvalidHistoryError(f"history spans tau = {phi.tau!r} but params "
                                   f"have tau = {tau!r}")
-    if not isinstance(spec.system, SystemKind):
-        raise InvalidSpecError(f"system must be a SystemKind, got {spec.system!r}")
     t_end = defaults.default_t_end(p.mu_h, p.mu_v) if spec.t_end is None else spec.t_end
-    if not (_finite_real(t_end) and t_end > 0):
-        raise InvalidSpecError(f"t_end must be positive and finite, got {t_end!r}")
-    for name in ("steps_per_delay", "record_stride"):  # the loader's count rule
-        n = getattr(spec, name)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise InvalidSpecError(f"{name} must be an integer >= 1")
-    if not (spec.step is None or (_finite_real(spec.step) and spec.step > 0)):
-        raise InvalidSpecError(f"step must be positive and finite, got {spec.step!r}")
 
     if tau > 0:
         m, h = spec.steps_per_delay, tau / spec.steps_per_delay

@@ -44,8 +44,9 @@ _RATE_FIELDS = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv")
 class ModelParams:
     """Rates are per unit time; c_vh / c_hv are the two transmission rates.
 
-    Construction does not validate (so degenerate configurations can be
-    probed deliberately); call validate_params before trusting an instance.
+    Construction (and `dataclasses.replace`) raises NonPositiveRateError
+    naming a rate that is not a finite real > 0, and NegativeDelayError for
+    a tau that is not a finite real >= 0; no entry point checks again.
     """
 
     beta_h: float
@@ -55,6 +56,13 @@ class ModelParams:
     c_vh: float
     c_hv: float
     tau: float
+
+    def __post_init__(self) -> None:
+        for name in _RATE_FIELDS:
+            v = getattr(self, name)
+            if not (_finite_real(v) and v > 0):
+                raise NonPositiveRateError(name, v)
+        _check_delay(self.tau)
 
     @property
     def s_h0(self) -> float:
@@ -84,15 +92,15 @@ def _finite_real(x: object) -> bool:
         return False
 
 
-def validate_params(p: ModelParams) -> ModelParams:
-    """Check positivity of the six rates and tau >= 0; return p unchanged."""
-    for name in _RATE_FIELDS:
-        v = getattr(p, name)
-        if not (_finite_real(v) and v > 0):
-            raise NonPositiveRateError(name, v)
-    if not (_finite_real(p.tau) and p.tau >= 0):
-        raise NegativeDelayError(p.tau)
-    return p
+def _check_delay(tau: object) -> None:
+    """The one delay rule: a finite real >= 0, else NegativeDelayError."""
+    if not (_finite_real(tau) and tau >= 0):
+        raise NegativeDelayError(tau)
+
+
+def _spans(span: float, tau: float) -> bool:
+    """The one span rule: a history span (or a read below it) is tau to 1e-9 (1 + tau)."""
+    return abs(span - tau) <= 1e-9 * (1.0 + tau)
 
 
 @dataclass(frozen=True)
@@ -189,8 +197,7 @@ class HistorySegment:
 
     @classmethod
     def constant(cls, state: State | Sequence[float], tau: float) -> "HistorySegment":
-        if not (_finite_real(tau) and tau >= 0):
-            raise NegativeDelayError(tau)
+        _check_delay(tau)
         row = state.as_tuple() if isinstance(state, State) else state
         times = [-float(tau), 0.0] if tau > 0 else [0.0]
         return cls.table(times, [row] * len(times))
@@ -221,7 +228,7 @@ class HistorySegment:
             raise InvalidHistoryError("history times and samples must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise InvalidHistoryError("sample times must be strictly increasing")
-        if abs(self.times[0] + self.tau) > 1e-9 * (1.0 + self.tau):
+        if not _spans(-self.times[0], self.tau):
             raise InvalidHistoryError("first sample time must equal -tau")
         if np.any(self.states < 0):
             raise InvalidHistoryError("history samples must be componentwise >= 0")
@@ -230,8 +237,9 @@ class HistorySegment:
                                       "on the history interval")
 
     def value_at(self, theta: float) -> tuple[float, float, float, float]:
-        """Piecewise-linear evaluation at offset theta in [-tau, 0]."""
-        if not (self.times[0] - 1e-12 <= theta <= 1e-12):  # NaN fails too
+        """Piecewise-linear evaluation at offset theta in [-tau, 0] (-tau by `_spans`)."""
+        lo = self.times[0]
+        if not (-math.inf < theta <= 1e-12 and (lo <= theta or _spans(-lo, -theta))):
             raise OutOfRangeError(theta, -self.tau, 0.0)
         if self.times.size == 1:
             row = self.states[0]

@@ -41,11 +41,11 @@ from typing import Any, Callable
 import numpy as np
 
 from . import defaults
-from .equilibria import _endemic_equilibrium, _r0_squared, equilibrium_set
+from .equilibria import endemic_equilibrium, equilibrium_set, r0_squared
 from .errors import EndemicAbsentError, ModelError, SchemaError
 from .integrator import IntegrationSpec, SystemKind, Trajectory, integrate, tail_stats
 from .lyapunov import FunctionalKind, trace_along
-from .model import COMPONENT_NAMES, HistorySegment, ModelParams, validate_params
+from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _spans
 from .persistence import _require_preconditions, weak_persistence_check
 from .stability import EquilibriumKind, classify
 
@@ -125,15 +125,9 @@ def _any(v: Any, field: str) -> Any:
 
 
 def _finite(v: Any, field: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(field, f"expected a number, got {v!r}")
-    try:
-        x = float(v)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
+    if not _finite_real(v):
         raise SchemaError(field, f"expected a finite number, got {v!r}")
-    return x
+    return float(v)
 
 
 def _finite_where(test: Callable[[float], bool], msg: str) -> _Rule:
@@ -299,7 +293,7 @@ def _scenario(obj: Any, name: str, path: str) -> Scenario:
     params, history = s["params"], s["history"]
     if history.kind == "table":
         span = -history.times[0]
-        if abs(span - params.tau) > 1e-9 * (1.0 + params.tau):
+        if not _spans(span, params.tau):
             raise SchemaError(f"{path}.history.times",
                               f"span {span!r} differs from params.tau = "
                               f"{params.tau!r}")
@@ -338,9 +332,9 @@ def _fmt(x: float) -> str:
 
 
 def _equilibria_lines(p: ModelParams) -> list[str]:
-    eq = equilibrium_set(p)  # validates p
+    eq = equilibrium_set(p)
     lines = [f"r0 = {_fmt(eq.r0)}",
-             f"r0_squared = {_fmt(_r0_squared(p))}"]
+             f"r0_squared = {_fmt(r0_squared(p))}"]
     for name in COMPONENT_NAMES:
         lines.append(f"e0.{name} = {_fmt(getattr(eq.e0, name))}")
     if eq.e_star is None:
@@ -413,7 +407,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             lines.append(f"trajectory.file = {csv_path}")
 
     if do_lyapunov:
-        kind = (FunctionalKind.V_DFE if _r0_squared(p) <= 1.0
+        kind = (FunctionalKind.V_DFE if r0_squared(p) <= 1.0
                 else FunctionalKind.V_ENDEMIC)
         trace = trace_along(p, run(replace(spec, system=SystemKind.LIMITING,
                                            record_stride=1)), kind)
@@ -442,11 +436,11 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
 
 def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
     scn = sweep.base
-    p = validate_params(replace(scn.params, **{sweep.axis: value}))
+    p = replace(scn.params, **{sweep.axis: value})
     row: dict[str, str] = {}
     tail = None
-    r2 = _r0_squared(p)
-    star = _endemic_equilibrium(p, r2)
+    r2 = r0_squared(p)
+    star = endemic_equilibrium(p)
     for col in sweep.columns:
         if col == "r0":
             row[col] = _fmt(math.sqrt(r2))

@@ -18,7 +18,7 @@ verdicts come out of G:
   decided from that quadratic-in-w^2 without iteration. For both coefficient
   families here a1^2 - 2a2 > 0, so the verdict reduces to a2^2 - a3^2 <= 0.
 * rightmost_real_root: one bracket from G's shape, then one polish. With
-  validated rates a1 = x + y and a2 = x*y for some x, y > 0, and a3 < 0.
+  positive rates a1 = x + y and a2 = x*y for some x, y > 0, and a3 < 0.
   On [-a1/2, inf) G' = 2 lam + a1 - a3 tau exp(-lam tau) >= 0, and
   G(-a1/2) = -(x - y)^2/4 + a3 exp(a1 tau/2) < 0, so G has exactly one zero
   there and it is the rightmost real root. It lies in [-a1/2, 0] when
@@ -44,20 +44,29 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import defaults
-from .equilibria import _endemic_equilibrium, _r0_squared
-from .errors import EndemicAbsentError, RateUnderflowError, RootPolishError
-from .model import ModelParams, validate_params
+from .equilibria import endemic_equilibrium, r0_squared
+from .errors import EndemicAbsentError, RateUnderflowError, RootPolishError, ValidationError
+from .model import ModelParams, _check_delay
 
 
 @dataclass(frozen=True)
 class CharCoeffs:
     """The coefficients of G(lam) = lam^2 + a1*lam + a2 + a3*exp(-lam*tau)
-    at one equilibrium."""
+    at one equilibrium. Construction rejects a sign the root bracket excludes;
+    a2 = 0, a3 = -0.0 (underflow), inf and NaN (overflow) pass.
+    """
 
     a1: float
     a2: float
     a3: float
     tau: float
+
+    def __post_init__(self) -> None:
+        for name, wrong in (("a1", self.a1 <= 0), ("a2", self.a2 < 0), ("a3", self.a3 > 0)):
+            if wrong:
+                raise ValidationError(f"G's root bracket needs a1 > 0, a2 >= 0 and "
+                                      f"a3 <= 0, got {name} = {getattr(self, name)!r}")
+        _check_delay(self.tau)
 
 
 class DfeCharCoeffs(CharCoeffs):
@@ -74,7 +83,7 @@ class DfeCharCoeffs(CharCoeffs):
 def _endemic_weights(p: ModelParams) -> tuple[float, float, float, float, float]:
     """The linearization weights m1..m5 at E*. In their terms G's endemic
     coefficients satisfy a1^2 - 2 a2 = (mu_h + m1)^2 + (mu_v + m5)^2 > 0."""
-    star = _endemic_equilibrium(p, _r0_squared(p))
+    star = endemic_equilibrium(p)
     if star is None:
         raise EndemicAbsentError()
     n_v = star.n_v
@@ -123,8 +132,8 @@ def imaginary_axis_root_exists(coeffs: CharCoeffs) -> bool:
 
 def _g_real(coeffs: CharCoeffs, lam: float) -> float:
     e = -lam * coeffs.tau
-    if e > 700.0:  # exp would overflow; the a3-term dominates with a3's sign
-        return math.inf if coeffs.a3 > 0 else -math.inf
+    if e > 700.0:  # exp would overflow; the a3-term (a3 <= 0) dominates
+        return -math.inf
     return lam * lam + coeffs.a1 * lam + coeffs.a2 + coeffs.a3 * math.exp(e)
 
 
@@ -255,15 +264,13 @@ def classify(p: ModelParams, which: EquilibriumKind) -> StabilityReport:
 
     E0: LAS / Critical / Unstable by R0 below / at / above 1 (compared on
     R0^2). E*: exists only for R0 > 1 (EndemicAbsentError otherwise) and is
-    then LAS at every delay. The rates are validated first: the root
-    bracket relies on them.
+    then LAS at every delay.
     """
-    validate_params(p)
-    r2 = _r0_squared(p)
     if which is EquilibriumKind.ENDEMIC:
         coeffs: CharCoeffs = EndemicCharCoeffs.from_params(p)
         verdict = Classification.LAS
     else:
+        r2 = r0_squared(p)
         coeffs = DfeCharCoeffs.from_params(p)
         if r2 < 1.0:
             verdict = Classification.LAS

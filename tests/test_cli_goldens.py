@@ -2,10 +2,12 @@
 
 Each command runs in-process through `cli.main` from a fresh working
 directory with a relative --out, so the paths printed into report.txt are
-the same on every machine. The hashes were recorded before the RK4 loop had
-the model written inline; any changed byte in a node, a Lyapunov value, a
-report line or a sweep row shows here. A change that moves the numbers on
-purpose updates the hash and says why.
+the same on every machine. The `report --only` sections write no files;
+their stdout and exit code are pinned instead. The hashes were recorded
+before the RK4 loop had the model written inline (the report sections
+before the records validated themselves); any changed byte in a node, a
+Lyapunov value, a report line or a sweep row shows here. A change that
+moves the numbers on purpose updates the hash and says why.
 """
 
 import hashlib
@@ -48,3 +50,28 @@ def test_cli_artifacts_are_byte_identical(tmp_path, monkeypatch, command, scenar
         with open(os.path.join(out, name), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == GOLDENS[command, scenario][name], name
+
+
+# (scenario file, section) -> (exit code, sha256 of stdout) of
+# `report --only section`; fadeout (R0 < 1) has no persistence section
+REPORTS = {
+    ("endemic.json", "stability"):
+        (0, "f4ffd5651d77b78e6a61a65264a15683f6bf271c9cb33c4e19ec9ddbb3e73c22"),
+    ("endemic.json", "lyapunov"):
+        (0, "97e8ee3351ea561e18c5a0c931563a684241074b2e4906a9b07f4d7ad88fd2b9"),
+    ("endemic.json", "persistence"):
+        (0, "acec9756a804cd55392bc11075d1d0255f08bfc61f79dbefd2444d590b4e2bf3"),
+    ("fadeout.json", "stability"):
+        (0, "2a17ba589966f2f6738df932a88d721e9bd0683d6d7c431e2b0e3aee61e46074"),
+    ("fadeout.json", "lyapunov"):
+        (0, "6b4e0b6c6d40f64f118ed844e606754963a3a19fb863c1f63610ded55e66865f"),
+    ("fadeout.json", "persistence"):
+        (1, hashlib.sha256(b"").hexdigest()),
+}
+
+
+@pytest.mark.parametrize("scenario,section", sorted(REPORTS))
+def test_report_sections_are_byte_identical(capsys, scenario, section):
+    code = cli.main(["report", os.path.join(SCENARIOS, scenario), "--only", section])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == REPORTS[scenario, section]

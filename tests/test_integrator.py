@@ -217,9 +217,18 @@ def test_default_horizon_is_forty_slowest_lifetimes():
 
 def test_integrate_validates_params():
     # a negative rate is an input error, not a step size too coarse
-    p = replace(P_SUPER, beta_h=-1.0)
     with pytest.raises(NonPositiveRateError):
-        integrate(p, _phi(P_SUPER), spec_full(10.0))
+        integrate(replace(P_SUPER, beta_h=-1.0), _phi(P_SUPER), spec_full(10.0))
+
+
+def test_delay_within_the_span_tolerance_reads_the_history():
+    # the span rule accepts a delay 1e-10 past this table's span, and the
+    # first delayed read, at -tau, once failed a 1e-12 range check
+    phi = HistorySegment.table([-1.0, 0.0], [list(X0)] * 2)
+    near = integrate(replace(P_SUPER, tau=1.0 + 1e-10), phi, spec_full(2.0))
+    exact = integrate(P_SUPER, phi, spec_full(2.0))
+    assert near.times.size == exact.times.size
+    assert float(np.max(np.abs(near.states - exact.states))) < 1e-8
 
 
 @pytest.mark.parametrize("tau,kw", [

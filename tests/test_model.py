@@ -20,7 +20,6 @@ from malaria_dde import (
     default_ode_step,
     default_t_end,
     rhs_full,
-    validate_params,
 )
 from malaria_dde.model import _make_rhs
 
@@ -78,17 +77,17 @@ def test_validate_rejects_nonpositive_rates(field):
     # beyond the float range once raised a bare OverflowError
     for bad in (0.0, -1.0, True, False, "4", 10 ** 400):
         with pytest.raises(NonPositiveRateError) as err:
-            validate_params(replace(P_SUPER, **{field: bad}))
+            replace(P_SUPER, **{field: bad})
         assert err.value.name == field
 
 
 def test_validate_delay():
     for bad in (-0.5, True, False, "4", 10 ** 400):
         with pytest.raises(NegativeDelayError):
-            validate_params(replace(P_SUPER, tau=bad))
+            replace(P_SUPER, tau=bad)
         with pytest.raises(NegativeDelayError):
             HistorySegment.constant((4.0, 0.5, 30.0, 10.0), bad)
-    assert validate_params(replace(P_SUPER, tau=0.0)) is not None
+    assert replace(P_SUPER, tau=0.0).tau == 0.0
 
 
 def test_state_accessors():
@@ -175,10 +174,17 @@ def test_history_value_out_of_range():
         h.state_at(-1.5)
     with pytest.raises(OutOfRangeError):
         h.state_at(0.5)
-    # NaN fails both range comparisons, so it once returned four NaNs
+    # NaN fails both range comparisons, so it once returned four NaNs; -inf
+    # would pass the span rule alone, whose tolerance 1e-9 (1 + inf) is inf
     for seg in (h, HistorySegment.constant((1.0, 0.0, 30.0, 10.0), 0.0)):
-        with pytest.raises(OutOfRangeError):
-            seg.value_at(math.nan)
+        for theta in (math.nan, -math.inf):
+            with pytest.raises(OutOfRangeError):
+                seg.value_at(theta)
+    # below -tau, a read is in range as far as the span rule (1e-9 (1 + tau))
+    # lets a delay exceed the history's span, and reads the first sample
+    assert h.value_at(-1.0 - 1e-10) == h.value_at(-1.0)
+    with pytest.raises(OutOfRangeError):
+        h.value_at(-1.0 - 3e-9)
 
 
 def _every_build(state):
@@ -235,7 +241,7 @@ PUBLIC_NAMES = {
     "load_scenario", "load_sweep", "persistence_bounds", "r0_squared",
     "rhs_full", "rightmost_real_root", "routh_hurwitz_tau0",
     "run_scenario", "run_sweep", "tail_stats", "trace_along", "v_dfe",
-    "v_endemic", "validate_params", "weak_persistence_check",
+    "v_endemic", "weak_persistence_check",
 }
 
 

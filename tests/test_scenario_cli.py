@@ -460,6 +460,17 @@ def test_table_history_span_must_match_tau(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_table_history_within_the_span_tolerance_runs(tmp_path, capsys):
+    # the loader accepts a span 1e-10 short of tau; the run once exited 1
+    # with "t = -1 outside the computed range [-1, 0]"
+    params = {**BASE["params"], "tau": 1.0000000001}
+    history = {"kind": "table", "times": [-1.0, 0.0], "states": [[4, 0.5, 30, 10]] * 2}
+    path = scenario_file(tmp_path, params=params, history=history,
+                         integration={"t_end": 10})
+    assert cli.main(["simulate", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_tau_sweep_over_table_history_marks_rows(tmp_path):
     obj = {"schema": 1,
            "base": {**BASE, "history": TABLE_HISTORY, "integration": {"t_end": 10}},

@@ -4,18 +4,34 @@ an arbitrary JSON value, and the file goes through the CLI in-process.
 `report --only stability` and a sweep without tail columns load every field
 but integrate nothing, so each case is cheap. Whatever the value, the call
 must return 0, 1 or 2: every failure leaves through the error taxonomy.
+
+The same values check that ModelParams and IntegrationSpec, which validate
+themselves on construction, reject exactly what the loader's field rules
+reject.
 """
 
 import copy
 import json
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import malaria_dde.cli as cli
-from malaria_dde import SchemaError, load_scenario, load_sweep
+from malaria_dde import (
+    IntegrationSpec,
+    InvalidSpecError,
+    ModelParams,
+    NegativeDelayError,
+    NonPositiveRateError,
+    SchemaError,
+    SystemKind,
+    load_scenario,
+    load_sweep,
+)
+from malaria_dde.scenario import _FIELDS
 
 SCENARIO = {
     "schema": 1,
@@ -154,3 +170,44 @@ def test_underflowing_rates_exit_2_and_mark_their_sweep_row(tmp_path, capsys):
     assert run_main(tmp_path, "sweep", sweep) == 0
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert rows[1].endswith(",") and "division by zero" in rows[2]
+
+
+# ------------------------------------------------ records agree with the loader
+
+RECORD_FIELDS = ([("params", name) for name in SCENARIO["params"]]
+                 + [("integration", f.name) for f in fields(IntegrationSpec)])
+
+
+def assert_record_agrees_with_loader(section, field, value):
+    """The record raises on `value` exactly when the loader's rule for
+    section.field raises SchemaError. The loader reads `system` from JSON
+    text, so the record gets what that rule keeps; every other field gets
+    the value as drawn. None is not drawn: it is the record's "unset", which
+    a scenario expresses by leaving the key out."""
+    if section == "params":
+        record, others = ModelParams, SCENARIO["params"]
+        error = NegativeDelayError if field == "tau" else NonPositiveRateError
+    else:
+        record, others, error = IntegrationSpec, {}, InvalidSpecError
+    try:
+        kept = _FIELDS[section][field](value, f"{section}.{field}")
+    except SchemaError:
+        with pytest.raises(error) as err:
+            record(**{**others, field: value})
+        if error is NonPositiveRateError:
+            assert err.value.name == field
+    else:
+        record(**{**others, field: kept if field == "system" else value})
+
+
+@pytest.mark.parametrize("section,field", RECORD_FIELDS)
+def test_records_reject_the_extremes_the_loader_rejects(section, field):
+    for value in (*EXTREMES, "limiting", *SystemKind, True, False):
+        assert_record_agrees_with_loader(section, field, value)
+
+
+@settings(max_examples=300)
+@given(case=st.sampled_from(RECORD_FIELDS),
+       value=st.floats() | st.integers() | st.booleans() | st.text(max_size=8))
+def test_records_reject_what_the_loader_rejects(case, value):
+    assert_record_agrees_with_loader(*case, value)

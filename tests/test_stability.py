@@ -20,6 +20,7 @@ from malaria_dde import (
     NonPositiveRateError,
     RateUnderflowError,
     State,
+    ValidationError,
     basic_reproduction_number,
     char_eval,
     classify,
@@ -69,6 +70,49 @@ def test_endemic_coefficients_by_hand():
     assert c.a1 == pytest.approx(0.7028571428571428, abs=1e-12)
     assert c.a2 == pytest.approx(0.08, abs=1e-14)
     assert c.a3 == pytest.approx(-0.05, abs=1e-14)
+
+
+@pytest.mark.parametrize("a1,a2,a3,tau,error,match", [
+    # G(lam) = lam^2 + lam + 1 + 5 exp(-lam) > 0 on the real line, and the
+    # root search once returned -0.5 for it
+    (1.0, 1.0, 5.0, 1.0, ValidationError, "a3"),
+    (0.0, 1.0, -1.0, 1.0, ValidationError, "a1"),
+    (-1.0, 1.0, -1.0, 1.0, ValidationError, "a1"),
+    (1.0, -1.0, -1.0, 1.0, ValidationError, "a2"),
+    (1.0, 1.0, 1e-300, 1.0, ValidationError, "a3"),
+    (1.0, 1.0, -1.0, math.nan, NegativeDelayError, "tau"),
+    (1.0, 1.0, -1.0, math.inf, NegativeDelayError, "tau"),
+    (1.0, 1.0, -1.0, -1.0, NegativeDelayError, "tau"),
+])
+def test_coefficients_reject_signs_the_bracket_cannot_take(a1, a2, a3, tau, error,
+                                                           match):
+    for cls in (CharCoeffs, DfeCharCoeffs, EndemicCharCoeffs):
+        with pytest.raises(error, match=match) as err:
+            cls(a1, a2, a3, tau)
+        assert type(err.value) is error
+
+
+@pytest.mark.parametrize("p,cls", [
+    # mu_h = mu_v and a3 underflows to -0.0
+    (replace(P_SUPER, beta_h=5e-324, mu_h=0.0013254, mu_v=0.0013254, tau=0.0),
+     DfeCharCoeffs),
+    # a2 = mu_h mu_v is subnormal, then 0
+    (replace(P_SUPER, mu_h=1e-160, mu_v=1e-160), DfeCharCoeffs),
+    (replace(P_SUPER, mu_h=1e-170, mu_v=1e-170), DfeCharCoeffs),
+    (replace(P_SUPER, beta_v=5e-324), DfeCharCoeffs),
+    # E*'s weights overflow: a1 = a2 = inf, a3 = -inf
+    (replace(P_SUPER, beta_h=1e200), EndemicCharCoeffs),
+], ids=["a3-negative-zero", "a2-subnormal", "a2-zero", "beta_v-subnormal",
+        "endemic-overflow"])
+def test_valid_rates_build_coefficients_even_when_rounding_degrades_them(p, cls):
+    c = cls.from_params(p)
+    assert c.a1 > 0 and not c.a2 < 0 and not c.a3 > 0
+
+
+def test_overflowing_endemic_coefficients_leave_as_root_polish_error():
+    # G is inf - inf = NaN at 0, which the polish reports (CLI exit 2)
+    with pytest.raises(RootPolishError, match="NaN"):
+        classify(replace(P_SUPER, beta_h=1e200), EquilibriumKind.ENDEMIC)
 
 
 def test_both_constructors_build_one_coefficient_type():
@@ -286,10 +330,9 @@ def test_degenerate_root_at_the_lower_end():
     ("c_vh", math.nan, NonPositiveRateError),
 ])
 def test_classify_validates_its_parameters(field, value, error):
-    p = replace(P_SUPER, **{field: value})
     for which in EquilibriumKind:
         with pytest.raises(error):
-            classify(p, which)
+            classify(replace(P_SUPER, **{field: value}), which)
 
 
 def test_underflowing_rates_leave_through_the_taxonomy():

@@ -15,7 +15,9 @@ match):
 Every file written (report.txt, trajectory.csv, lyapunov.csv, sweep.csv and
 the demos' own files) and every command's stdout, stderr and exit code is
 compared byte for byte, and each differing file is listed with every line
-that differs. Exit status 0 when all are identical, 1 otherwise.
+that differs. The line count of src/**/*.py in both trees and the net
+difference are printed last. Exit status 0 when all are identical, 1
+otherwise.
 REV is exported with `git archive`, so no worktree is registered. Standard
 library only.
 """
@@ -84,6 +86,17 @@ def files_under(top: str) -> set[str]:
     return out
 
 
+def src_lines(tree: str) -> int:
+    """Number of lines in the .py files under tree/src."""
+    total = 0
+    for dirpath, _, names in os.walk(os.path.join(tree, "src")):
+        for n in names:
+            if n.endswith(".py"):
+                with open(os.path.join(dirpath, n), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
+
+
 def differing_lines(a: str, b: str) -> list[str]:
     """Every line that differs between the two files, one entry each."""
     with open(a, "rb") as fa, open(b, "rb") as fb:
@@ -132,6 +145,9 @@ def main(argv: list[str]) -> int:
             print(line)
         print(f"{same} identical, {len(problems)} different "
               f"({rev} vs working tree)")
+        before, after = src_lines(base), src_lines(ROOT)
+        print(f"src/**/*.py: {before} lines in {rev}, {after} in working tree, "
+              f"net {after - before:+d}")
         return 1 if problems else 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
