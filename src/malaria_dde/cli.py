@@ -5,7 +5,8 @@
     malaria-dde report scenario.json [--only SECTION] [--seed N]
 
 Exit codes: 0 on success, 1 when the input fails validation (bad JSON,
-schema violations, nonpositive rates, malformed histories), 2 when the run
+schema violations, nonpositive rates, malformed histories, a negative seed,
+an output directory that cannot be written), 2 when the run
 itself breaks down numerically (population collapse, a real-root polish
 that fails, state outside a functional's domain, or a division by zero
 when admissible but extreme rates underflow).
@@ -38,6 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output directory (overrides the scenario's)")
     sim.add_argument("--quiet", action="store_true",
                      help="suppress the report echo on stdout")
+    sim.set_defaults(only=None)
 
     swp = sub.add_parser("sweep", parents=[common],
                          help="tabulate derived quantities along one axis")
@@ -51,24 +53,22 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print a report section without writing files")
     rep.add_argument("scenario", help="scenario JSON file")
     rep.add_argument("--only", choices=("stability", "lyapunov", "persistence"),
-                     default=None, help="restrict the report to one section")
+                     default="stability",
+                     help="the one section to report (default stability)")
+    rep.set_defaults(out=None, quiet=False)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            scn = load_scenario(args.scenario)
-            lines = run_scenario(scn, out_dir=args.out, seed=args.seed)
-        elif args.command == "sweep":
+        if args.command == "sweep":
             spec = load_sweep(args.sweep)
             path = run_sweep(spec, out_dir=args.out, seed=args.seed)
             lines = [f"sweep.file = {path}", f"sweep.rows = {len(spec.values)}"]
         else:
-            scn = load_scenario(args.scenario)
-            section = args.only if args.only is not None else "stability"
-            lines = run_scenario(scn, seed=args.seed, only=section)
+            lines = run_scenario(load_scenario(args.scenario), out_dir=args.out,
+                                 seed=args.seed, only=args.only)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:  # pragma: no cover - base class safety net
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print("\n".join(lines))
     return 0
 

@@ -39,7 +39,7 @@ class InvalidHistoryError(ValidationError):
 
 class InvalidSpecError(ValidationError):
     """An integration or read-out control is out of its domain (t_end, mesh,
-    stride, or a trajectory that does not fit the analysis)."""
+    stride, seed, or a trajectory that does not fit the analysis)."""
 
 
 class ZeroMosquitoPopulationError(NumericalError):
@@ -71,7 +71,7 @@ class NonFiniteStateError(NumericalError):
 class OutOfRangeError(ValidationError):
     def __init__(self, t: float, lo: float, hi: float):
         self.t = t
-        super().__init__(f"t = {t:g} outside the computed range [{lo:g}, {hi:g}]")
+        super().__init__(f"t = {float(t)!r} outside the computed range [{lo:g}, {hi:g}]")
 
 
 class EmptyWindowError(ValidationError):

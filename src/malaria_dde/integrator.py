@@ -332,8 +332,9 @@ def dense_eval(traj: Trajectory, t: float) -> State:
     history's own (piecewise-linear) interpolation; anything else is the
     cubic Hermite interpolant of the bracketing recorded interval.
     """
-    eps = 1e-9 * (1.0 + abs(traj.t_end))
-    if not (-traj.tau - eps <= t <= traj.t_end + eps):  # NaN fails too
+    # below -tau only as far as the history's span rule reaches; NaN fails too
+    if not (t <= traj.t_end + 1e-9 * (1.0 + abs(traj.t_end))
+            and (-traj.tau <= t or _spans(traj.tau, -t))):
         raise OutOfRangeError(t, -traj.tau, traj.t_end)
     if t < 0.0:
         if traj.tau > 0.0:

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import defaults
 from .equilibria import endemic_equilibrium, equilibrium_set, r0_squared
-from .errors import EndemicAbsentError, ModelError, SchemaError
+from .errors import EndemicAbsentError, InvalidSpecError, ModelError, SchemaError
 from .integrator import IntegrationSpec, SystemKind, Trajectory, integrate, tail_stats
 from .lyapunov import FunctionalKind, trace_along
 from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _spans
@@ -346,35 +346,43 @@ def _equilibria_lines(p: ModelParams) -> list[str]:
     return lines
 
 
+def _check_seed(seed: Any) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidSpecError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
                  only: str | None = None) -> list[str]:
     """Execute a scenario and return the report lines.
 
-    Each distinct IntegrationSpec is integrated once and shared: simulate
-    reads the scenario's own spec, persistence the spec with system FULL and
-    record_stride 1, Lyapunov the spec with system LIMITING and
-    record_stride 1.
-
-    `only` restricts the work to one section ("stability", "lyapunov" or
-    "persistence") and suppresses file artifacts; otherwise artifacts go to
-    out_dir (CLI --out overrides the scenario's own output.dir).
+    `only` ("stability", "lyapunov" or "persistence") narrows the Analyses to
+    that section (persistence at DEFAULT_THETA if the scenario names no
+    fraction) and writes no files. Otherwise report.txt and the CSVs go to
+    out_dir (default: the scenario's output.dir) in one block after the last
+    analysis, so a run that fails writes nothing. Each distinct
+    IntegrationSpec is integrated once: simulate reads the scenario's spec,
+    persistence it with system FULL, Lyapunov with system LIMITING, both
+    with record_stride 1.
     """
+    _check_seed(seed)
+    a = scn.analyses
+    target = scn.out_dir if out_dir is None else out_dir
+    if only is not None:
+        a = Analyses(simulate=False, stability=only == "stability",
+                     lyapunov=only == "lyapunov",
+                     persistence=((a.persistence or (defaults.DEFAULT_THETA,))
+                                  if only == "persistence" else ()))
+        target = None
     p = scn.params
-    rng = np.random.default_rng(seed)
-    target = out_dir if out_dir is not None else scn.out_dir
-    write_files = only is None
     lines = _equilibria_lines(p)
+    artifacts: list[tuple[str, Any]] = []  # (path, object with to_csv)
 
-    do_stability = scn.analyses.stability if only is None else only == "stability"
-    do_simulate = scn.analyses.simulate and only is None
-    do_lyapunov = scn.analyses.lyapunov if only is None else only == "lyapunov"
-    thetas = scn.analyses.persistence
-    if only == "persistence" and not thetas:
-        thetas = (defaults.DEFAULT_THETA,)
-    elif only is not None and only != "persistence":
-        thetas = ()
+    def artifact(key: str, obj: Any) -> None:  # <key>.csv, written at the end
+        if target is not None:
+            artifacts.append((os.path.join(target, f"{key}.csv"), obj))
+            lines.append(f"{key}.file = {artifacts[-1][0]}")
 
-    if do_stability:
+    if a.stability:
         lines.extend(classify(p, EquilibriumKind.DISEASE_FREE).as_lines())
         try:
             lines.extend(classify(p, EquilibriumKind.ENDEMIC).as_lines())
@@ -382,8 +390,8 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             lines.append("stability.e_star.classification = absent")
 
     phi = None
-    if do_simulate or do_lyapunov or thetas:
-        phi = scn.history.build(p, rng)
+    if a.simulate or a.lyapunov or a.persistence:
+        phi = scn.history.build(p, np.random.default_rng(seed))
     spec = scn.integration
     runs: dict[IntegrationSpec, Trajectory] = {}
 
@@ -392,7 +400,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             runs[key] = integrate(p, phi, key)
         return runs[key]
 
-    if do_simulate:
+    if a.simulate:
         traj = run(spec)
         lines.append(f"trajectory.t_end = {_fmt(traj.t_end)}")
         lines.append(f"trajectory.nodes = {traj.times.size}")
@@ -400,13 +408,9 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
         for name in COMPONENT_NAMES:
             lines.append(f"tail.{name}.inf = {_fmt(getattr(tail.inf, name))}")
             lines.append(f"tail.{name}.sup = {_fmt(getattr(tail.sup, name))}")
-        if write_files:
-            os.makedirs(target, exist_ok=True)
-            csv_path = os.path.join(target, "trajectory.csv")
-            traj.to_csv(csv_path)
-            lines.append(f"trajectory.file = {csv_path}")
+        artifact("trajectory", traj)
 
-    if do_lyapunov:
+    if a.lyapunov:
         kind = (FunctionalKind.V_DFE if r0_squared(p) <= 1.0
                 else FunctionalKind.V_ENDEMIC)
         trace = trace_along(p, run(replace(spec, system=SystemKind.LIMITING,
@@ -416,21 +420,22 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
         lines.append(f"lyapunov.v_last = {_fmt(float(trace.values[-1]))}")
         lines.append(f"lyapunov.max_increase = {_fmt(trace.max_increase)}")
         lines.append(f"lyapunov.descends = {str(trace.passes_descent()).lower()}")
-        if write_files:
-            os.makedirs(target, exist_ok=True)
-            lya_path = os.path.join(target, "lyapunov.csv")
-            trace.to_csv(lya_path)
-            lines.append(f"lyapunov.file = {lya_path}")
+        artifact("lyapunov", trace)
 
-    for theta in thetas:
+    for theta in a.persistence:
         _require_preconditions(p, phi, theta)  # before the full run
         full = run(replace(spec, system=SystemKind.FULL, record_stride=1))
         lines.extend(weak_persistence_check(p, full, theta).as_lines())
 
-    if write_files:
-        os.makedirs(target, exist_ok=True)
-        with open(os.path.join(target, "report.txt"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    if target is not None:
+        try:
+            os.makedirs(target, exist_ok=True)
+            for path, obj in artifacts:
+                obj.to_csv(path)
+            with open(os.path.join(target, "report.txt"), "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise SchemaError("output.dir", f"cannot write {target}: {exc}") from None
     return lines
 
 
@@ -468,11 +473,16 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
 
 def run_sweep(sweep: SweepSpec, out_dir: str | None = None, seed: int = 0) -> str:
     """Run every row, write <out>/sweep.csv, return its path."""
+    _check_seed(seed)
     target = out_dir if out_dir is not None else sweep.base.out_dir
-    os.makedirs(target, exist_ok=True)
     path = os.path.join(target, "sweep.csv")
     header = [sweep.axis, *sweep.columns, "error"]
-    with open(path, "w") as fh:
+    try:
+        os.makedirs(target, exist_ok=True)
+        fh = open(path, "w")
+    except OSError as exc:
+        raise SchemaError("output.dir", f"cannot write {target}: {exc}") from None
+    with fh:
         fh.write(",".join(header) + "\n")
         for value in sweep.values:
             cells = [_fmt(value)]

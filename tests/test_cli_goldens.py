@@ -3,7 +3,7 @@
 Each command runs in-process through `cli.main` from a fresh working
 directory with a relative --out, so the paths printed into report.txt are
 the same on every machine. The `report --only` sections write no files;
-their stdout and exit code are pinned instead. The hashes were recorded
+their exit code, stdout and stderr are pinned instead. The hashes were recorded
 before the RK4 loop had the model written inline (the report sections
 before the records validated themselves); any changed byte in a node, a
 Lyapunov value, a report line or a sweep row shows here. A change that
@@ -52,26 +52,29 @@ def test_cli_artifacts_are_byte_identical(tmp_path, monkeypatch, command, scenar
         assert digest == GOLDENS[command, scenario][name], name
 
 
-# (scenario file, section) -> (exit code, sha256 of stdout) of
-# `report --only section`; fadeout (R0 < 1) has no persistence section
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (scenario file, section) -> (exit code, sha256 of stdout, sha256 of stderr)
+# of `report --only section`; fadeout (R0 < 1) has no persistence section
 REPORTS = {
     ("endemic.json", "stability"):
-        (0, "f4ffd5651d77b78e6a61a65264a15683f6bf271c9cb33c4e19ec9ddbb3e73c22"),
+        (0, "f4ffd5651d77b78e6a61a65264a15683f6bf271c9cb33c4e19ec9ddbb3e73c22", EMPTY),
     ("endemic.json", "lyapunov"):
-        (0, "97e8ee3351ea561e18c5a0c931563a684241074b2e4906a9b07f4d7ad88fd2b9"),
+        (0, "97e8ee3351ea561e18c5a0c931563a684241074b2e4906a9b07f4d7ad88fd2b9", EMPTY),
     ("endemic.json", "persistence"):
-        (0, "acec9756a804cd55392bc11075d1d0255f08bfc61f79dbefd2444d590b4e2bf3"),
+        (0, "acec9756a804cd55392bc11075d1d0255f08bfc61f79dbefd2444d590b4e2bf3", EMPTY),
     ("fadeout.json", "stability"):
-        (0, "2a17ba589966f2f6738df932a88d721e9bd0683d6d7c431e2b0e3aee61e46074"),
+        (0, "2a17ba589966f2f6738df932a88d721e9bd0683d6d7c431e2b0e3aee61e46074", EMPTY),
     ("fadeout.json", "lyapunov"):
-        (0, "6b4e0b6c6d40f64f118ed844e606754963a3a19fb863c1f63610ded55e66865f"),
-    ("fadeout.json", "persistence"):
-        (1, hashlib.sha256(b"").hexdigest()),
+        (0, "6b4e0b6c6d40f64f118ed844e606754963a3a19fb863c1f63610ded55e66865f", EMPTY),
+    ("fadeout.json", "persistence"):  # "error: operation requires R0 > 1, ..."
+        (1, EMPTY, "013f4f83f54db32d47642a0912661211656a6aaffa42cb798e9ac6737f0bbad7"),
 }
 
 
 @pytest.mark.parametrize("scenario,section", sorted(REPORTS))
 def test_report_sections_are_byte_identical(capsys, scenario, section):
     code = cli.main(["report", os.path.join(SCENARIOS, scenario), "--only", section])
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert (code, digest) == REPORTS[scenario, section]
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest()) == REPORTS[scenario, section]

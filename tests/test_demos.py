@@ -1,7 +1,8 @@
 """Every demo script runs to completion against the package in this tree,
-and the CSV files the demos write are pinned by sha256. Their stdout is not
-pinned: it prints numpy scalars, whose text depends on numpy's repr
-(tools/golden_diff.py compares it between two trees instead)."""
+and its stdout and the CSV files it writes are pinned by sha256. No demo
+prints a numpy repr, only Python floats, complex numbers and formatted
+text, so the stdout does not depend on numpy's version. The hashes were
+recorded before the scenario runner wrote its files in one block."""
 
 import hashlib
 import os
@@ -14,6 +15,16 @@ from conftest import subprocess_env
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = os.path.join(ROOT, "demos")
+
+# demo -> sha256 of its stdout
+STDOUT = {
+    "01_model_and_equilibria.py": "c4d04453e20457c433b928c7667016c1539d45e87a9402ee9510da5191316d89",
+    "02_integrate_trajectories.py": "636aee679e02c18d4901b1988d461d314dbb783a21b5c9b888ed053c6312a767",
+    "03_stability_reports.py": "040e1cf89562d06201b4224ad854bc327d2a3a191bce18791893da7296bcbc1b",
+    "04_lyapunov_descent.py": "a43c0a32891e4e2613d5d76e2a52a65f4321dd725be49e0edcdc720366541ce6",
+    "05_persistence_check.py": "df30984c683465db32801fe471935d2ce63bdcdd149949c63445cb7eea0a1a59",
+    "06_scenarios_and_sweeps.py": "6501b585680ce641ed125ae6b94c22ed8d1f923d15af76b65891887d39f85ec2",
+}
 
 # demo -> {file it writes: sha256}
 WRITTEN = {
@@ -35,5 +46,6 @@ def test_demo_runs_cleanly(demo, tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT[demo]
     for name, digest in WRITTEN.get(demo, {}).items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

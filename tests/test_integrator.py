@@ -121,6 +121,25 @@ def test_dense_eval_range_and_history():
         dense_eval(traj, math.nan)
 
 
+def test_dense_eval_below_the_history_follows_the_span_rule():
+    # below -tau a read is in range only as far as the history's span rule,
+    # 1e-9 (1 + tau), reaches. It once admitted 1e-9 (1 + t_end), passed the
+    # read on, and the history refused it quoting its own range [-1, 0]
+    first = (4.0, 0.4, 30.0, 10.0)
+    phi = HistorySegment.table([-1.0, 0.0], [first, X0])
+    traj = integrate(P_SUPER, phi, spec_full(400.0))
+    assert dense_eval(traj, -1.0 - 1e-10).as_tuple() == first
+    with pytest.raises(OutOfRangeError,
+                       match=r"^t = -1\.00000001 outside the computed range \[-1, 400\]$"):
+        dense_eval(traj, -1.0 - 1e-8)
+    # at tau = 0 the same rule reads the first node just below t = 0
+    p0 = replace(P_SUPER, tau=0.0)
+    traj0 = integrate(p0, _phi(p0), spec_full(400.0))
+    assert dense_eval(traj0, -1e-10) == dense_eval(traj0, 0.0)
+    with pytest.raises(OutOfRangeError, match=r", 400\]$"):
+        dense_eval(traj0, -1e-8)
+
+
 def test_window_extraction():
     traj = integrate(P_SUPER, _phi(P_SUPER), spec_full(6.0))
     w = traj.window(5.0)

@@ -12,6 +12,7 @@ from malaria_dde import (
     FunctionalKind,
     HistorySegment,
     IntegrationSpec,
+    InvalidSpecError,
     NumericalError,
     SchemaError,
     SystemKind,
@@ -513,3 +514,94 @@ def test_persistence_preconditions_fail_before_integrating(
     assert cli.main(["report", path, "--only", "persistence"]) == 1
     assert integrate_spy == []
     assert message in capsys.readouterr().err
+
+
+# ------------------------------------------------ output writes and seeds
+
+LYAPUNOV_ON = {"simulate": True, "stability": False, "lyapunov": True}
+
+# exit code -> a scenario whose simulate stage succeeds and whose Lyapunov
+# stage then fails
+LATE_FAILURES = {
+    # the Lyapunov horizon is shorter than the delay
+    1: {"params": {**BASE["params"], "tau": 2.0}, "integration": {"t_end": 1.0}},
+    # the limiting run breaks down where the full run does not: it divides
+    # I_v = 1000 by S_v0 = 50 instead of by N_v
+    2: {"params": {**BASE["params"], "c_vh": 5.0},
+        "history": {"kind": "constant", "state": [4, 0.5, 0, 1000]},
+        "integration": {"t_end": 20}},
+}
+
+
+def _tree(top):
+    return {f: (top / f).read_bytes() for f in sorted(os.listdir(top))}
+
+
+@pytest.mark.parametrize("code", sorted(LATE_FAILURES))
+def test_failing_simulate_writes_nothing(tmp_path, capsys, code):
+    path = scenario_file(tmp_path, **LATE_FAILURES[code], analyses=LYAPUNOV_ON)
+    out = tmp_path / "fresh"
+    assert cli.main(["simulate", path, "--out", str(out), "--quiet"]) == code
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("code", sorted(LATE_FAILURES))
+def test_failing_simulate_keeps_an_earlier_run(tmp_path, code):
+    out = tmp_path / "o"
+    good = scenario_file(tmp_path, "good.json", integration={"t_end": 10},
+                         analyses=LYAPUNOV_ON)
+    assert cli.main(["simulate", good, "--out", str(out), "--quiet"]) == 0
+    before = _tree(out)
+    assert sorted(before) == ["lyapunov.csv", "report.txt", "trajectory.csv"]
+    bad = scenario_file(tmp_path, "bad.json", **LATE_FAILURES[code],
+                        analyses=LYAPUNOV_ON)
+    assert cli.main(["simulate", bad, "--out", str(out), "--quiet"]) == code
+    assert _tree(out) == before
+
+
+def _sweep_file(tmp_path, columns=("r0",)):
+    obj = {"schema": 1, "base": dict(BASE), "axis": "tau", "values": [0, 1],
+           "columns": list(columns)}
+    return write_json(tmp_path / "sw.json", obj)
+
+
+@pytest.mark.parametrize("command,out", [("simulate", "taken"), ("sweep", "taken/x")])
+def test_unwritable_output_exits_1(tmp_path, capsys, command, out):
+    # a regular file where the output directory, or one of its parents, goes
+    (tmp_path / "taken").write_text("kept\n")
+    path = (_sweep_file(tmp_path) if command == "sweep"
+            else scenario_file(tmp_path, integration={"t_end": 10}))
+    assert cli.main([command, path, "--out", str(tmp_path / out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output.dir: cannot write ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "report", "sweep"])
+def test_negative_seed_exits_1(tmp_path, capsys, command):
+    # the sweep has no tail column, so it never draws from the generator:
+    # it exited 0 before the seed was checked
+    path = (_sweep_file(tmp_path) if command == "sweep"
+            else scenario_file(tmp_path, history={"kind": "random"},
+                               integration={"t_end": 10}))
+    out = tmp_path / "o"
+    argv = [command, path, "--seed", "-1"]
+    if command != "report":
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None])
+def test_run_entries_reject_seeds_that_are_not_counts(tmp_path, seed):
+    scn = load_scenario(scenario_file(tmp_path, integration={"t_end": 10}))
+    with pytest.raises(InvalidSpecError, match="seed"):
+        run_scenario(scn, out_dir=str(tmp_path / "a"), seed=seed)
+    with pytest.raises(InvalidSpecError, match="seed"):
+        run_sweep(load_sweep(_sweep_file(tmp_path, ["tail"])),
+                  out_dir=str(tmp_path / "b"), seed=seed)
+    assert sorted(os.listdir(tmp_path)) == ["scn.json", "sw.json"]

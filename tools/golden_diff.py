@@ -9,7 +9,8 @@ match):
 
 * `simulate` on each demos/scenarios/*.json scenario (the sweep file aside);
 * `sweep` on demos/scenarios/sweep_c_vh.json;
-* `report --only stability|lyapunov|persistence` on each scenario;
+* `report`, and `report --only stability|lyapunov|persistence`, on each
+  scenario;
 * each demos/*.py script.
 
 Every file written (report.txt, trajectory.csv, lyapunov.csv, sweep.csv and
@@ -50,6 +51,7 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
         path = os.path.join("demos", "scenarios", f)
         out.append((f"simulate_{name}",
                     cli + ["simulate", path, "--out", f"out/simulate_{name}"]))
+        out.append((f"report_{name}", cli + ["report", path]))
         for section in SECTIONS:
             out.append((f"report_{name}_{section}",
                         cli + ["report", path, "--only", section]))
