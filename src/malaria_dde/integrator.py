@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import IO
 
-import numpy as np
-
 from . import defaults
 from .errors import (
     EmptyWindowError,
@@ -64,6 +62,7 @@ from .model import (
     State,
     _finite_real,
     _spans,
+    np,
 )
 
 CSV_HEADER = "t,S_h,I_h,S_v,I_v"
@@ -335,7 +334,7 @@ def dense_eval(traj: Trajectory, t: float) -> State:
     # below -tau only as far as the history's span rule reaches; NaN fails too
     if not (t <= traj.t_end + 1e-9 * (1.0 + abs(traj.t_end))
             and (-traj.tau <= t or _spans(traj.tau, -t))):
-        raise OutOfRangeError(t, -traj.tau, traj.t_end)
+        raise OutOfRangeError(t, 0.0 - traj.tau, traj.t_end)
     if t < 0.0:
         if traj.tau > 0.0:
             return traj.history.state_at(t)

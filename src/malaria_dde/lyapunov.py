@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import IO
 
-import numpy as np
-
 from . import defaults
 from .equilibria import basic_reproduction_number, endemic_equilibrium, r0_squared
 from .errors import (
@@ -36,7 +34,7 @@ from .errors import (
     SupercriticalR0Error,
 )
 from .integrator import SystemKind, Trajectory, _write_csv
-from .model import HistorySegment, ModelParams
+from .model import HistorySegment, ModelParams, np
 
 
 class FunctionalKind(enum.Enum):

@@ -16,16 +16,22 @@ N_v' = beta_v - mu_v * N_v on its own and settles at S_v0 = beta_v / mu_v,
 which motivates the "limiting" variant where the incidence denominator is
 frozen at S_v0. Long-run analysis (Lyapunov certificates) is done on the
 limiting system; simulation defaults to the full one.
+
+`np` below is the package's one handle to numpy, which it defers: importing
+the package does not load numpy, the first attribute read on `np` does. The
+closed-form layers (ModelParams, equilibria, stability) never read it, so
+`report --only stability`, a sweep without tail columns and an input error
+run without numpy; a history, an integration or a Lyapunov trace loads it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import (
     InvalidHistoryError,
@@ -34,6 +40,28 @@ from .errors import (
     OutOfRangeError,
     ZeroMosquitoPopulationError,
 )
+
+
+def _lazy_numpy():
+    """numpy as a module that runs its import on the first attribute read.
+
+    The LazyLoader recipe of the importlib docs. A numpy already in
+    sys.modules is returned as it is, and when numpy cannot be found the
+    plain import runs, so its ImportError is the usual one.
+    """
+    if sys.modules.get("numpy") is not None:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:  # not installed, or blocked by a None in sys.modules
+        return importlib.import_module("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 Deriv = tuple[float, float, float, float]
 
@@ -240,7 +268,7 @@ class HistorySegment:
         """Piecewise-linear evaluation at offset theta in [-tau, 0] (-tau by `_spans`)."""
         lo = self.times[0]
         if not (-math.inf < theta <= 1e-12 and (lo <= theta or _spans(-lo, -theta))):
-            raise OutOfRangeError(theta, -self.tau, 0.0)
+            raise OutOfRangeError(theta, 0.0 - self.tau, 0.0)
         if self.times.size == 1:
             row = self.states[0]
             return (row[0], row[1], row[2], row[3])

@@ -34,18 +34,17 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import Any, Callable
-
-import numpy as np
 
 from . import defaults
 from .equilibria import endemic_equilibrium, equilibrium_set, r0_squared
 from .errors import EndemicAbsentError, InvalidSpecError, ModelError, SchemaError
 from .integrator import IntegrationSpec, SystemKind, Trajectory, integrate, tail_stats
 from .lyapunov import FunctionalKind, trace_along
-from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _spans
+from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _spans, np
 from .persistence import _require_preconditions, weak_persistence_check
 from .stability import EquilibriumKind, classify
 
@@ -347,7 +346,8 @@ def _equilibria_lines(p: ModelParams) -> list[str]:
 
 
 def _check_seed(seed: Any) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    # numpy registers its integers with numbers.Integral; np.integer would load numpy
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidSpecError(f"seed must be an integer >= 0, got {seed!r}")
 
 

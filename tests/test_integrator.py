@@ -52,6 +52,21 @@ def test_vector_total_follows_scalar_decay_law():
     assert float(np.max(np.abs(n_v - exact))) < 1e-9
 
 
+@pytest.mark.parametrize("system", list(SystemKind), ids=lambda s: s.value)
+def test_vector_total_error_is_fourth_order(system):
+    # N_v = S_v + I_v has the closed form S_v0 + (N_v(0) - S_v0) e^(-mu_v t)
+    # on both systems; RK4's error in it falls about 16x per halving of h
+    errs = []
+    for m in (5, 10, 20):
+        traj = integrate(P_SUPER, _phi(P_SUPER),
+                         IntegrationSpec(system=system, t_end=50.0, steps_per_delay=m))
+        n_v = traj.states[:, 2] + traj.states[:, 3]
+        exact = P_SUPER.s_v0 + (40.0 - P_SUPER.s_v0) * np.exp(-P_SUPER.mu_v * traj.times)
+        errs.append(float(np.max(np.abs(n_v - exact))))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 12.0 <= coarse / fine <= 20.0, errs
+
+
 def test_zero_delay_matches_adaptive_reference():
     p = replace(P_SUPER, tau=0.0)
     traj = integrate(p, _phi(p), spec_full(5.0))
@@ -136,7 +151,9 @@ def test_dense_eval_below_the_history_follows_the_span_rule():
     p0 = replace(P_SUPER, tau=0.0)
     traj0 = integrate(p0, _phi(p0), spec_full(400.0))
     assert dense_eval(traj0, -1e-10) == dense_eval(traj0, 0.0)
-    with pytest.raises(OutOfRangeError, match=r", 400\]$"):
+    # the lower bound prints as 0, not -0
+    with pytest.raises(OutOfRangeError,
+                       match=r"^t = -1e-08 outside the computed range \[0, 400\]$"):
         dense_eval(traj0, -1e-8)
 
 

@@ -185,6 +185,10 @@ def test_history_value_out_of_range():
     assert h.value_at(-1.0 - 1e-10) == h.value_at(-1.0)
     with pytest.raises(OutOfRangeError):
         h.value_at(-1.0 - 3e-9)
+    # at tau = 0 the lower bound prints as 0, not -0
+    with pytest.raises(OutOfRangeError,
+                       match=r"^t = -1e-08 outside the computed range \[0, 0\]$"):
+        HistorySegment.constant((1.0, 0.0, 30.0, 10.0), 0.0).value_at(-1e-8)
 
 
 def _every_build(state):

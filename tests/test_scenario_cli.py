@@ -334,16 +334,65 @@ def test_cli_overflow_exits_with_numerical_code(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_runtime_import_leaves_scipy_unloaded():
-    # scipy is a test dependency only; the package and its CLI must not pull
-    # it in (structural check, not a timing bound)
-    code = ("import sys, malaria_dde, malaria_dde.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code],
+# Runs the CLI on argv and prints its exit code and the numpy and scipy
+# submodules then loaded, as JSON on the last stdout line.
+_MODULES_AFTER_MAIN = (
+    "import json, sys\n"
+    "from malaria_dde.cli import main\n"
+    "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m == 'scipy'\n"
+    "                               or m.startswith(('numpy.', 'scipy.')))]))\n")
+
+
+def _import_budget_argv(case, tmp_path):
+    """(argv, exit code) of one import-budget case; no argv only imports."""
+    if case == "import":
+        return [], 0
+    if case == "report-stability":
+        return ["report", ENDEMIC_DEMO, "--only", "stability"], 0
+    if case == "sweep-closed-form":
+        obj = {"schema": 1, "base": dict(BASE), "axis": "c_vh",
+               "values": [0.05, 0.2, 0.8],
+               "columns": ["r0", "classification", "e_star"]}
+        return ["sweep", write_json(tmp_path / "sw.json", obj),
+                "--out", str(tmp_path / "o"), "--quiet"], 0
+    if case == "schema-error":
+        return ["simulate", scenario_file(tmp_path, typo=True)], 1
+    assert case == "simulate"
+    return ["simulate", ENDEMIC_DEMO, "--out", str(tmp_path / "o"), "--quiet"], 0
+
+
+@pytest.mark.parametrize("case", ["import", "report-stability", "sweep-closed-form",
+                                  "schema-error", "simulate"])
+def test_cli_loads_numpy_only_to_integrate(tmp_path, case):
+    # numpy loads on first use, so the closed-form paths and input errors
+    # never load it; scipy is a test dependency only and never loads
+    # (structural checks, not timing bounds)
+    argv, code = _import_budget_argv(case, tmp_path)
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, *argv],
                           env=subprocess_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    got, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert got == code, proc.stderr
+    assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
+    numpy_subs = [m for m in loaded if m.startswith("numpy.")]
+    assert bool(numpy_subs) == (case == "simulate"), numpy_subs[:5]
+
+
+def test_missing_numpy_fails_the_import_as_a_plain_import_does():
+    # the lazy handle falls back to the plain import when numpy cannot be
+    # found, so the error and its message are the usual ones
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None  # as if numpy were not there\n"
+            "try:\n"
+            "    import {}\n"
+            "except ImportError as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+    out = [subprocess.run([sys.executable, "-c", code.format(mod)],
+                          env=subprocess_env(), capture_output=True, text=True).stdout
+           for mod in ("numpy", "malaria_dde")]
+    assert out[0].startswith("ModuleNotFoundError")
+    assert out[1] == out[0]
 
 
 def test_cli_seed_changes_random_history(tmp_path):
@@ -605,3 +654,13 @@ def test_run_entries_reject_seeds_that_are_not_counts(tmp_path, seed):
         run_sweep(load_sweep(_sweep_file(tmp_path, ["tail"])),
                   out_dir=str(tmp_path / "b"), seed=seed)
     assert sorted(os.listdir(tmp_path)) == ["scn.json", "sw.json"]
+
+
+def test_run_entries_accept_numpy_integer_seeds(tmp_path):
+    # numpy registers its integer types with numbers.Integral, which the
+    # seed rule tests, so a numpy integer seeds as the equal int does
+    import numpy as np
+    scn = load_scenario(scenario_file(tmp_path, history={"kind": "random"},
+                                      integration={"t_end": 5}))
+    assert (run_scenario(scn, out_dir=str(tmp_path / "a"), seed=np.int64(2))
+            == run_scenario(scn, out_dir=str(tmp_path / "a"), seed=2))

@@ -9,6 +9,7 @@ match):
 
 * `simulate` on each demos/scenarios/*.json scenario (the sweep file aside);
 * `sweep` on demos/scenarios/sweep_c_vh.json;
+* `--help` of the CLI and of `simulate`, `report` and `sweep`;
 * `report`, and `report --only stability|lyapunov|persistence`, on each
   scenario;
 * each demos/*.py script.
@@ -57,6 +58,8 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
                         cli + ["report", path, "--only", section]))
     out.append(("sweep_c_vh", cli + ["sweep", "demos/scenarios/sweep_c_vh.json",
                                      "--out", "out/sweep_c_vh"]))
+    for sub in ([], ["simulate"], ["report"], ["sweep"]):
+        out.append((f"help_{''.join(sub) or 'cli'}", cli + sub + ["--help"]))
     for f in sorted(os.listdir(os.path.join(tree, "demos"))):
         if f.endswith(".py"):
             out.append((f"demo_{f[:-3]}", [sys.executable, os.path.join("demos", f)]))
