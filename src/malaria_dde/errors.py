@@ -24,13 +24,13 @@ class NonPositiveRateError(ValidationError):
     def __init__(self, name: str, value: float):
         self.name = name
         self.value = value
-        super().__init__(f"rate {name} must be strictly positive, got {value!r}")
+        super().__init__(f"rate {name} must be a finite number > 0, got {value!r}")
 
 
 class NegativeDelayError(ValidationError):
     def __init__(self, value: float):
         self.value = value
-        super().__init__(f"delay tau must be >= 0, got {value!r}")
+        super().__init__(f"delay tau must be a finite number >= 0, got {value!r}")
 
 
 class InvalidHistoryError(ValidationError):
@@ -39,7 +39,8 @@ class InvalidHistoryError(ValidationError):
 
 class InvalidSpecError(ValidationError):
     """An integration or read-out control is out of its domain (t_end, mesh,
-    stride, seed, or a trajectory that does not fit the analysis)."""
+    stride, seed, an analysis selector, or a trajectory that does not fit the
+    analysis)."""
 
 
 class ZeroMosquitoPopulationError(NumericalError):
@@ -87,7 +88,7 @@ class RateUnderflowError(NumericalError):
 
 
 class RootPolishError(NumericalError):
-    """Brent's method could not polish a real-root bracket of G."""
+    """The Newton-bisection polish could not find G's root in its bracket."""
 
 
 class EndemicAbsentError(ValidationError):

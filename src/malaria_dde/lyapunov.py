@@ -128,6 +128,8 @@ def trace_along(p: ModelParams, traj: Trajectory, kind: FunctionalKind) -> Lyapu
     Regime gate: V_DFE needs R0 <= 1 (it is also meaningful at exactly 1),
     V_ENDEMIC needs R0 > 1.
     """
+    if not isinstance(kind, FunctionalKind):
+        raise InvalidSpecError(f"kind must be a FunctionalKind, got {kind!r}")
     if traj.system is not SystemKind.LIMITING:
         raise InvalidSpecError(f"the functionals descend along the limiting "
                                f"system, got a {traj.system.value} trajectory")

@@ -21,11 +21,12 @@ from .equilibria import basic_reproduction_number, endemic_equilibrium
 from .errors import (
     InvalidSpecError,
     NotInDomainDError,
+    NumericalError,
     SubcriticalR0Error,
     ThetaOutOfRangeError,
 )
 from .integrator import SystemKind, TailStats, Trajectory, tail_stats
-from .model import COMPONENT_NAMES, HistorySegment, ModelParams, State
+from .model import COMPONENT_NAMES, HistorySegment, ModelParams, State, _finite_real
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ def _require_supercritical(p: ModelParams) -> State:
 
 
 def _require_theta(theta: float) -> float:
-    if not (0.0 < theta < 1.0):
+    if not (_finite_real(theta) and 0.0 < theta < 1.0):
         raise ThetaOutOfRangeError(theta)
     return theta
 
@@ -54,8 +55,11 @@ def persistence_bounds(p: ModelParams, theta: float) -> PersistenceBounds:
     star = _require_supercritical(p)
     s_v_bar = p.beta_v / (theta * p.c_hv * star.i_h + p.mu_v)
     s_h_bar = p.beta_h / (p.c_vh * (1.0 - s_v_bar / p.s_v0) + p.mu_h)
-    # guaranteed by theta < 1; a failure here would mean broken closed forms
-    assert s_v_bar > star.s_v and s_h_bar > star.s_h
+    # theta < 1 guarantees both in exact arithmetic; near 1 rounding erases the gap
+    if not (s_v_bar > star.s_v and s_h_bar > star.s_h):
+        raise NumericalError(f"theta = {theta!r} is too close to 1: the bounds "
+                             f"s_v_bar = {s_v_bar!r} and s_h_bar = {s_h_bar!r} do not "
+                             f"clear S_v* = {star.s_v!r} and S_h* = {star.s_h!r}")
     return PersistenceBounds(theta=theta, s_v_bar=s_v_bar, s_h_bar=s_h_bar)
 
 

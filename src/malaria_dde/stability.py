@@ -23,12 +23,11 @@ verdicts come out of G:
   G(-a1/2) = -(x - y)^2/4 + a3 exp(a1 tau/2) < 0, so G has exactly one zero
   there and it is the rightmost real root. It lies in [-a1/2, 0] when
   G(0) >= 0, and in (0, sqrt(a2 - a3)] otherwise, since
-  G(lam) >= 2 a2 + a1 lam > 0 beyond that end. The polish is `_brent`, a
-  line-for-line port of scipy's `brentq.c` (Brent 1973, "Algorithms for
-  Minimization without Derivatives", ch. 4): same sign tests,
-  inverse-interpolation/extrapolation steps and bisection fallback,
-  rtol = 4*eps, at most 100 iterations. Fed the same values of G it takes
-  the same steps and returns the same double as scipy.optimize.brentq.
+  G(lam) >= 2 a2 + a1 lam > 0 beyond that end. The polish is Newton's
+  method from the bracket's upper end, safeguarded by bisection ("rtsafe",
+  Press et al., Numerical Recipes, sec. 9.4): a step that leaves the bracket
+  or does not halve the step before it is a bisection instead. It stops at
+  a step within ROOT_XTOL + 4*eps*|x|, after at most 100 iterations.
 
 Delay-independent stability then follows the usual argument: stable at
 tau = 0 plus no imaginary-axis crossing for any tau.
@@ -41,11 +40,11 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 from . import defaults
 from .equilibria import endemic_equilibrium, r0_squared
-from .errors import EndemicAbsentError, RateUnderflowError, RootPolishError, ValidationError
+from .errors import (EndemicAbsentError, InvalidSpecError, RateUnderflowError, RootPolishError,
+                     ValidationError)
 from .model import ModelParams, _check_delay
 
 
@@ -137,77 +136,41 @@ def _g_real(coeffs: CharCoeffs, lam: float) -> float:
     return lam * lam + coeffs.a1 * lam + coeffs.a2 + coeffs.a3 * math.exp(e)
 
 
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
-
-
-def _brent(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
-    """Root of f in the bracket [a, b] by Brent's method.
-
-    Port of scipy's brentq.c. Raises RootPolishError when f(a) and f(b)
-    have the same sign, when f returns NaN, or after _BRENT_MAXITER
-    iterations without meeting the tolerance xtol + 4*eps*|x|.
-    """
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    if fpre != fpre:
-        raise RootPolishError(f"G(lam) is NaN at lam = {xpre!r}")
-    fcur = f(xcur)
-    if fcur != fcur:
-        raise RootPolishError(f"G(lam) is NaN at lam = {xcur!r}")
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise RootPolishError(f"G(lam) has the same sign at both ends of "
-                              f"[{a!r}, {b!r}]")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        bisect = True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant (linear inverse interpolation)
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:
-                # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                num = -fcur * (fblk * dblk - fpre * dpre)
-                den = dblk * dpre * (fblk - fpre)
-            # C divides by zero to +-inf or NaN, both of which fail the
-            # short-step test below and fall back to bisection
-            if den != 0.0:
-                stry = num / den
-                bound = 3.0 * abs(sbis) - delta
-                if 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                    spre, scur = scur, stry
-                    bisect = False
-        if bisect:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
+def _polish(coeffs: CharCoeffs, lo: float, hi: float) -> float:
+    """G's zero in [lo, hi], where G increases, polished as the module
+    docstring says; G and G' share one exp, and each value of G narrows the
+    bracket. Raises RootPolishError when G is NaN, when G does not rise
+    through 0 across [lo, hi], or after 100 iterations."""
+    a1, a2, a3, tau = coeffs.a1, coeffs.a2, coeffs.a3, coeffs.tau
+    g_lo, g_hi = _g_real(coeffs, lo), _g_real(coeffs, hi)
+    if g_lo != g_lo or g_hi != g_hi:
+        raise RootPolishError(f"G(lam) is NaN at an end of [{lo!r}, {hi!r}]")
+    if not g_lo < 0.0 <= g_hi:
+        raise RootPolishError(f"G(lam) does not change sign across [{lo!r}, {hi!r}]")
+    x, step = hi, math.inf
+    for _ in range(100):
+        e = -x * tau
+        if e > 700.0:  # as in _g_real, G is -inf; bisect
+            g, slope = -math.inf, 0.0
         else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise RootPolishError(f"G(lam) is NaN at lam = {xcur!r}")
-    raise RootPolishError(f"no convergence in {_BRENT_MAXITER} iterations "
-                          f"on [{a!r}, {b!r}]; last iterate {xcur!r}")
+            a3e = a3 * math.exp(e)
+            g = x * x + a1 * x + a2 + a3e
+            slope = 2.0 * x + a1 - tau * a3e
+        if g != g:
+            raise RootPolishError(f"G(lam) is NaN at lam = {x!r}")
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        new = x - g / slope if slope > 0.0 else math.nan
+        if not (lo <= new <= hi and abs(new - x) <= step / 2.0):
+            new = lo + (hi - lo) / 2.0
+        step = abs(new - x)
+        x = new
+        if step <= defaults.ROOT_XTOL + 4.0 * sys.float_info.epsilon * abs(x):
+            return x
+    raise RootPolishError(f"no convergence in 100 iterations on "
+                          f"[{lo!r}, {hi!r}]; last iterate {x!r}")
 
 
 def rightmost_real_root(coeffs: CharCoeffs) -> float:
@@ -218,14 +181,13 @@ def rightmost_real_root(coeffs: CharCoeffs) -> float:
     below rounding, G(-a1/2) can round to a value >= 0; -a1/2 is then the
     root to within the rounding of G, and is returned as it is.
     """
-    g = lambda x: _g_real(coeffs, x)
-    if g(0.0) < 0.0:
+    if _g_real(coeffs, 0.0) < 0.0:
         lo, hi = 0.0, math.sqrt(coeffs.a2 - coeffs.a3)
     else:
         lo, hi = -coeffs.a1 / 2.0, 0.0
-        if g(lo) >= 0.0:
+        if _g_real(coeffs, lo) >= 0.0:
             return lo
-    return _brent(g, lo, hi, defaults.ROOT_XTOL)
+    return _polish(coeffs, lo, hi)
 
 
 class Classification(enum.Enum):
@@ -266,6 +228,8 @@ def classify(p: ModelParams, which: EquilibriumKind) -> StabilityReport:
     R0^2). E*: exists only for R0 > 1 (EndemicAbsentError otherwise) and is
     then LAS at every delay.
     """
+    if not isinstance(which, EquilibriumKind):
+        raise InvalidSpecError(f"which must be an EquilibriumKind, got {which!r}")
     if which is EquilibriumKind.ENDEMIC:
         coeffs: CharCoeffs = EndemicCharCoeffs.from_params(p)
         verdict = Classification.LAS

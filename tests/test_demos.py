@@ -2,7 +2,9 @@
 and its stdout and the CSV files it writes are pinned by sha256. No demo
 prints a numpy repr, only Python floats, complex numbers and formatted
 text, so the stdout does not depend on numpy's version. The hashes were
-recorded before the scenario runner wrote its files in one block."""
+recorded before the scenario runner wrote its files in one block; those of
+demos 03 and 06, which print roots of G, again when the real-root polish
+became Newton-bisection."""
 
 import hashlib
 import os
@@ -20,10 +22,10 @@ DEMOS = os.path.join(ROOT, "demos")
 STDOUT = {
     "01_model_and_equilibria.py": "c4d04453e20457c433b928c7667016c1539d45e87a9402ee9510da5191316d89",
     "02_integrate_trajectories.py": "636aee679e02c18d4901b1988d461d314dbb783a21b5c9b888ed053c6312a767",
-    "03_stability_reports.py": "040e1cf89562d06201b4224ad854bc327d2a3a191bce18791893da7296bcbc1b",
+    "03_stability_reports.py": "c88fe649822ce95538f267d3e83ac8cd0c4f9c3f4266ca95a0d21dff3c03fbb9",
     "04_lyapunov_descent.py": "a43c0a32891e4e2613d5d76e2a52a65f4321dd725be49e0edcdc720366541ce6",
     "05_persistence_check.py": "df30984c683465db32801fe471935d2ce63bdcdd149949c63445cb7eea0a1a59",
-    "06_scenarios_and_sweeps.py": "6501b585680ce641ed125ae6b94c22ed8d1f923d15af76b65891887d39f85ec2",
+    "06_scenarios_and_sweeps.py": "e1511aa56f7ff9921704083590479ee2775bced234c927a0b856ded81ccbdf8d",
 }
 
 # demo -> {file it writes: sha256}

@@ -9,6 +9,7 @@ import pytest
 
 from malaria_dde import (
     EmptyWindowError,
+    EquilibriumKind,
     FunctionalKind,
     HistorySegment,
     IntegrationSpec,
@@ -19,6 +20,7 @@ from malaria_dde import (
     SubcriticalR0Error,
     SupercriticalR0Error,
     SystemKind,
+    classify,
     endemic_equilibrium,
     integrate,
     trace_along,
@@ -182,3 +184,21 @@ def test_trace_along_rejects_a_full_system_trajectory():
     full = integrate(P_SUPER, phi, IntegrationSpec(system=SystemKind.FULL, t_end=5.0))
     with pytest.raises(InvalidSpecError, match="limiting"):
         trace_along(P_SUPER, full, FunctionalKind.V_ENDEMIC)
+
+
+@pytest.mark.parametrize("call, which", [
+    ("classify", "E0"),
+    ("classify", None),
+    ("classify", FunctionalKind.V_DFE),
+    ("trace_along", "v_endemic"),
+    ("trace_along", None),
+    ("trace_along", EquilibriumKind.ENDEMIC),
+])
+def test_analyses_reject_a_selector_that_is_not_their_enum(call, which):
+    phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
+    traj = integrate(P_SUPER, phi, IntegrationSpec(system=SystemKind.LIMITING, t_end=5.0))
+    with pytest.raises(InvalidSpecError, match=repr(which)):
+        if call == "classify":
+            classify(P_SUPER, which)
+        else:
+            trace_along(P_SUPER, traj, which)

@@ -1,5 +1,6 @@
 """Persistence bounds (closed forms) and the tail-based trajectory check."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from malaria_dde import (
     IntegrationSpec,
     InvalidSpecError,
     NotInDomainDError,
+    NumericalError,
     SubcriticalR0Error,
     SystemKind,
     ThetaOutOfRangeError,
@@ -58,7 +60,7 @@ def test_bounds_decrease_toward_endemic_values(rng):
         assert b.s_h_bar == pytest.approx(star.s_h, rel=1e-4)
 
 
-@pytest.mark.parametrize("theta", [0.0, 1.0, -0.2, 1.7])
+@pytest.mark.parametrize("theta", [0.0, 1.0, -0.2, 1.7, "0.5", None])
 def test_theta_must_be_interior(theta):
     with pytest.raises(ThetaOutOfRangeError):
         persistence_bounds(P_SUPER, theta)
@@ -88,6 +90,15 @@ def test_check_passes_on_reference_supercritical_run():
     assert report.threshold == pytest.approx(0.9 * 3.0 / 7.0, rel=1e-12)
     assert report.i_h_tail_sup > report.threshold
     assert report.tail.sup.s_h > 0
+
+
+def test_bounds_rounded_onto_the_endemic_state_leave_as_numerical_error():
+    # 1 - 2^-53 is inside (0, 1), but s_v_bar's margin over S_v* is below
+    # rounding: both evaluate to 34.99999999999999
+    theta = 1.0 - 2.0 ** -53
+    assert 0.0 < theta < 1.0
+    with pytest.raises(NumericalError, match=re.escape(f"theta = {theta!r}")):
+        persistence_bounds(P_SUPER, theta)
 
 
 def test_report_lines_carry_theta_key():

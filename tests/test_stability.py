@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import malaria_dde.cli as cli
 from malaria_dde import (
@@ -37,9 +38,9 @@ from malaria_dde.stability import (
     CharCoeffs,
     DfeCharCoeffs,
     EndemicCharCoeffs,
-    _brent,
     _endemic_weights,
     _g_real,
+    _polish,
 )
 
 from conftest import (
@@ -193,23 +194,22 @@ def test_rightmost_root_is_a_root_and_rightmost(rng):
 
 # The root search this package used before the shape bracket, kept as an
 # independent oracle: scan a 10^4-point grid on [-50, 50] for sign changes
-# and exact zeros, polish every sign change, take the largest root.
+# and exact zeros, polish every sign change with scipy's brentq, take the
+# largest root.
 GRID_HALF_WIDTH = 50.0
 GRID_POINTS = 10_000
 
 
 def _grid_oracle(coeffs):
-    """(rightmost root in [-50, 50] or None, every sign-change bracket)."""
+    """The rightmost root in [-50, 50], or None."""
     g = lambda x: _g_real(coeffs, x)
     xs = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, GRID_POINTS)
     with np.errstate(over="ignore"):
         gs = xs * xs + coeffs.a1 * xs + coeffs.a2 + coeffs.a3 * np.exp(-xs * coeffs.tau)
     roots = [float(x) for x, v in zip(xs, gs) if v == 0.0]
-    brackets = []
     for i in np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0)[0]:
-        brackets.append((float(xs[i]), float(xs[i + 1])))
-        roots.append(_brent(g, float(xs[i]), float(xs[i + 1]), defaults.ROOT_XTOL))
-    return (max(roots) if roots else None), brackets
+        roots.append(brentq(g, float(xs[i]), float(xs[i + 1]), xtol=defaults.ROOT_XTOL))
+    return max(roots) if roots else None
 
 
 def _shape_bracket(coeffs):
@@ -220,9 +220,10 @@ def _shape_bracket(coeffs):
 
 
 def _seeded_families(rng):
-    """Seeded DFE (both regimes) and E* coefficients at every tau choice."""
+    """Seeded DFE (both regimes) and E* coefficients at every tau choice,
+    and at tau = 5 and 20, where exp(-lam tau) is steep."""
     families = []
-    for tau in TAU_CHOICES:
+    for tau in TAU_CHOICES + (5.0, 20.0):
         for _ in range(20):
             families.append(DfeCharCoeffs.from_params(draw_params(rng, tau)))
             p = draw_supercritical(rng, tau)
@@ -237,29 +238,19 @@ def _within_xtol(got, want):
 
 def test_rightmost_root_matches_the_grid_oracle(rng):
     for c in _seeded_families(rng):
-        want, _ = _grid_oracle(c)
+        want = _grid_oracle(c)
         assert want is not None
         assert _within_xtol(rightmost_real_root(c), want), (c, want)
 
 
-def test_brent_port_is_bit_identical_to_scipy(rng):
-    brentq = pytest.importorskip("scipy.optimize").brentq
-    families = _seeded_families(rng)
+def test_rightmost_root_matches_brentq_on_the_shape_bracket(rng):
     sign_at_zero = set()
-    n_brackets = 0
-    for c in families:
+    for c in _seeded_families(rng):
         g = lambda x, c=c: _g_real(c, x)
-        lo, hi = _shape_bracket(c)
-        want = brentq(g, lo, hi, xtol=defaults.ROOT_XTOL)
-        assert _brent(g, lo, hi, defaults.ROOT_XTOL) == want
-        assert rightmost_real_root(c) == want
+        want = brentq(g, *_shape_bracket(c), xtol=defaults.ROOT_XTOL)
+        assert _within_xtol(rightmost_real_root(c), want), (c, want)
         sign_at_zero.add(g(0.0) < 0.0)
-        for a, b in _grid_oracle(c)[1]:
-            n_brackets += 1
-            assert _brent(g, a, b, defaults.ROOT_XTOL) == \
-                brentq(g, a, b, xtol=defaults.ROOT_XTOL)
     assert sign_at_zero == {True, False}   # both bracket branches were exercised
-    assert n_brackets > len(families)
 
 
 def _tau0_root(coeffs):
@@ -297,7 +288,7 @@ def test_root_below_the_old_grid():
     root = rightmost_real_root(c)
     assert root == pytest.approx(-80.0, abs=1e-4)
     assert root == pytest.approx(_tau0_root(c), rel=1e-12)
-    assert _grid_oracle(c)[0] is None
+    assert _grid_oracle(c) is None
     line = classify(p, EquilibriumKind.DISEASE_FREE).as_lines()[1]
     assert line == f"stability.e0.rightmost_real_root = {root:.17g}"
 
@@ -353,18 +344,23 @@ def test_underflowing_rates_leave_through_the_taxonomy():
     assert err.value.product == "N_v* * N_v*"
 
 
-def test_brent_failures_leave_through_the_taxonomy():
-    with pytest.raises(RootPolishError, match="same sign"):
-        _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
-    with pytest.raises(RootPolishError, match="NaN"):
-        _brent(lambda x: math.nan, 0.0, 1.0, 1e-12)
-    with pytest.raises(RootPolishError, match="NaN"):
-        _brent(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, 1e-12)
-    # pinning a step at x = 1 down to 4*eps from [-1e300, 1e300] takes about
-    # 1000 bisections, far more than the 100 allowed
-    with pytest.raises(RootPolishError, match="no convergence"):
-        _brent(lambda x: -1.0 if x < 1.0 else 1.0, -1e300, 1e300, 1e-12)
-    assert _brent(lambda x: x - 0.25, 0.25, 1.0, 1e-12) == 0.25
+def test_polish_failures_leave_through_the_taxonomy():
+    # tau = 0: G = lam^2 + lam - 2, zero at 1
+    quad = CharCoeffs(1.0, 1.0, -3.0, 0.0)
+    assert _polish(quad, 0.0, 1.0) == 1.0
+    with pytest.raises(RootPolishError, match="does not change sign"):
+        _polish(quad, 2.0, 3.0)
+    # a1 = inf: G is -inf left of 0, inf right of it and inf * 0 = NaN at 0,
+    # as an end and as the first bisection point
+    steep = CharCoeffs(math.inf, 1.0, -1.0, 1.0)
+    with pytest.raises(RootPolishError, match="NaN at an end"):
+        _polish(steep, 0.0, 1.0)
+    with pytest.raises(RootPolishError, match="NaN at lam = 0.0"):
+        _polish(steep, -1.0, 1.0)
+    # G is inf down to lam ~ 1e154 and Newton then halves lam per step, so
+    # reaching the zero at 1 from 1e300 takes about 1000 steps, not 100
+    with pytest.raises(RootPolishError, match="no convergence in 100 iterations"):
+        _polish(quad, 0.0, 1e300)
 
 
 def test_jacobian_determinant_ties_coefficients_to_dynamics():

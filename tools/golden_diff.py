@@ -17,7 +17,10 @@ match):
 Every file written (report.txt, trajectory.csv, lyapunov.csv, sweep.csv and
 the demos' own files) and every command's stdout, stderr and exit code is
 compared byte for byte, and each differing file is listed with every line
-that differs. The line count of src/**/*.py in both trees and the net
+that differs. A differing line that reads `<key> = <float>` on both sides
+(leading spaces stripped) has |a - b| printed beside it; the summary gives
+the largest such difference and counts the differing lines of any other
+form. The line count of src/**/*.py in both trees and the net
 difference are printed last. Exit status 0 when all are identical, 1
 otherwise.
 REV is exported with `git archive`, so no worktree is registered. Standard
@@ -102,15 +105,39 @@ def src_lines(tree: str) -> int:
     return total
 
 
-def differing_lines(a: str, b: str) -> list[str]:
-    """Every line that differs between the two files, one entry each."""
+def numeric_move(x: bytes, y: bytes) -> float | None:
+    """|a - b| when both lines read `<key> = <float>` with the same key, else
+    None."""
+    try:
+        (ka, va), (kb, vb) = (line.decode().strip().split(" = ") for line in (x, y))
+        if ka == kb:
+            return abs(float(va) - float(vb))
+    except ValueError:  # not two fields, not a float, or not UTF-8
+        pass
+    return None
+
+
+def differing_lines(a: str, b: str) -> tuple[list[str], list[float], int]:
+    """Every line that differs between the two files, one entry each; the
+    numeric moves among them; and how many differing lines are of another
+    form (a surplus line counts as one)."""
     with open(a, "rb") as fa, open(b, "rb") as fb:
         la, lb = fa.readlines(), fb.readlines()
-    out = [f"  line {k}: {x[:80]!r} != {y[:80]!r}"
-           for k, (x, y) in enumerate(zip(la, lb), start=1) if x != y]
+    out, moves, other = [], [], abs(len(la) - len(lb))
+    for k, (x, y) in enumerate(zip(la, lb), start=1):
+        if x == y:
+            continue
+        entry = f"  line {k}: {x[:80]!r} != {y[:80]!r}"
+        move = numeric_move(x, y)
+        if move is None:
+            other += 1
+        else:
+            moves.append(move)
+            entry += f"  |a - b| = {move:.3g}"
+        out.append(entry)
     if len(la) != len(lb):
         out.append(f"  {len(la)} lines != {len(lb)} lines")
-    return out
+    return out, moves, other
 
 
 def main(argv: list[str]) -> int:
@@ -139,17 +166,23 @@ def main(argv: list[str]) -> int:
         old_files, new_files = files_under(old), files_under(new)
         problems = [f"only in {rev}: {f}" for f in sorted(old_files - new_files)]
         problems += [f"only in working tree: {f}" for f in sorted(new_files - old_files)]
-        same = 0
+        same = other = 0
+        moves = []
         for f in sorted(old_files & new_files):
             a, b = os.path.join(old, f), os.path.join(new, f)
             if filecmp.cmp(a, b, shallow=False):
                 same += 1
             else:
-                problems.append("\n".join([f"differs: {f}", *differing_lines(a, b)]))
+                lines, file_moves, file_other = differing_lines(a, b)
+                moves += file_moves
+                other += file_other
+                problems.append("\n".join([f"differs: {f}", *lines]))
         for line in problems:
             print(line)
         print(f"{same} identical, {len(problems)} different "
               f"({rev} vs working tree)")
+        print(f"largest |a - b| over {len(moves)} differing `<key> = <float>` lines: "
+              f"{max(moves, default=0.0):.3g}; {other} differing lines of another form")
         before, after = src_lines(base), src_lines(ROOT)
         print(f"src/**/*.py: {before} lines in {rev}, {after} in working tree, "
               f"net {after - before:+d}")
