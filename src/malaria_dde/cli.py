@@ -4,25 +4,34 @@
     malaria-dde sweep sweep.json [--out DIR] [--quiet] [--seed N]
     malaria-dde report scenario.json [--only SECTION] [--seed N]
 
-Exit codes: 0 on success, 1 when the input fails validation (bad JSON,
-schema violations, nonpositive rates, malformed histories, a negative seed,
-an output directory that cannot be written), 2 when the run
-itself breaks down numerically (population collapse, a real-root polish
-that fails, state outside a functional's domain, or a division by zero
-when admissible but extreme rates underflow).
+Exit codes: 0 on success, 1 when the input fails validation (a command line
+the parser rejects, bad JSON, schema violations, nonpositive rates,
+malformed histories, a negative seed, an output directory that cannot be
+written), 2 when the run itself breaks down numerically (population
+collapse, a real-root polish that fails, state outside a functional's
+domain, or a division by zero when admissible but extreme rates underflow).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 from .errors import ModelError, NumericalError, ValidationError
 from .scenario import load_scenario, load_sweep, run_scenario, run_sweep
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code; 2 is a numerical breakdown."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="malaria-dde",
         description="Delayed host-vector epidemic model: simulation, "
                     "stability reports and parameter sweeps.")

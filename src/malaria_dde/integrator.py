@@ -17,8 +17,8 @@ for S_h, S_v and I_v, and its incidence serves both half-step stages. In
 the first delay interval the delayed incidences come from the history, all
 computed once per call. The node derivatives kept for Hermite output double
 as the next step's k1 (first-same-as-last; Hairer, Norsett & Wanner, Solving
-ODEs I). Every float expression is the one `model._make_rhs` evaluates, in
-the same order, so a node derivative equals that rhs at the node bit for bit.
+ODEs I). Every float expression is the one `model.rhs_full` evaluates, in
+the same order, so a full-system node derivative is rhs_full bit for bit.
 
 A run needs t_end / h steps; more than defaults.MAX_STEPS is rejected before
 anything is allocated.
@@ -213,7 +213,7 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     if n_steps < 1:
         raise InvalidSpecError("t_end must be at least one step h")
 
-    # the model as model._make_rhs writes it; lam is an incidence
+    # the model as model.rhs_full writes it; lam is an incidence
     # c_vh * (I_v / N_v) * S_h, with 1 / N_v fixed at inv_nv if limiting
     full = spec.system is SystemKind.FULL
     beta_h, beta_v, mu_h, mu_v = p.beta_h, p.beta_v, p.mu_h, p.mu_v

@@ -31,7 +31,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     InvalidHistoryError,
@@ -152,58 +152,24 @@ class State:
 COMPONENT_NAMES = ("s_h", "i_h", "s_v", "i_v")
 
 
-def _make_rhs(p: ModelParams, limiting: bool) -> Callable[..., Deriv]:
-    """Scalar right-hand side closure: the body of rhs_full, and the
-    reference whose arithmetic the stepper's inline loop repeats bit for bit.
-
-    Signature: rhs(y, yd) where y = (sh, ih, sv, iv) is the current state and
-    yd the delayed one, both 4-tuples. The mosquito infection flux is
-    computed once per state so that d/dt(S_v + I_v) cancels it exactly in
-    floating point.
-    """
-    beta_h, beta_v = p.beta_h, p.beta_v
-    mu_h, mu_v = p.mu_h, p.mu_v
-    c_vh, c_hv = p.c_vh, p.c_hv
-
-    if limiting:
-        inv_nv = 1.0 / p.s_v0
-
-        def rhs(y, yd):
-            sh, ih, sv, iv = y
-            shd, _, _, ivd = yd
-            flux_v = c_hv * ih * sv
-            return (
-                beta_h - c_vh * (iv * inv_nv) * sh - mu_h * sh,
-                c_vh * (ivd * inv_nv) * shd - mu_h * ih,
-                beta_v - flux_v - mu_v * sv,
-                flux_v - mu_v * iv,
-            )
-    else:
-
-        def rhs(y, yd):
-            sh, ih, sv, iv = y
-            shd, _, svd, ivd = yd
-            flux_v = c_hv * ih * sv
-            return (
-                beta_h - c_vh * (iv / (sv + iv)) * sh - mu_h * sh,
-                c_vh * (ivd / (svd + ivd)) * shd - mu_h * ih,
-                beta_v - flux_v - mu_v * sv,
-                flux_v - mu_v * iv,
-            )
-
-    return rhs
-
-
 def rhs_full(p: ModelParams, now: State, delayed: State) -> Deriv:
     """Time derivative of the full system at (now, delayed).
 
     Raises ZeroMosquitoPopulationError if either state has N_v <= 0, since
-    standard incidence divides by it.
+    standard incidence divides by it. The mosquito flux is computed once, so
+    d/dt(S_v + I_v) cancels it exactly; integrate's step loop repeats these
+    expressions in this order, so its node derivatives equal them bit for bit.
     """
-    if now.n_v <= 0 or delayed.n_v <= 0:
+    n_v, n_vd = now.n_v, delayed.n_v
+    if n_v <= 0 or n_vd <= 0:
         raise ZeroMosquitoPopulationError()
-    f = _make_rhs(p, limiting=False)
-    return f(now.as_tuple(), delayed.as_tuple())
+    flux_v = p.c_hv * now.i_h * now.s_v
+    return (
+        p.beta_h - p.c_vh * (now.i_v / n_v) * now.s_h - p.mu_h * now.s_h,
+        p.c_vh * (delayed.i_v / n_vd) * delayed.s_h - p.mu_h * now.i_h,
+        p.beta_v - flux_v - p.mu_v * now.s_v,
+        flux_v - p.mu_v * now.i_v,
+    )
 
 
 class HistorySegment:

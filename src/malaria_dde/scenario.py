@@ -428,15 +428,24 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
         lines.extend(weak_persistence_check(p, full, theta).as_lines())
 
     if target is not None:
-        try:
-            os.makedirs(target, exist_ok=True)
-            for path, obj in artifacts:
-                obj.to_csv(path)
-            with open(os.path.join(target, "report.txt"), "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise SchemaError("output.dir", f"cannot write {target}: {exc}") from None
+        _write_out(target, artifacts, "report.txt", lines)
     return lines
+
+
+def _write_out(target: str, artifacts: list[tuple[str, Any]], name: str,
+               lines: list[str]) -> str:
+    """Make target, write each (path, object with to_csv), then `lines` to
+    target/name and return that path; an OSError is SchemaError("output.dir")."""
+    path = os.path.join(target, name)
+    try:
+        os.makedirs(target, exist_ok=True)
+        for csv_path, obj in artifacts:
+            obj.to_csv(csv_path)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise SchemaError("output.dir", f"cannot write {target}: {exc}") from None
+    return path
 
 
 def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
@@ -472,27 +481,18 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
 
 
 def run_sweep(sweep: SweepSpec, out_dir: str | None = None, seed: int = 0) -> str:
-    """Run every row, write <out>/sweep.csv, return its path."""
+    """Run every row, then write <out>/sweep.csv and return its path. A row's
+    ModelError or ArithmeticError is its error cell; any other failure writes
+    nothing."""
     _check_seed(seed)
+    lines = [",".join([sweep.axis, *sweep.columns, "error"])]
+    for value in sweep.values:
+        try:
+            row, error = _sweep_row(sweep, value, seed), ""
+        except (ModelError, ArithmeticError) as exc:  # e.g. rates that underflow
+            text = f"error: {exc}".replace('"', '""')
+            row, error = {}, f'"{text}"'
+        lines.append(",".join([_fmt(value), *(row.get(c, "") for c in sweep.columns),
+                               error]))
     target = out_dir if out_dir is not None else sweep.base.out_dir
-    path = os.path.join(target, "sweep.csv")
-    header = [sweep.axis, *sweep.columns, "error"]
-    try:
-        os.makedirs(target, exist_ok=True)
-        fh = open(path, "w")
-    except OSError as exc:
-        raise SchemaError("output.dir", f"cannot write {target}: {exc}") from None
-    with fh:
-        fh.write(",".join(header) + "\n")
-        for value in sweep.values:
-            cells = [_fmt(value)]
-            try:
-                row = _sweep_row(sweep, value, seed)
-                cells.extend(row.get(c, "") for c in sweep.columns)
-                cells.append("")
-            except (ModelError, ArithmeticError) as exc:  # e.g. rates that underflow
-                cells.extend("" for _ in sweep.columns)
-                text = f"error: {exc}".replace('"', '""')
-                cells.append(f'"{text}"')
-            fh.write(",".join(cells) + "\n")
-    return path
+    return _write_out(target, [], "sweep.csv", lines)

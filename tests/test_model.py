@@ -21,9 +21,7 @@ from malaria_dde import (
     default_t_end,
     rhs_full,
 )
-from malaria_dde.model import _make_rhs
-
-from conftest import P_SUB, P_SUPER
+from conftest import P_SUB, P_SUPER, make_rhs
 
 
 def test_rhs_full_anchor():
@@ -37,7 +35,7 @@ def test_limiting_freezes_delayed_denominator():
     now = State(4.0, 0.0, 40.0, 10.0)
     delayed = State(4.0, 0.0, 30.0, 10.0)  # pool 40, not the resting 50
     d_full = rhs_full(P_SUPER, now, delayed)
-    d_lim = _make_rhs(P_SUPER, limiting=True)(now.as_tuple(), delayed.as_tuple())
+    d_lim = make_rhs(P_SUPER, limiting=True)(now.as_tuple(), delayed.as_tuple())
     assert d_full[1] == pytest.approx(0.2 * (10 / 40) * 4, abs=1e-12)
     assert d_lim[1] == pytest.approx(0.2 * (10 / 50) * 4, abs=1e-12)
 

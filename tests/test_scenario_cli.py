@@ -616,17 +616,69 @@ def _sweep_file(tmp_path, columns=("r0",)):
     return write_json(tmp_path / "sw.json", obj)
 
 
-@pytest.mark.parametrize("command,out", [("simulate", "taken"), ("sweep", "taken/x")])
+@pytest.mark.parametrize("command,out", [("simulate", "taken"), ("sweep", "taken/x"),
+                                         ("simulate", "full"), ("sweep", "full")])
 def test_unwritable_output_exits_1(tmp_path, capsys, command, out):
-    # a regular file where the output directory, or one of its parents, goes
+    # a regular file where the output directory, or one of its parents, goes;
+    # or ("full") the last file written is /dev/full, so the write itself fails
     (tmp_path / "taken").write_text("kept\n")
     path = (_sweep_file(tmp_path) if command == "sweep"
             else scenario_file(tmp_path, integration={"t_end": 10}))
+    if out == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        (tmp_path / out).mkdir()
+        last = "sweep.csv" if command == "sweep" else "report.txt"
+        os.symlink("/dev/full", tmp_path / out / last)
     assert cli.main([command, path, "--out", str(tmp_path / out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: output.dir: cannot write ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def test_failing_sweep_keeps_an_earlier_run(tmp_path, monkeypatch):
+    # a failure outside the row-error path (not a ModelError or an
+    # ArithmeticError) leaves the sweep before it writes anything
+    sw = load_sweep(_sweep_file(tmp_path, ["r0", "tail"]))
+    out = tmp_path / "o"
+    run_sweep(sw, out_dir=str(out))
+    before = _tree(out)
+    assert sorted(before) == ["sweep.csv"]
+
+    import malaria_dde.scenario as scenario_mod
+    real = scenario_mod._sweep_row
+
+    def second_row_fails(sweep, value, seed):
+        if value == sweep.values[1]:
+            raise RuntimeError("synthetic failure outside the row-error path")
+        return real(sweep, value, seed)
+
+    monkeypatch.setattr(scenario_mod, "_sweep_row", second_row_fails)
+    with pytest.raises(RuntimeError, match="synthetic"):
+        run_sweep(sw, out_dir=str(out))
+    assert _tree(out) == before
+
+
+@pytest.mark.parametrize("argv", [["simulate", "x.json", "--seed", "abc"], [],
+                                  ["simulate", "x.json", "--bogus"]],
+                         ids=["bad-seed", "no-command", "unknown-option"])
+def test_rejected_command_line_exits_1(capsys, argv):
+    # 2 is the numerical-breakdown code; argparse's own default is 2
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: malaria-dde") and "Traceback" not in err
+    assert err.splitlines()[-1].startswith("malaria-dde")
+    assert ": error: " in err.splitlines()[-1]
+
+
+def test_help_exits_0_with_usage_on_stdout(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sweep", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: malaria-dde sweep")
 
 
 @pytest.mark.parametrize("command", ["simulate", "report", "sweep"])

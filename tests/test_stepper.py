@@ -1,6 +1,7 @@
 """The RK4 step loop itself: bit-exact output, the node-derivative identity
-that first-same-as-last relies on (which also holds the inlined model to
-`model._make_rhs`), and the clamp fast path as seen through `integrate`."""
+that first-same-as-last relies on (which also holds the inlined model to the
+reference `conftest.make_rhs` and, on the full system, to `model.rhs_full`),
+and the clamp fast path as seen through `integrate`."""
 
 import hashlib
 import io
@@ -14,12 +15,14 @@ from malaria_dde import (
     IntegrationSpec,
     NegativityBreachError,
     NonFiniteStateError,
+    State,
     SystemKind,
     integrate,
+    rhs_full,
 )
-from malaria_dde import integrator, model
+from malaria_dde import integrator
 
-from conftest import P_SUPER
+from conftest import P_SUPER, make_rhs
 
 X0 = (4.0, 0.5, 30.0, 10.0)
 TABLE = HistorySegment.table(
@@ -74,7 +77,8 @@ def test_node_derivatives_are_the_rhs_at_the_node(name):
     p, phi, spec = RUNS[name]
     spec = replace(spec, record_stride=1)
     traj = integrate(p, phi, spec)
-    rhs = model._make_rhs(p, spec.system is SystemKind.LIMITING)
+    full = spec.system is SystemKind.FULL
+    rhs = make_rhs(p, limiting=not full)
     states = traj.states.tolist()
     m = spec.steps_per_delay if traj.tau > 0 else 0
     for n, y in enumerate(states):
@@ -84,7 +88,10 @@ def test_node_derivatives_are_the_rhs_at_the_node(name):
             yd = states[n - m]
         else:
             yd = [float(v) for v in phi.value_at(n * traj.h - traj.tau)]
-        assert rhs(tuple(y), tuple(yd)) == tuple(traj.derivs[n].tolist()), n
+        deriv = tuple(traj.derivs[n].tolist())
+        assert rhs(tuple(y), tuple(yd)) == deriv, n
+        if full:
+            assert rhs_full(p, State(*y), State(*yd)) == deriv, n
 
 
 def _inject_incidence(monkeypatch, rate_at):

@@ -8,7 +8,10 @@ same relative --out paths, on their own copies of demos/ (so printed paths
 match):
 
 * `simulate` on each demos/scenarios/*.json scenario (the sweep file aside);
-* `sweep` on demos/scenarios/sweep_c_vh.json;
+* `sweep` on demos/scenarios/sweep_c_vh.json, and on a second sweep made
+  from it in the scratch directory (TAIL_SWEEP: a tau axis whose 1e-7 row
+  needs more than MAX_STEPS steps, so the error cell and the tail columns
+  are written too);
 * `--help` of the CLI and of `simulate`, `report` and `sweep`;
 * `report`, and `report --only stability|lyapunov|persistence`, on each
   scenario;
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import filecmp
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -41,6 +45,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECTIONS = ("stability", "lyapunov", "persistence")
 STREAMS = "streams"
+TAIL_SWEEP = {"axis": "tau", "values": [0, 0.5, 1e-7, 2],
+              "columns": ["r0", "r0_squared", "classification", "e_star", "tail"]}
+TAIL_SWEEP_FILE = os.path.join("demos", "scenarios", "sweep_tau_tail.json")
 
 
 def commands(tree: str) -> list[tuple[str, list[str]]]:
@@ -61,6 +68,8 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
                         cli + ["report", path, "--only", section]))
     out.append(("sweep_c_vh", cli + ["sweep", "demos/scenarios/sweep_c_vh.json",
                                      "--out", "out/sweep_c_vh"]))
+    out.append(("sweep_tau_tail", cli + ["sweep", TAIL_SWEEP_FILE,
+                                         "--out", "out/sweep_tau_tail"]))
     for sub in ([], ["simulate"], ["report"], ["sweep"]):
         out.append((f"help_{''.join(sub) or 'cli'}", cli + sub + ["--help"]))
     for f in sorted(os.listdir(os.path.join(tree, "demos"))):
@@ -73,6 +82,10 @@ def run_tree(tree: str, work: str, dest: str) -> None:
     """Run every command of `tree` in `work`, then move `work` to `dest`."""
     os.makedirs(work)
     shutil.copytree(os.path.join(tree, "demos"), os.path.join(work, "demos"))
+    with open(os.path.join(work, "demos", "scenarios", "sweep_c_vh.json")) as fh:
+        sweep = {**json.load(fh), **TAIL_SWEEP}
+    with open(os.path.join(work, TAIL_SWEEP_FILE), "w") as fh:
+        json.dump(sweep, fh)
     os.makedirs(os.path.join(work, STREAMS))
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
