@@ -4,8 +4,10 @@ Spectral stability of the two equilibria
 
 The linearization at either equilibrium factors into (lam + mu_h)(lam + mu_v)
 times a transcendental quadratic G(lam) = lam^2 + a1 lam + a2 + a3 e^(-lam tau).
-classify() finds the rightmost real root of G, tests for roots on the
-imaginary axis, and applies the delay-free Routh-Hurwitz conditions.
+classify() reads the verdict from R0^2 and finds the rightmost real root of
+G. Its two flag lines, imag_axis_root_exists and routh_hurwitz_tau0, restate
+the sign of G(0), which is the sign of 1 - R0^2 at E0 and of R0^2 - 1 at E*;
+only the root's value says more than R0 does.
 """
 
 from dataclasses import replace

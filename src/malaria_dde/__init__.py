@@ -100,9 +100,7 @@ from .stability import (
     StabilityReport,
     char_eval,
     classify,
-    imaginary_axis_root_exists,
     rightmost_real_root,
-    routh_hurwitz_tau0,
 )
 
 __version__ = "0.1.0"

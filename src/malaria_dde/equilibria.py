@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import RateUnderflowError
+from .errors import NumericalError, RateUnderflowError
 from .model import ModelParams, State, rhs_full
 
 
@@ -18,7 +18,10 @@ def r0_squared(p: ModelParams) -> float:
     den = p.mu_h * p.mu_h * p.mu_v
     if den == 0.0:
         raise RateUnderflowError("mu_h * mu_h * mu_v")
-    return p.c_vh * p.c_hv * p.beta_h / den
+    r2 = p.c_vh * p.c_hv * p.beta_h / den
+    if r2 == math.inf:
+        raise NumericalError("R0^2 = c_vh c_hv beta_h / (mu_h^2 mu_v) overflows to inf")
+    return r2
 
 
 def basic_reproduction_number(p: ModelParams) -> float:

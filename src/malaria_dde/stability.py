@@ -6,28 +6,29 @@ into (lam + mu_h)(lam + mu_v) (two exact negative roots) times
     G(lam) = lam^2 + a1*lam + a2 + a3*exp(-lam*tau),
 
 with one (a1, a2, a3) triple per equilibrium. One record type, CharCoeffs,
-holds that triple and tau; DfeCharCoeffs.from_params and
-EndemicCharCoeffs.from_params build it at E0 and at E*. Three closed-form
-verdicts come out of G:
+holds that triple, tau and g0 = G(0); DfeCharCoeffs.from_params and
+EndemicCharCoeffs.from_params build it at E0 and at E*, with g0 from the
+identity a2 + a3 = mu_h mu_v (1 - R0^2) at E0 and mu_h mu_v (R0^2 - 1) at E*
+(1 - r2 is exact for r2 in [0.5, 2], by Sterbenz's lemma). Both families
+have a1 > 0, a2 - a3 > 0 and a1^2 - 2a2 > 0, so the two flag lines restate
+the sign of g0, that is of 1 - R0^2; only the root's value says more:
 
-* routh_hurwitz_tau0: at tau = 0, both roots of the quadratic
-  lam^2 + a1*lam + (a2 + a3) lie in the open left half plane iff a1 > 0 and
-  a2 + a3 > 0.
-* imaginary_axis_root_exists: G(iw) = 0 forces
-  w^4 + (a1^2 - 2a2) w^2 + (a2^2 - a3^2) = 0; existence of a real w >= 0 is
-  decided from that quadratic-in-w^2 without iteration. For both coefficient
-  families here a1^2 - 2a2 > 0, so the verdict reduces to a2^2 - a3^2 <= 0.
+* routh_hurwitz_tau0 = g0 > 0: at tau = 0 both roots of
+  lam^2 + a1*lam + (a2 + a3) lie in the open left half plane iff a2 + a3 > 0.
+* imag_axis_root_exists = g0 <= 0: G(iw) = 0 forces w^4 + (a1^2 - 2a2) w^2
+  + (a2 - a3)(a2 + a3) = 0, which has a real w >= 0 iff a2 + a3 <= 0.
 * rightmost_real_root: one bracket from G's shape, then one polish. With
   positive rates a1 = x + y and a2 = x*y for some x, y > 0, and a3 < 0.
   On [-a1/2, inf) G' = 2 lam + a1 - a3 tau exp(-lam tau) >= 0, and
   G(-a1/2) = -(x - y)^2/4 + a3 exp(a1 tau/2) < 0, so G has exactly one zero
   there and it is the rightmost real root. It lies in [-a1/2, 0] when
-  G(0) >= 0, and in (0, sqrt(a2 - a3)] otherwise, since
+  g0 >= 0, and in (0, sqrt(a2 - a3)] otherwise, since
   G(lam) >= 2 a2 + a1 lam > 0 beyond that end. The polish is Newton's
   method from the bracket's upper end, safeguarded by bisection ("rtsafe",
   Press et al., Numerical Recipes, sec. 9.4): a step that leaves the bracket
   or does not halve the step before it is a bisection instead. It stops at
-  a step within ROOT_XTOL + 4*eps*|x|, after at most 100 iterations.
+  a step within ROOT_XTOL + 4*eps*|x|, after at most 100 iterations. It
+  reads G(0) as g0, so the root is 0.0 when R0^2 == 1 and < 0 when g0 > 0.
 
 Delay-independent stability then follows the usual argument: stable at
 tau = 0 plus no imaginary-axis crossing for any tau.
@@ -50,15 +51,16 @@ from .model import ModelParams, _check_delay
 
 @dataclass(frozen=True)
 class CharCoeffs:
-    """The coefficients of G(lam) = lam^2 + a1*lam + a2 + a3*exp(-lam*tau)
-    at one equilibrium. Construction rejects a sign the root bracket excludes;
-    a2 = 0, a3 = -0.0 (underflow), inf and NaN (overflow) pass.
+    """G(lam) = lam^2 + a1*lam + a2 + a3*exp(-lam*tau) at one equilibrium,
+    and g0 = G(0) from R0 (module docstring). Construction rejects a sign the
+    root bracket excludes; a2 = 0, a3 = -0.0 (underflow), inf and NaN pass.
     """
 
     a1: float
     a2: float
     a3: float
     tau: float
+    g0: float
 
     def __post_init__(self) -> None:
         for name, wrong in (("a1", self.a1 <= 0), ("a2", self.a2 < 0), ("a3", self.a3 > 0)):
@@ -76,7 +78,8 @@ class DfeCharCoeffs(CharCoeffs):
         # a3 = -(c_hv beta_v / mu_v) (c_vh beta_h mu_v / (beta_v mu_h)), with
         # beta_v and mu_v cancelled so that a subnormal beta_v cannot divide by 0
         return cls(a1=p.mu_h + p.mu_v, a2=p.mu_v * p.mu_h,
-                   a3=-(p.c_vh * p.c_hv * p.beta_h / p.mu_h), tau=p.tau)
+                   a3=-(p.c_vh * p.c_hv * p.beta_h / p.mu_h), tau=p.tau,
+                   g0=p.mu_v * p.mu_h * (1.0 - r0_squared(p)))
 
 
 def _endemic_weights(p: ModelParams) -> tuple[float, float, float, float, float]:
@@ -104,29 +107,14 @@ class EndemicCharCoeffs(CharCoeffs):
         m1, m2, m3, m4, m5 = _endemic_weights(p)
         return cls(a1=p.mu_h + m1 + p.mu_v + m5,
                    a2=(p.mu_h + m1) * (p.mu_v + m5),
-                   a3=-m4 * (m3 + m2), tau=p.tau)
+                   a3=-m4 * (m3 + m2), tau=p.tau,
+                   g0=p.mu_v * p.mu_h * (r0_squared(p) - 1.0))
 
 
 def char_eval(coeffs: CharCoeffs, lam: complex) -> complex:
     """G(lam), complex-valued."""
     lam = complex(lam)
     return lam * lam + coeffs.a1 * lam + coeffs.a2 + coeffs.a3 * cmath.exp(-lam * coeffs.tau)
-
-
-def routh_hurwitz_tau0(coeffs: CharCoeffs) -> bool:
-    return coeffs.a1 > 0 and coeffs.a2 + coeffs.a3 > 0
-
-
-def imaginary_axis_root_exists(coeffs: CharCoeffs) -> bool:
-    """Whether G has a root iw with real w >= 0, for the stored coefficients
-    at any delay. Decided in closed form from the resolvent quartic."""
-    a1, a2, a3 = coeffs.a1, coeffs.a2, coeffs.a3
-    big_a = a1 * a1 - 2.0 * a2
-    big_b = a2 * a2 - a3 * a3
-    if big_b <= 0.0:
-        return True
-    # both roots of z^2 + A z + B (B > 0) are negative or complex unless A <= 0
-    return big_a <= 0.0 and big_a * big_a >= 4.0 * big_b
 
 
 def _g_real(coeffs: CharCoeffs, lam: float) -> float:
@@ -136,17 +124,14 @@ def _g_real(coeffs: CharCoeffs, lam: float) -> float:
     return lam * lam + coeffs.a1 * lam + coeffs.a2 + coeffs.a3 * math.exp(e)
 
 
-def _polish(coeffs: CharCoeffs, lo: float, hi: float) -> float:
-    """G's zero in [lo, hi], where G increases, polished as the module
-    docstring says; G and G' share one exp, and each value of G narrows the
-    bracket. Raises RootPolishError when G is NaN, when G does not rise
-    through 0 across [lo, hi], or after 100 iterations."""
+def _polish(coeffs: CharCoeffs, lo: float, hi: float, g_lo: float) -> float:
+    """G's zero in [lo, hi], given g_lo = G(lo), where G increases, polished
+    from hi as the module docstring says; G and G' share one exp, and each
+    value of G narrows the bracket. Raises RootPolishError when G is NaN,
+    when G does not rise through 0 across [lo, hi], or after 100 iterations."""
     a1, a2, a3, tau = coeffs.a1, coeffs.a2, coeffs.a3, coeffs.tau
-    g_lo, g_hi = _g_real(coeffs, lo), _g_real(coeffs, hi)
-    if g_lo != g_lo or g_hi != g_hi:
+    if g_lo != g_lo:
         raise RootPolishError(f"G(lam) is NaN at an end of [{lo!r}, {hi!r}]")
-    if not g_lo < 0.0 <= g_hi:
-        raise RootPolishError(f"G(lam) does not change sign across [{lo!r}, {hi!r}]")
     x, step = hi, math.inf
     for _ in range(100):
         e = -x * tau
@@ -158,6 +143,10 @@ def _polish(coeffs: CharCoeffs, lo: float, hi: float) -> float:
             slope = 2.0 * x + a1 - tau * a3e
         if g != g:
             raise RootPolishError(f"G(lam) is NaN at lam = {x!r}")
+        if x == 0.0:  # G(0) from R0, as the module docstring says
+            g = coeffs.g0
+        if step == math.inf and not g_lo < 0.0 <= g:  # at hi, the first iterate
+            raise RootPolishError(f"G(lam) does not change sign across [{lo!r}, {hi!r}]")
         if g < 0.0:
             lo = x
         else:
@@ -181,13 +170,13 @@ def rightmost_real_root(coeffs: CharCoeffs) -> float:
     below rounding, G(-a1/2) can round to a value >= 0; -a1/2 is then the
     root to within the rounding of G, and is returned as it is.
     """
-    if _g_real(coeffs, 0.0) < 0.0:
-        lo, hi = 0.0, math.sqrt(coeffs.a2 - coeffs.a3)
-    else:
-        lo, hi = -coeffs.a1 / 2.0, 0.0
-        if _g_real(coeffs, lo) >= 0.0:
-            return lo
-    return _polish(coeffs, lo, hi)
+    if coeffs.g0 < 0.0:
+        return _polish(coeffs, 0.0, math.sqrt(coeffs.a2 - coeffs.a3), coeffs.g0)
+    lo = -coeffs.a1 / 2.0
+    g_lo = _g_real(coeffs, lo)
+    if g_lo >= 0.0:
+        return lo
+    return _polish(coeffs, lo, 0.0, g_lo)
 
 
 class Classification(enum.Enum):
@@ -222,7 +211,7 @@ class StabilityReport:
 
 
 def classify(p: ModelParams, which: EquilibriumKind) -> StabilityReport:
-    """Stability verdict plus the numerical evidence behind it.
+    """Stability verdict, G's rightmost real root and the flags of G(0)'s sign.
 
     E0: LAS / Critical / Unstable by R0 below / at / above 1 (compared on
     R0^2). E*: exists only for R0 > 1 (EndemicAbsentError otherwise) and is
@@ -246,7 +235,7 @@ def classify(p: ModelParams, which: EquilibriumKind) -> StabilityReport:
         which=which,
         classification=verdict,
         rightmost_real_root=rightmost_real_root(coeffs),
-        imag_axis_root_exists=imaginary_axis_root_exists(coeffs),
-        routh_hurwitz_tau0=routh_hurwitz_tau0(coeffs),
+        imag_axis_root_exists=coeffs.g0 <= 0.0,
+        routh_hurwitz_tau0=coeffs.g0 > 0.0,
         factor_roots=(-p.mu_h, -p.mu_v),
     )

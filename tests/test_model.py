@@ -239,9 +239,9 @@ PUBLIC_NAMES = {
     "classify", "default_ode_step", "default_t_end",
     "dense_eval", "disease_free_equilibrium",
     "endemic_equilibrium", "equilibrium_residual", "equilibrium_set",
-    "imaginary_axis_root_exists", "integrate",
+    "integrate",
     "load_scenario", "load_sweep", "persistence_bounds", "r0_squared",
-    "rhs_full", "rightmost_real_root", "routh_hurwitz_tau0",
+    "rhs_full", "rightmost_real_root",
     "run_scenario", "run_sweep", "tail_stats", "trace_along", "v_dfe",
     "v_endemic", "weak_persistence_check",
 }

@@ -334,6 +334,25 @@ def test_cli_overflow_exits_with_numerical_code(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_overflowing_r0_squared_is_a_numerical_error(tmp_path, capsys):
+    # c_vh c_hv beta_h overflows, so R0^2 is inf and E* would be 0 and NaNs
+    obj = json.loads(json.dumps(BASE))
+    obj["params"]["c_vh"] = 1e308
+    obj["analyses"] = {"simulate": False, "stability": False}
+    path = write_json(tmp_path / "r0_inf.json", obj)
+    assert cli.main(["simulate", path, "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert err.startswith("error: R0^2") and "overflows" in err
+
+    sweep = {"schema": 1, "base": dict(BASE), "axis": "c_vh",
+             "values": [0.2, 1e308], "columns": ["r0", "e_star"]}
+    rows = open(run_sweep(load_sweep(write_json(tmp_path / "sw.json", sweep)),
+                          out_dir=str(tmp_path / "s"))).read().splitlines()
+    assert rows[1].endswith(",") and "nan" not in rows[1]
+    assert rows[2].startswith("1e+308,,,,,,") and "overflows" in rows[2]
+
+
 # Runs the CLI on argv and prints its exit code and the numpy and scipy
 # submodules then loaded, as JSON on the last stdout line.
 _MODULES_AFTER_MAIN = (

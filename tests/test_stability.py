@@ -5,6 +5,7 @@ import json
 import math
 import sys
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,11 +28,9 @@ from malaria_dde import (
     classify,
     endemic_equilibrium,
     disease_free_equilibrium,
-    imaginary_axis_root_exists,
     r0_squared,
     rhs_full,
     rightmost_real_root,
-    routh_hurwitz_tau0,
 )
 from malaria_dde import defaults
 from malaria_dde.stability import (
@@ -52,6 +51,8 @@ from conftest import (
     draw_subcritical,
     draw_supercritical,
 )
+
+E0, E_STAR = EquilibriumKind.DISEASE_FREE, EquilibriumKind.ENDEMIC
 
 
 def test_disease_free_coefficients_by_hand():
@@ -89,25 +90,40 @@ def test_coefficients_reject_signs_the_bracket_cannot_take(a1, a2, a3, tau, erro
                                                            match):
     for cls in (CharCoeffs, DfeCharCoeffs, EndemicCharCoeffs):
         with pytest.raises(error, match=match) as err:
-            cls(a1, a2, a3, tau)
+            cls(a1, a2, a3, tau, a2 + a3)
         assert type(err.value) is error
 
 
-@pytest.mark.parametrize("p,cls", [
+@pytest.mark.parametrize("p,cls,underflows", [
     # mu_h = mu_v and a3 underflows to -0.0
     (replace(P_SUPER, beta_h=5e-324, mu_h=0.0013254, mu_v=0.0013254, tau=0.0),
-     DfeCharCoeffs),
-    # a2 = mu_h mu_v is subnormal, then 0
-    (replace(P_SUPER, mu_h=1e-160, mu_v=1e-160), DfeCharCoeffs),
-    (replace(P_SUPER, mu_h=1e-170, mu_v=1e-170), DfeCharCoeffs),
-    (replace(P_SUPER, beta_v=5e-324), DfeCharCoeffs),
+     DfeCharCoeffs, False),
+    # a2 = mu_h mu_v is subnormal, then 0; either way mu_h^2 mu_v is 0, and
+    # g0 needs R0^2, whose denominator that is
+    (replace(P_SUPER, mu_h=1e-160, mu_v=1e-160), DfeCharCoeffs, True),
+    (replace(P_SUPER, mu_h=1e-170, mu_v=1e-170), DfeCharCoeffs, True),
+    (replace(P_SUPER, beta_v=5e-324), DfeCharCoeffs, False),
     # E*'s weights overflow: a1 = a2 = inf, a3 = -inf
-    (replace(P_SUPER, beta_h=1e200), EndemicCharCoeffs),
+    (replace(P_SUPER, beta_h=1e200), EndemicCharCoeffs, False),
 ], ids=["a3-negative-zero", "a2-subnormal", "a2-zero", "beta_v-subnormal",
         "endemic-overflow"])
-def test_valid_rates_build_coefficients_even_when_rounding_degrades_them(p, cls):
+def test_valid_rates_build_coefficients_even_when_rounding_degrades_them(p, cls,
+                                                                         underflows):
+    if underflows:
+        with pytest.raises(RateUnderflowError) as err:
+            cls.from_params(p)
+        assert err.value.product == "mu_h * mu_h * mu_v"
+        return
     c = cls.from_params(p)
     assert c.a1 > 0 and not c.a2 < 0 and not c.a3 > 0
+
+
+def test_a_hand_built_record_accepts_a2_zero():
+    # G = lam^2 + lam - exp(-lam), G(0) = -1: the root lies in (0, 1]
+    c = CharCoeffs(1.0, 0.0, -1.0, 1.0, -1.0)
+    root = rightmost_real_root(c)
+    assert 0.0 < root < 1.0
+    assert abs(char_eval(c, root)) < 1e-12
 
 
 def test_overflowing_endemic_coefficients_leave_as_root_polish_error():
@@ -120,7 +136,7 @@ def test_both_constructors_build_one_coefficient_type():
     for cls in (DfeCharCoeffs, EndemicCharCoeffs):
         c = cls.from_params(P_SUPER)
         assert type(c) is cls and isinstance(c, CharCoeffs)
-        assert tuple(f.name for f in fields(c)) == ("a1", "a2", "a3", "tau")
+        assert tuple(f.name for f in fields(c)) == ("a1", "a2", "a3", "tau", "g0")
 
 
 def test_char_eval_anchors():
@@ -145,13 +161,14 @@ def test_explicit_factor_roots_kill_the_quartic():
 
 
 def test_routh_hurwitz_flags():
-    assert routh_hurwitz_tau0(EndemicCharCoeffs.from_params(P_SUPER))
-    assert not routh_hurwitz_tau0(DfeCharCoeffs.from_params(P_SUPER))
-    assert routh_hurwitz_tau0(DfeCharCoeffs.from_params(P_SUB))
+    assert classify(P_SUPER, E_STAR).routh_hurwitz_tau0
+    assert not classify(P_SUPER, E0).routh_hurwitz_tau0
+    assert classify(P_SUB, E0).routh_hurwitz_tau0
 
 
 def test_imaginary_axis_detection_matches_polynomial_oracle(rng):
-    # oracle: numpy roots of the resolvent quadratic in w = omega^2
+    # oracle: numpy roots of the resolvent quadratic in w = omega^2, from
+    # the coefficients, where the report reads the sign of G(0)
     def oracle(c):
         big_a = c.a1 * c.a1 - 2.0 * c.a2
         big_b = c.a2 * c.a2 - c.a3 * c.a3
@@ -160,17 +177,16 @@ def test_imaginary_axis_detection_matches_polynomial_oracle(rng):
 
     cases = []
     for _ in range(100):
-        cases.append(DfeCharCoeffs.from_params(draw_params(rng)))
-        p = draw_supercritical(rng)
-        cases.append(EndemicCharCoeffs.from_params(p))
-    for c in cases:
-        assert imaginary_axis_root_exists(c) == oracle(c)
+        cases.append((draw_params(rng), E0, DfeCharCoeffs))
+        cases.append((draw_supercritical(rng), E_STAR, EndemicCharCoeffs))
+    for p, which, cls in cases:
+        assert classify(p, which).imag_axis_root_exists == oracle(cls.from_params(p))
 
 
 def test_imaginary_axis_flags_on_benchmarks():
-    assert imaginary_axis_root_exists(DfeCharCoeffs.from_params(P_SUPER))
-    assert not imaginary_axis_root_exists(DfeCharCoeffs.from_params(P_SUB))
-    assert not imaginary_axis_root_exists(EndemicCharCoeffs.from_params(P_SUPER))
+    assert classify(P_SUPER, E0).imag_axis_root_exists
+    assert not classify(P_SUB, E0).imag_axis_root_exists
+    assert not classify(P_SUPER, E_STAR).imag_axis_root_exists
 
 
 def test_rightmost_root_zero_delay_quadratic():
@@ -214,7 +230,7 @@ def _grid_oracle(coeffs):
 
 def _shape_bracket(coeffs):
     """The bracket the stability module docstring derives from G's shape."""
-    if _g_real(coeffs, 0.0) < 0.0:
+    if coeffs.g0 < 0.0:
         return 0.0, math.sqrt(coeffs.a2 - coeffs.a3)
     return -coeffs.a1 / 2.0, 0.0
 
@@ -249,7 +265,7 @@ def test_rightmost_root_matches_brentq_on_the_shape_bracket(rng):
         g = lambda x, c=c: _g_real(c, x)
         want = brentq(g, *_shape_bracket(c), xtol=defaults.ROOT_XTOL)
         assert _within_xtol(rightmost_real_root(c), want), (c, want)
-        sign_at_zero.add(g(0.0) < 0.0)
+        sign_at_zero.add(c.g0 < 0.0)
     assert sign_at_zero == {True, False}   # both bracket branches were exercised
 
 
@@ -346,21 +362,21 @@ def test_underflowing_rates_leave_through_the_taxonomy():
 
 def test_polish_failures_leave_through_the_taxonomy():
     # tau = 0: G = lam^2 + lam - 2, zero at 1
-    quad = CharCoeffs(1.0, 1.0, -3.0, 0.0)
-    assert _polish(quad, 0.0, 1.0) == 1.0
+    quad = CharCoeffs(1.0, 1.0, -3.0, 0.0, -2.0)
+    assert _polish(quad, 0.0, 1.0, -2.0) == 1.0
     with pytest.raises(RootPolishError, match="does not change sign"):
-        _polish(quad, 2.0, 3.0)
+        _polish(quad, 2.0, 3.0, _g_real(quad, 2.0))
     # a1 = inf: G is -inf left of 0, inf right of it and inf * 0 = NaN at 0,
     # as an end and as the first bisection point
-    steep = CharCoeffs(math.inf, 1.0, -1.0, 1.0)
+    steep = CharCoeffs(math.inf, 1.0, -1.0, 1.0, 0.0)
     with pytest.raises(RootPolishError, match="NaN at an end"):
-        _polish(steep, 0.0, 1.0)
+        _polish(steep, 0.0, 1.0, _g_real(steep, 0.0))
     with pytest.raises(RootPolishError, match="NaN at lam = 0.0"):
-        _polish(steep, -1.0, 1.0)
+        _polish(steep, -1.0, 1.0, _g_real(steep, -1.0))
     # G is inf down to lam ~ 1e154 and Newton then halves lam per step, so
     # reaching the zero at 1 from 1e300 takes about 1000 steps, not 100
     with pytest.raises(RootPolishError, match="no convergence in 100 iterations"):
-        _polish(quad, 0.0, 1e300)
+        _polish(quad, 0.0, 1e300, -2.0)
 
 
 def test_jacobian_determinant_ties_coefficients_to_dynamics():
@@ -428,6 +444,93 @@ def test_classification_benchmarks():
 
     with pytest.raises(EndemicAbsentError):
         classify(P_SUB, EquilibriumKind.ENDEMIC)
+
+
+def _ulp_band(rng, n_draws):
+    """Rate sets with c_vh at, and 1-4 ulps either side of, the value that
+    puts R0^2 at 1, at every tau choice."""
+    for _ in range(n_draws):
+        p = draw_params(rng)
+        c_vh = p.mu_h * p.mu_h * p.mu_v / (p.c_hv * p.beta_h)
+        below, above = [c_vh], [c_vh]
+        for _ in range(4):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], math.inf))
+        for c in below[:0:-1] + above:
+            for tau in TAU_CHOICES:
+                yield replace(p, c_vh=c, tau=tau)
+
+
+def _evidence_contradicts_verdict(rep):
+    root = rep.rightmost_real_root
+    if rep.classification is Classification.CRITICAL:
+        return rep.routh_hurwitz_tau0 or not rep.imag_axis_root_exists or root != 0.0
+    stable = rep.classification is Classification.LAS
+    return (rep.routh_hurwitz_tau0 != stable or rep.imag_axis_root_exists == stable
+            or root == 0.0 or (root < 0.0) != stable)
+
+
+def test_stability_evidence_follows_the_verdict_within_ulps_of_r0_one(rng):
+    # LAS <=> routh_hurwitz_tau0 <=> no imaginary-axis root <=> root < 0, in
+    # every report. In this band a2 + a3, rounded from the coefficients, can
+    # take either sign whatever R0^2 is, so each line must read g0
+    reports = []
+    for p in _ulp_band(rng, 150):
+        reports.append(classify(p, E0))
+        if r0_squared(p) > 1.0:
+            reports.append(classify(p, E_STAR))
+    assert {(r.which, r.classification) for r in reports} == {
+        (E0, Classification.LAS), (E0, Classification.CRITICAL),
+        (E0, Classification.UNSTABLE), (E_STAR, Classification.LAS)}
+    assert [r for r in reports if _evidence_contradicts_verdict(r)] == []
+
+
+def test_exactly_critical_reports_print_a_zero_root(rng):
+    critical = [p for p in _ulp_band(rng, 150) if r0_squared(p) == 1.0]
+    assert len(critical) >= 100
+    for p in critical:
+        lines = classify(p, E0).as_lines()
+        assert [ln.split(" = ")[1] for ln in lines[:4]] == ["Critical", "0", "true", "false"]
+
+
+def _rational_params(rng, r2=None):
+    """ModelParams of random Fractions; c_vh is set so R0^2 = r2 if given."""
+    p = ModelParams(*(Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 60)))
+                      for _ in range(6)), tau=1.0)
+    if r2 is None:
+        return p
+    return replace(p, c_vh=r2 * p.mu_h * p.mu_h * p.mu_v / (p.c_hv * p.beta_h))
+
+
+def test_g0_identity_holds_exactly_in_rational_arithmetic(rng):
+    # E0: G(0) = a2 + a3 = mu_h mu_v (1 - R0^2), with the constructor's own
+    # rational coefficients
+    for _ in range(200):
+        p = _rational_params(rng)
+        c = DfeCharCoeffs.from_params(p)
+        assert isinstance(c.a2 + c.a3, Fraction)
+        assert c.a2 + c.a3 == p.mu_h * p.mu_v * (1 - r0_squared(p))
+    # E*: the weights m1..m5 from the closed-form state, in Fractions (the
+    # package's state is float); the state is an exact steady state, the
+    # coefficients are the constructor's, and G(0) = mu_h mu_v (R0^2 - 1)
+    for _ in range(100):
+        p = _rational_params(rng, Fraction(int(rng.integers(11, 90)), 10))
+        r2 = r0_squared(p)
+        den_h = p.beta_h * p.c_hv + p.mu_v * p.mu_h * r2
+        den_v = p.c_vh * p.mu_v + p.mu_v * p.mu_h * r2
+        star = State(p.beta_h * (p.c_hv * p.beta_h / p.mu_h + p.mu_v) / den_h,
+                     p.beta_h * p.mu_v * (r2 - 1) / den_h,
+                     p.beta_v * (p.c_vh + p.mu_h) / den_v,
+                     p.beta_v * p.mu_h * (r2 - 1) / den_v)
+        assert rhs_full(p, star, star) == (0, 0, 0, 0)
+        n_v = star.n_v
+        m = (p.c_vh * star.i_v / n_v, p.c_vh * star.i_v * star.s_h / n_v ** 2,
+             p.c_vh * star.s_v * star.s_h / n_v ** 2, p.c_hv * star.s_v,
+             p.c_hv * star.i_h)
+        a2, a3 = (p.mu_h + m[0]) * (p.mu_v + m[4]), -m[3] * (m[2] + m[1])
+        c = EndemicCharCoeffs.from_params(p)
+        assert (c.a2, c.a3) == pytest.approx((a2, a3), rel=1e-12)
+        assert a2 + a3 == p.mu_h * p.mu_v * (r2 - 1)
 
 
 def test_report_lines_shape():
