@@ -5,13 +5,13 @@ Lyapunov functionals along trajectories
 Two energy-like functionals certify the global picture numerically: one
 decays to zero when R0 <= 1 (everything converges to the disease-free
 state), the other when R0 > 1 (convergence to the endemic state). Both are
-evaluated on sliding windows of the limiting system's trajectory.
+evaluated on sliding windows of the limiting system's trajectory, and R0
+picks which one trace_along uses.
 """
 
 from dataclasses import replace
 
 from malaria_dde import (
-    FunctionalKind,
     HistorySegment,
     IntegrationSpec,
     ModelParams,
@@ -44,11 +44,11 @@ def limiting_run(p, t_end):
 
 
 # subcritical: the disease-free functional falls to zero
-show(trace_along(p_sub, limiting_run(p_sub, 200.0), FunctionalKind.V_DFE),
+show(trace_along(p_sub, limiting_run(p_sub, 200.0)),
      "subcritical, disease-free functional")
 
 # supercritical: the endemic functional falls to zero instead
-trace = trace_along(p_super, limiting_run(p_super, 300.0), FunctionalKind.V_ENDEMIC)
+trace = trace_along(p_super, limiting_run(p_super, 300.0))
 show(trace, "\nsupercritical, endemic functional")
 
 trace.to_csv("lyapunov_demo.csv")

@@ -31,7 +31,6 @@ from .equilibria import (
 )
 from .errors import (
     EmptyWindowError,
-    EndemicAbsentError,
     InvalidHistoryError,
     InvalidSpecError,
     ModelError,
@@ -49,7 +48,6 @@ from .errors import (
     RootPolishError,
     SchemaError,
     SubcriticalR0Error,
-    SupercriticalR0Error,
     ThetaOutOfRangeError,
     ValidationError,
     ZeroMosquitoPopulationError,

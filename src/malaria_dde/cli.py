@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import NoReturn
 
-from .errors import ModelError, NumericalError, ValidationError
+from .errors import ModelError, ValidationError
 from .scenario import load_scenario, load_sweep, run_scenario, run_sweep
 
 
@@ -81,10 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModelError as exc:  # pragma: no cover - base class safety net
+    except (ModelError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:

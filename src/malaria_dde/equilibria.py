@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalError, RateUnderflowError
+from .errors import NumericalError, RateUnderflowError, SubcriticalR0Error
 from .model import ModelParams, State, rhs_full
 
 
@@ -44,6 +44,14 @@ def endemic_equilibrium(p: ModelParams) -> State | None:
     s_v = p.beta_v * (p.c_vh + p.mu_h) / den_v
     i_v = p.beta_v * p.mu_h * (r2 - 1.0) / den_v
     return State(s_h, i_h, s_v, i_v)
+
+
+def _require_endemic(p: ModelParams) -> State:
+    """E* for whatever needs it; SubcriticalR0Error when R0 <= 1."""
+    star = endemic_equilibrium(p)
+    if star is None:
+        raise SubcriticalR0Error(basic_reproduction_number(p))
+    return star
 
 
 def equilibrium_residual(p: ModelParams, state: State) -> float:

@@ -91,11 +91,6 @@ class RootPolishError(NumericalError):
     """The Newton-bisection polish could not find G's root in its bracket."""
 
 
-class EndemicAbsentError(ValidationError):
-    def __init__(self):
-        super().__init__("endemic equilibrium does not exist (R0 <= 1)")
-
-
 class OutsideOmega1Error(ValidationError):
     def __init__(self):
         super().__init__("window not admissible: needs S_h(0) > 0 and S_v(0) > 0")
@@ -115,15 +110,11 @@ class NonPositiveProductError(ValidationError):
 
 
 class SubcriticalR0Error(ValidationError):
+    """E* is absent (R0 <= 1) and the operation needs it."""
+
     def __init__(self, r0: float):
         self.r0 = r0
         super().__init__(f"operation requires R0 > 1, got R0 = {r0:.6g}")
-
-
-class SupercriticalR0Error(ValidationError):
-    def __init__(self, r0: float):
-        self.r0 = r0
-        super().__init__(f"operation requires R0 <= 1, got R0 = {r0:.6g}")
 
 
 class ThetaOutOfRangeError(ValidationError):

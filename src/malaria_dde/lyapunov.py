@@ -12,26 +12,24 @@ and are built from the bridge x - 1 - ln x (nonnegative, zero only at 1):
 Window integrals use the composite trapezoid rule on the window's own sample
 times. One formula per functional serves v_dfe / v_endemic (one window) and
 trace_along (every window of a stride-1 limiting trajectory), where a max
-consecutive increase at rounding scale certifies monotone descent.
+consecutive increase at rounding scale certifies monotone descent. R0 picks
+trace_along's functional: v_endemic where E* exists, v_dfe otherwise.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import IO
 
 from . import defaults
-from .equilibria import basic_reproduction_number, endemic_equilibrium, r0_squared
+from .equilibria import _require_endemic, endemic_equilibrium
 from .errors import (
     EmptyWindowError,
     InvalidSpecError,
     NonPositiveProductError,
     OutsideOmega1Error,
     OutsideOmega2Error,
-    SubcriticalR0Error,
-    SupercriticalR0Error,
 )
 from .integrator import SystemKind, Trajectory, _write_csv
 from .model import HistorySegment, ModelParams, np
@@ -70,9 +68,7 @@ def _v_endemic(p: ModelParams, times: np.ndarray, states: np.ndarray,
                m: int) -> np.ndarray:
     """Endemic functional at every sample k >= m, as _v_dfe. Needs R0 > 1,
     strictly positive states at k >= m, and I_v * S_h > 0 at every sample."""
-    star = endemic_equilibrium(p)
-    if star is None:
-        raise SubcriticalR0Error(basic_reproduction_number(p))
+    star = _require_endemic(p)
     if not np.all(states[m:] > 0):
         raise OutsideOmega2Error()
     prod = states[:, 3] * states[:, 0]
@@ -122,22 +118,14 @@ class LyapunovTrace:
         _write_csv(target, "t,V", (self.times, self.values))
 
 
-def trace_along(p: ModelParams, traj: Trajectory, kind: FunctionalKind) -> LyapunovTrace:
-    """Functional values along a stride-1 limiting trajectory.
-
-    Regime gate: V_DFE needs R0 <= 1 (it is also meaningful at exactly 1),
-    V_ENDEMIC needs R0 > 1.
-    """
-    if not isinstance(kind, FunctionalKind):
-        raise InvalidSpecError(f"kind must be a FunctionalKind, got {kind!r}")
+def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:
+    """The regime's functional along a stride-1 limiting trajectory:
+    V_ENDEMIC where E* exists (R0 > 1), V_DFE otherwise (R0 <= 1)."""
     if traj.system is not SystemKind.LIMITING:
         raise InvalidSpecError(f"the functionals descend along the limiting "
                                f"system, got a {traj.system.value} trajectory")
-    r2 = r0_squared(p)
-    if kind is FunctionalKind.V_DFE and r2 > 1.0:
-        raise SupercriticalR0Error(math.sqrt(r2))
-    if kind is FunctionalKind.V_ENDEMIC and r2 <= 1.0:
-        raise SubcriticalR0Error(math.sqrt(r2))
+    kind = (FunctionalKind.V_DFE if endemic_equilibrium(p) is None
+            else FunctionalKind.V_ENDEMIC)
     times = traj.times
     if times.size != int(round(traj.t_end / traj.h)) + 1:
         raise InvalidSpecError("trajectory is thinned: windows need every mesh "

@@ -235,9 +235,6 @@ class HistorySegment:
         lo = self.times[0]
         if not (-math.inf < theta <= 1e-12 and (lo <= theta or _spans(-lo, -theta))):
             raise OutOfRangeError(theta, 0.0 - self.tau, 0.0)
-        if self.times.size == 1:
-            row = self.states[0]
-            return (row[0], row[1], row[2], row[3])
         return tuple(np.interp(theta, self.times, self.states[:, k]) for k in range(4))
 
     def state_at(self, theta: float) -> State:

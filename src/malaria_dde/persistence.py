@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equilibria import basic_reproduction_number, endemic_equilibrium
+from .equilibria import _require_endemic
 from .errors import (
     InvalidSpecError,
     NotInDomainDError,
     NumericalError,
-    SubcriticalR0Error,
     ThetaOutOfRangeError,
 )
 from .integrator import SystemKind, TailStats, Trajectory, tail_stats
@@ -36,13 +35,6 @@ class PersistenceBounds:
     s_h_bar: float
 
 
-def _require_supercritical(p: ModelParams) -> State:
-    star = endemic_equilibrium(p)
-    if star is None:
-        raise SubcriticalR0Error(basic_reproduction_number(p))
-    return star
-
-
 def _require_theta(theta: float) -> float:
     if not (_finite_real(theta) and 0.0 < theta < 1.0):
         raise ThetaOutOfRangeError(theta)
@@ -52,7 +44,7 @@ def _require_theta(theta: float) -> float:
 def persistence_bounds(p: ModelParams, theta: float) -> PersistenceBounds:
     """Closed-form eventual lower bounds on the susceptible pools."""
     _require_theta(theta)
-    star = _require_supercritical(p)
+    star = _require_endemic(p)
     s_v_bar = p.beta_v / (theta * p.c_hv * star.i_h + p.mu_v)
     s_h_bar = p.beta_h / (p.c_vh * (1.0 - s_v_bar / p.s_v0) + p.mu_h)
     # theta < 1 guarantees both in exact arithmetic; near 1 rounding erases the gap
@@ -91,7 +83,7 @@ def _require_preconditions(p: ModelParams, phi: HistorySegment,
     """Check what weak_persistence_check needs before anything is integrated:
     theta in (0, 1), R0 > 1 and a seeded history, I_h(0) > 0. Returns E*."""
     _require_theta(theta)
-    star = _require_supercritical(p)
+    star = _require_endemic(p)
     if not phi.states[-1, 1] > 0:
         raise NotInDomainDError()
     return star

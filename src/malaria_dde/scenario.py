@@ -41,9 +41,9 @@ from typing import Any, Callable
 
 from . import defaults
 from .equilibria import endemic_equilibrium, equilibrium_set, r0_squared
-from .errors import EndemicAbsentError, InvalidSpecError, ModelError, SchemaError
+from .errors import InvalidSpecError, ModelError, SchemaError, SubcriticalR0Error
 from .integrator import IntegrationSpec, SystemKind, Trajectory, integrate, tail_stats
-from .lyapunov import FunctionalKind, trace_along
+from .lyapunov import trace_along
 from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _spans, np
 from .persistence import _require_preconditions, weak_persistence_check
 from .stability import EquilibriumKind, classify
@@ -185,9 +185,9 @@ def _text(v: Any, field: str) -> str:
 
 
 def _formats(v: Any, field: str) -> tuple[str, ...]:
-    if not isinstance(v, list) or any(f != "csv" for f in v):
+    if v != ["csv"]:
         raise SchemaError(field, "only [\"csv\"] is supported")
-    return tuple(v)
+    return ("csv",)
 
 
 def _version(v: Any, field: str) -> int:
@@ -386,7 +386,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
         lines.extend(classify(p, EquilibriumKind.DISEASE_FREE).as_lines())
         try:
             lines.extend(classify(p, EquilibriumKind.ENDEMIC).as_lines())
-        except EndemicAbsentError:
+        except SubcriticalR0Error:
             lines.append("stability.e_star.classification = absent")
 
     phi = None
@@ -411,11 +411,9 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
         artifact("trajectory", traj)
 
     if a.lyapunov:
-        kind = (FunctionalKind.V_DFE if r0_squared(p) <= 1.0
-                else FunctionalKind.V_ENDEMIC)
         trace = trace_along(p, run(replace(spec, system=SystemKind.LIMITING,
-                                           record_stride=1)), kind)
-        lines.append(f"lyapunov.kind = {kind.value}")
+                                           record_stride=1)))
+        lines.append(f"lyapunov.kind = {trace.kind.value}")
         lines.append(f"lyapunov.v_first = {_fmt(float(trace.values[0]))}")
         lines.append(f"lyapunov.v_last = {_fmt(float(trace.values[-1]))}")
         lines.append(f"lyapunov.max_increase = {_fmt(trace.max_increase)}")

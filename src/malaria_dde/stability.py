@@ -43,9 +43,8 @@ import sys
 from dataclasses import dataclass
 
 from . import defaults
-from .equilibria import endemic_equilibrium, r0_squared
-from .errors import (EndemicAbsentError, InvalidSpecError, RateUnderflowError, RootPolishError,
-                     ValidationError)
+from .equilibria import _require_endemic, r0_squared
+from .errors import InvalidSpecError, RateUnderflowError, RootPolishError, ValidationError
 from .model import ModelParams, _check_delay
 
 
@@ -85,9 +84,7 @@ class DfeCharCoeffs(CharCoeffs):
 def _endemic_weights(p: ModelParams) -> tuple[float, float, float, float, float]:
     """The linearization weights m1..m5 at E*. In their terms G's endemic
     coefficients satisfy a1^2 - 2 a2 = (mu_h + m1)^2 + (mu_v + m5)^2 > 0."""
-    star = endemic_equilibrium(p)
-    if star is None:
-        raise EndemicAbsentError()
+    star = _require_endemic(p)
     n_v = star.n_v
     n_v2 = n_v * n_v
     if n_v2 == 0.0:
@@ -214,8 +211,8 @@ def classify(p: ModelParams, which: EquilibriumKind) -> StabilityReport:
     """Stability verdict, G's rightmost real root and the flags of G(0)'s sign.
 
     E0: LAS / Critical / Unstable by R0 below / at / above 1 (compared on
-    R0^2). E*: exists only for R0 > 1 (EndemicAbsentError otherwise) and is
-    then LAS at every delay.
+    R0^2). E*: exists only for R0 > 1 (SubcriticalR0Error otherwise, the error
+    for every use of an absent E*) and is then LAS at every delay.
     """
     if not isinstance(which, EquilibriumKind):
         raise InvalidSpecError(f"which must be an EquilibriumKind, got {which!r}")

@@ -128,9 +128,12 @@ def constant_history(p: ModelParams, rng, infected_floor: float = 0.01
 
 
 def limiting_trace(p, phi, kind, t_end):
-    """The functional `kind` along a stride-1 run of the limiting system."""
+    """The regime's functional along a stride-1 run of the limiting system,
+    asserted to be the functional `kind` the caller expects."""
     spec = IntegrationSpec(SystemKind.LIMITING, t_end, record_stride=1)
-    return trace_along(p, integrate(p, phi, spec), kind)
+    trace = trace_along(p, integrate(p, phi, spec))
+    assert trace.kind is kind
+    return trace
 
 
 def convergence_order(p, phi, spec):

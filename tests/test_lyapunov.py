@@ -9,7 +9,6 @@ import pytest
 
 from malaria_dde import (
     EmptyWindowError,
-    EquilibriumKind,
     FunctionalKind,
     HistorySegment,
     IntegrationSpec,
@@ -18,7 +17,6 @@ from malaria_dde import (
     OutsideOmega1Error,
     OutsideOmega2Error,
     SubcriticalR0Error,
-    SupercriticalR0Error,
     SystemKind,
     classify,
     endemic_equilibrium,
@@ -62,9 +60,9 @@ def test_v_dfe_requires_positive_entry_state():
 
 
 def test_v_dfe_rejects_supercritical():
+    # above the threshold the trace is the endemic functional, never V_DFE
     psi = HistorySegment.constant((4.0, 1.0, 50.0, 10.0), 1.0)
-    with pytest.raises(SupercriticalR0Error):
-        limiting_trace(P_SUPER, psi, FunctionalKind.V_DFE, 50.0)
+    limiting_trace(P_SUPER, psi, FunctionalKind.V_ENDEMIC, 50.0)
 
 
 def test_v_endemic_vanishes_at_equilibrium():
@@ -98,9 +96,9 @@ def test_v_endemic_domain_gates():
 
 
 def test_descend_check_gate_for_endemic_kind():
+    # below the threshold E* is absent, so the trace is V_DFE
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
-    with pytest.raises(SubcriticalR0Error):
-        limiting_trace(P_SUB, phi, FunctionalKind.V_ENDEMIC, 50.0)
+    limiting_trace(P_SUB, phi, FunctionalKind.V_DFE, 50.0)
 
 
 def test_descend_check_subcritical_descends():
@@ -130,7 +128,7 @@ def test_trace_matches_single_window_evaluation():
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
     spec = IntegrationSpec(system=SystemKind.LIMITING, t_end=12.0)
     traj = integrate(P_SUB, phi, spec)
-    trace = trace_along(P_SUB, traj, FunctionalKind.V_DFE)
+    trace = trace_along(P_SUB, traj)
     for probe in (0, 57, -1):
         t = float(trace.times[probe])
         direct = v_dfe(P_SUB, traj.window(t))
@@ -154,12 +152,12 @@ def test_trace_csv_shape():
 
 
 def test_trace_along_gates_the_regime():
+    # R0 picks the functional; at R0^2 == 1 there is no E*, so V_DFE
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
     lim = IntegrationSpec(system=SystemKind.LIMITING, t_end=5.0)
-    with pytest.raises(SupercriticalR0Error):
-        trace_along(P_SUPER, integrate(P_SUPER, phi, lim), FunctionalKind.V_DFE)
-    with pytest.raises(SubcriticalR0Error):
-        trace_along(P_SUB, integrate(P_SUB, phi, lim), FunctionalKind.V_ENDEMIC)
+    for p, kind in ((P_SUB, FunctionalKind.V_DFE), (P_CRIT, FunctionalKind.V_DFE),
+                    (P_SUPER, FunctionalKind.V_ENDEMIC)):
+        assert trace_along(p, integrate(p, phi, lim)).kind is kind
 
 
 def test_trace_along_rejects_a_thinned_trajectory():
@@ -167,7 +165,7 @@ def test_trace_along_rejects_a_thinned_trajectory():
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
     spec = IntegrationSpec(system=SystemKind.LIMITING, t_end=12.0, record_stride=2)
     with pytest.raises(InvalidSpecError):
-        trace_along(P_SUB, integrate(P_SUB, phi, spec), FunctionalKind.V_DFE)
+        trace_along(P_SUB, integrate(P_SUB, phi, spec))
 
 
 def test_trace_along_needs_a_horizon_past_tau():
@@ -175,7 +173,7 @@ def test_trace_along_needs_a_horizon_past_tau():
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 2.0)
     traj = integrate(p, phi, IntegrationSpec(system=SystemKind.LIMITING, t_end=1.0))
     with pytest.raises(EmptyWindowError):
-        trace_along(p, traj, FunctionalKind.V_DFE)
+        trace_along(p, traj)
 
 
 def test_trace_along_rejects_a_full_system_trajectory():
@@ -183,22 +181,14 @@ def test_trace_along_rejects_a_full_system_trajectory():
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
     full = integrate(P_SUPER, phi, IntegrationSpec(system=SystemKind.FULL, t_end=5.0))
     with pytest.raises(InvalidSpecError, match="limiting"):
-        trace_along(P_SUPER, full, FunctionalKind.V_ENDEMIC)
+        trace_along(P_SUPER, full)
 
 
 @pytest.mark.parametrize("call, which", [
     ("classify", "E0"),
     ("classify", None),
     ("classify", FunctionalKind.V_DFE),
-    ("trace_along", "v_endemic"),
-    ("trace_along", None),
-    ("trace_along", EquilibriumKind.ENDEMIC),
 ])
 def test_analyses_reject_a_selector_that_is_not_their_enum(call, which):
-    phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
-    traj = integrate(P_SUPER, phi, IntegrationSpec(system=SystemKind.LIMITING, t_end=5.0))
     with pytest.raises(InvalidSpecError, match=repr(which)):
-        if call == "classify":
-            classify(P_SUPER, which)
-        else:
-            trace_along(P_SUPER, traj, which)
+        classify(P_SUPER, which)

@@ -218,11 +218,12 @@ def test_history_state_must_be_a_four_vector(builds):
 # the package namespace as it was listed by hand, plus InvalidSpecError and
 # RateUnderflowError, less NoBracketError and the test-only names
 # convergence_order, descend_check, DomainFlag, f_bridge, full_char_eval,
-# NonPositiveArgumentError and rhs_limiting
+# NonPositiveArgumentError and rhs_limiting, and less EndemicAbsentError and
+# SupercriticalR0Error (SubcriticalR0Error says E* is absent)
 PUBLIC_NAMES = {
     "CLAMP_BAND", "COMPONENT_NAMES", "CharCoeffs", "Classification",
     "DEFAULT_THETA", "DfeCharCoeffs", "EmptyWindowError",
-    "EndemicAbsentError", "EndemicCharCoeffs", "EquilibriumKind",
+    "EndemicCharCoeffs", "EquilibriumKind",
     "EquilibriumSet", "FunctionalKind", "HistorySegment", "IntegrationSpec",
     "InvalidHistoryError", "InvalidSpecError", "LyapunovTrace", "ModelError",
     "ModelParams", "NegativeDelayError", "NegativityBreachError",
@@ -233,7 +234,7 @@ PUBLIC_NAMES = {
     "RECORD_STRIDE", "RateUnderflowError", "RootPolishError",
     "STEPS_PER_DELAY", "Scenario",
     "SchemaError", "StabilityReport", "State", "SubcriticalR0Error",
-    "SupercriticalR0Error", "SweepSpec", "SystemKind", "TAIL_WINDOW",
+    "SweepSpec", "SystemKind", "TAIL_WINDOW",
     "TailStats", "ThetaOutOfRangeError", "Trajectory", "ValidationError",
     "ZeroMosquitoPopulationError", "basic_reproduction_number", "char_eval",
     "classify", "default_ode_step", "default_t_end",

@@ -9,7 +9,6 @@ import pytest
 
 import malaria_dde.cli as cli
 from malaria_dde import (
-    FunctionalKind,
     HistorySegment,
     IntegrationSpec,
     InvalidSpecError,
@@ -79,6 +78,10 @@ def test_load_scenario_defaults(tmp_path):
     (lambda o: o.update(analyses={"persistence": [0.5, "x"]}),
      "scenario.analyses.persistence"),
     (lambda o: o.update(output={"formats": ["xml"]}), "scenario.output.formats"),
+    pytest.param(lambda o: o.update(output={"formats": []}), "scenario.output.formats",
+                 id="formats-empty"),
+    pytest.param(lambda o: o.update(output={"formats": ["csv", "csv"]}),
+                 "scenario.output.formats", id="formats-csv-twice"),
     (lambda o: o.update(typo=True), "scenario.typo"),
 ])
 def test_load_scenario_schema_errors(tmp_path, mutate, field):
@@ -499,7 +502,7 @@ def test_zero_delay_step_reaches_every_analysis(tmp_path, integrate_spy):
     phi = HistorySegment.constant(BASE["history"]["state"], 0.0)
     lim = integrate(p, phi, IntegrationSpec(system=SystemKind.LIMITING,
                                             t_end=40.0, step=0.01))
-    trace = trace_along(p, lim, FunctionalKind.V_ENDEMIC)
+    trace = trace_along(p, lim)
     assert rep["lyapunov.v_last"] == f"{float(trace.values[-1]):.17g}"
     full = integrate(p, phi, IntegrationSpec(t_end=40.0, step=0.01))
     check = weak_persistence_check(p, full, 0.5)

@@ -15,24 +15,32 @@ import malaria_dde.cli as cli
 from malaria_dde import (
     Classification,
     RootPolishError,
-    EndemicAbsentError,
     EquilibriumKind,
+    FunctionalKind,
+    IntegrationSpec,
     ModelParams,
     NegativeDelayError,
     NonPositiveRateError,
     RateUnderflowError,
+    Scenario,
     State,
+    SubcriticalR0Error,
+    SystemKind,
     ValidationError,
     basic_reproduction_number,
     char_eval,
     classify,
     endemic_equilibrium,
     disease_free_equilibrium,
+    integrate,
     r0_squared,
     rhs_full,
     rightmost_real_root,
+    run_scenario,
+    trace_along,
 )
 from malaria_dde import defaults
+from malaria_dde.scenario import HistorySpec
 from malaria_dde.stability import (
     CharCoeffs,
     DfeCharCoeffs,
@@ -47,6 +55,7 @@ from conftest import (
     P_SUB,
     P_SUPER,
     TAU_CHOICES,
+    constant_history,
     draw_params,
     draw_subcritical,
     draw_supercritical,
@@ -442,7 +451,7 @@ def test_classification_benchmarks():
     assert rep.classification is Classification.CRITICAL
     assert rep.rightmost_real_root == pytest.approx(0.0, abs=1e-9)
 
-    with pytest.raises(EndemicAbsentError):
+    with pytest.raises(SubcriticalR0Error):
         classify(P_SUB, EquilibriumKind.ENDEMIC)
 
 
@@ -491,6 +500,29 @@ def test_exactly_critical_reports_print_a_zero_root(rng):
     for p in critical:
         lines = classify(p, E0).as_lines()
         assert [ln.split(" = ")[1] for ln in lines[:4]] == ["Critical", "0", "true", "false"]
+
+
+def test_every_layer_reads_e_star_absent_alike_within_ulps_of_r0_one(rng):
+    # the Lyapunov functional, E*, classify at E* and the report line all
+    # follow one threshold test, at R0^2 == 1 and 1-4 ulps either side
+    kinds = set()
+    for p in _ulp_band(rng, 12):
+        if p.tau not in (0.0, 1.0):
+            continue
+        traj = integrate(p, constant_history(p, rng),
+                         IntegrationSpec(system=SystemKind.LIMITING, t_end=p.tau + 1.0))
+        dfe = trace_along(p, traj).kind is FunctionalKind.V_DFE
+        kinds.add(dfe)
+        assert (endemic_equilibrium(p) is None) == dfe
+        if dfe:
+            with pytest.raises(SubcriticalR0Error):
+                classify(p, E_STAR)
+        else:
+            classify(p, E_STAR)
+        scn = Scenario(params=p, history=HistorySpec("random"))
+        absent = "stability.e_star.classification = absent"
+        assert (absent in run_scenario(scn, only="stability")) == dfe
+    assert kinds == {True, False}
 
 
 def _rational_params(rng, r2=None):
