@@ -64,7 +64,7 @@ class PersistenceReport:
     passes: bool
 
     def as_lines(self) -> list[str]:
-        key = f"persistence.theta_{self.theta:g}"
+        key = f"persistence.theta_{float(self.theta)!r}"
         lines = [
             f"{key}.threshold = {self.threshold:.17g}",
             f"{key}.i_h_tail_sup = {self.i_h_tail_sup:.17g}",

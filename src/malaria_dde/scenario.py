@@ -22,16 +22,19 @@ required; an omitted key keeps its Scenario / IntegrationSpec / Analyses
 default. Unknown keys are rejected so typos surface as SchemaError instead
 of silently running defaults. Numbers must be finite (Python's json accepts
 NaN and Infinity), the six rates strictly positive, tau >= 0, persistence
-fractions strictly inside (0, 1), and a table history must span params.tau.
+fractions strictly inside (0, 1) and distinct, and a table history must span
+params.tau.
 
 A sweep wraps a base scenario, an axis (one parameter name), the values to
-visit in order, and the derived columns to tabulate. Each value is checked at
+visit in order, and the derived columns to tabulate (no column twice, once
+the groups are expanded). Each value is checked at
 load by the rule of params.<axis>. Rows are independent; a failing row
 records an error marker and the sweep carries on.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -144,6 +147,14 @@ _nonnegative = _finite_where(lambda x: x >= 0, "must be >= 0")
 _theta = _finite_where(lambda x: 0 < x < 1, "theta must lie strictly inside (0, 1)")
 
 
+def _distinct(items: tuple, field: str) -> tuple:
+    """items, unless one of them is given twice."""
+    for i, x in enumerate(items):
+        if x in items[:i]:
+            raise SchemaError(field, f"{x!r} is given twice")
+    return items
+
+
 def _count(v: Any, field: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v < 1:
         raise SchemaError(field, f"expected an integer >= 1, got {v!r}")
@@ -212,7 +223,7 @@ def _columns(v: Any, field: str) -> tuple[str, ...]:
                                       and c not in SWEEP_COLUMNS):
             raise SchemaError(field, f"unknown column {c!r}")
         out.extend(_COLUMN_ALIASES.get(c, (c,)))
-    return tuple(out)
+    return _distinct(tuple(out), field)
 
 
 def _object(name: str, build: Callable[..., Any] = dict) -> _Rule:
@@ -249,7 +260,8 @@ _FIELDS: dict[str, dict[str, _Rule]] = {
                     "steps_per_delay": _count, "step": _positive,
                     "record_stride": _count},
     "analyses": {"simulate": _boolean, "stability": _boolean,
-                 "lyapunov": _boolean, "persistence": _array(_theta)},
+                 "lyapunov": _boolean,
+                 "persistence": lambda v, f: _distinct(_array(_theta)(v, f), f)},
     "output": {"dir": _text, "formats": _formats},
     # each value is checked by the rule of params.<axis> once the axis is known
     "sweep": {"schema": _version,
@@ -433,15 +445,26 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
 def _write_out(target: str, artifacts: list[tuple[str, Any]], name: str,
                lines: list[str]) -> str:
     """Make target, write each (path, object with to_csv), then `lines` to
-    target/name and return that path; an OSError is SchemaError("output.dir")."""
+    target/name, and return that path. Each file is written under a staged
+    name, <path>.part, and all are renamed into place only after the last
+    write succeeds, so a failed write leaves the earlier run's files as they
+    were. An OSError removes what was staged and is SchemaError("output.dir")."""
     path = os.path.join(target, name)
+    finals: list[str] = []  # each staged as final + ".part"
     try:
         os.makedirs(target, exist_ok=True)
-        for csv_path, obj in artifacts:
-            obj.to_csv(csv_path)
-        with open(path, "w") as fh:
+        for final, obj in artifacts:
+            finals.append(final)
+            obj.to_csv(final + ".part")
+        finals.append(path)
+        with open(path + ".part", "w") as fh:
             fh.write("\n".join(lines) + "\n")
+        for final in finals:
+            os.replace(final + ".part", final)
     except OSError as exc:
+        for final in finals:
+            with contextlib.suppress(OSError):
+                os.remove(final + ".part")
         raise SchemaError("output.dir", f"cannot write {target}: {exc}") from None
     return path
 

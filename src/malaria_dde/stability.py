@@ -23,12 +23,17 @@ the sign of g0, that is of 1 - R0^2; only the root's value says more:
   G(-a1/2) = -(x - y)^2/4 + a3 exp(a1 tau/2) < 0, so G has exactly one zero
   there and it is the rightmost real root. It lies in [-a1/2, 0] when
   g0 >= 0, and in (0, sqrt(a2 - a3)] otherwise, since
-  G(lam) >= 2 a2 + a1 lam > 0 beyond that end. The polish is Newton's
-  method from the bracket's upper end, safeguarded by bisection ("rtsafe",
-  Press et al., Numerical Recipes, sec. 9.4): a step that leaves the bracket
-  or does not halve the step before it is a bisection instead. It stops at
-  a step within ROOT_XTOL + 4*eps*|x|, after at most 100 iterations. It
-  reads G(0) as g0, so the root is 0.0 when R0^2 == 1 and < 0 when g0 > 0.
+  G(lam) >= 2 a2 + a1 lam > 0 beyond that end. The polish evaluates G at
+  both bracket ends, then runs Newton's method from the upper end,
+  safeguarded by bisection ("rtsafe", Press et al., Numerical Recipes,
+  sec. 9.4): a step that leaves the bracket or does not halve the step
+  before it is a bisection instead. It stops at a step within
+  ROOT_XTOL + 4*eps*|x|, after at most 100 iterations. It reads G(0) as g0,
+  so the root is 0.0 when g0 == 0 and < 0 when g0 > 0.
+* classification = LAS if g0 > 0, Unstable if g0 < 0 and Critical if
+  g0 == 0, at either state. At E0 that is R0 below, above or at 1; E* exists
+  only for R0 > 1 and is LAS at every delay. Where mu_h mu_v (1 - R0^2)
+  rounds to 0 although R0^2 != 1, g0 == 0 and every line reads Critical.
 
 Delay-independent stability then follows the usual argument: stable at
 tau = 0 plus no imaginary-axis crossing for any tau.
@@ -114,25 +119,16 @@ def char_eval(coeffs: CharCoeffs, lam: complex) -> complex:
     return lam * lam + coeffs.a1 * lam + coeffs.a2 + coeffs.a3 * cmath.exp(-lam * coeffs.tau)
 
 
-def _g_real(coeffs: CharCoeffs, lam: float) -> float:
-    e = -lam * coeffs.tau
-    if e > 700.0:  # exp would overflow; the a3-term (a3 <= 0) dominates
-        return -math.inf
-    return lam * lam + coeffs.a1 * lam + coeffs.a2 + coeffs.a3 * math.exp(e)
-
-
-def _polish(coeffs: CharCoeffs, lo: float, hi: float, g_lo: float) -> float:
-    """G's zero in [lo, hi], given g_lo = G(lo), where G increases, polished
-    from hi as the module docstring says; G and G' share one exp, and each
-    value of G narrows the bracket. Raises RootPolishError when G is NaN,
-    when G does not rise through 0 across [lo, hi], or after 100 iterations."""
+def _polish(coeffs: CharCoeffs, lo: float, hi: float) -> float:
+    """G's zero in [lo, hi], where G increases, polished from hi as the module
+    docstring says; G and G' share one exp, and each value of G narrows the
+    bracket. Returns lo itself when G(lo) >= 0. Raises RootPolishError when G
+    is NaN, when G(hi) is not >= 0, or after 100 iterations from hi."""
     a1, a2, a3, tau = coeffs.a1, coeffs.a2, coeffs.a3, coeffs.tau
-    if g_lo != g_lo:
-        raise RootPolishError(f"G(lam) is NaN at an end of [{lo!r}, {hi!r}]")
-    x, step = hi, math.inf
-    for _ in range(100):
+    x, step = lo, None  # step is None at lo and inf at hi, the first iterate
+    for _ in range(101):
         e = -x * tau
-        if e > 700.0:  # as in _g_real, G is -inf; bisect
+        if e > 700.0:  # exp would overflow; the a3-term (a3 <= 0) dominates
             g, slope = -math.inf, 0.0
         else:
             a3e = a3 * math.exp(e)
@@ -142,7 +138,12 @@ def _polish(coeffs: CharCoeffs, lo: float, hi: float, g_lo: float) -> float:
             raise RootPolishError(f"G(lam) is NaN at lam = {x!r}")
         if x == 0.0:  # G(0) from R0, as the module docstring says
             g = coeffs.g0
-        if step == math.inf and not g_lo < 0.0 <= g:  # at hi, the first iterate
+        if step is None:
+            if g >= 0.0:
+                return lo
+            x, step = hi, math.inf
+            continue
+        if step == math.inf and not g >= 0.0:
             raise RootPolishError(f"G(lam) does not change sign across [{lo!r}, {hi!r}]")
         if g < 0.0:
             lo = x
@@ -165,15 +166,11 @@ def rightmost_real_root(coeffs: CharCoeffs) -> float:
 
     When mu_h and mu_v (or their endemic shifts) nearly coincide and a3 is
     below rounding, G(-a1/2) can round to a value >= 0; -a1/2 is then the
-    root to within the rounding of G, and is returned as it is.
+    root to within the rounding of G, and the polish returns it as it is.
     """
     if coeffs.g0 < 0.0:
-        return _polish(coeffs, 0.0, math.sqrt(coeffs.a2 - coeffs.a3), coeffs.g0)
-    lo = -coeffs.a1 / 2.0
-    g_lo = _g_real(coeffs, lo)
-    if g_lo >= 0.0:
-        return lo
-    return _polish(coeffs, lo, 0.0, g_lo)
+        return _polish(coeffs, 0.0, math.sqrt(coeffs.a2 - coeffs.a3))
+    return _polish(coeffs, -coeffs.a1 / 2.0, 0.0)
 
 
 class Classification(enum.Enum):
@@ -208,29 +205,19 @@ class StabilityReport:
 
 
 def classify(p: ModelParams, which: EquilibriumKind) -> StabilityReport:
-    """Stability verdict, G's rightmost real root and the flags of G(0)'s sign.
-
-    E0: LAS / Critical / Unstable by R0 below / at / above 1 (compared on
-    R0^2). E*: exists only for R0 > 1 (SubcriticalR0Error otherwise, the error
-    for every use of an absent E*) and is then LAS at every delay.
+    """Stability verdict, G's rightmost real root and the flags of G(0)'s sign,
+    every line read from g0 (module docstring). E* exists only for R0 > 1:
+    SubcriticalR0Error otherwise, the error for every use of an absent E*.
     """
     if not isinstance(which, EquilibriumKind):
         raise InvalidSpecError(f"which must be an EquilibriumKind, got {which!r}")
-    if which is EquilibriumKind.ENDEMIC:
-        coeffs: CharCoeffs = EndemicCharCoeffs.from_params(p)
-        verdict = Classification.LAS
-    else:
-        r2 = r0_squared(p)
-        coeffs = DfeCharCoeffs.from_params(p)
-        if r2 < 1.0:
-            verdict = Classification.LAS
-        elif r2 > 1.0:
-            verdict = Classification.UNSTABLE
-        else:
-            verdict = Classification.CRITICAL
+    coeffs = (DfeCharCoeffs if which is EquilibriumKind.DISEASE_FREE
+              else EndemicCharCoeffs).from_params(p)
     return StabilityReport(
         which=which,
-        classification=verdict,
+        classification=(Classification.LAS if coeffs.g0 > 0.0
+                        else Classification.UNSTABLE if coeffs.g0 < 0.0
+                        else Classification.CRITICAL),
         rightmost_real_root=rightmost_real_root(coeffs),
         imag_axis_root_exists=coeffs.g0 <= 0.0,
         routh_hurwitz_tau0=coeffs.g0 > 0.0,

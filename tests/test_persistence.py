@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from malaria_dde import (
@@ -103,10 +104,16 @@ def test_bounds_rounded_onto_the_endemic_state_leave_as_numerical_error():
 
 def test_report_lines_carry_theta_key():
     phi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), 1.0)
-    report = weak_persistence_check(P_SUPER, full_run(P_SUPER, phi, t_end=80.0), 0.25)
+    traj = full_run(P_SUPER, phi, t_end=80.0)
+    report = weak_persistence_check(P_SUPER, traj, 0.25)
     lines = report.as_lines()
     assert lines[0].startswith("persistence.theta_0.25.threshold = ")
     assert lines[-1] == f"persistence.theta_0.25.passes = {str(report.passes).lower()}"
+    # 0.5 and 0.50000001 need keys of their own; a numpy float keys as its float
+    for theta, key in [(0.5, "0.5"), (0.50000001, "0.50000001"), (0.9, "0.9"),
+                       (np.float64(0.5), "0.5")]:
+        line = weak_persistence_check(P_SUPER, traj, theta).as_lines()[0]
+        assert line.startswith(f"persistence.theta_{key}.threshold = "), line
 
 
 def test_check_subcritical_rejected():

@@ -1,5 +1,6 @@
 """Scenario/sweep loading, orchestration artifacts, CLI behavior."""
 
+import errno
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from malaria_dde import (
     HistorySegment,
     IntegrationSpec,
     InvalidSpecError,
+    LyapunovTrace,
     NumericalError,
     SchemaError,
     SystemKind,
@@ -77,6 +79,8 @@ def test_load_scenario_defaults(tmp_path):
      "scenario.integration.steps_per_delay"),
     (lambda o: o.update(analyses={"persistence": [0.5, "x"]}),
      "scenario.analyses.persistence"),
+    pytest.param(lambda o: o.update(analyses={"persistence": [0.5, 0.9, 0.5]}),
+                 "scenario.analyses.persistence", id="persistence-theta-twice"),
     (lambda o: o.update(output={"formats": ["xml"]}), "scenario.output.formats"),
     pytest.param(lambda o: o.update(output={"formats": []}), "scenario.output.formats",
                  id="formats-empty"),
@@ -114,6 +118,10 @@ def test_load_sweep_validation(tmp_path):
         (lambda o: o.update(values=[]), "sweep.values"),
         (lambda o: o.update(values=[0.1, -0.2]), "sweep.values[1]"),
         (lambda o: o.update(columns=["r0", "nope"]), "sweep.columns"),
+        (lambda o: o.update(columns=["r0", "i_h_star", "r0"]), "sweep.columns"),
+        # classification expands to classification_e0 and classification_e_star
+        (lambda o: o.update(columns=["r0", "classification", "classification_e0"]),
+         "sweep.columns"),
         (lambda o: o.pop("base"), "sweep.base"),
     ]:
         obj = json.loads(json.dumps(good))
@@ -642,7 +650,8 @@ def _sweep_file(tmp_path, columns=("r0",)):
                                          ("simulate", "full"), ("sweep", "full")])
 def test_unwritable_output_exits_1(tmp_path, capsys, command, out):
     # a regular file where the output directory, or one of its parents, goes;
-    # or ("full") the last file written is /dev/full, so the write itself fails
+    # or ("full") the last file written, staged as <name>.part, is /dev/full,
+    # so the write itself fails
     (tmp_path / "taken").write_text("kept\n")
     path = (_sweep_file(tmp_path) if command == "sweep"
             else scenario_file(tmp_path, integration={"t_end": 10}))
@@ -651,12 +660,35 @@ def test_unwritable_output_exits_1(tmp_path, capsys, command, out):
             pytest.skip("no /dev/full on this system")
         (tmp_path / out).mkdir()
         last = "sweep.csv" if command == "sweep" else "report.txt"
-        os.symlink("/dev/full", tmp_path / out / last)
+        os.symlink("/dev/full", tmp_path / out / f"{last}.part")
     assert cli.main([command, path, "--out", str(tmp_path / out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: output.dir: cannot write ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def test_failing_write_keeps_an_earlier_run(tmp_path, capsys, monkeypatch):
+    # the disk fills part way through lyapunov.csv, after trajectory.csv of
+    # the second run is written: no file of the first run may change
+    out = tmp_path / "o"
+    first = scenario_file(tmp_path, "first.json", integration={"t_end": 10},
+                          analyses=LYAPUNOV_ON)
+    assert cli.main(["simulate", first, "--out", str(out), "--quiet"]) == 0
+    before = _tree(out)
+    assert sorted(before) == ["lyapunov.csv", "report.txt", "trajectory.csv"]
+
+    def disk_full(self, target):
+        with open(target, "w") as fh:
+            fh.write("t,V\n0,")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), target)
+
+    monkeypatch.setattr(LyapunovTrace, "to_csv", disk_full)
+    second = scenario_file(tmp_path, "second.json", integration={"t_end": 12},
+                           analyses=LYAPUNOV_ON)
+    assert cli.main(["simulate", second, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: output.dir: cannot write ")
+    assert _tree(out) == before
 
 
 def test_failing_sweep_keeps_an_earlier_run(tmp_path, monkeypatch):

@@ -46,7 +46,6 @@ from malaria_dde.stability import (
     DfeCharCoeffs,
     EndemicCharCoeffs,
     _endemic_weights,
-    _g_real,
     _polish,
 )
 
@@ -225,6 +224,14 @@ GRID_HALF_WIDTH = 50.0
 GRID_POINTS = 10_000
 
 
+def _g_real(coeffs, lam):
+    """Real G evaluated apart from the package's polish: the oracle's G."""
+    e = -lam * coeffs.tau
+    if e > 700.0:  # exp would overflow; the a3-term (a3 <= 0) dominates
+        return -math.inf
+    return lam * lam + coeffs.a1 * lam + coeffs.a2 + coeffs.a3 * math.exp(e)
+
+
 def _grid_oracle(coeffs):
     """The rightmost root in [-50, 50], or None."""
     g = lambda x: _g_real(coeffs, x)
@@ -372,20 +379,22 @@ def test_underflowing_rates_leave_through_the_taxonomy():
 def test_polish_failures_leave_through_the_taxonomy():
     # tau = 0: G = lam^2 + lam - 2, zero at 1
     quad = CharCoeffs(1.0, 1.0, -3.0, 0.0, -2.0)
-    assert _polish(quad, 0.0, 1.0, -2.0) == 1.0
+    assert _polish(quad, 0.0, 1.0) == 1.0
+    # G(lo) >= 0: lo is returned as it is, the degenerate lower end
+    assert _polish(quad, 2.0, 3.0) == 2.0
     with pytest.raises(RootPolishError, match="does not change sign"):
-        _polish(quad, 2.0, 3.0, _g_real(quad, 2.0))
+        _polish(quad, 0.0, 0.5)
     # a1 = inf: G is -inf left of 0, inf right of it and inf * 0 = NaN at 0,
     # as an end and as the first bisection point
     steep = CharCoeffs(math.inf, 1.0, -1.0, 1.0, 0.0)
-    with pytest.raises(RootPolishError, match="NaN at an end"):
-        _polish(steep, 0.0, 1.0, _g_real(steep, 0.0))
     with pytest.raises(RootPolishError, match="NaN at lam = 0.0"):
-        _polish(steep, -1.0, 1.0, _g_real(steep, -1.0))
+        _polish(steep, 0.0, 1.0)
+    with pytest.raises(RootPolishError, match="NaN at lam = 0.0"):
+        _polish(steep, -1.0, 1.0)
     # G is inf down to lam ~ 1e154 and Newton then halves lam per step, so
     # reaching the zero at 1 from 1e300 takes about 1000 steps, not 100
     with pytest.raises(RootPolishError, match="no convergence in 100 iterations"):
-        _polish(quad, 0.0, 1e300, -2.0)
+        _polish(quad, 0.0, 1e300)
 
 
 def test_jacobian_determinant_ties_coefficients_to_dynamics():
@@ -500,6 +509,30 @@ def test_exactly_critical_reports_print_a_zero_root(rng):
     for p in critical:
         lines = classify(p, E0).as_lines()
         assert [ln.split(" = ")[1] for ln in lines[:4]] == ["Critical", "0", "true", "false"]
+
+
+def test_reports_where_g0_rounds_to_zero_read_critical():
+    # mu_h mu_v = 1e-310 is subnormal, so mu_h mu_v (1 - R0^2) rounds to +-0
+    # with beta_h a few ulps from mu_h^2 mu_v, although R0^2 != 1; the
+    # verdict reads g0 like the flags and the root, so the report agrees
+    beta_h = [1e10 * 1e10 * 1e-320]
+    for direction in (0.0, math.inf):
+        b = beta_h[0]
+        for _ in range(8):
+            b = math.nextafter(b, direction)
+            beta_h.append(b)
+    off_one = 0
+    for b in beta_h:
+        for tau in (0.0, 1.0):
+            p = ModelParams(beta_h=b, beta_v=1.0, mu_h=1e10, mu_v=1e-320,
+                            c_vh=1.0, c_hv=1.0, tau=tau)
+            if DfeCharCoeffs.from_params(p).g0 != 0.0:
+                continue
+            off_one += r0_squared(p) != 1.0
+            lines = classify(p, E0).as_lines()
+            assert [ln.split(" = ")[1] for ln in lines[:4]] == \
+                ["Critical", "0", "true", "false"], (b, tau)
+    assert off_one >= 20
 
 
 def test_every_layer_reads_e_star_absent_alike_within_ulps_of_r0_one(rng):
