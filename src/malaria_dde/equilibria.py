@@ -19,8 +19,9 @@ def r0_squared(p: ModelParams) -> float:
     if den == 0.0:
         raise RateUnderflowError("mu_h * mu_h * mu_v")
     r2 = p.c_vh * p.c_hv * p.beta_h / den
-    if r2 == math.inf:
-        raise NumericalError("R0^2 = c_vh c_hv beta_h / (mu_h^2 mu_v) overflows to inf")
+    if not math.isfinite(r2):  # inf, or inf / inf when both overflow
+        raise NumericalError(f"R0^2 = c_vh c_hv beta_h / (mu_h^2 mu_v) overflows "
+                             f"to {r2!r}")
     return r2
 
 

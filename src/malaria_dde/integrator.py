@@ -20,6 +20,14 @@ as the next step's k1 (first-same-as-last; Hairer, Norsett & Wanner, Solving
 ODEs I). Every float expression is the one `model.rhs_full` evaluates, in
 the same order, so a full-system node derivative is rhs_full bit for bit.
 
+Node storage: the step loop reads its nodes, derivatives and incidences
+from Python lists, which keep only the last delay's worth of nodes. Every
+_CHUNK steps the recorded ones of the older nodes (every record_stride-th,
+and the final node at the end) move to two flat `array('d')` buffers, four
+floats per node, so memory follows the output at 8 B per float. Trajectory
+keeps the buffers and makes numpy arrays of them only when `times`,
+`states` or `derivs` is read; tail_stats and to_csv read the buffers.
+
 A run needs t_end / h steps; more than defaults.MAX_STEPS is rejected before
 anything is allocated.
 
@@ -39,11 +47,14 @@ incidence is the current stage's own.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import IO
+from typing import IO, Iterable, Sequence
 
 from . import defaults
 from .errors import (
@@ -61,11 +72,13 @@ from .model import (
     ModelParams,
     State,
     _finite_real,
+    _frozen,
     _spans,
     np,
 )
 
 CSV_HEADER = "t,S_h,I_h,S_v,I_v"
+_CHUNK = 1024  # steps between moves of the older nodes to the buffers
 
 
 class SystemKind(enum.Enum):
@@ -106,11 +119,17 @@ class IntegrationSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded mesh solution with node derivatives for dense output."""
+    """Recorded mesh solution with node derivatives for dense output.
 
-    times: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
+    Node r is mesh step k = min(r * stride, steps), at time k * h; `ys` and `fs`
+    hold the nodes' states and derivatives, four floats each. `times`,
+    `states` and `derivs` are numpy arrays of them, made on first read.
+    """
+
+    ys: array = field(repr=False)
+    fs: array = field(repr=False)
+    steps: int
+    stride: int
     history: HistorySegment
     tau: float
     h: float
@@ -118,7 +137,24 @@ class Trajectory:
 
     @property
     def t_end(self) -> float:
-        return float(self.times[-1])
+        return self.steps * self.h
+
+    @property
+    def nodes(self) -> int:
+        return len(self.ys) // 4
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        return _frozen(np.append(np.arange(0, self.steps, self.stride), self.steps)
+                       * self.h)
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        return np.frombuffer(self.ys).reshape(-1, 4)
+
+    @functools.cached_property
+    def derivs(self) -> np.ndarray:
+        return np.frombuffer(self.fs).reshape(-1, 4)
 
     def window(self, t: float) -> HistorySegment:
         """Slice [t - tau, t] as a history segment (offsets in [-tau, 0]).
@@ -130,27 +166,28 @@ class Trajectory:
         if it >= self.times.size or abs(self.times[it] - t) > 1e-9 * (1 + abs(t)):
             raise InvalidSpecError(f"t = {t!r} is not a recorded node")
         if self.tau == 0:
-            return HistorySegment(np.array([0.0]),
-                                  self.states[it:it + 1].copy(), 0.0)
+            return HistorySegment((0.0,), self.states[it:it + 1], 0.0)
         t0 = t - self.tau
         j0 = int(np.searchsorted(self.times, t0 - 1e-9 * (1 + abs(t0))))
         if j0 >= self.times.size or abs(self.times[j0] - t0) > 1e-9 * (1 + abs(t0)):
             raise InvalidSpecError(f"window start {t0!r} is not a recorded node")
         offsets = self.times[j0:it + 1] - t
         offsets[-1] = 0.0
-        return HistorySegment(offsets, self.states[j0:it + 1].copy(), self.tau)
+        return HistorySegment(offsets, self.states[j0:it + 1], self.tau)
 
     def to_csv(self, target: str | IO[str]) -> None:
         """One row per recorded node, 17 significant digits."""
-        _write_csv(target, CSV_HEADER, (self.times, *self.states.T))
+        h, ys = self.h, self.ys
+        times = [k * h for k in chain(range(0, self.steps, self.stride), (self.steps,))]
+        _write_csv(target, CSV_HEADER, (times, *(ys[q::4] for q in range(4))))
 
 
 def _write_csv(target: str | IO[str], header: str,
-               columns: tuple[np.ndarray, ...]) -> None:
+               columns: tuple[Sequence[float], ...]) -> None:
     """Header line, then one row per index of the equal-length columns, every
     value at 17 significant digits (round-trips a float64 exactly)."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    values = chain.from_iterable(zip(*(c.tolist() for c in columns)))
+    values = chain.from_iterable(zip(*columns))
     # one % over all rows; the header goes out on its own, not copied in
     parts = (header + "\n", row * len(columns[0]) % tuple(values))
     if isinstance(target, str):
@@ -170,19 +207,28 @@ def _clamp(value: float, t: float, comp: int) -> float:
     raise NegativityBreachError(t, COMPONENT_NAMES[comp], value)
 
 
-def _history_incidence(phi: HistorySegment, offsets: list[float], c_vh: float,
+def _history_incidence(phi: HistorySegment, offsets: Iterable[float], c_vh: float,
                        inv_nv: float | None) -> list[float]:
     """The incidence c_vh * (I_v / N_v) * S_h of the history at each offset,
     with 1 / N_v fixed at inv_nv on the limiting system.
 
     The offsets lie in [-tau, 0), and integrate checked phi's span against
-    tau. np.interp over an array and numpy's elementwise arithmetic round
-    each value as value_at and the scalar step loop do.
+    tau.
     """
-    x = np.array(offsets)
-    sh, sv, iv = (np.interp(x, phi.times, phi.states[:, k]) for k in (0, 2, 3))
-    lam = c_vh * (iv / (sv + iv)) * sh if inv_nv is None else c_vh * (iv * inv_nv) * sh
-    return lam.tolist()
+    rows = map(phi.value_at, offsets)
+    if inv_nv is None:
+        return [c_vh * (iv / (sv + iv)) * sh for sh, _, sv, iv in rows]
+    return [c_vh * (iv * inv_nv) * sh for sh, _, sv, iv in rows]
+
+
+def _keep(buf: array, values: list[float], first: int, stop: int,
+          stride: int) -> None:
+    """Append to buf the nodes first, first + stride, ... below stop of
+    values, four floats per node."""
+    kept = [0.0] * (4 * len(range(first, stop, stride)))
+    for q in range(4):
+        kept[q::4] = values[4 * first + q:4 * stop:4 * stride]
+    buf.fromlist(kept)
 
 
 def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Trajectory:
@@ -224,103 +270,117 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     sixth = h / 6.0
     eighth = 0.125 * h
 
-    a, b, c, d = (float(v) for v in phi.value_at(0.0))
+    a, b, c, d = phi.value_at(0.0)
     if c + d <= 0.0:
         raise ZeroMosquitoPopulationError(0.0)
-    # L[n] is node n's delayed incidence and L[n + m] its own; the first m
-    # come from the history, as do M[n], step n's midpoint ones, for n < m
+    # Y and F hold the nodes not yet moved out and their derivatives, four
+    # floats each, step done + i's at 4 * i. L[i] is its delayed incidence
+    # and L[i + m] its own; the first m come from the history, as do M[i],
+    # step i's midpoint ones, for the first m steps. After each chunk of
+    # steps the nodes no later step reads leave Y, F and L, and the
+    # recorded ones among them go to ys and fs.
     L, M = [], []
     if delayed:
-        L = _history_incidence(phi, [k * h - tau for k in range(m)], c_vh, inv_nv)
-        M = _history_incidence(phi, [k * h + hh - tau for k in range(m)], c_vh, inv_nv)
-    Y, F = [], []  # nodes and their derivatives, four floats each
+        L = _history_incidence(phi, (k * h - tau for k in range(m)), c_vh, inv_nv)
+        M = _history_incidence(phi, (k * h + hh - tau for k in range(m)), c_vh, inv_nv)
+    Y, F = [], []
+    ys, fs = array("d"), array("d")
+    stride = spec.record_stride
+    done = start = 0
 
-    for n in range(n_steps + 1):
-        # node n's derivative: its Hermite slope and the next step's k1
-        lam = c_vh * (d / (c + d)) * a if full else c_vh * (d * inv_nv) * a
-        L.append(lam)
-        flux = c_hv * b * c
-        fa = beta_h - lam - mu_h * a
-        fb = L[n] - mu_h * b
-        fc = beta_v - flux - mu_v * c
-        fd = flux - mu_v * d
-        Y += (a, b, c, d)
-        F += (fa, fb, fc, fd)
-        if n == n_steps:
+    while True:
+        last = n_steps - done  # the final node's index
+        for i in range(start, start + _CHUNK):
+            # node i's derivative: its Hermite slope and the next step's k1
+            lam = c_vh * (d / (c + d)) * a if full else c_vh * (d * inv_nv) * a
+            L.append(lam)
+            flux = c_hv * b * c
+            fa = beta_h - lam - mu_h * a
+            fb = L[i] - mu_h * b
+            fc = beta_v - flux - mu_v * c
+            fd = flux - mu_v * d
+            Y += (a, b, c, d)
+            F += (fa, fb, fc, fd)
+            if i == last:
+                break
+
+            try:
+                # (sh, ih, sv, iv) is the latest stage state, read when a stage
+                # divides by 0, so each is assigned before its divisions
+                sh, ih, sv, iv = a + hh * fa, b + hh * fb, c + hh * fc, d + hh * fd
+                if delayed:
+                    j = 4 * (i - m)
+                    if j >= 0:  # S_h, S_v, I_v at the midpoint of interval i - m
+                        sh_m = 0.5 * (Y[j] + Y[j + 4]) + eighth * (F[j] - F[j + 4])
+                        sv_m = 0.5 * (Y[j + 2] + Y[j + 6]) + eighth * (F[j + 2] - F[j + 6])
+                        iv_m = 0.5 * (Y[j + 3] + Y[j + 7]) + eighth * (F[j + 3] - F[j + 7])
+                        lam_m = (c_vh * (iv_m / (sv_m + iv_m)) * sh_m if full
+                                 else c_vh * (iv_m * inv_nv) * sh_m)
+                    else:
+                        lam_m = M[i]
+                lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
+                flux = c_hv * ih * sv
+                k2a = beta_h - lam - mu_h * sh
+                k2b = (lam_m if delayed else lam) - mu_h * ih
+                k2c = beta_v - flux - mu_v * sv
+                k2d = flux - mu_v * iv
+
+                sh, ih, sv, iv = a + hh * k2a, b + hh * k2b, c + hh * k2c, d + hh * k2d
+                lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
+                flux = c_hv * ih * sv
+                k3a = beta_h - lam - mu_h * sh
+                k3b = (lam_m if delayed else lam) - mu_h * ih
+                k3c = beta_v - flux - mu_v * sv
+                k3d = flux - mu_v * iv
+
+                sh, ih, sv, iv = a + h * k3a, b + h * k3b, c + h * k3c, d + h * k3d
+                lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
+                flux = c_hv * ih * sv
+                k4a = beta_h - lam - mu_h * sh
+                k4b = (L[i + 1] if delayed else lam) - mu_h * ih
+                k4c = beta_v - flux - mu_v * sv
+                k4d = flux - mu_v * iv
+
+                na = a + sixth * (fa + 2.0 * (k2a + k3a) + k4a)
+                nb = b + sixth * (fb + 2.0 * (k2b + k3b) + k4b)
+                nc = c + sixth * (fc + 2.0 * (k2c + k3c) + k4c)
+                nd = d + sixth * (fd + 2.0 * (k2d + k3d) + k4d)
+            except ZeroDivisionError:
+                # committed nodes keep S_v + I_v > 0, so the zero total is in a
+                # stage; a stage component below the band means the step
+                # overshot, not that the mosquito pool died out
+                t_next = (done + i + 1) * h
+                for comp, value in enumerate((sh, ih, sv, iv)):
+                    if value < -defaults.CLAMP_BAND:
+                        raise NegativityBreachError(t_next, COMPONENT_NAMES[comp],
+                                                    value) from None
+                raise ZeroMosquitoPopulationError(t_next) from None
+
+            if na >= 0.0 and nb >= 0.0 and nc >= 0.0 and nd >= 0.0:
+                a, b, c, d = na, nb, nc, nd
+            else:  # a NaN fails `>= 0` too, and _clamp reports it
+                t_next = (done + i + 1) * h
+                a, b, c, d = (_clamp(v, t_next, comp)
+                              for comp, v in enumerate((na, nb, nc, nd)))
+            if c + d <= 0.0:
+                raise ZeroMosquitoPopulationError((done + i + 1) * h)
+        # step i + 1 reads nodes i + 1 - m on, so those before move out; at
+        # the end, all but the final node do
+        k = last if i == last else max(i + 1 - m, 0)
+        for buf, values in ((ys, Y), (fs, F)):
+            _keep(buf, values, -done % stride, k, stride)
+        if i == last:
             break
-
-        t_next = (n + 1) * h
-        try:
-            # (sh, ih, sv, iv) is the latest stage state, read when a stage
-            # divides by 0, so each is assigned before its divisions
-            sh, ih, sv, iv = a + hh * fa, b + hh * fb, c + hh * fc, d + hh * fd
-            if delayed:
-                j = 4 * (n - m)
-                if j >= 0:  # S_h, S_v, I_v at the midpoint of interval n - m
-                    sh_m = 0.5 * (Y[j] + Y[j + 4]) + eighth * (F[j] - F[j + 4])
-                    sv_m = 0.5 * (Y[j + 2] + Y[j + 6]) + eighth * (F[j + 2] - F[j + 6])
-                    iv_m = 0.5 * (Y[j + 3] + Y[j + 7]) + eighth * (F[j + 3] - F[j + 7])
-                    lam_m = (c_vh * (iv_m / (sv_m + iv_m)) * sh_m if full
-                             else c_vh * (iv_m * inv_nv) * sh_m)
-                else:
-                    lam_m = M[n]
-            lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
-            flux = c_hv * ih * sv
-            k2a = beta_h - lam - mu_h * sh
-            k2b = (lam_m if delayed else lam) - mu_h * ih
-            k2c = beta_v - flux - mu_v * sv
-            k2d = flux - mu_v * iv
-
-            sh, ih, sv, iv = a + hh * k2a, b + hh * k2b, c + hh * k2c, d + hh * k2d
-            lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
-            flux = c_hv * ih * sv
-            k3a = beta_h - lam - mu_h * sh
-            k3b = (lam_m if delayed else lam) - mu_h * ih
-            k3c = beta_v - flux - mu_v * sv
-            k3d = flux - mu_v * iv
-
-            sh, ih, sv, iv = a + h * k3a, b + h * k3b, c + h * k3c, d + h * k3d
-            lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
-            flux = c_hv * ih * sv
-            k4a = beta_h - lam - mu_h * sh
-            k4b = (L[n + 1] if delayed else lam) - mu_h * ih
-            k4c = beta_v - flux - mu_v * sv
-            k4d = flux - mu_v * iv
-
-            na = a + sixth * (fa + 2.0 * (k2a + k3a) + k4a)
-            nb = b + sixth * (fb + 2.0 * (k2b + k3b) + k4b)
-            nc = c + sixth * (fc + 2.0 * (k2c + k3c) + k4c)
-            nd = d + sixth * (fd + 2.0 * (k2d + k3d) + k4d)
-        except ZeroDivisionError:
-            # committed nodes keep S_v + I_v > 0, so the zero total is in a
-            # stage; a stage component below the band means the step
-            # overshot, not that the mosquito pool died out
-            for comp, value in enumerate((sh, ih, sv, iv)):
-                if value < -defaults.CLAMP_BAND:
-                    raise NegativityBreachError(t_next, COMPONENT_NAMES[comp],
-                                                value) from None
-            raise ZeroMosquitoPopulationError(t_next) from None
-
-        # a NaN fails `>= 0` too, and _clamp reports it
-        a = na if na >= 0.0 else _clamp(na, t_next, 0)
-        b = nb if nb >= 0.0 else _clamp(nb, t_next, 1)
-        c = nc if nc >= 0.0 else _clamp(nc, t_next, 2)
-        d = nd if nd >= 0.0 else _clamp(nd, t_next, 3)
-        if c + d <= 0.0:
-            raise ZeroMosquitoPopulationError(t_next)
+        del Y[:4 * k], F[:4 * k], L[:k]
+        done += k
+        start = i + 1 - k
 
     for comp, value in enumerate((a, b, c, d)):
         if not math.isfinite(value):
             raise NonFiniteStateError(n_steps * h, COMPONENT_NAMES[comp], value)
-
-    states = np.array(Y).reshape(-1, 4)
-    derivs = np.array(F).reshape(-1, 4)
-    stride = spec.record_stride
-    ia = np.append(np.arange(0, n_steps, stride), n_steps)  # the final node always
-    if stride > 1:
-        states, derivs = states[ia], derivs[ia]
-    times = ia * h
-    return Trajectory(times=times, states=states, derivs=derivs, history=phi,
+    ys.fromlist(Y[-4:])  # the final node, always recorded
+    fs.fromlist(F[-4:])
+    return Trajectory(ys=ys, fs=fs, steps=n_steps, stride=stride, history=phi,
                       tau=float(tau), h=h, system=spec.system)
 
 
@@ -377,12 +437,13 @@ class TailStats:
 
 def tail_stats(traj: Trajectory) -> TailStats:
     cut = defaults.TAIL_WINDOW * traj.t_end
-    mask = traj.times >= cut - 1e-12 * (1.0 + abs(cut))
-    if int(mask.sum()) < 2:
+    cut -= 1e-12 * (1.0 + abs(cut))
+    # the first recorded node at or past the cut; node r's time rises with r
+    h, stride, steps = traj.h, traj.stride, traj.steps
+    first = bisect.bisect_left(range(traj.nodes), cut,
+                               key=lambda r: min(r * stride, steps) * h)
+    if traj.nodes - first < 2:
         raise EmptyWindowError()
-    block = traj.states[mask]
-    lo = block.min(axis=0)
-    hi = block.max(axis=0)
-    return TailStats(t_start=float(traj.times[mask][0]),
-                     inf=State(*(float(x) for x in lo)),
-                     sup=State(*(float(x) for x in hi)))
+    columns = [traj.ys[4 * first + q::4] for q in range(4)]
+    return TailStats(t_start=min(first * stride, steps) * h,
+                     inf=State(*map(min, columns)), sup=State(*map(max, columns)))

@@ -115,7 +115,7 @@ class LyapunovTrace:
                                      * (1.0 + abs(float(self.values[0]))))
 
     def to_csv(self, target: str | IO[str]) -> None:
-        _write_csv(target, "t,V", (self.times, self.values))
+        _write_csv(target, "t,V", (self.times.tolist(), self.values.tolist()))
 
 
 def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:

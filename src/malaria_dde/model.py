@@ -18,14 +18,20 @@ frozen at S_v0. Long-run analysis (Lyapunov certificates) is done on the
 limiting system; simulation defaults to the full one.
 
 `np` below is the package's one handle to numpy, which it defers: importing
-the package does not load numpy, the first attribute read on `np` does. The
-closed-form layers (ModelParams, equilibria, stability) never read it, so
-`report --only stability`, a sweep without tail columns and an input error
-run without numpy; a history, an integration or a Lyapunov trace loads it.
+the package does not load numpy, the first attribute read on `np` does.
+Parameters, equilibria, stability, histories and the integrator's march
+keep their numbers in floats, tuples and `array('d')` buffers, so a run
+that only simulates, sweeps (`tail` columns too) or checks persistence on
+a constant or table history never reads `np`. What does: a Lyapunov trace,
+`dense_eval` and `Trajectory.window`, a `random` history, and the first
+read of the array properties `Trajectory.times`, `states` and `derivs` or
+`HistorySegment.times` and `states`.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import importlib.util
 import math
 import numbers
@@ -176,18 +182,36 @@ class HistorySegment:
     """Initial data on [-tau, 0]: either a constant state or a sampled table
     interpolated piecewise-linearly.
 
-    Invariants, enforced at construction: one 4-vector sample per time,
-    finite sample times strictly increasing from -tau to 0, every sample
-    finite and componentwise >= 0, and S_v + I_v > 0 at every sample.
+    The samples are kept as float tuples; `times` and `states` are numpy
+    arrays of them, made (read-only) on first read. Invariants, enforced at
+    construction: one 4-vector of reals per time, finite sample times
+    strictly increasing from -tau to 0, every sample finite and
+    componentwise >= 0, and S_v + I_v > 0 at every sample.
     """
 
-    __slots__ = ("times", "states", "tau")
-
-    def __init__(self, times: np.ndarray, states: np.ndarray, tau: float):
-        self.times = times
-        self.states = states
+    def __init__(self, times: Sequence[float], states: Sequence[Sequence[float]],
+                 tau: float):
+        self._t = t = _reals(times)
+        try:
+            self._x = x = tuple(_reals(row, 4) for row in states)
+        except TypeError:  # states is not a sequence
+            raise InvalidHistoryError(_NOT_NUMERIC) from None
         self.tau = tau
-        self._validate()
+        if not t or len(x) != len(t):
+            raise InvalidHistoryError(f"history needs one 4-vector sample per "
+                                      f"time, got {len(x)} for {len(t)} times")
+        if not (all(map(math.isfinite, t))
+                and all(math.isfinite(v) for row in x for v in row)):
+            raise InvalidHistoryError("history times and samples must be finite")
+        if any(b <= a for a, b in zip(t, t[1:])):
+            raise InvalidHistoryError("sample times must be strictly increasing")
+        if not _spans(-t[0], tau):
+            raise InvalidHistoryError("first sample time must equal -tau")
+        if any(v < 0 for row in x for v in row):
+            raise InvalidHistoryError("history samples must be componentwise >= 0")
+        if any(row[2] + row[3] <= 0 for row in x):
+            raise InvalidHistoryError("S_v + I_v must stay strictly positive "
+                                      "on the history interval")
 
     @classmethod
     def constant(cls, state: State | Sequence[float], tau: float) -> "HistorySegment":
@@ -198,44 +222,72 @@ class HistorySegment:
 
     @classmethod
     def table(cls, times: Sequence[float], states: Sequence[Sequence[float]]) -> "HistorySegment":
-        try:
-            t = np.asarray(times)
-            x = np.asarray(states)
-        except (TypeError, ValueError, OverflowError) as exc:  # ragged
-            raise InvalidHistoryError(f"history needs numeric times and 4-vector "
-                                      f"samples: {exc}") from None
-        if t.dtype.kind not in "iuf" or x.dtype.kind not in "iuf":  # bools, strings
-            raise InvalidHistoryError(f"history needs numeric times and 4-vector "
-                                      f"samples, got dtypes {t.dtype} and {x.dtype}")
-        t, x = t.astype(float, copy=False), x.astype(float, copy=False)
-        if t.ndim != 1:
-            raise InvalidHistoryError("table needs sample times of shape (n,)")
-        if t.size < 1 or t[-1] != 0.0:
+        t = _reals(times)
+        if not t or t[-1] != 0.0:
             raise InvalidHistoryError("last sample time must be exactly 0")
-        return cls(t, x, 0.0 - float(t[0]))  # tau = 0, not -0.0, from times [0]
+        return cls(t, states, 0.0 - t[0])  # tau = 0, not -0.0, from times [0]
 
-    def _validate(self) -> None:
-        if self.states.shape != (self.times.size, 4):
-            raise InvalidHistoryError(f"history needs one 4-vector sample per "
-                                      f"time, got shape {self.states.shape}")
-        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.states))):
-            raise InvalidHistoryError("history times and samples must be finite")
-        if np.any(np.diff(self.times) <= 0):
-            raise InvalidHistoryError("sample times must be strictly increasing")
-        if not _spans(-self.times[0], self.tau):
-            raise InvalidHistoryError("first sample time must equal -tau")
-        if np.any(self.states < 0):
-            raise InvalidHistoryError("history samples must be componentwise >= 0")
-        if np.any(self.states[:, 2] + self.states[:, 3] <= 0):
-            raise InvalidHistoryError("S_v + I_v must stay strictly positive "
-                                      "on the history interval")
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        return _frozen(np.array(self._t))
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        return _frozen(np.array(self._x).reshape(-1, 4))
 
     def value_at(self, theta: float) -> tuple[float, float, float, float]:
-        """Piecewise-linear evaluation at offset theta in [-tau, 0] (-tau by `_spans`)."""
-        lo = self.times[0]
+        """Piecewise-linear evaluation at offset theta in [-tau, 0] (-tau by `_spans`).
+
+        np.interp's arithmetic, value for value: the first sample below the
+        first time, the last one from the last time on, a sample at its own
+        time, and between two samples slope * (theta - t_j) + y_j, read from
+        the right end when that is NaN, and y_j when both are and y_j == y_j+1.
+        """
+        t, x = self._t, self._x
+        lo = t[0]
         if not (-math.inf < theta <= 1e-12 and (lo <= theta or _spans(-lo, -theta))):
             raise OutOfRangeError(theta, 0.0 - self.tau, 0.0)
-        return tuple(np.interp(theta, self.times, self.states[:, k]) for k in range(4))
+        j = bisect.bisect_right(t, theta) - 1
+        if j < 0:
+            return x[0]
+        if j == len(t) - 1 or t[j] == theta:
+            return x[j]
+        t0, t1 = t[j], t[j + 1]
+        out = []
+        for y0, y1 in zip(x[j], x[j + 1]):
+            slope = (y1 - y0) / (t1 - t0)
+            y = slope * (theta - t0) + y0
+            if y != y:
+                y = slope * (theta - t1) + y1
+                if y != y and y0 == y1:
+                    y = y0
+            out.append(y)
+        return tuple(out)
 
     def state_at(self, theta: float) -> State:
         return State(*self.value_at(theta))
+
+
+_NOT_NUMERIC = "history needs numeric times and 4-vector samples"
+
+
+def _reals(values: object, size: int | None = None) -> tuple[float, ...]:
+    """values as a tuple of floats: a sequence of reals that are not bools,
+    of `size` items if given; InvalidHistoryError otherwise."""
+    try:
+        items = tuple(values)
+        if (size is None or len(items) == size) and all(
+                isinstance(v, (float, int, numbers.Real)) and not isinstance(v, bool)
+                for v in items):
+            return tuple(map(float, items))
+    except TypeError:  # a scalar
+        pass
+    except OverflowError:  # an integer beyond the float range
+        raise InvalidHistoryError("history times and samples must be finite") from None
+    raise InvalidHistoryError(_NOT_NUMERIC)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, read-only: value_at reads the tuples, so a write would not reach it."""
+    a.flags.writeable = False
+    return a

@@ -84,7 +84,7 @@ def _require_preconditions(p: ModelParams, phi: HistorySegment,
     theta in (0, 1), R0 > 1 and a seeded history, I_h(0) > 0. Returns E*."""
     _require_theta(theta)
     star = _require_endemic(p)
-    if not phi.states[-1, 1] > 0:
+    if not phi.value_at(0.0)[1] > 0:
         raise NotInDomainDError()
     return star
 

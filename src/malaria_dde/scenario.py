@@ -76,11 +76,14 @@ class HistorySpec:
     times: tuple[float, ...] | None = None
     states: tuple[tuple[float, ...], ...] | None = None
 
-    def build(self, p: ModelParams, rng: np.random.Generator) -> HistorySegment:
+    def build(self, p: ModelParams, seed: int) -> HistorySegment:
+        """The history for p; a random one is drawn from numpy's generator
+        seeded with seed, the only kind that loads numpy."""
         if self.kind == "constant":
             return HistorySegment.constant(self.state, p.tau)
         if self.kind == "table":
             return HistorySegment.table(self.times, self.states)
+        rng = np.random.default_rng(seed)
         draw = (rng.uniform(0.2, 2.0) * p.s_h0,
                 rng.uniform(0.01, 1.0) * p.s_h0,
                 rng.uniform(0.2, 2.0) * p.s_v0,
@@ -403,7 +406,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
 
     phi = None
     if a.simulate or a.lyapunov or a.persistence:
-        phi = scn.history.build(p, np.random.default_rng(seed))
+        phi = scn.history.build(p, seed)
     spec = scn.integration
     runs: dict[IntegrationSpec, Trajectory] = {}
 
@@ -415,7 +418,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
     if a.simulate:
         traj = run(spec)
         lines.append(f"trajectory.t_end = {_fmt(traj.t_end)}")
-        lines.append(f"trajectory.nodes = {traj.times.size}")
+        lines.append(f"trajectory.nodes = {traj.nodes}")
         tail = tail_stats(traj)
         for name in COMPONENT_NAMES:
             lines.append(f"tail.{name}.inf = {_fmt(getattr(tail.inf, name))}")
@@ -491,7 +494,7 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
             row[col] = "" if star is None else _fmt(getattr(star, name))
         elif col in _TAIL_COLUMNS:
             if tail is None:  # integrate once, fill all tail cells
-                phi = scn.history.build(p, np.random.default_rng(seed))
+                phi = scn.history.build(p, seed)
                 tail = tail_stats(integrate(p, phi, scn.integration))
                 for name in COMPONENT_NAMES:
                     row[f"tail_{name}_inf"] = _fmt(getattr(tail.inf, name))

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -176,6 +177,47 @@ def test_tail_stats_bounds_and_window_validation():
     block = traj.states[traj.times >= tail.t_start]
     assert tail.inf.as_tuple() == tuple(block.min(axis=0))
     assert tail.sup.as_tuple() == tuple(block.max(axis=0))
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("system,tau", [(SystemKind.FULL, 1.0),
+                                        (SystemKind.LIMITING, 1.0),
+                                        (SystemKind.FULL, 0.0)],
+                         ids=["full", "limiting", "tau0"])
+def test_tail_stats_is_the_numpy_mask_min_max(system, tau, stride):
+    # the first tail node comes from arithmetic on k * h, and min / max from
+    # the buffers; both must give the floats of the mask over traj.times.
+    # t_end 10 puts the cut at step 100 (tau = 1) or 250 (tau = 0), between
+    # nodes at stride 3; t_end 12 puts it on one
+    p = replace(P_SUPER, tau=tau)
+    for t_end in (10.0, 12.0, 12.34):
+        traj = integrate(p, _phi(p), IntegrationSpec(system=system, t_end=t_end,
+                                                     record_stride=stride))
+        cut = defaults.TAIL_WINDOW * traj.t_end
+        mask = traj.times >= cut - 1e-12 * (1.0 + abs(cut))
+        block = traj.states[mask]
+        tail = tail_stats(traj)
+        assert traj.t_end == float(traj.times[-1]) and traj.nodes == traj.times.size
+        assert tail.t_start == float(traj.times[mask][0])
+        assert tail.inf.as_tuple() == tuple(block.min(axis=0).tolist())
+        assert tail.sup.as_tuple() == tuple(block.max(axis=0).tolist())
+
+
+def test_integrate_peak_memory_is_within_three_times_its_arrays():
+    # nodes move from Python lists to flat float buffers every 1,024 steps,
+    # so the peak follows the returned arrays, not 32 B per float (about 5x
+    # them when every node stayed in a list); 4,000 steps take about 2 s
+    # under tracemalloc
+    phi = _phi(P_SUPER)
+    tracemalloc.start()
+    try:
+        traj = integrate(P_SUPER, phi, spec_full(4000 * 0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = traj.times.nbytes + traj.states.nbytes + traj.derivs.nbytes
+    assert traj.nodes == 4001
+    assert peak <= 3 * returned, (peak, returned)
 
 
 def test_tail_stats_needs_two_nodes():

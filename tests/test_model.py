@@ -166,6 +166,28 @@ def test_history_rejects_non_finite_values(build):
         build()
 
 
+def test_value_at_is_np_interp_bit_for_bit(rng):
+    # value_at ports np.interp's arithmetic: the same float at sample hits,
+    # between samples, past either end within the span tolerance, and on
+    # constant histories (tau = 0 included)
+    segs = [HistorySegment.constant((4.0, 0.5, 30.0, 10.0), tau)
+            for tau in (0.0, 1.0, 2.5)]
+    for n in (2, 3, 8):
+        tau = float(rng.uniform(0.1, 3.0))
+        times = [-tau, *np.sort(rng.uniform(-tau, 0.0, n - 2)).tolist(), 0.0]
+        rows = rng.uniform(0.1, 50.0, (n, 4))
+        rows[1] = rows[0]  # a flat piece
+        segs.append(HistorySegment.table(times, rows.tolist()))
+    for seg in segs:
+        tau = seg.tau
+        thetas = [*seg.times.tolist(), *rng.uniform(-tau, 0.0, 40).tolist(),
+                  -tau - 5e-10 * (1.0 + tau), 5e-13, -0.0]
+        for theta in thetas:
+            want = [float(np.interp(theta, seg.times, seg.states[:, k])).hex()
+                    for k in range(4)]
+            assert [v.hex() for v in seg.value_at(theta)] == want, theta
+
+
 def test_history_value_out_of_range():
     h = HistorySegment.constant((1.0, 0.0, 30.0, 10.0), 1.0)
     with pytest.raises(OutOfRangeError):

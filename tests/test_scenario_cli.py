@@ -364,6 +364,23 @@ def test_overflowing_r0_squared_is_a_numerical_error(tmp_path, capsys):
     assert rows[2].startswith("1e+308,,,,,,") and "overflows" in rows[2]
 
 
+def test_r0_squared_of_two_overflows_is_a_numerical_error(tmp_path, capsys):
+    # c_vh c_hv beta_h and mu_h^2 mu_v both overflow, so R0^2 = inf / inf is
+    # NaN; it once printed r0 = nan and wrote a sweep row of NaNs
+    params = {"beta_h": 3.7149e86, "beta_v": 1.3575e-112, "mu_h": 3.4276e123,
+              "mu_v": 6.3440e89, "c_vh": 1.1647e125, "c_hv": 5.7599e111, "tau": 1.0}
+    path = scenario_file(tmp_path, params=params)
+    assert cli.main(["report", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: R0^2") and "overflows to nan" in err
+
+    sweep = {"schema": 1, "base": {**BASE, "params": params}, "axis": "tau",
+             "values": [1.0], "columns": ["r0", "r0_squared", "e_star"]}
+    rows = open(run_sweep(load_sweep(write_json(tmp_path / "sw.json", sweep)),
+                          out_dir=str(tmp_path / "s"))).read().splitlines()
+    assert rows[1].startswith("1,,,,,,,") and "overflows to nan" in rows[1]
+
+
 # Runs the CLI on argv and prints its exit code and the numpy and scipy
 # submodules then loaded, as JSON on the last stdout line.
 _MODULES_AFTER_MAIN = (
@@ -386,18 +403,30 @@ def _import_budget_argv(case, tmp_path):
                "columns": ["r0", "classification", "e_star"]}
         return ["sweep", write_json(tmp_path / "sw.json", obj),
                 "--out", str(tmp_path / "o"), "--quiet"], 0
+    if case == "sweep-tail":
+        obj = {"schema": 1, "base": {**BASE, "integration": {"t_end": 20}},
+               "axis": "c_vh", "values": [0.05, 0.2],
+               "columns": ["tail", "classification"]}
+        return ["sweep", write_json(tmp_path / "sw.json", obj),
+                "--out", str(tmp_path / "o"), "--quiet"], 0
     if case == "schema-error":
         return ["simulate", scenario_file(tmp_path, typo=True)], 1
-    assert case == "simulate"
-    return ["simulate", ENDEMIC_DEMO, "--out", str(tmp_path / "o"), "--quiet"], 0
+    assert case in ("simulate", "simulate-no-lyapunov")
+    with open(ENDEMIC_DEMO) as fh:
+        obj = json.load(fh)
+    obj["analyses"]["lyapunov"] = case == "simulate"
+    return ["simulate", write_json(tmp_path / "scn.json", obj),
+            "--out", str(tmp_path / "o"), "--quiet"], 0
 
 
 @pytest.mark.parametrize("case", ["import", "report-stability", "sweep-closed-form",
-                                  "schema-error", "simulate"])
-def test_cli_loads_numpy_only_to_integrate(tmp_path, case):
-    # numpy loads on first use, so the closed-form paths and input errors
-    # never load it; scipy is a test dependency only and never loads
-    # (structural checks, not timing bounds)
+                                  "schema-error", "sweep-tail", "simulate-no-lyapunov",
+                                  "simulate"])
+def test_cli_loads_numpy_only_for_lyapunov(tmp_path, case):
+    # numpy loads on first use: the closed-form paths, input errors, and the
+    # march, tail, persistence and CSV of a constant history never load it;
+    # the Lyapunov trace does. scipy is a test dependency only and never
+    # loads (structural checks, not timing bounds)
     argv, code = _import_budget_argv(case, tmp_path)
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, *argv],
                           env=subprocess_env(), capture_output=True, text=True)
