@@ -10,6 +10,12 @@ malformed histories, a negative seed, an output directory that cannot be
 written), 2 when the run itself breaks down numerically (population
 collapse, a real-root polish that fails, state outside a functional's
 domain, or a division by zero when admissible but extreme rates underflow).
+
+The parser is built once, at import (`_PARSER`), and every `main` call in
+the process shares it; callers must not modify it. argparse keeps no state
+between parses: each gets a fresh Namespace, and help is formatted to the
+terminal width at the time it is printed. `build_parser()` returns a new
+parser for callers that want their own.
 """
 
 from __future__ import annotations
@@ -68,8 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "sweep":
             spec = load_sweep(args.sweep)

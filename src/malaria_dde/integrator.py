@@ -26,7 +26,8 @@ _CHUNK steps the recorded ones of the older nodes (every record_stride-th,
 and the final node at the end) move to two flat `array('d')` buffers, four
 floats per node, so memory follows the output at 8 B per float. Trajectory
 keeps the buffers and makes numpy arrays of them only when `times`,
-`states` or `derivs` is read; tail_stats and to_csv read the buffers.
+`states` or `derivs` is read; its tail stats (computed once, on first
+read) and to_csv read the buffers.
 
 A run needs t_end / h steps; more than defaults.MAX_STEPS is rejected before
 anything is allocated.
@@ -155,6 +156,21 @@ class Trajectory:
     @functools.cached_property
     def derivs(self) -> np.ndarray:
         return np.frombuffer(self.fs).reshape(-1, 4)
+
+    @functools.cached_property
+    def tail(self) -> TailStats:
+        """Tail inf/sup, computed on first read (see TailStats)."""
+        cut = defaults.TAIL_WINDOW * self.t_end
+        cut -= 1e-12 * (1.0 + abs(cut))
+        # the first recorded node at or past the cut; node r's time rises with r
+        h, stride, steps = self.h, self.stride, self.steps
+        first = bisect.bisect_left(range(self.nodes), cut,
+                                   key=lambda r: min(r * stride, steps) * h)
+        if self.nodes - first < 2:
+            raise EmptyWindowError()
+        columns = [self.ys[4 * first + q::4] for q in range(4)]
+        return TailStats(t_start=min(first * stride, steps) * h,
+                         inf=State(*map(min, columns)), sup=State(*map(max, columns)))
 
     def window(self, t: float) -> HistorySegment:
         """Slice [t - tau, t] as a history segment (offsets in [-tau, 0]).
@@ -436,14 +452,5 @@ class TailStats:
 
 
 def tail_stats(traj: Trajectory) -> TailStats:
-    cut = defaults.TAIL_WINDOW * traj.t_end
-    cut -= 1e-12 * (1.0 + abs(cut))
-    # the first recorded node at or past the cut; node r's time rises with r
-    h, stride, steps = traj.h, traj.stride, traj.steps
-    first = bisect.bisect_left(range(traj.nodes), cut,
-                               key=lambda r: min(r * stride, steps) * h)
-    if traj.nodes - first < 2:
-        raise EmptyWindowError()
-    columns = [traj.ys[4 * first + q::4] for q in range(4)]
-    return TailStats(t_start=min(first * stride, steps) * h,
-                     inf=State(*map(min, columns)), sup=State(*map(max, columns)))
+    """The run's tail stats; computed once per trajectory, then shared."""
+    return traj.tail

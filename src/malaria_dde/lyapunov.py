@@ -19,6 +19,7 @@ trace_along's functional: v_endemic where E* exists, v_dfe otherwise.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import IO
 
@@ -40,6 +41,20 @@ class FunctionalKind(enum.Enum):
     V_ENDEMIC = "v_endemic"
 
 
+def _log(x: np.ndarray) -> np.ndarray:
+    """Elementwise ln through libm's math.log. numpy's own log kernel depends
+    on the CPU's SIMD features (one ulp apart on some inputs), so output
+    read through it would change from machine to machine. Nonpositive
+    entries give -inf or NaN, as np.log does."""
+    try:
+        return np.fromiter(map(math.log, x.tolist()), float, x.size)
+    except ValueError:
+        out = np.log(x)
+        pos = x > 0
+        out[pos] = _log(x[pos])
+        return out
+
+
 def _window_integrals(integrand: np.ndarray, times: np.ndarray, m: int) -> np.ndarray:
     """Trapezoid integral over [t_(k-m), t_k] for every sample k >= m."""
     if m == 0:
@@ -58,8 +73,8 @@ def _v_dfe(p: ModelParams, times: np.ndarray, states: np.ndarray,
         raise OutsideOmega1Error()
     sh0, sv0 = p.s_h0, p.s_v0
     coef = p.mu_v * p.mu_h / (p.c_hv * p.beta_v)
-    point = (sh0 * (x1 / sh0 - 1.0 - np.log(x1 / sh0)) + x2
-             + coef * sv0 * (x3 / sv0 - 1.0 - np.log(x3 / sv0)) + coef * x4)
+    point = (sh0 * (x1 / sh0 - 1.0 - _log(x1 / sh0)) + x2
+             + coef * sv0 * (x3 / sv0 - 1.0 - _log(x3 / sv0)) + coef * x4)
     integrand = (p.mu_v / p.beta_v) * p.c_vh * states[:, 3] * states[:, 0]
     return point + _window_integrals(integrand, times, m)
 
@@ -77,12 +92,12 @@ def _v_endemic(p: ModelParams, times: np.ndarray, states: np.ndarray,
         raise NonPositiveProductError(float(times[bad[0]]))
     x1, x2, x3, x4 = (states[m:, k] for k in range(4))
     weight = p.mu_h * star.i_h / (p.mu_v * star.i_v)
-    point = ((x1 - star.s_h - star.s_h * np.log(x1 / star.s_h))
-             + (x2 - star.i_h - star.i_h * np.log(x2 / star.i_h))
-             + weight * (x3 - star.s_v - star.s_v * np.log(x3 / star.s_v))
-             + weight * (x4 - star.i_v - star.i_v * np.log(x4 / star.i_v)))
+    point = ((x1 - star.s_h - star.s_h * _log(x1 / star.s_h))
+             + (x2 - star.i_h - star.i_h * _log(x2 / star.i_h))
+             + weight * (x3 - star.s_v - star.s_v * _log(x3 / star.s_v))
+             + weight * (x4 - star.i_v - star.i_v * _log(x4 / star.i_v)))
     xarg = p.mu_v * p.c_vh * prod / (p.beta_v * p.mu_h * star.i_h)
-    integrand = xarg - 1.0 - np.log(xarg)
+    integrand = xarg - 1.0 - _log(xarg)
     return point + p.mu_h * star.i_h * _window_integrals(integrand, times, m)
 
 

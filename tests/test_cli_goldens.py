@@ -8,17 +8,23 @@ before the RK4 loop had the model written inline (the report sections
 before the records validated themselves). The report.txt and stability
 section hashes were re-recorded when the real-root polish became
 Newton-bisection: the printed roots moved by at most 1.2e-13, within
-ROOT_XTOL. Any changed byte in a node, a Lyapunov value, a report line or a
-sweep row shows here. A change that
-moves the numbers on purpose updates the hash and says why.
+ROOT_XTOL. The lyapunov.csv hashes were re-recorded when the functionals'
+logarithms moved from numpy's SIMD kernel to libm's math.log: values moved
+in the last digit, and the new hashes are what the earlier code wrote with
+AVX-512 dispatch off. Any changed byte in a node, a Lyapunov value, a report
+line or a sweep row shows here. A change that moves the numbers on purpose
+updates the hash and says why.
 """
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
 import malaria_dde.cli as cli
+from conftest import subprocess_env
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "demos", "scenarios")
@@ -28,12 +34,12 @@ GOLDENS = {
     ("simulate", "endemic.json"): {
         "report.txt": "3261ef1a36125f7b384575e2bf015417309338ef0fa284eea6739dacdb334edf",
         "trajectory.csv": "71d42b6611564d6a7c083c84a20fc6fe500d45746f462a9bc42bd9b18776f291",
-        "lyapunov.csv": "88fee48187a966a9e794cb4eaeefb727cc75438c7a22b2d3543d1ad69614d5af",
+        "lyapunov.csv": "363b629e98b6ecd9b50311c44195c7245fe6a0af076d1ab9e0bdc31ca79db967",
     },
     ("simulate", "fadeout.json"): {
         "report.txt": "f1a7538084465c58cf2b1a45a8bf66c1af39725721b0c22202b0a372e35fb265",
         "trajectory.csv": "ea3cec83b91bc446ed6981c3705325ad090bd0074fbbc2107db2434bdbc6df78",
-        "lyapunov.csv": "4bd10d9571e4abbceb00f2b07aee07822cb30d652c75aa394b9ddd0775db6bb0",
+        "lyapunov.csv": "c6e4e1ae92bb15a1dae357aa10f88135efe4554dd2bc6ffb1a4f50afebf3492f",
     },
     ("sweep", "sweep_c_vh.json"): {
         "sweep.csv": "e215a011bd5b25e6d62a5914d1e1ec4b3caafcfa0fee1b873993e1ad884ab429",
@@ -81,3 +87,22 @@ def test_report_sections_are_byte_identical(capsys, scenario, section):
     out, err = capsys.readouterr()
     assert (code, hashlib.sha256(out.encode()).hexdigest(),
             hashlib.sha256(err.encode()).hexdigest()) == REPORTS[scenario, section]
+
+
+def test_lyapunov_csv_does_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # numpy's AVX-512 log is one ulp off libm's on some inputs; the variable
+    # turns that dispatch off (and is accepted on CPUs without the feature)
+    digests = []
+    for disable in (None, "X86_V4"):
+        env = subprocess_env()
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disable:
+            env["NPY_DISABLE_CPU_FEATURES"] = disable
+        out = tmp_path / (disable or "default")
+        proc = subprocess.run([sys.executable, "-m", "malaria_dde", "simulate",
+                               os.path.join(SCENARIOS, "endemic.json"),
+                               "--out", str(out), "--quiet"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256((out / "lyapunov.csv").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]

@@ -34,7 +34,7 @@ WRITTEN = {
         "trajectory_demo.csv": "71d42b6611564d6a7c083c84a20fc6fe500d45746f462a9bc42bd9b18776f291",
     },
     "04_lyapunov_descent.py": {
-        "lyapunov_demo.csv": "68ca30fa6aef4a5a8aa918e2a3c535f1fc6559401fb13554e1bd182c8bc0bdfa",
+        "lyapunov_demo.csv": "52d4b83b6f6d2030eb2258b6f29a35aee4238022eea40db5d1cfc8eacede29fa",
     },
 }
 

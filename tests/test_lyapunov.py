@@ -25,8 +25,24 @@ from malaria_dde import (
     v_dfe,
     v_endemic,
 )
+from malaria_dde.lyapunov import _log
 
 from conftest import P_CRIT, P_SUB, P_SUPER, constant_history, limiting_trace
+
+
+def test_log_is_libm_and_keeps_np_log_at_nonpositive_entries(rng):
+    # libm's log on every positive entry, whatever numpy's SIMD kernel gives;
+    # where S_h / S_h0 underflows to 0 the log reads -inf, as np.log's does,
+    # so V_DFE is inf rather than a ValueError
+    x = rng.uniform(0.2, 3.0, 1000)
+    assert _log(x).tolist() == [math.log(v) for v in x.tolist()]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _log(np.array([2.0, 0.0, -1.0, np.inf, np.nan]))
+        p = replace(P_SUB, beta_h=1e10)
+        v = v_dfe(p, HistorySegment.constant((5e-324, 0.0, p.s_v0, 0.0), p.tau))
+    assert got[0] == math.log(2.0) and got[1] == -np.inf and got[3] == np.inf
+    assert np.isnan(got[2]) and np.isnan(got[4])
+    assert v == math.inf
 
 
 def test_v_dfe_constant_window_anchor():

@@ -18,6 +18,7 @@ from malaria_dde import (
     endemic_equilibrium,
     integrate,
     persistence_bounds,
+    tail_stats,
     weak_persistence_check,
 )
 
@@ -91,6 +92,14 @@ def test_check_passes_on_reference_supercritical_run():
     assert report.threshold == pytest.approx(0.9 * 3.0 / 7.0, rel=1e-12)
     assert report.i_h_tail_sup > report.threshold
     assert report.tail.sup.s_h > 0
+
+
+def test_checks_at_each_theta_share_the_runs_tail_stats(rng):
+    # the tail is read once per trajectory, however many thetas check it
+    traj = full_run(P_SUPER, constant_history(P_SUPER, rng), t_end=40.0)
+    tails = [weak_persistence_check(P_SUPER, traj, theta).tail
+             for theta in (0.5, 0.9)]
+    assert tails[0] is tails[1] is tail_stats(traj)
 
 
 def test_bounds_rounded_onto_the_endemic_state_leave_as_numerical_error():

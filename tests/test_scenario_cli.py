@@ -764,6 +764,41 @@ def test_help_exits_0_with_usage_on_stdout(capsys):
     assert capsys.readouterr().out.startswith("usage: malaria-dde sweep")
 
 
+def _main_result(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process cli.main call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_shared_parser_answers_every_call_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # main parses with the one parser built at import; no state carries from
+    # a rejected line or a --help into the calls after it
+    scn = scenario_file(tmp_path, integration={"t_end": 20})
+    sweep = _sweep_file(tmp_path)
+    calls = [(["simulate", scn, "--seed", "abc"], 1), (["sweep", "--help"], 0),
+             (["simulate", scn, "--out", str(tmp_path / "o")], 0),
+             (["sweep", sweep, "--out", str(tmp_path / "s")], 0),
+             (["report", scn, "--only", "persistence"], 0)]
+    shared = [_main_result(capsys, argv) for argv, _ in calls]
+    fresh = []
+    for argv, _ in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(_main_result(capsys, argv))
+    assert shared == fresh
+    assert [r[0] for r in shared] == [code for _, code in calls]
+
+
+@pytest.mark.parametrize("argv", [["simulate", "a.json", "--out", "d", "--quiet"],
+                                  ["sweep", "s.json", "--seed", "3"],
+                                  ["report", "a.json", "--only", "lyapunov"]],
+                         ids=["simulate", "sweep", "report"])
+def test_shared_parser_parses_as_a_fresh_one(argv):
+    assert cli._PARSER.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
 @pytest.mark.parametrize("command", ["simulate", "report", "sweep"])
 def test_negative_seed_exits_1(tmp_path, capsys, command):
     # the sweep has no tail column, so it never draws from the generator:
