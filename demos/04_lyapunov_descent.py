@@ -39,7 +39,7 @@ phi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), 1.0)
 
 
 def limiting_run(p, t_end):
-    spec = IntegrationSpec(SystemKind.LIMITING, t_end, record_stride=1)
+    spec = IntegrationSpec(SystemKind.LIMITING, t_end)
     return integrate(p, phi, spec)
 
 

@@ -14,7 +14,6 @@ from types import ModuleType as _ModuleType
 from .defaults import (
     CLAMP_BAND,
     DEFAULT_THETA,
-    RECORD_STRIDE,
     STEPS_PER_DELAY,
     TAIL_WINDOW,
     default_ode_step,

@@ -4,7 +4,6 @@
 name                    value      used by
 ======================  =========  ==================================
 STEPS_PER_DELAY         20         integrator mesh (h = tau / m)
-RECORD_STRIDE           1          trajectory recording
 TAIL_WINDOW             0.5        tail statistics ([w*t_end, t_end])
 CLAMP_BAND              1e-9       negativity clamp/abort threshold
 ROOT_XTOL               1e-12      real-root polish tolerance
@@ -21,7 +20,6 @@ IntegrationSpec leaves them as None.
 from __future__ import annotations
 
 STEPS_PER_DELAY = 20
-RECORD_STRIDE = 1
 TAIL_WINDOW = 0.5
 CLAMP_BAND = 1e-9
 ROOT_XTOL = 1e-12

@@ -39,7 +39,7 @@ class InvalidHistoryError(ValidationError):
 
 class InvalidSpecError(ValidationError):
     """An integration or read-out control is out of its domain (t_end, mesh,
-    stride, seed, an analysis selector, or a trajectory that does not fit the
+    seed, an analysis selector, or a trajectory that does not fit the
     analysis)."""
 
 

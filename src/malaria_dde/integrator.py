@@ -20,14 +20,14 @@ as the next step's k1 (first-same-as-last; Hairer, Norsett & Wanner, Solving
 ODEs I). Every float expression is the one `model.rhs_full` evaluates, in
 the same order, so a full-system node derivative is rhs_full bit for bit.
 
-Node storage: the step loop reads its nodes, derivatives and incidences
-from Python lists, which keep only the last delay's worth of nodes. Every
-_CHUNK steps the recorded ones of the older nodes (every record_stride-th,
-and the final node at the end) move to two flat `array('d')` buffers, four
-floats per node, so memory follows the output at 8 B per float. Trajectory
-keeps the buffers and makes numpy arrays of them only when `times`,
-`states` or `derivs` is read; its tail stats (computed once, on first
-read) and to_csv read the buffers.
+Node storage: every mesh node is recorded. The step loop reads its nodes,
+derivatives and incidences from Python lists, which keep only the last
+delay's worth of nodes. Every _CHUNK steps the older nodes (all of them at
+the end) move to two flat `array('d')` buffers, four floats per node, so
+memory follows the output at 8 B per float. Trajectory keeps the buffers
+and makes numpy arrays of them only when `times`, `states` or `derivs` is
+read; its tail stats (computed once, on first read) and to_csv read the
+buffers.
 
 A run needs t_end / h steps; more than defaults.MAX_STEPS is rejected before
 anything is allocated.
@@ -89,13 +89,12 @@ class SystemKind(enum.Enum):
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Mesh and recording controls.
+    """Mesh controls.
 
     t_end = None integrates to 40 / min(mu_h, mu_v) of the params passed to
     integrate, so one spec gives each parameter set its own default horizon.
     steps_per_delay fixes h = tau / m when tau > 0; step fixes h directly
-    when tau = 0 (None picks min(0.05, 0.1/max_rate)). record_stride thins
-    the recorded nodes; the final node is always kept. Construction holds
+    when tau = 0 (None picks min(0.05, 0.1/max_rate)). Construction holds
     each field to its scenario-loader rule (InvalidSpecError).
     """
 
@@ -103,7 +102,6 @@ class IntegrationSpec:
     t_end: float | None = None
     steps_per_delay: int = defaults.STEPS_PER_DELAY
     step: float | None = None
-    record_stride: int = defaults.RECORD_STRIDE
 
     def __post_init__(self) -> None:
         if not isinstance(self.system, SystemKind):
@@ -112,25 +110,23 @@ class IntegrationSpec:
             v = getattr(self, name)
             if not (v is None or (_finite_real(v) and v > 0)):
                 raise InvalidSpecError(f"{name} must be positive and finite, got {v!r}")
-        for name in ("steps_per_delay", "record_stride"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise InvalidSpecError(f"{name} must be an integer >= 1")
+        n = self.steps_per_delay
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise InvalidSpecError("steps_per_delay must be an integer >= 1")
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded mesh solution with node derivatives for dense output.
 
-    Node r is mesh step k = min(r * stride, steps), at time k * h; `ys` and `fs`
-    hold the nodes' states and derivatives, four floats each. `times`,
-    `states` and `derivs` are numpy arrays of them, made on first read.
+    Node k is mesh step k, at time k * h; `ys` and `fs` hold the nodes'
+    states and derivatives, four floats each. `times`, `states` and
+    `derivs` are numpy arrays of them, made on first read.
     """
 
     ys: array = field(repr=False)
     fs: array = field(repr=False)
     steps: int
-    stride: int
     history: HistorySegment
     tau: float
     h: float
@@ -146,8 +142,7 @@ class Trajectory:
 
     @functools.cached_property
     def times(self) -> np.ndarray:
-        return _frozen(np.append(np.arange(0, self.steps, self.stride), self.steps)
-                       * self.h)
+        return _frozen(np.arange(self.steps + 1) * self.h)
 
     @functools.cached_property
     def states(self) -> np.ndarray:
@@ -162,21 +157,19 @@ class Trajectory:
         """Tail inf/sup, computed on first read (see TailStats)."""
         cut = defaults.TAIL_WINDOW * self.t_end
         cut -= 1e-12 * (1.0 + abs(cut))
-        # the first recorded node at or past the cut; node r's time rises with r
-        h, stride, steps = self.h, self.stride, self.steps
-        first = bisect.bisect_left(range(self.nodes), cut,
-                                   key=lambda r: min(r * stride, steps) * h)
+        # the first node at or past the cut; node k's time k * h rises with k
+        h = self.h
+        first = bisect.bisect_left(range(self.nodes), cut, key=lambda k: k * h)
         if self.nodes - first < 2:
             raise EmptyWindowError()
         columns = [self.ys[4 * first + q::4] for q in range(4)]
-        return TailStats(t_start=min(first * stride, steps) * h,
+        return TailStats(t_start=first * h,
                          inf=State(*map(min, columns)), sup=State(*map(max, columns)))
 
     def window(self, t: float) -> HistorySegment:
         """Slice [t - tau, t] as a history segment (offsets in [-tau, 0]).
 
-        Both endpoints must be recorded nodes; with record_stride = 1 that
-        holds for every node t >= tau.
+        Both endpoints must be mesh nodes, which holds for every node t >= tau.
         """
         it = int(np.searchsorted(self.times, t))
         if it >= self.times.size or abs(self.times[it] - t) > 1e-9 * (1 + abs(t)):
@@ -192,9 +185,9 @@ class Trajectory:
         return HistorySegment(offsets, self.states[j0:it + 1], self.tau)
 
     def to_csv(self, target: str | IO[str]) -> None:
-        """One row per recorded node, 17 significant digits."""
+        """One row per node, 17 significant digits."""
         h, ys = self.h, self.ys
-        times = [k * h for k in chain(range(0, self.steps, self.stride), (self.steps,))]
+        times = [k * h for k in range(self.steps + 1)]
         _write_csv(target, CSV_HEADER, (times, *(ys[q::4] for q in range(4))))
 
 
@@ -235,16 +228,6 @@ def _history_incidence(phi: HistorySegment, offsets: Iterable[float], c_vh: floa
     if inv_nv is None:
         return [c_vh * (iv / (sv + iv)) * sh for sh, _, sv, iv in rows]
     return [c_vh * (iv * inv_nv) * sh for sh, _, sv, iv in rows]
-
-
-def _keep(buf: array, values: list[float], first: int, stop: int,
-          stride: int) -> None:
-    """Append to buf the nodes first, first + stride, ... below stop of
-    values, four floats per node."""
-    kept = [0.0] * (4 * len(range(first, stop, stride)))
-    for q in range(4):
-        kept[q::4] = values[4 * first + q:4 * stop:4 * stride]
-    buf.fromlist(kept)
 
 
 def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Trajectory:
@@ -293,15 +276,13 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     # floats each, step done + i's at 4 * i. L[i] is its delayed incidence
     # and L[i + m] its own; the first m come from the history, as do M[i],
     # step i's midpoint ones, for the first m steps. After each chunk of
-    # steps the nodes no later step reads leave Y, F and L, and the
-    # recorded ones among them go to ys and fs.
+    # steps the nodes no later step reads leave Y, F and L for ys and fs.
     L, M = [], []
     if delayed:
         L = _history_incidence(phi, (k * h - tau for k in range(m)), c_vh, inv_nv)
         M = _history_incidence(phi, (k * h + hh - tau for k in range(m)), c_vh, inv_nv)
     Y, F = [], []
     ys, fs = array("d"), array("d")
-    stride = spec.record_stride
     done = start = 0
 
     while True:
@@ -381,10 +362,10 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
             if c + d <= 0.0:
                 raise ZeroMosquitoPopulationError((done + i + 1) * h)
         # step i + 1 reads nodes i + 1 - m on, so those before move out; at
-        # the end, all but the final node do
-        k = last if i == last else max(i + 1 - m, 0)
-        for buf, values in ((ys, Y), (fs, F)):
-            _keep(buf, values, -done % stride, k, stride)
+        # the end, all of them do
+        k = i + 1 if i == last else max(i + 1 - m, 0)
+        ys.fromlist(Y[:4 * k])
+        fs.fromlist(F[:4 * k])
         if i == last:
             break
         del Y[:4 * k], F[:4 * k], L[:k]
@@ -394,9 +375,7 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     for comp, value in enumerate((a, b, c, d)):
         if not math.isfinite(value):
             raise NonFiniteStateError(n_steps * h, COMPONENT_NAMES[comp], value)
-    ys.fromlist(Y[-4:])  # the final node, always recorded
-    fs.fromlist(F[-4:])
-    return Trajectory(ys=ys, fs=fs, steps=n_steps, stride=stride, history=phi,
+    return Trajectory(ys=ys, fs=fs, steps=n_steps, history=phi,
                       tau=float(tau), h=h, system=spec.system)
 
 
@@ -405,7 +384,7 @@ def dense_eval(traj: Trajectory, t: float) -> State:
 
     Mesh nodes are returned bit-exact from storage; history times use the
     history's own (piecewise-linear) interpolation; anything else is the
-    cubic Hermite interpolant of the bracketing recorded interval.
+    cubic Hermite interpolant of the bracketing mesh interval.
     """
     # below -tau only as far as the history's span rule reaches; NaN fails too
     if not (t <= traj.t_end + 1e-9 * (1.0 + abs(traj.t_end))
@@ -443,7 +422,7 @@ def dense_eval(traj: Trajectory, t: float) -> State:
 
 @dataclass(frozen=True)
 class TailStats:
-    """Componentwise inf/sup over the recorded nodes in
+    """Componentwise inf/sup over the nodes in
     [TAIL_WINDOW * t_end, t_end]."""
 
     t_start: float

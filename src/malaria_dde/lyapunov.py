@@ -11,7 +11,7 @@ and are built from the bridge x - 1 - ln x (nonnegative, zero only at 1):
 
 Window integrals use the composite trapezoid rule on the window's own sample
 times. One formula per functional serves v_dfe / v_endemic (one window) and
-trace_along (every window of a stride-1 limiting trajectory), where a max
+trace_along (every window of a limiting trajectory), where a max
 consecutive increase at rounding scale certifies monotone descent. R0 picks
 trace_along's functional: v_endemic where E* exists, v_dfe otherwise.
 """
@@ -134,7 +134,7 @@ class LyapunovTrace:
 
 
 def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:
-    """The regime's functional along a stride-1 limiting trajectory:
+    """The regime's functional along a limiting trajectory:
     V_ENDEMIC where E* exists (R0 > 1), V_DFE otherwise (R0 <= 1)."""
     if traj.system is not SystemKind.LIMITING:
         raise InvalidSpecError(f"the functionals descend along the limiting "
@@ -142,9 +142,6 @@ def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:
     kind = (FunctionalKind.V_DFE if endemic_equilibrium(p) is None
             else FunctionalKind.V_ENDEMIC)
     times = traj.times
-    if times.size != int(round(traj.t_end / traj.h)) + 1:
-        raise InvalidSpecError("trajectory is thinned: windows need every mesh "
-                               "node (record_stride = 1)")
     m = 0 if traj.tau == 0 else int(round(traj.tau / traj.h))
     if times.size - m < 2:
         raise EmptyWindowError("horizon too short: need at least two nodes past tau")

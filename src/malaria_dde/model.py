@@ -240,8 +240,7 @@ class HistorySegment:
 
         np.interp's arithmetic, value for value: the first sample below the
         first time, the last one from the last time on, a sample at its own
-        time, and between two samples slope * (theta - t_j) + y_j, read from
-        the right end when that is NaN, and y_j when both are and y_j == y_j+1.
+        time, and between two samples slope * (theta - t_j) + y_j.
         """
         t, x = self._t, self._x
         lo = t[0]
@@ -253,16 +252,10 @@ class HistorySegment:
         if j == len(t) - 1 or t[j] == theta:
             return x[j]
         t0, t1 = t[j], t[j + 1]
-        out = []
-        for y0, y1 in zip(x[j], x[j + 1]):
-            slope = (y1 - y0) / (t1 - t0)
-            y = slope * (theta - t0) + y0
-            if y != y:
-                y = slope * (theta - t1) + y1
-                if y != y and y0 == y1:
-                    y = y0
-            out.append(y)
-        return tuple(out)
+        # samples are finite and theta > t0, so the slope is finite or +-inf
+        # and the read is never NaN
+        return tuple((y1 - y0) / (t1 - t0) * (theta - t0) + y0
+                     for y0, y1 in zip(x[j], x[j + 1]))
 
     def state_at(self, theta: float) -> State:
         return State(*self.value_at(theta))

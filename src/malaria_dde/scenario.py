@@ -7,8 +7,7 @@ A scenario is one JSON object (schema 1):
       "params": {"beta_h": 2, "beta_v": 5, "mu_h": 0.5, "mu_v": 0.1,
                  "c_vh": 0.2, "c_hv": 0.1, "tau": 1.0},
       "history": {"kind": "constant", "state": [3, 0.5, 30, 5]},
-      "integration": {"system": "full", "t_end": 400,
-                      "steps_per_delay": 20, "record_stride": 1},
+      "integration": {"system": "full", "t_end": 400, "steps_per_delay": 20},
       "analyses": {"simulate": true, "stability": true,
                    "lyapunov": false, "persistence": [0.5]},
       "output": {"dir": "out", "formats": ["csv"]}
@@ -23,7 +22,8 @@ default. Unknown keys are rejected so typos surface as SchemaError instead
 of silently running defaults. Numbers must be finite (Python's json accepts
 NaN and Infinity), the six rates strictly positive, tau >= 0, persistence
 fractions strictly inside (0, 1) and distinct, and a table history must span
-params.tau.
+params.tau. Every mesh node is recorded, so integration.record_stride is
+accepted only as the integer 1, as output.formats is only ["csv"].
 
 A sweep wraps a base scenario, an axis (one parameter name), the values to
 visit in order, and the derived columns to tabulate (no column twice, once
@@ -204,6 +204,19 @@ def _formats(v: Any, field: str) -> tuple[str, ...]:
     return ("csv",)
 
 
+def _one(v: Any, field: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v != 1:
+        raise SchemaError(field, f"only 1 is supported (every node is recorded), "
+                                 f"got {v!r}")
+    return v
+
+
+def _integration(**kw: Any) -> IntegrationSpec:
+    """The integration section's spec; its record_stride, if given, is 1."""
+    kw.pop("record_stride", None)
+    return IntegrationSpec(**kw)
+
+
 def _version(v: Any, field: str) -> int:
     if isinstance(v, bool) or v != SCHEMA_VERSION:
         raise SchemaError(field, f"unsupported version {v!r}")
@@ -251,7 +264,7 @@ def _history(v: Any, field: str) -> HistorySpec:
 _FIELDS: dict[str, dict[str, _Rule]] = {
     "scenario": {"schema": _version, "params": _object("params", ModelParams),
                  "history": _history,
-                 "integration": _object("integration", IntegrationSpec),
+                 "integration": _object("integration", _integration),
                  "analyses": _object("analyses", Analyses),
                  "output": _object("output")},
     "params": {**dict.fromkeys(PARAM_FIELDS[:-1], _positive), "tau": _nonnegative},
@@ -261,7 +274,7 @@ _FIELDS: dict[str, dict[str, _Rule]] = {
     "history.random": {"kind": _any},
     "integration": {"system": _system, "t_end": _positive,
                     "steps_per_delay": _count, "step": _positive,
-                    "record_stride": _count},
+                    "record_stride": _one},
     "analyses": {"simulate": _boolean, "stability": _boolean,
                  "lyapunov": _boolean,
                  "persistence": lambda v, f: _distinct(_array(_theta)(v, f), f)},
@@ -376,8 +389,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
     out_dir (default: the scenario's output.dir) in one block after the last
     analysis, so a run that fails writes nothing. Each distinct
     IntegrationSpec is integrated once: simulate reads the scenario's spec,
-    persistence it with system FULL, Lyapunov with system LIMITING, both
-    with record_stride 1.
+    persistence it with system FULL, Lyapunov with system LIMITING.
     """
     _check_seed(seed)
     a = scn.analyses
@@ -426,8 +438,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
         artifact("trajectory", traj)
 
     if a.lyapunov:
-        trace = trace_along(p, run(replace(spec, system=SystemKind.LIMITING,
-                                           record_stride=1)))
+        trace = trace_along(p, run(replace(spec, system=SystemKind.LIMITING)))
         lines.append(f"lyapunov.kind = {trace.kind.value}")
         lines.append(f"lyapunov.v_first = {_fmt(float(trace.values[0]))}")
         lines.append(f"lyapunov.v_last = {_fmt(float(trace.values[-1]))}")
@@ -437,7 +448,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
 
     for theta in a.persistence:
         _require_preconditions(p, phi, theta)  # before the full run
-        full = run(replace(spec, system=SystemKind.FULL, record_stride=1))
+        full = run(replace(spec, system=SystemKind.FULL))
         lines.extend(weak_persistence_check(p, full, theta).as_lines())
 
     if target is not None:

@@ -128,9 +128,9 @@ def constant_history(p: ModelParams, rng, infected_floor: float = 0.01
 
 
 def limiting_trace(p, phi, kind, t_end):
-    """The regime's functional along a stride-1 run of the limiting system,
+    """The regime's functional along a run of the limiting system,
     asserted to be the functional `kind` the caller expects."""
-    spec = IntegrationSpec(SystemKind.LIMITING, t_end, record_stride=1)
+    spec = IntegrationSpec(SystemKind.LIMITING, t_end)
     trace = trace_along(p, integrate(p, phi, spec))
     assert trace.kind is kind
     return trace
@@ -146,7 +146,7 @@ def convergence_order(p, phi, spec):
     """
     m = spec.steps_per_delay
     coarse, mid, ref = (
-        integrate(p, phi, replace(spec, steps_per_delay=k * m, record_stride=1))
+        integrate(p, phi, replace(spec, steps_per_delay=k * m))
         for k in (1, 2, 4))
     n = coarse.times.size
     err1 = float(np.max(np.abs(coarse.states - ref.states[::4][:n])))

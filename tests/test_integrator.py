@@ -105,14 +105,6 @@ def test_t_end_rounded_up_to_mesh_multiple():
     assert traj2.times.size == 11
 
 
-def test_record_stride_keeps_final_node():
-    traj = integrate(P_SUPER, _phi(P_SUPER),
-                     spec_full(1.3, steps_per_delay=10, record_stride=7))
-    assert list(np.round(traj.times, 10)) == [0.0, 0.7, 1.3]
-    dense = integrate(P_SUPER, _phi(P_SUPER), spec_full(1.3, steps_per_delay=10))
-    assert np.array_equal(traj.states[-1], dense.states[-1])
-
-
 def test_dense_eval_is_node_exact_and_fourth_order_between():
     coarse = integrate(P_SUPER, _phi(P_SUPER), spec_full(8.0, steps_per_delay=10))
     fine = integrate(P_SUPER, _phi(P_SUPER), spec_full(8.0, steps_per_delay=80))
@@ -179,20 +171,17 @@ def test_tail_stats_bounds_and_window_validation():
     assert tail.sup.as_tuple() == tuple(block.max(axis=0))
 
 
-@pytest.mark.parametrize("stride", [1, 3])
 @pytest.mark.parametrize("system,tau", [(SystemKind.FULL, 1.0),
                                         (SystemKind.LIMITING, 1.0),
                                         (SystemKind.FULL, 0.0)],
                          ids=["full", "limiting", "tau0"])
-def test_tail_stats_is_the_numpy_mask_min_max(system, tau, stride):
+def test_tail_stats_is_the_numpy_mask_min_max(system, tau):
     # the first tail node comes from arithmetic on k * h, and min / max from
     # the buffers; both must give the floats of the mask over traj.times.
-    # t_end 10 puts the cut at step 100 (tau = 1) or 250 (tau = 0), between
-    # nodes at stride 3; t_end 12 puts it on one
+    # t_end 10 and 12 put the cut on a node, 12.34 between two
     p = replace(P_SUPER, tau=tau)
     for t_end in (10.0, 12.0, 12.34):
-        traj = integrate(p, _phi(p), IntegrationSpec(system=system, t_end=t_end,
-                                                     record_stride=stride))
+        traj = integrate(p, _phi(p), IntegrationSpec(system=system, t_end=t_end))
         cut = defaults.TAIL_WINDOW * traj.t_end
         mask = traj.times >= cut - 1e-12 * (1.0 + abs(cut))
         block = traj.states[mask]
@@ -221,8 +210,8 @@ def test_integrate_peak_memory_is_within_three_times_its_arrays():
 
 
 def test_tail_stats_needs_two_nodes():
-    traj = integrate(P_SUPER, _phi(P_SUPER),
-                     spec_full(2.0, steps_per_delay=10, record_stride=1000))
+    # one step of h = 0.1: the cut at t_end / 2 leaves the final node alone
+    traj = integrate(P_SUPER, _phi(P_SUPER), spec_full(0.1, steps_per_delay=10))
     with pytest.raises(EmptyWindowError):
         tail_stats(traj)
 
@@ -312,7 +301,7 @@ def test_delay_within_the_span_tolerance_reads_the_history():
 @pytest.mark.parametrize("tau,kw", [
     (1.0, dict(t_end=0.0)),
     (1.0, dict(t_end=1.0, steps_per_delay=0)),
-    (1.0, dict(t_end=1.0, record_stride=0)),
+    (1.0, dict(t_end=1.0, steps_per_delay=-1)),
     (1.0, dict(t_end=1e-12)),  # rounds to zero steps of h
     (0.0, dict(t_end=1.0, step=-0.1)),
     (1.0, dict(t_end=math.inf)),  # used to overflow in int(round(inf))
@@ -323,7 +312,7 @@ def test_delay_within_the_span_tolerance_reads_the_history():
     # ran the full system, and a bool count ran as 1
     (1.0, dict(system="limiting", t_end=5.0)),
     (1.0, dict(t_end=1.0, steps_per_delay=True)),
-    (1.0, dict(t_end=1.0, record_stride=True)),
+    (1.0, dict(t_end=1.0, steps_per_delay=1.0)),
     (1.0, dict(t_end=True)),
     (1.0, dict(t_end=False)),
     (1.0, dict(t_end="4")),

@@ -176,14 +176,6 @@ def test_trace_along_gates_the_regime():
         assert trace_along(p, integrate(p, phi, lim)).kind is kind
 
 
-def test_trace_along_rejects_a_thinned_trajectory():
-    # windows of tau must span m mesh nodes; with stride 2 they would span 2 tau
-    phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
-    spec = IntegrationSpec(system=SystemKind.LIMITING, t_end=12.0, record_stride=2)
-    with pytest.raises(InvalidSpecError):
-        trace_along(P_SUB, integrate(P_SUB, phi, spec))
-
-
 def test_trace_along_needs_a_horizon_past_tau():
     p = replace(P_SUB, tau=2.0)
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 2.0)

@@ -169,9 +169,14 @@ def test_history_rejects_non_finite_values(build):
 def test_value_at_is_np_interp_bit_for_bit(rng):
     # value_at ports np.interp's arithmetic: the same float at sample hits,
     # between samples, past either end within the span tolerance, and on
-    # constant histories (tau = 0 included)
+    # constant histories (tau = 0 included). Samples 0 and 1e308 only 1e-300
+    # apart overflow the slope, so the reads between them are -inf or +inf
     segs = [HistorySegment.constant((4.0, 0.5, 30.0, 10.0), tau)
             for tau in (0.0, 1.0, 2.5)]
+    steep = [[1e308, 0.0, 1e308, 10.0], [0.0, 1e308, 0.0, 10.0]]
+    overflowing = [HistorySegment.table([-1e-300, 0.0], steep),
+                   HistorySegment.table([-1.0, -1e-300, 0.0], [steep[0], *steep])]
+    segs += overflowing
     for n in (2, 3, 8):
         tau = float(rng.uniform(0.1, 3.0))
         times = [-tau, *np.sort(rng.uniform(-tau, 0.0, n - 2)).tolist(), 0.0]
@@ -181,11 +186,13 @@ def test_value_at_is_np_interp_bit_for_bit(rng):
     for seg in segs:
         tau = seg.tau
         thetas = [*seg.times.tolist(), *rng.uniform(-tau, 0.0, 40).tolist(),
-                  -tau - 5e-10 * (1.0 + tau), 5e-13, -0.0]
+                  -tau - 5e-10 * (1.0 + tau), 5e-13, -0.0, -5e-301, -1e-310]
         for theta in thetas:
             want = [float(np.interp(theta, seg.times, seg.states[:, k])).hex()
                     for k in range(4)]
             assert [v.hex() for v in seg.value_at(theta)] == want, theta
+    for seg in overflowing:
+        assert seg.value_at(-5e-301) == (-math.inf, math.inf, -math.inf, 10.0)
 
 
 def test_history_value_out_of_range():
@@ -240,8 +247,9 @@ def test_history_state_must_be_a_four_vector(builds):
 # the package namespace as it was listed by hand, plus InvalidSpecError and
 # RateUnderflowError, less NoBracketError and the test-only names
 # convergence_order, descend_check, DomainFlag, f_bridge, full_char_eval,
-# NonPositiveArgumentError and rhs_limiting, and less EndemicAbsentError and
-# SupercriticalR0Error (SubcriticalR0Error says E* is absent)
+# NonPositiveArgumentError and rhs_limiting, less EndemicAbsentError and
+# SupercriticalR0Error (SubcriticalR0Error says E* is absent), and less
+# RECORD_STRIDE (every mesh node is recorded)
 PUBLIC_NAMES = {
     "CLAMP_BAND", "COMPONENT_NAMES", "CharCoeffs", "Classification",
     "DEFAULT_THETA", "DfeCharCoeffs", "EmptyWindowError",
@@ -253,7 +261,7 @@ PUBLIC_NAMES = {
     "NonPositiveProductError", "NonPositiveRateError", "NotInDomainDError",
     "NumericalError", "OutOfRangeError", "OutsideOmega1Error",
     "OutsideOmega2Error", "PersistenceBounds", "PersistenceReport",
-    "RECORD_STRIDE", "RateUnderflowError", "RootPolishError",
+    "RateUnderflowError", "RootPolishError",
     "STEPS_PER_DELAY", "Scenario",
     "SchemaError", "StabilityReport", "State", "SubcriticalR0Error",
     "SweepSpec", "SystemKind", "TAIL_WINDOW",

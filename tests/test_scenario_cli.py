@@ -77,6 +77,9 @@ def test_load_scenario_defaults(tmp_path):
     (lambda o: o.update(integration={"t_end": -5}), "scenario.integration.t_end"),
     (lambda o: o.update(integration={"steps_per_delay": 0}),
      "scenario.integration.steps_per_delay"),
+    *(pytest.param(lambda o, v=v: o.update(integration={"record_stride": v}),
+                   "scenario.integration.record_stride", id=f"record_stride-{v}")
+      for v in (0, 2, 1.0, True)),
     (lambda o: o.update(analyses={"persistence": [0.5, "x"]}),
      "scenario.analyses.persistence"),
     pytest.param(lambda o: o.update(analyses={"persistence": [0.5, 0.9, 0.5]}),
@@ -95,6 +98,19 @@ def test_load_scenario_schema_errors(tmp_path, mutate, field):
     with pytest.raises(SchemaError) as err:
         load_scenario(path)
     assert err.value.field == field
+
+
+def test_record_stride_loads_only_as_1(tmp_path, capsys):
+    # every mesh node is recorded, so the key means what leaving it out does
+    plain = load_scenario(scenario_file(tmp_path, integration={"t_end": 5}))
+    kept = load_scenario(scenario_file(tmp_path, "kept.json",
+                                       integration={"t_end": 5, "record_stride": 1}))
+    assert kept.integration == plain.integration
+    for value in (0, 2, 1.0, True):
+        path = scenario_file(tmp_path, "bad.json", integration={"record_stride": value})
+        assert cli.main(["simulate", path, "--out", str(tmp_path / "o")]) == 1
+        assert "error: scenario.integration.record_stride: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_load_scenario_invalid_json(tmp_path):

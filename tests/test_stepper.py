@@ -8,6 +8,7 @@ import io
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from malaria_dde import (
@@ -36,7 +37,7 @@ RUNS = {
              IntegrationSpec(system=SystemKind.FULL, t_end=6.0, steps_per_delay=10)),
     "limiting": (P_SUPER, HistorySegment.constant(X0, 1.0),
                  IntegrationSpec(system=SystemKind.LIMITING, t_end=6.0,
-                                 steps_per_delay=10, record_stride=3)),
+                                 steps_per_delay=10)),
     "ode": (replace(P_SUPER, tau=0.0), HistorySegment.constant(X0, 0.0),
             IntegrationSpec(system=SystemKind.FULL, t_end=3.0, step=0.05)),
     "table": (P_SUPER, TABLE,
@@ -50,10 +51,12 @@ RUNS = {
 
 # sha256 of Trajectory.to_csv for each run, recorded before the step loop
 # took its first-same-as-last form (the two *_limiting runs: before the model
-# was written inline into the loop); any changed bit in a node shows here
+# was written inline into the loop; limiting: its every-node CSV from the
+# last code that offered a recording stride); any changed bit in a node
+# shows here
 CSV_SHA256 = {
     "full": "43475eb547cb903d62b15624085f1ff861debb9f904d5caa8df667cf8f5aff02",
-    "limiting": "43d7436da11d70dd81a3d8b01db5e9e0642fe5e4d2afc0cd29b9e45cd9e708c4",
+    "limiting": "482564d8d91534b970a517f7d35de1e63e2b317f9347b2fc0be4f86d47a43a21",
     "ode": "497a314af1d0f16de016b3212dc969fe30a67bdd5ea889ba7fbed02843125493",
     "table": "67cbbf0c1745e2c3d51ac129000a517fff8aca72879421972ff2c57360c81537",
     "ode_limiting": "74bef4cdc4e93f9fcfe0c21ce9e84b43d254a2ae00220673fe3b05adefeb8fef",
@@ -72,11 +75,9 @@ def test_trajectory_csv_is_bit_exact(name):
     assert _csv_sha256(name) == CSV_SHA256[name]
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_node_derivatives_are_the_rhs_at_the_node(name):
-    p, phi, spec = RUNS[name]
-    spec = replace(spec, record_stride=1)
-    traj = integrate(p, phi, spec)
+def _assert_node_derivatives(p, phi, spec, traj):
+    """Each node's derivative is the right-hand side at the node and the
+    node m steps back (the history's value in the first delay interval)."""
     full = spec.system is SystemKind.FULL
     rhs = make_rhs(p, limiting=not full)
     states = traj.states.tolist()
@@ -92,6 +93,33 @@ def test_node_derivatives_are_the_rhs_at_the_node(name):
         assert rhs(tuple(y), tuple(yd)) == deriv, n
         if full:
             assert rhs_full(p, State(*y), State(*yd)) == deriv, n
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_node_derivatives_are_the_rhs_at_the_node(name):
+    p, phi, spec = RUNS[name]
+    _assert_node_derivatives(p, phi, spec, integrate(p, phi, spec))
+
+
+CHUNK = integrator._CHUNK
+
+
+@pytest.mark.parametrize("m,steps", [
+    (10, CHUNK - 1), (10, CHUNK), (10, CHUNK + 1), (10, 2 * CHUNK + 1),
+    # m above _CHUNK: the first delay interval spans two chunks
+    (1500, 2 * 1500 + 1),
+])
+def test_every_mesh_node_is_recorded_across_chunk_boundaries(m, steps):
+    # nodes move from the step loop's lists to the buffers every _CHUNK
+    # steps, and all that are left at the end; a dropped or doubled node
+    # shifts the times or breaks the derivative identity at the nodes after it
+    phi = HistorySegment.constant(X0, P_SUPER.tau)
+    spec = IntegrationSpec(system=SystemKind.FULL, t_end=steps * P_SUPER.tau / m,
+                           steps_per_delay=m)
+    traj = integrate(P_SUPER, phi, spec)
+    assert traj.steps == steps and traj.nodes == steps + 1
+    assert np.array_equal(traj.times, np.arange(steps + 1) * traj.h)
+    _assert_node_derivatives(P_SUPER, phi, spec, traj)
 
 
 def _inject_incidence(monkeypatch, rate_at):
