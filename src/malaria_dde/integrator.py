@@ -11,23 +11,24 @@ construction, so no step straddles a derivative jump.
 The delay enters the model only through the incidence
 lambda = c_vh * (I_v / N_v) * S_h, which drives S_h' now and I_h' one delay
 later. The step loop has the model written out on local floats and keeps
-each node's incidence in a list, so a node's delayed incidence is read off
-m entries back rather than recomputed; the Hermite midpoint is built only
-for S_h, S_v and I_v, and its incidence serves both half-step stages. In
-the first delay interval the delayed incidences come from the history, all
-computed once per call. The node derivatives kept for Hermite output double
-as the next step's k1 (first-same-as-last; Hairer, Norsett & Wanner, Solving
-ODEs I). Every float expression is the one `model.rhs_full` evaluates, in
-the same order, so a full-system node derivative is rhs_full bit for bit.
+two incidence windows: the last m + 1 node incidences, so a node's delayed
+one is read off m entries back rather than recomputed, and the last m
+interval-midpoint ones. Step i builds the Hermite midpoint of interval
+i - 1, the one ending at its node, from the previous node held in locals,
+for S_h, S_v and I_v only; its incidence serves both half-step stages of
+step i - 1 + m. In the first delay interval both windows hold the
+history's incidences, all computed once per call. The node derivatives kept
+for Hermite output double as the next step's k1 (first-same-as-last;
+Hairer, Norsett & Wanner, Solving ODEs I). Every float expression is the one
+`model.rhs_full` evaluates, in the same order, so a full-system node
+derivative is rhs_full bit for bit.
 
-Node storage: every mesh node is recorded. The step loop reads its nodes,
-derivatives and incidences from Python lists, which keep only the last
-delay's worth of nodes. Every _CHUNK steps the older nodes (all of them at
-the end) move to two flat `array('d')` buffers, four floats per node, so
-memory follows the output at 8 B per float. Trajectory keeps the buffers
-and makes numpy arrays of them only when `times`, `states` or `derivs` is
-read; its tail stats (computed once, on first read) and to_csv read the
-buffers.
+Node storage: every mesh node is recorded. The step loop reads no node
+back; each node and its derivative go straight to two flat `array('d')`
+buffers, four floats per node, so memory follows the output at 8 B per
+float. Trajectory keeps the buffers and makes numpy arrays of them only
+when `times`, `states` or `derivs` is read; its tail stats (computed once,
+on first read) and to_csv read the buffers.
 
 A run needs t_end / h steps; more than defaults.MAX_STEPS is rejected before
 anything is allocated.
@@ -41,7 +42,8 @@ an increment, so a component that reaches +inf stays +inf or turns NaN:
 checking the final node once per run catches what the clamp lets through.
 A division by zero inside an RK4 stage is a NegativityBreachError when the
 stage state undershoots below the band, a ZeroMosquitoPopulationError
-otherwise.
+otherwise; so is a zero N_v at a Hermite midpoint, raised at the step that
+builds it, one step after its interval.
 With tau = 0 the same loop runs as a plain ODE RK4 where the delayed
 incidence is the current stage's own.
 """
@@ -53,6 +55,7 @@ import enum
 import functools
 import math
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import IO, Iterable, Sequence
@@ -79,7 +82,6 @@ from .model import (
 )
 
 CSV_HEADER = "t,S_h,I_h,S_v,I_v"
-_CHUNK = 1024  # steps between moves of the older nodes to the buffers
 
 
 class SystemKind(enum.Enum):
@@ -165,24 +167,6 @@ class Trajectory:
         columns = [self.ys[4 * first + q::4] for q in range(4)]
         return TailStats(t_start=first * h,
                          inf=State(*map(min, columns)), sup=State(*map(max, columns)))
-
-    def window(self, t: float) -> HistorySegment:
-        """Slice [t - tau, t] as a history segment (offsets in [-tau, 0]).
-
-        Both endpoints must be mesh nodes, which holds for every node t >= tau.
-        """
-        it = int(np.searchsorted(self.times, t))
-        if it >= self.times.size or abs(self.times[it] - t) > 1e-9 * (1 + abs(t)):
-            raise InvalidSpecError(f"t = {t!r} is not a recorded node")
-        if self.tau == 0:
-            return HistorySegment((0.0,), self.states[it:it + 1], 0.0)
-        t0 = t - self.tau
-        j0 = int(np.searchsorted(self.times, t0 - 1e-9 * (1 + abs(t0))))
-        if j0 >= self.times.size or abs(self.times[j0] - t0) > 1e-9 * (1 + abs(t0)):
-            raise InvalidSpecError(f"window start {t0!r} is not a recorded node")
-        offsets = self.times[j0:it + 1] - t
-        offsets[-1] = 0.0
-        return HistorySegment(offsets, self.states[j0:it + 1], self.tau)
 
     def to_csv(self, target: str | IO[str]) -> None:
         """One row per node, 17 significant digits."""
@@ -272,105 +256,89 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     a, b, c, d = phi.value_at(0.0)
     if c + d <= 0.0:
         raise ZeroMosquitoPopulationError(0.0)
-    # Y and F hold the nodes not yet moved out and their derivatives, four
-    # floats each, step done + i's at 4 * i. L[i] is its delayed incidence
-    # and L[i + m] its own; the first m come from the history, as do M[i],
-    # step i's midpoint ones, for the first m steps. After each chunk of
-    # steps the nodes no later step reads leave Y, F and L for ys and fs.
-    L, M = [], []
-    if delayed:
-        L = _history_incidence(phi, (k * h - tau for k in range(m)), c_vh, inv_nv)
-        M = _history_incidence(phi, (k * h + hh - tau for k in range(m)), c_vh, inv_nv)
-    Y, F = [], []
+    # L holds the last m + 1 node incidences, first the history's at -tau,
+    # -tau + h, ...: once node i's own is in, L[0] is its delayed incidence
+    # and L[1] node i + 1's. M holds the last m interval-midpoint ones, the
+    # history's first: M[0] is step i's once interval i - 1's is in
+    L = deque(_history_incidence(phi, (k * h - tau for k in range(m)), c_vh, inv_nv),
+              maxlen=m + 1)
+    M = deque(_history_incidence(phi, (k * h + hh - tau for k in range(m)), c_vh, inv_nv),
+              maxlen=m)
     ys, fs = array("d"), array("d")
-    done = start = 0
 
-    while True:
-        last = n_steps - done  # the final node's index
-        for i in range(start, start + _CHUNK):
-            # node i's derivative: its Hermite slope and the next step's k1
-            lam = c_vh * (d / (c + d)) * a if full else c_vh * (d * inv_nv) * a
-            L.append(lam)
-            flux = c_hv * b * c
-            fa = beta_h - lam - mu_h * a
-            fb = L[i] - mu_h * b
-            fc = beta_v - flux - mu_v * c
-            fd = flux - mu_v * d
-            Y += (a, b, c, d)
-            F += (fa, fb, fc, fd)
-            if i == last:
-                break
-
-            try:
-                # (sh, ih, sv, iv) is the latest stage state, read when a stage
-                # divides by 0, so each is assigned before its divisions
-                sh, ih, sv, iv = a + hh * fa, b + hh * fb, c + hh * fc, d + hh * fd
-                if delayed:
-                    j = 4 * (i - m)
-                    if j >= 0:  # S_h, S_v, I_v at the midpoint of interval i - m
-                        sh_m = 0.5 * (Y[j] + Y[j + 4]) + eighth * (F[j] - F[j + 4])
-                        sv_m = 0.5 * (Y[j + 2] + Y[j + 6]) + eighth * (F[j + 2] - F[j + 6])
-                        iv_m = 0.5 * (Y[j + 3] + Y[j + 7]) + eighth * (F[j + 3] - F[j + 7])
-                        lam_m = (c_vh * (iv_m / (sv_m + iv_m)) * sh_m if full
-                                 else c_vh * (iv_m * inv_nv) * sh_m)
-                    else:
-                        lam_m = M[i]
-                lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
-                flux = c_hv * ih * sv
-                k2a = beta_h - lam - mu_h * sh
-                k2b = (lam_m if delayed else lam) - mu_h * ih
-                k2c = beta_v - flux - mu_v * sv
-                k2d = flux - mu_v * iv
-
-                sh, ih, sv, iv = a + hh * k2a, b + hh * k2b, c + hh * k2c, d + hh * k2d
-                lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
-                flux = c_hv * ih * sv
-                k3a = beta_h - lam - mu_h * sh
-                k3b = (lam_m if delayed else lam) - mu_h * ih
-                k3c = beta_v - flux - mu_v * sv
-                k3d = flux - mu_v * iv
-
-                sh, ih, sv, iv = a + h * k3a, b + h * k3b, c + h * k3c, d + h * k3d
-                lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
-                flux = c_hv * ih * sv
-                k4a = beta_h - lam - mu_h * sh
-                k4b = (L[i + 1] if delayed else lam) - mu_h * ih
-                k4c = beta_v - flux - mu_v * sv
-                k4d = flux - mu_v * iv
-
-                na = a + sixth * (fa + 2.0 * (k2a + k3a) + k4a)
-                nb = b + sixth * (fb + 2.0 * (k2b + k3b) + k4b)
-                nc = c + sixth * (fc + 2.0 * (k2c + k3c) + k4c)
-                nd = d + sixth * (fd + 2.0 * (k2d + k3d) + k4d)
-            except ZeroDivisionError:
-                # committed nodes keep S_v + I_v > 0, so the zero total is in a
-                # stage; a stage component below the band means the step
-                # overshot, not that the mosquito pool died out
-                t_next = (done + i + 1) * h
-                for comp, value in enumerate((sh, ih, sv, iv)):
-                    if value < -defaults.CLAMP_BAND:
-                        raise NegativityBreachError(t_next, COMPONENT_NAMES[comp],
-                                                    value) from None
-                raise ZeroMosquitoPopulationError(t_next) from None
-
-            if na >= 0.0 and nb >= 0.0 and nc >= 0.0 and nd >= 0.0:
-                a, b, c, d = na, nb, nc, nd
-            else:  # a NaN fails `>= 0` too, and _clamp reports it
-                t_next = (done + i + 1) * h
-                a, b, c, d = (_clamp(v, t_next, comp)
-                              for comp, v in enumerate((na, nb, nc, nd)))
-            if c + d <= 0.0:
-                raise ZeroMosquitoPopulationError((done + i + 1) * h)
-        # step i + 1 reads nodes i + 1 - m on, so those before move out; at
-        # the end, all of them do
-        k = i + 1 if i == last else max(i + 1 - m, 0)
-        ys.fromlist(Y[:4 * k])
-        fs.fromlist(F[:4 * k])
-        if i == last:
+    for i in range(n_steps + 1):
+        # node i's derivative: its Hermite slope and the next step's k1
+        lam = c_vh * (d / (c + d)) * a if full else c_vh * (d * inv_nv) * a
+        L.append(lam)
+        flux = c_hv * b * c
+        fa = beta_h - lam - mu_h * a
+        fb = L[0] - mu_h * b
+        fc = beta_v - flux - mu_v * c
+        fd = flux - mu_v * d
+        ys.fromlist([a, b, c, d])
+        fs.fromlist([fa, fb, fc, fd])
+        if i == n_steps:
             break
-        del Y[:4 * k], F[:4 * k], L[:k]
-        done += k
-        start = i + 1 - k
+
+        try:
+            # (sh, ih, sv, iv) is the latest stage state, read when a stage
+            # divides by 0, so each is assigned before its divisions
+            sh, ih, sv, iv = a + hh * fa, b + hh * fb, c + hh * fc, d + hh * fd
+            if delayed:
+                if i:  # S_h, S_v, I_v at the midpoint of interval i - 1
+                    sh_m = 0.5 * (pa + a) + eighth * (pfa - fa)
+                    sv_m = 0.5 * (pc + c) + eighth * (pfc - fc)
+                    iv_m = 0.5 * (pd + d) + eighth * (pfd - fd)
+                    M.append(c_vh * (iv_m / (sv_m + iv_m)) * sh_m if full
+                             else c_vh * (iv_m * inv_nv) * sh_m)
+                lam_m = M[0]
+            lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
+            flux = c_hv * ih * sv
+            k2a = beta_h - lam - mu_h * sh
+            k2b = (lam_m if delayed else lam) - mu_h * ih
+            k2c = beta_v - flux - mu_v * sv
+            k2d = flux - mu_v * iv
+
+            sh, ih, sv, iv = a + hh * k2a, b + hh * k2b, c + hh * k2c, d + hh * k2d
+            lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
+            flux = c_hv * ih * sv
+            k3a = beta_h - lam - mu_h * sh
+            k3b = (lam_m if delayed else lam) - mu_h * ih
+            k3c = beta_v - flux - mu_v * sv
+            k3d = flux - mu_v * iv
+
+            sh, ih, sv, iv = a + h * k3a, b + h * k3b, c + h * k3c, d + h * k3d
+            lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
+            flux = c_hv * ih * sv
+            k4a = beta_h - lam - mu_h * sh
+            k4b = (L[1] if delayed else lam) - mu_h * ih
+            k4c = beta_v - flux - mu_v * sv
+            k4d = flux - mu_v * iv
+
+            na = a + sixth * (fa + 2.0 * (k2a + k3a) + k4a)
+            nb = b + sixth * (fb + 2.0 * (k2b + k3b) + k4b)
+            nc = c + sixth * (fc + 2.0 * (k2c + k3c) + k4c)
+            nd = d + sixth * (fd + 2.0 * (k2d + k3d) + k4d)
+        except ZeroDivisionError:
+            # committed nodes keep S_v + I_v > 0, so the zero total is in a
+            # stage or a midpoint; a stage component below the band means
+            # the step overshot, not that the mosquito pool died out
+            t_next = (i + 1) * h
+            for comp, value in enumerate((sh, ih, sv, iv)):
+                if value < -defaults.CLAMP_BAND:
+                    raise NegativityBreachError(t_next, COMPONENT_NAMES[comp],
+                                                value) from None
+            raise ZeroMosquitoPopulationError(t_next) from None
+
+        pa, pc, pd, pfa, pfc, pfd = a, c, d, fa, fc, fd
+        if na >= 0.0 and nb >= 0.0 and nc >= 0.0 and nd >= 0.0:
+            a, b, c, d = na, nb, nc, nd
+        else:  # a NaN fails `>= 0` too, and _clamp reports it
+            t_next = (i + 1) * h
+            a, b, c, d = (_clamp(v, t_next, comp)
+                          for comp, v in enumerate((na, nb, nc, nd)))
+        if c + d <= 0.0:
+            raise ZeroMosquitoPopulationError((i + 1) * h)
 
     for comp, value in enumerate((a, b, c, d)):
         if not math.isfinite(value):

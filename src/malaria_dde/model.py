@@ -23,8 +23,8 @@ Parameters, equilibria, stability, histories and the integrator's march
 keep their numbers in floats, tuples and `array('d')` buffers, so a run
 that only simulates, sweeps (`tail` columns too) or checks persistence on
 a constant or table history never reads `np`. What does: a Lyapunov trace,
-`dense_eval` and `Trajectory.window`, a `random` history, and the first
-read of the array properties `Trajectory.times`, `states` and `derivs` or
+`dense_eval`, a `random` history, and the first read of the array
+properties `Trajectory.times`, `states` and `derivs` or
 `HistorySegment.times` and `states`.
 """
 

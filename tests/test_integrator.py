@@ -150,17 +150,6 @@ def test_dense_eval_below_the_history_follows_the_span_rule():
         dense_eval(traj0, -1e-8)
 
 
-def test_window_extraction():
-    traj = integrate(P_SUPER, _phi(P_SUPER), spec_full(6.0))
-    w = traj.window(5.0)
-    assert w.tau == 1.0
-    assert w.times[0] == -1.0 and w.times[-1] == 0.0
-    assert w.state_at(0.0) == dense_eval(traj, 5.0)
-    assert w.state_at(-1.0) == dense_eval(traj, 4.0)
-    with pytest.raises(InvalidSpecError):
-        traj.window(5.003)
-
-
 def test_tail_stats_bounds_and_window_validation():
     traj = integrate(P_SUPER, _phi(P_SUPER), spec_full(40.0))
     tail = tail_stats(traj)
@@ -193,10 +182,10 @@ def test_tail_stats_is_the_numpy_mask_min_max(system, tau):
 
 
 def test_integrate_peak_memory_is_within_three_times_its_arrays():
-    # nodes move from Python lists to flat float buffers every 1,024 steps,
-    # so the peak follows the returned arrays, not 32 B per float (about 5x
-    # them when every node stayed in a list); 4,000 steps take about 2 s
-    # under tracemalloc
+    # each node goes straight to a flat float buffer at 8 B per float, and
+    # the step loop keeps only 2m + 1 incidences, so the peak follows the
+    # returned arrays, not 32 B per float (about 5x them when every node
+    # stayed in a list); 4,000 steps take about 2 s under tracemalloc
     phi = _phi(P_SUPER)
     tracemalloc.start()
     try:
@@ -299,33 +288,39 @@ def test_delay_within_the_span_tolerance_reads_the_history():
 
 
 @pytest.mark.parametrize("tau,kw", [
-    (1.0, dict(t_end=0.0)),
-    (1.0, dict(t_end=1.0, steps_per_delay=0)),
-    (1.0, dict(t_end=1.0, steps_per_delay=-1)),
-    (1.0, dict(t_end=1e-12)),  # rounds to zero steps of h
-    (0.0, dict(t_end=1.0, step=-0.1)),
-    (1.0, dict(t_end=math.inf)),  # used to overflow in int(round(inf))
-    (1.0, dict(t_end=math.nan)),
-    (0.0, dict(t_end=1.0, step=math.inf)),
-    (0.0, dict(t_end=1.0, step=math.nan)),
+    # explicit ids, frozen at the positional ones pytest first gave these
+    # cases, so removing or inserting a case renames no other; a new case
+    # takes a new id
+    pytest.param(1.0, dict(t_end=0.0), id="1.0-kw0"),
+    pytest.param(1.0, dict(t_end=1.0, steps_per_delay=0), id="1.0-kw1"),
+    pytest.param(1.0, dict(t_end=1.0, steps_per_delay=-1), id="1.0-kw2"),
+    # rounds to zero steps of h
+    pytest.param(1.0, dict(t_end=1e-12), id="1.0-kw3"),
+    pytest.param(0.0, dict(t_end=1.0, step=-0.1), id="0.0-kw4"),
+    # used to overflow in int(round(inf))
+    pytest.param(1.0, dict(t_end=math.inf), id="1.0-kw5"),
+    pytest.param(1.0, dict(t_end=math.nan), id="1.0-kw6"),
+    pytest.param(0.0, dict(t_end=1.0, step=math.inf), id="0.0-kw7"),
+    pytest.param(0.0, dict(t_end=1.0, step=math.nan), id="0.0-kw8"),
     # each spec field is held to its scenario-loader rule: a str system once
     # ran the full system, and a bool count ran as 1
-    (1.0, dict(system="limiting", t_end=5.0)),
-    (1.0, dict(t_end=1.0, steps_per_delay=True)),
-    (1.0, dict(t_end=1.0, steps_per_delay=1.0)),
-    (1.0, dict(t_end=True)),
-    (1.0, dict(t_end=False)),
-    (1.0, dict(t_end="4")),
-    (1.0, dict(t_end=10 ** 400)),
-    (0.0, dict(t_end=1.0, step=True)),
+    pytest.param(1.0, dict(system="limiting", t_end=5.0), id="1.0-kw9"),
+    pytest.param(1.0, dict(t_end=1.0, steps_per_delay=True), id="1.0-kw10"),
+    pytest.param(1.0, dict(t_end=1.0, steps_per_delay=1.0), id="1.0-kw11"),
+    pytest.param(1.0, dict(t_end=True), id="1.0-kw12"),
+    pytest.param(1.0, dict(t_end=False), id="1.0-kw13"),
+    pytest.param(1.0, dict(t_end="4"), id="1.0-kw14"),
+    pytest.param(1.0, dict(t_end=10 ** 400), id="1.0-kw15"),
+    pytest.param(0.0, dict(t_end=1.0, step=True), id="0.0-kw16"),
     # meshes past defaults.MAX_STEPS, rejected before the run starts: h =
     # 1e-201 (the default tau = 0 step 0.1 / max_rate at beta_h = 1e200),
     # h = tau / m = 5e-302, an h that underflows to 0 (t_end / h raised
     # ZeroDivisionError) and one step past the ceiling
-    (0.0, dict(t_end=20.0, step=1e-201)),
-    (1e-300, dict(t_end=20.0)),
-    (5e-324, dict(t_end=1.0)),
-    (0.0, dict(t_end=(defaults.MAX_STEPS + 1) * 0.05, step=0.05)),
+    pytest.param(0.0, dict(t_end=20.0, step=1e-201), id="0.0-kw17"),
+    pytest.param(1e-300, dict(t_end=20.0), id="1e-300-kw18"),
+    pytest.param(5e-324, dict(t_end=1.0), id="5e-324-kw19"),
+    pytest.param(0.0, dict(t_end=(defaults.MAX_STEPS + 1) * 0.05, step=0.05),
+                 id="0.0-kw20"),
 ])
 def test_integrate_spec_errors_are_validation_errors(no_runs_at_tiny_delays, tau, kw):
     p = replace(P_SUPER, tau=tau)

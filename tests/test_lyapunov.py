@@ -145,9 +145,13 @@ def test_trace_matches_single_window_evaluation():
     spec = IntegrationSpec(system=SystemKind.LIMITING, t_end=12.0)
     traj = integrate(P_SUB, phi, spec)
     trace = trace_along(P_SUB, traj)
+    m = spec.steps_per_delay
     for probe in (0, 57, -1):
         t = float(trace.times[probe])
-        direct = v_dfe(P_SUB, traj.window(t))
+        k = int(np.searchsorted(traj.times, t))  # the node at t
+        window = HistorySegment(traj.times[k - m:k + 1] - t,
+                                traj.states[k - m:k + 1], traj.tau)
+        direct = v_dfe(P_SUB, window)
         assert float(trace.values[probe]) == pytest.approx(direct, rel=1e-12)
 
 

@@ -101,18 +101,15 @@ def test_node_derivatives_are_the_rhs_at_the_node(name):
     _assert_node_derivatives(p, phi, spec, integrate(p, phi, spec))
 
 
-CHUNK = integrator._CHUNK
-
-
 @pytest.mark.parametrize("m,steps", [
-    (10, CHUNK - 1), (10, CHUNK), (10, CHUNK + 1), (10, 2 * CHUNK + 1),
-    # m above _CHUNK: the first delay interval spans two chunks
+    (10, 1023), (10, 1024), (10, 1025), (10, 2049),
+    # windows of 1,500 incidences: the history feeds the first 1,500 steps
     (1500, 2 * 1500 + 1),
 ])
-def test_every_mesh_node_is_recorded_across_chunk_boundaries(m, steps):
-    # nodes move from the step loop's lists to the buffers every _CHUNK
-    # steps, and all that are left at the end; a dropped or doubled node
-    # shifts the times or breaks the derivative identity at the nodes after it
+def test_every_mesh_node_is_recorded(m, steps):
+    # each node goes to the buffers as the loop reaches it; a dropped or
+    # doubled node shifts the times or breaks the derivative identity at
+    # the nodes after it
     phi = HistorySegment.constant(X0, P_SUPER.tau)
     spec = IntegrationSpec(system=SystemKind.FULL, t_end=steps * P_SUPER.tau / m,
                            steps_per_delay=m)
@@ -120,6 +117,49 @@ def test_every_mesh_node_is_recorded_across_chunk_boundaries(m, steps):
     assert traj.steps == steps and traj.nodes == steps + 1
     assert np.array_equal(traj.times, np.arange(steps + 1) * traj.h)
     _assert_node_derivatives(P_SUPER, phi, spec, traj)
+
+
+def _rk4_step(rhs, y, yd0, ydm, yd1, h):
+    """One classical RK4 step from y, with the delayed state yd0 at the
+    node, ydm at the half step and yd1 at the next node."""
+    hh, sixth = 0.5 * h, h / 6.0
+    k1 = rhs(y, yd0)
+    k2 = rhs(tuple(v + hh * k for v, k in zip(y, k1)), ydm)
+    k3 = rhs(tuple(v + hh * k for v, k in zip(y, k2)), ydm)
+    k4 = rhs(tuple(v + h * k for v, k in zip(y, k3)), yd1)
+    return tuple(v + sixth * (a + 2.0 * (b + c) + d)
+                 for v, a, b, c, d in zip(y, k1, k2, k3, k4))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("history", ["constant", "table"])
+@pytest.mark.parametrize("system", [SystemKind.FULL, SystemKind.LIMITING],
+                         ids=["full", "limiting"])
+def test_smallest_windows_step_like_a_reference_rk4(m, history, system):
+    # at m = 1 the midpoint window holds one value and the node one two, so
+    # a window read one place off uses another interval's midpoint or node;
+    # the reference reads the delayed states off the recorded nodes instead
+    phi = HistorySegment.constant(X0, P_SUPER.tau) if history == "constant" else TABLE
+    spec = IntegrationSpec(system=system, t_end=6.0, steps_per_delay=m)
+    traj = integrate(P_SUPER, phi, spec)
+    rhs = make_rhs(P_SUPER, limiting=system is SystemKind.LIMITING)
+    h, tau = traj.h, traj.tau
+    hh, eighth = 0.5 * h, 0.125 * h
+    ys, fs = traj.states.tolist(), traj.derivs.tolist()
+
+    def delayed(n):  # the state at node n's delayed time
+        return tuple(ys[n - m]) if n >= m else phi.value_at(n * h - tau)
+
+    def delayed_mid(n):  # the state at step n's delayed half step
+        if n < m:
+            return phi.value_at(n * h + hh - tau)
+        y0, y1, f0, f1 = ys[n - m], ys[n - m + 1], fs[n - m], fs[n - m + 1]
+        return tuple(0.5 * (y0[q] + y1[q]) + eighth * (f0[q] - f1[q]) for q in range(4))
+
+    assert traj.steps == 6 * m
+    for n in range(traj.steps):
+        step = _rk4_step(rhs, tuple(ys[n]), delayed(n), delayed_mid(n), delayed(n + 1), h)
+        assert step == tuple(ys[n + 1]), n
 
 
 def _inject_incidence(monkeypatch, rate_at):
