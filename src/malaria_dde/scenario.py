@@ -29,16 +29,20 @@ A sweep wraps a base scenario, an axis (one parameter name), the values to
 visit in order, and the derived columns to tabulate (no column twice, once
 the groups are expanded). Each value is checked at
 load by the rule of params.<axis>. Rows are independent; a failing row
-records an error marker and the sweep carries on.
+records an error marker and the sweep carries on. Rows that integrate (tail
+columns) run in forked workers on every CPU os.sched_getaffinity allows, and
+sweep.csv is the same bytes as a run on one CPU.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import marshal
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -515,19 +519,95 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
     return row
 
 
+def _row_line(sweep: SweepSpec, value: float, seed: int) -> str:
+    """The row's CSV line; a ModelError or ArithmeticError is its error cell."""
+    try:
+        row, error = _sweep_row(sweep, value, seed), ""
+    except (ModelError, ArithmeticError) as exc:  # e.g. rates that underflow
+        text = f"error: {exc}".replace('"', '""')
+        row, error = {}, f'"{text}"'
+    return ",".join([_fmt(value), *(row.get(c, "") for c in sweep.columns), error])
+
+
+def _workers() -> int:
+    """The CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _worker(sweep: SweepSpec, values: tuple[float, ...], seed: int, fd: int) -> None:
+    """In a forked worker: marshal the rows' lines, or the pickled error that
+    stopped them, to fd, and leave by os._exit (no stdio flush, no atexit)."""
+    code = 1
+    try:
+        try:
+            msg = marshal.dumps((True, [_row_line(sweep, v, seed) for v in values]))
+        except BaseException as exc:
+            import pickle
+            try:
+                pickle.loads(blob := pickle.dumps(exc))
+            except Exception:
+                blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            msg = marshal.dumps((False, blob))
+        with open(fd, "wb") as fh:
+            fh.write(msg)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
+    """Every row's line, in row order. Rows that integrate (tail columns) are
+    split across n = min(_workers(), rows) processes: this one runs rows 0, n,
+    2n, ..., and forked worker w rows w, w + n, .... A worker's rows run here
+    if it ends without a result, and its error is raised once all are reaped."""
+    values = sweep.values
+    n = min(_workers(), len(values)) if set(_TAIL_COLUMNS) & set(sweep.columns) else 1
+    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_row_line(sweep, v, seed) for v in values]
+    if sweep.base.history.kind == "random":
+        np.random  # load numpy once here, not in every worker
+    lines = [""] * len(values)
+    kids: list[tuple[int, int, Any]] = []  # (w, pid, read end of its pipe)
+    got: dict[int, bytes] = {}
+    try:
+        for w in range(1, n):
+            r, fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # e.g. no process ids left: the rows run here
+                os.close(r)
+                os.close(fd)
+                break
+            if pid == 0:
+                _worker(sweep, values[w::n], seed, fd)
+            os.close(fd)  # open only in the worker, so its death reads as EOF
+            kids.append((w, pid, open(r, "rb")))
+        lines[::n] = [_row_line(sweep, v, seed) for v in values[::n]]
+        got = {w: fh.read() for w, _, fh in kids}
+    finally:
+        for w, pid, fh in kids:
+            fh.close()
+            if w not in got:  # this process failed first
+                os.kill(pid, 9)  # SIGKILL
+            if os.waitpid(pid, 0)[1]:
+                got.pop(w, None)
+    for w in range(1, n):
+        ok, part = marshal.loads(got[w]) if w in got else (True, None)
+        if not ok:
+            import pickle
+            raise pickle.loads(part)
+        lines[w::n] = part or [_row_line(sweep, v, seed) for v in values[w::n]]
+    return lines
+
+
 def run_sweep(sweep: SweepSpec, out_dir: str | None = None, seed: int = 0) -> str:
     """Run every row, then write <out>/sweep.csv and return its path. A row's
     ModelError or ArithmeticError is its error cell; any other failure writes
-    nothing."""
+    nothing. Rows with tail columns run in forked workers on every CPU
+    os.sched_getaffinity allows, with the same output as on one CPU."""
     _check_seed(seed)
-    lines = [",".join([sweep.axis, *sweep.columns, "error"])]
-    for value in sweep.values:
-        try:
-            row, error = _sweep_row(sweep, value, seed), ""
-        except (ModelError, ArithmeticError) as exc:  # e.g. rates that underflow
-            text = f"error: {exc}".replace('"', '""')
-            row, error = {}, f'"{text}"'
-        lines.append(",".join([_fmt(value), *(row.get(c, "") for c in sweep.columns),
-                               error]))
+    lines = [",".join([sweep.axis, *sweep.columns, "error"]),
+             *_sweep_lines(sweep, seed)]
     target = out_dir if out_dir is not None else sweep.base.out_dir
     return _write_out(target, [], "sweep.csv", lines)

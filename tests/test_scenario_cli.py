@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -519,6 +520,7 @@ def test_sweep_rows_integrate_to_their_own_default_horizon(tmp_path, monkeypatch
         return traj
 
     monkeypatch.setattr(scenario_mod, "integrate", spy)
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: 1)  # the spy is in-process
     values = [0.2, 0.08, 0.05]
     obj = {"schema": 1,
            "base": {**BASE, "integration": {"steps_per_delay": 2}},
@@ -736,27 +738,120 @@ def test_failing_write_keeps_an_earlier_run(tmp_path, capsys, monkeypatch):
     assert _tree(out) == before
 
 
-def test_failing_sweep_keeps_an_earlier_run(tmp_path, monkeypatch):
+@pytest.fixture
+def fails_rather_than_hangs():
+    """A sweep left waiting on a worker's pipe fails after 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the sweep did not finish within 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("failing_row", [0, 1], ids=["parent-row", "worker-row"])
+def test_failing_sweep_keeps_an_earlier_run(tmp_path, monkeypatch, failing_row,
+                                            fails_rather_than_hangs):
     # a failure outside the row-error path (not a ModelError or an
-    # ArithmeticError) leaves the sweep before it writes anything
+    # ArithmeticError) leaves the sweep before it writes anything, whether
+    # this process ran the row or a forked worker did; no worker is left
+    import malaria_dde.scenario as scenario_mod
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
     sw = load_sweep(_sweep_file(tmp_path, ["r0", "tail"]))
     out = tmp_path / "o"
     run_sweep(sw, out_dir=str(out))
+    assert_no_child_processes()
     before = _tree(out)
     assert sorted(before) == ["sweep.csv"]
 
-    import malaria_dde.scenario as scenario_mod
     real = scenario_mod._sweep_row
 
-    def second_row_fails(sweep, value, seed):
-        if value == sweep.values[1]:
+    def row_fails(sweep, value, seed):
+        if value == sweep.values[failing_row]:
             raise RuntimeError("synthetic failure outside the row-error path")
         return real(sweep, value, seed)
 
-    monkeypatch.setattr(scenario_mod, "_sweep_row", second_row_fails)
+    monkeypatch.setattr(scenario_mod, "_sweep_row", row_fails)
     with pytest.raises(RuntimeError, match="synthetic"):
         run_sweep(sw, out_dir=str(out))
+    assert_no_child_processes()
     assert _tree(out) == before
+
+
+def assert_no_child_processes():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forked_sweep(tmp_path, workers, monkeypatch, name):
+    import malaria_dde.scenario as scenario_mod
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: workers)
+    obj = {"schema": 1,
+           "base": {**BASE, "history": {"kind": "random"}, "integration": {"t_end": 10}},
+           "axis": "tau", "values": [0.5, 1e-300, 1.0, 2.0, 1.5],
+           "columns": ["r0", "tail"]}
+    sw = load_sweep(write_json(tmp_path / "sw.json", obj))
+    run_sweep(sw, out_dir=str(tmp_path / name), seed=4)
+    data = (tmp_path / name / "sweep.csv").read_bytes()
+    assert_no_child_processes()
+    return data
+
+
+def test_forked_sweep_is_the_serial_bytes(tmp_path, monkeypatch, no_runs_at_tiny_delays,
+                                          fails_rather_than_hangs):
+    # 5 rows split unevenly across 2 and 3 processes; the second row is past
+    # the step ceiling, so its error cell comes back from a worker
+    serial = _forked_sweep(tmp_path, 1, monkeypatch, "o1")
+    assert b"steps of h" in serial.splitlines()[2]
+    for n in (2, 3):
+        assert _forked_sweep(tmp_path, n, monkeypatch, f"o{n}") == serial
+
+
+def test_rows_of_a_worker_that_dies_run_in_process(tmp_path, monkeypatch,
+                                                   fails_rather_than_hangs):
+    import malaria_dde.scenario as scenario_mod
+    serial = _forked_sweep(tmp_path, 1, monkeypatch, "o1")
+    real, parent = scenario_mod._sweep_row, os.getpid()
+
+    def dies_in_a_worker(sweep, value, seed):
+        if value == sweep.values[1] and os.getpid() != parent:
+            os._exit(3)
+        return real(sweep, value, seed)
+
+    monkeypatch.setattr(scenario_mod, "_sweep_row", dies_in_a_worker)
+    assert _forked_sweep(tmp_path, 3, monkeypatch, "o3") == serial
+
+
+@pytest.mark.parametrize("columns,values", [
+    (["r0", "classification", "e_star"], [0.5, 1.0, 2.0]),  # no row integrates
+    (["tail"], [1.0]),  # one row
+], ids=["no-tail", "one-row"])
+def test_sweeps_that_cannot_gain_do_not_fork(tmp_path, monkeypatch, columns, values):
+    import malaria_dde.scenario as scenario_mod
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    obj = {"schema": 1, "base": {**BASE, "integration": {"t_end": 10}},
+           "axis": "tau", "values": values, "columns": columns}
+    run_sweep(load_sweep(write_json(tmp_path / "sw.json", obj)), out_dir=str(tmp_path / "o"))
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 1 + len(values) and all(r.endswith(",") for r in rows[1:])
+
+
+def test_a_fork_that_fails_runs_the_rows_in_process(tmp_path, monkeypatch,
+                                                    fails_rather_than_hangs):
+    serial = _forked_sweep(tmp_path, 1, monkeypatch, "o1")
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _forked_sweep(tmp_path, 3, monkeypatch, "o3") == serial
 
 
 @pytest.mark.parametrize("argv", [["simulate", "x.json", "--seed", "abc"], [],
