@@ -11,12 +11,13 @@ from dataclasses import replace
 
 from malaria_dde import (
     ModelParams,
+    SystemKind,
     basic_reproduction_number,
     disease_free_equilibrium,
     endemic_equilibrium,
     equilibrium_residual,
     r0_squared,
-    rhs_full,
+    rhs,
 )
 
 # recruitment beta_h/beta_v, mortality mu_h/mu_v, transmission c_vh (vector
@@ -29,7 +30,7 @@ print("R0   =", basic_reproduction_number(p))
 
 e0 = disease_free_equilibrium(p)
 print("\ndisease-free state:", e0.as_tuple())
-print("rhs there:", rhs_full(p, e0, e0))
+print("rhs there:", rhs(p, e0, e0, SystemKind.FULL))
 
 star = endemic_equilibrium(p)
 print("\nendemic state:", star.as_tuple())

@@ -53,7 +53,6 @@ from .errors import (
 )
 from .integrator import (
     IntegrationSpec,
-    SystemKind,
     TailStats,
     Trajectory,
     dense_eval,
@@ -72,7 +71,8 @@ from .model import (
     HistorySegment,
     ModelParams,
     State,
-    rhs_full,
+    SystemKind,
+    rhs,
 )
 from .persistence import (
     PersistenceBounds,

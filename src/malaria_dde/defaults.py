@@ -26,8 +26,8 @@ ROOT_XTOL = 1e-12
 DESCENT_SLACK_SCALE = 1e-7
 DEFAULT_THETA = 0.5
 # 125x the largest mesh the tests, demos and benchmark pools run (8,000
-# steps); a FULL run at the ceiling took 3.7-4.2 s and peaked at 77 MB RSS
-# (ru_maxrss of a child process, 64 MB of it the node buffers) on a 2-vCPU
+# steps); a FULL run at the ceiling took 1.8-2.0 s and peaked at 48 MB RSS
+# (ru_maxrss of a child process, 32 MB of it the node buffer) on a 2-vCPU
 # machine, where an unbounded mesh grows until memory runs out
 MAX_STEPS = 1_000_000
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericalError, RateUnderflowError, SubcriticalR0Error
-from .model import ModelParams, State, rhs_full
+from .model import ModelParams, State, SystemKind, rhs
 
 
 def r0_squared(p: ModelParams) -> float:
@@ -58,11 +58,11 @@ def _require_endemic(p: ModelParams) -> State:
 def equilibrium_residual(p: ModelParams, state: State) -> float:
     """Max-norm of the steady-state equations at `state`.
 
-    Routed through rhs_full with the candidate in both time slots, so the
-    closed forms above are checked against the dynamics, not against
-    themselves.
+    Routed through the full system's rhs with the candidate in both time
+    slots, so the closed forms above are checked against the dynamics, not
+    against themselves.
     """
-    return max(abs(v) for v in rhs_full(p, state, state))
+    return max(abs(v) for v in rhs(p, state, state, SystemKind.FULL))
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,18 @@ interval-midpoint ones. Step i builds the Hermite midpoint of interval
 i - 1, the one ending at its node, from the previous node held in locals,
 for S_h, S_v and I_v only; its incidence serves both half-step stages of
 step i - 1 + m. In the first delay interval both windows hold the
-history's incidences, all computed once per call. The node derivatives kept
-for Hermite output double as the next step's k1 (first-same-as-last;
+history's incidences, all computed once per call. A node's derivative is
+both its step's k1 and a Hermite slope (first-same-as-last;
 Hairer, Norsett & Wanner, Solving ODEs I). Every float expression is the one
-`model.rhs_full` evaluates, in the same order, so a full-system node
-derivative is rhs_full bit for bit.
+`model.rhs` evaluates, in the same order, so a node derivative is rhs at
+the node and its delayed state bit for bit.
 
 Node storage: every mesh node is recorded. The step loop reads no node
-back; each node and its derivative go straight to two flat `array('d')`
-buffers, four floats per node, so memory follows the output at 8 B per
-float. Trajectory keeps the buffers and makes numpy arrays of them only
+back; each node goes straight to one flat `array('d')` buffer, four floats
+per node, so memory follows the output at 8 B per float. Derivatives are
+computed with `model.rhs` when read. Trajectory makes numpy arrays only
 when `times`, `states` or `derivs` is read; its tail stats (computed once,
-on first read) and to_csv read the buffers.
+on first read), to_csv and dense_eval read the buffer.
 
 A run needs t_end / h steps; more than defaults.MAX_STEPS is rejected before
 anything is allocated.
@@ -51,7 +51,6 @@ incidence is the current stage's own.
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
 import math
 from array import array
@@ -72,21 +71,19 @@ from .errors import (
 )
 from .model import (
     COMPONENT_NAMES,
+    Deriv,
     HistorySegment,
     ModelParams,
     State,
+    SystemKind,
     _finite_real,
     _frozen,
     _spans,
     np,
+    rhs,
 )
 
 CSV_HEADER = "t,S_h,I_h,S_v,I_v"
-
-
-class SystemKind(enum.Enum):
-    FULL = "full"
-    LIMITING = "limiting"
 
 
 @dataclass(frozen=True)
@@ -119,20 +116,21 @@ class IntegrationSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded mesh solution with node derivatives for dense output.
+    """Recorded mesh solution of `system` under `params`.
 
-    Node k is mesh step k, at time k * h; `ys` and `fs` hold the nodes'
-    states and derivatives, four floats each. `times`, `states` and
-    `derivs` are numpy arrays of them, made on first read.
+    Node k is mesh step k, at time k * h, and node k - m (m = 0 at tau = 0)
+    is its delayed node; `ys` holds the nodes' states, four floats each.
+    `times`, `states` and `derivs` are numpy arrays, made on first read.
     """
 
     ys: array = field(repr=False)
-    fs: array = field(repr=False)
     steps: int
     history: HistorySegment
     tau: float
     h: float
     system: SystemKind
+    params: ModelParams
+    m: int
 
     @property
     def t_end(self) -> float:
@@ -152,20 +150,18 @@ class Trajectory:
 
     @functools.cached_property
     def derivs(self) -> np.ndarray:
-        return np.frombuffer(self.fs).reshape(-1, 4)
+        return np.array([_node_deriv(self, k) for k in range(self.nodes)])
 
     @functools.cached_property
     def tail(self) -> TailStats:
         """Tail inf/sup, computed on first read (see TailStats)."""
         cut = defaults.TAIL_WINDOW * self.t_end
         cut -= 1e-12 * (1.0 + abs(cut))
-        # the first node at or past the cut; node k's time k * h rises with k
-        h = self.h
-        first = bisect.bisect_left(range(self.nodes), cut, key=lambda k: k * h)
+        first = _first_node_at(self, cut)
         if self.nodes - first < 2:
             raise EmptyWindowError()
         columns = [self.ys[4 * first + q::4] for q in range(4)]
-        return TailStats(t_start=first * h,
+        return TailStats(t_start=first * self.h,
                          inf=State(*map(min, columns)), sup=State(*map(max, columns)))
 
     def to_csv(self, target: str | IO[str]) -> None:
@@ -173,6 +169,19 @@ class Trajectory:
         h, ys = self.h, self.ys
         times = [k * h for k in range(self.steps + 1)]
         _write_csv(target, CSV_HEADER, (times, *(ys[q::4] for q in range(4))))
+
+
+def _first_node_at(traj: Trajectory, t: float) -> int:
+    """The first node at or past t (traj.nodes if none is); node k is at k * h."""
+    return bisect.bisect_left(range(traj.nodes), t, key=lambda k: k * traj.h)
+
+
+def _node_deriv(traj: Trajectory, k: int) -> Deriv:
+    """The step loop's node k derivative, bit for bit: rhs at node k and at
+    node k - m (k itself at tau = 0, where m = 0), or the history before."""
+    ys, j = traj.ys, 4 * (k - traj.m)
+    delayed = ys[j:j + 4] if j >= 0 else traj.history.value_at(k * traj.h - traj.tau)
+    return rhs(traj.params, State(*ys[4 * k:4 * k + 4]), State(*delayed), traj.system)
 
 
 def _write_csv(target: str | IO[str], header: str,
@@ -242,7 +251,7 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     if n_steps < 1:
         raise InvalidSpecError("t_end must be at least one step h")
 
-    # the model as model.rhs_full writes it; lam is an incidence
+    # the model as model.rhs writes it; lam is an incidence
     # c_vh * (I_v / N_v) * S_h, with 1 / N_v fixed at inv_nv if limiting
     full = spec.system is SystemKind.FULL
     beta_h, beta_v, mu_h, mu_v = p.beta_h, p.beta_v, p.mu_h, p.mu_v
@@ -264,7 +273,7 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
               maxlen=m + 1)
     M = deque(_history_incidence(phi, (k * h + hh - tau for k in range(m)), c_vh, inv_nv),
               maxlen=m)
-    ys, fs = array("d"), array("d")
+    ys = array("d")
 
     for i in range(n_steps + 1):
         # node i's derivative: its Hermite slope and the next step's k1
@@ -276,7 +285,6 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
         fc = beta_v - flux - mu_v * c
         fd = flux - mu_v * d
         ys.fromlist([a, b, c, d])
-        fs.fromlist([fa, fb, fc, fd])
         if i == n_steps:
             break
 
@@ -343,8 +351,8 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     for comp, value in enumerate((a, b, c, d)):
         if not math.isfinite(value):
             raise NonFiniteStateError(n_steps * h, COMPONENT_NAMES[comp], value)
-    return Trajectory(ys=ys, fs=fs, steps=n_steps, history=phi,
-                      tau=float(tau), h=h, system=spec.system)
+    return Trajectory(ys=ys, steps=n_steps, history=phi, tau=float(tau), h=h,
+                      system=spec.system, params=p, m=m)
 
 
 def dense_eval(traj: Trajectory, t: float) -> State:
@@ -363,14 +371,12 @@ def dense_eval(traj: Trajectory, t: float) -> State:
             return traj.history.state_at(t)
         t = 0.0
 
-    times = traj.times
-    i = int(np.searchsorted(times, t))
-    if i < times.size and times[i] == t:
-        return State(*traj.states[i])
-    if i >= times.size:
-        return State(*traj.states[-1])
+    ys, h = traj.ys, traj.h
+    i = min(_first_node_at(traj, t), traj.nodes - 1)
+    t0, t1 = (i - 1) * h, i * h
+    if t1 <= t:  # on node i, or past the last node
+        return State(*ys[4 * i:4 * i + 4])
 
-    t0, t1 = times[i - 1], times[i]
     w = t1 - t0
     s = (t - t0) / w
     s2 = s * s
@@ -379,13 +385,10 @@ def dense_eval(traj: Trajectory, t: float) -> State:
     h10 = s3 - 2.0 * s2 + s
     h01 = -2.0 * s3 + 3.0 * s2
     h11 = s3 - s2
-    y0, y1 = traj.states[i - 1], traj.states[i]
-    f0, f1 = traj.derivs[i - 1], traj.derivs[i]
-    out = []
-    for k in range(4):
-        v = h00 * y0[k] + h10 * w * f0[k] + h01 * y1[k] + h11 * w * f1[k]
-        out.append(_clamp(float(v), t, k))
-    return State(*out)
+    y0, y1 = ys[4 * i - 4:4 * i], ys[4 * i:4 * i + 4]
+    f0, f1 = _node_deriv(traj, i - 1), _node_deriv(traj, i)
+    return State(*(_clamp(h00 * y0[k] + h10 * w * f0[k] + h01 * y1[k] + h11 * w * f1[k],
+                          t, k) for k in range(4)))
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,7 @@ def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:
                                f"system, got a {traj.system.value} trajectory")
     kind = (FunctionalKind.V_DFE if endemic_equilibrium(p) is None
             else FunctionalKind.V_ENDEMIC)
-    times = traj.times
-    m = 0 if traj.tau == 0 else int(round(traj.tau / traj.h))
+    times, m = traj.times, traj.m
     if times.size - m < 2:
         raise EmptyWindowError("horizon too short: need at least two nodes past tau")
     values = _FORMULAS[kind](p, times, traj.states, m)

@@ -22,15 +22,16 @@ the package does not load numpy, the first attribute read on `np` does.
 Parameters, equilibria, stability, histories and the integrator's march
 keep their numbers in floats, tuples and `array('d')` buffers, so a run
 that only simulates, sweeps (`tail` columns too) or checks persistence on
-a constant or table history never reads `np`. What does: a Lyapunov trace,
-`dense_eval`, a `random` history, and the first read of the array
-properties `Trajectory.times`, `states` and `derivs` or
+a constant or table history never reads `np`, nor does `dense_eval`.
+What does: a Lyapunov trace, a `random` history, and the first read of the
+array properties `Trajectory.times`, `states` and `derivs` or
 `HistorySegment.times` and `states`.
 """
 
 from __future__ import annotations
 
 import bisect
+import enum
 import functools
 import importlib.util
 import math
@@ -158,21 +159,28 @@ class State:
 COMPONENT_NAMES = ("s_h", "i_h", "s_v", "i_v")
 
 
-def rhs_full(p: ModelParams, now: State, delayed: State) -> Deriv:
-    """Time derivative of the full system at (now, delayed).
+class SystemKind(enum.Enum):
+    FULL = "full"
+    LIMITING = "limiting"
 
-    Raises ZeroMosquitoPopulationError if either state has N_v <= 0, since
-    standard incidence divides by it. The mosquito flux is computed once, so
-    d/dt(S_v + I_v) cancels it exactly; integrate's step loop repeats these
-    expressions in this order, so its node derivatives equal them bit for bit.
+
+def rhs(p: ModelParams, now: State, delayed: State, system: SystemKind) -> Deriv:
+    """Time derivative of the full or the limiting system at (now, delayed).
+
+    Raises ZeroMosquitoPopulationError if either state has N_v <= 0 (either
+    system). The mosquito flux is computed once, so d/dt(S_v + I_v) cancels
+    it exactly; integrate's step loop repeats these expressions in this
+    order, so its node derivatives equal them bit for bit.
     """
-    n_v, n_vd = now.n_v, delayed.n_v
-    if n_v <= 0 or n_vd <= 0:
+    if now.n_v <= 0 or delayed.n_v <= 0:
         raise ZeroMosquitoPopulationError()
+    inv_nv = None if system is SystemKind.FULL else 1.0 / p.s_v0
+    lam, lam_d = (p.c_vh * (x.i_v / x.n_v if inv_nv is None else x.i_v * inv_nv) * x.s_h
+                  for x in (now, delayed))
     flux_v = p.c_hv * now.i_h * now.s_v
     return (
-        p.beta_h - p.c_vh * (now.i_v / n_v) * now.s_h - p.mu_h * now.s_h,
-        p.c_vh * (delayed.i_v / n_vd) * delayed.s_h - p.mu_h * now.i_h,
+        p.beta_h - lam - p.mu_h * now.s_h,
+        lam_d - p.mu_h * now.i_h,
         p.beta_v - flux_v - p.mu_v * now.s_v,
         flux_v - p.mu_v * now.i_v,
     )

@@ -45,46 +45,6 @@ P_CRIT = ModelParams(beta_h=1.0, beta_v=5.0, mu_h=1.0, mu_v=0.25,
 TAU_CHOICES = (0.0, 0.5, 1.0, 2.0)
 
 
-def make_rhs(p: ModelParams, limiting: bool):
-    """Reference right-hand side rhs(y, yd) on 4-tuples, y the current state
-    and yd the delayed one, for the full or the limiting system (1 / N_v
-    frozen at 1 / S_v0). integrate's step loop writes the same float
-    expressions in the same order, so its node derivatives equal this bit
-    for bit; on the full system it is model.rhs_full without the N_v check.
-    """
-    beta_h, beta_v = p.beta_h, p.beta_v
-    mu_h, mu_v = p.mu_h, p.mu_v
-    c_vh, c_hv = p.c_vh, p.c_hv
-
-    if limiting:
-        inv_nv = 1.0 / p.s_v0
-
-        def rhs(y, yd):
-            sh, ih, sv, iv = y
-            shd, _, _, ivd = yd
-            flux_v = c_hv * ih * sv
-            return (
-                beta_h - c_vh * (iv * inv_nv) * sh - mu_h * sh,
-                c_vh * (ivd * inv_nv) * shd - mu_h * ih,
-                beta_v - flux_v - mu_v * sv,
-                flux_v - mu_v * iv,
-            )
-    else:
-
-        def rhs(y, yd):
-            sh, ih, sv, iv = y
-            shd, _, svd, ivd = yd
-            flux_v = c_hv * ih * sv
-            return (
-                beta_h - c_vh * (iv / (sv + iv)) * sh - mu_h * sh,
-                c_vh * (ivd / (svd + ivd)) * shd - mu_h * ih,
-                beta_v - flux_v - mu_v * sv,
-                flux_v - mu_v * iv,
-            )
-
-    return rhs
-
-
 def draw_params(rng: np.random.Generator, tau: float | None = None) -> ModelParams:
     """A positive parameter set with no constraint on the regime."""
     return ModelParams(

@@ -30,7 +30,7 @@ from malaria_dde import (
     integrate,
     persistence_bounds,
     r0_squared,
-    rhs_full,
+    rhs,
     weak_persistence_check,
 )
 
@@ -64,7 +64,7 @@ def test_c1_closed_forms_solve_the_steady_state_equations():
     draws += [draw_supercritical(rng) for _ in range(50)]
     for p in draws:
         e0 = disease_free_equilibrium(p)
-        d = rhs_full(p, e0, e0)
+        d = rhs(p, e0, e0, SystemKind.FULL)
         assert d[1] == 0.0 and d[3] == 0.0  # infection balance holds exactly
         # susceptible rows can carry one rounding of beta - mu*(beta/mu)
         assert equilibrium_residual(p, e0) <= 5e-16 * (1.0 + max(p.beta_h, p.beta_v))

@@ -15,13 +15,14 @@ from malaria_dde import (
     NonPositiveRateError,
     RateUnderflowError,
     State,
+    SystemKind,
     basic_reproduction_number,
     disease_free_equilibrium,
     endemic_equilibrium,
     equilibrium_residual,
     equilibrium_set,
     r0_squared,
-    rhs_full,
+    rhs,
 )
 
 from conftest import P_CRIT, P_SUB, P_SUPER, draw_params, draw_supercritical
@@ -54,7 +55,7 @@ def test_endemic_matches_root_finder(rng):
     for p in [P_SUPER] + [draw_supercritical(rng) for _ in range(5)]:
         star = endemic_equilibrium(p)
         guess = (0.7 * p.s_h0, 0.2 * p.s_h0, 0.7 * p.s_v0, 0.2 * p.s_v0)
-        sol = fsolve(lambda x: rhs_full(p, State(*x), State(*x)), guess, xtol=1e-13)
+        sol = fsolve(lambda x: rhs(p, State(*x), State(*x), SystemKind.FULL), guess, xtol=1e-13)
         found = State(*(float(v) for v in sol))
         if found.i_h <= 1e-8:  # root finder slid to the disease-free branch
             continue

@@ -25,7 +25,7 @@ from malaria_dde import (
     ValidationError,
     dense_eval,
     integrate,
-    rhs_full,
+    rhs,
     tail_stats,
 )
 from malaria_dde import defaults
@@ -71,7 +71,7 @@ def test_vector_total_error_is_fourth_order(system):
 def test_zero_delay_matches_adaptive_reference():
     p = replace(P_SUPER, tau=0.0)
     traj = integrate(p, _phi(p), spec_full(5.0))
-    ref = solve_ivp(lambda t, x: rhs_full(p, State(*x), State(*x)),
+    ref = solve_ivp(lambda t, x: rhs(p, State(*x), State(*x), SystemKind.FULL),
                     (0.0, 5.0), list(X0), method="DOP853",
                     rtol=1e-12, atol=1e-12, t_eval=traj.times)
     assert float(np.max(np.abs(ref.y.T - traj.states))) < 1e-9
@@ -81,7 +81,7 @@ def test_small_delay_stays_near_zero_delay_limit():
     p = replace(P_SUPER, tau=1e-3)
     traj = integrate(p, _phi(p), spec_full(5.0, steps_per_delay=1))
     p0 = replace(P_SUPER, tau=0.0)
-    ref = solve_ivp(lambda t, x: rhs_full(p0, State(*x), State(*x)),
+    ref = solve_ivp(lambda t, x: rhs(p0, State(*x), State(*x), SystemKind.FULL),
                     (0.0, 5.0), list(X0), method="DOP853",
                     rtol=1e-12, atol=1e-12, dense_output=True)
     worst = max(abs(float(ref.sol(float(traj.times[i]))[k]) - traj.states[i, k])
@@ -182,10 +182,11 @@ def test_tail_stats_is_the_numpy_mask_min_max(system, tau):
 
 
 def test_integrate_peak_memory_is_within_three_times_its_arrays():
-    # each node goes straight to a flat float buffer at 8 B per float, and
-    # the step loop keeps only 2m + 1 incidences, so the peak follows the
-    # returned arrays, not 32 B per float (about 5x them when every node
-    # stayed in a list); 4,000 steps take about 2 s under tracemalloc
+    # each node goes straight to a flat float buffer at 8 B per float, no
+    # derivative is stored, and the step loop keeps only 2m + 1 incidences,
+    # so the peak follows the node arrays, not 32 B per float (about 5x them
+    # when every node stayed in a list); 4,000 steps take about 2 s under
+    # tracemalloc
     phi = _phi(P_SUPER)
     tracemalloc.start()
     try:
@@ -193,7 +194,7 @@ def test_integrate_peak_memory_is_within_three_times_its_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = traj.times.nbytes + traj.states.nbytes + traj.derivs.nbytes
+    returned = traj.times.nbytes + traj.states.nbytes
     assert traj.nodes == 4001
     assert peak <= 3 * returned, (peak, returned)
 

@@ -16,26 +16,27 @@ from malaria_dde import (
     NonPositiveRateError,
     OutOfRangeError,
     State,
+    SystemKind,
     ZeroMosquitoPopulationError,
     default_ode_step,
     default_t_end,
-    rhs_full,
+    rhs,
 )
-from conftest import P_SUB, P_SUPER, make_rhs
+from conftest import P_SUPER
 
 
 def test_rhs_full_anchor():
     # incidence 0.2 * (10/50) * 4 = 0.16; vector turnover 5 - 0.1*40 = 1
     s = State(4.0, 0.0, 40.0, 10.0)
-    d = rhs_full(P_SUPER, s, s)
+    d = rhs(P_SUPER, s, s, SystemKind.FULL)
     assert d == pytest.approx((-0.16, 0.16, 1.0, -1.0), abs=1e-12)
 
 
 def test_limiting_freezes_delayed_denominator():
     now = State(4.0, 0.0, 40.0, 10.0)
     delayed = State(4.0, 0.0, 30.0, 10.0)  # pool 40, not the resting 50
-    d_full = rhs_full(P_SUPER, now, delayed)
-    d_lim = make_rhs(P_SUPER, limiting=True)(now.as_tuple(), delayed.as_tuple())
+    d_full = rhs(P_SUPER, now, delayed, SystemKind.FULL)
+    d_lim = rhs(P_SUPER, now, delayed, SystemKind.LIMITING)
     assert d_full[1] == pytest.approx(0.2 * (10 / 40) * 4, abs=1e-12)
     assert d_lim[1] == pytest.approx(0.2 * (10 / 50) * 4, abs=1e-12)
 
@@ -43,7 +44,7 @@ def test_limiting_freezes_delayed_denominator():
 def test_host_incidence_uses_current_time_in_susceptible_equation():
     now = State(4.0, 1.0, 40.0, 10.0)
     delayed = State(2.0, 0.5, 45.0, 5.0)
-    d = rhs_full(P_SUPER, now, delayed)
+    d = rhs(P_SUPER, now, delayed, SystemKind.FULL)
     # S_h' sees today's infection pressure, I_h' sees the delayed one
     assert d[0] == pytest.approx(2.0 - 0.2 * (10 / 50) * 4 - 0.5 * 4, abs=1e-12)
     assert d[1] == pytest.approx(0.2 * (5 / 50) * 2 - 0.5 * 1, abs=1e-12)
@@ -55,7 +56,7 @@ def test_vector_total_infection_flux_cancels():
     rng = np.random.default_rng(3)
     for _ in range(200):
         s = State(*(float(x) for x in rng.uniform(0.01, 50.0, size=4)))
-        d = rhs_full(P_SUPER, s, s)
+        d = rhs(P_SUPER, s, s, SystemKind.FULL)
         expected = P_SUPER.beta_v - P_SUPER.mu_v * s.n_v
         assert d[2] + d[3] == pytest.approx(expected, abs=1e-12)
 
@@ -64,9 +65,9 @@ def test_rhs_rejects_zero_vector_population():
     dead = State(4.0, 1.0, 0.0, 0.0)
     alive = State(4.0, 1.0, 30.0, 10.0)
     with pytest.raises(ZeroMosquitoPopulationError):
-        rhs_full(P_SUPER, dead, alive)
+        rhs(P_SUPER, dead, alive, SystemKind.FULL)
     with pytest.raises(ZeroMosquitoPopulationError):
-        rhs_full(P_SUPER, alive, dead)
+        rhs(P_SUPER, alive, dead, SystemKind.FULL)
 
 
 @pytest.mark.parametrize("field", ["beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv"])
@@ -272,7 +273,7 @@ PUBLIC_NAMES = {
     "endemic_equilibrium", "equilibrium_residual", "equilibrium_set",
     "integrate",
     "load_scenario", "load_sweep", "persistence_bounds", "r0_squared",
-    "rhs_full", "rightmost_real_root",
+    "rhs", "rightmost_real_root",
     "run_scenario", "run_sweep", "tail_stats", "trace_along", "v_dfe",
     "v_endemic", "weak_persistence_check",
 }

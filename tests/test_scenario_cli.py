@@ -471,6 +471,23 @@ def test_missing_numpy_fails_the_import_as_a_plain_import_does():
     assert out[1] == out[0]
 
 
+def test_integrate_and_dense_eval_load_no_numpy():
+    # dense_eval reads the node buffer and computes its interval's two
+    # derivatives with model.rhs: reads in the history, on a node and
+    # between nodes load no numpy module (a structural check)
+    code = ("import sys\n"
+            "from malaria_dde import *\n"
+            "traj = integrate(ModelParams(2.0, 5.0, 0.5, 0.1, 0.2, 0.1, 1.0),\n"
+            "                 HistorySegment.constant((4.0, 0.5, 30.0, 10.0), 1.0),\n"
+            "                 IntegrationSpec(t_end=3.0))\n"
+            "for t in (-0.5, 0.0, 0.3, 1.234, 3.0):\n"
+            "    dense_eval(traj, t)\n"
+            "print([m for m in sys.modules if m.startswith('numpy.')])\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 def test_cli_seed_changes_random_history(tmp_path):
     path = scenario_file(tmp_path, history={"kind": "random"},
                          integration={"t_end": 5})

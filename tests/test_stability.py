@@ -34,7 +34,7 @@ from malaria_dde import (
     disease_free_equilibrium,
     integrate,
     r0_squared,
-    rhs_full,
+    rhs,
     rightmost_real_root,
     run_scenario,
     trace_along,
@@ -409,8 +409,8 @@ def test_jacobian_determinant_ties_coefficients_to_dynamics():
             e[j] = 1e-6 * max(1.0, abs(base[j]))
             up = State(*(base + e))
             dn = State(*(base - e))
-            fu = np.asarray(rhs_full(p, up, up))
-            fd = np.asarray(rhs_full(p, dn, dn))
+            fu = np.asarray(rhs(p, up, up, SystemKind.FULL))
+            fd = np.asarray(rhs(p, dn, dn, SystemKind.FULL))
             J[:, j] = (fu - fd) / (2.0 * e[j])
         return J
 
@@ -587,7 +587,7 @@ def test_g0_identity_holds_exactly_in_rational_arithmetic(rng):
                      p.beta_h * p.mu_v * (r2 - 1) / den_h,
                      p.beta_v * (p.c_vh + p.mu_h) / den_v,
                      p.beta_v * p.mu_h * (r2 - 1) / den_v)
-        assert rhs_full(p, star, star) == (0, 0, 0, 0)
+        assert rhs(p, star, star, SystemKind.FULL) == (0, 0, 0, 0)
         n_v = star.n_v
         m = (p.c_vh * star.i_v / n_v, p.c_vh * star.i_v * star.s_h / n_v ** 2,
              p.c_vh * star.s_v * star.s_h / n_v ** 2, p.c_hv * star.s_v,

@@ -1,7 +1,6 @@
-"""The RK4 step loop itself: bit-exact output, the node-derivative identity
-that first-same-as-last relies on (which also holds the inlined model to the
-reference `conftest.make_rhs` and, on the full system, to `model.rhs_full`),
-and the clamp fast path as seen through `integrate`."""
+"""The RK4 step loop itself: bit-exact output and node derivatives, each
+step against a reference RK4 built on `model.rhs` (which holds the inlined
+model to it), and the clamp fast path as seen through `integrate`."""
 
 import hashlib
 import io
@@ -19,11 +18,11 @@ from malaria_dde import (
     State,
     SystemKind,
     integrate,
-    rhs_full,
+    rhs,
 )
 from malaria_dde import integrator
 
-from conftest import P_SUPER, make_rhs
+from conftest import P_SUPER
 
 X0 = (4.0, 0.5, 30.0, 10.0)
 TABLE = HistorySegment.table(
@@ -70,29 +69,38 @@ def _csv_sha256(name):
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+# sha256 of Trajectory.derivs for each run, recorded when the step loop still
+# stored each node's derivative; computed again from the nodes, they keep it
+DERIVS_SHA256 = {
+    "full": "9c275b51c4a25237f05f161c0be2abe259c7ea61001633bf241f53c830782897",
+    "limiting": "08703017474117a28e6cdbd2fe2e79ebee20da14a27356007ae6646e5c2c7847",
+    "ode": "0db41006b91f04113d3d99cac49b72e2463e5a0c15e275e30691189991cc7f37",
+    "table": "c47c3643dcc535fd2ba054b84c420781f103724e24704a48e08ed331e19aa0b9",
+    "ode_limiting": "bd1e8abf5db05b8f788c72ed010cf19eab5473731add37e1017582fa9e47551a",
+    "table_limiting": "ae06cb4b5283e5cc5f9621980f8e6d7253f61b723a0863ab1240564aa07d6e63",
+}
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_trajectory_csv_is_bit_exact(name):
     assert _csv_sha256(name) == CSV_SHA256[name]
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_node_derivatives_are_bit_exact(name):
+    derivs = integrate(*RUNS[name]).derivs
+    assert hashlib.sha256(derivs.tobytes()).hexdigest() == DERIVS_SHA256[name]
+
+
 def _assert_node_derivatives(p, phi, spec, traj):
     """Each node's derivative is the right-hand side at the node and the
     node m steps back (the history's value in the first delay interval)."""
-    full = spec.system is SystemKind.FULL
-    rhs = make_rhs(p, limiting=not full)
     states = traj.states.tolist()
     m = spec.steps_per_delay if traj.tau > 0 else 0
     for n, y in enumerate(states):
-        if traj.tau == 0:
-            yd = y
-        elif n >= m:
-            yd = states[n - m]
-        else:
-            yd = [float(v) for v in phi.value_at(n * traj.h - traj.tau)]
+        yd = states[n - m] if n >= m else phi.value_at(n * traj.h - traj.tau)
         deriv = tuple(traj.derivs[n].tolist())
-        assert rhs(tuple(y), tuple(yd)) == deriv, n
-        if full:
-            assert rhs_full(p, State(*y), State(*yd)) == deriv, n
+        assert rhs(p, State(*y), State(*yd), spec.system) == deriv, n
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -107,9 +115,8 @@ def test_node_derivatives_are_the_rhs_at_the_node(name):
     (1500, 2 * 1500 + 1),
 ])
 def test_every_mesh_node_is_recorded(m, steps):
-    # each node goes to the buffers as the loop reaches it; a dropped or
-    # doubled node shifts the times or breaks the derivative identity at
-    # the nodes after it
+    # each node goes to the buffer as the loop reaches it; a dropped or
+    # doubled node shifts the node count and the times
     phi = HistorySegment.constant(X0, P_SUPER.tau)
     spec = IntegrationSpec(system=SystemKind.FULL, t_end=steps * P_SUPER.tau / m,
                            steps_per_delay=m)
@@ -119,14 +126,14 @@ def test_every_mesh_node_is_recorded(m, steps):
     _assert_node_derivatives(P_SUPER, phi, spec, traj)
 
 
-def _rk4_step(rhs, y, yd0, ydm, yd1, h):
-    """One classical RK4 step from y, with the delayed state yd0 at the
+def _rk4_step(f, y, yd0, ydm, yd1, h):
+    """One classical RK4 step of f from y, with the delayed state yd0 at the
     node, ydm at the half step and yd1 at the next node."""
     hh, sixth = 0.5 * h, h / 6.0
-    k1 = rhs(y, yd0)
-    k2 = rhs(tuple(v + hh * k for v, k in zip(y, k1)), ydm)
-    k3 = rhs(tuple(v + hh * k for v, k in zip(y, k2)), ydm)
-    k4 = rhs(tuple(v + h * k for v, k in zip(y, k3)), yd1)
+    k1 = f(y, yd0)
+    k2 = f(tuple(v + hh * k for v, k in zip(y, k1)), ydm)
+    k3 = f(tuple(v + hh * k for v, k in zip(y, k2)), ydm)
+    k4 = f(tuple(v + h * k for v, k in zip(y, k3)), yd1)
     return tuple(v + sixth * (a + 2.0 * (b + c) + d)
                  for v, a, b, c, d in zip(y, k1, k2, k3, k4))
 
@@ -142,7 +149,7 @@ def test_smallest_windows_step_like_a_reference_rk4(m, history, system):
     phi = HistorySegment.constant(X0, P_SUPER.tau) if history == "constant" else TABLE
     spec = IntegrationSpec(system=system, t_end=6.0, steps_per_delay=m)
     traj = integrate(P_SUPER, phi, spec)
-    rhs = make_rhs(P_SUPER, limiting=system is SystemKind.LIMITING)
+    f = lambda y, yd: rhs(P_SUPER, State(*y), State(*yd), system)
     h, tau = traj.h, traj.tau
     hh, eighth = 0.5 * h, 0.125 * h
     ys, fs = traj.states.tolist(), traj.derivs.tolist()
@@ -158,7 +165,7 @@ def test_smallest_windows_step_like_a_reference_rk4(m, history, system):
 
     assert traj.steps == 6 * m
     for n in range(traj.steps):
-        step = _rk4_step(rhs, tuple(ys[n]), delayed(n), delayed_mid(n), delayed(n + 1), h)
+        step = _rk4_step(f, tuple(ys[n]), delayed(n), delayed_mid(n), delayed(n + 1), h)
         assert step == tuple(ys[n + 1]), n
 
 
