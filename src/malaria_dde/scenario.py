@@ -31,7 +31,9 @@ the groups are expanded). Each value is checked at
 load by the rule of params.<axis>. Rows are independent; a failing row
 records an error marker and the sweep carries on. Rows that integrate (tail
 columns) run in forked workers on every CPU os.sched_getaffinity allows, and
-sweep.csv is the same bytes as a run on one CPU.
+sweep.csv is the same bytes as a run on one CPU. A worker that returns no
+lines (it raised, died or never started) has its rows run in this process, so
+a failure is raised as a serial run raises it.
 """
 
 from __future__ import annotations
@@ -536,19 +538,12 @@ def _workers() -> int:
 
 
 def _worker(sweep: SweepSpec, values: tuple[float, ...], seed: int, fd: int) -> None:
-    """In a forked worker: marshal the rows' lines, or the pickled error that
-    stopped them, to fd, and leave by os._exit (no stdio flush, no atexit)."""
+    """In a forked worker: write the marshalled list of the rows' lines to fd
+    and exit 0. If any row raises, write nothing and exit 1. Either way leave
+    by os._exit (no stdio flush, no atexit, no traceback)."""
     code = 1
     try:
-        try:
-            msg = marshal.dumps((True, [_row_line(sweep, v, seed) for v in values]))
-        except BaseException as exc:
-            import pickle
-            try:
-                pickle.loads(blob := pickle.dumps(exc))
-            except Exception:
-                blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-            msg = marshal.dumps((False, blob))
+        msg = marshal.dumps([_row_line(sweep, v, seed) for v in values])
         with open(fd, "wb") as fh:
             fh.write(msg)
         code = 0
@@ -559,8 +554,10 @@ def _worker(sweep: SweepSpec, values: tuple[float, ...], seed: int, fd: int) -> 
 def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
     """Every row's line, in row order. Rows that integrate (tail columns) are
     split across n = min(_workers(), rows) processes: this one runs rows 0, n,
-    2n, ..., and forked worker w rows w, w + n, .... A worker's rows run here
-    if it ends without a result, and its error is raised once all are reaped."""
+    2n, ..., and forked worker w rows w, w + n, .... Once all workers are
+    reaped, the rows of a worker with no result (it raised, died or never
+    started) run here, so a row that raised there raises here as in a serial
+    run."""
     values = sweep.values
     n = min(_workers(), len(values)) if set(_TAIL_COLUMNS) & set(sweep.columns) else 1
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -572,12 +569,13 @@ def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
     got: dict[int, bytes] = {}
     try:
         for w in range(1, n):
-            r, fd = os.pipe()
+            ends: tuple[int, ...] = ()
             try:
+                ends = r, fd = os.pipe()
                 pid = os.fork()
-            except OSError:  # e.g. no process ids left: the rows run here
-                os.close(r)
-                os.close(fd)
+            except OSError:  # e.g. no descriptors or process ids left
+                for end in ends:
+                    os.close(end)
                 break
             if pid == 0:
                 _worker(sweep, values[w::n], seed, fd)
@@ -593,19 +591,17 @@ def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
             if os.waitpid(pid, 0)[1]:
                 got.pop(w, None)
     for w in range(1, n):
-        ok, part = marshal.loads(got[w]) if w in got else (True, None)
-        if not ok:
-            import pickle
-            raise pickle.loads(part)
-        lines[w::n] = part or [_row_line(sweep, v, seed) for v in values[w::n]]
+        lines[w::n] = (marshal.loads(got[w]) if w in got
+                       else [_row_line(sweep, v, seed) for v in values[w::n]])
     return lines
 
 
 def run_sweep(sweep: SweepSpec, out_dir: str | None = None, seed: int = 0) -> str:
     """Run every row, then write <out>/sweep.csv and return its path. A row's
     ModelError or ArithmeticError is its error cell; any other failure writes
-    nothing. Rows with tail columns run in forked workers on every CPU
-    os.sched_getaffinity allows, with the same output as on one CPU."""
+    nothing and is raised as a serial run raises it. Rows with tail columns
+    run in forked workers on every CPU os.sched_getaffinity allows, with the
+    same output as on one CPU; a worker's rows run here if it returns none."""
     _check_seed(seed)
     lines = [",".join([sweep.axis, *sweep.columns, "error"]),
              *_sweep_lines(sweep, seed)]

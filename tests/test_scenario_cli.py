@@ -768,12 +768,25 @@ def fails_rather_than_hangs():
     signal.signal(signal.SIGALRM, old)
 
 
-@pytest.mark.parametrize("failing_row", [0, 1], ids=["parent-row", "worker-row"])
-def test_failing_sweep_keeps_an_earlier_run(tmp_path, monkeypatch, failing_row,
+class TwoArg(Exception):
+    """An exception that pickle cannot rebuild: __init__ takes two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+SYNTHETIC = RuntimeError("synthetic failure outside the row-error path")
+
+
+@pytest.mark.parametrize("failing_row,failure", [
+    (0, SYNTHETIC), (1, SYNTHETIC), (0, TwoArg("x", "y")), (1, TwoArg("x", "y")),
+], ids=["parent-row", "worker-row", "parent-row-two-arg", "worker-row-two-arg"])
+def test_failing_sweep_keeps_an_earlier_run(tmp_path, monkeypatch, failing_row, failure,
                                             fails_rather_than_hangs):
     # a failure outside the row-error path (not a ModelError or an
     # ArithmeticError) leaves the sweep before it writes anything, whether
-    # this process ran the row or a forked worker did; no worker is left
+    # this process ran the row or a forked worker did; no worker is left, and
+    # the failure is raised as itself, from the row that raised it
     import malaria_dde.scenario as scenario_mod
     monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
     sw = load_sweep(_sweep_file(tmp_path, ["r0", "tail"]))
@@ -787,12 +800,14 @@ def test_failing_sweep_keeps_an_earlier_run(tmp_path, monkeypatch, failing_row,
 
     def row_fails(sweep, value, seed):
         if value == sweep.values[failing_row]:
-            raise RuntimeError("synthetic failure outside the row-error path")
+            raise failure
         return real(sweep, value, seed)
 
     monkeypatch.setattr(scenario_mod, "_sweep_row", row_fails)
-    with pytest.raises(RuntimeError, match="synthetic"):
+    with pytest.raises(Exception) as info:
         run_sweep(sw, out_dir=str(out))
+    assert info.type is type(failure) and str(info.value) == str(failure)
+    assert info.traceback[-1].name == "row_fails"
     assert_no_child_processes()
     assert _tree(out) == before
 
@@ -860,15 +875,29 @@ def test_sweeps_that_cannot_gain_do_not_fork(tmp_path, monkeypatch, columns, val
     assert len(rows) == 1 + len(values) and all(r.endswith(",") for r in rows[1:])
 
 
-def test_a_fork_that_fails_runs_the_rows_in_process(tmp_path, monkeypatch,
+def _open_descriptors():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("call,err", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+                         ids=["fork", "pipe"])
+def test_a_fork_that_fails_runs_the_rows_in_process(tmp_path, monkeypatch, call, err,
                                                     fails_rather_than_hangs):
+    # the first worker starts; for the second, os.fork or os.pipe fails, so
+    # its rows run here and no descriptor is left open
     serial = _forked_sweep(tmp_path, 1, monkeypatch, "o1")
+    real, calls = getattr(os, call), []
 
-    def no_fork():
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    def fails_after_one(*args):
+        calls.append(call)
+        if len(calls) > 1:
+            raise OSError(err, os.strerror(err))
+        return real(*args)
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    before = _open_descriptors()
+    monkeypatch.setattr(os, call, fails_after_one)
     assert _forked_sweep(tmp_path, 3, monkeypatch, "o3") == serial
+    assert len(calls) == 2 and _open_descriptors() == before
 
 
 @pytest.mark.parametrize("argv", [["simulate", "x.json", "--seed", "abc"], [],

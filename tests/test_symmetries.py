@@ -1,0 +1,102 @@
+"""Exact symmetries of the model, checked bit for bit on trajectories.
+
+Two rescalings map solutions to solutions, and with a factor of 2 every
+float operation of the step loop scales exactly (barring overflow and
+underflow), so these checks need no oracle and no tolerance (metamorphic
+testing; Chen et al., ACM Comput. Surv. 51(1), 2018):
+
+- time: all six rates x2 with tau, t_end and the step /2 gives x(2t), so the
+  node buffer and the Lyapunov values are the same bits;
+- host population: beta_h x2, c_hv x1/2 and S_h, I_h x2 doubles the host
+  components and leaves the mosquito ones as they are;
+- mosquito population: beta_v x2 and S_v, I_v x2 doubles the mosquito
+  components and leaves the host ones as they are (the incidence reads
+  I_v / N_v).
+
+Absolute constants break them, so the draws keep away from each:
+default_ode_step's 0.05 cap (tau = 0 runs pass their step), the 1e-9 clamp
+band (the histories are interior, so no node comes near it), and the 1e-9
+rules in integrate's t_end rounding (t_end is a whole number of steps).
+Roots are left out: _polish's ROOT_XTOL is absolute, and near-critical
+roots do not always double under time scaling.
+"""
+
+import functools
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from malaria_dde import (
+    HistorySegment,
+    IntegrationSpec,
+    ModelParams,
+    SystemKind,
+    integrate,
+    trace_along,
+)
+
+from conftest import TAU_CHOICES
+
+RATES = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv")
+DRAWS = 48  # tau cycles through TAU_CHOICES, the system through FULL, LIMITING
+STEPS_PER_DELAY = 20
+ODE_STEP = 2.0 ** -5  # explicit: the default is capped at 0.05
+T_END = 16.0
+
+
+def _draw(i):
+    """Draw i: params with rates log-uniform in [0.1, 1], an interior
+    constant history state, and its spec."""
+    rng = np.random.default_rng(2000 + i)
+    tau = TAU_CHOICES[i % len(TAU_CHOICES)]
+    system = (SystemKind.FULL, SystemKind.LIMITING)[i // len(TAU_CHOICES) % 2]
+    p = ModelParams(**{r: float(10.0 ** rng.uniform(-1.0, 0.0)) for r in RATES}, tau=tau)
+    x0 = tuple(float(rng.uniform(lo, hi)) * pool for lo, hi, pool in (
+        (0.2, 2.0, p.s_h0), (0.01, 1.0, p.s_h0), (0.2, 2.0, p.s_v0), (0.01, 1.0, p.s_v0)))
+    spec = IntegrationSpec(system, T_END, STEPS_PER_DELAY, None if tau else ODE_STEP)
+    return p, x0, spec
+
+
+def _run(p, x0, spec):
+    return integrate(p, HistorySegment.constant(x0, p.tau), spec)
+
+
+@functools.cache
+def _base(i):
+    return _run(*_draw(i))
+
+
+def _scaled(i, factors, rates):
+    """Draw i's run with its history state times factors and the named
+    rates multiplied as given."""
+    p, x0, spec = _draw(i)
+    p = replace(p, **{name: getattr(p, name) * f for name, f in rates.items()})
+    return _run(p, tuple(x * f for x, f in zip(x0, factors)), spec)
+
+
+@pytest.mark.parametrize("i", range(DRAWS))
+def test_time_scaling_keeps_every_node_bit(i):
+    p, x0, spec = _draw(i)
+    fast = replace(p, **{r: 2.0 * getattr(p, r) for r in RATES}, tau=p.tau / 2)
+    half = replace(spec, t_end=spec.t_end / 2, step=spec.step and spec.step / 2)
+    base, traj = _base(i), _run(fast, x0, half)
+    assert traj.h == base.h / 2 and traj.steps == base.steps
+    assert traj.ys.tobytes() == base.ys.tobytes()
+    if spec.system is SystemKind.LIMITING:
+        v, w = trace_along(p, base), trace_along(fast, traj)
+        assert v.kind is w.kind
+        assert w.values.tobytes() == v.values.tobytes()
+        assert w.times.tobytes() == (v.times / 2).tobytes()
+
+
+@pytest.mark.parametrize("i", range(DRAWS))
+def test_host_scaling_doubles_the_host_components(i):
+    traj = _scaled(i, (2.0, 2.0, 1.0, 1.0), {"beta_h": 2.0, "c_hv": 0.5})
+    assert traj.ys.tobytes() == (_base(i).states * [2.0, 2.0, 1.0, 1.0]).tobytes()
+
+
+@pytest.mark.parametrize("i", range(DRAWS))
+def test_mosquito_scaling_doubles_the_mosquito_components(i):
+    traj = _scaled(i, (1.0, 1.0, 2.0, 2.0), {"beta_v": 2.0})
+    assert traj.ys.tobytes() == (_base(i).states * [1.0, 1.0, 2.0, 2.0]).tobytes()
