@@ -23,12 +23,12 @@ Hairer, Norsett & Wanner, Solving ODEs I). Every float expression is the one
 `model.rhs` evaluates, in the same order, so a node derivative is rhs at
 the node and its delayed state bit for bit.
 
-Node storage: every mesh node is recorded. The step loop reads no node
-back; each node goes straight to one flat `array('d')` buffer, four floats
-per node, so memory follows the output at 8 B per float. Derivatives are
-computed with `model.rhs` when read. Trajectory makes numpy arrays only
-when `times`, `states` or `derivs` is read; its tail stats (computed once,
-on first read), to_csv and dense_eval read the buffer.
+Node storage: integrate records every mesh node, in one flat `array('d')`
+buffer, four floats per node, that the step loop never reads back. The loop
+keeps the tail's inf and sup in locals from the first tail node on, so a
+sweep row, which reads only those, stores no node and runs in O(m) memory.
+Derivatives are computed with `model.rhs` when read. Trajectory makes numpy
+arrays only when `times`, `states` or `derivs` is read.
 
 A run needs t_end / h steps; more than defaults.MAX_STEPS is rejected before
 anything is allocated.
@@ -119,8 +119,9 @@ class Trajectory:
     """Recorded mesh solution of `system` under `params`.
 
     Node k is mesh step k, at time k * h, and node k - m (m = 0 at tau = 0)
-    is its delayed node; `ys` holds the nodes' states, four floats each.
-    `times`, `states` and `derivs` are numpy arrays, made on first read.
+    is its delayed node; `ys` holds the nodes' states, four floats each, and
+    `tail` the step loop's tail stats. `times`, `states` and `derivs` are
+    numpy arrays, made on first read.
     """
 
     ys: array = field(repr=False)
@@ -131,6 +132,7 @@ class Trajectory:
     system: SystemKind
     params: ModelParams
     m: int
+    _tail: TailStats | None = field(repr=False)  # None: fewer than two tail nodes
 
     @property
     def t_end(self) -> float:
@@ -152,17 +154,12 @@ class Trajectory:
     def derivs(self) -> np.ndarray:
         return np.array([_node_deriv(self, k) for k in range(self.nodes)])
 
-    @functools.cached_property
+    @property
     def tail(self) -> TailStats:
-        """Tail inf/sup, computed on first read (see TailStats)."""
-        cut = defaults.TAIL_WINDOW * self.t_end
-        cut -= 1e-12 * (1.0 + abs(cut))
-        first = _first_node_at(self, cut)
-        if self.nodes - first < 2:
+        """Tail inf/sup, kept by the step loop (see TailStats)."""
+        if self._tail is None:
             raise EmptyWindowError()
-        columns = [self.ys[4 * first + q::4] for q in range(4)]
-        return TailStats(t_start=first * self.h,
-                         inf=State(*map(min, columns)), sup=State(*map(max, columns)))
+        return self._tail
 
     def to_csv(self, target: str | IO[str]) -> None:
         """One row per node, 17 significant digits."""
@@ -171,9 +168,9 @@ class Trajectory:
         _write_csv(target, CSV_HEADER, (times, *(ys[q::4] for q in range(4))))
 
 
-def _first_node_at(traj: Trajectory, t: float) -> int:
-    """The first node at or past t (traj.nodes if none is); node k is at k * h."""
-    return bisect.bisect_left(range(traj.nodes), t, key=lambda k: k * traj.h)
+def _first_node_at(h: float, nodes: int, t: float) -> int:
+    """The first of nodes 0 .. nodes - 1, at k * h, at or past t (else nodes)."""
+    return bisect.bisect_left(range(nodes), t, key=lambda k: k * h)
 
 
 def _node_deriv(traj: Trajectory, k: int) -> Deriv:
@@ -230,6 +227,13 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     must match p.tau, and the mesh stay within MAX_STEPS. t_end is rounded
     up to the nearest mesh multiple; the trajectory's times say what ran.
     """
+    return _integrate(p, phi, spec, store=True)
+
+
+def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
+               store: bool) -> Trajectory:
+    """integrate; with store False no node is kept, so the run allocates O(m),
+    not O(steps), and only the trajectory's mesh and tail can be read."""
     tau = p.tau
     if not _spans(phi.tau, tau):
         raise InvalidHistoryError(f"history spans tau = {phi.tau!r} but params "
@@ -274,6 +278,9 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     M = deque(_history_incidence(phi, (k * h + hh - tau for k in range(m)), c_vh, inv_nv),
               maxlen=m)
     ys = array("d")
+    # tail nodes: `first` on; strict < and > keep the first of equal values, as min/max do
+    cut = defaults.TAIL_WINDOW * (n_steps * h)
+    first = _first_node_at(h, n_steps + 1, cut - 1e-12 * (1.0 + abs(cut)))
 
     for i in range(n_steps + 1):
         # node i's derivative: its Hermite slope and the next step's k1
@@ -284,7 +291,19 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
         fb = L[0] - mu_h * b
         fc = beta_v - flux - mu_v * c
         fd = flux - mu_v * d
-        ys.fromlist([a, b, c, d])
+        if store:
+            ys.fromlist([a, b, c, d])
+        if i > first:
+            lo_a = a if a < lo_a else lo_a
+            hi_a = a if a > hi_a else hi_a
+            lo_b = b if b < lo_b else lo_b
+            hi_b = b if b > hi_b else hi_b
+            lo_c = c if c < lo_c else lo_c
+            hi_c = c if c > hi_c else hi_c
+            lo_d = d if d < lo_d else lo_d
+            hi_d = d if d > hi_d else hi_d
+        elif i == first:
+            lo_a, lo_b, lo_c, lo_d = hi_a, hi_b, hi_c, hi_d = a, b, c, d
         if i == n_steps:
             break
 
@@ -351,8 +370,10 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
     for comp, value in enumerate((a, b, c, d)):
         if not math.isfinite(value):
             raise NonFiniteStateError(n_steps * h, COMPONENT_NAMES[comp], value)
+    tail = (TailStats(first * h, State(lo_a, lo_b, lo_c, lo_d), State(hi_a, hi_b, hi_c, hi_d))
+            if first < n_steps else None)
     return Trajectory(ys=ys, steps=n_steps, history=phi, tau=float(tau), h=h,
-                      system=spec.system, params=p, m=m)
+                      system=spec.system, params=p, m=m, _tail=tail)
 
 
 def dense_eval(traj: Trajectory, t: float) -> State:
@@ -372,7 +393,7 @@ def dense_eval(traj: Trajectory, t: float) -> State:
         t = 0.0
 
     ys, h = traj.ys, traj.h
-    i = min(_first_node_at(traj, t), traj.nodes - 1)
+    i = min(_first_node_at(h, traj.nodes, t), traj.nodes - 1)
     t0, t1 = (i - 1) * h, i * h
     if t1 <= t:  # on node i, or past the last node
         return State(*ys[4 * i:4 * i + 4])
@@ -393,8 +414,8 @@ def dense_eval(traj: Trajectory, t: float) -> State:
 
 @dataclass(frozen=True)
 class TailStats:
-    """Componentwise inf/sup over the nodes in
-    [TAIL_WINDOW * t_end, t_end]."""
+    """Componentwise inf/sup over the nodes in [TAIL_WINDOW * t_end, t_end],
+    kept by the step loop as it runs, so no node need be stored for them."""
 
     t_start: float
     inf: State

@@ -51,7 +51,7 @@ from typing import Any, Callable
 from . import defaults
 from .equilibria import endemic_equilibrium, equilibrium_set, r0_squared
 from .errors import InvalidSpecError, ModelError, SchemaError, SubcriticalR0Error
-from .integrator import IntegrationSpec, SystemKind, Trajectory, integrate, tail_stats
+from .integrator import IntegrationSpec, SystemKind, Trajectory, _integrate, integrate, tail_stats
 from .lyapunov import trace_along
 from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _spans, np
 from .persistence import _require_preconditions, weak_persistence_check
@@ -510,9 +510,9 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
             name = col[:-5]  # strip _star
             row[col] = "" if star is None else _fmt(getattr(star, name))
         elif col in _TAIL_COLUMNS:
-            if tail is None:  # integrate once, fill all tail cells
+            if tail is None:  # integrate once, storing no node; fill all tail cells
                 phi = scn.history.build(p, seed)
-                tail = tail_stats(integrate(p, phi, scn.integration))
+                tail = _integrate(p, phi, scn.integration, store=False).tail
                 for name in COMPONENT_NAMES:
                     row[f"tail_{name}_inf"] = _fmt(getattr(tail.inf, name))
                     row[f"tail_{name}_sup"] = _fmt(getattr(tail.sup, name))
@@ -556,8 +556,9 @@ def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
     split across n = min(_workers(), rows) processes: this one runs rows 0, n,
     2n, ..., and forked worker w rows w, w + n, .... Once all workers are
     reaped, the rows of a worker with no result (it raised, died or never
-    started) run here, so a row that raised there raises here as in a serial
-    run."""
+    started) run here in row order; if a row of this process raised, every
+    worker is killed and only its rows before that one run here. So the first
+    failure in row order is raised, as in a serial run."""
     values = sweep.values
     n = min(_workers(), len(values)) if set(_TAIL_COLUMNS) & set(sweep.columns) else 1
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -567,6 +568,7 @@ def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
     lines = [""] * len(values)
     kids: list[tuple[int, int, Any]] = []  # (w, pid, read end of its pipe)
     got: dict[int, bytes] = {}
+    error, j = None, 0  # a failure in this process's row j
     try:
         for w in range(1, n):
             ends: tuple[int, ...] = ()
@@ -581,8 +583,11 @@ def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
                 _worker(sweep, values[w::n], seed, fd)
             os.close(fd)  # open only in the worker, so its death reads as EOF
             kids.append((w, pid, open(r, "rb")))
-        lines[::n] = [_row_line(sweep, v, seed) for v in values[::n]]
+        for j in range(0, len(values), n):
+            lines[j] = _row_line(sweep, values[j], seed)
         got = {w: fh.read() for w, _, fh in kids}
+    except Exception as exc:  # raised below, once the rows before j have run
+        error = exc
     finally:
         for w, pid, fh in kids:
             fh.close()
@@ -590,9 +595,13 @@ def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
                 os.kill(pid, 9)  # SIGKILL
             if os.waitpid(pid, 0)[1]:
                 got.pop(w, None)
-    for w in range(1, n):
-        lines[w::n] = (marshal.loads(got[w]) if w in got
-                       else [_row_line(sweep, v, seed) for v in values[w::n]])
+    for w, part in got.items():
+        lines[w::n] = marshal.loads(part)
+    for k in range(len(values) if error is None else j):
+        if k % n and k % n not in got:
+            lines[k] = _row_line(sweep, values[k], seed)
+    if error is not None:
+        raise error
     return lines
 
 

@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from malaria_dde import (
     OutOfRangeError,
     State,
     SystemKind,
+    TailStats,
     ValidationError,
     dense_eval,
     integrate,
@@ -29,7 +31,7 @@ from malaria_dde import (
     tail_stats,
 )
 from malaria_dde import defaults
-from malaria_dde.integrator import _clamp
+from malaria_dde.integrator import _clamp, _integrate
 
 from conftest import P_SUB, P_SUPER, convergence_order
 
@@ -204,6 +206,98 @@ def test_tail_stats_needs_two_nodes():
     traj = integrate(P_SUPER, _phi(P_SUPER), spec_full(0.1, steps_per_delay=10))
     with pytest.raises(EmptyWindowError):
         tail_stats(traj)
+
+
+def _strided_tail(traj):
+    """The tail by the rule the step loop follows, over the stored nodes:
+    builtin min and max of each component's column from the first node at
+    or past the cut."""
+    cut = defaults.TAIL_WINDOW * traj.t_end
+    cut -= 1e-12 * (1.0 + abs(cut))
+    first = next(k for k in range(traj.nodes) if k * traj.h >= cut)
+    columns = [traj.ys[4 * first + q::4] for q in range(4)]
+    return TailStats(first * traj.h, State(*map(min, columns)), State(*map(max, columns)))
+
+
+def _tail_only(p, phi, spec):
+    """The tail stats of a run that stores no node."""
+    return _integrate(p, phi, spec, store=False).tail
+
+
+def _bits(tail):
+    return array("d", (tail.t_start, *tail.inf.as_tuple(), *tail.sup.as_tuple())).tobytes()
+
+
+@pytest.mark.parametrize("history", ["constant", "table"])
+@pytest.mark.parametrize("system,tau", [(SystemKind.FULL, 1.0),
+                                        (SystemKind.LIMITING, 1.0),
+                                        (SystemKind.FULL, 0.0)],
+                         ids=["full", "limiting", "tau0"])
+def test_tail_only_stats_are_the_stored_runs_bits(system, tau, history):
+    # t_end 12 puts the cut on a node, 12.34 between two
+    p = replace(P_SUPER, tau=tau)
+    if history == "constant":
+        phi = _phi(p)
+    elif tau > 0:
+        phi = HistorySegment.table([-tau, -tau / 3, 0.0],
+                                   [(3.0, 0.2, 20.0, 1.0), (5.0, 1.5, 35.0, 12.0), X0])
+    else:
+        phi = HistorySegment.table([0.0], [(3.0, 0.2, 20.0, 1.0)])
+    for t_end in (12.0, 12.34):
+        spec = IntegrationSpec(system=system, t_end=t_end)
+        traj = integrate(p, phi, spec)
+        expected = _bits(_strided_tail(traj))
+        assert _bits(tail_stats(traj)) == expected
+        assert _bits(_tail_only(p, phi, spec)) == expected
+
+
+def test_tail_keeps_the_first_of_equal_zeros():
+    # one step of 1e-13 puts the cut below node 0, so the tail is nodes 0
+    # and 1; I_h is -0.0 at node 0 and 0.0 at node 1, and min and max both
+    # keep the first, -0.0
+    p = replace(P_SUPER, tau=0.0)
+    phi = HistorySegment.constant((4.0, -0.0, 30.0, 0.0), 0.0)
+    spec = IntegrationSpec(SystemKind.FULL, 1e-13, step=1e-13)
+    traj = integrate(p, phi, spec)
+    assert traj.nodes == 2 and traj.ys[1::4].tobytes() == array("d", [-0.0, 0.0]).tobytes()
+    expected = _bits(_strided_tail(traj))
+    assert math.copysign(1.0, traj.tail.inf.i_h) == math.copysign(1.0, traj.tail.sup.i_h) == -1.0
+    assert _bits(tail_stats(traj)) == _bits(_tail_only(p, phi, spec)) == expected
+
+
+def test_tail_only_needs_two_nodes_and_raises_a_breach_first():
+    # one step: the window holds the final node alone. A stored run raises
+    # only when its tail is read; a breach, or a final node at +inf, in that
+    # one step is raised by both forms, not the empty window
+    p, spec = P_SUPER, spec_full(0.1, steps_per_delay=10)
+    traj = integrate(p, _phi(p), spec)
+    with pytest.raises(EmptyWindowError):
+        traj.tail
+    with pytest.raises(EmptyWindowError):
+        _tail_only(p, _phi(p), spec)
+    breach = replace(P_SUPER, beta_h=1e6, tau=0.0)
+    overflow = replace(P_SUPER, beta_h=1.7e308)
+    for run in (integrate, _tail_only):
+        with pytest.raises(NegativityBreachError, match="s_h"):
+            run(breach, _phi(breach), IntegrationSpec(SystemKind.FULL, 0.5, step=0.5))
+        with pytest.raises(NonFiniteStateError, match="inf"):
+            run(overflow, _phi(overflow), spec_full(0.05))
+
+
+def test_tail_only_run_memory_does_not_grow_with_its_steps():
+    # no node is stored, so 10^5 steps peak where 10^4 do; the node buffer
+    # of a stored run grows by 2.9 MB between them
+    phi = _phi(P_SUPER)
+    _tail_only(P_SUPER, phi, spec_full(1.0))  # warm up outside tracemalloc
+    peaks = []
+    for n in (10 ** 4, 10 ** 5):
+        tracemalloc.start()
+        try:
+            _tail_only(P_SUPER, phi, spec_full(n * P_SUPER.tau / defaults.STEPS_PER_DELAY))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 4096, peaks
 
 
 def test_clamp_band():

@@ -529,14 +529,15 @@ def test_load_scenario_builds_the_integration_spec():
 def test_sweep_rows_integrate_to_their_own_default_horizon(tmp_path, monkeypatch):
     import malaria_dde.scenario as scenario_mod
     ends = []
-    real = scenario_mod.integrate
+    real = scenario_mod._integrate
 
-    def spy(p, phi, spec):
-        traj = real(p, phi, spec)
+    def spy(p, phi, spec, store):
+        traj = real(p, phi, spec, store)
+        assert traj.nodes == 0  # a row keeps no node
         ends.append(traj.t_end)
         return traj
 
-    monkeypatch.setattr(scenario_mod, "integrate", spy)
+    monkeypatch.setattr(scenario_mod, "_integrate", spy)
     monkeypatch.setattr(scenario_mod, "_workers", lambda: 1)  # the spy is in-process
     values = [0.2, 0.08, 0.05]
     obj = {"schema": 1,
@@ -810,6 +811,35 @@ def test_failing_sweep_keeps_an_earlier_run(tmp_path, monkeypatch, failing_row, 
     assert info.traceback[-1].name == "row_fails"
     assert_no_child_processes()
     assert _tree(out) == before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("failing", [(1.0, 1.5), (1.5, 2.5)], ids=["1.0-1.5", "1.5-2.5"])
+def test_a_sweep_raises_the_first_failure_in_row_order(tmp_path, monkeypatch, workers,
+                                                       failing, fails_rather_than_hangs):
+    # two rows fail outside the row-error path; whichever processes run them,
+    # the earlier one's failure is raised, as in a serial run. At 2 workers
+    # this process runs rows 0, 2 and 4; at 3, worker 2 runs row 2 and
+    # worker 1 row 4
+    import malaria_dde.scenario as scenario_mod
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: workers)
+    real = scenario_mod._sweep_row
+
+    def row_fails(sweep, value, seed):
+        if value in failing:
+            raise RuntimeError(f"row {value}")
+        return real(sweep, value, seed)
+
+    monkeypatch.setattr(scenario_mod, "_sweep_row", row_fails)
+    obj = {"schema": 1, "base": {**BASE, "integration": {"t_end": 10}},
+           "axis": "tau", "values": [0.5, 1.0, 1.5, 2.0, 2.5], "columns": ["tail"]}
+    sw = load_sweep(write_json(tmp_path / "sw.json", obj))
+    with pytest.raises(RuntimeError) as info:
+        run_sweep(sw, out_dir=str(tmp_path / "o"))
+    assert str(info.value) == f"row {failing[0]}"
+    assert info.traceback[-1].name == "row_fails"
+    assert_no_child_processes()
+    assert not (tmp_path / "o").exists()
 
 
 def assert_no_child_processes():

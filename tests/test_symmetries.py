@@ -13,6 +13,10 @@ testing; Chen et al., ACM Comput. Surv. 51(1), 2018):
   components and leaves the host ones as they are (the incidence reads
   I_v / N_v).
 
+The tail stats follow, from a stored run and from a run that stores no
+node: time scaling keeps their inf and sup bits and halves t_start, and each
+population scaling doubles the matching components of both.
+
 Absolute constants break them, so the draws keep away from each:
 default_ode_step's 0.05 cap (tau = 0 runs pass their step), the 1e-9 clamp
 band (the histories are interior, so no node comes near it), and the 1e-9
@@ -22,6 +26,7 @@ roots do not always double under time scaling.
 """
 
 import functools
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +40,7 @@ from malaria_dde import (
     integrate,
     trace_along,
 )
+from malaria_dde.integrator import _integrate
 
 from conftest import TAU_CHOICES
 
@@ -43,6 +49,9 @@ DRAWS = 48  # tau cycles through TAU_CHOICES, the system through FULL, LIMITING
 STEPS_PER_DELAY = 20
 ODE_STEP = 2.0 ** -5  # explicit: the default is capped at 0.05
 T_END = 16.0
+# (history state factors, rate factors) of the two population scalings
+HOST = ((2.0, 2.0, 1.0, 1.0), {"beta_h": 2.0, "c_hv": 0.5})
+MOSQUITO = ((1.0, 1.0, 2.0, 2.0), {"beta_v": 2.0})
 
 
 def _draw(i):
@@ -58,8 +67,8 @@ def _draw(i):
     return p, x0, spec
 
 
-def _run(p, x0, spec):
-    return integrate(p, HistorySegment.constant(x0, p.tau), spec)
+def _run(p, x0, spec, run=integrate):
+    return run(p, HistorySegment.constant(x0, p.tau), spec)
 
 
 @functools.cache
@@ -67,19 +76,40 @@ def _base(i):
     return _run(*_draw(i))
 
 
-def _scaled(i, factors, rates):
+def _scaled(i, factors, rates, run=integrate):
     """Draw i's run with its history state times factors and the named
     rates multiplied as given."""
     p, x0, spec = _draw(i)
     p = replace(p, **{name: getattr(p, name) * f for name, f in rates.items()})
-    return _run(p, tuple(x * f for x, f in zip(x0, factors)), spec)
+    return _run(p, tuple(x * f for x, f in zip(x0, factors)), spec, run)
+
+
+def _time_scaled(i):
+    """Draw i with every rate x2 and tau, t_end and the step /2."""
+    p, x0, spec = _draw(i)
+    fast = replace(p, **{r: 2.0 * getattr(p, r) for r in RATES}, tau=p.tau / 2)
+    half = replace(spec, t_end=spec.t_end / 2, step=spec.step and spec.step / 2)
+    return fast, x0, half
+
+
+def _stored_tail(p, phi, spec):
+    return integrate(p, phi, spec).tail
+
+
+def _tail_only(p, phi, spec):
+    return _integrate(p, phi, spec, store=False).tail
+
+
+def _tail_bits(tail, factors=(1.0, 1.0, 1.0, 1.0)):
+    """The inf and sup bits of tail, each component times its factor."""
+    return array("d", [x * f for stat in (tail.inf, tail.sup)
+                       for x, f in zip(stat.as_tuple(), factors)]).tobytes()
 
 
 @pytest.mark.parametrize("i", range(DRAWS))
 def test_time_scaling_keeps_every_node_bit(i):
     p, x0, spec = _draw(i)
-    fast = replace(p, **{r: 2.0 * getattr(p, r) for r in RATES}, tau=p.tau / 2)
-    half = replace(spec, t_end=spec.t_end / 2, step=spec.step and spec.step / 2)
+    fast, _, half = _time_scaled(i)
     base, traj = _base(i), _run(fast, x0, half)
     assert traj.h == base.h / 2 and traj.steps == base.steps
     assert traj.ys.tobytes() == base.ys.tobytes()
@@ -92,11 +122,25 @@ def test_time_scaling_keeps_every_node_bit(i):
 
 @pytest.mark.parametrize("i", range(DRAWS))
 def test_host_scaling_doubles_the_host_components(i):
-    traj = _scaled(i, (2.0, 2.0, 1.0, 1.0), {"beta_h": 2.0, "c_hv": 0.5})
-    assert traj.ys.tobytes() == (_base(i).states * [2.0, 2.0, 1.0, 1.0]).tobytes()
+    traj = _scaled(i, *HOST)
+    assert traj.ys.tobytes() == (_base(i).states * HOST[0]).tobytes()
 
 
 @pytest.mark.parametrize("i", range(DRAWS))
 def test_mosquito_scaling_doubles_the_mosquito_components(i):
-    traj = _scaled(i, (1.0, 1.0, 2.0, 2.0), {"beta_v": 2.0})
-    assert traj.ys.tobytes() == (_base(i).states * [1.0, 1.0, 2.0, 2.0]).tobytes()
+    traj = _scaled(i, *MOSQUITO)
+    assert traj.ys.tobytes() == (_base(i).states * MOSQUITO[0]).tobytes()
+
+
+@pytest.mark.parametrize("i", range(DRAWS))
+def test_tail_stats_follow_every_scaling(i):
+    base = _base(i).tail
+    fast, x0, half = _time_scaled(i)
+    for run in (_stored_tail, _tail_only):
+        tail = _run(fast, x0, half, run)
+        assert tail.t_start == base.t_start / 2
+        assert _tail_bits(tail) == _tail_bits(base)
+        for factors, rates in (HOST, MOSQUITO):
+            tail = _scaled(i, factors, rates, run)
+            assert tail.t_start == base.t_start
+            assert _tail_bits(tail) == _tail_bits(base, factors)

@@ -8,10 +8,13 @@ same relative --out paths, on their own copies of demos/ (so printed paths
 match):
 
 * `simulate` on each demos/scenarios/*.json scenario (the sweep file aside);
-* `sweep` on demos/scenarios/sweep_c_vh.json, and on a second sweep made
-  from it in the scratch directory (TAIL_SWEEP: a tau axis whose 1e-7 row
-  needs more than MAX_STEPS steps, so the error cell and the tail columns
-  are written too);
+* `sweep` on demos/scenarios/sweep_c_vh.json, and on two sweeps made from
+  it in the scratch directory (MADE_SWEEPS), both on a tau axis with the
+  tail columns: sweep_tau_tail, whose 1e-7 row needs more than MAX_STEPS
+  steps, so an error cell is written too; and sweep_tau_limiting, a LIMITING
+  run whose tail cut falls between two nodes at tau = 0 and 2 and on a node
+  at tau = 1, and whose tau = 146 row runs one step, so its tail window holds
+  one node and its error cell is an EmptyWindowError;
 * `--help` of the CLI and of `simulate`, `report` and `sweep`;
 * `report`, and `report --only stability|lyapunov|persistence`, on each
   scenario;
@@ -45,9 +48,16 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECTIONS = ("stability", "lyapunov", "persistence")
 STREAMS = "streams"
-TAIL_SWEEP = {"axis": "tau", "values": [0, 0.5, 1e-7, 2],
-              "columns": ["r0", "r0_squared", "classification", "e_star", "tail"]}
-TAIL_SWEEP_FILE = os.path.join("demos", "scenarios", "sweep_tau_tail.json")
+# name -> (the keys that replace sweep_c_vh.json's, its base's integration
+# block or None to keep it)
+MADE_SWEEPS = {
+    "sweep_tau_tail": ({"axis": "tau", "values": [0, 0.5, 1e-7, 2],
+                        "columns": ["r0", "r0_squared", "classification", "e_star",
+                                    "tail"]}, None),
+    # 365, 146, 73 and 1 steps of t_end 7.3
+    "sweep_tau_limiting": ({"axis": "tau", "values": [0, 1, 2, 146], "columns": ["tail"]},
+                           {"system": "limiting", "t_end": 7.3}),
+}
 
 
 def commands(tree: str) -> list[tuple[str, list[str]]]:
@@ -66,10 +76,9 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
         for section in SECTIONS:
             out.append((f"report_{name}_{section}",
                         cli + ["report", path, "--only", section]))
-    out.append(("sweep_c_vh", cli + ["sweep", "demos/scenarios/sweep_c_vh.json",
-                                     "--out", "out/sweep_c_vh"]))
-    out.append(("sweep_tau_tail", cli + ["sweep", TAIL_SWEEP_FILE,
-                                         "--out", "out/sweep_tau_tail"]))
+    for name in ("sweep_c_vh", *MADE_SWEEPS):
+        out.append((name, cli + ["sweep", os.path.join("demos", "scenarios", f"{name}.json"),
+                                 "--out", f"out/{name}"]))
     for sub in ([], ["simulate"], ["report"], ["sweep"]):
         out.append((f"help_{''.join(sub) or 'cli'}", cli + sub + ["--help"]))
     for f in sorted(os.listdir(os.path.join(tree, "demos"))):
@@ -82,10 +91,15 @@ def run_tree(tree: str, work: str, dest: str) -> None:
     """Run every command of `tree` in `work`, then move `work` to `dest`."""
     os.makedirs(work)
     shutil.copytree(os.path.join(tree, "demos"), os.path.join(work, "demos"))
-    with open(os.path.join(work, "demos", "scenarios", "sweep_c_vh.json")) as fh:
-        sweep = {**json.load(fh), **TAIL_SWEEP}
-    with open(os.path.join(work, TAIL_SWEEP_FILE), "w") as fh:
-        json.dump(sweep, fh)
+    scen_dir = os.path.join(work, "demos", "scenarios")
+    with open(os.path.join(scen_dir, "sweep_c_vh.json")) as fh:
+        c_vh = json.load(fh)
+    for name, (keys, integration) in MADE_SWEEPS.items():
+        sweep = {**c_vh, **keys}
+        if integration is not None:
+            sweep["base"] = {**c_vh["base"], "integration": integration}
+        with open(os.path.join(scen_dir, f"{name}.json"), "w") as fh:
+            json.dump(sweep, fh)
     os.makedirs(os.path.join(work, STREAMS))
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
