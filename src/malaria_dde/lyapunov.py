@@ -14,14 +14,24 @@ times. One formula per functional serves v_dfe / v_endemic (one window) and
 trace_along (every window of a limiting trajectory), where a max
 consecutive increase at rounding scale certifies monotone descent. R0 picks
 trace_along's functional: v_endemic where E* exists, v_dfe otherwise.
+
+Each formula is one pass in plain floats over a flat node buffer (four floats
+a node, as `Trajectory.ys`) and its sample times. At node k it adds the
+panel 0.5 * (f[k] + f[k-1]) * (t[k] - t[k-1]) to a running sum cum[k] and,
+from k = m on, gives the point terms plus the window cum[k] - cum[k-m]
+(exactly 0.0 at m = 0). Every log is libm's math.log, so the values do not
+depend on the CPU's SIMD features, and no numpy is loaded.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
+from array import array
 from dataclasses import dataclass
-from typing import IO
+from itertools import chain, islice
+from typing import IO, Callable, Sequence
 
 from . import defaults
 from .equilibria import _require_endemic, endemic_equilibrium
@@ -33,7 +43,9 @@ from .errors import (
     OutsideOmega2Error,
 )
 from .integrator import SystemKind, Trajectory, _write_csv
-from .model import HistorySegment, ModelParams, np
+from .model import HistorySegment, ModelParams
+
+_Log = Callable[[float], float]
 
 
 class FunctionalKind(enum.Enum):
@@ -41,96 +53,148 @@ class FunctionalKind(enum.Enum):
     V_ENDEMIC = "v_endemic"
 
 
-def _log(x: np.ndarray) -> np.ndarray:
-    """Elementwise ln through libm's math.log. numpy's own log kernel depends
-    on the CPU's SIMD features (one ulp apart on some inputs), so output
-    read through it would change from machine to machine. Nonpositive
-    entries give -inf or NaN, as np.log does."""
-    try:
-        return np.fromiter(map(math.log, x.tolist()), float, x.size)
-    except ValueError:
-        out = np.log(x)
-        pos = x > 0
-        out[pos] = _log(x[pos])
-        return out
+class _Floats(array):
+    """array('d') whose `size` is its length, as a numpy array's is
+    (perfbench's tracer reads `trace.values.size`)."""
+
+    @property
+    def size(self) -> int:
+        return len(self)
 
 
-def _window_integrals(integrand: np.ndarray, times: np.ndarray, m: int) -> np.ndarray:
-    """Trapezoid integral over [t_(k-m), t_k] for every sample k >= m."""
-    if m == 0:
-        return np.zeros(times.size)
-    panels = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times)
-    cum = np.concatenate([[0.0], np.cumsum(panels)])
-    return cum[m:] - cum[:cum.size - m]
+def _log0(x: float) -> float:
+    """math.log with -inf at 0 and NaN below, where math.log raises."""
+    return math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan
 
 
-def _v_dfe(p: ModelParams, times: np.ndarray, states: np.ndarray,
-           m: int) -> np.ndarray:
-    """Disease-free functional at every sample k >= m, each on the window of
-    the m sample intervals ending at k. Needs S_h > 0 and S_v > 0 there."""
-    x1, x2, x3, x4 = (states[m:, k] for k in range(4))
-    if not (np.all(x1 > 0) and np.all(x3 > 0)):
-        raise OutsideOmega1Error()
+def _v_dfe(p: ModelParams, ys: Sequence[float], times: Sequence[float], m: int,
+           log: _Log) -> _Floats:
+    """Disease-free functional at every node k >= m, each on the window of
+    the m intervals ending at k. Needs S_h > 0 and S_v > 0 there."""
     sh0, sv0 = p.s_h0, p.s_v0
     coef = p.mu_v * p.mu_h / (p.c_hv * p.beta_v)
-    point = (sh0 * (x1 / sh0 - 1.0 - _log(x1 / sh0)) + x2
-             + coef * sv0 * (x3 / sv0 - 1.0 - _log(x3 / sv0)) + coef * x4)
-    integrand = (p.mu_v / p.beta_v) * p.c_vh * states[:, 3] * states[:, 0]
-    return point + _window_integrals(integrand, times, m)
+    coef_sv = coef * sv0
+    rate = (p.mu_v / p.beta_v) * p.c_vh
+    values, cum = _Floats("d"), [0.0]
+    lag = iter(cum)  # cum[k - m] at node k >= m
+    acc, f0, t0 = -0.0, 0.0, 0.0  # -0.0 + x is x, so cum[1] is the first panel itself
+    it = iter(ys)
+    nodes = zip(times, it, it, it, it)
+    for k, (t, a, b, c, d) in enumerate(islice(nodes, m)):  # before the first window's end
+        f = rate * d * a
+        if k:
+            acc += 0.5 * (f + f0) * (t - t0)
+            cum.append(acc)
+        f0, t0 = f, t
+    for t, a, b, c, d in nodes:
+        if not (a > 0.0 and c > 0.0):
+            raise OutsideOmega1Error()
+        f = rate * d * a
+        acc += 0.5 * (f + f0) * (t - t0)  # at m = 0 unread: the window is 0.0
+        cum.append(acc)
+        f0, t0 = f, t
+        x, y = a / sh0, c / sv0
+        values.append(sh0 * (x - 1.0 - log(x)) + b + coef_sv * (y - 1.0 - log(y))
+                      + coef * d + (acc - next(lag) if m else 0.0))
+    return values
 
 
-def _v_endemic(p: ModelParams, times: np.ndarray, states: np.ndarray,
-               m: int) -> np.ndarray:
-    """Endemic functional at every sample k >= m, as _v_dfe. Needs R0 > 1,
-    strictly positive states at k >= m, and I_v * S_h > 0 at every sample."""
-    star = _require_endemic(p)
-    if not np.all(states[m:] > 0):
-        raise OutsideOmega2Error()
-    prod = states[:, 3] * states[:, 0]
-    bad = np.nonzero(prod <= 0)[0]
-    if bad.size:
-        raise NonPositiveProductError(float(times[bad[0]]))
-    x1, x2, x3, x4 = (states[m:, k] for k in range(4))
-    weight = p.mu_h * star.i_h / (p.mu_v * star.i_v)
-    point = ((x1 - star.s_h - star.s_h * _log(x1 / star.s_h))
-             + (x2 - star.i_h - star.i_h * _log(x2 / star.i_h))
-             + weight * (x3 - star.s_v - star.s_v * _log(x3 / star.s_v))
-             + weight * (x4 - star.i_v - star.i_v * _log(x4 / star.i_v)))
-    xarg = p.mu_v * p.c_vh * prod / (p.beta_v * p.mu_h * star.i_h)
-    integrand = xarg - 1.0 - _log(xarg)
-    return point + p.mu_h * star.i_h * _window_integrals(integrand, times, m)
+def _product_error(ys: Sequence[float], m: int, t: float) -> Exception:
+    """The error for I_v * S_h <= 0 at time t. A node k >= m outside Omega2
+    is reported first, wherever it lies."""
+    if not all(v > 0.0 for v in ys[4 * m:]):
+        return OutsideOmega2Error()
+    return NonPositiveProductError(t)
+
+
+def _v_endemic(p: ModelParams, ys: Sequence[float], times: Sequence[float], m: int,
+               log: _Log) -> _Floats:
+    """Endemic functional at every node k >= m, as _v_dfe. Needs R0 > 1,
+    strictly positive states at k >= m, and I_v * S_h > 0 at every node."""
+    s_h, i_h, s_v, i_v = _require_endemic(p).as_tuple()
+    weight = p.mu_h * i_h / (p.mu_v * i_v)
+    num, den = p.mu_v * p.c_vh, p.beta_v * p.mu_h * i_h
+    scale = p.mu_h * i_h
+    values, cum = _Floats("d"), [0.0]
+    lag = iter(cum)
+    acc, f0, t0 = -0.0, 0.0, 0.0
+    it = iter(ys)
+    nodes = zip(times, it, it, it, it)
+    for k, (t, a, b, c, d) in enumerate(islice(nodes, m)):
+        prod = d * a
+        if prod <= 0.0:
+            raise _product_error(ys, m, t)
+        x = num * prod / den
+        f = x - 1.0 - log(x)
+        if k:
+            acc += 0.5 * (f + f0) * (t - t0)
+            cum.append(acc)
+        f0, t0 = f, t
+    for t, a, b, c, d in nodes:
+        if not (a > 0.0 and b > 0.0 and c > 0.0 and d > 0.0):
+            raise OutsideOmega2Error()
+        prod = d * a
+        if prod <= 0.0:
+            raise _product_error(ys, m, t)
+        x = num * prod / den
+        f = x - 1.0 - log(x)
+        acc += 0.5 * (f + f0) * (t - t0)
+        cum.append(acc)
+        f0, t0 = f, t
+        values.append((a - s_h - s_h * log(a / s_h)) + (b - i_h - i_h * log(b / i_h))
+                      + weight * (c - s_v - s_v * log(c / s_v))
+                      + weight * (d - i_v - i_v * log(d / i_v))
+                      + scale * (acc - next(lag) if m else 0.0))
+    return values
 
 
 _FORMULAS = {FunctionalKind.V_DFE: _v_dfe, FunctionalKind.V_ENDEMIC: _v_endemic}
 
 
+def _values(kind: FunctionalKind, p: ModelParams, ys: Sequence[float],
+            times: Sequence[float], m: int) -> _Floats:
+    """The functional `kind` at every node k >= m, logs by math.log; where a
+    ratio underflows to 0 (math.log raises) the pass runs again with _log0,
+    so that term is -inf and the value inf."""
+    try:
+        return _FORMULAS[kind](p, ys, times, m, math.log)
+    except ValueError:
+        return _FORMULAS[kind](p, ys, times, m, _log0)
+
+
+def _window_value(kind: FunctionalKind, p: ModelParams, psi: HistorySegment) -> float:
+    """The functional on psi's one window, which ends at its last sample."""
+    ys = tuple(chain.from_iterable(psi._x))
+    return _values(kind, p, ys, psi._t, len(psi._t) - 1)[0]
+
+
 def v_dfe(p: ModelParams, psi: HistorySegment) -> float:
     """Disease-free functional on a window. Needs S_h(0) > 0 and S_v(0) > 0."""
-    return float(_v_dfe(p, psi.times, psi.states, psi.times.size - 1)[0])
+    return _window_value(FunctionalKind.V_DFE, p, psi)
 
 
 def v_endemic(p: ModelParams, psi: HistorySegment) -> float:
     """Endemic functional on a window. Needs R0 > 1, psi(0) strictly positive
     componentwise, and I_v * S_h > 0 at every window sample."""
-    return float(_v_endemic(p, psi.times, psi.states, psi.times.size - 1)[0])
+    return _window_value(FunctionalKind.V_ENDEMIC, p, psi)
 
 
 @dataclass(frozen=True)
 class LyapunovTrace:
-    """Functional values at every recorded node t >= tau."""
+    """Functional values at every recorded node t >= tau, as array('d')."""
 
     kind: FunctionalKind
-    times: np.ndarray
-    values: np.ndarray
+    times: array
+    values: array
     max_increase: float
 
     def passes_descent(self) -> bool:
         """Monotone within DESCENT_SLACK_SCALE * (1 + |V at the first node|)."""
         return self.max_increase <= (defaults.DESCENT_SLACK_SCALE
-                                     * (1.0 + abs(float(self.values[0]))))
+                                     * (1.0 + abs(self.values[0])))
 
     def to_csv(self, target: str | IO[str]) -> None:
-        _write_csv(target, "t,V", (self.times.tolist(), self.values.tolist()))
+        _write_csv(target, "t,V", (self.times, self.values))
 
 
 def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:
@@ -141,10 +205,13 @@ def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:
                                f"system, got a {traj.system.value} trajectory")
     kind = (FunctionalKind.V_DFE if endemic_equilibrium(p) is None
             else FunctionalKind.V_ENDEMIC)
-    times, m = traj.times, traj.m
-    if times.size - m < 2:
+    nodes, m, h = traj.nodes, traj.m, traj.h
+    if nodes - m < 2:
         raise EmptyWindowError("horizon too short: need at least two nodes past tau")
-    values = _FORMULAS[kind](p, times, traj.states, m)
-    increase = float(np.max(np.diff(values)))
-    return LyapunovTrace(kind=kind, times=times[m:], values=values,
+    times = [k * h for k in range(nodes)]
+    values = _values(kind, p, traj.ys, times, m)
+    steps = list(map(operator.sub, values[1:], values))
+    # max skips a NaN after the first item; the largest increase is NaN then
+    increase = math.nan if any(map(math.isnan, steps)) else max(steps)
+    return LyapunovTrace(kind=kind, times=_Floats("d", times[m:]), values=values,
                          max_increase=increase)

@@ -19,13 +19,11 @@ limiting system; simulation defaults to the full one.
 
 `np` below is the package's one handle to numpy, which it defers: importing
 the package does not load numpy, the first attribute read on `np` does.
-Parameters, equilibria, stability, histories and the integrator's march
-keep their numbers in floats, tuples and `array('d')` buffers, so a run
-that only simulates, sweeps (`tail` columns too) or checks persistence on
-a constant or table history never reads `np`, nor does `dense_eval`.
-What does: a Lyapunov trace, a `random` history, and the first read of the
-array properties `Trajectory.times`, `states` and `derivs` or
-`HistorySegment.times` and `states`.
+Every layer keeps its numbers in floats, tuples and `array('d')` buffers
+(Lyapunov traces and `random` histories too), so no CLI command reads `np`,
+nor does `dense_eval`. Only the array properties `Trajectory.times`,
+`states` and `derivs` and `HistorySegment.times` and `states` do, on first
+read, for library callers and tests.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ from .equilibria import endemic_equilibrium, equilibrium_set, r0_squared
 from .errors import InvalidSpecError, ModelError, SchemaError, SubcriticalR0Error
 from .integrator import IntegrationSpec, SystemKind, Trajectory, _integrate, integrate, tail_stats
 from .lyapunov import trace_along
-from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _spans, np
+from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _spans
 from .persistence import _require_preconditions, weak_persistence_check
 from .stability import EquilibriumKind, classify
 
@@ -83,18 +83,78 @@ class HistorySpec:
     states: tuple[tuple[float, ...], ...] | None = None
 
     def build(self, p: ModelParams, seed: int) -> HistorySegment:
-        """The history for p; a random one is drawn from numpy's generator
-        seeded with seed, the only kind that loads numpy."""
+        """The history for p; a random one takes the first four draws of
+        numpy's default_rng(seed).uniform, made by _uniform without numpy."""
         if self.kind == "constant":
             return HistorySegment.constant(self.state, p.tau)
         if self.kind == "table":
             return HistorySegment.table(self.times, self.states)
-        rng = np.random.default_rng(seed)
-        draw = (rng.uniform(0.2, 2.0) * p.s_h0,
-                rng.uniform(0.01, 1.0) * p.s_h0,
-                rng.uniform(0.2, 2.0) * p.s_v0,
-                rng.uniform(0.01, 1.0) * p.s_v0)
+        uniform = _uniform(seed)
+        draw = (uniform(0.2, 2.0) * p.s_h0,
+                uniform(0.01, 1.0) * p.s_h0,
+                uniform(0.2, 2.0) * p.s_v0,
+                uniform(0.01, 1.0) * p.s_v0)
         return HistorySegment.constant(draw, p.tau)
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(8) (pool size 4): eight
+    32-bit words hashed from the seed's 32-bit words, low word first."""
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    words, hash_b = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        value = value * hash_b & _M32
+        words.append(value ^ value >> 16)
+    return words
+
+
+def _uniform(seed: int) -> Callable[[float, float], float]:
+    """numpy's default_rng(seed).uniform, draw for draw: PCG64 (128-bit LCG,
+    XSL-RR output) seeded from _seed_words, doubles (x >> 11) * 2**-53,
+    scaled as low + (high - low) * u. O'Neill, "PCG: A Family of Simple Fast
+    Space-Efficient Statistically Good Algorithms for Random Number
+    Generation", HMC-CS-2014-0905."""
+    w = _seed_words(int(seed))
+    u64 = [w[i] | w[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = ((u64[2] << 64 | u64[3]) << 1 | 1) & _M128
+    # from state 0: one step (state = inc), add the seed's 128 bits, one step
+    state = ((inc + (u64[0] << 64 | u64[1])) * _PCG64_MULT + inc) & _M128
+
+    def uniform(low: float, high: float) -> float:
+        nonlocal state
+        state = (state * _PCG64_MULT + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        return low + (high - low) * ((x >> 11) * (1.0 / 9007199254740992.0))
+
+    return uniform
 
 
 @dataclass(frozen=True)
@@ -558,13 +618,13 @@ def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
     reaped, the rows of a worker with no result (it raised, died or never
     started) run here in row order; if a row of this process raised, every
     worker is killed and only its rows before that one run here. So the first
-    failure in row order is raised, as in a serial run."""
+    failure in row order is raised, as in a serial run. A row loads no
+    module (numpy included) that this process has not, so nothing is
+    preloaded before the fork."""
     values = sweep.values
     n = min(_workers(), len(values)) if set(_TAIL_COLUMNS) & set(sweep.columns) else 1
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [_row_line(sweep, v, seed) for v in values]
-    if sweep.base.history.kind == "random":
-        np.random  # load numpy once here, not in every worker
     lines = [""] * len(values)
     kids: list[tuple[int, int, Any]] = []  # (w, pid, read end of its pipe)
     got: dict[int, bytes] = {}

@@ -2,6 +2,7 @@
 
 import io
 import math
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -25,24 +26,84 @@ from malaria_dde import (
     v_dfe,
     v_endemic,
 )
-from malaria_dde.lyapunov import _log
+from malaria_dde.lyapunov import _log0
 
 from conftest import P_CRIT, P_SUB, P_SUPER, constant_history, limiting_trace
 
 
 def test_log_is_libm_and_keeps_np_log_at_nonpositive_entries(rng):
-    # libm's log on every positive entry, whatever numpy's SIMD kernel gives;
-    # where S_h / S_h0 underflows to 0 the log reads -inf, as np.log's does,
-    # so V_DFE is inf rather than a ValueError
-    x = rng.uniform(0.2, 3.0, 1000)
-    assert _log(x).tolist() == [math.log(v) for v in x.tolist()]
+    # the passes take every log through libm's math.log, whatever numpy's
+    # SIMD kernel gives; where math.log raises (a ratio that underflows to 0)
+    # the pass runs again with _log0, which gives np.log's value there, so
+    # V_DFE is inf rather than a ValueError
+    x = rng.uniform(0.2, 3.0, 1000).tolist()
+    assert [_log0(v) for v in x] == [math.log(v) for v in x]
+    entries = [2.0, 0.0, -0.0, -1.0, math.inf, math.nan]
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = _log(np.array([2.0, 0.0, -1.0, np.inf, np.nan]))
-        p = replace(P_SUB, beta_h=1e10)
-        v = v_dfe(p, HistorySegment.constant((5e-324, 0.0, p.s_v0, 0.0), p.tau))
-    assert got[0] == math.log(2.0) and got[1] == -np.inf and got[3] == np.inf
-    assert np.isnan(got[2]) and np.isnan(got[4])
+        np.testing.assert_array_equal([_log0(v) for v in entries], np.log(entries))
+    p = replace(P_SUB, beta_h=1e10)
+    v = v_dfe(p, HistorySegment.constant((5e-324, 0.0, p.s_v0, 0.0), p.tau))
     assert v == math.inf
+
+
+def test_v_endemic_underflow_gives_inf_not_a_value_error():
+    # S_v / S_v* underflows to 0 in a point term; then I_v * S_h at -tau is
+    # positive but xarg underflows to 0, so the window integral is inf
+    point = HistorySegment.constant((4.0, 1.0, 5e-324, 10.0), 1.0)
+    window = HistorySegment.table((-1.0, 0.0), ((4.0, 1.0, 30.0, 5e-324),
+                                                (4.0, 1.0, 30.0, 10.0)))
+    assert v_endemic(P_SUPER, point) == math.inf
+    assert v_endemic(P_SUPER, window) == math.inf
+
+
+def _tau0_limiting(p, t_end=1.0):
+    p = replace(p, tau=0.0)
+    phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 0.0)
+    return p, integrate(p, phi, IntegrationSpec(SystemKind.LIMITING, t_end))
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_max_increase_is_nan_wherever_a_nan_step_lies(where):
+    # S_h / S_h0 underflows at two neighbouring nodes, so both values are
+    # inf and the step between them is NaN; np.max returns NaN wherever it
+    # lies, and builtin max only when it comes first
+    p, traj = _tau0_limiting(P_SUB)
+    j = {"first": 0, "middle": traj.nodes // 2, "last": traj.nodes - 2}[where]
+    ys = array("d", traj.ys)
+    ys[4 * j] = ys[4 * j + 4] = 5e-324
+    trace = trace_along(p, replace(traj, ys=ys))
+    assert trace.values[j] == trace.values[j + 1] == math.inf
+    assert math.isnan(trace.max_increase)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(np.max(np.diff(trace.values)))
+
+
+def test_tau0_trace_is_the_point_terms_bit_for_bit():
+    # at tau = 0 the window adds exactly 0.0: each value is its node's point
+    # terms, in this order, with libm's log. At one endemic node xarg
+    # underflows to 0, so the running integral is inf from there on, and
+    # still no value is NaN
+    log = math.log
+    p, traj = _tau0_limiting(P_SUB, 5.0)
+    sh0, sv0 = p.s_h0, p.s_v0
+    coef = p.mu_v * p.mu_h / (p.c_hv * p.beta_v)
+    nodes = [traj.ys[4 * k:4 * k + 4] for k in range(traj.nodes)]
+    dfe = [sh0 * (a / sh0 - 1.0 - log(a / sh0)) + b
+           + coef * sv0 * (c / sv0 - 1.0 - log(c / sv0)) + coef * d
+           for a, b, c, d in nodes]
+    assert [v.hex() for v in trace_along(p, traj).values] == [v.hex() for v in dfe]
+
+    p, traj = _tau0_limiting(P_SUPER, 5.0)
+    s_h, i_h, s_v, i_v = endemic_equilibrium(p).as_tuple()
+    w = p.mu_h * i_h / (p.mu_v * i_v)
+    ys = array("d", traj.ys)
+    ys[40], ys[43] = 0.1, 1e-322  # node 10: I_v * S_h = 1e-323
+    traj = replace(traj, ys=ys)
+    nodes = [traj.ys[4 * k:4 * k + 4] for k in range(traj.nodes)]
+    endemic = [(a - s_h - s_h * log(a / s_h)) + (b - i_h - i_h * log(b / i_h))
+               + w * (c - s_v - s_v * log(c / s_v)) + w * (d - i_v - i_v * log(d / i_v))
+               for a, b, c, d in nodes]
+    assert [v.hex() for v in trace_along(p, traj).values] == [v.hex() for v in endemic]
 
 
 def test_v_dfe_constant_window_anchor():
@@ -109,6 +170,13 @@ def test_v_endemic_domain_gates():
         ((4.0, 1.0, 30.0, 10.0), (4.0, 1.0, 40.0, 0.0), (4.0, 1.0, 30.0, 10.0)))
     with pytest.raises(NonPositiveProductError):
         v_endemic(P_SUPER, pinched)
+    # a state outside Omega2 at the window's end is reported first, though
+    # the product fails at an earlier sample
+    pinched_and_outside = HistorySegment.table(
+        (-1.0, -0.5, 0.0),
+        ((4.0, 1.0, 30.0, 10.0), (4.0, 1.0, 40.0, 0.0), (4.0, 0.0, 30.0, 10.0)))
+    with pytest.raises(OutsideOmega2Error):
+        v_endemic(P_SUPER, pinched_and_outside)
 
 
 def test_descend_check_gate_for_endemic_kind():

@@ -26,7 +26,10 @@ from malaria_dde import (
     trace_along,
     weak_persistence_check,
 )
+from malaria_dde.scenario import HistorySpec, _uniform
+
 from conftest import subprocess_env
+from test_benchmark_inputs import _load_gen
 
 BASE = {
     "schema": 1,
@@ -398,61 +401,89 @@ def test_r0_squared_of_two_overflows_is_a_numerical_error(tmp_path, capsys):
     assert rows[1].startswith("1,,,,,,,") and "overflows to nan" in rows[1]
 
 
-# Runs the CLI on argv and prints its exit code and the numpy and scipy
-# submodules then loaded, as JSON on the last stdout line.
+# Runs the CLI once per argv of a JSON [argvs, workers] argument (workers,
+# if set, pins scenario._workers) and prints the exit codes and the numpy and
+# scipy submodules then loaded, as JSON on the last stdout line.
 _MODULES_AFTER_MAIN = (
     "import json, sys\n"
+    "import malaria_dde.scenario\n"
     "from malaria_dde.cli import main\n"
-    "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-    "print(json.dumps([code, sorted(m for m in sys.modules if m == 'scipy'\n"
-    "                               or m.startswith(('numpy.', 'scipy.')))]))\n")
+    "runs, workers = json.loads(sys.argv[1])\n"
+    "if workers:\n"
+    "    malaria_dde.scenario._workers = lambda: workers\n"
+    "codes = [main(argv) for argv in runs]\n"
+    "print(json.dumps([codes, sorted(m for m in sys.modules if m == 'scipy'\n"
+    "                                or m.startswith(('numpy.', 'scipy.')))]))\n")
+
+_RANDOM_TAIL_SWEEP = {"schema": 1, "base": {**BASE, "history": {"kind": "random"},
+                                            "integration": {"t_end": 20}},
+                      "axis": "c_vh", "values": [0.05, 0.2, 0.8],
+                      "columns": ["tail", "classification"]}
 
 
-def _import_budget_argv(case, tmp_path):
-    """(argv, exit code) of one import-budget case; no argv only imports."""
+def _import_budget_runs(case, tmp_path):
+    """(argvs, exit codes, workers pin or None) of one import-budget case;
+    no argv only imports."""
+    out = ["--out", str(tmp_path / "o"), "--quiet"]
     if case == "import":
-        return [], 0
-    if case == "report-stability":
-        return ["report", ENDEMIC_DEMO, "--only", "stability"], 0
+        return [], [], None
+    if case in ("report-stability", "report-lyapunov"):
+        return [["report", ENDEMIC_DEMO, "--only", case.removeprefix("report-")]], [0], None
     if case == "sweep-closed-form":
         obj = {"schema": 1, "base": dict(BASE), "axis": "c_vh",
                "values": [0.05, 0.2, 0.8],
                "columns": ["r0", "classification", "e_star"]}
-        return ["sweep", write_json(tmp_path / "sw.json", obj),
-                "--out", str(tmp_path / "o"), "--quiet"], 0
+        return [["sweep", write_json(tmp_path / "sw.json", obj), *out]], [0], None
     if case == "sweep-tail":
         obj = {"schema": 1, "base": {**BASE, "integration": {"t_end": 20}},
                "axis": "c_vh", "values": [0.05, 0.2],
                "columns": ["tail", "classification"]}
-        return ["sweep", write_json(tmp_path / "sw.json", obj),
-                "--out", str(tmp_path / "o"), "--quiet"], 0
+        return [["sweep", write_json(tmp_path / "sw.json", obj), *out]], [0], None
+    if case.startswith("sweep-tail-random-"):
+        path = write_json(tmp_path / "sw.json", _RANDOM_TAIL_SWEEP)
+        # one worker: the rows run here, so their imports show; two: they fork
+        return [["sweep", path, *out]], [0], 1 if case.endswith("serial") else 2
     if case == "schema-error":
-        return ["simulate", scenario_file(tmp_path, typo=True)], 1
-    assert case in ("simulate", "simulate-no-lyapunov")
+        return [["simulate", scenario_file(tmp_path, typo=True)]], [1], None
+    if case == "demo-scenarios":
+        runs = [["sweep" if f.startswith("sweep") else "simulate",
+                 os.path.join(SCENARIO_DIR, f), "--out", str(tmp_path / f), "--quiet"]
+                for f in sorted(os.listdir(SCENARIO_DIR))]
+        return runs, [0] * len(runs), None
+    if case.startswith("perfbench-"):
+        workload = case.removeprefix("perfbench-")
+        paths = _load_gen().write_pool(workload, 0, str(tmp_path / workload))
+        command = "simulate" if workload == "simulate" else "sweep"
+        return [[command, path, *out] for path in paths], [0] * len(paths), None
+    assert case in ("simulate", "simulate-no-lyapunov", "simulate-random")
     with open(ENDEMIC_DEMO) as fh:
         obj = json.load(fh)
-    obj["analyses"]["lyapunov"] = case == "simulate"
-    return ["simulate", write_json(tmp_path / "scn.json", obj),
-            "--out", str(tmp_path / "o"), "--quiet"], 0
+    obj["analyses"]["lyapunov"] = case != "simulate-no-lyapunov"
+    if case == "simulate-random":
+        obj["history"] = {"kind": "random"}
+    return [["simulate", write_json(tmp_path / "scn.json", obj), *out]], [0], None
 
 
-@pytest.mark.parametrize("case", ["import", "report-stability", "sweep-closed-form",
-                                  "schema-error", "sweep-tail", "simulate-no-lyapunov",
-                                  "simulate"])
-def test_cli_loads_numpy_only_for_lyapunov(tmp_path, case):
-    # numpy loads on first use: the closed-form paths, input errors, and the
-    # march, tail, persistence and CSV of a constant history never load it;
-    # the Lyapunov trace does. scipy is a test dependency only and never
-    # loads (structural checks, not timing bounds)
-    argv, code = _import_budget_argv(case, tmp_path)
-    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, *argv],
+@pytest.mark.parametrize("case", [
+    "import", "report-stability", "sweep-closed-form", "schema-error", "sweep-tail",
+    "simulate-no-lyapunov", "simulate", "report-lyapunov", "demo-scenarios",
+    "simulate-random", "sweep-tail-random-serial", "sweep-tail-random-forked",
+    "perfbench-simulate", "perfbench-sweep_tail", "perfbench-stability_scan"])
+def test_cli_loads_no_numpy(tmp_path, case):
+    # numpy loads on first use, and no CLI command uses it: the closed-form
+    # paths, input errors, the march, tail, persistence, Lyapunov trace and
+    # CSVs, and random histories, in this process or in sweep workers.
+    # scipy is a test dependency only and never loads (structural checks,
+    # not timing bounds)
+    runs, codes, workers = _import_budget_runs(case, tmp_path)
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN,
+                           json.dumps([runs, workers])],
                           env=subprocess_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     got, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert got == code, proc.stderr
+    assert got == codes, proc.stderr
     assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
-    numpy_subs = [m for m in loaded if m.startswith("numpy.")]
-    assert bool(numpy_subs) == (case == "simulate"), numpy_subs[:5]
+    assert not [m for m in loaded if m.startswith("numpy.")], loaded[:5]
 
 
 def test_missing_numpy_fails_the_import_as_a_plain_import_does():
@@ -486,6 +517,31 @@ def test_integrate_and_dense_eval_load_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+# 0 .. 999, then seeds of one, two, three and seven 32-bit words
+PCG_SEEDS = (*range(1000), 2**32 - 1, 2**32, 2**63, 2**64 + 5, 2**200 + 17)
+
+
+def test_pcg64_port_draws_what_numpy_default_rng_uniform_draws():
+    # the stdlib SeedSequence + PCG64 port against numpy itself, a test
+    # dependency: the same doubles, draw for draw, bit for bit
+    import numpy as np
+    for seed in PCG_SEEDS:
+        rng, uniform = np.random.default_rng(seed), _uniform(seed)
+        for low, high in ((0.2, 2.0), (0.01, 1.0), (0.0, 1.0), (-3.0, 5.0)):
+            assert uniform(low, high).hex() == float(rng.uniform(low, high)).hex(), seed
+
+
+def test_random_history_is_numpys_four_draws():
+    import numpy as np
+    p = load_scenario(ENDEMIC_DEMO).params
+    for seed in PCG_SEEDS:
+        rng = np.random.default_rng(seed)
+        expected = (rng.uniform(0.2, 2.0) * p.s_h0, rng.uniform(0.01, 1.0) * p.s_h0,
+                    rng.uniform(0.2, 2.0) * p.s_v0, rng.uniform(0.01, 1.0) * p.s_v0)
+        got = HistorySpec("random").build(p, seed).value_at(0.0)
+        assert [v.hex() for v in got] == [float(v).hex() for v in expected], seed
 
 
 def test_cli_seed_changes_random_history(tmp_path):

@@ -8,13 +8,18 @@ same relative --out paths, on their own copies of demos/ (so printed paths
 match):
 
 * `simulate` on each demos/scenarios/*.json scenario (the sweep file aside);
-* `sweep` on demos/scenarios/sweep_c_vh.json, and on two sweeps made from
-  it in the scratch directory (MADE_SWEEPS), both on a tau axis with the
-  tail columns: sweep_tau_tail, whose 1e-7 row needs more than MAX_STEPS
-  steps, so an error cell is written too; and sweep_tau_limiting, a LIMITING
+* `simulate` on random_endemic, endemic.json with a `random` history
+  (Lyapunov and persistence on, as there), at --seed 0 and at
+  --seed 2**64 + 5, a seed of three 32-bit words (RANDOM_SEEDS);
+* `sweep` on demos/scenarios/sweep_c_vh.json, and on three sweeps made from
+  it in the scratch directory (MADE_SWEEPS), each with the tail columns:
+  sweep_tau_tail, on a tau axis, whose 1e-7 row needs more than MAX_STEPS
+  steps, so an error cell is written too; sweep_tau_limiting, a LIMITING
   run whose tail cut falls between two nodes at tau = 0 and 2 and on a node
   at tau = 1, and whose tau = 146 row runs one step, so its tail window holds
-  one node and its error cell is an EmptyWindowError;
+  one node and its error cell is an EmptyWindowError; and
+  sweep_random_tail, on the c_vh axis from a `random` history, whose rows
+  run in forked workers on a machine with two or more CPUs;
 * `--help` of the CLI and of `simulate`, `report` and `sweep`;
 * `report`, and `report --only stability|lyapunov|persistence`, on each
   scenario;
@@ -48,15 +53,19 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECTIONS = ("stability", "lyapunov", "persistence")
 STREAMS = "streams"
-# name -> (the keys that replace sweep_c_vh.json's, its base's integration
-# block or None to keep it)
+RANDOM = {"kind": "random"}
+RANDOM_SEEDS = (0, 2**64 + 5)
+# name -> (the keys that replace sweep_c_vh.json's, the keys that replace
+# its base's)
 MADE_SWEEPS = {
     "sweep_tau_tail": ({"axis": "tau", "values": [0, 0.5, 1e-7, 2],
                         "columns": ["r0", "r0_squared", "classification", "e_star",
-                                    "tail"]}, None),
+                                    "tail"]}, {}),
     # 365, 146, 73 and 1 steps of t_end 7.3
     "sweep_tau_limiting": ({"axis": "tau", "values": [0, 1, 2, 146], "columns": ["tail"]},
-                           {"system": "limiting", "t_end": 7.3}),
+                           {"integration": {"system": "limiting", "t_end": 7.3}}),
+    "sweep_random_tail": ({"values": [0.05, 0.2, 0.8], "columns": ["r0", "tail"]},
+                          {"history": RANDOM, "integration": {"t_end": 50.0}}),
 }
 
 
@@ -76,6 +85,11 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
         for section in SECTIONS:
             out.append((f"report_{name}_{section}",
                         cli + ["report", path, "--only", section]))
+    path = os.path.join("demos", "scenarios", "random_endemic.json")
+    for seed in RANDOM_SEEDS:
+        name = f"random_endemic_seed{seed}"
+        out.append((f"simulate_{name}", cli + ["simulate", path, "--seed", str(seed),
+                                               "--out", f"out/simulate_{name}"]))
     for name in ("sweep_c_vh", *MADE_SWEEPS):
         out.append((name, cli + ["sweep", os.path.join("demos", "scenarios", f"{name}.json"),
                                  "--out", f"out/{name}"]))
@@ -94,12 +108,14 @@ def run_tree(tree: str, work: str, dest: str) -> None:
     scen_dir = os.path.join(work, "demos", "scenarios")
     with open(os.path.join(scen_dir, "sweep_c_vh.json")) as fh:
         c_vh = json.load(fh)
-    for name, (keys, integration) in MADE_SWEEPS.items():
-        sweep = {**c_vh, **keys}
-        if integration is not None:
-            sweep["base"] = {**c_vh["base"], "integration": integration}
+    with open(os.path.join(scen_dir, "endemic.json")) as fh:
+        endemic = json.load(fh)
+    made = {"random_endemic": {**endemic, "history": RANDOM}}
+    for name, (keys, base) in MADE_SWEEPS.items():
+        made[name] = {**c_vh, **keys, "base": {**c_vh["base"], **base}}
+    for name, obj in made.items():
         with open(os.path.join(scen_dir, f"{name}.json"), "w") as fh:
-            json.dump(sweep, fh)
+            json.dump(obj, fh)
     os.makedirs(os.path.join(work, STREAMS))
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
