@@ -26,9 +26,9 @@ ROOT_XTOL = 1e-12
 DESCENT_SLACK_SCALE = 1e-7
 DEFAULT_THETA = 0.5
 # 125x the largest mesh the tests, demos and benchmark pools run (8,000
-# steps); a FULL run at the ceiling took 1.8-2.0 s and peaked at 48 MB RSS
-# (ru_maxrss of a child process, 32 MB of it the node buffer) on a 2-vCPU
-# machine, where an unbounded mesh grows until memory runs out
+# steps); a FULL run at the ceiling took 1.9-2.3 s and peaked at 48 MB RSS
+# (ru_maxrss of its own process, 32 MB of it the node buffer) on a 2-vCPU
+# machine with Python 3.11, where an unbounded mesh grows until memory runs out
 MAX_STEPS = 1_000_000
 
 

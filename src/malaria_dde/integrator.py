@@ -21,7 +21,9 @@ history's incidences, all computed once per call. A node's derivative is
 both its step's k1 and a Hermite slope (first-same-as-last;
 Hairer, Norsett & Wanner, Solving ODEs I). Every float expression is the one
 `model.rhs` evaluates, in the same order, so a node derivative is rhs at
-the node and its delayed state bit for bit.
+the node and its delayed state bit for bit. The loop assigns one name per
+statement, never a tuple of them, because packing and unpacking a 4-tuple
+costs about as much as four float operations.
 
 Node storage: integrate records every mesh node, in one flat `array('d')`
 buffer, four floats per node, that the step loop never reads back. The loop
@@ -294,14 +296,22 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
         if store:
             ys.fromlist([a, b, c, d])
         if i > first:
-            lo_a = a if a < lo_a else lo_a
-            hi_a = a if a > hi_a else hi_a
-            lo_b = b if b < lo_b else lo_b
-            hi_b = b if b > hi_b else hi_b
-            lo_c = c if c < lo_c else lo_c
-            hi_c = c if c > hi_c else hi_c
-            lo_d = d if d < lo_d else lo_d
-            hi_d = d if d > hi_d else hi_d
+            if a < lo_a:
+                lo_a = a
+            elif a > hi_a:
+                hi_a = a
+            if b < lo_b:
+                lo_b = b
+            elif b > hi_b:
+                hi_b = b
+            if c < lo_c:
+                lo_c = c
+            elif c > hi_c:
+                hi_c = c
+            if d < lo_d:
+                lo_d = d
+            elif d > hi_d:
+                hi_d = d
         elif i == first:
             lo_a, lo_b, lo_c, lo_d = hi_a, hi_b, hi_c, hi_d = a, b, c, d
         if i == n_steps:
@@ -309,8 +319,12 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
 
         try:
             # (sh, ih, sv, iv) is the latest stage state, read when a stage
-            # divides by 0, so each is assigned before its divisions
-            sh, ih, sv, iv = a + hh * fa, b + hh * fb, c + hh * fc, d + hh * fd
+            # divides by 0, so all four are assigned before the stage's
+            # first division
+            sh = a + hh * fa
+            ih = b + hh * fb
+            sv = c + hh * fc
+            iv = d + hh * fd
             if delayed:
                 if i:  # S_h, S_v, I_v at the midpoint of interval i - 1
                     sh_m = 0.5 * (pa + a) + eighth * (pfa - fa)
@@ -326,7 +340,10 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
             k2c = beta_v - flux - mu_v * sv
             k2d = flux - mu_v * iv
 
-            sh, ih, sv, iv = a + hh * k2a, b + hh * k2b, c + hh * k2c, d + hh * k2d
+            sh = a + hh * k2a
+            ih = b + hh * k2b
+            sv = c + hh * k2c
+            iv = d + hh * k2d
             lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
             flux = c_hv * ih * sv
             k3a = beta_h - lam - mu_h * sh
@@ -334,7 +351,10 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
             k3c = beta_v - flux - mu_v * sv
             k3d = flux - mu_v * iv
 
-            sh, ih, sv, iv = a + h * k3a, b + h * k3b, c + h * k3c, d + h * k3d
+            sh = a + h * k3a
+            ih = b + h * k3b
+            sv = c + h * k3c
+            iv = d + h * k3d
             lam = c_vh * (iv / (sv + iv)) * sh if full else c_vh * (iv * inv_nv) * sh
             flux = c_hv * ih * sv
             k4a = beta_h - lam - mu_h * sh
@@ -357,9 +377,17 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
                                                 value) from None
             raise ZeroMosquitoPopulationError(t_next) from None
 
-        pa, pc, pd, pfa, pfc, pfd = a, c, d, fa, fc, fd
+        pa = a
+        pc = c
+        pd = d
+        pfa = fa
+        pfc = fc
+        pfd = fd
         if na >= 0.0 and nb >= 0.0 and nc >= 0.0 and nd >= 0.0:
-            a, b, c, d = na, nb, nc, nd
+            a = na
+            b = nb
+            c = nc
+            d = nd
         else:  # a NaN fails `>= 0` too, and _clamp reports it
             t_next = (i + 1) * h
             a, b, c, d = (_clamp(v, t_next, comp)

@@ -41,6 +41,7 @@ from .errors import (
     NonPositiveProductError,
     OutsideOmega1Error,
     OutsideOmega2Error,
+    RateUnderflowError,
 )
 from .integrator import SystemKind, Trajectory, _write_csv
 from .model import HistorySegment, ModelParams
@@ -67,11 +68,20 @@ def _log0(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan
 
 
+def _require_nonzero(divisors: dict[str, float]) -> None:
+    """RateUnderflowError naming the first divisor that underflowed to 0."""
+    for name, value in divisors.items():
+        if value == 0.0:
+            raise RateUnderflowError(name)
+
+
 def _v_dfe(p: ModelParams, ys: Sequence[float], times: Sequence[float], m: int,
            log: _Log) -> _Floats:
     """Disease-free functional at every node k >= m, each on the window of
     the m intervals ending at k. Needs S_h > 0 and S_v > 0 there."""
     sh0, sv0 = p.s_h0, p.s_v0
+    _require_nonzero({"S_h0 = beta_h / mu_h": sh0, "S_v0 = beta_v / mu_v": sv0,
+                      "c_hv * beta_v": p.c_hv * p.beta_v})
     coef = p.mu_v * p.mu_h / (p.c_hv * p.beta_v)
     coef_sv = coef * sv0
     rate = (p.mu_v / p.beta_v) * p.c_vh
@@ -112,8 +122,10 @@ def _v_endemic(p: ModelParams, ys: Sequence[float], times: Sequence[float], m: i
     """Endemic functional at every node k >= m, as _v_dfe. Needs R0 > 1,
     strictly positive states at k >= m, and I_v * S_h > 0 at every node."""
     s_h, i_h, s_v, i_v = _require_endemic(p).as_tuple()
-    weight = p.mu_h * i_h / (p.mu_v * i_v)
     num, den = p.mu_v * p.c_vh, p.beta_v * p.mu_h * i_h
+    _require_nonzero({"S_h*": s_h, "I_h*": i_h, "S_v*": s_v, "I_v*": i_v,
+                      "mu_v * I_v*": p.mu_v * i_v, "beta_v * mu_h * I_h*": den})
+    weight = p.mu_h * i_h / (p.mu_v * i_v)
     scale = p.mu_h * i_h
     values, cum = _Floats("d"), [0.0]
     lag = iter(cum)

@@ -1,10 +1,13 @@
 """Method-of-steps stepper: order, conservation, dense output, recording."""
 
+import ast
+import inspect
 import io
 import math
 import tracemalloc
 from array import array
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from malaria_dde import (
     tail_stats,
 )
 from malaria_dde import defaults
+from malaria_dde import integrator
 from malaria_dde.integrator import _clamp, _integrate
 
 from conftest import P_SUB, P_SUPER, convergence_order
@@ -251,6 +255,35 @@ def test_tail_only_stats_are_the_stored_runs_bits(system, tau, history):
         assert _bits(_tail_only(p, phi, spec)) == expected
 
 
+def _new_sup_then_new_inf(column):
+    """Whether, after its first value, the column rises above every earlier
+    value and later falls below every earlier value."""
+    sups, infs = list(accumulate(column, max)), list(accumulate(column, min))
+    rise = next((j for j in range(1, len(column)) if column[j] > sups[j - 1]), None)
+    return rise is not None and any(column[k] < infs[k - 1]
+                                    for k in range(rise + 1, len(column)))
+
+
+@pytest.mark.parametrize("system,tau", [(SystemKind.FULL, 1.0),
+                                        (SystemKind.LIMITING, 1.0),
+                                        (SystemKind.FULL, 0.0)],
+                         ids=["full", "limiting", "tau0"])
+def test_tail_sets_a_new_sup_then_a_new_inf_on_one_component(system, tau):
+    # few infected hosts and many infected mosquitoes: I_h rises past its
+    # value at the cut (t = 6), peaks, then falls below it before t = 12, so
+    # the loop's tail `if` and `elif` both run on I_h after the first node
+    p = replace(P_SUPER, tau=tau)
+    rows = [(4.0, 0.02, 30.0, 15.0), (4.0, 0.01, 30.0, 20.0)]
+    phi = (HistorySegment.table([-tau, 0.0], rows) if tau > 0
+           else HistorySegment.table([0.0], rows[1:]))
+    spec = IntegrationSpec(system=system, t_end=12.0)
+    traj = integrate(p, phi, spec)
+    expected = _strided_tail(traj)
+    first = round(expected.t_start / traj.h)
+    assert _new_sup_then_new_inf(traj.ys[4 * first + 1::4])
+    assert _bits(tail_stats(traj)) == _bits(_tail_only(p, phi, spec)) == _bits(expected)
+
+
 def test_tail_keeps_the_first_of_equal_zeros():
     # one step of 1e-13 puts the cut below node 0, so the tail is nodes 0
     # and 1; I_h is -0.0 at node 0 and 0.0 at node 1, and min and max both
@@ -445,3 +478,35 @@ def test_csv_writers_match_per_value_formatting():
         f"{t:.17g},{r[0]:.17g},{r[1]:.17g},{r[2]:.17g},{r[3]:.17g}\n"
         for t, r in zip(traj.times, traj.states))
     assert buf.getvalue() == expected
+
+
+def _run_at_most_once(loop):
+    """Per branch of the step loop that runs at most once per run (the
+    `except` handlers, the first-tail-node init `i == first` and the clamp
+    arm, the `else` of the `>= 0.0` test), the ids of the nodes under it."""
+    once = {}
+    for node in ast.walk(loop):
+        if isinstance(node, ast.ExceptHandler):
+            branch, stmts = "except", [node]
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "i == first":
+            branch, stmts = "first tail node", node.body
+        elif isinstance(node, ast.If) and ast.unparse(node.test).startswith("na >= 0.0"):
+            branch, stmts = "clamp", node.orelse
+        else:
+            continue
+        once.setdefault(branch, set()).update(id(n) for s in stmts for n in ast.walk(s))
+    return once
+
+
+def test_step_loop_assigns_no_tuple_of_four_or_more_names():
+    # packing and unpacking a 4-tuple costs about as much as four float
+    # operations, so the per-step path assigns one name per statement
+    tree = ast.parse(inspect.getsource(integrator._integrate))
+    loop = next(n for n in tree.body[0].body if isinstance(n, ast.For))
+    once = _run_at_most_once(loop)
+    assert once.keys() == {"except", "first tail node", "clamp"}
+    skipped = set().union(*once.values())
+    wide = [ast.unparse(n) for n in ast.walk(loop)
+            if isinstance(n, ast.Assign) and id(n) not in skipped
+            and any(isinstance(t, ast.Tuple) and len(t.elts) >= 4 for t in n.targets)]
+    assert wide == []

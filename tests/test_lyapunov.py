@@ -14,9 +14,11 @@ from malaria_dde import (
     HistorySegment,
     IntegrationSpec,
     InvalidSpecError,
+    ModelParams,
     NonPositiveProductError,
     OutsideOmega1Error,
     OutsideOmega2Error,
+    RateUnderflowError,
     SubcriticalR0Error,
     SystemKind,
     classify,
@@ -54,6 +56,28 @@ def test_v_endemic_underflow_gives_inf_not_a_value_error():
                                                 (4.0, 1.0, 30.0, 10.0)))
     assert v_endemic(P_SUPER, point) == math.inf
     assert v_endemic(P_SUPER, window) == math.inf
+
+
+# admissible rates whose divisors underflow to 0: S_h0 = 5e-324 / 3 for
+# V_DFE (R0^2 is 0), and E*'s I_v for V_ENDEMIC (R0^2 = 1.6)
+UNDERFLOW_DFE = ModelParams(5e-324, 5.0, 3.0, 0.1, 0.2, 0.1, 1.0)
+UNDERFLOW_ENDEMIC = replace(P_SUPER, beta_v=5e-324)
+
+
+@pytest.mark.parametrize("p,functional,divisor", [
+    (UNDERFLOW_DFE, v_dfe, "S_h0 = beta_h / mu_h"),
+    (UNDERFLOW_ENDEMIC, v_endemic, "I_v*"),
+], ids=["v_dfe", "v_endemic"])
+def test_an_underflowing_divisor_is_a_rate_underflow_error(p, functional, divisor):
+    # checked once before the pass, for one window and for a whole trace
+    psi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), 1.0)
+    with pytest.raises(RateUnderflowError) as err:
+        functional(p, psi)
+    assert err.value.product == divisor
+    traj = integrate(P_SUPER, psi, IntegrationSpec(SystemKind.LIMITING, 5.0))
+    with pytest.raises(RateUnderflowError) as err:
+        trace_along(p, traj)
+    assert err.value.product == divisor
 
 
 def _tau0_limiting(p, t_end=1.0):

@@ -172,6 +172,18 @@ def test_underflowing_rates_exit_2_and_mark_their_sweep_row(tmp_path, capsys):
     assert rows[1].endswith(",") and "division by zero" in rows[2]
 
 
+def test_an_underflowing_lyapunov_divisor_exits_2_naming_it(tmp_path, capsys):
+    # admissible, but S_h0 = beta_h / mu_h underflows to 0 in V_DFE
+    doc = replaced(SCENARIO, ("params",), {**SCENARIO["params"], "beta_h": 5e-324,
+                                           "mu_h": 3.0})
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", str(path), "--only", "lyapunov"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: S_h0 = beta_h / mu_h underflows to 0: division by zero "
+                   "for admissible but extreme rates\n")
+
+
 # ------------------------------------------------ records agree with the loader
 
 RECORD_FIELDS = ([("params", name) for name in SCENARIO["params"]]
