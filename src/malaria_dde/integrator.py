@@ -262,7 +262,7 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
     full = spec.system is SystemKind.FULL
     beta_h, beta_v, mu_h, mu_v = p.beta_h, p.beta_v, p.mu_h, p.mu_v
     c_vh, c_hv = p.c_vh, p.c_hv
-    inv_nv = None if full else 1.0 / p.s_v0
+    inv_nv = None if full else p.inv_s_v0
     delayed = tau > 0
     hh = 0.5 * h
     sixth = h / 6.0

@@ -44,7 +44,7 @@ from .errors import (
     RateUnderflowError,
 )
 from .integrator import SystemKind, Trajectory, _write_csv
-from .model import HistorySegment, ModelParams
+from .model import HistorySegment, ModelParams, State
 
 _Log = Callable[[float], float]
 
@@ -75,13 +75,45 @@ def _require_nonzero(divisors: dict[str, float]) -> None:
             raise RateUnderflowError(name)
 
 
+def _require_dfe_divisors(p: ModelParams) -> None:
+    """_v_dfe's divisors, each checked nonzero."""
+    _require_nonzero({"S_h0 = beta_h / mu_h": p.s_h0, "S_v0 = beta_v / mu_v": p.s_v0,
+                      "c_hv * beta_v": p.c_hv * p.beta_v})
+
+
+def _require_endemic_divisors(p: ModelParams) -> State:
+    """E*, once _v_endemic's divisors are each checked nonzero;
+    SubcriticalR0Error when R0 <= 1."""
+    star = _require_endemic(p)
+    s_h, i_h, s_v, i_v = star.as_tuple()
+    _require_nonzero({"S_h*": s_h, "I_h*": i_h, "S_v*": s_v, "I_v*": i_v,
+                      "mu_v * I_v*": p.mu_v * i_v,
+                      "beta_v * mu_h * I_h*": p.beta_v * p.mu_h * i_h})
+    return star
+
+
+def _kind(p: ModelParams) -> FunctionalKind:
+    """trace_along's functional: V_ENDEMIC where E* exists (R0 > 1), V_DFE
+    otherwise (R0 <= 1)."""
+    return (FunctionalKind.V_DFE if endemic_equilibrium(p) is None
+            else FunctionalKind.V_ENDEMIC)
+
+
+def _require_divisors(p: ModelParams) -> None:
+    """trace_along's divisors for p, each checked nonzero, so a caller can
+    raise RateUnderflowError before it integrates the limiting run."""
+    if _kind(p) is FunctionalKind.V_DFE:
+        _require_dfe_divisors(p)
+    else:
+        _require_endemic_divisors(p)
+
+
 def _v_dfe(p: ModelParams, ys: Sequence[float], times: Sequence[float], m: int,
            log: _Log) -> _Floats:
     """Disease-free functional at every node k >= m, each on the window of
     the m intervals ending at k. Needs S_h > 0 and S_v > 0 there."""
+    _require_dfe_divisors(p)
     sh0, sv0 = p.s_h0, p.s_v0
-    _require_nonzero({"S_h0 = beta_h / mu_h": sh0, "S_v0 = beta_v / mu_v": sv0,
-                      "c_hv * beta_v": p.c_hv * p.beta_v})
     coef = p.mu_v * p.mu_h / (p.c_hv * p.beta_v)
     coef_sv = coef * sv0
     rate = (p.mu_v / p.beta_v) * p.c_vh
@@ -121,10 +153,8 @@ def _v_endemic(p: ModelParams, ys: Sequence[float], times: Sequence[float], m: i
                log: _Log) -> _Floats:
     """Endemic functional at every node k >= m, as _v_dfe. Needs R0 > 1,
     strictly positive states at k >= m, and I_v * S_h > 0 at every node."""
-    s_h, i_h, s_v, i_v = _require_endemic(p).as_tuple()
+    s_h, i_h, s_v, i_v = _require_endemic_divisors(p).as_tuple()
     num, den = p.mu_v * p.c_vh, p.beta_v * p.mu_h * i_h
-    _require_nonzero({"S_h*": s_h, "I_h*": i_h, "S_v*": s_v, "I_v*": i_v,
-                      "mu_v * I_v*": p.mu_v * i_v, "beta_v * mu_h * I_h*": den})
     weight = p.mu_h * i_h / (p.mu_v * i_v)
     scale = p.mu_h * i_h
     values, cum = _Floats("d"), [0.0]
@@ -215,8 +245,7 @@ def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:
     if traj.system is not SystemKind.LIMITING:
         raise InvalidSpecError(f"the functionals descend along the limiting "
                                f"system, got a {traj.system.value} trajectory")
-    kind = (FunctionalKind.V_DFE if endemic_equilibrium(p) is None
-            else FunctionalKind.V_ENDEMIC)
+    kind = _kind(p)
     nodes, m, h = traj.nodes, traj.m, traj.h
     if nodes - m < 2:
         raise EmptyWindowError("horizon too short: need at least two nodes past tau")

@@ -43,6 +43,7 @@ from .errors import (
     NegativeDelayError,
     NonPositiveRateError,
     OutOfRangeError,
+    RateUnderflowError,
     ZeroMosquitoPopulationError,
 )
 
@@ -108,6 +109,15 @@ class ModelParams:
         return self.beta_v / self.mu_v
 
     @property
+    def inv_s_v0(self) -> float:
+        """1 / S_v0, the limiting system's fixed 1 / N_v. RateUnderflowError
+        when S_v0 underflows to 0."""
+        s_v0 = self.s_v0
+        if s_v0 == 0.0:
+            raise RateUnderflowError("S_v0 = beta_v / mu_v")
+        return 1.0 / s_v0
+
+    @property
     def max_rate(self) -> float:
         return max(self.beta_h, self.beta_v, self.mu_h, self.mu_v,
                    self.c_vh, self.c_hv)
@@ -166,13 +176,14 @@ def rhs(p: ModelParams, now: State, delayed: State, system: SystemKind) -> Deriv
     """Time derivative of the full or the limiting system at (now, delayed).
 
     Raises ZeroMosquitoPopulationError if either state has N_v <= 0 (either
-    system). The mosquito flux is computed once, so d/dt(S_v + I_v) cancels
+    system), and RateUnderflowError on the limiting system if S_v0 underflows
+    to 0. The mosquito flux is computed once, so d/dt(S_v + I_v) cancels
     it exactly; integrate's step loop repeats these expressions in this
     order, so its node derivatives equal them bit for bit.
     """
     if now.n_v <= 0 or delayed.n_v <= 0:
         raise ZeroMosquitoPopulationError()
-    inv_nv = None if system is SystemKind.FULL else 1.0 / p.s_v0
+    inv_nv = None if system is SystemKind.FULL else p.inv_s_v0
     lam, lam_d = (p.c_vh * (x.i_v / x.n_v if inv_nv is None else x.i_v * inv_nv) * x.s_h
                   for x in (now, delayed))
     flux_v = p.c_hv * now.i_h * now.s_v

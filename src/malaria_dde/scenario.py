@@ -29,16 +29,24 @@ A sweep wraps a base scenario, an axis (one parameter name), the values to
 visit in order, and the derived columns to tabulate (no column twice, once
 the groups are expanded). Each value is checked at
 load by the rule of params.<axis>. Rows are independent; a failing row
-records an error marker and the sweep carries on. Rows that integrate (tail
-columns) run in forked workers on every CPU os.sched_getaffinity allows, and
-sweep.csv is the same bytes as a run on one CPU. A worker that returns no
-lines (it raised, died or never started) has its rows run in this process, so
-a failure is raised as a serial run raises it.
+records an error marker (and, if the opt-in error_class column is asked for,
+the exception's class name) and the sweep carries on. Rows that integrate
+(tail columns) run in forked workers on every CPU os.sched_getaffinity
+allows, and sweep.csv is the same bytes as a run on one CPU. A worker that
+returns no lines (it raised, died or never started) has its rows run in this
+process, so a failure is raised as a serial run raises it.
+
+On two or more CPUs, a scenario run formats each CSV artifact in a forked
+child as soon as its data is final, while this process runs the remaining
+analyses. The child formats finished data only, so it raises nothing a run
+can raise. An artifact whose child sends back nothing is formatted in this
+process, with the same bytes. One helper, _fork, forks for both uses.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import marshal
 import math
@@ -46,13 +54,13 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import IO, Any, Callable
 
 from . import defaults
 from .equilibria import endemic_equilibrium, equilibrium_set, r0_squared
 from .errors import InvalidSpecError, ModelError, SchemaError, SubcriticalR0Error
 from .integrator import IntegrationSpec, SystemKind, Trajectory, _integrate, integrate, tail_stats
-from .lyapunov import trace_along
+from .lyapunov import _require_divisors, trace_along
 from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _spans
 from .persistence import _require_preconditions, weak_persistence_check
 from .stability import EquilibriumKind, classify
@@ -69,8 +77,9 @@ _COLUMN_ALIASES = {
     "e_star": _STAR_COLUMNS,
     "tail": _TAIL_COLUMNS,
 }
+# error_class: the exception's class name on an error row, blank otherwise
 SWEEP_COLUMNS = (("r0", "r0_squared", "classification_e0", "classification_e_star")
-                 + _STAR_COLUMNS + _TAIL_COLUMNS)
+                 + _STAR_COLUMNS + _TAIL_COLUMNS + ("error_class",))
 DEFAULT_SWEEP_COLUMNS = ("r0", "classification_e0", "classification_e_star",
                          "i_h_star")
 
@@ -445,6 +454,69 @@ def _check_seed(seed: Any) -> None:
         raise InvalidSpecError(f"seed must be an integer >= 0, got {seed!r}")
 
 
+def _workers() -> int:
+    """The CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+class _Child:
+    """A forked child that sends back the bytes of one call (see _fork)."""
+
+    def __init__(self, pid: int, pipe: IO[bytes]):
+        self._pid, self._pipe = pid, pipe
+
+    def result(self) -> bytes | None:
+        """Read the child's bytes and reap it. None if it exited nonzero, was
+        killed or sent nothing."""
+        with self._pipe as pipe:
+            data = pipe.read()
+        status = os.waitpid(self._pid, 0)[1]
+        self._pid = 0
+        return data if status == 0 and data else None
+
+    def stop(self) -> None:
+        """Kill the child and reap it, unless result() has reaped it."""
+        self._pipe.close()
+        if self._pid:
+            os.kill(self._pid, 9)  # SIGKILL
+            os.waitpid(self._pid, 0)
+            self._pid = 0
+
+
+_Artifact = tuple[str, Any, _Child | None]  # (path, object with to_csv, its child)
+
+
+def _fork(fn: Callable[..., bytes], *args: Any) -> _Child | None:
+    """Run fn(*args) in a forked child, which writes the bytes it returns to
+    a pipe and exits 0, or writes nothing and exits 1 if fn raises. Either
+    way it leaves by os._exit (no stdio flush, no atexit, no traceback).
+    None, with no descriptor left open, where this process has no os.fork
+    or runs another thread (the child would copy none of that thread, and a
+    lock it held would stay held), or where os.pipe or os.fork fails."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    ends: tuple[int, ...] = ()
+    try:
+        ends = r, w = os.pipe()
+        pid = os.fork()
+    except OSError:  # e.g. no descriptors or process ids left
+        for end in ends:
+            os.close(end)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            data = fn(*args)
+            with open(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)  # open only in the child, so its death reads as EOF
+    return _Child(pid, open(r, "rb"))
+
+
 def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
                  only: str | None = None) -> list[str]:
     """Execute a scenario and return the report lines.
@@ -453,9 +525,13 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
     that section (persistence at DEFAULT_THETA if the scenario names no
     fraction) and writes no files. Otherwise report.txt and the CSVs go to
     out_dir (default: the scenario's output.dir) in one block after the last
-    analysis, so a run that fails writes nothing. Each distinct
+    analysis, so a run that fails writes nothing. On two or more CPUs each
+    CSV is formatted in a forked child (_fork) from the moment its data is
+    final, while this process runs the remaining analyses; every child not
+    yet read is killed and reaped however the run ends. Each distinct
     IntegrationSpec is integrated once: simulate reads the scenario's spec,
-    persistence it with system FULL, Lyapunov with system LIMITING.
+    persistence it with system FULL, Lyapunov with system LIMITING, once the
+    functional's divisors are checked.
     """
     _check_seed(seed)
     a = scn.analyses
@@ -468,11 +544,12 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
         target = None
     p = scn.params
     lines = _equilibria_lines(p)
-    artifacts: list[tuple[str, Any]] = []  # (path, object with to_csv)
+    artifacts: list[_Artifact] = []
 
     def artifact(key: str, obj: Any) -> None:  # <key>.csv, written at the end
         if target is not None:
-            artifacts.append((os.path.join(target, f"{key}.csv"), obj))
+            child = _fork(_csv_bytes, obj) if _workers() >= 2 else None
+            artifacts.append((os.path.join(target, f"{key}.csv"), obj, child))
             lines.append(f"{key}.file = {artifacts[-1][0]}")
 
     if a.stability:
@@ -493,49 +570,71 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             runs[key] = integrate(p, phi, key)
         return runs[key]
 
-    if a.simulate:
-        traj = run(spec)
-        lines.append(f"trajectory.t_end = {_fmt(traj.t_end)}")
-        lines.append(f"trajectory.nodes = {traj.nodes}")
-        tail = tail_stats(traj)
-        for name in COMPONENT_NAMES:
-            lines.append(f"tail.{name}.inf = {_fmt(getattr(tail.inf, name))}")
-            lines.append(f"tail.{name}.sup = {_fmt(getattr(tail.sup, name))}")
-        artifact("trajectory", traj)
+    try:
+        if a.simulate:
+            traj = run(spec)
+            lines.append(f"trajectory.t_end = {_fmt(traj.t_end)}")
+            lines.append(f"trajectory.nodes = {traj.nodes}")
+            tail = tail_stats(traj)
+            for name in COMPONENT_NAMES:
+                lines.append(f"tail.{name}.inf = {_fmt(getattr(tail.inf, name))}")
+                lines.append(f"tail.{name}.sup = {_fmt(getattr(tail.sup, name))}")
+            artifact("trajectory", traj)
 
-    if a.lyapunov:
-        trace = trace_along(p, run(replace(spec, system=SystemKind.LIMITING)))
-        lines.append(f"lyapunov.kind = {trace.kind.value}")
-        lines.append(f"lyapunov.v_first = {_fmt(float(trace.values[0]))}")
-        lines.append(f"lyapunov.v_last = {_fmt(float(trace.values[-1]))}")
-        lines.append(f"lyapunov.max_increase = {_fmt(trace.max_increase)}")
-        lines.append(f"lyapunov.descends = {str(trace.passes_descent()).lower()}")
-        artifact("lyapunov", trace)
+        if a.lyapunov:
+            _require_divisors(p)  # before the limiting run
+            trace = trace_along(p, run(replace(spec, system=SystemKind.LIMITING)))
+            lines.append(f"lyapunov.kind = {trace.kind.value}")
+            lines.append(f"lyapunov.v_first = {_fmt(float(trace.values[0]))}")
+            lines.append(f"lyapunov.v_last = {_fmt(float(trace.values[-1]))}")
+            lines.append(f"lyapunov.max_increase = {_fmt(trace.max_increase)}")
+            lines.append(f"lyapunov.descends = {str(trace.passes_descent()).lower()}")
+            artifact("lyapunov", trace)
 
-    for theta in a.persistence:
-        _require_preconditions(p, phi, theta)  # before the full run
-        full = run(replace(spec, system=SystemKind.FULL))
-        lines.extend(weak_persistence_check(p, full, theta).as_lines())
+        for theta in a.persistence:
+            _require_preconditions(p, phi, theta)  # before the full run
+            full = run(replace(spec, system=SystemKind.FULL))
+            lines.extend(weak_persistence_check(p, full, theta).as_lines())
 
-    if target is not None:
-        _write_out(target, artifacts, "report.txt", lines)
+        if target is not None:
+            _write_out(target, artifacts, "report.txt", lines)
+    finally:
+        for _, _, child in artifacts:
+            if child is not None:
+                child.stop()  # a no-op once _write_out has read it
     return lines
 
 
-def _write_out(target: str, artifacts: list[tuple[str, Any]], name: str,
+def _csv_bytes(obj: Any) -> bytes:
+    """What obj.to_csv writes to a file, as bytes: its text is ASCII."""
+    buf = io.StringIO()
+    obj.to_csv(buf)
+    return buf.getvalue().encode("ascii")
+
+
+def _write_out(target: str, artifacts: list[_Artifact], name: str,
                lines: list[str]) -> str:
-    """Make target, write each (path, object with to_csv), then `lines` to
-    target/name, and return that path. Each file is written under a staged
-    name, <path>.part, and all are renamed into place only after the last
-    write succeeds, so a failed write leaves the earlier run's files as they
-    were. An OSError removes what was staged and is SchemaError("output.dir")."""
+    """Make target, write each artifact, then `lines` to target/name, and
+    return that path. An artifact is (path, object with to_csv, the child
+    formatting it or None); it is written from the bytes its child sends
+    back or, where the child sends none, by the object's to_csv here. Each
+    file is written under a staged name, <path>.part, and all are renamed
+    into place only after the last write succeeds, so a failed write leaves
+    the earlier run's files as they were. An OSError removes what was staged
+    and is SchemaError("output.dir"); run_scenario then reaps the children
+    not yet read."""
     path = os.path.join(target, name)
     finals: list[str] = []  # each staged as final + ".part"
     try:
         os.makedirs(target, exist_ok=True)
-        for final, obj in artifacts:
+        for final, obj, child in artifacts:
             finals.append(final)
-            obj.to_csv(final + ".part")
+            data = None if child is None else child.result()
+            if data is None:
+                obj.to_csv(final + ".part")
+            else:
+                with open(final + ".part", "wb") as fh:
+                    fh.write(data)
         finals.append(path)
         with open(path + ".part", "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -576,85 +675,64 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
                 for name in COMPONENT_NAMES:
                     row[f"tail_{name}_inf"] = _fmt(getattr(tail.inf, name))
                     row[f"tail_{name}_sup"] = _fmt(getattr(tail.sup, name))
+        elif col == "error_class":
+            row[col] = ""  # _row_line fills it on an error row
         else:  # pragma: no cover - column set is validated at load time
             raise SchemaError("sweep.columns", f"unknown column {col!r}")
     return row
 
 
 def _row_line(sweep: SweepSpec, value: float, seed: int) -> str:
-    """The row's CSV line; a ModelError or ArithmeticError is its error cell."""
+    """The row's CSV line; a ModelError or ArithmeticError is its error cell,
+    and its class name the error_class cell."""
     try:
         row, error = _sweep_row(sweep, value, seed), ""
     except (ModelError, ArithmeticError) as exc:  # e.g. rates that underflow
         text = f"error: {exc}".replace('"', '""')
-        row, error = {}, f'"{text}"'
+        row, error = {"error_class": type(exc).__name__}, f'"{text}"'
     return ",".join([_fmt(value), *(row.get(c, "") for c in sweep.columns), error])
 
 
-def _workers() -> int:
-    """The CPUs this process may run on."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
-def _worker(sweep: SweepSpec, values: tuple[float, ...], seed: int, fd: int) -> None:
-    """In a forked worker: write the marshalled list of the rows' lines to fd
-    and exit 0. If any row raises, write nothing and exit 1. Either way leave
-    by os._exit (no stdio flush, no atexit, no traceback)."""
-    code = 1
-    try:
-        msg = marshal.dumps([_row_line(sweep, v, seed) for v in values])
-        with open(fd, "wb") as fh:
-            fh.write(msg)
-        code = 0
-    finally:
-        os._exit(code)
+def _rows_bytes(sweep: SweepSpec, values: tuple[float, ...], seed: int) -> bytes:
+    """The marshalled list of the rows' lines: a forked worker's result."""
+    return marshal.dumps([_row_line(sweep, v, seed) for v in values])
 
 
 def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
     """Every row's line, in row order. Rows that integrate (tail columns) are
     split across n = min(_workers(), rows) processes: this one runs rows 0, n,
-    2n, ..., and forked worker w rows w, w + n, .... Once all workers are
-    reaped, the rows of a worker with no result (it raised, died or never
-    started) run here in row order; if a row of this process raised, every
-    worker is killed and only its rows before that one run here. So the first
-    failure in row order is raised, as in a serial run. A row loads no
+    2n, ..., and forked worker w (_fork) rows w, w + n, .... Once all workers
+    are reaped, the rows of a worker with no result (a row raised, it died or
+    never started) run here in row order; if a row of this process raised,
+    every worker is killed and only its rows before that one run here. So the
+    first failure in row order is raised, as in a serial run. A row loads no
     module (numpy included) that this process has not, so nothing is
     preloaded before the fork."""
     values = sweep.values
     n = min(_workers(), len(values)) if set(_TAIL_COLUMNS) & set(sweep.columns) else 1
-    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if n < 2:
         return [_row_line(sweep, v, seed) for v in values]
     lines = [""] * len(values)
-    kids: list[tuple[int, int, Any]] = []  # (w, pid, read end of its pipe)
+    kids: dict[int, _Child] = {}  # worker w -> its child
     got: dict[int, bytes] = {}
     error, j = None, 0  # a failure in this process's row j
     try:
         for w in range(1, n):
-            ends: tuple[int, ...] = ()
-            try:
-                ends = r, fd = os.pipe()
-                pid = os.fork()
-            except OSError:  # e.g. no descriptors or process ids left
-                for end in ends:
-                    os.close(end)
+            kid = _fork(_rows_bytes, sweep, values[w::n], seed)
+            if kid is None:
                 break
-            if pid == 0:
-                _worker(sweep, values[w::n], seed, fd)
-            os.close(fd)  # open only in the worker, so its death reads as EOF
-            kids.append((w, pid, open(r, "rb")))
+            kids[w] = kid
         for j in range(0, len(values), n):
             lines[j] = _row_line(sweep, values[j], seed)
-        got = {w: fh.read() for w, _, fh in kids}
+        for w, kid in kids.items():
+            part = kid.result()
+            if part is not None:
+                got[w] = part
     except Exception as exc:  # raised below, once the rows before j have run
         error = exc
     finally:
-        for w, pid, fh in kids:
-            fh.close()
-            if w not in got:  # this process failed first
-                os.kill(pid, 9)  # SIGKILL
-            if os.waitpid(pid, 0)[1]:
-                got.pop(w, None)
+        for kid in kids.values():
+            kid.stop()  # a no-op for a worker already read
     for w, part in got.items():
         lines[w::n] = marshal.loads(part)
     for k in range(len(values) if error is None else j):

@@ -41,6 +41,8 @@ P_SUPER = ModelParams(beta_h=2.0, beta_v=5.0, mu_h=0.5, mu_v=0.1,
 P_SUB = replace(P_SUPER, c_vh=0.05, c_hv=0.05)           # R0^2 = 0.2
 P_CRIT = ModelParams(beta_h=1.0, beta_v=5.0, mu_h=1.0, mu_v=0.25,
                      c_vh=0.5, c_hv=0.5, tau=1.0)        # R0^2 = 1 exactly
+# admissible rates whose S_v0 = beta_v / mu_v underflows to 0
+P_SV0_UNDERFLOW = replace(P_CRIT, beta_v=5e-324, mu_v=3.0)
 
 TAU_CHOICES = (0.0, 0.5, 1.0, 2.0)
 

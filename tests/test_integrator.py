@@ -24,6 +24,7 @@ from malaria_dde import (
     NonPositiveRateError,
     NumericalError,
     OutOfRangeError,
+    RateUnderflowError,
     State,
     SystemKind,
     TailStats,
@@ -37,7 +38,7 @@ from malaria_dde import defaults
 from malaria_dde import integrator
 from malaria_dde.integrator import _clamp, _integrate
 
-from conftest import P_SUB, P_SUPER, convergence_order
+from conftest import P_SUB, P_SUPER, P_SV0_UNDERFLOW, convergence_order
 
 X0 = (4.0, 0.5, 30.0, 10.0)
 
@@ -510,3 +511,10 @@ def test_step_loop_assigns_no_tuple_of_four_or_more_names():
             if isinstance(n, ast.Assign) and id(n) not in skipped
             and any(isinstance(t, ast.Tuple) and len(t.elts) >= 4 for t in n.targets)]
     assert wide == []
+
+
+def test_a_limiting_run_names_an_underflowing_s_v0():
+    phi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), 1.0)
+    with pytest.raises(RateUnderflowError) as err:
+        integrate(P_SV0_UNDERFLOW, phi, IntegrationSpec(SystemKind.LIMITING, 10.0))
+    assert err.value.product == "S_v0 = beta_v / mu_v"

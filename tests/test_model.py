@@ -15,6 +15,7 @@ from malaria_dde import (
     NegativeDelayError,
     NonPositiveRateError,
     OutOfRangeError,
+    RateUnderflowError,
     State,
     SystemKind,
     ZeroMosquitoPopulationError,
@@ -22,7 +23,7 @@ from malaria_dde import (
     default_t_end,
     rhs,
 )
-from conftest import P_SUPER
+from conftest import P_SUPER, P_SV0_UNDERFLOW
 
 
 def test_rhs_full_anchor():
@@ -59,6 +60,14 @@ def test_vector_total_infection_flux_cancels():
         d = rhs(P_SUPER, s, s, SystemKind.FULL)
         expected = P_SUPER.beta_v - P_SUPER.mu_v * s.n_v
         assert d[2] + d[3] == pytest.approx(expected, abs=1e-12)
+
+
+def test_limiting_rhs_names_an_underflowing_s_v0():
+    s = State(4.0, 0.5, 30.0, 10.0)
+    with pytest.raises(RateUnderflowError) as err:
+        rhs(P_SV0_UNDERFLOW, s, s, SystemKind.LIMITING)
+    assert err.value.product == "S_v0 = beta_v / mu_v"
+    rhs(P_SV0_UNDERFLOW, s, s, SystemKind.FULL)  # the full system never divides by it
 
 
 def test_rhs_rejects_zero_vector_population():

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -26,7 +27,7 @@ from malaria_dde import (
     trace_along,
     weak_persistence_check,
 )
-from malaria_dde.scenario import HistorySpec, _uniform
+from malaria_dde.scenario import DEFAULT_SWEEP_COLUMNS, HistorySpec, _uniform
 
 from conftest import subprocess_env
 from test_benchmark_inputs import _load_gen
@@ -984,6 +985,148 @@ def test_a_fork_that_fails_runs_the_rows_in_process(tmp_path, monkeypatch, call,
     monkeypatch.setattr(os, call, fails_after_one)
     assert _forked_sweep(tmp_path, 3, monkeypatch, "o3") == serial
     assert len(calls) == 2 and _open_descriptors() == before
+
+
+def test_error_class_column_names_the_exception(tmp_path, monkeypatch,
+                                                no_runs_at_tiny_delays,
+                                                fails_rather_than_hangs):
+    # opt-in: no group and no default holds it, so existing sweeps keep their
+    # bytes; at 2 workers the failing row runs in the forked worker
+    import malaria_dde.scenario as scenario_mod
+    assert "error_class" not in DEFAULT_SWEEP_COLUMNS
+    assert all("error_class" not in group
+               for group in scenario_mod._COLUMN_ALIASES.values())
+    obj = {"schema": 1, "base": {**BASE, "integration": {"t_end": 10}},
+           "axis": "tau", "values": [1.0, 1e-300], "columns": ["error_class", "tail"]}
+    sw = load_sweep(write_json(tmp_path / "sw.json", obj))
+    for workers in (1, 2):
+        monkeypatch.setattr(scenario_mod, "_workers", lambda: workers)
+        rows = (tmp_path / "o").joinpath("sweep.csv")
+        run_sweep(sw, out_dir=str(tmp_path / "o"))
+        assert_no_child_processes()
+        header, ok, past_ceiling = rows.read_text().splitlines()
+        assert header.startswith("tau,error_class,tail_s_h_inf,")
+        assert ok.startswith("1,,") and ok.endswith(",")
+        assert past_ceiling.startswith("1e-300,InvalidSpecError,,")
+        assert "steps of h" in past_ceiling
+
+
+# ------------------------------------------------ artifacts formatted in a child
+
+ALL_ARTIFACTS = {"integration": {"t_end": 12}, "analyses": {**LYAPUNOV_ON,
+                                                            "persistence": [0.5]}}
+
+
+def _simulate(tmp_path, monkeypatch, workers, name="o"):
+    """Run the ALL_ARTIFACTS scenario at `workers` CPUs and return its files."""
+    import malaria_dde.scenario as scenario_mod
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: workers)
+    path = scenario_file(tmp_path, **ALL_ARTIFACTS)
+    out = tmp_path / name
+    assert cli.main(["simulate", path, "--out", str(out), "--quiet"]) == 0
+    assert_no_child_processes()
+    return _tree(out)
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """Each os.fork call, logged as it goes through."""
+    calls, real = [], os.fork
+
+    def logged():
+        calls.append("fork")
+        return real()
+
+    monkeypatch.setattr(os, "fork", logged)
+    return calls
+
+
+def test_artifacts_are_the_same_bytes_at_one_and_two_workers(tmp_path, monkeypatch,
+                                                             fork_calls):
+    serial = _simulate(tmp_path, monkeypatch, 1)
+    assert fork_calls == [] and sorted(serial) == ["lyapunov.csv", "report.txt",
+                                                   "trajectory.csv"]
+    assert _simulate(tmp_path, monkeypatch, 2) == serial
+    assert fork_calls == ["fork", "fork"]  # one child per artifact
+
+
+def _fails_for_artifacts(call, err):
+    """os.fork or os.pipe raising err; a child whose formatting raises."""
+    if call in ("fork", "pipe"):
+        def fails(*args):
+            raise OSError(err, os.strerror(err))
+        return os, call, fails
+
+    def fails(obj):
+        raise RuntimeError("formatting failed in the child")
+    import malaria_dde.scenario as scenario_mod
+    return scenario_mod, "_csv_bytes", fails
+
+
+@pytest.mark.parametrize("call,err", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE),
+                                      ("child", None)],
+                         ids=["fork", "pipe", "child-exits-1"])
+def test_an_artifact_with_no_child_bytes_is_formatted_here(tmp_path, monkeypatch,
+                                                           call, err, fork_calls):
+    serial = _simulate(tmp_path, monkeypatch, 1, "o1")
+    before = _open_descriptors()
+    monkeypatch.setattr(*_fails_for_artifacts(call, err))
+    assert _simulate(tmp_path, monkeypatch, 2, "o2") == {
+        f: data.replace(b"/o1/", b"/o2/") for f, data in serial.items()}
+    assert _open_descriptors() == before
+    assert len(fork_calls) == (2 if call == "child" else 0)
+
+
+@pytest.mark.parametrize("code", sorted(LATE_FAILURES))
+def test_a_run_that_fails_after_simulate_leaves_no_child(tmp_path, capsys, monkeypatch,
+                                                         code, fork_calls):
+    # the trajectory's child has started when the Lyapunov stage fails
+    import malaria_dde.scenario as scenario_mod
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
+    path = scenario_file(tmp_path, **LATE_FAILURES[code], analyses=LYAPUNOV_ON)
+    out = tmp_path / "fresh"
+    assert cli.main(["simulate", path, "--out", str(out), "--quiet"]) == code
+    assert fork_calls == ["fork"]
+    assert_no_child_processes()
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture
+def second_thread():
+    """A live thread beside this one, for the length of the test."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    yield
+    done.set()
+    thread.join()
+
+
+@pytest.mark.parametrize("argv,workers,thread", [
+    (["report"], 2, False),
+    (["report", "--only", "lyapunov"], 2, False),
+    (["simulate", "--out", "{out}", "--quiet"], 1, False),
+    (["simulate", "--out", "{out}", "--quiet"], 2, True),
+], ids=["report", "report-only", "one-cpu", "second-thread"])
+def test_runs_that_cannot_gain_do_not_fork(tmp_path, monkeypatch, request, argv,
+                                           workers, thread):
+    import malaria_dde.scenario as scenario_mod
+    if thread:
+        request.getfixturevalue("second_thread")
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: workers)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    path = scenario_file(tmp_path, **ALL_ARTIFACTS)
+    command, *rest = argv
+    rest = [a.format(out=tmp_path / "o") for a in rest]
+    assert cli.main([command, path, *rest]) == 0
+    if command == "simulate":
+        assert sorted(os.listdir(tmp_path / "o")) == ["lyapunov.csv", "report.txt",
+                                                      "trajectory.csv"]
 
 
 @pytest.mark.parametrize("argv", [["simulate", "x.json", "--seed", "abc"], [],

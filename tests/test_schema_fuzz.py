@@ -13,6 +13,7 @@ reject.
 import copy
 import json
 import math
+import os
 from dataclasses import fields
 
 import pytest
@@ -172,15 +173,60 @@ def test_underflowing_rates_exit_2_and_mark_their_sweep_row(tmp_path, capsys):
     assert rows[1].endswith(",") and "division by zero" in rows[2]
 
 
-def test_an_underflowing_lyapunov_divisor_exits_2_naming_it(tmp_path, capsys):
-    # admissible, but S_h0 = beta_h / mu_h underflows to 0 in V_DFE
+def _underflowing_lyapunov_divisor(tmp_path, capsys, monkeypatch, *argv):
+    """cli.main(argv + the scenario) at two CPUs, with Lyapunov on and
+    rates for which S_h0 = beta_h / mu_h underflows to 0 in V_DFE: it exits
+    2 naming S_h0 and leaves no child. Returns the systems it integrated."""
+    import malaria_dde.scenario as scenario_mod
     doc = replaced(SCENARIO, ("params",), {**SCENARIO["params"], "beta_h": 5e-324,
                                            "mu_h": 3.0})
-    path = tmp_path / "report.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["report", str(path), "--only", "lyapunov"]) == 2
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(replaced(doc, ("analyses", "lyapunov"), True)))
+    systems, real = [], scenario_mod.integrate
+
+    def spy(p, phi, spec):
+        systems.append(spec.system)
+        return real(p, phi, spec)
+
+    monkeypatch.setattr(scenario_mod, "integrate", spy)
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err == ("error: S_h0 = beta_h / mu_h underflows to 0: division by zero "
+                   "for admissible but extreme rates\n")
+    with pytest.raises(ChildProcessError):  # no child is left
+        os.waitpid(-1, os.WNOHANG)
+    return systems
+
+
+def test_an_underflowing_lyapunov_divisor_exits_2_naming_it(tmp_path, capsys,
+                                                            monkeypatch):
+    # the divisors are checked before the limiting run
+    assert _underflowing_lyapunov_divisor(tmp_path, capsys, monkeypatch,
+                                          "report", "--only", "lyapunov") == []
+
+
+def test_an_underflowing_lyapunov_divisor_stops_simulate_before_its_limiting_run(
+        tmp_path, capsys, monkeypatch):
+    # the full run is done and the trajectory's child started; the child is
+    # reaped and nothing is written
+    out = tmp_path / "out"
+    assert _underflowing_lyapunov_divisor(tmp_path, capsys, monkeypatch,
+                                          "simulate", "--out", str(out)) == [SystemKind.FULL]
+    assert not out.exists()
+
+
+def test_an_underflowing_s_v0_exits_2_naming_it(tmp_path, capsys):
+    # admissible, but S_v0 = beta_v / mu_v underflows to 0, and the limiting
+    # system divides by it; this once printed "float division by zero"
+    doc = replaced(SCENARIO, ("params",), {**SCENARIO["params"], "beta_v": 5e-324,
+                                           "mu_v": 3.0})
+    doc = replaced(doc, ("integration", "system"), "limiting")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: S_v0 = beta_v / mu_v underflows to 0: division by zero "
                    "for admissible but extreme rates\n")
 
 

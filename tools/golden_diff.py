@@ -11,6 +11,10 @@ match):
 * `simulate` on random_endemic, endemic.json with a `random` history
   (Lyapunov and persistence on, as there), at --seed 0 and at
   --seed 2**64 + 5, a seed of three 32-bit words (RANDOM_SEEDS);
+* `simulate` on endemic.json again, allowed only one CPU by
+  os.sched_setaffinity before it starts (ONE_CPU), so its CSVs are
+  formatted in its own process, where the other runs on a machine with two
+  or more CPUs format them in forked children;
 * `sweep` on demos/scenarios/sweep_c_vh.json, and on three sweeps made from
   it in the scratch directory (MADE_SWEEPS), each with the tail columns:
   sweep_tau_tail, on a tau axis, whose 1e-7 row needs more than MAX_STEPS
@@ -55,6 +59,7 @@ SECTIONS = ("stability", "lyapunov", "persistence")
 STREAMS = "streams"
 RANDOM = {"kind": "random"}
 RANDOM_SEEDS = (0, 2**64 + 5)
+ONE_CPU = "simulate_endemic_one_cpu"
 # name -> (the keys that replace sweep_c_vh.json's, the keys that replace
 # its base's)
 MADE_SWEEPS = {
@@ -85,6 +90,8 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
         for section in SECTIONS:
             out.append((f"report_{name}_{section}",
                         cli + ["report", path, "--only", section]))
+    endemic = os.path.join("demos", "scenarios", "endemic.json")
+    out.append((ONE_CPU, cli + ["simulate", endemic, "--out", f"out/{ONE_CPU}"]))
     path = os.path.join("demos", "scenarios", "random_endemic.json")
     for seed in RANDOM_SEEDS:
         name = f"random_endemic_seed{seed}"
@@ -99,6 +106,12 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
         if f.endswith(".py"):
             out.append((f"demo_{f[:-3]}", [sys.executable, os.path.join("demos", f)]))
     return out
+
+
+def _one_cpu() -> None:
+    """In the child, before it runs the command: allow only the first of the
+    CPUs it may use."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def run_tree(tree: str, work: str, dest: str) -> None:
@@ -120,7 +133,8 @@ def run_tree(tree: str, work: str, dest: str) -> None:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
     for label, argv in commands(tree):
-        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True,
+                              preexec_fn=_one_cpu if label == ONE_CPU else None)
         for ext, data in (("stdout", proc.stdout), ("stderr", proc.stderr),
                           ("exit", f"{proc.returncode}\n".encode())):
             with open(os.path.join(work, STREAMS, f"{label}.{ext}"), "wb") as fh:
