@@ -92,20 +92,16 @@ def _require_endemic_divisors(p: ModelParams) -> State:
     return star
 
 
-def _kind(p: ModelParams) -> FunctionalKind:
-    """trace_along's functional: V_ENDEMIC where E* exists (R0 > 1), V_DFE
-    otherwise (R0 <= 1)."""
-    return (FunctionalKind.V_DFE if endemic_equilibrium(p) is None
-            else FunctionalKind.V_ENDEMIC)
-
-
-def _require_divisors(p: ModelParams) -> None:
-    """trace_along's divisors for p, each checked nonzero, so a caller can
-    raise RateUnderflowError before it integrates the limiting run."""
-    if _kind(p) is FunctionalKind.V_DFE:
+def _require_divisors(p: ModelParams) -> FunctionalKind:
+    """trace_along's functional for p, V_ENDEMIC where E* exists (R0 > 1) and
+    V_DFE otherwise (R0 <= 1), once its divisors are each checked nonzero;
+    so a caller can raise RateUnderflowError before it integrates the
+    limiting run."""
+    if endemic_equilibrium(p) is None:
         _require_dfe_divisors(p)
-    else:
-        _require_endemic_divisors(p)
+        return FunctionalKind.V_DFE
+    _require_endemic_divisors(p)
+    return FunctionalKind.V_ENDEMIC
 
 
 def _v_dfe(p: ModelParams, ys: Sequence[float], times: Sequence[float], m: int,
@@ -245,7 +241,7 @@ def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:
     if traj.system is not SystemKind.LIMITING:
         raise InvalidSpecError(f"the functionals descend along the limiting "
                                f"system, got a {traj.system.value} trajectory")
-    kind = _kind(p)
+    kind = _require_divisors(p)
     nodes, m, h = traj.nodes, traj.m, traj.h
     if nodes - m < 2:
         raise EmptyWindowError("horizon too short: need at least two nodes past tau")

@@ -36,11 +36,13 @@ allows, and sweep.csv is the same bytes as a run on one CPU. A worker that
 returns no lines (it raised, died or never started) has its rows run in this
 process, so a failure is raised as a serial run raises it.
 
-On two or more CPUs, a scenario run formats each CSV artifact in a forked
-child as soon as its data is final, while this process runs the remaining
-analyses. The child formats finished data only, so it raises nothing a run
-can raise. An artifact whose child sends back nothing is formatted in this
-process, with the same bytes. One helper, _fork, forks for both uses.
+On two or more CPUs, a scenario run formats a CSV artifact in a forked
+child as soon as its data is final, where another analysis follows for
+this process to run meanwhile; a CSV that none follows is formatted here,
+as a child would only be waited for. The child formats finished data only,
+so it raises nothing a run can raise. An artifact whose child sends back
+nothing is formatted in this process, with the same bytes. One helper,
+_fork, forks for both uses.
 """
 
 from __future__ import annotations
@@ -468,20 +470,26 @@ class _Child:
 
     def result(self) -> bytes | None:
         """Read the child's bytes and reap it. None if it exited nonzero, was
-        killed or sent nothing."""
-        with self._pipe as pipe:
-            data = pipe.read()
-        status = os.waitpid(self._pid, 0)[1]
-        self._pid = 0
+        killed or sent nothing, or if its pipe or its exit status cannot be
+        read (where SIGCHLD is ignored, the kernel reaps the child itself);
+        it raises no OSError of its own."""
+        try:
+            with self._pipe as pipe:
+                data = pipe.read()
+            pid, self._pid = self._pid, 0  # stop() no longer signals it
+            status = os.waitpid(pid, 0)[1]
+        except OSError:
+            return None
         return data if status == 0 and data else None
 
     def stop(self) -> None:
         """Kill the child and reap it, unless result() has reaped it."""
         self._pipe.close()
-        if self._pid:
-            os.kill(self._pid, 9)  # SIGKILL
-            os.waitpid(self._pid, 0)
-            self._pid = 0
+        pid, self._pid = self._pid, 0
+        if pid:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)  # ChildProcessError where SIGCHLD is ignored
 
 
 _Artifact = tuple[str, Any, _Child | None]  # (path, object with to_csv, its child)
@@ -525,10 +533,13 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
     that section (persistence at DEFAULT_THETA if the scenario names no
     fraction) and writes no files. Otherwise report.txt and the CSVs go to
     out_dir (default: the scenario's output.dir) in one block after the last
-    analysis, so a run that fails writes nothing. On two or more CPUs each
-    CSV is formatted in a forked child (_fork) from the moment its data is
-    final, while this process runs the remaining analyses; every child not
-    yet read is killed and reaped however the run ends. Each distinct
+    analysis, so a run that fails writes nothing. On two or more CPUs a CSV
+    that another analysis follows (trajectory.csv before Lyapunov or
+    persistence, lyapunov.csv before persistence) is formatted in a forked
+    child (_fork) from the moment its data is final, while this process runs
+    that analysis; every child not yet read is killed and reaped however the
+    run ends. A CSV that no analysis follows is formatted here: a child
+    would only be waited for. Each distinct
     IntegrationSpec is integrated once: simulate reads the scenario's spec,
     persistence it with system FULL, Lyapunov with system LIMITING, once the
     functional's divisors are checked.
@@ -546,9 +557,11 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
     lines = _equilibria_lines(p)
     artifacts: list[_Artifact] = []
 
-    def artifact(key: str, obj: Any) -> None:  # <key>.csv, written at the end
+    def artifact(key: str, obj: Any, overlap: bool) -> None:
+        """<key>.csv, written at the end; formatted in a child only where an
+        analysis still runs here (`overlap`) for it to overlap."""
         if target is not None:
-            child = _fork(_csv_bytes, obj) if _workers() >= 2 else None
+            child = _fork(_csv_bytes, obj) if overlap and _workers() >= 2 else None
             artifacts.append((os.path.join(target, f"{key}.csv"), obj, child))
             lines.append(f"{key}.file = {artifacts[-1][0]}")
 
@@ -579,7 +592,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             for name in COMPONENT_NAMES:
                 lines.append(f"tail.{name}.inf = {_fmt(getattr(tail.inf, name))}")
                 lines.append(f"tail.{name}.sup = {_fmt(getattr(tail.sup, name))}")
-            artifact("trajectory", traj)
+            artifact("trajectory", traj, overlap=bool(a.lyapunov or a.persistence))
 
         if a.lyapunov:
             _require_divisors(p)  # before the limiting run
@@ -589,7 +602,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             lines.append(f"lyapunov.v_last = {_fmt(float(trace.values[-1]))}")
             lines.append(f"lyapunov.max_increase = {_fmt(trace.max_increase)}")
             lines.append(f"lyapunov.descends = {str(trace.passes_descent()).lower()}")
-            artifact("lyapunov", trace)
+            artifact("lyapunov", trace, overlap=bool(a.persistence))
 
         for theta in a.persistence:
             _require_preconditions(p, phi, theta)  # before the full run
@@ -617,17 +630,19 @@ def _write_out(target: str, artifacts: list[_Artifact], name: str,
     """Make target, write each artifact, then `lines` to target/name, and
     return that path. An artifact is (path, object with to_csv, the child
     formatting it or None); it is written from the bytes its child sends
-    back or, where the child sends none, by the object's to_csv here. Each
-    file is written under a staged name, <path>.part, and all are renamed
-    into place only after the last write succeeds, so a failed write leaves
-    the earlier run's files as they were. An OSError removes what was staged
-    and is SchemaError("output.dir"); run_scenario then reaps the children
-    not yet read."""
+    back or, where it has no child or the child sends none, by the object's
+    to_csv here. Artifacts with no child are written first, so that their
+    formatting here overlaps the children's. Each file is written under a
+    staged name, <path>.part, and all are renamed into place only after the
+    last write succeeds, so a failed write leaves the earlier run's files as
+    they were. An OSError in a write removes what was staged and is
+    SchemaError("output.dir"); a child raises none (_Child.result), and
+    run_scenario reaps the children not yet read."""
     path = os.path.join(target, name)
     finals: list[str] = []  # each staged as final + ".part"
     try:
         os.makedirs(target, exist_ok=True)
-        for final, obj, child in artifacts:
+        for final, obj, child in sorted(artifacts, key=lambda art: art[2] is not None):
             finals.append(final)
             data = None if child is None else child.result()
             if data is None:

@@ -1017,11 +1017,12 @@ ALL_ARTIFACTS = {"integration": {"t_end": 12}, "analyses": {**LYAPUNOV_ON,
                                                             "persistence": [0.5]}}
 
 
-def _simulate(tmp_path, monkeypatch, workers, name="o"):
-    """Run the ALL_ARTIFACTS scenario at `workers` CPUs and return its files."""
+def _simulate(tmp_path, monkeypatch, workers, name="o", **overrides):
+    """Run the ALL_ARTIFACTS scenario, with `overrides`, at `workers` CPUs and
+    return its files."""
     import malaria_dde.scenario as scenario_mod
     monkeypatch.setattr(scenario_mod, "_workers", lambda: workers)
-    path = scenario_file(tmp_path, **ALL_ARTIFACTS)
+    path = scenario_file(tmp_path, **{**ALL_ARTIFACTS, **overrides})
     out = tmp_path / name
     assert cli.main(["simulate", path, "--out", str(out), "--quiet"]) == 0
     assert_no_child_processes()
@@ -1048,6 +1049,49 @@ def test_artifacts_are_the_same_bytes_at_one_and_two_workers(tmp_path, monkeypat
                                                    "trajectory.csv"]
     assert _simulate(tmp_path, monkeypatch, 2) == serial
     assert fork_calls == ["fork", "fork"]  # one child per artifact
+
+
+@pytest.mark.parametrize("analyses,files,forks", [
+    ({"simulate": True, "stability": False}, ["report.txt", "trajectory.csv"], 0),
+    (LYAPUNOV_ON, ["lyapunov.csv", "report.txt", "trajectory.csv"], 1),
+], ids=["simulate-only", "lyapunov-last"])
+def test_an_artifact_that_no_analysis_follows_is_formatted_here(
+        tmp_path, monkeypatch, fork_calls, analyses, files, forks):
+    # a child for the last artifact would only be waited for
+    serial = _simulate(tmp_path, monkeypatch, 1, analyses=analyses)
+    assert sorted(serial) == files
+    assert _simulate(tmp_path, monkeypatch, 2, analyses=analyses) == serial
+    assert fork_calls == ["fork"] * forks
+
+
+@pytest.fixture
+def sigchld_ignored():
+    """SIGCHLD set to SIG_IGN, so the kernel reaps each child itself."""
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    yield
+    signal.signal(signal.SIGCHLD, old)
+
+
+def test_children_the_kernel_reaps_leave_the_same_bytes(tmp_path, monkeypatch, fork_calls,
+                                                        sigchld_ignored):
+    # os.waitpid raises ChildProcessError: each artifact is formatted here
+    serial = _simulate(tmp_path, monkeypatch, 1)
+    assert _simulate(tmp_path, monkeypatch, 2) == serial
+    assert fork_calls == ["fork", "fork"]
+
+
+@pytest.mark.parametrize("code", sorted(LATE_FAILURES))
+def test_a_failing_run_whose_children_the_kernel_reaps_keeps_its_error(
+        tmp_path, capsys, monkeypatch, code, fork_calls, sigchld_ignored):
+    import malaria_dde.scenario as scenario_mod
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
+    path = scenario_file(tmp_path, **LATE_FAILURES[code], analyses=LYAPUNOV_ON)
+    out = tmp_path / "fresh"
+    assert cli.main(["simulate", path, "--out", str(out), "--quiet"]) == code
+    assert fork_calls == ["fork"]
+    assert_no_child_processes()
+    assert not out.exists()
+    assert "output.dir" not in capsys.readouterr().err
 
 
 def _fails_for_artifacts(call, err):
