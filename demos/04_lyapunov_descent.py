@@ -27,8 +27,8 @@ p_sub = replace(p_super, c_vh=0.05, c_hv=0.05)
 
 def show(trace, label):
     print(label)
-    step = max(1, trace.times.size // 8)
-    for k in range(0, trace.times.size, step):
+    step = max(1, len(trace.times) // 8)
+    for k in range(0, len(trace.times), step):
         print(f"  V({trace.times[k]:7.2f}) = {trace.values[k]:.3e}")
     print(f"  V({trace.times[-1]:7.2f}) = {trace.values[-1]:.3e}")
     print("  max one-step increase:", trace.max_increase)

@@ -29,8 +29,8 @@ Node storage: integrate records every mesh node, in one flat `array('d')`
 buffer, four floats per node, that the step loop never reads back. The loop
 keeps the tail's inf and sup in locals from the first tail node on, so a
 sweep row, which reads only those, stores no node and runs in O(m) memory.
-Derivatives are computed with `model.rhs` when read. Trajectory makes numpy
-arrays only when `times`, `states` or `derivs` is read.
+Node k's time is k * h, and its derivative is computed with `model.rhs`
+when read (`_node_deriv`), so neither is stored.
 
 A run needs t_end / h steps; more than defaults.MAX_STEPS is rejected before
 anything is allocated.
@@ -53,7 +53,6 @@ incidence is the current stage's own.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from array import array
 from collections import deque
@@ -79,9 +78,7 @@ from .model import (
     State,
     SystemKind,
     _finite_real,
-    _frozen,
     _spans,
-    np,
     rhs,
 )
 
@@ -122,8 +119,8 @@ class Trajectory:
 
     Node k is mesh step k, at time k * h, and node k - m (m = 0 at tau = 0)
     is its delayed node; `ys` holds the nodes' states, four floats each, and
-    `tail` the step loop's tail stats. `times`, `states` and `derivs` are
-    numpy arrays, made on first read.
+    `tail` the step loop's tail stats. `dense_eval` reads the solution at
+    any time, a node's state bit-exact.
     """
 
     ys: array = field(repr=False)
@@ -143,18 +140,6 @@ class Trajectory:
     @property
     def nodes(self) -> int:
         return len(self.ys) // 4
-
-    @functools.cached_property
-    def times(self) -> np.ndarray:
-        return _frozen(np.arange(self.steps + 1) * self.h)
-
-    @functools.cached_property
-    def states(self) -> np.ndarray:
-        return np.frombuffer(self.ys).reshape(-1, 4)
-
-    @functools.cached_property
-    def derivs(self) -> np.ndarray:
-        return np.array([_node_deriv(self, k) for k in range(self.nodes)])
 
     @property
     def tail(self) -> TailStats:

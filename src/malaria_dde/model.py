@@ -17,25 +17,19 @@ which motivates the "limiting" variant where the incidence denominator is
 frozen at S_v0. Long-run analysis (Lyapunov certificates) is done on the
 limiting system; simulation defaults to the full one.
 
-`np` below is the package's one handle to numpy, which it defers: importing
-the package does not load numpy, the first attribute read on `np` does.
-Every layer keeps its numbers in floats, tuples and `array('d')` buffers
-(Lyapunov traces and `random` histories too), so no CLI command reads `np`,
-nor does `dense_eval`. Only the array properties `Trajectory.times`,
-`states` and `derivs` and `HistorySegment.times` and `states` do, on first
-read, for library callers and tests.
+Every layer keeps its numbers in floats, tuples and `array('d')` buffers,
+so the package needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import functools
-import importlib.util
 import math
 import numbers
-import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -47,27 +41,6 @@ from .errors import (
     ZeroMosquitoPopulationError,
 )
 
-
-def _lazy_numpy():
-    """numpy as a module that runs its import on the first attribute read.
-
-    The LazyLoader recipe of the importlib docs. A numpy already in
-    sys.modules is returned as it is, and when numpy cannot be found the
-    plain import runs, so its ImportError is the usual one.
-    """
-    if sys.modules.get("numpy") is not None:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:  # not installed, or blocked by a None in sys.modules
-        return importlib.import_module("numpy")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-np = _lazy_numpy()
 
 Deriv = tuple[float, float, float, float]
 
@@ -199,11 +172,11 @@ class HistorySegment:
     """Initial data on [-tau, 0]: either a constant state or a sampled table
     interpolated piecewise-linearly.
 
-    The samples are kept as float tuples; `times` and `states` are numpy
-    arrays of them, made (read-only) on first read. Invariants, enforced at
-    construction: one 4-vector of reals per time, finite sample times
-    strictly increasing from -tau to 0, every sample finite and
-    componentwise >= 0, and S_v + I_v > 0 at every sample.
+    The samples are kept as float tuples; `times` and `states` copy them
+    into fresh flat `array('d')` buffers, the states four floats a sample.
+    Invariants, enforced at construction: one 4-vector of reals per time,
+    finite sample times strictly increasing from -tau to 0, every sample
+    finite and componentwise >= 0, and S_v + I_v > 0 at every sample.
     """
 
     def __init__(self, times: Sequence[float], states: Sequence[Sequence[float]],
@@ -244,13 +217,13 @@ class HistorySegment:
             raise InvalidHistoryError("last sample time must be exactly 0")
         return cls(t, states, 0.0 - t[0])  # tau = 0, not -0.0, from times [0]
 
-    @functools.cached_property
-    def times(self) -> np.ndarray:
-        return _frozen(np.array(self._t))
+    @property
+    def times(self) -> array:
+        return array("d", self._t)
 
-    @functools.cached_property
-    def states(self) -> np.ndarray:
-        return _frozen(np.array(self._x).reshape(-1, 4))
+    @property
+    def states(self) -> array:
+        return array("d", chain.from_iterable(self._x))
 
     def value_at(self, theta: float) -> tuple[float, float, float, float]:
         """Piecewise-linear evaluation at offset theta in [-tau, 0] (-tau by `_spans`).
@@ -296,8 +269,3 @@ def _reals(values: object, size: int | None = None) -> tuple[float, ...]:
         raise InvalidHistoryError("history times and samples must be finite") from None
     raise InvalidHistoryError(_NOT_NUMERIC)
 
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, read-only: value_at reads the tuples, so a write would not reach it."""
-    a.flags.writeable = False
-    return a

@@ -20,6 +20,7 @@ from malaria_dde import (
     r0_squared,
     trace_along,
 )
+from malaria_dde.integrator import _node_deriv
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -33,6 +34,26 @@ def subprocess_env() -> dict[str, str]:
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path,
                 PYTHONDONTWRITEBYTECODE="1")
+
+
+# numpy arrays of a recorded run's nodes, for tests that compare them whole
+
+def times_of(traj) -> np.ndarray:
+    """The node times k * h of a recorded run, as a float64 array."""
+    return np.arange(traj.steps + 1) * traj.h
+
+
+def states_of(traj) -> np.ndarray:
+    """The node states of a recorded run, one row of four per node (a view
+    of `traj.ys`)."""
+    return np.frombuffer(traj.ys).reshape(-1, 4)
+
+
+def derivs_of(traj) -> np.ndarray:
+    """The node derivatives of a recorded run, one row of four per node,
+    as the step loop computed them."""
+    return np.array([_node_deriv(traj, k) for k in range(traj.nodes)])
+
 
 # One reference set per threshold regime. All rates are dyadic so closed
 # forms evaluate without rounding.
@@ -110,9 +131,10 @@ def convergence_order(p, phi, spec):
     coarse, mid, ref = (
         integrate(p, phi, replace(spec, steps_per_delay=k * m))
         for k in (1, 2, 4))
-    n = coarse.times.size
-    err1 = float(np.max(np.abs(coarse.states - ref.states[::4][:n])))
-    err2 = float(np.max(np.abs(mid.states[::2][:n] - ref.states[::4][:n])))
+    n = coarse.nodes
+    ys, ym, yr = (states_of(traj) for traj in (coarse, mid, ref))
+    err1 = float(np.max(np.abs(ys - yr[::4][:n])))
+    err2 = float(np.max(np.abs(ym[::2][:n] - yr[::4][:n])))
     if err1 < 1e-12 or err2 <= 0.0:
         return None
     return math.log2(err1 / err2)

@@ -44,6 +44,8 @@ from conftest import (
     draw_subcritical,
     draw_supercritical,
     limiting_trace,
+    states_of,
+    times_of,
 )
 
 
@@ -53,7 +55,7 @@ def full_spec(t_end, **kw):
 
 def final_distance(p, phi, target, t_end):
     traj = integrate(p, phi, full_spec(t_end))
-    return float(np.max(np.abs(traj.states[-1] - np.asarray(target.as_tuple()))))
+    return float(np.max(np.abs(states_of(traj)[-1] - np.asarray(target.as_tuple()))))
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -145,8 +147,9 @@ def test_c4_mosquito_total_follows_the_closed_form():
     p = P_SUPER
     phi = HistorySegment.constant((4.0, 0.5, 30.0, 10.0), p.tau)
     traj = integrate(p, phi, full_spec(100.0))
-    n_v = traj.states[:, 2] + traj.states[:, 3]
-    exact = p.s_v0 + (40.0 - p.s_v0) * np.exp(-p.mu_v * traj.times)
+    ys = states_of(traj)
+    n_v = ys[:, 2] + ys[:, 3]
+    exact = p.s_v0 + (40.0 - p.s_v0) * np.exp(-p.mu_v * times_of(traj))
     assert float(np.max(np.abs(n_v - exact))) < 1e-6
 
 
@@ -166,7 +169,7 @@ def test_c4_componentwise_nonnegativity_is_preserved():
         else:
             spec = full_spec(50.0, step=min(0.05, 0.5 / rate))
         traj = integrate(p, phi, spec)
-        assert float(traj.states.min()) >= 0.0
+        assert float(states_of(traj).min()) >= 0.0
 
 
 # ---------------------------------------------------------------- criterion 5

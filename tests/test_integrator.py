@@ -38,7 +38,14 @@ from malaria_dde import defaults
 from malaria_dde import integrator
 from malaria_dde.integrator import _clamp, _integrate
 
-from conftest import P_SUB, P_SUPER, P_SV0_UNDERFLOW, convergence_order
+from conftest import (
+    P_SUB,
+    P_SUPER,
+    P_SV0_UNDERFLOW,
+    convergence_order,
+    states_of,
+    times_of,
+)
 
 X0 = (4.0, 0.5, 30.0, 10.0)
 
@@ -55,8 +62,9 @@ def test_vector_total_follows_scalar_decay_law():
     # S_v + I_v obeys n' = beta_v - mu_v n regardless of the infection terms,
     # so the stepper can be checked against an exact exponential
     traj = integrate(P_SUPER, _phi(P_SUPER), spec_full(10.0))
-    n_v = traj.states[:, 2] + traj.states[:, 3]
-    exact = 50.0 + (40.0 - 50.0) * np.exp(-0.1 * traj.times)
+    ys = states_of(traj)
+    n_v = ys[:, 2] + ys[:, 3]
+    exact = 50.0 + (40.0 - 50.0) * np.exp(-0.1 * times_of(traj))
     assert float(np.max(np.abs(n_v - exact))) < 1e-9
 
 
@@ -68,8 +76,9 @@ def test_vector_total_error_is_fourth_order(system):
     for m in (5, 10, 20):
         traj = integrate(P_SUPER, _phi(P_SUPER),
                          IntegrationSpec(system=system, t_end=50.0, steps_per_delay=m))
-        n_v = traj.states[:, 2] + traj.states[:, 3]
-        exact = P_SUPER.s_v0 + (40.0 - P_SUPER.s_v0) * np.exp(-P_SUPER.mu_v * traj.times)
+        ys = states_of(traj)
+        n_v = ys[:, 2] + ys[:, 3]
+        exact = P_SUPER.s_v0 + (40.0 - P_SUPER.s_v0) * np.exp(-P_SUPER.mu_v * times_of(traj))
         errs.append(float(np.max(np.abs(n_v - exact))))
     for coarse, fine in zip(errs, errs[1:]):
         assert 12.0 <= coarse / fine <= 20.0, errs
@@ -80,8 +89,8 @@ def test_zero_delay_matches_adaptive_reference():
     traj = integrate(p, _phi(p), spec_full(5.0))
     ref = solve_ivp(lambda t, x: rhs(p, State(*x), State(*x), SystemKind.FULL),
                     (0.0, 5.0), list(X0), method="DOP853",
-                    rtol=1e-12, atol=1e-12, t_eval=traj.times)
-    assert float(np.max(np.abs(ref.y.T - traj.states))) < 1e-9
+                    rtol=1e-12, atol=1e-12, t_eval=times_of(traj))
+    assert float(np.max(np.abs(ref.y.T - states_of(traj)))) < 1e-9
 
 
 def test_small_delay_stays_near_zero_delay_limit():
@@ -91,8 +100,9 @@ def test_small_delay_stays_near_zero_delay_limit():
     ref = solve_ivp(lambda t, x: rhs(p0, State(*x), State(*x), SystemKind.FULL),
                     (0.0, 5.0), list(X0), method="DOP853",
                     rtol=1e-12, atol=1e-12, dense_output=True)
-    worst = max(abs(float(ref.sol(float(traj.times[i]))[k]) - traj.states[i, k])
-                for i in range(0, traj.times.size, 50) for k in range(4))
+    times, ys = times_of(traj), states_of(traj)
+    worst = max(abs(float(ref.sol(float(times[i]))[k]) - ys[i, k])
+                for i in range(0, times.size, 50) for k in range(4))
     assert worst < 1e-3
 
 
@@ -105,22 +115,22 @@ def test_observed_order_is_fourth():
 def test_t_end_rounded_up_to_mesh_multiple():
     # h = 0.1, so 1.03 lands between nodes and rounds up to 11 steps
     traj = integrate(P_SUPER, _phi(P_SUPER), spec_full(1.03, steps_per_delay=10))
-    assert traj.times.size == 12
+    assert times_of(traj).size == 12
     assert traj.t_end == pytest.approx(1.1, abs=1e-12)
     # near-node horizons snap instead of adding a step
     traj2 = integrate(P_SUPER, _phi(P_SUPER), spec_full(1.0 + 1e-12, steps_per_delay=10))
-    assert traj2.times.size == 11
+    assert times_of(traj2).size == 11
 
 
 def test_dense_eval_is_node_exact_and_fourth_order_between():
     coarse = integrate(P_SUPER, _phi(P_SUPER), spec_full(8.0, steps_per_delay=10))
     fine = integrate(P_SUPER, _phi(P_SUPER), spec_full(8.0, steps_per_delay=80))
     k = 37
-    s = dense_eval(coarse, float(coarse.times[k]))
-    assert s.as_tuple() == tuple(coarse.states[k])
+    s = dense_eval(coarse, float(times_of(coarse)[k]))
+    assert s.as_tuple() == tuple(states_of(coarse)[k])
     worst = max(float(np.max(np.abs(np.subtract(dense_eval(coarse, float(t)).as_tuple(),
-                                                 fine.states[i]))))
-                for i, t in enumerate(fine.times))
+                                                 states_of(fine)[i]))))
+                for i, t in enumerate(times_of(fine)))
     assert worst < 1e-6
 
 
@@ -162,7 +172,7 @@ def test_tail_stats_bounds_and_window_validation():
     tail = tail_stats(traj)
     # the window is [TAIL_WINDOW * t_end, t_end] = [20, 40]
     assert tail.t_start == pytest.approx(20.0, abs=1e-9)
-    block = traj.states[traj.times >= tail.t_start]
+    block = states_of(traj)[times_of(traj) >= tail.t_start]
     assert tail.inf.as_tuple() == tuple(block.min(axis=0))
     assert tail.sup.as_tuple() == tuple(block.max(axis=0))
 
@@ -173,17 +183,18 @@ def test_tail_stats_bounds_and_window_validation():
                          ids=["full", "limiting", "tau0"])
 def test_tail_stats_is_the_numpy_mask_min_max(system, tau):
     # the first tail node comes from arithmetic on k * h, and min / max from
-    # the buffers; both must give the floats of the mask over traj.times.
+    # the buffers; both must give the floats of the mask over the node times.
     # t_end 10 and 12 put the cut on a node, 12.34 between two
     p = replace(P_SUPER, tau=tau)
     for t_end in (10.0, 12.0, 12.34):
         traj = integrate(p, _phi(p), IntegrationSpec(system=system, t_end=t_end))
         cut = defaults.TAIL_WINDOW * traj.t_end
-        mask = traj.times >= cut - 1e-12 * (1.0 + abs(cut))
-        block = traj.states[mask]
+        times = times_of(traj)
+        mask = times >= cut - 1e-12 * (1.0 + abs(cut))
+        block = states_of(traj)[mask]
         tail = tail_stats(traj)
-        assert traj.t_end == float(traj.times[-1]) and traj.nodes == traj.times.size
-        assert tail.t_start == float(traj.times[mask][0])
+        assert traj.t_end == float(times[-1]) and traj.nodes == times.size
+        assert tail.t_start == float(times[mask][0])
         assert tail.inf.as_tuple() == tuple(block.min(axis=0).tolist())
         assert tail.sup.as_tuple() == tuple(block.max(axis=0).tolist())
 
@@ -201,7 +212,7 @@ def test_integrate_peak_memory_is_within_three_times_its_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = traj.times.nbytes + traj.states.nbytes
+    returned = times_of(traj).nbytes + states_of(traj).nbytes
     assert traj.nodes == 4001
     assert peak <= 3 * returned, (peak, returned)
 
@@ -371,7 +382,7 @@ def test_limiting_and_full_agree_when_pool_starts_at_rest():
     phi = HistorySegment.constant((4.0, 0.5, 40.0, 10.0), 1.0)
     full = integrate(P_SUPER, phi, spec_full(5.0))
     lim = integrate(P_SUPER, phi, IntegrationSpec(system=SystemKind.LIMITING, t_end=5.0))
-    assert float(np.max(np.abs(full.states - lim.states))) < 1e-12
+    assert float(np.max(np.abs(states_of(full) - states_of(lim)))) < 1e-12
 
 
 def test_trajectory_csv_round_trip():
@@ -381,14 +392,14 @@ def test_trajectory_csv_round_trip():
     text = buf.getvalue().splitlines()
     assert text[0] == "t,S_h,I_h,S_v,I_v"
     parsed = np.loadtxt(text[1:], delimiter=",")
-    assert np.array_equal(parsed[:, 0], traj.times)
-    assert np.array_equal(parsed[:, 1:], traj.states)  # 17 digits round-trip exactly
+    assert np.array_equal(parsed[:, 0], times_of(traj))
+    assert np.array_equal(parsed[:, 1:], states_of(traj))  # 17 digits round-trip exactly
 
 
 def test_nonnegativity_holds_from_boundary_history():
     phi = HistorySegment.constant((4.0, 0.0, 50.0, 0.1), 1.0)
     traj = integrate(P_SUB, phi, spec_full(200.0))
-    assert float(traj.states.min()) >= 0.0
+    assert float(states_of(traj).min()) >= 0.0
 
 
 def test_default_horizon_is_forty_slowest_lifetimes():
@@ -412,8 +423,8 @@ def test_delay_within_the_span_tolerance_reads_the_history():
     phi = HistorySegment.table([-1.0, 0.0], [list(X0)] * 2)
     near = integrate(replace(P_SUPER, tau=1.0 + 1e-10), phi, spec_full(2.0))
     exact = integrate(P_SUPER, phi, spec_full(2.0))
-    assert near.times.size == exact.times.size
-    assert float(np.max(np.abs(near.states - exact.states))) < 1e-8
+    assert times_of(near).size == times_of(exact).size
+    assert float(np.max(np.abs(states_of(near) - states_of(exact)))) < 1e-8
 
 
 @pytest.mark.parametrize("tau,kw", [
@@ -477,7 +488,7 @@ def test_csv_writers_match_per_value_formatting():
     traj.to_csv(buf)
     expected = "t,S_h,I_h,S_v,I_v\n" + "".join(
         f"{t:.17g},{r[0]:.17g},{r[1]:.17g},{r[2]:.17g},{r[3]:.17g}\n"
-        for t, r in zip(traj.times, traj.states))
+        for t, r in zip(times_of(traj), states_of(traj)))
     assert buf.getvalue() == expected
 
 

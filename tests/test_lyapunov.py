@@ -30,7 +30,15 @@ from malaria_dde import (
 )
 from malaria_dde.lyapunov import _log0
 
-from conftest import P_CRIT, P_SUB, P_SUPER, constant_history, limiting_trace
+from conftest import (
+    P_CRIT,
+    P_SUB,
+    P_SUPER,
+    constant_history,
+    limiting_trace,
+    states_of,
+    times_of,
+)
 
 
 def test_log_is_libm_and_keeps_np_log_at_nonpositive_entries(rng):
@@ -238,11 +246,11 @@ def test_trace_matches_single_window_evaluation():
     traj = integrate(P_SUB, phi, spec)
     trace = trace_along(P_SUB, traj)
     m = spec.steps_per_delay
+    times, ys = times_of(traj), states_of(traj)
     for probe in (0, 57, -1):
         t = float(trace.times[probe])
-        k = int(np.searchsorted(traj.times, t))  # the node at t
-        window = HistorySegment(traj.times[k - m:k + 1] - t,
-                                traj.states[k - m:k + 1], traj.tau)
+        k = int(np.searchsorted(times, t))  # the node at t
+        window = HistorySegment(times[k - m:k + 1] - t, ys[k - m:k + 1], traj.tau)
         direct = v_dfe(P_SUB, window)
         assert float(trace.values[probe]) == pytest.approx(direct, rel=1e-12)
 
@@ -260,7 +268,7 @@ def test_trace_csv_shape():
     trace.to_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,V"
-    assert len(lines) == trace.times.size + 1
+    assert len(lines) == len(trace.times) + 1
 
 
 def test_trace_along_gates_the_regime():

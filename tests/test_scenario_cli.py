@@ -471,7 +471,7 @@ def _import_budget_runs(case, tmp_path):
     "simulate-random", "sweep-tail-random-serial", "sweep-tail-random-forked",
     "perfbench-simulate", "perfbench-sweep_tail", "perfbench-stability_scan"])
 def test_cli_loads_no_numpy(tmp_path, case):
-    # numpy loads on first use, and no CLI command uses it: the closed-form
+    # the package imports no numpy, and no CLI command loads it: the closed-form
     # paths, input errors, the march, tail, persistence, Lyapunov trace and
     # CSVs, and random histories, in this process or in sweep workers.
     # scipy is a test dependency only and never loads (structural checks,
@@ -487,20 +487,50 @@ def test_cli_loads_no_numpy(tmp_path, case):
     assert not [m for m in loaded if m.startswith("numpy.")], loaded[:5]
 
 
-def test_missing_numpy_fails_the_import_as_a_plain_import_does():
-    # the lazy handle falls back to the plain import when numpy cannot be
-    # found, so the error and its message are the usual ones
-    code = ("import sys\n"
-            "sys.modules['numpy'] = None  # as if numpy were not there\n"
-            "try:\n"
-            "    import {}\n"
-            "except ImportError as exc:\n"
-            "    print(type(exc).__name__, exc)\n")
-    out = [subprocess.run([sys.executable, "-c", code.format(mod)],
-                          env=subprocess_env(), capture_output=True, text=True).stdout
-           for mod in ("numpy", "malaria_dde")]
-    assert out[0].startswith("ModuleNotFoundError")
-    assert out[1] == out[0]
+# Runs the CLI once per argv of a JSON [block, argvs] argument, with two
+# CPUs for forks, and prints the exit codes; block imports the package as if
+# numpy were not installed.
+_MAIN_WITHOUT_NUMPY = (
+    "import json, sys\n"
+    "block, runs = json.loads(sys.argv[1])\n"
+    "if block:\n"
+    "    sys.modules['numpy'] = None  # as if numpy were not there\n"
+    "import malaria_dde.scenario\n"
+    "from malaria_dde.cli import main\n"
+    "malaria_dde.scenario._workers = lambda: 2\n"
+    "print(json.dumps([main(argv) for argv in runs]))\n")
+
+
+def test_the_package_runs_without_numpy(tmp_path):
+    # no runtime dependency: with numpy blocked, the package imports, and
+    # simulate (constant and random history, artifacts in forked children),
+    # a forked tail sweep and report --only lyapunov exit 0 with the bytes
+    # of a run that could load numpy
+    with open(ENDEMIC_DEMO) as fh:
+        random_endemic = {**json.load(fh), "history": {"kind": "random"}}
+    inputs = {"random.json": random_endemic, "sweep.json": _RANDOM_TAIL_SWEEP}
+    runs = [["simulate", ENDEMIC_DEMO, "--out", "endemic"],
+            ["simulate", "random.json", "--out", "random", "--seed", "7"],
+            ["sweep", "sweep.json", "--out", "sweep"],
+            ["report", ENDEMIC_DEMO, "--only", "lyapunov"]]
+    got = {}
+    for block in (True, False):
+        cwd = tmp_path / ("blocked" if block else "free")
+        cwd.mkdir()
+        for name, obj in inputs.items():
+            write_json(cwd / name, obj)
+        proc = subprocess.run([sys.executable, "-c", _MAIN_WITHOUT_NUMPY,
+                               json.dumps([block, runs])], cwd=cwd,
+                              env=subprocess_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        *out, codes = proc.stdout.splitlines()
+        assert json.loads(codes) == [0] * len(runs), proc.stderr
+        files = {f.relative_to(cwd).as_posix(): f.read_bytes()
+                 for f in cwd.rglob("*") if f.is_file()}
+        got[block] = (out, proc.stderr, files)
+    assert {"endemic/trajectory.csv", "random/lyapunov.csv",
+            "sweep/sweep.csv"} <= set(got[True][2])
+    assert got[True] == got[False]
 
 
 def test_integrate_and_dense_eval_load_no_numpy():

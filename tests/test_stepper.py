@@ -22,7 +22,7 @@ from malaria_dde import (
 )
 from malaria_dde import integrator
 
-from conftest import P_SUPER
+from conftest import P_SUPER, derivs_of, states_of, times_of
 
 X0 = (4.0, 0.5, 30.0, 10.0)
 TABLE = HistorySegment.table(
@@ -69,7 +69,7 @@ def _csv_sha256(name):
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-# sha256 of Trajectory.derivs for each run, recorded when the step loop still
+# sha256 of the node derivatives (derivs_of) for each run, recorded when the step loop still
 # stored each node's derivative; computed again from the nodes, they keep it
 DERIVS_SHA256 = {
     "full": "9c275b51c4a25237f05f161c0be2abe259c7ea61001633bf241f53c830782897",
@@ -88,18 +88,18 @@ def test_trajectory_csv_is_bit_exact(name):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_node_derivatives_are_bit_exact(name):
-    derivs = integrate(*RUNS[name]).derivs
+    derivs = derivs_of(integrate(*RUNS[name]))
     assert hashlib.sha256(derivs.tobytes()).hexdigest() == DERIVS_SHA256[name]
 
 
 def _assert_node_derivatives(p, phi, spec, traj):
     """Each node's derivative is the right-hand side at the node and the
     node m steps back (the history's value in the first delay interval)."""
-    states = traj.states.tolist()
+    states, derivs = states_of(traj).tolist(), derivs_of(traj)
     m = spec.steps_per_delay if traj.tau > 0 else 0
     for n, y in enumerate(states):
         yd = states[n - m] if n >= m else phi.value_at(n * traj.h - traj.tau)
-        deriv = tuple(traj.derivs[n].tolist())
+        deriv = tuple(derivs[n].tolist())
         assert rhs(p, State(*y), State(*yd), spec.system) == deriv, n
 
 
@@ -122,7 +122,11 @@ def test_every_mesh_node_is_recorded(m, steps):
                            steps_per_delay=m)
     traj = integrate(P_SUPER, phi, spec)
     assert traj.steps == steps and traj.nodes == steps + 1
-    assert np.array_equal(traj.times, np.arange(steps + 1) * traj.h)
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    csv_times = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1,
+                           usecols=0)
+    assert np.array_equal(csv_times, times_of(traj))
     _assert_node_derivatives(P_SUPER, phi, spec, traj)
 
 
@@ -152,7 +156,7 @@ def test_smallest_windows_step_like_a_reference_rk4(m, history, system):
     f = lambda y, yd: rhs(P_SUPER, State(*y), State(*yd), system)
     h, tau = traj.h, traj.tau
     hh, eighth = 0.5 * h, 0.125 * h
-    ys, fs = traj.states.tolist(), traj.derivs.tolist()
+    ys, fs = states_of(traj).tolist(), derivs_of(traj).tolist()
 
     def delayed(n):  # the state at node n's delayed time
         return tuple(ys[n - m]) if n >= m else phi.value_at(n * h - tau)
@@ -188,8 +192,8 @@ def test_clamp_zeroes_a_rounding_level_dip_inside_integrate(monkeypatch):
     p = replace(P_SUPER, c_vh=1e-300)
     phi = HistorySegment.constant((4.0, 0.0, 30.0, 10.0), p.tau)
     traj = integrate(p, phi, IntegrationSpec(t_end=3 * h, steps_per_delay=10))
-    assert traj.states[1:, 1].tolist() == [0.0, 0.0, 0.0]
-    assert traj.states[:, 0].tolist() == [4.0] * 4
+    assert states_of(traj)[1:, 1].tolist() == [0.0, 0.0, 0.0]
+    assert states_of(traj)[:, 0].tolist() == [4.0] * 4
 
 
 @pytest.mark.parametrize("rate,error", [(-1.5e-8, NegativityBreachError),

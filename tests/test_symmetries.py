@@ -42,7 +42,7 @@ from malaria_dde import (
 )
 from malaria_dde.integrator import _integrate
 
-from conftest import TAU_CHOICES
+from conftest import TAU_CHOICES, states_of
 
 RATES = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv")
 DRAWS = 48  # tau cycles through TAU_CHOICES, the system through FULL, LIMITING
@@ -123,13 +123,13 @@ def test_time_scaling_keeps_every_node_bit(i):
 @pytest.mark.parametrize("i", range(DRAWS))
 def test_host_scaling_doubles_the_host_components(i):
     traj = _scaled(i, *HOST)
-    assert traj.ys.tobytes() == (_base(i).states * HOST[0]).tobytes()
+    assert traj.ys.tobytes() == (states_of(_base(i)) * HOST[0]).tobytes()
 
 
 @pytest.mark.parametrize("i", range(DRAWS))
 def test_mosquito_scaling_doubles_the_mosquito_components(i):
     traj = _scaled(i, *MOSQUITO)
-    assert traj.ys.tobytes() == (_base(i).states * MOSQUITO[0]).tobytes()
+    assert traj.ys.tobytes() == (states_of(_base(i)) * MOSQUITO[0]).tobytes()
 
 
 @pytest.mark.parametrize("i", range(DRAWS))
