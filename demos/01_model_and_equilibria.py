@@ -7,8 +7,6 @@ reproduction number and both equilibria, and verifies the closed forms by
 plugging them back into the right hand side.
 """
 
-from dataclasses import replace
-
 from malaria_dde import (
     ModelParams,
     SystemKind,
@@ -38,11 +36,11 @@ print("residual:", equilibrium_residual(p, star))
 
 # the endemic state exists exactly when R0 > 1; damp transmission and it
 # disappears while the disease-free state stays put
-weak = replace(p, c_vh=0.05, c_hv=0.05)
+weak = p._replace(c_vh=0.05, c_hv=0.05)
 print("\nwith weak transmission: R0 =", basic_reproduction_number(weak))
 print("endemic state:", endemic_equilibrium(weak))
 print("disease-free state:", disease_free_equilibrium(weak).as_tuple())
 
 # R0^2 is linear in each transmission coefficient
 print("\ndoubling c_vh doubles R0^2:",
-      r0_squared(replace(p, c_vh=0.4)) == 2 * r0_squared(p))
+      r0_squared(p._replace(c_vh=0.4)) == 2 * r0_squared(p))

@@ -10,8 +10,6 @@ the sign of G(0), which is the sign of 1 - R0^2 at E0 and of R0^2 - 1 at E*;
 only the root's value says more than R0 does.
 """
 
-from dataclasses import replace
-
 from malaria_dde import (
     DfeCharCoeffs,
     EndemicCharCoeffs,
@@ -29,7 +27,7 @@ for kind in (EquilibriumKind.DISEASE_FREE, EquilibriumKind.ENDEMIC):
     for line in classify(p, kind).as_lines():
         print(" ", line)
 
-weak = replace(p, c_vh=0.05, c_hv=0.05)  # R0 < 1
+weak = p._replace(c_vh=0.05, c_hv=0.05)  # R0 < 1
 print("\nsubcritical parameters")
 for line in classify(weak, EquilibriumKind.DISEASE_FREE).as_lines():
     print(" ", line)
@@ -37,7 +35,7 @@ for line in classify(weak, EquilibriumKind.DISEASE_FREE).as_lines():
 # the verdicts do not move with the delay
 print("\nrightmost real root at the unstable disease-free state, by tau:")
 for tau in (0.0, 0.5, 1.0, 2.0, 5.0):
-    rep = classify(replace(p, tau=tau), EquilibriumKind.DISEASE_FREE)
+    rep = classify(p._replace(tau=tau), EquilibriumKind.DISEASE_FREE)
     print(f"  tau = {tau:3}: root = {rep.rightmost_real_root:.6f}"
           f"  ({rep.classification.value})")
 

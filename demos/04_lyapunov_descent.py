@@ -9,8 +9,6 @@ evaluated on sliding windows of the limiting system's trajectory, and R0
 picks which one trace_along uses.
 """
 
-from dataclasses import replace
-
 from malaria_dde import (
     HistorySegment,
     IntegrationSpec,
@@ -22,7 +20,7 @@ from malaria_dde import (
 
 p_super = ModelParams(beta_h=2.0, beta_v=5.0, mu_h=0.5, mu_v=0.1,
                       c_vh=0.2, c_hv=0.1, tau=1.0)
-p_sub = replace(p_super, c_vh=0.05, c_hv=0.05)
+p_sub = p_super._replace(c_vh=0.05, c_hv=0.05)
 
 
 def show(trace, label):

@@ -8,7 +8,7 @@ comparisons are made on R0^2 to avoid a sqrt rounding cliff at 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NumericalError, RateUnderflowError, SubcriticalR0Error
 from .model import ModelParams, State, SystemKind, rhs
@@ -65,11 +65,8 @@ def equilibrium_residual(p: ModelParams, state: State) -> float:
     return max(abs(v) for v in rhs(p, state, state, SystemKind.FULL))
 
 
-@dataclass(frozen=True)
-class EquilibriumSet:
-    r0: float
-    e0: State
-    e_star: State | None
+class EquilibriumSet(namedtuple("EquilibriumSet", "r0 e0 e_star")):
+    __slots__ = ()
 
 
 def equilibrium_set(p: ModelParams) -> EquilibriumSet:

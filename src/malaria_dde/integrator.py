@@ -55,8 +55,7 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from itertools import chain
 from typing import IO, Iterable, Sequence
 
@@ -78,6 +77,7 @@ from .model import (
     State,
     SystemKind,
     _finite_real,
+    _make_validated,
     _spans,
     rhs,
 )
@@ -85,23 +85,24 @@ from .model import (
 CSV_HEADER = "t,S_h,I_h,S_v,I_v"
 
 
-@dataclass(frozen=True)
-class IntegrationSpec:
-    """Mesh controls.
+class IntegrationSpec(namedtuple("IntegrationSpec", "system t_end steps_per_delay step",
+                                 defaults=(SystemKind.FULL, None, defaults.STEPS_PER_DELAY,
+                                           None))):
+    """Mesh controls, a named tuple (it hashes as one: a scenario keys its
+    runs by spec).
 
     t_end = None integrates to 40 / min(mu_h, mu_v) of the params passed to
     integrate, so one spec gives each parameter set its own default horizon.
     steps_per_delay fixes h = tau / m when tau > 0; step fixes h directly
-    when tau = 0 (None picks min(0.05, 0.1/max_rate)). Construction holds
-    each field to its scenario-loader rule (InvalidSpecError).
+    when tau = 0 (None picks min(0.05, 0.1/max_rate)). Construction (and
+    `_replace`) holds each field to its scenario-loader rule
+    (InvalidSpecError).
     """
 
-    system: SystemKind = SystemKind.FULL
-    t_end: float | None = None
-    steps_per_delay: int = defaults.STEPS_PER_DELAY
-    step: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> "IntegrationSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.system, SystemKind):
             raise InvalidSpecError(f"system must be a SystemKind, got {self.system!r}")
         for name in ("t_end", "step"):
@@ -111,9 +112,11 @@ class IntegrationSpec:
         n = self.steps_per_delay
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise InvalidSpecError("steps_per_delay must be an integer >= 1")
+        return self
+
+    _make = classmethod(_make_validated)
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Recorded mesh solution of `system` under `params`.
 
@@ -121,17 +124,34 @@ class Trajectory:
     is its delayed node; `ys` holds the nodes' states, four floats each, and
     `tail` the step loop's tail stats. `dense_eval` reads the solution at
     any time, a node's state bit-exact.
+
+    Read-only like the named tuples, and equal to a trajectory of equal
+    fields, but a class of its own: its stored tail stats, which `tail`
+    guards, need a private name that a named tuple's field cannot have.
     """
 
-    ys: array = field(repr=False)
-    steps: int
-    history: HistorySegment
-    tau: float
-    h: float
-    system: SystemKind
-    params: ModelParams
-    m: int
-    _tail: TailStats | None = field(repr=False)  # None: fewer than two tail nodes
+    __slots__ = ("ys", "steps", "history", "tau", "h", "system", "params", "m", "_tail")
+
+    def __init__(self, ys: array, steps: int, history: HistorySegment, tau: float,
+                 h: float, system: SystemKind, params: ModelParams, m: int,
+                 tail: TailStats | None):  # None: fewer than two tail nodes
+        for name, value in zip(self.__slots__,
+                               (ys, steps, history, tau, h, system, params, m, tail)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+
+    __hash__ = None  # ys is an array, which has no hash
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__[1:-1])
+        return f"Trajectory({shown})"
 
     @property
     def t_end(self) -> float:
@@ -386,7 +406,7 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
     tail = (TailStats(first * h, State(lo_a, lo_b, lo_c, lo_d), State(hi_a, hi_b, hi_c, hi_d))
             if first < n_steps else None)
     return Trajectory(ys=ys, steps=n_steps, history=phi, tau=float(tau), h=h,
-                      system=spec.system, params=p, m=m, _tail=tail)
+                      system=spec.system, params=p, m=m, tail=tail)
 
 
 def dense_eval(traj: Trajectory, t: float) -> State:
@@ -425,14 +445,11 @@ def dense_eval(traj: Trajectory, t: float) -> State:
                           t, k) for k in range(4)))
 
 
-@dataclass(frozen=True)
-class TailStats:
+class TailStats(namedtuple("TailStats", "t_start inf sup")):
     """Componentwise inf/sup over the nodes in [TAIL_WINDOW * t_end, t_end],
     kept by the step loop as it runs, so no node need be stored for them."""
 
-    t_start: float
-    inf: State
-    sup: State
+    __slots__ = ()
 
 
 def tail_stats(traj: Trajectory) -> TailStats:

@@ -29,7 +29,7 @@ import enum
 import math
 import operator
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, islice
 from typing import IO, Callable, Sequence
 
@@ -85,7 +85,7 @@ def _require_endemic_divisors(p: ModelParams) -> State:
     """E*, once _v_endemic's divisors are each checked nonzero;
     SubcriticalR0Error when R0 <= 1."""
     star = _require_endemic(p)
-    s_h, i_h, s_v, i_v = star.as_tuple()
+    s_h, i_h, s_v, i_v = star
     _require_nonzero({"S_h*": s_h, "I_h*": i_h, "S_v*": s_v, "I_v*": i_v,
                       "mu_v * I_v*": p.mu_v * i_v,
                       "beta_v * mu_h * I_h*": p.beta_v * p.mu_h * i_h})
@@ -149,7 +149,7 @@ def _v_endemic(p: ModelParams, ys: Sequence[float], times: Sequence[float], m: i
                log: _Log) -> _Floats:
     """Endemic functional at every node k >= m, as _v_dfe. Needs R0 > 1,
     strictly positive states at k >= m, and I_v * S_h > 0 at every node."""
-    s_h, i_h, s_v, i_v = _require_endemic_divisors(p).as_tuple()
+    s_h, i_h, s_v, i_v = _require_endemic_divisors(p)
     num, den = p.mu_v * p.c_vh, p.beta_v * p.mu_h * i_h
     weight = p.mu_h * i_h / (p.mu_v * i_v)
     scale = p.mu_h * i_h
@@ -217,14 +217,10 @@ def v_endemic(p: ModelParams, psi: HistorySegment) -> float:
     return _window_value(FunctionalKind.V_ENDEMIC, p, psi)
 
 
-@dataclass(frozen=True)
-class LyapunovTrace:
+class LyapunovTrace(namedtuple("LyapunovTrace", "kind times values max_increase")):
     """Functional values at every recorded node t >= tau, as array('d')."""
 
-    kind: FunctionalKind
-    times: array
-    values: array
-    max_increase: float
+    __slots__ = ()
 
     def passes_descent(self) -> bool:
         """Monotone within DESCENT_SLACK_SCALE * (1 + |V at the first node|)."""

@@ -28,9 +28,9 @@ import enum
 import math
 import numbers
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     InvalidHistoryError,
@@ -47,29 +47,32 @@ Deriv = tuple[float, float, float, float]
 _RATE_FIELDS = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+def _make_validated(cls: type, iterable: Iterable[object]) -> tuple:
+    """A validating value type's `_make`: its constructor, so that `_replace`
+    (which namedtuple builds on `_make`) checks the new values too."""
+    return cls(*iterable)
+
+
+class ModelParams(namedtuple("ModelParams", "beta_h beta_v mu_h mu_v c_vh c_hv tau")):
     """Rates are per unit time; c_vh / c_hv are the two transmission rates.
 
-    Construction (and `dataclasses.replace`) raises NonPositiveRateError
-    naming a rate that is not a finite real > 0, and NegativeDelayError for
-    a tau that is not a finite real >= 0; no entry point checks again.
+    A named tuple of floats: it unpacks, compares and hashes as a tuple.
+    Construction (and `_replace`) raises NonPositiveRateError naming a rate
+    that is not a finite real > 0, and NegativeDelayError for a tau that is
+    not a finite real >= 0; no entry point checks again.
     """
 
-    beta_h: float
-    beta_v: float
-    mu_h: float
-    mu_v: float
-    c_vh: float
-    c_hv: float
-    tau: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            v = getattr(self, name)
+    def __new__(cls, *args: float, **kwargs: float) -> "ModelParams":
+        self = super().__new__(cls, *args, **kwargs)
+        for name, v in zip(_RATE_FIELDS, self):
             if not (_finite_real(v) and v > 0):
                 raise NonPositiveRateError(name, v)
         _check_delay(self.tau)
+        return self
+
+    _make = classmethod(_make_validated)
 
     @property
     def s_h0(self) -> float:
@@ -119,22 +122,18 @@ def _spans(span: float, tau: float) -> bool:
     return abs(span - tau) <= 1e-9 * (1.0 + tau)
 
 
-@dataclass(frozen=True)
-class State:
-    """Compartment sizes at one instant. Derivatives reuse the same 4-tuple
-    shape as plain tuples, since they may be negative."""
+class State(namedtuple("State", "s_h i_h s_v i_v")):
+    """Compartment sizes at one instant, a 4-tuple. Derivatives reuse the
+    same shape as plain tuples, since they may be negative."""
 
-    s_h: float
-    i_h: float
-    s_v: float
-    i_v: float
+    __slots__ = ()
 
     @property
     def n_v(self) -> float:
         return self.s_v + self.i_v
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.s_h, self.i_h, self.s_v, self.i_v)
+        return tuple(self)
 
 
 COMPONENT_NAMES = ("s_h", "i_h", "s_v", "i_v")
@@ -204,11 +203,10 @@ class HistorySegment:
                                       "on the history interval")
 
     @classmethod
-    def constant(cls, state: State | Sequence[float], tau: float) -> "HistorySegment":
+    def constant(cls, state: Sequence[float], tau: float) -> "HistorySegment":
         _check_delay(tau)
-        row = state.as_tuple() if isinstance(state, State) else state
         times = [-float(tau), 0.0] if tau > 0 else [0.0]
-        return cls.table(times, [row] * len(times))
+        return cls.table(times, [state] * len(times))
 
     @classmethod
     def table(cls, times: Sequence[float], states: Sequence[Sequence[float]]) -> "HistorySegment":

@@ -15,7 +15,7 @@ limsup/liminf with tail window extrema; it does not integrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .equilibria import _require_endemic
 from .errors import (
@@ -24,15 +24,12 @@ from .errors import (
     NumericalError,
     ThetaOutOfRangeError,
 )
-from .integrator import SystemKind, TailStats, Trajectory, tail_stats
+from .integrator import SystemKind, Trajectory, tail_stats
 from .model import COMPONENT_NAMES, HistorySegment, ModelParams, State, _finite_real
 
 
-@dataclass(frozen=True)
-class PersistenceBounds:
-    theta: float
-    s_v_bar: float
-    s_h_bar: float
+class PersistenceBounds(namedtuple("PersistenceBounds", "theta s_v_bar s_h_bar")):
+    __slots__ = ()
 
 
 def _require_theta(theta: float) -> float:
@@ -55,13 +52,9 @@ def persistence_bounds(p: ModelParams, theta: float) -> PersistenceBounds:
     return PersistenceBounds(theta=theta, s_v_bar=s_v_bar, s_h_bar=s_h_bar)
 
 
-@dataclass(frozen=True)
-class PersistenceReport:
-    theta: float
-    threshold: float
-    i_h_tail_sup: float
-    tail: TailStats
-    passes: bool
+class PersistenceReport(namedtuple("PersistenceReport",
+                                     "theta threshold i_h_tail_sup tail passes")):
+    __slots__ = ()
 
     def as_lines(self) -> list[str]:
         key = f"persistence.theta_{float(self.theta)!r}"

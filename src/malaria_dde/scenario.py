@@ -55,7 +55,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import IO, Any, Callable
 
 from . import defaults
@@ -86,12 +86,12 @@ DEFAULT_SWEEP_COLUMNS = ("r0", "classification_e0", "classification_e_star",
                          "i_h_star")
 
 
-@dataclass(frozen=True)
-class HistorySpec:
-    kind: str                      # constant | table | random
-    state: tuple[float, ...] | None = None
-    times: tuple[float, ...] | None = None
-    states: tuple[tuple[float, ...], ...] | None = None
+class HistorySpec(namedtuple("HistorySpec", "kind state times states",
+                             defaults=(None, None, None))):
+    """history.kind (constant | table | random) and its section's arrays as
+    tuples: state for constant, times and states for table."""
+
+    __slots__ = ()
 
     def build(self, p: ModelParams, seed: int) -> HistorySegment:
         """The history for p; a random one takes the first four draws of
@@ -168,29 +168,18 @@ def _uniform(seed: int) -> Callable[[float, float], float]:
     return uniform
 
 
-@dataclass(frozen=True)
-class Analyses:
-    simulate: bool = True
-    stability: bool = True
-    lyapunov: bool = False
-    persistence: tuple[float, ...] = ()
+class Analyses(namedtuple("Analyses", "simulate stability lyapunov persistence",
+                          defaults=(True, True, False, ()))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
-    params: ModelParams
-    history: HistorySpec
-    integration: IntegrationSpec = IntegrationSpec()
-    analyses: Analyses = Analyses()
-    out_dir: str = "out"
+class Scenario(namedtuple("Scenario", "params history integration analyses out_dir",
+                          defaults=(IntegrationSpec(), Analyses(), "out"))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    base: Scenario
-    axis: str
-    values: tuple[float, ...]
-    columns: tuple[str, ...]
+class SweepSpec(namedtuple("SweepSpec", "base axis values columns")):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------- loading
@@ -401,10 +390,11 @@ def _scenario(obj: Any, name: str, path: str) -> Scenario:
             raise SchemaError(f"{path}.history.times",
                               f"span {span!r} differs from params.tau = "
                               f"{params.tau!r}")
+    default = Scenario._field_defaults
     return Scenario(params=params, history=history,
-                    integration=s.get("integration", Scenario.integration),
-                    analyses=s.get("analyses", Scenario.analyses),
-                    out_dir=s.get("output", {}).get("dir", Scenario.out_dir))
+                    integration=s.get("integration", default["integration"]),
+                    analyses=s.get("analyses", default["analyses"]),
+                    out_dir=s.get("output", {}).get("dir", default["out_dir"]))
 
 
 def _load_json(path: str, what: str) -> Any:
@@ -596,7 +586,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
 
         if a.lyapunov:
             _require_divisors(p)  # before the limiting run
-            trace = trace_along(p, run(replace(spec, system=SystemKind.LIMITING)))
+            trace = trace_along(p, run(spec._replace(system=SystemKind.LIMITING)))
             lines.append(f"lyapunov.kind = {trace.kind.value}")
             lines.append(f"lyapunov.v_first = {_fmt(float(trace.values[0]))}")
             lines.append(f"lyapunov.v_last = {_fmt(float(trace.values[-1]))}")
@@ -606,7 +596,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
 
         for theta in a.persistence:
             _require_preconditions(p, phi, theta)  # before the full run
-            full = run(replace(spec, system=SystemKind.FULL))
+            full = run(spec._replace(system=SystemKind.FULL))
             lines.extend(weak_persistence_check(p, full, theta).as_lines())
 
         if target is not None:
@@ -665,7 +655,7 @@ def _write_out(target: str, artifacts: list[_Artifact], name: str,
 
 def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
     scn = sweep.base
-    p = replace(scn.params, **{sweep.axis: value})
+    p = scn.params._replace(**{sweep.axis: value})
     row: dict[str, str] = {}
     tail = None
     r2 = r0_squared(p)

@@ -5,7 +5,7 @@ into (lam + mu_h)(lam + mu_v) (two exact negative roots) times
 
     G(lam) = lam^2 + a1*lam + a2 + a3*exp(-lam*tau),
 
-with one (a1, a2, a3) triple per equilibrium. One record type, CharCoeffs,
+with one (a1, a2, a3) triple per equilibrium. One named tuple, CharCoeffs,
 holds that triple, tau and g0 = G(0); DfeCharCoeffs.from_params and
 EndemicCharCoeffs.from_params build it at E0 and at E*, with g0 from the
 identity a2 + a3 = mu_h mu_v (1 - R0^2) at E0 and mu_h mu_v (R0^2 - 1) at E*
@@ -23,11 +23,16 @@ the sign of g0, that is of 1 - R0^2; only the root's value says more:
   G(-a1/2) = -(x - y)^2/4 + a3 exp(a1 tau/2) < 0, so G has exactly one zero
   there and it is the rightmost real root. It lies in [-a1/2, 0] when
   g0 >= 0, and in (0, sqrt(a2 - a3)] otherwise, since
-  G(lam) >= 2 a2 + a1 lam > 0 beyond that end. The polish evaluates G at
-  both bracket ends, then runs Newton's method from the upper end,
-  safeguarded by bisection ("rtsafe", Press et al., Numerical Recipes,
-  sec. 9.4): a step that leaves the bracket or does not halve the step
-  before it is a bisection instead. It stops at a step within
+  G(lam) >= 2 a2 + a1 lam > 0 beyond that end. That margin rounds away when
+  a2 and a1 lam are tiny next to -a3, and G(s) < 0 at s = sqrt(a2 - a3).
+  Only then the bracket is [s, 2s]: at 2s, as a1 s >= 0 and
+  a3 exp(-lam tau) >= a3, G >= 4 s^2 + a2 + a3 = 5 a2 - 3 a3 > 0, with a
+  term 4 s^2 >= -4 a3 that no rounding of a2 + a3 exp(-lam tau) can cancel.
+  So G is not evaluated at 2s, and Newton's method goes on from s. Else
+  the polish evaluates G at both bracket ends, then runs Newton's method
+  from the upper end, safeguarded by bisection ("rtsafe", Press et al.,
+  Numerical Recipes, sec. 9.4): a step that leaves the bracket or does not
+  halve the step before it is a bisection instead. It stops at a step within
   ROOT_XTOL + 4*eps*|x|, after at most 100 iterations. It reads G(0) as g0,
   so the root is 0.0 when g0 == 0 and < 0 when g0 > 0.
 * classification = LAS if g0 > 0, Unstable if g0 < 0 and Critical if
@@ -45,37 +50,39 @@ import cmath
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import defaults
 from .equilibria import _require_endemic, r0_squared
 from .errors import InvalidSpecError, RateUnderflowError, RootPolishError, ValidationError
-from .model import ModelParams, _check_delay
+from .model import ModelParams, _check_delay, _make_validated
 
 
-@dataclass(frozen=True)
-class CharCoeffs:
+class CharCoeffs(namedtuple("CharCoeffs", "a1 a2 a3 tau g0")):
     """G(lam) = lam^2 + a1*lam + a2 + a3*exp(-lam*tau) at one equilibrium,
-    and g0 = G(0) from R0 (module docstring). Construction rejects a sign the
-    root bracket excludes; a2 = 0, a3 = -0.0 (underflow), inf and NaN pass.
+    and g0 = G(0) from R0 (module docstring). Construction (and `_replace`)
+    rejects a sign the root bracket excludes; a2 = 0, a3 = -0.0 (underflow),
+    inf and NaN pass.
     """
 
-    a1: float
-    a2: float
-    a3: float
-    tau: float
-    g0: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: float, **kwargs: float) -> "CharCoeffs":
+        self = super().__new__(cls, *args, **kwargs)
         for name, wrong in (("a1", self.a1 <= 0), ("a2", self.a2 < 0), ("a3", self.a3 > 0)):
             if wrong:
                 raise ValidationError(f"G's root bracket needs a1 > 0, a2 >= 0 and "
                                       f"a3 <= 0, got {name} = {getattr(self, name)!r}")
         _check_delay(self.tau)
+        return self
+
+    _make = classmethod(_make_validated)
 
 
 class DfeCharCoeffs(CharCoeffs):
     """G's coefficients at the disease-free state."""
+
+    __slots__ = ()
 
     @classmethod
     def from_params(cls, p: ModelParams) -> "DfeCharCoeffs":
@@ -104,6 +111,8 @@ def _endemic_weights(p: ModelParams) -> tuple[float, float, float, float, float]
 class EndemicCharCoeffs(CharCoeffs):
     """G's coefficients at the endemic state."""
 
+    __slots__ = ()
+
     @classmethod
     def from_params(cls, p: ModelParams) -> "EndemicCharCoeffs":
         m1, m2, m3, m4, m5 = _endemic_weights(p)
@@ -119,13 +128,16 @@ def char_eval(coeffs: CharCoeffs, lam: complex) -> complex:
     return lam * lam + coeffs.a1 * lam + coeffs.a2 + coeffs.a3 * cmath.exp(-lam * coeffs.tau)
 
 
-def _polish(coeffs: CharCoeffs, lo: float, hi: float) -> float:
+def _polish(coeffs: CharCoeffs, lo: float, hi: float, far: float | None = None) -> float:
     """G's zero in [lo, hi], where G increases, polished from hi as the module
     docstring says; G and G' share one exp, and each value of G narrows the
-    bracket. Returns lo itself when G(lo) >= 0. Raises RootPolishError when G
-    is NaN, when G(hi) is not >= 0, or after 100 iterations from hi."""
+    bracket. Returns lo itself when G(lo) >= 0. Where G(hi) is not >= 0 and
+    a `far` end with G(far) > 0 is given, the bracket becomes [hi, far],
+    far unevaluated, and the polish goes on from hi. Raises RootPolishError
+    when G is NaN, when G(hi) is not >= 0 and no far end is given, or after
+    100 iterations from hi."""
     a1, a2, a3, tau = coeffs.a1, coeffs.a2, coeffs.a3, coeffs.tau
-    x, step = lo, None  # step is None at lo and inf at hi, the first iterate
+    x, step = lo, None  # step is None at lo and inf at an upper end, the first iterate
     for _ in range(101):
         e = -x * tau
         if e > 700.0:  # exp would overflow; the a3-term (a3 <= 0) dominates
@@ -144,7 +156,9 @@ def _polish(coeffs: CharCoeffs, lo: float, hi: float) -> float:
             x, step = hi, math.inf
             continue
         if step == math.inf and not g >= 0.0:
-            raise RootPolishError(f"G(lam) does not change sign across [{lo!r}, {hi!r}]")
+            if far is None:
+                raise RootPolishError(f"G(lam) does not change sign across [{lo!r}, {hi!r}]")
+            hi = far
         if g < 0.0:
             lo = x
         else:
@@ -169,7 +183,8 @@ def rightmost_real_root(coeffs: CharCoeffs) -> float:
     root to within the rounding of G, and the polish returns it as it is.
     """
     if coeffs.g0 < 0.0:
-        return _polish(coeffs, 0.0, math.sqrt(coeffs.a2 - coeffs.a3))
+        end = math.sqrt(coeffs.a2 - coeffs.a3)
+        return _polish(coeffs, 0.0, end, 2.0 * end)
     return _polish(coeffs, -coeffs.a1 / 2.0, 0.0)
 
 
@@ -184,14 +199,10 @@ class EquilibriumKind(enum.Enum):
     ENDEMIC = "E_star"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    which: EquilibriumKind
-    classification: Classification
-    rightmost_real_root: float
-    imag_axis_root_exists: bool
-    routh_hurwitz_tau0: bool
-    factor_roots: tuple[float, float]
+class StabilityReport(namedtuple("StabilityReport", "which classification rightmost_real_root "
+                                                   "imag_axis_root_exists routh_hurwitz_tau0 "
+                                                   "factor_roots")):
+    __slots__ = ()
 
     def as_lines(self) -> list[str]:
         key = f"stability.{self.which.value.lower()}"

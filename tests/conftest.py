@@ -5,7 +5,6 @@ the run)."""
 import math
 import os
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,11 +58,11 @@ def derivs_of(traj) -> np.ndarray:
 # forms evaluate without rounding.
 P_SUPER = ModelParams(beta_h=2.0, beta_v=5.0, mu_h=0.5, mu_v=0.1,
                       c_vh=0.2, c_hv=0.1, tau=1.0)       # R0^2 = 1.6
-P_SUB = replace(P_SUPER, c_vh=0.05, c_hv=0.05)           # R0^2 = 0.2
+P_SUB = P_SUPER._replace(c_vh=0.05, c_hv=0.05)           # R0^2 = 0.2
 P_CRIT = ModelParams(beta_h=1.0, beta_v=5.0, mu_h=1.0, mu_v=0.25,
                      c_vh=0.5, c_hv=0.5, tau=1.0)        # R0^2 = 1 exactly
 # admissible rates whose S_v0 = beta_v / mu_v underflows to 0
-P_SV0_UNDERFLOW = replace(P_CRIT, beta_v=5e-324, mu_v=3.0)
+P_SV0_UNDERFLOW = P_CRIT._replace(beta_v=5e-324, mu_v=3.0)
 
 TAU_CHOICES = (0.0, 0.5, 1.0, 2.0)
 
@@ -85,7 +84,7 @@ def draw_in_regime(rng, lo, hi, tau=None):
     """Rescale c_vh so the squared reproduction number lands in [lo, hi]."""
     p = draw_params(rng, tau)
     target = rng.uniform(lo, hi)
-    return replace(p, c_vh=p.c_vh * target / r0_squared(p))
+    return p._replace(c_vh=p.c_vh * target / r0_squared(p))
 
 
 def draw_supercritical(rng, tau=None):
@@ -129,7 +128,7 @@ def convergence_order(p, phi, spec):
     """
     m = spec.steps_per_delay
     coarse, mid, ref = (
-        integrate(p, phi, replace(spec, steps_per_delay=k * m))
+        integrate(p, phi, spec._replace(steps_per_delay=k * m))
         for k in (1, 2, 4))
     n = coarse.nodes
     ys, ym, yr = (states_of(traj) for traj in (coarse, mid, ref))

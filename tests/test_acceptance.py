@@ -7,8 +7,6 @@ known not to be reachable (see test_c5_threshold_trajectories, kept red on
 purpose).
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -111,7 +109,7 @@ def test_c3_spectral_trichotomy_across_regimes_and_delays():
         subcritical = i % 2 == 0
         base = draw_subcritical(rng) if subcritical else draw_supercritical(rng)
         for tau in (0.0, 0.5, 2.0):
-            p = replace(base, tau=tau)
+            p = base._replace(tau=tau)
             dfe = classify(p, EquilibriumKind.DISEASE_FREE)
             if subcritical:
                 assert dfe.classification is Classification.LAS
@@ -129,7 +127,7 @@ def test_c3_spectral_trichotomy_across_regimes_and_delays():
 
 
 def test_c3_reference_dominant_root():
-    rep = classify(replace(P_SUPER, tau=0.0), EquilibriumKind.DISEASE_FREE)
+    rep = classify(P_SUPER._replace(tau=0.0), EquilibriumKind.DISEASE_FREE)
     assert rep.rightmost_real_root == pytest.approx(0.0464102, abs=1e-6)
 
 
@@ -259,7 +257,7 @@ def test_c8_delay_leaves_thresholds_and_verdicts_unchanged():
     for base in (P_SUPER, P_SUB):
         rows = []
         for tau in taus:
-            p = replace(base, tau=tau)
+            p = base._replace(tau=tau)
             eq = equilibrium_set(p)
             dfe = classify(p, EquilibriumKind.DISEASE_FREE)
             row = [eq.r0, eq.e0.as_tuple(),

@@ -1,7 +1,6 @@
 """Closed-form equilibria against hand arithmetic and a root-finding oracle."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -65,7 +64,7 @@ def test_endemic_matches_root_finder(rng):
 def test_endemic_absent_at_and_below_threshold():
     assert endemic_equilibrium(P_SUB) is None
     assert endemic_equilibrium(P_CRIT) is None  # exactly 1 counts as absent
-    barely = replace(P_CRIT, c_vh=P_CRIT.c_vh * (1 + 1e-9))
+    barely = P_CRIT._replace(c_vh=P_CRIT.c_vh * (1 + 1e-9))
     star = endemic_equilibrium(barely)
     assert star is not None
     assert star.i_h > 0 and star.i_v > 0
@@ -92,9 +91,9 @@ def test_equilibrium_set_bundle():
 def test_equilibrium_set_at_underflowing_rates():
     # mu_h^2 * mu_v underflows to 0 in R0^2: a NumericalError naming it
     with pytest.raises(RateUnderflowError, match=r"mu_h \* mu_h \* mu_v"):
-        equilibrium_set(replace(P_SUPER, mu_h=1e-200))
+        equilibrium_set(P_SUPER._replace(mu_h=1e-200))
     # nothing here divides by a subnormal beta_v
-    eq = equilibrium_set(replace(P_SUPER, beta_v=5e-324))
+    eq = equilibrium_set(P_SUPER._replace(beta_v=5e-324))
     assert eq.r0 == basic_reproduction_number(P_SUPER)
     assert eq.e0.s_v == 5e-324 / P_SUPER.mu_v
     assert eq.e_star.s_h == endemic_equilibrium(P_SUPER).s_h
@@ -109,12 +108,12 @@ def test_equilibrium_entries_validate_rates(entry, field, value):
     # unvalidated, these gave an E0 with S_h = -4, a bare "math domain
     # error" from the square root, and NaN states
     with pytest.raises(NonPositiveRateError) as info:
-        entry(replace(P_SUPER, **{field: value}))
+        entry(P_SUPER._replace(**{field: value}))
     assert info.value.name == field
 
 
 def test_r0_scales_exactly_with_transmission():
-    p2 = replace(P_SUPER, c_vh=2.0 * P_SUPER.c_vh)
+    p2 = P_SUPER._replace(c_vh=2.0 * P_SUPER.c_vh)
     assert r0_squared(p2) == 2.0 * r0_squared(P_SUPER)
 
 

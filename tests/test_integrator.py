@@ -6,7 +6,6 @@ import io
 import math
 import tracemalloc
 from array import array
-from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -85,7 +84,7 @@ def test_vector_total_error_is_fourth_order(system):
 
 
 def test_zero_delay_matches_adaptive_reference():
-    p = replace(P_SUPER, tau=0.0)
+    p = P_SUPER._replace(tau=0.0)
     traj = integrate(p, _phi(p), spec_full(5.0))
     ref = solve_ivp(lambda t, x: rhs(p, State(*x), State(*x), SystemKind.FULL),
                     (0.0, 5.0), list(X0), method="DOP853",
@@ -94,9 +93,9 @@ def test_zero_delay_matches_adaptive_reference():
 
 
 def test_small_delay_stays_near_zero_delay_limit():
-    p = replace(P_SUPER, tau=1e-3)
+    p = P_SUPER._replace(tau=1e-3)
     traj = integrate(p, _phi(p), spec_full(5.0, steps_per_delay=1))
-    p0 = replace(P_SUPER, tau=0.0)
+    p0 = P_SUPER._replace(tau=0.0)
     ref = solve_ivp(lambda t, x: rhs(p0, State(*x), State(*x), SystemKind.FULL),
                     (0.0, 5.0), list(X0), method="DOP853",
                     rtol=1e-12, atol=1e-12, dense_output=True)
@@ -158,7 +157,7 @@ def test_dense_eval_below_the_history_follows_the_span_rule():
                        match=r"^t = -1\.00000001 outside the computed range \[-1, 400\]$"):
         dense_eval(traj, -1.0 - 1e-8)
     # at tau = 0 the same rule reads the first node just below t = 0
-    p0 = replace(P_SUPER, tau=0.0)
+    p0 = P_SUPER._replace(tau=0.0)
     traj0 = integrate(p0, _phi(p0), spec_full(400.0))
     assert dense_eval(traj0, -1e-10) == dense_eval(traj0, 0.0)
     # the lower bound prints as 0, not -0
@@ -185,7 +184,7 @@ def test_tail_stats_is_the_numpy_mask_min_max(system, tau):
     # the first tail node comes from arithmetic on k * h, and min / max from
     # the buffers; both must give the floats of the mask over the node times.
     # t_end 10 and 12 put the cut on a node, 12.34 between two
-    p = replace(P_SUPER, tau=tau)
+    p = P_SUPER._replace(tau=tau)
     for t_end in (10.0, 12.0, 12.34):
         traj = integrate(p, _phi(p), IntegrationSpec(system=system, t_end=t_end))
         cut = defaults.TAIL_WINDOW * traj.t_end
@@ -251,7 +250,7 @@ def _bits(tail):
                          ids=["full", "limiting", "tau0"])
 def test_tail_only_stats_are_the_stored_runs_bits(system, tau, history):
     # t_end 12 puts the cut on a node, 12.34 between two
-    p = replace(P_SUPER, tau=tau)
+    p = P_SUPER._replace(tau=tau)
     if history == "constant":
         phi = _phi(p)
     elif tau > 0:
@@ -284,7 +283,7 @@ def test_tail_sets_a_new_sup_then_a_new_inf_on_one_component(system, tau):
     # few infected hosts and many infected mosquitoes: I_h rises past its
     # value at the cut (t = 6), peaks, then falls below it before t = 12, so
     # the loop's tail `if` and `elif` both run on I_h after the first node
-    p = replace(P_SUPER, tau=tau)
+    p = P_SUPER._replace(tau=tau)
     rows = [(4.0, 0.02, 30.0, 15.0), (4.0, 0.01, 30.0, 20.0)]
     phi = (HistorySegment.table([-tau, 0.0], rows) if tau > 0
            else HistorySegment.table([0.0], rows[1:]))
@@ -300,7 +299,7 @@ def test_tail_keeps_the_first_of_equal_zeros():
     # one step of 1e-13 puts the cut below node 0, so the tail is nodes 0
     # and 1; I_h is -0.0 at node 0 and 0.0 at node 1, and min and max both
     # keep the first, -0.0
-    p = replace(P_SUPER, tau=0.0)
+    p = P_SUPER._replace(tau=0.0)
     phi = HistorySegment.constant((4.0, -0.0, 30.0, 0.0), 0.0)
     spec = IntegrationSpec(SystemKind.FULL, 1e-13, step=1e-13)
     traj = integrate(p, phi, spec)
@@ -320,8 +319,8 @@ def test_tail_only_needs_two_nodes_and_raises_a_breach_first():
         traj.tail
     with pytest.raises(EmptyWindowError):
         _tail_only(p, _phi(p), spec)
-    breach = replace(P_SUPER, beta_h=1e6, tau=0.0)
-    overflow = replace(P_SUPER, beta_h=1.7e308)
+    breach = P_SUPER._replace(beta_h=1e6, tau=0.0)
+    overflow = P_SUPER._replace(beta_h=1.7e308)
     for run in (integrate, _tail_only):
         with pytest.raises(NegativityBreachError, match="s_h"):
             run(breach, _phi(breach), IntegrationSpec(SystemKind.FULL, 0.5, step=0.5))
@@ -358,12 +357,12 @@ def test_clamp_band():
 
 def test_overflow_exits_through_numerical_error():
     # NaN by the second step: the clamp reports it
-    p = replace(P_SUPER, beta_h=1e308)
+    p = P_SUPER._replace(beta_h=1e308)
     with pytest.raises(NonFiniteStateError):
         integrate(p, _phi(p), spec_full(20.0))
     # +inf on the only committed node passes the clamp; the final check
     # catches it
-    p = replace(P_SUPER, beta_h=1.7e308)
+    p = P_SUPER._replace(beta_h=1.7e308)
     h = p.tau / 20
     with pytest.raises(NumericalError) as info:
         integrate(p, _phi(p), spec_full(h))
@@ -404,7 +403,7 @@ def test_nonnegativity_holds_from_boundary_history():
 
 def test_default_horizon_is_forty_slowest_lifetimes():
     # IntegrationSpec() leaves t_end unset; integrate resolves it from p
-    p = replace(P_SUPER, mu_h=0.08)
+    p = P_SUPER._replace(mu_h=0.08)
     traj = integrate(p, _phi(p), IntegrationSpec(steps_per_delay=2))
     assert traj.t_end == 40.0 / min(p.mu_h, p.mu_v) == 500.0
     traj = integrate(P_SUPER, _phi(P_SUPER), IntegrationSpec(steps_per_delay=2))
@@ -414,14 +413,14 @@ def test_default_horizon_is_forty_slowest_lifetimes():
 def test_integrate_validates_params():
     # a negative rate is an input error, not a step size too coarse
     with pytest.raises(NonPositiveRateError):
-        integrate(replace(P_SUPER, beta_h=-1.0), _phi(P_SUPER), spec_full(10.0))
+        integrate(P_SUPER._replace(beta_h=-1.0), _phi(P_SUPER), spec_full(10.0))
 
 
 def test_delay_within_the_span_tolerance_reads_the_history():
     # the span rule accepts a delay 1e-10 past this table's span, and the
     # first delayed read, at -tau, once failed a 1e-12 range check
     phi = HistorySegment.table([-1.0, 0.0], [list(X0)] * 2)
-    near = integrate(replace(P_SUPER, tau=1.0 + 1e-10), phi, spec_full(2.0))
+    near = integrate(P_SUPER._replace(tau=1.0 + 1e-10), phi, spec_full(2.0))
     exact = integrate(P_SUPER, phi, spec_full(2.0))
     assert times_of(near).size == times_of(exact).size
     assert float(np.max(np.abs(states_of(near) - states_of(exact)))) < 1e-8
@@ -463,7 +462,7 @@ def test_delay_within_the_span_tolerance_reads_the_history():
                  id="0.0-kw20"),
 ])
 def test_integrate_spec_errors_are_validation_errors(no_runs_at_tiny_delays, tau, kw):
-    p = replace(P_SUPER, tau=tau)
+    p = P_SUPER._replace(tau=tau)
     with pytest.raises(InvalidSpecError) as info:
         integrate(p, _phi(p), IntegrationSpec(**kw))
     assert isinstance(info.value, ValidationError)
@@ -473,7 +472,7 @@ def test_stage_undershoot_is_a_negativity_breach():
     # the mosquito total obeys a closed-form decay law, so a zero total
     # inside an RK4 stage at this rate is an overshooting stage, not an
     # extinct pool
-    p = replace(P_SUPER, beta_h=1e200)
+    p = P_SUPER._replace(beta_h=1e200)
     with pytest.raises(NegativityBreachError) as info:
         integrate(p, _phi(p), spec_full(20.0))
     assert info.value.component == "s_v"

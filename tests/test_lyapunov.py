@@ -3,7 +3,6 @@
 import io
 import math
 from array import array
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from malaria_dde import (
     RateUnderflowError,
     SubcriticalR0Error,
     SystemKind,
+    Trajectory,
     classify,
     endemic_equilibrium,
     integrate,
@@ -51,7 +51,7 @@ def test_log_is_libm_and_keeps_np_log_at_nonpositive_entries(rng):
     entries = [2.0, 0.0, -0.0, -1.0, math.inf, math.nan]
     with np.errstate(divide="ignore", invalid="ignore"):
         np.testing.assert_array_equal([_log0(v) for v in entries], np.log(entries))
-    p = replace(P_SUB, beta_h=1e10)
+    p = P_SUB._replace(beta_h=1e10)
     v = v_dfe(p, HistorySegment.constant((5e-324, 0.0, p.s_v0, 0.0), p.tau))
     assert v == math.inf
 
@@ -69,7 +69,7 @@ def test_v_endemic_underflow_gives_inf_not_a_value_error():
 # admissible rates whose divisors underflow to 0: S_h0 = 5e-324 / 3 for
 # V_DFE (R0^2 is 0), and E*'s I_v for V_ENDEMIC (R0^2 = 1.6)
 UNDERFLOW_DFE = ModelParams(5e-324, 5.0, 3.0, 0.1, 0.2, 0.1, 1.0)
-UNDERFLOW_ENDEMIC = replace(P_SUPER, beta_v=5e-324)
+UNDERFLOW_ENDEMIC = P_SUPER._replace(beta_v=5e-324)
 
 
 @pytest.mark.parametrize("p,functional,divisor", [
@@ -89,9 +89,14 @@ def test_an_underflowing_divisor_is_a_rate_underflow_error(p, functional, diviso
 
 
 def _tau0_limiting(p, t_end=1.0):
-    p = replace(p, tau=0.0)
+    p = p._replace(tau=0.0)
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 0.0)
     return p, integrate(p, phi, IntegrationSpec(SystemKind.LIMITING, t_end))
+
+
+def _with_nodes(traj, ys):
+    """traj with its node buffer swapped for ys, every other field kept."""
+    return Trajectory(ys, *(getattr(traj, name) for name in Trajectory.__slots__[1:]))
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -103,7 +108,7 @@ def test_max_increase_is_nan_wherever_a_nan_step_lies(where):
     j = {"first": 0, "middle": traj.nodes // 2, "last": traj.nodes - 2}[where]
     ys = array("d", traj.ys)
     ys[4 * j] = ys[4 * j + 4] = 5e-324
-    trace = trace_along(p, replace(traj, ys=ys))
+    trace = trace_along(p, _with_nodes(traj, ys))
     assert trace.values[j] == trace.values[j + 1] == math.inf
     assert math.isnan(trace.max_increase)
     with np.errstate(invalid="ignore"):
@@ -130,7 +135,7 @@ def test_tau0_trace_is_the_point_terms_bit_for_bit():
     w = p.mu_h * i_h / (p.mu_v * i_v)
     ys = array("d", traj.ys)
     ys[40], ys[43] = 0.1, 1e-322  # node 10: I_v * S_h = 1e-323
-    traj = replace(traj, ys=ys)
+    traj = _with_nodes(traj, ys)
     nodes = [traj.ys[4 * k:4 * k + 4] for k in range(traj.nodes)]
     endemic = [(a - s_h - s_h * log(a / s_h)) + (b - i_h - i_h * log(b / i_h))
                + w * (c - s_v - s_v * log(c / s_v)) + w * (d - i_v - i_v * log(d / i_v))
@@ -281,7 +286,7 @@ def test_trace_along_gates_the_regime():
 
 
 def test_trace_along_needs_a_horizon_past_tau():
-    p = replace(P_SUB, tau=2.0)
+    p = P_SUB._replace(tau=2.0)
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 2.0)
     traj = integrate(p, phi, IntegrationSpec(system=SystemKind.LIMITING, t_end=1.0))
     with pytest.raises(EmptyWindowError):

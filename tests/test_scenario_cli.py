@@ -403,8 +403,8 @@ def test_r0_squared_of_two_overflows_is_a_numerical_error(tmp_path, capsys):
 
 
 # Runs the CLI once per argv of a JSON [argvs, workers] argument (workers,
-# if set, pins scenario._workers) and prints the exit codes and the numpy and
-# scipy submodules then loaded, as JSON on the last stdout line.
+# if set, pins scenario._workers) and prints the exit codes and the numpy,
+# scipy and dataclasses modules then loaded, as JSON on the last stdout line.
 _MODULES_AFTER_MAIN = (
     "import json, sys\n"
     "import malaria_dde.scenario\n"
@@ -413,7 +413,7 @@ _MODULES_AFTER_MAIN = (
     "if workers:\n"
     "    malaria_dde.scenario._workers = lambda: workers\n"
     "codes = [main(argv) for argv in runs]\n"
-    "print(json.dumps([codes, sorted(m for m in sys.modules if m == 'scipy'\n"
+    "print(json.dumps([codes, sorted(m for m in sys.modules if m in ('scipy', 'dataclasses')\n"
     "                                or m.startswith(('numpy.', 'scipy.')))]))\n")
 
 _RANDOM_TAIL_SWEEP = {"schema": 1, "base": {**BASE, "history": {"kind": "random"},
@@ -474,8 +474,10 @@ def test_cli_loads_no_numpy(tmp_path, case):
     # the package imports no numpy, and no CLI command loads it: the closed-form
     # paths, input errors, the march, tail, persistence, Lyapunov trace and
     # CSVs, and random histories, in this process or in sweep workers.
-    # scipy is a test dependency only and never loads (structural checks,
-    # not timing bounds)
+    # scipy is a test dependency only and never loads. Nor does dataclasses,
+    # with the inspect, ast and dis it imports: the value types are named
+    # tuples, cheaper to define at every start (structural checks, not
+    # timing bounds)
     runs, codes, workers = _import_budget_runs(case, tmp_path)
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN,
                            json.dumps([runs, workers])],
@@ -485,6 +487,7 @@ def test_cli_loads_no_numpy(tmp_path, case):
     assert got == codes, proc.stderr
     assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
     assert not [m for m in loaded if m.startswith("numpy.")], loaded[:5]
+    assert "dataclasses" not in loaded
 
 
 # Runs the CLI once per argv of a JSON [block, argvs] argument, with two

@@ -14,7 +14,6 @@ import copy
 import json
 import math
 import os
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -233,7 +232,7 @@ def test_an_underflowing_s_v0_exits_2_naming_it(tmp_path, capsys):
 # ------------------------------------------------ records agree with the loader
 
 RECORD_FIELDS = ([("params", name) for name in SCENARIO["params"]]
-                 + [("integration", f.name) for f in fields(IntegrationSpec)])
+                 + [("integration", f) for f in IntegrationSpec._fields])
 
 
 def assert_record_agrees_with_loader(section, field, value):

@@ -1,10 +1,11 @@
 """Characteristic function, root location, and classification evidence."""
 
 import cmath
+import decimal
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -104,15 +105,15 @@ def test_coefficients_reject_signs_the_bracket_cannot_take(a1, a2, a3, tau, erro
 
 @pytest.mark.parametrize("p,cls,underflows", [
     # mu_h = mu_v and a3 underflows to -0.0
-    (replace(P_SUPER, beta_h=5e-324, mu_h=0.0013254, mu_v=0.0013254, tau=0.0),
+    (P_SUPER._replace(beta_h=5e-324, mu_h=0.0013254, mu_v=0.0013254, tau=0.0),
      DfeCharCoeffs, False),
     # a2 = mu_h mu_v is subnormal, then 0; either way mu_h^2 mu_v is 0, and
     # g0 needs R0^2, whose denominator that is
-    (replace(P_SUPER, mu_h=1e-160, mu_v=1e-160), DfeCharCoeffs, True),
-    (replace(P_SUPER, mu_h=1e-170, mu_v=1e-170), DfeCharCoeffs, True),
-    (replace(P_SUPER, beta_v=5e-324), DfeCharCoeffs, False),
+    (P_SUPER._replace(mu_h=1e-160, mu_v=1e-160), DfeCharCoeffs, True),
+    (P_SUPER._replace(mu_h=1e-170, mu_v=1e-170), DfeCharCoeffs, True),
+    (P_SUPER._replace(beta_v=5e-324), DfeCharCoeffs, False),
     # E*'s weights overflow: a1 = a2 = inf, a3 = -inf
-    (replace(P_SUPER, beta_h=1e200), EndemicCharCoeffs, False),
+    (P_SUPER._replace(beta_h=1e200), EndemicCharCoeffs, False),
 ], ids=["a3-negative-zero", "a2-subnormal", "a2-zero", "beta_v-subnormal",
         "endemic-overflow"])
 def test_valid_rates_build_coefficients_even_when_rounding_degrades_them(p, cls,
@@ -137,14 +138,14 @@ def test_a_hand_built_record_accepts_a2_zero():
 def test_overflowing_endemic_coefficients_leave_as_root_polish_error():
     # G is inf - inf = NaN at 0, which the polish reports (CLI exit 2)
     with pytest.raises(RootPolishError, match="NaN"):
-        classify(replace(P_SUPER, beta_h=1e200), EquilibriumKind.ENDEMIC)
+        classify(P_SUPER._replace(beta_h=1e200), EquilibriumKind.ENDEMIC)
 
 
 def test_both_constructors_build_one_coefficient_type():
     for cls in (DfeCharCoeffs, EndemicCharCoeffs):
         c = cls.from_params(P_SUPER)
         assert type(c) is cls and isinstance(c, CharCoeffs)
-        assert tuple(f.name for f in fields(c)) == ("a1", "a2", "a3", "tau", "g0")
+        assert c._fields == ("a1", "a2", "a3", "tau", "g0")
 
 
 def test_char_eval_anchors():
@@ -198,10 +199,10 @@ def test_imaginary_axis_flags_on_benchmarks():
 
 
 def test_rightmost_root_zero_delay_quadratic():
-    c = DfeCharCoeffs.from_params(replace(P_SUPER, tau=0.0))
+    c = DfeCharCoeffs.from_params(P_SUPER._replace(tau=0.0))
     root = rightmost_real_root(c)
     assert root == pytest.approx((-0.6 + math.sqrt(0.48)) / 2.0, abs=1e-10)
-    c = DfeCharCoeffs.from_params(replace(P_SUB, tau=0.0))
+    c = DfeCharCoeffs.from_params(P_SUB._replace(tau=0.0))
     root = rightmost_real_root(c)
     assert root == pytest.approx((-0.6 + math.sqrt(0.2)) / 2.0, abs=1e-10)
 
@@ -304,7 +305,7 @@ def test_root_beyond_the_old_search_cap(tmp_path, capsys):
     assert root == pytest.approx(44.646, abs=1e-3)
     assert root == pytest.approx(_tau0_root(c), rel=1e-12)
 
-    doc = {"schema": 1, "params": vars(P_LARGE_R0),
+    doc = {"schema": 1, "params": P_LARGE_R0._asdict(),
            "history": {"kind": "constant", "state": [1000, 10, 40, 10]},
            "analyses": {"simulate": True, "stability": True}}
     path = tmp_path / "large_r0.json"
@@ -315,7 +316,7 @@ def test_root_beyond_the_old_search_cap(tmp_path, capsys):
 
 def test_root_below_the_old_grid():
     # the grid scan covered [-50, 50] and printed "none" for this root
-    p = replace(P_SUPER, mu_h=80.0, mu_v=120.0, tau=0.0)
+    p = P_SUPER._replace(mu_h=80.0, mu_v=120.0, tau=0.0)
     c = DfeCharCoeffs.from_params(p)
     root = rightmost_real_root(c)
     assert root == pytest.approx(-80.0, abs=1e-4)
@@ -327,7 +328,7 @@ def test_root_below_the_old_grid():
 
 def test_root_with_an_overflowing_lower_end():
     # exp(a1 tau / 2) = exp(900) overflows, so G(-a1/2) evaluates to -inf
-    p = replace(P_SUPER, mu_h=300.0, mu_v=300.0, tau=3.0)
+    p = P_SUPER._replace(mu_h=300.0, mu_v=300.0, tau=3.0)
     c = DfeCharCoeffs.from_params(p)
     assert _g_real(c, -c.a1 / 2.0) == -math.inf
     root = rightmost_real_root(c)
@@ -338,13 +339,41 @@ def test_root_with_an_overflowing_lower_end():
 def test_degenerate_root_at_the_lower_end():
     # mu_h = mu_v, so G(-a1/2) = -(mu_h - mu_v)^2/4 + a3 is 0 up to rounding,
     # and a3 underflows to -0.0
-    p = replace(P_SUPER, beta_h=5e-324, mu_h=0.0013254, mu_v=0.0013254, tau=0.0)
+    p = P_SUPER._replace(beta_h=5e-324, mu_h=0.0013254, mu_v=0.0013254, tau=0.0)
     c = DfeCharCoeffs.from_params(p)
     assert _g_real(c, -c.a1 / 2.0) >= 0.0
     assert rightmost_real_root(c) == -c.a1 / 2.0
     rep = classify(p, EquilibriumKind.DISEASE_FREE)
     assert rep.classification is Classification.LAS
     assert rep.rightmost_real_root == -0.0013254
+
+
+# a2 and a1 lam are below the rounding of lam^2 + a3 at the root, which sits at
+# sqrt(a2 - a3): G there rounds below 0, and `report` once exited 2 with
+# "G(lam) does not change sign across [0.0, 3.1221307554042506e+89]"
+P_ROOT_AT_THE_END = ModelParams(
+    beta_h=1.6526395862225775e+30, beta_v=5.174630185328766e-120,
+    mu_h=1.0841326899161049e+20, mu_v=96740068491.44244, c_vh=4.837573436178353e+134,
+    c_hv=1.3218400084508206e+34, tau=0.0)
+
+
+def test_root_at_the_upper_end_of_the_bracket(tmp_path, capsys):
+    c = DfeCharCoeffs.from_params(P_ROOT_AT_THE_END)
+    end = math.sqrt(c.a2 - c.a3)
+    assert _g_real(c, end) < 0.0  # the bracket's end from G's shape fails
+    root = rightmost_real_root(c)
+    # at tau = 0, G is lam^2 + a1 lam + (a2 + a3): its root in 60 digits
+    with decimal.localcontext(prec=60):
+        a1, b = Decimal(c.a1), Decimal(c.a2) + Decimal(c.a3)
+        want = (-a1 + (a1 * a1 - 4 * b).sqrt()) / 2
+        assert abs(Decimal(root) - want) <= 4 * Decimal(math.ulp(root))
+
+    doc = {"schema": 1, "params": P_ROOT_AT_THE_END._asdict(),
+           "history": {"kind": "constant", "state": [1, 1, 1, 1]}}
+    path = tmp_path / "root_at_the_end.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", str(path)]) == 0
+    assert f"stability.e0.rightmost_real_root = {root:.17g}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("field, value, error", [
@@ -355,19 +384,19 @@ def test_degenerate_root_at_the_lower_end():
 def test_classify_validates_its_parameters(field, value, error):
     for which in EquilibriumKind:
         with pytest.raises(error):
-            classify(replace(P_SUPER, **{field: value}), which)
+            classify(P_SUPER._replace(**{field: value}), which)
 
 
 def test_underflowing_rates_leave_through_the_taxonomy():
     # mu_h^2 * mu_v underflows to 0 in R0^2
-    p = replace(P_SUPER, mu_h=1e-200)
+    p = P_SUPER._replace(mu_h=1e-200)
     for which in EquilibriumKind:
         with pytest.raises(RateUnderflowError) as err:
             classify(p, which)
         assert err.value.product == "mu_h * mu_h * mu_v"
     # beta_v cancels from a3, so E0 is classified as for P_SUPER; at E*,
     # N_v* = 5e-323 and its square underflows
-    p = replace(P_SUPER, beta_v=5e-324)
+    p = P_SUPER._replace(beta_v=5e-324)
     assert DfeCharCoeffs.from_params(p) == DfeCharCoeffs.from_params(P_SUPER)
     assert classify(p, EquilibriumKind.DISEASE_FREE) == \
         classify(P_SUPER, EquilibriumKind.DISEASE_FREE)
@@ -384,6 +413,8 @@ def test_polish_failures_leave_through_the_taxonomy():
     assert _polish(quad, 2.0, 3.0) == 2.0
     with pytest.raises(RootPolishError, match="does not change sign"):
         _polish(quad, 0.0, 0.5)
+    # G(0.5) < 0, so a far end of 2 makes the bracket [0.5, 2]
+    assert _polish(quad, 0.0, 0.5, 2.0) == 1.0
     # a1 = inf: G is -inf left of 0, inf right of it and inf * 0 = NaN at 0,
     # as an end and as the first bisection point
     steep = CharCoeffs(math.inf, 1.0, -1.0, 1.0, 0.0)
@@ -414,7 +445,7 @@ def test_jacobian_determinant_ties_coefficients_to_dynamics():
             J[:, j] = (fu - fd) / (2.0 * e[j])
         return J
 
-    p = replace(P_SUPER, tau=0.0)
+    p = P_SUPER._replace(tau=0.0)
     c = EndemicCharCoeffs.from_params(p)
     star = endemic_equilibrium(p)
     det = float(np.linalg.det(num_jacobian(p, star.as_tuple())))
@@ -476,7 +507,7 @@ def _ulp_band(rng, n_draws):
             above.append(math.nextafter(above[-1], math.inf))
         for c in below[:0:-1] + above:
             for tau in TAU_CHOICES:
-                yield replace(p, c_vh=c, tau=tau)
+                yield p._replace(c_vh=c, tau=tau)
 
 
 def _evidence_contradicts_verdict(rep):
@@ -564,7 +595,7 @@ def _rational_params(rng, r2=None):
                       for _ in range(6)), tau=1.0)
     if r2 is None:
         return p
-    return replace(p, c_vh=r2 * p.mu_h * p.mu_h * p.mu_v / (p.c_hv * p.beta_h))
+    return p._replace(c_vh=r2 * p.mu_h * p.mu_h * p.mu_v / (p.c_hv * p.beta_h))
 
 
 def test_g0_identity_holds_exactly_in_rational_arithmetic(rng):

@@ -5,7 +5,6 @@ model to it), and the clamp fast path as seen through `integrate`."""
 import hashlib
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,11 +36,11 @@ RUNS = {
     "limiting": (P_SUPER, HistorySegment.constant(X0, 1.0),
                  IntegrationSpec(system=SystemKind.LIMITING, t_end=6.0,
                                  steps_per_delay=10)),
-    "ode": (replace(P_SUPER, tau=0.0), HistorySegment.constant(X0, 0.0),
+    "ode": (P_SUPER._replace(tau=0.0), HistorySegment.constant(X0, 0.0),
             IntegrationSpec(system=SystemKind.FULL, t_end=3.0, step=0.05)),
     "table": (P_SUPER, TABLE,
               IntegrationSpec(system=SystemKind.FULL, t_end=6.0, steps_per_delay=8)),
-    "ode_limiting": (replace(P_SUPER, tau=0.0), HistorySegment.constant(X0, 0.0),
+    "ode_limiting": (P_SUPER._replace(tau=0.0), HistorySegment.constant(X0, 0.0),
                      IntegrationSpec(system=SystemKind.LIMITING, t_end=3.0, step=0.05)),
     "table_limiting": (P_SUPER, TABLE,
                        IntegrationSpec(system=SystemKind.LIMITING, t_end=6.0,
@@ -189,7 +188,7 @@ def test_clamp_zeroes_a_rounding_level_dip_inside_integrate(monkeypatch):
     _inject_incidence(monkeypatch, lambda theta: rate)
     # S_h sits at beta_h / mu_h = 4, and c_vh is below half an ulp of beta_h
     # in S_h' = beta_h - c_vh * (I_v / N_v) * S_h - mu_h * S_h, so S_h' = 0
-    p = replace(P_SUPER, c_vh=1e-300)
+    p = P_SUPER._replace(c_vh=1e-300)
     phi = HistorySegment.constant((4.0, 0.0, 30.0, 10.0), p.tau)
     traj = integrate(p, phi, IntegrationSpec(t_end=3 * h, steps_per_delay=10))
     assert states_of(traj)[1:, 1].tolist() == [0.0, 0.0, 0.0]
@@ -203,7 +202,7 @@ def test_clamp_breach_inside_integrate_names_node_and_component(monkeypatch, rat
     # I_h falls from 2e-8 by 1.5e-8 per step: 5e-9 at t = h, about -1e-8 at
     # t = 2h, which is below the band; a tiny mu_h (with S_h0 = 4 kept)
     # leaves mu_h * I_h far below the tolerance
-    p = replace(P_SUPER, mu_h=2.0**-30, beta_h=2.0**-28)
+    p = P_SUPER._replace(mu_h=2.0**-30, beta_h=2.0**-28)
     h = p.tau / 10
     if error is NegativityBreachError:
         _inject_incidence(monkeypatch, lambda theta: rate / h)

@@ -15,7 +15,10 @@ testing; Chen et al., ACM Comput. Surv. 51(1), 2018):
 
 The tail stats follow, from a stored run and from a run that stores no
 node: time scaling keeps their inf and sup bits and halves t_start, and each
-population scaling doubles the matching components of both.
+population scaling doubles the matching components of both. So does weak
+persistence on the draws with an endemic state: time scaling keeps the
+threshold theta * I_h*, both bounds and the verdict; host scaling doubles
+the threshold and s_h_bar, and mosquito scaling doubles s_v_bar.
 
 Absolute constants break them, so the draws keep away from each:
 default_ode_step's 0.05 cap (tau = 0 runs pass their step), the 1e-9 clamp
@@ -27,7 +30,6 @@ roots do not always double under time scaling.
 
 import functools
 from array import array
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,8 +39,11 @@ from malaria_dde import (
     IntegrationSpec,
     ModelParams,
     SystemKind,
+    endemic_equilibrium,
     integrate,
+    persistence_bounds,
     trace_along,
+    weak_persistence_check,
 )
 from malaria_dde.integrator import _integrate
 
@@ -76,19 +81,23 @@ def _base(i):
     return _run(*_draw(i))
 
 
-def _scaled(i, factors, rates, run=integrate):
-    """Draw i's run with its history state times factors and the named
-    rates multiplied as given."""
+def _population_scaled(i, factors, rates):
+    """Draw i with its history state times factors and the named rates
+    multiplied as given."""
     p, x0, spec = _draw(i)
-    p = replace(p, **{name: getattr(p, name) * f for name, f in rates.items()})
-    return _run(p, tuple(x * f for x, f in zip(x0, factors)), spec, run)
+    p = p._replace(**{name: getattr(p, name) * f for name, f in rates.items()})
+    return p, tuple(x * f for x, f in zip(x0, factors)), spec
+
+
+def _scaled(i, factors, rates, run=integrate):
+    return _run(*_population_scaled(i, factors, rates), run)
 
 
 def _time_scaled(i):
     """Draw i with every rate x2 and tau, t_end and the step /2."""
     p, x0, spec = _draw(i)
-    fast = replace(p, **{r: 2.0 * getattr(p, r) for r in RATES}, tau=p.tau / 2)
-    half = replace(spec, t_end=spec.t_end / 2, step=spec.step and spec.step / 2)
+    fast = p._replace(**{r: 2.0 * getattr(p, r) for r in RATES}, tau=p.tau / 2)
+    half = spec._replace(t_end=spec.t_end / 2, step=spec.step and spec.step / 2)
     return fast, x0, half
 
 
@@ -144,3 +153,34 @@ def test_tail_stats_follow_every_scaling(i):
             tail = _scaled(i, factors, rates, run)
             assert tail.t_start == base.t_start
             assert _tail_bits(tail) == _tail_bits(base, factors)
+
+
+THETA = 0.99  # close enough to 1 that some draws fail the check
+ENDEMIC_DRAWS = [i for i in range(DRAWS) if endemic_equilibrium(_draw(i)[0]) is not None]
+
+
+def _persistence(p, x0, spec):
+    """The weak persistence report at THETA on the draw's FULL run, and the
+    bounds at THETA."""
+    traj = _run(p, x0, spec._replace(system=SystemKind.FULL))
+    return weak_persistence_check(p, traj, THETA), persistence_bounds(p, THETA)
+
+
+@pytest.mark.parametrize("i", ENDEMIC_DRAWS)
+def test_persistence_follows_every_scaling(i):
+    report, bounds = _persistence(*_draw(i))
+    # each scaling's factor on the host side (threshold, I_h's tail sup and
+    # s_h_bar) and on the mosquito side (s_v_bar)
+    for draw, host, mosquito in ((_time_scaled(i), 1.0, 1.0),
+                                 (_population_scaled(i, *HOST), 2.0, 1.0),
+                                 (_population_scaled(i, *MOSQUITO), 1.0, 2.0)):
+        got, got_bounds = _persistence(*draw)
+        assert got.passes is report.passes
+        assert got.threshold == host * report.threshold
+        assert got.i_h_tail_sup == host * report.i_h_tail_sup
+        assert got_bounds.s_h_bar == host * bounds.s_h_bar
+        assert got_bounds.s_v_bar == mosquito * bounds.s_v_bar
+
+
+def test_the_persistence_draws_take_both_verdicts():
+    assert {_persistence(*_draw(i))[0].passes for i in ENDEMIC_DRAWS} == {True, False}
