@@ -9,7 +9,8 @@ the parser rejects, bad JSON, schema violations, nonpositive rates,
 malformed histories, a negative seed, an output directory that cannot be
 written), 2 when the run itself breaks down numerically (population
 collapse, a real-root polish that fails, state outside a functional's
-domain, or a division by zero when admissible but extreme rates underflow).
+domain, or a RateUnderflowError naming the divisor that admissible but
+extreme rates underflow to 0).
 
 The parser is built once, at import (`_PARSER`), and every `main` call in
 the process shares it; callers must not modify it. argparse keeps no state

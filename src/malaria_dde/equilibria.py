@@ -10,15 +10,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import NumericalError, RateUnderflowError, SubcriticalR0Error
-from .model import ModelParams, State, SystemKind, rhs
+from .errors import NumericalError, SubcriticalR0Error
+from .model import ModelParams, State, SystemKind, _nonzero, rhs
 
 
 def r0_squared(p: ModelParams) -> float:
-    den = p.mu_h * p.mu_h * p.mu_v
-    if den == 0.0:
-        raise RateUnderflowError("mu_h * mu_h * mu_v")
-    r2 = p.c_vh * p.c_hv * p.beta_h / den
+    r2 = p.c_vh * p.c_hv * p.beta_h / _nonzero(p.mu_h * p.mu_h * p.mu_v, "mu_h * mu_h * mu_v")
     if not math.isfinite(r2):  # inf, or inf / inf when both overflow
         raise NumericalError(f"R0^2 = c_vh c_hv beta_h / (mu_h^2 mu_v) overflows "
                              f"to {r2!r}")
@@ -30,7 +27,7 @@ def basic_reproduction_number(p: ModelParams) -> float:
 
 
 def disease_free_equilibrium(p: ModelParams) -> State:
-    return State(p.beta_h / p.mu_h, 0.0, p.beta_v / p.mu_v, 0.0)
+    return State(p.s_h0, 0.0, p.s_v0, 0.0)
 
 
 def endemic_equilibrium(p: ModelParams) -> State | None:

@@ -13,7 +13,9 @@ Window integrals use the composite trapezoid rule on the window's own sample
 times. One formula per functional serves v_dfe / v_endemic (one window) and
 trace_along (every window of a limiting trajectory), where a max
 consecutive increase at rounding scale certifies monotone descent. R0 picks
-trace_along's functional: v_endemic where E* exists, v_dfe otherwise.
+trace_along's functional: v_endemic where E* exists, v_dfe otherwise. One
+function per functional computes its constants once, reading each divisor
+through model._nonzero, before any pass.
 
 Each formula is one pass in plain floats over a flat node buffer (four floats
 a node, as `Trajectory.ys`) and its sample times. At node k it adds the
@@ -41,10 +43,9 @@ from .errors import (
     NonPositiveProductError,
     OutsideOmega1Error,
     OutsideOmega2Error,
-    RateUnderflowError,
 )
 from .integrator import SystemKind, Trajectory, _write_csv
-from .model import HistorySegment, ModelParams, State
+from .model import _S_V0, HistorySegment, ModelParams, _nonzero
 
 _Log = Callable[[float], float]
 
@@ -68,51 +69,41 @@ def _log0(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan
 
 
-def _require_nonzero(divisors: dict[str, float]) -> None:
-    """RateUnderflowError naming the first divisor that underflowed to 0."""
-    for name, value in divisors.items():
-        if value == 0.0:
-            raise RateUnderflowError(name)
+def _dfe_constants(p: ModelParams) -> tuple[float, ...]:
+    """_v_dfe's constants (S_h0, S_v0, coef, coef * S_v0, rate), each
+    divisor checked nonzero (model._nonzero) as it is computed."""
+    sh0 = _nonzero(p.s_h0, "S_h0 = beta_h / mu_h")
+    sv0 = _nonzero(p.s_v0, _S_V0)
+    coef = p.mu_v * p.mu_h / _nonzero(p.c_hv * p.beta_v, "c_hv * beta_v")
+    return sh0, sv0, coef, coef * sv0, (p.mu_v / p.beta_v) * p.c_vh
 
 
-def _require_dfe_divisors(p: ModelParams) -> None:
-    """_v_dfe's divisors, each checked nonzero."""
-    _require_nonzero({"S_h0 = beta_h / mu_h": p.s_h0, "S_v0 = beta_v / mu_v": p.s_v0,
-                      "c_hv * beta_v": p.c_hv * p.beta_v})
-
-
-def _require_endemic_divisors(p: ModelParams) -> State:
-    """E*, once _v_endemic's divisors are each checked nonzero;
+def _endemic_constants(p: ModelParams) -> tuple[float, ...]:
+    """_v_endemic's constants (E*'s four components, num, den, weight,
+    scale), each divisor checked nonzero as it is computed;
     SubcriticalR0Error when R0 <= 1."""
-    star = _require_endemic(p)
-    s_h, i_h, s_v, i_v = star
-    _require_nonzero({"S_h*": s_h, "I_h*": i_h, "S_v*": s_v, "I_v*": i_v,
-                      "mu_v * I_v*": p.mu_v * i_v,
-                      "beta_v * mu_h * I_h*": p.beta_v * p.mu_h * i_h})
-    return star
+    s_h, i_h, s_v, i_v = map(_nonzero, _require_endemic(p), ("S_h*", "I_h*", "S_v*", "I_v*"))
+    weight = p.mu_h * i_h / _nonzero(p.mu_v * i_v, "mu_v * I_v*")
+    den = _nonzero(p.beta_v * p.mu_h * i_h, "beta_v * mu_h * I_h*")
+    return s_h, i_h, s_v, i_v, p.mu_v * p.c_vh, den, weight, p.mu_h * i_h
 
 
-def _require_divisors(p: ModelParams) -> FunctionalKind:
+def _require_divisors(p: ModelParams) -> tuple[FunctionalKind, tuple[float, ...]]:
     """trace_along's functional for p, V_ENDEMIC where E* exists (R0 > 1) and
-    V_DFE otherwise (R0 <= 1), once its divisors are each checked nonzero;
-    so a caller can raise RateUnderflowError before it integrates the
-    limiting run."""
+    V_DFE otherwise (R0 <= 1), with its constants, once its divisors are
+    each checked nonzero; so a caller can raise RateUnderflowError before it
+    integrates the limiting run."""
     if endemic_equilibrium(p) is None:
-        _require_dfe_divisors(p)
-        return FunctionalKind.V_DFE
-    _require_endemic_divisors(p)
-    return FunctionalKind.V_ENDEMIC
+        return FunctionalKind.V_DFE, _dfe_constants(p)
+    return FunctionalKind.V_ENDEMIC, _endemic_constants(p)
 
 
-def _v_dfe(p: ModelParams, ys: Sequence[float], times: Sequence[float], m: int,
+def _v_dfe(c: tuple[float, ...], ys: Sequence[float], times: Sequence[float], m: int,
            log: _Log) -> _Floats:
     """Disease-free functional at every node k >= m, each on the window of
-    the m intervals ending at k. Needs S_h > 0 and S_v > 0 there."""
-    _require_dfe_divisors(p)
-    sh0, sv0 = p.s_h0, p.s_v0
-    coef = p.mu_v * p.mu_h / (p.c_hv * p.beta_v)
-    coef_sv = coef * sv0
-    rate = (p.mu_v / p.beta_v) * p.c_vh
+    the m intervals ending at k, from _dfe_constants' c. Needs S_h > 0 and
+    S_v > 0 there."""
+    sh0, sv0, coef, coef_sv, rate = c
     values, cum = _Floats("d"), [0.0]
     lag = iter(cum)  # cum[k - m] at node k >= m
     acc, f0, t0 = -0.0, 0.0, 0.0  # -0.0 + x is x, so cum[1] is the first panel itself
@@ -145,14 +136,12 @@ def _product_error(ys: Sequence[float], m: int, t: float) -> Exception:
     return NonPositiveProductError(t)
 
 
-def _v_endemic(p: ModelParams, ys: Sequence[float], times: Sequence[float], m: int,
+def _v_endemic(c: tuple[float, ...], ys: Sequence[float], times: Sequence[float], m: int,
                log: _Log) -> _Floats:
-    """Endemic functional at every node k >= m, as _v_dfe. Needs R0 > 1,
-    strictly positive states at k >= m, and I_v * S_h > 0 at every node."""
-    s_h, i_h, s_v, i_v = _require_endemic_divisors(p)
-    num, den = p.mu_v * p.c_vh, p.beta_v * p.mu_h * i_h
-    weight = p.mu_h * i_h / (p.mu_v * i_v)
-    scale = p.mu_h * i_h
+    """Endemic functional at every node k >= m, as _v_dfe, from
+    _endemic_constants' c. Needs strictly positive states at k >= m, and
+    I_v * S_h > 0 at every node."""
+    s_h, i_h, s_v, i_v, num, den, weight, scale = c
     values, cum = _Floats("d"), [0.0]
     lag = iter(cum)
     acc, f0, t0 = -0.0, 0.0, 0.0
@@ -189,32 +178,32 @@ def _v_endemic(p: ModelParams, ys: Sequence[float], times: Sequence[float], m: i
 _FORMULAS = {FunctionalKind.V_DFE: _v_dfe, FunctionalKind.V_ENDEMIC: _v_endemic}
 
 
-def _values(kind: FunctionalKind, p: ModelParams, ys: Sequence[float],
+def _values(kind: FunctionalKind, c: tuple[float, ...], ys: Sequence[float],
             times: Sequence[float], m: int) -> _Floats:
-    """The functional `kind` at every node k >= m, logs by math.log; where a
-    ratio underflows to 0 (math.log raises) the pass runs again with _log0,
-    so that term is -inf and the value inf."""
+    """The functional `kind` with constants c at every node k >= m, logs by
+    math.log; where a ratio underflows to 0 (math.log raises) the pass runs
+    again with _log0, so that term is -inf and the value inf."""
     try:
-        return _FORMULAS[kind](p, ys, times, m, math.log)
+        return _FORMULAS[kind](c, ys, times, m, math.log)
     except ValueError:
-        return _FORMULAS[kind](p, ys, times, m, _log0)
+        return _FORMULAS[kind](c, ys, times, m, _log0)
 
 
-def _window_value(kind: FunctionalKind, p: ModelParams, psi: HistorySegment) -> float:
+def _window_value(kind: FunctionalKind, c: tuple[float, ...], psi: HistorySegment) -> float:
     """The functional on psi's one window, which ends at its last sample."""
     ys = tuple(chain.from_iterable(psi._x))
-    return _values(kind, p, ys, psi._t, len(psi._t) - 1)[0]
+    return _values(kind, c, ys, psi._t, len(psi._t) - 1)[0]
 
 
 def v_dfe(p: ModelParams, psi: HistorySegment) -> float:
     """Disease-free functional on a window. Needs S_h(0) > 0 and S_v(0) > 0."""
-    return _window_value(FunctionalKind.V_DFE, p, psi)
+    return _window_value(FunctionalKind.V_DFE, _dfe_constants(p), psi)
 
 
 def v_endemic(p: ModelParams, psi: HistorySegment) -> float:
     """Endemic functional on a window. Needs R0 > 1, psi(0) strictly positive
     componentwise, and I_v * S_h > 0 at every window sample."""
-    return _window_value(FunctionalKind.V_ENDEMIC, p, psi)
+    return _window_value(FunctionalKind.V_ENDEMIC, _endemic_constants(p), psi)
 
 
 class LyapunovTrace(namedtuple("LyapunovTrace", "kind times values max_increase")):
@@ -237,12 +226,12 @@ def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:
     if traj.system is not SystemKind.LIMITING:
         raise InvalidSpecError(f"the functionals descend along the limiting "
                                f"system, got a {traj.system.value} trajectory")
-    kind = _require_divisors(p)
+    kind, c = _require_divisors(p)
     nodes, m, h = traj.nodes, traj.m, traj.h
     if nodes - m < 2:
         raise EmptyWindowError("horizon too short: need at least two nodes past tau")
     times = [k * h for k in range(nodes)]
-    values = _values(kind, p, traj.ys, times, m)
+    values = _values(kind, c, traj.ys, times, m)
     steps = list(map(operator.sub, values[1:], values))
     # max skips a NaN after the first item; the largest increase is NaN then
     increase = math.nan if any(map(math.isnan, steps)) else max(steps)

@@ -88,15 +88,23 @@ class ModelParams(namedtuple("ModelParams", "beta_h beta_v mu_h mu_v c_vh c_hv t
     def inv_s_v0(self) -> float:
         """1 / S_v0, the limiting system's fixed 1 / N_v. RateUnderflowError
         when S_v0 underflows to 0."""
-        s_v0 = self.s_v0
-        if s_v0 == 0.0:
-            raise RateUnderflowError("S_v0 = beta_v / mu_v")
-        return 1.0 / s_v0
+        return 1.0 / _nonzero(self.s_v0, _S_V0)
 
     @property
     def max_rate(self) -> float:
         return max(self.beta_h, self.beta_v, self.mu_h, self.mu_v,
                    self.c_vh, self.c_hv)
+
+
+_S_V0 = "S_v0 = beta_v / mu_v"
+
+
+def _nonzero(value: float, name: str) -> float:
+    """value, a divisor derived from the rates; RateUnderflowError(name) where
+    it underflowed to 0. The one place that raises that error."""
+    if value == 0.0:
+        raise RateUnderflowError(name)
+    return value
 
 
 def _finite_real(x: object) -> bool:

@@ -25,7 +25,8 @@ from .errors import (
     ThetaOutOfRangeError,
 )
 from .integrator import SystemKind, Trajectory, tail_stats
-from .model import COMPONENT_NAMES, HistorySegment, ModelParams, State, _finite_real
+from .model import (_S_V0, COMPONENT_NAMES, HistorySegment, ModelParams, State,
+                    _finite_real, _nonzero)
 
 
 class PersistenceBounds(namedtuple("PersistenceBounds", "theta s_v_bar s_h_bar")):
@@ -39,11 +40,12 @@ def _require_theta(theta: float) -> float:
 
 
 def persistence_bounds(p: ModelParams, theta: float) -> PersistenceBounds:
-    """Closed-form eventual lower bounds on the susceptible pools."""
+    """Closed-form eventual lower bounds on the susceptible pools.
+    RateUnderflowError where S_v0 underflows to 0."""
     _require_theta(theta)
     star = _require_endemic(p)
     s_v_bar = p.beta_v / (theta * p.c_hv * star.i_h + p.mu_v)
-    s_h_bar = p.beta_h / (p.c_vh * (1.0 - s_v_bar / p.s_v0) + p.mu_h)
+    s_h_bar = p.beta_h / (p.c_vh * (1.0 - s_v_bar / _nonzero(p.s_v0, _S_V0)) + p.mu_h)
     # theta < 1 guarantees both in exact arithmetic; near 1 rounding erases the gap
     if not (s_v_bar > star.s_v and s_h_bar > star.s_h):
         raise NumericalError(f"theta = {theta!r} is too close to 1: the bounds "

@@ -32,9 +32,10 @@ load by the rule of params.<axis>. Rows are independent; a failing row
 records an error marker (and, if the opt-in error_class column is asked for,
 the exception's class name) and the sweep carries on. Rows that integrate
 (tail columns) run in forked workers on every CPU os.sched_getaffinity
-allows, and sweep.csv is the same bytes as a run on one CPU. A worker that
-returns no lines (it raised, died or never started) has its rows run in this
-process, so a failure is raised as a serial run raises it.
+allows, and sweep.csv is the same bytes as a run on one CPU. If a worker
+returns no lines (a row raised, it died or never started) or a row of this
+process raises, every worker is reaped and all rows run again in this
+process, in row order, so a failure is raised as a serial run raises it.
 
 On two or more CPUs, a scenario run formats a CSV artifact in a forked
 child as soon as its data is final, where another analysis follows for
@@ -706,46 +707,39 @@ def _rows_bytes(sweep: SweepSpec, values: tuple[float, ...], seed: int) -> bytes
 def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
     """Every row's line, in row order. Rows that integrate (tail columns) are
     split across n = min(_workers(), rows) processes: this one runs rows 0, n,
-    2n, ..., and forked worker w (_fork) rows w, w + n, .... Once all workers
-    are reaped, the rows of a worker with no result (a row raised, it died or
-    never started) run here in row order; if a row of this process raised,
-    every worker is killed and only its rows before that one run here. So the
-    first failure in row order is raised, as in a serial run. A row loads no
-    module (numpy included) that this process has not, so nothing is
-    preloaded before the fork."""
+    2n, ..., and forked worker w (_fork) rows w, w + n, .... One failure
+    rule: if a fork fails, a worker returns nothing (a row raised, or it
+    died) or a row of this process raises, every worker is reaped and all
+    rows run here in row order, so the first failure in row order is raised
+    as in a serial run. A row loads no module (numpy included) that this
+    process has not, so nothing is preloaded before the fork."""
     values = sweep.values
     n = min(_workers(), len(values)) if set(_TAIL_COLUMNS) & set(sweep.columns) else 1
     if n < 2:
         return [_row_line(sweep, v, seed) for v in values]
-    lines = [""] * len(values)
-    kids: dict[int, _Child] = {}  # worker w -> its child
-    got: dict[int, bytes] = {}
-    error, j = None, 0  # a failure in this process's row j
+    kids: list[_Child] = []
     try:
         for w in range(1, n):
             kid = _fork(_rows_bytes, sweep, values[w::n], seed)
             if kid is None:
                 break
-            kids[w] = kid
-        for j in range(0, len(values), n):
-            lines[j] = _row_line(sweep, values[j], seed)
-        for w, kid in kids.items():
-            part = kid.result()
-            if part is not None:
-                got[w] = part
-    except Exception as exc:  # raised below, once the rows before j have run
-        error = exc
+            kids.append(kid)
+        else:
+            try:
+                mine = [_row_line(sweep, v, seed) for v in values[::n]]
+            except Exception:  # the serial run below raises it, the first in row order
+                mine = None
+            parts = [None] if mine is None else [kid.result() for kid in kids]
+            if None not in parts:
+                lines = [""] * len(values)
+                lines[::n] = mine
+                for w, part in enumerate(parts, 1):
+                    lines[w::n] = marshal.loads(part)
+                return lines
     finally:
-        for kid in kids.values():
+        for kid in kids:
             kid.stop()  # a no-op for a worker already read
-    for w, part in got.items():
-        lines[w::n] = marshal.loads(part)
-    for k in range(len(values) if error is None else j):
-        if k % n and k % n not in got:
-            lines[k] = _row_line(sweep, values[k], seed)
-    if error is not None:
-        raise error
-    return lines
+    return [_row_line(sweep, v, seed) for v in values]
 
 
 def run_sweep(sweep: SweepSpec, out_dir: str | None = None, seed: int = 0) -> str:
@@ -753,7 +747,8 @@ def run_sweep(sweep: SweepSpec, out_dir: str | None = None, seed: int = 0) -> st
     ModelError or ArithmeticError is its error cell; any other failure writes
     nothing and is raised as a serial run raises it. Rows with tail columns
     run in forked workers on every CPU os.sched_getaffinity allows, with the
-    same output as on one CPU; a worker's rows run here if it returns none."""
+    same output as on one CPU; if a fork fails, a worker returns nothing or
+    a row here raises, all rows run here in row order (_sweep_lines)."""
     _check_seed(seed)
     lines = [",".join([sweep.axis, *sweep.columns, "error"]),
              *_sweep_lines(sweep, seed)]

@@ -54,8 +54,8 @@ from collections import namedtuple
 
 from . import defaults
 from .equilibria import _require_endemic, r0_squared
-from .errors import InvalidSpecError, RateUnderflowError, RootPolishError, ValidationError
-from .model import ModelParams, _check_delay, _make_validated
+from .errors import InvalidSpecError, RootPolishError, ValidationError
+from .model import ModelParams, _check_delay, _make_validated, _nonzero
 
 
 class CharCoeffs(namedtuple("CharCoeffs", "a1 a2 a3 tau g0")):
@@ -98,9 +98,7 @@ def _endemic_weights(p: ModelParams) -> tuple[float, float, float, float, float]
     coefficients satisfy a1^2 - 2 a2 = (mu_h + m1)^2 + (mu_v + m5)^2 > 0."""
     star = _require_endemic(p)
     n_v = star.n_v
-    n_v2 = n_v * n_v
-    if n_v2 == 0.0:
-        raise RateUnderflowError("N_v* * N_v*")
+    n_v2 = _nonzero(n_v * n_v, "N_v* * N_v*")
     return (p.c_vh * star.i_v / n_v,
             p.c_vh * star.i_v * star.s_h / n_v2,
             p.c_vh * star.s_v * star.s_h / n_v2,

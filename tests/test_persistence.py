@@ -11,7 +11,9 @@ from malaria_dde import (
     IntegrationSpec,
     InvalidSpecError,
     NotInDomainDError,
+    ModelParams,
     NumericalError,
+    RateUnderflowError,
     SubcriticalR0Error,
     SystemKind,
     ThetaOutOfRangeError,
@@ -109,6 +111,16 @@ def test_bounds_rounded_onto_the_endemic_state_leave_as_numerical_error():
     assert 0.0 < theta < 1.0
     with pytest.raises(NumericalError, match=re.escape(f"theta = {theta!r}")):
         persistence_bounds(P_SUPER, theta)
+
+
+def test_bounds_name_an_underflowing_s_v0():
+    # R0^2 = 66.7, so E* exists, but S_v0 = beta_v / mu_v underflows to 0 and
+    # s_h_bar divides by it; this once raised a bare ZeroDivisionError
+    p = ModelParams(beta_h=2, beta_v=5e-324, mu_h=0.5, mu_v=3, c_vh=5, c_hv=5, tau=1)
+    assert endemic_equilibrium(p) is not None and p.s_v0 == 0.0
+    with pytest.raises(RateUnderflowError) as err:
+        persistence_bounds(p, 0.5)
+    assert err.value.product == "S_v0 = beta_v / mu_v"
 
 
 def test_report_lines_carry_theta_key():

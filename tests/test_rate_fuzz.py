@@ -1,16 +1,31 @@
-"""Extreme-rate property test: every `run_scenario` call leaves through the
-error taxonomy.
+"""Extreme-rate property tests: every `run_scenario` call, and every call of
+the library entry points below it, leaves through the error taxonomy.
 
 Each seeded draw has rates log-uniform in [1e-300, 1e300], its own tau
 (0, moderate or log-uniform), history kind, system, mesh and a short t_end.
 The scenario runs in full (every analysis on, files written) and once per
-`only` section, and each call must return or raise a `ModelError`. Most
-draws fail at their first check, so the test takes a few seconds.
+`only` section; on the same draws, each entry point that reads a
+rate-derived quantity is called on its own. Each call must return or raise
+a `ModelError`. Most draws fail at their first check, so each test takes a
+few seconds.
 """
 
 import numpy as np
 
-from malaria_dde import IntegrationSpec, ModelError, ModelParams, SystemKind, run_scenario
+from malaria_dde import (
+    EquilibriumKind,
+    IntegrationSpec,
+    ModelError,
+    ModelParams,
+    SystemKind,
+    classify,
+    equilibrium_set,
+    persistence_bounds,
+    rhs,
+    run_scenario,
+    v_dfe,
+    v_endemic,
+)
 from malaria_dde.scenario import Analyses, HistorySpec, Scenario
 
 DRAWS = 2000
@@ -45,10 +60,15 @@ def _scenario(rng, out_dir: str) -> Scenario:
                     analyses=ALL_ANALYSES, out_dir=out_dir)
 
 
-def test_extreme_rates_leave_every_run_through_the_taxonomy(tmp_path):
+def _draws(out_dir: str):
+    """(seed, scenario) for each of the DRAWS seeded draws, the same in every test."""
     rng = np.random.default_rng(20261020)
     for i in range(DRAWS):
-        scn = _scenario(rng, str(tmp_path / "out"))
+        yield i, _scenario(rng, out_dir)
+
+
+def test_extreme_rates_leave_every_run_through_the_taxonomy(tmp_path):
+    for i, scn in _draws(str(tmp_path / "out")):
         for only in ONLY:
             try:
                 run_scenario(scn, seed=i, only=only)
@@ -56,3 +76,33 @@ def test_extreme_rates_leave_every_run_through_the_taxonomy(tmp_path):
                 pass
             except Exception as exc:
                 raise AssertionError(f"draw {i}, only={only}: {scn}") from exc
+
+
+def _entry_point_calls(scn: Scenario, seed: int):
+    """(name, call) for each library entry point on the draw's rates, and on
+    its history where one is needed."""
+    p = scn.params
+    yield "equilibrium_set", lambda: equilibrium_set(p)
+    for which in EquilibriumKind:
+        yield f"classify {which.value}", lambda which=which: classify(p, which)
+    yield "persistence_bounds", lambda: persistence_bounds(p, 0.5)
+    try:
+        psi = scn.history.build(p, seed)
+    except ModelError:
+        return
+    yield "v_dfe", lambda: v_dfe(p, psi)
+    yield "v_endemic", lambda: v_endemic(p, psi)
+    for system in SystemKind:
+        yield f"rhs {system.value}", lambda system=system: rhs(
+            p, psi.state_at(0.0), psi.state_at(-p.tau), system)
+
+
+def test_extreme_rates_leave_every_entry_point_through_the_taxonomy(tmp_path):
+    for i, scn in _draws(str(tmp_path / "out")):
+        for name, call in _entry_point_calls(scn, i):
+            try:
+                call()
+            except ModelError:
+                pass
+            except Exception as exc:
+                raise AssertionError(f"draw {i}, {name}: {scn.params}") from exc
