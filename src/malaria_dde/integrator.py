@@ -56,7 +56,7 @@ import bisect
 import math
 from array import array
 from collections import deque, namedtuple
-from itertools import chain
+from itertools import chain, islice
 from typing import IO, Iterable, Sequence
 
 from . import defaults
@@ -83,6 +83,7 @@ from .model import (
 )
 
 CSV_HEADER = "t,S_h,I_h,S_v,I_v"
+_CSV_BLOCK = 1024  # rows formatted by one %
 
 
 class IntegrationSpec(namedtuple("IntegrationSpec", "system t_end steps_per_delay step",
@@ -194,8 +195,12 @@ def _write_csv(target: str | IO[str], header: str,
     value at 17 significant digits (round-trips a float64 exactly)."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     values = chain.from_iterable(zip(*columns))
-    # one % over all rows; the header goes out on its own, not copied in
-    parts = (header + "\n", row * len(columns[0]) % tuple(values))
+    # one % per block of rows, so only a block's floats are boxed at a time;
+    # the header goes out on its own, not copied in
+    parts = [header + "\n"]
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        rows = min(_CSV_BLOCK, len(columns[0]) - start)
+        parts.append(row * rows % tuple(islice(values, rows * len(columns))))
     if isinstance(target, str):
         with open(target, "w") as fh:
             fh.writelines(parts)

@@ -37,25 +37,25 @@ returns no lines (a row raised, it died or never started) or a row of this
 process raises, every worker is reaped and all rows run again in this
 process, in row order, so a failure is raised as a serial run raises it.
 
-On two or more CPUs, a scenario run formats a CSV artifact in a forked
-child as soon as its data is final, where another analysis follows for
-this process to run meanwhile; a CSV that none follows is formatted here,
-as a child would only be waited for. The child formats finished data only,
-so it raises nothing a run can raise. An artifact whose child sends back
-nothing is formatted in this process, with the same bytes. One helper,
-_fork, forks for both uses.
+On two or more CPUs, a scenario run that simulates the full system and
+has Lyapunov on runs the Lyapunov section in one forked child: the limiting
+run, the trace and lyapunov.csv's text. This process runs the full system
+and formats trajectory.csv meanwhile. If the child sends back nothing, the
+section runs here at its place, so a failure is raised as a serial run
+raises it; report.txt and the CSVs are the same bytes as on one CPU. One
+helper, _fork, forks for both uses.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import marshal
 import math
 import numbers
 import os
 import threading
+import types
 from collections import namedtuple
 from typing import IO, Any, Callable
 
@@ -483,7 +483,7 @@ class _Child:
                 os.waitpid(pid, 0)  # ChildProcessError where SIGCHLD is ignored
 
 
-_Artifact = tuple[str, Any, _Child | None]  # (path, object with to_csv, its child)
+_Artifact = tuple[str, Any]  # (path, its text's strings or an object with to_csv)
 
 
 def _fork(fn: Callable[..., bytes], *args: Any) -> _Child | None:
@@ -516,6 +516,20 @@ def _fork(fn: Callable[..., bytes], *args: Any) -> _Child | None:
     return _Child(pid, open(r, "rb"))
 
 
+def _text(obj: Any) -> list[str]:
+    """What obj.to_csv writes to a file, as the strings it writes, uncopied."""
+    parts: list[str] = []
+    obj.to_csv(types.SimpleNamespace(writelines=parts.extend))
+    return parts
+
+
+def _section_bytes(section: Callable[[], tuple[list[str], Any]]) -> bytes:
+    """A forked child's result: the marshalled report lines of section() and
+    its CSV artifact's strings."""
+    lines, obj = section()
+    return marshal.dumps((lines, _text(obj)))
+
+
 def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
                  only: str | None = None) -> list[str]:
     """Execute a scenario and return the report lines.
@@ -524,16 +538,22 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
     that section (persistence at DEFAULT_THETA if the scenario names no
     fraction) and writes no files. Otherwise report.txt and the CSVs go to
     out_dir (default: the scenario's output.dir) in one block after the last
-    analysis, so a run that fails writes nothing. On two or more CPUs a CSV
-    that another analysis follows (trajectory.csv before Lyapunov or
-    persistence, lyapunov.csv before persistence) is formatted in a forked
-    child (_fork) from the moment its data is final, while this process runs
-    that analysis; every child not yet read is killed and reaped however the
-    run ends. A CSV that no analysis follows is formatted here: a child
-    would only be waited for. Each distinct
+    analysis, so a run that fails writes nothing. Each distinct
     IntegrationSpec is integrated once: simulate reads the scenario's spec,
     persistence it with system FULL, Lyapunov with system LIMITING, once the
     functional's divisors are checked.
+
+    On two or more CPUs, where simulate runs the full system and Lyapunov is
+    on, the Lyapunov section (the divisor check, the limiting run,
+    trace_along and lyapunov.csv's text) runs in one forked child (_fork),
+    started once the history is built. This process meanwhile runs
+    simulate and formats trajectory.csv, then reads the child's report
+    lines and CSV at the section's place; persistence follows, as on one
+    CPU. If the child sends nothing (its section raised, it died, os.pipe
+    or os.fork failed, or SIGCHLD is ignored so its exit status is lost),
+    the section runs here at its place, so the first failure in section
+    order is raised as a serial run raises it. The child is killed and
+    reaped however the run ends.
     """
     _check_seed(seed)
     a = scn.analyses
@@ -548,12 +568,10 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
     lines = _equilibria_lines(p)
     artifacts: list[_Artifact] = []
 
-    def artifact(key: str, obj: Any, overlap: bool) -> None:
-        """<key>.csv, written at the end; formatted in a child only where an
-        analysis still runs here (`overlap`) for it to overlap."""
+    def artifact(key: str, data: Any) -> None:
+        """<key>.csv, written at the end from data (see _write_out)."""
         if target is not None:
-            child = _fork(_csv_bytes, obj) if overlap and _workers() >= 2 else None
-            artifacts.append((os.path.join(target, f"{key}.csv"), obj, child))
+            artifacts.append((os.path.join(target, f"{key}.csv"), data))
             lines.append(f"{key}.file = {artifacts[-1][0]}")
 
     if a.stability:
@@ -574,6 +592,19 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             runs[key] = integrate(p, phi, key)
         return runs[key]
 
+    def lyapunov() -> tuple[list[str], Any]:
+        """The Lyapunov section's report lines and its trace."""
+        _require_divisors(p)  # before the limiting run
+        trace = trace_along(p, run(spec._replace(system=SystemKind.LIMITING)))
+        return [f"lyapunov.kind = {trace.kind.value}",
+                f"lyapunov.v_first = {_fmt(float(trace.values[0]))}",
+                f"lyapunov.v_last = {_fmt(float(trace.values[-1]))}",
+                f"lyapunov.max_increase = {_fmt(trace.max_increase)}",
+                f"lyapunov.descends = {str(trace.passes_descent()).lower()}"], trace
+
+    # the limiting run in a child while this process runs the full one
+    fork = a.lyapunov and a.simulate and spec.system is SystemKind.FULL and _workers() >= 2
+    child = _fork(_section_bytes, lyapunov) if fork else None
     try:
         if a.simulate:
             traj = run(spec)
@@ -583,17 +614,14 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             for name in COMPONENT_NAMES:
                 lines.append(f"tail.{name}.inf = {_fmt(getattr(tail.inf, name))}")
                 lines.append(f"tail.{name}.sup = {_fmt(getattr(tail.sup, name))}")
-            artifact("trajectory", traj, overlap=bool(a.lyapunov or a.persistence))
+            # formatted here while the child runs; else when it is written
+            artifact("trajectory", traj if child is None else _text(traj))
 
         if a.lyapunov:
-            _require_divisors(p)  # before the limiting run
-            trace = trace_along(p, run(spec._replace(system=SystemKind.LIMITING)))
-            lines.append(f"lyapunov.kind = {trace.kind.value}")
-            lines.append(f"lyapunov.v_first = {_fmt(float(trace.values[0]))}")
-            lines.append(f"lyapunov.v_last = {_fmt(float(trace.values[-1]))}")
-            lines.append(f"lyapunov.max_increase = {_fmt(trace.max_increase)}")
-            lines.append(f"lyapunov.descends = {str(trace.passes_descent()).lower()}")
-            artifact("lyapunov", trace, overlap=bool(a.persistence))
+            data = None if child is None else child.result()
+            section, csv = lyapunov() if data is None else marshal.loads(data)
+            lines.extend(section)
+            artifact("lyapunov", csv)
 
         for theta in a.persistence:
             _require_preconditions(p, phi, theta)  # before the full run
@@ -603,44 +631,31 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
         if target is not None:
             _write_out(target, artifacts, "report.txt", lines)
     finally:
-        for _, _, child in artifacts:
-            if child is not None:
-                child.stop()  # a no-op once _write_out has read it
+        if child is not None:
+            child.stop()  # a no-op once result() has reaped it
     return lines
-
-
-def _csv_bytes(obj: Any) -> bytes:
-    """What obj.to_csv writes to a file, as bytes: its text is ASCII."""
-    buf = io.StringIO()
-    obj.to_csv(buf)
-    return buf.getvalue().encode("ascii")
 
 
 def _write_out(target: str, artifacts: list[_Artifact], name: str,
                lines: list[str]) -> str:
     """Make target, write each artifact, then `lines` to target/name, and
-    return that path. An artifact is (path, object with to_csv, the child
-    formatting it or None); it is written from the bytes its child sends
-    back or, where it has no child or the child sends none, by the object's
-    to_csv here. Artifacts with no child are written first, so that their
-    formatting here overlaps the children's. Each file is written under a
-    staged name, <path>.part, and all are renamed into place only after the
-    last write succeeds, so a failed write leaves the earlier run's files as
-    they were. An OSError in a write removes what was staged and is
-    SchemaError("output.dir"); a child raises none (_Child.result), and
-    run_scenario reaps the children not yet read."""
+    return that path. An artifact is (path, data): data is the list of
+    strings of the file's text, or an object whose to_csv writes it. Each
+    file is written under a staged name, <path>.part, and all are renamed
+    into place only after the last write succeeds, so a failed write leaves
+    the earlier run's files as they were. An OSError in a write removes what
+    was staged and is SchemaError("output.dir")."""
     path = os.path.join(target, name)
     finals: list[str] = []  # each staged as final + ".part"
     try:
         os.makedirs(target, exist_ok=True)
-        for final, obj, child in sorted(artifacts, key=lambda art: art[2] is not None):
+        for final, data in artifacts:
             finals.append(final)
-            data = None if child is None else child.result()
-            if data is None:
-                obj.to_csv(final + ".part")
+            if isinstance(data, list):
+                with open(final + ".part", "w") as fh:
+                    fh.writelines(data)
             else:
-                with open(final + ".part", "wb") as fh:
-                    fh.write(data)
+                data.to_csv(final + ".part")
         finals.append(path)
         with open(path + ".part", "w") as fh:
             fh.write("\n".join(lines) + "\n")

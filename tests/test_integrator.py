@@ -395,6 +395,16 @@ def test_trajectory_csv_round_trip():
     assert np.array_equal(parsed[:, 1:], states_of(traj))  # 17 digits round-trip exactly
 
 
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
+def test_csv_blocks_join_to_one_row_per_index(rows):
+    # the rows are formatted a block at a time; around a block's edges the
+    # text is one "%.17g" row per index, as a row-by-row writer gives
+    cols = ([k / 7 for k in range(rows)], [math.pi * k for k in range(rows)])
+    buf = io.StringIO()
+    integrator._write_csv(buf, "a,b", cols)
+    assert buf.getvalue() == "a,b\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(*cols))
+
+
 def test_nonnegativity_holds_from_boundary_history():
     phi = HistorySegment.constant((4.0, 0.0, 50.0, 0.1), 1.0)
     traj = integrate(P_SUB, phi, spec_full(200.0))

@@ -506,7 +506,7 @@ _MAIN_WITHOUT_NUMPY = (
 
 def test_the_package_runs_without_numpy(tmp_path):
     # no runtime dependency: with numpy blocked, the package imports, and
-    # simulate (constant and random history, artifacts in forked children),
+    # simulate (constant and random history, Lyapunov in a forked child),
     # a forked tail sweep and report --only lyapunov exit 0 with the bytes
     # of a run that could load numpy
     with open(ENDEMIC_DEMO) as fh:
@@ -598,14 +598,24 @@ FADEOUT_DEMO = os.path.join(SCENARIO_DIR, "fadeout.json")
 
 
 @pytest.fixture
-def integrate_spy(monkeypatch):
+def integrate_spy(monkeypatch, tmp_path):
+    """A function that returns the spec of each integrate call since it was
+    last called, in this process and in forked children alike: each call
+    appends a line to a file."""
     import malaria_dde.scenario as scenario_mod
-    calls = []
+    log = tmp_path / "integrate.log"
+    log.write_text("")
     real = scenario_mod.integrate
 
     def spy(p, phi, spec):
-        calls.append(spec)
+        with open(log, "a") as fh:
+            fh.write(json.dumps([spec.system.value, *spec[1:]]) + "\n")
         return real(p, phi, spec)
+
+    def calls():
+        lines = log.read_text().splitlines()
+        log.write_text("")
+        return [IntegrationSpec(SystemKind(s), *rest) for s, *rest in map(json.loads, lines)]
 
     monkeypatch.setattr(scenario_mod, "integrate", spy)
     return calls
@@ -639,17 +649,24 @@ def test_sweep_rows_integrate_to_their_own_default_horizon(tmp_path, monkeypatch
     assert ends == [40.0 / min(mu_h, mu_v) for mu_h in values] == [400.0, 500.0, 800.0]
 
 
-def test_run_scenario_integrates_each_system_once(tmp_path, integrate_spy):
+def test_run_scenario_integrates_each_system_once(tmp_path, monkeypatch, integrate_spy):
     # simulate and both persistence fractions share the full run; Lyapunov
-    # reads the limiting one
+    # reads the limiting one, in this process or in its forked child. Where
+    # simulate's own run is the limiting one, nothing forks and Lyapunov
+    # reads that run: one limiting run and one full run in all
+    import malaria_dde.scenario as scenario_mod
     scn = load_scenario(ENDEMIC_DEMO)
     assert scn.analyses.lyapunov and len(scn.analyses.persistence) == 2
-    run_scenario(scn, out_dir=str(tmp_path / "out"))
-    assert sorted(s.system.value for s in integrate_spy) == ["full", "limiting"]
+    limiting = scn._replace(integration=scn.integration._replace(system=SystemKind.LIMITING))
+    for workers in (1, 2):
+        monkeypatch.setattr(scenario_mod, "_workers", lambda: workers)
+        for s in (scn, limiting):
+            run_scenario(s, out_dir=str(tmp_path / "out"))
+            assert_no_child_processes()
+            assert sorted(c.system.value for c in integrate_spy()) == ["full", "limiting"]
 
-    integrate_spy.clear()
-    run_scenario(scn, only="persistence")
-    assert [s.system for s in integrate_spy] == [SystemKind.FULL]
+        run_scenario(scn, only="persistence")
+        assert [c.system for c in integrate_spy()] == [SystemKind.FULL]
 
 
 def test_zero_delay_step_reaches_every_analysis(tmp_path, integrate_spy):
@@ -659,7 +676,7 @@ def test_zero_delay_step_reaches_every_analysis(tmp_path, integrate_spy):
                          analyses={"lyapunov": True, "persistence": [0.5]})
     scn = load_scenario(path)
     rep = report_dict(run_scenario(scn, out_dir=str(tmp_path / "o")))
-    assert {s.step for s in integrate_spy} == {0.01}
+    assert {s.step for s in integrate_spy()} == {0.01}
 
     p = scn.params
     phi = HistorySegment.constant(BASE["history"]["state"], 0.0)
@@ -746,7 +763,7 @@ def test_persistence_preconditions_fail_before_integrating(
     path = (FADEOUT_DEMO if history is None
             else scenario_file(tmp_path, history=history))
     assert cli.main(["report", path, "--only", "persistence"]) == 1
-    assert integrate_spy == []
+    assert integrate_spy() == []
     assert message in capsys.readouterr().err
 
 
@@ -1044,7 +1061,7 @@ def test_error_class_column_names_the_exception(tmp_path, monkeypatch,
         assert "steps of h" in past_ceiling
 
 
-# ------------------------------------------------ artifacts formatted in a child
+# ------------------------------------------------ the Lyapunov section in a child
 
 ALL_ARTIFACTS = {"integration": {"t_end": 12}, "analyses": {**LYAPUNOV_ON,
                                                             "persistence": [0.5]}}
@@ -1081,19 +1098,29 @@ def test_artifacts_are_the_same_bytes_at_one_and_two_workers(tmp_path, monkeypat
     assert fork_calls == [] and sorted(serial) == ["lyapunov.csv", "report.txt",
                                                    "trajectory.csv"]
     assert _simulate(tmp_path, monkeypatch, 2) == serial
-    assert fork_calls == ["fork", "fork"]  # one child per artifact
+    assert fork_calls == ["fork"]  # one child, for the Lyapunov section
 
 
-@pytest.mark.parametrize("analyses,files,forks", [
-    ({"simulate": True, "stability": False}, ["report.txt", "trajectory.csv"], 0),
-    (LYAPUNOV_ON, ["lyapunov.csv", "report.txt", "trajectory.csv"], 1),
-], ids=["simulate-only", "lyapunov-last"])
-def test_an_artifact_that_no_analysis_follows_is_formatted_here(
-        tmp_path, monkeypatch, fork_calls, analyses, files, forks):
-    # a child for the last artifact would only be waited for
-    serial = _simulate(tmp_path, monkeypatch, 1, analyses=analyses)
+@pytest.mark.parametrize("analyses,system,files,forks", [
+    ({"simulate": True, "stability": False}, "full", ["report.txt", "trajectory.csv"], 0),
+    ({"simulate": False, "lyapunov": True}, "full", ["lyapunov.csv", "report.txt"], 0),
+    (LYAPUNOV_ON, "full", ["lyapunov.csv", "report.txt", "trajectory.csv"], 1),
+    ({"simulate": False, "lyapunov": True, "persistence": [0.5]}, "full",
+     ["lyapunov.csv", "report.txt"], 0),
+    (ALL_ARTIFACTS["analyses"], "limiting", ["lyapunov.csv", "report.txt",
+                                              "trajectory.csv"], 0),
+], ids=["simulate-only", "lyapunov-only", "simulate-lyapunov", "lyapunov-persistence",
+        "limiting-all"])
+def test_the_lyapunov_section_forks_once_beside_a_full_simulate(
+        tmp_path, monkeypatch, fork_calls, analyses, system, files, forks):
+    # a child only where this process runs the full system meanwhile; a
+    # limiting simulate's run is the one Lyapunov reads, so it forks nothing
+    integration = {"t_end": 12, "system": system}
+    serial = _simulate(tmp_path, monkeypatch, 1, analyses=analyses,
+                       integration=integration)
     assert sorted(serial) == files
-    assert _simulate(tmp_path, monkeypatch, 2, analyses=analyses) == serial
+    assert _simulate(tmp_path, monkeypatch, 2, analyses=analyses,
+                     integration=integration) == serial
     assert fork_calls == ["fork"] * forks
 
 
@@ -1107,10 +1134,10 @@ def sigchld_ignored():
 
 def test_children_the_kernel_reaps_leave_the_same_bytes(tmp_path, monkeypatch, fork_calls,
                                                         sigchld_ignored):
-    # os.waitpid raises ChildProcessError: each artifact is formatted here
+    # os.waitpid raises ChildProcessError: the Lyapunov section runs here
     serial = _simulate(tmp_path, monkeypatch, 1)
     assert _simulate(tmp_path, monkeypatch, 2) == serial
-    assert fork_calls == ["fork", "fork"]
+    assert fork_calls == ["fork"]
 
 
 @pytest.mark.parametrize("code", sorted(LATE_FAILURES))
@@ -1128,16 +1155,21 @@ def test_a_failing_run_whose_children_the_kernel_reaps_keeps_its_error(
 
 
 def _fails_for_artifacts(call, err):
-    """os.fork or os.pipe raising err; a child whose formatting raises."""
+    """os.fork or os.pipe raising err; a Lyapunov section that raises in a
+    forked child only."""
+    import malaria_dde.scenario as scenario_mod
     if call in ("fork", "pipe"):
         def fails(*args):
             raise OSError(err, os.strerror(err))
         return os, call, fails
 
-    def fails(obj):
-        raise RuntimeError("formatting failed in the child")
-    import malaria_dde.scenario as scenario_mod
-    return scenario_mod, "_csv_bytes", fails
+    real, parent = scenario_mod.trace_along, os.getpid()
+
+    def fails(p, traj):
+        if os.getpid() != parent:
+            raise RuntimeError("the section failed in the child")
+        return real(p, traj)
+    return scenario_mod, "trace_along", fails
 
 
 @pytest.mark.parametrize("call,err", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE),
@@ -1145,19 +1177,20 @@ def _fails_for_artifacts(call, err):
                          ids=["fork", "pipe", "child-exits-1"])
 def test_an_artifact_with_no_child_bytes_is_formatted_here(tmp_path, monkeypatch,
                                                            call, err, fork_calls):
+    # the Lyapunov section, lyapunov.csv with it, runs in this process
     serial = _simulate(tmp_path, monkeypatch, 1, "o1")
     before = _open_descriptors()
     monkeypatch.setattr(*_fails_for_artifacts(call, err))
     assert _simulate(tmp_path, monkeypatch, 2, "o2") == {
         f: data.replace(b"/o1/", b"/o2/") for f, data in serial.items()}
     assert _open_descriptors() == before
-    assert len(fork_calls) == (2 if call == "child" else 0)
+    assert len(fork_calls) == (1 if call == "child" else 0)
 
 
 @pytest.mark.parametrize("code", sorted(LATE_FAILURES))
 def test_a_run_that_fails_after_simulate_leaves_no_child(tmp_path, capsys, monkeypatch,
                                                          code, fork_calls):
-    # the trajectory's child has started when the Lyapunov stage fails
+    # the Lyapunov section fails in the child, then again here at its place
     import malaria_dde.scenario as scenario_mod
     monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
     path = scenario_file(tmp_path, **LATE_FAILURES[code], analyses=LYAPUNOV_ON)
@@ -1167,6 +1200,46 @@ def test_a_run_that_fails_after_simulate_leaves_no_child(tmp_path, capsys, monke
     assert_no_child_processes()
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_run_that_fails_beside_its_child_kills_it(tmp_path, monkeypatch, fork_calls,
+                                                    fails_rather_than_hangs):
+    # simulate fails here while the child still runs the Lyapunov section:
+    # the child is killed and reaped, and nothing is written
+    import malaria_dde.scenario as scenario_mod
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
+
+    def fails(traj):
+        raise RuntimeError("simulate failed")
+
+    monkeypatch.setattr(scenario_mod, "tail_stats", fails)
+    path = scenario_file(tmp_path, **{**ALL_ARTIFACTS, "integration": {"t_end": 200}})
+    with pytest.raises(RuntimeError, match="simulate failed"):
+        cli.main(["simulate", path, "--out", str(tmp_path / "o"), "--quiet"])
+    assert fork_calls == ["fork"]
+    assert_no_child_processes()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("lyapunov_fails", [True, False], ids=["both-fail", "persistence-fails"])
+def test_a_persistence_failure_follows_the_lyapunov_section(
+        tmp_path, capsys, monkeypatch, fork_calls, lyapunov_fails):
+    # persistence (I_h(0) = 0) would fail after the Lyapunov section. Where
+    # that section, earlier in section order, fails in the child and again
+    # here, its error is raised; where it passes in the child, persistence
+    # raises its own: the errors of a serial run
+    import malaria_dde.scenario as scenario_mod
+    monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
+    path = scenario_file(tmp_path, **(LATE_FAILURES[1] if lyapunov_fails else {}),
+                         history={"kind": "constant", "state": [4, 0, 30, 10]},
+                         analyses={**LYAPUNOV_ON, "persistence": [0.5]})
+    assert cli.main(["simulate", path, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert fork_calls == ["fork"]
+    assert_no_child_processes()
+    err = capsys.readouterr().err
+    assert ("horizon too short" in err) is lyapunov_fails
+    assert ("needs I_h(0) > 0" in err) is not lyapunov_fails
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture

@@ -207,8 +207,9 @@ def test_an_underflowing_lyapunov_divisor_exits_2_naming_it(tmp_path, capsys,
 
 def test_an_underflowing_lyapunov_divisor_stops_simulate_before_its_limiting_run(
         tmp_path, capsys, monkeypatch):
-    # the full run is done and the trajectory's child started; the child is
-    # reaped and nothing is written
+    # the Lyapunov child fails its divisor check, and so does this process
+    # after the full run, at the section's place; the child is reaped and
+    # nothing is written
     out = tmp_path / "out"
     assert _underflowing_lyapunov_divisor(tmp_path, capsys, monkeypatch,
                                           "simulate", "--out", str(out)) == [SystemKind.FULL]

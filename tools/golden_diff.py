@@ -12,9 +12,12 @@ match):
   (Lyapunov and persistence on, as there), at --seed 0 and at
   --seed 2**64 + 5, a seed of three 32-bit words (RANDOM_SEEDS);
 * `simulate` on endemic.json again, allowed only one CPU by
-  os.sched_setaffinity before it starts (ONE_CPU), so its CSVs are
-  formatted in its own process, where the other runs on a machine with two
-  or more CPUs format them in forked children;
+  os.sched_setaffinity before it starts (ONE_CPU), so its Lyapunov section
+  runs in its own process, where the other runs on a machine with two or
+  more CPUs run it in a forked child;
+* `simulate` on limiting_endemic, endemic.json with `integration.system:
+  limiting` (Lyapunov and persistence on, as there), which forks nothing:
+  its Lyapunov section reads simulate's own run;
 * `sweep` on demos/scenarios/sweep_c_vh.json, and on three sweeps made from
   it in the scratch directory (MADE_SWEEPS), each with the tail columns:
   sweep_tau_tail, on a tau axis, whose 1e-7 row needs more than MAX_STEPS
@@ -97,6 +100,9 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
         name = f"random_endemic_seed{seed}"
         out.append((f"simulate_{name}", cli + ["simulate", path, "--seed", str(seed),
                                                "--out", f"out/simulate_{name}"]))
+    path = os.path.join("demos", "scenarios", "limiting_endemic.json")
+    out.append(("simulate_limiting_endemic",
+                cli + ["simulate", path, "--out", "out/simulate_limiting_endemic"]))
     for name in ("sweep_c_vh", *MADE_SWEEPS):
         out.append((name, cli + ["sweep", os.path.join("demos", "scenarios", f"{name}.json"),
                                  "--out", f"out/{name}"]))
@@ -123,7 +129,9 @@ def run_tree(tree: str, work: str, dest: str) -> None:
         c_vh = json.load(fh)
     with open(os.path.join(scen_dir, "endemic.json")) as fh:
         endemic = json.load(fh)
-    made = {"random_endemic": {**endemic, "history": RANDOM}}
+    made = {"random_endemic": {**endemic, "history": RANDOM},
+            "limiting_endemic": {**endemic, "integration": {**endemic["integration"],
+                                                            "system": "limiting"}}}
     for name, (keys, base) in MADE_SWEEPS.items():
         made[name] = {**c_vh, **keys, "base": {**c_vh["base"], **base}}
     for name, obj in made.items():
