@@ -27,10 +27,11 @@ accepted only as the integer 1, as output.formats is only ["csv"].
 
 A sweep wraps a base scenario, an axis (one parameter name), the values to
 visit in order, and the derived columns to tabulate (no column twice, once
-the groups are expanded). Each value is checked at
-load by the rule of params.<axis>. Rows are independent; a failing row
-records an error marker (and, if the opt-in error_class column is asked for,
-the exception's class name) and the sweep carries on. Rows that integrate
+the groups are expanded). Each value is checked at load by the rule of
+params.<axis>. The classification columns read G(0) alone (stability._g0):
+no root search. Rows are independent; a failing row records an error
+marker (and, if the opt-in error_class column is asked for, the
+exception's class name) and the sweep carries on. Rows that integrate
 (tail columns) run in forked workers on every CPU os.sched_getaffinity
 allows, and sweep.csv is the same bytes as a run on one CPU. If a worker
 returns no lines (a row raised, it died or never started) or a row of this
@@ -66,7 +67,7 @@ from .integrator import IntegrationSpec, SystemKind, Trajectory, _integrate, int
 from .lyapunov import _require_divisors, trace_along
 from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _spans
 from .persistence import _require_preconditions, weak_persistence_check
-from .stability import EquilibriumKind, classify
+from .stability import EquilibriumKind, _classification, _g0, classify
 
 SCHEMA_VERSION = 1
 
@@ -516,7 +517,7 @@ def _fork(fn: Callable[..., bytes], *args: Any) -> _Child | None:
     return _Child(pid, open(r, "rb"))
 
 
-def _text(obj: Any) -> list[str]:
+def _strings(obj: Any) -> list[str]:
     """What obj.to_csv writes to a file, as the strings it writes, uncopied."""
     parts: list[str] = []
     obj.to_csv(types.SimpleNamespace(writelines=parts.extend))
@@ -527,7 +528,7 @@ def _section_bytes(section: Callable[[], tuple[list[str], Any]]) -> bytes:
     """A forked child's result: the marshalled report lines of section() and
     its CSV artifact's strings."""
     lines, obj = section()
-    return marshal.dumps((lines, _text(obj)))
+    return marshal.dumps((lines, _strings(obj)))
 
 
 def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
@@ -615,7 +616,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
                 lines.append(f"tail.{name}.inf = {_fmt(getattr(tail.inf, name))}")
                 lines.append(f"tail.{name}.sup = {_fmt(getattr(tail.sup, name))}")
             # formatted here while the child runs; else when it is written
-            artifact("trajectory", traj if child is None else _text(traj))
+            artifact("trajectory", traj if child is None else _strings(traj))
 
         if a.lyapunov:
             data = None if child is None else child.result()
@@ -682,10 +683,10 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
         elif col == "r0_squared":
             row[col] = _fmt(r2)
         elif col == "classification_e0":
-            row[col] = classify(p, EquilibriumKind.DISEASE_FREE).classification.value
+            row[col] = _classification(_g0(p, EquilibriumKind.DISEASE_FREE, r2)).value
         elif col == "classification_e_star":
             row[col] = ("absent" if star is None else
-                        classify(p, EquilibriumKind.ENDEMIC).classification.value)
+                        _classification(_g0(p, EquilibriumKind.ENDEMIC, r2)).value)
         elif col in _STAR_COLUMNS:
             name = col[:-5]  # strip _star
             row[col] = "" if star is None else _fmt(getattr(star, name))

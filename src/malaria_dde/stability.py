@@ -7,11 +7,11 @@ into (lam + mu_h)(lam + mu_v) (two exact negative roots) times
 
 with one (a1, a2, a3) triple per equilibrium. One named tuple, CharCoeffs,
 holds that triple, tau and g0 = G(0); DfeCharCoeffs.from_params and
-EndemicCharCoeffs.from_params build it at E0 and at E*, with g0 from the
-identity a2 + a3 = mu_h mu_v (1 - R0^2) at E0 and mu_h mu_v (R0^2 - 1) at E*
-(1 - r2 is exact for r2 in [0.5, 2], by Sterbenz's lemma). Both families
-have a1 > 0, a2 - a3 > 0 and a1^2 - 2a2 > 0, so the two flag lines restate
-the sign of g0, that is of 1 - R0^2; only the root's value says more:
+EndemicCharCoeffs.from_params build it at E0 and at E*, with g0 from _g0,
+the identity a2 + a3 = mu_h mu_v (1 - R0^2) at E0 and mu_h mu_v (R0^2 - 1)
+at E* (1 - r2 is exact for r2 in [0.5, 2], by Sterbenz's lemma). Both
+families have a1 > 0, a2 - a3 > 0 and a1^2 - 2a2 > 0, so the two flag lines
+restate the sign of g0, that is of 1 - R0^2; only the root's value says more:
 
 * routh_hurwitz_tau0 = g0 > 0: at tau = 0 both roots of
   lam^2 + a1*lam + (a2 + a3) lie in the open left half plane iff a2 + a3 > 0.
@@ -36,9 +36,12 @@ the sign of g0, that is of 1 - R0^2; only the root's value says more:
   ROOT_XTOL + 4*eps*|x|, after at most 100 iterations. It reads G(0) as g0,
   so the root is 0.0 when g0 == 0 and < 0 when g0 > 0.
 * classification = LAS if g0 > 0, Unstable if g0 < 0 and Critical if
-  g0 == 0, at either state. At E0 that is R0 below, above or at 1; E* exists
-  only for R0 > 1 and is LAS at every delay. Where mu_h mu_v (1 - R0^2)
-  rounds to 0 although R0^2 != 1, g0 == 0 and every line reads Critical.
+  g0 == 0, at either state (_classification). At E0 that is R0 below, above
+  or at 1; E* exists only for R0 > 1 and is LAS at every delay. Where
+  mu_h mu_v (1 - R0^2) rounds to 0 although R0^2 != 1, g0 == 0 and every
+  line reads Critical. A sweep row's verdict columns read _g0 and
+  _classification alone: no coefficients, no root, so a row prints its
+  verdicts even where the polish or E*'s weights (N_v*^2) fail.
 
 Delay-independent stability then follows the usual argument: stable at
 tau = 0 plus no imaginary-axis crossing for any tau.
@@ -79,6 +82,11 @@ class CharCoeffs(namedtuple("CharCoeffs", "a1 a2 a3 tau g0")):
     _make = classmethod(_make_validated)
 
 
+def _g0(p: ModelParams, which: EquilibriumKind, r2: float) -> float:
+    """G(0) at `which` from R0^2 = r2: mu_h mu_v (1 - r2) at E0, mu_h mu_v (r2 - 1) at E*."""
+    return p.mu_v * p.mu_h * (1.0 - r2 if which is EquilibriumKind.DISEASE_FREE else r2 - 1.0)
+
+
 class DfeCharCoeffs(CharCoeffs):
     """G's coefficients at the disease-free state."""
 
@@ -90,7 +98,7 @@ class DfeCharCoeffs(CharCoeffs):
         # beta_v and mu_v cancelled so that a subnormal beta_v cannot divide by 0
         return cls(a1=p.mu_h + p.mu_v, a2=p.mu_v * p.mu_h,
                    a3=-(p.c_vh * p.c_hv * p.beta_h / p.mu_h), tau=p.tau,
-                   g0=p.mu_v * p.mu_h * (1.0 - r0_squared(p)))
+                   g0=_g0(p, EquilibriumKind.DISEASE_FREE, r0_squared(p)))
 
 
 def _endemic_weights(p: ModelParams) -> tuple[float, float, float, float, float]:
@@ -117,7 +125,7 @@ class EndemicCharCoeffs(CharCoeffs):
         return cls(a1=p.mu_h + m1 + p.mu_v + m5,
                    a2=(p.mu_h + m1) * (p.mu_v + m5),
                    a3=-m4 * (m3 + m2), tau=p.tau,
-                   g0=p.mu_v * p.mu_h * (r0_squared(p) - 1.0))
+                   g0=_g0(p, EquilibriumKind.ENDEMIC, r0_squared(p)))
 
 
 def char_eval(coeffs: CharCoeffs, lam: complex) -> complex:
@@ -197,6 +205,12 @@ class EquilibriumKind(enum.Enum):
     ENDEMIC = "E_star"
 
 
+def _classification(g0: float) -> Classification:
+    """The verdict at an equilibrium whose G(0) is g0 (module docstring)."""
+    return (Classification.LAS if g0 > 0.0 else Classification.UNSTABLE if g0 < 0.0
+            else Classification.CRITICAL)
+
+
 class StabilityReport(namedtuple("StabilityReport", "which classification rightmost_real_root "
                                                    "imag_axis_root_exists routh_hurwitz_tau0 "
                                                    "factor_roots")):
@@ -224,9 +238,7 @@ def classify(p: ModelParams, which: EquilibriumKind) -> StabilityReport:
               else EndemicCharCoeffs).from_params(p)
     return StabilityReport(
         which=which,
-        classification=(Classification.LAS if coeffs.g0 > 0.0
-                        else Classification.UNSTABLE if coeffs.g0 < 0.0
-                        else Classification.CRITICAL),
+        classification=_classification(coeffs.g0),
         rightmost_real_root=rightmost_real_root(coeffs),
         imag_axis_root_exists=coeffs.g0 <= 0.0,
         routh_hurwitz_tau0=coeffs.g0 > 0.0,

@@ -8,15 +8,23 @@ The scenario runs in full (every analysis on, files written) and once per
 rate-derived quantity is called on its own. Each call must return or raise
 a `ModelError`. Most draws fail at their first check, so each test takes a
 few seconds.
+
+A sweep row reads its verdicts from G(0) alone, so on the same draws its
+line must come back whatever the rates, with the verdict `classify` gives
+wherever `classify` returns, and a verdict (no error cell) where only the
+root polish or E*'s linearization weights fail.
 """
 
 import numpy as np
+import pytest
 
 from malaria_dde import (
     EquilibriumKind,
     IntegrationSpec,
     ModelError,
     ModelParams,
+    RateUnderflowError,
+    RootPolishError,
     SystemKind,
     classify,
     equilibrium_set,
@@ -26,12 +34,25 @@ from malaria_dde import (
     v_dfe,
     v_endemic,
 )
-from malaria_dde.scenario import Analyses, HistorySpec, Scenario
+from malaria_dde.scenario import (
+    _TAIL_COLUMNS,
+    SWEEP_COLUMNS,
+    Analyses,
+    HistorySpec,
+    Scenario,
+    SweepSpec,
+    _row_line,
+)
+
+from conftest import P_SUPER
 
 DRAWS = 2000
 RATES = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv")
 ONLY = (None, "stability", "lyapunov", "persistence")
 ALL_ANALYSES = Analyses(simulate=True, stability=True, lyapunov=True, persistence=(0.5,))
+ROW_COLUMNS = tuple(c for c in SWEEP_COLUMNS if c not in _TAIL_COLUMNS)
+VERDICTS = {"classification_e0": EquilibriumKind.DISEASE_FREE,
+            "classification_e_star": EquilibriumKind.ENDEMIC}
 
 
 def _log_uniform(rng) -> float:
@@ -106,3 +127,64 @@ def test_extreme_rates_leave_every_entry_point_through_the_taxonomy(tmp_path):
                 pass
             except Exception as exc:
                 raise AssertionError(f"draw {i}, {name}: {scn.params}") from exc
+
+
+def _row_cells(scn: Scenario, seed: int) -> dict[str, str]:
+    """The draw's sweep row with every column but the tail ones, by column,
+    the error cell under "error"; `_row_line` must return whatever the rates."""
+    p = scn.params
+    line = _row_line(SweepSpec(scn, "tau", (p.tau,), ROW_COLUMNS), p.tau, seed)
+    return dict(zip(("tau", *ROW_COLUMNS, "error"), line.split(",", len(ROW_COLUMNS) + 1)))
+
+
+def _check_row_verdicts(scn: Scenario, seed: int) -> int:
+    """Check the row's verdict cells against classify at both states, and
+    return how many of the two classify calls raised RootPolishError. Such a
+    cell holds a verdict all the same, and the row no error cell."""
+    cells, polish_failures = _row_cells(scn, seed), 0
+    for col, which in VERDICTS.items():
+        try:
+            want = classify(scn.params, which).classification.value
+        except RootPolishError:
+            polish_failures += 1
+            assert cells[col] in ("LAS", "Unstable", "Critical") and cells["error"] == ""
+        except ModelError:
+            pass
+        else:
+            assert cells[col] == want
+    return polish_failures
+
+
+def test_extreme_rate_sweep_rows_give_the_verdicts_classify_gives(tmp_path):
+    failures = 0
+    for i, scn in _draws(str(tmp_path / "out")):
+        try:
+            failures += _check_row_verdicts(scn, i)
+        except Exception as exc:
+            raise AssertionError(f"draw {i}: {scn.params}") from exc
+    assert failures > 0
+
+
+def test_sweep_rows_print_verdicts_where_the_root_polish_fails_within_1e30():
+    rng = np.random.default_rng(36)
+    history = HistorySpec("constant", state=(1.0, 0.1, 1.0, 0.1))
+    failures = 0
+    for _ in range(500):
+        rates = 10.0 ** rng.uniform(-30.0, 30.0, 7)
+        failures += _check_row_verdicts(Scenario(ModelParams(*rates), history), 0)
+    assert failures >= 10
+
+
+def test_sweep_rows_print_verdicts_past_a_polish_or_weight_failure():
+    history = HistorySpec("constant", state=(1.0, 0.1, 1.0, 0.1))
+    # G's root at either state does not converge in 100 iterations; R0^2 = 1e48
+    polish = ModelParams(beta_h=1e24, beta_v=1e20, mu_h=0.01, mu_v=1e6, c_vh=1e27,
+                         c_hv=0.1, tau=1e4)
+    # E* exists, but N_v* = 5e-323 and its square, a weight's divisor, underflows
+    weights = P_SUPER._replace(beta_v=5e-324)
+    for p, error in ((polish, RootPolishError), (weights, RateUnderflowError)):
+        with pytest.raises(error):
+            classify(p, EquilibriumKind.ENDEMIC)
+        cells = _row_cells(Scenario(params=p, history=history), 0)
+        assert (cells["classification_e0"], cells["classification_e_star"],
+                cells["error_class"], cells["error"]) == ("Unstable", "LAS", "", "")

@@ -8,17 +8,23 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import malaria_dde.cli as cli
+import malaria_dde.stability as stability
 from malaria_dde import (
+    EquilibriumKind,
     HistorySegment,
     IntegrationSpec,
     InvalidSpecError,
     LyapunovTrace,
+    ModelParams,
     NumericalError,
     SchemaError,
     SystemKind,
+    classify,
+    endemic_equilibrium,
     integrate,
     load_scenario,
     load_sweep,
@@ -27,7 +33,14 @@ from malaria_dde import (
     trace_along,
     weak_persistence_check,
 )
-from malaria_dde.scenario import DEFAULT_SWEEP_COLUMNS, HistorySpec, _uniform
+from malaria_dde.scenario import (
+    DEFAULT_SWEEP_COLUMNS,
+    HistorySpec,
+    Scenario,
+    SweepSpec,
+    _sweep_row,
+    _uniform,
+)
 
 from conftest import subprocess_env
 from test_benchmark_inputs import _load_gen
@@ -278,6 +291,52 @@ def test_sweep_tail_columns(tmp_path):
     cells = dict(zip(header.split(","), row.split(",")))
     assert float(cells["tail_i_h_sup"]) > 0
     assert float(cells["tail_s_v_inf"]) <= float(cells["tail_s_v_sup"])
+
+
+def test_sweep_verdicts_match_classify_over_moderate_rates():
+    # rows read their verdicts from g0 alone; classify also polishes the root
+    rng = np.random.default_rng(36)
+    history = HistorySpec("constant", state=(1.0, 0.1, 1.0, 0.1))
+    kinds = {"classification_e0": EquilibriumKind.DISEASE_FREE,
+             "classification_e_star": EquilibriumKind.ENDEMIC}
+    seen = set()
+    for _ in range(2000):
+        p = ModelParams(*rng.uniform(0.05, 5.0, 6), tau=rng.uniform(0.0, 3.0))
+        r0 = rng.uniform(0.3, 3.0)  # set by c_hv
+        p = p._replace(c_hv=r0 * r0 * p.mu_h * p.mu_h * p.mu_v / (p.c_vh * p.beta_h))
+        sweep = SweepSpec(Scenario(params=p, history=history), "tau", (p.tau,), tuple(kinds))
+        row = _sweep_row(sweep, p.tau, 0)
+        for col, which in kinds.items():
+            absent = which is EquilibriumKind.ENDEMIC and endemic_equilibrium(p) is None
+            assert row[col] == ("absent" if absent
+                                else classify(p, which).classification.value), p
+            seen.add(row[col])
+    assert seen == {"LAS", "Unstable", "absent"}
+
+
+def test_sweep_verdicts_run_no_root_polish(tmp_path, monkeypatch):
+    # the saving as a count: a stability-only sweep builds no E* coefficients
+    # and polishes no root, while report --only stability still polishes both
+    calls = {"_polish": 0, "from_params": 0}
+    polish, endemic = stability._polish, stability.EndemicCharCoeffs.from_params.__func__
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(stability, "_polish", counted("_polish", polish))
+    monkeypatch.setattr(stability.EndemicCharCoeffs, "from_params",
+                        classmethod(counted("from_params", endemic)))
+    obj = {"schema": 1, "base": dict(BASE), "axis": "c_vh",
+           "values": [0.05, 0.1, 0.2, 0.4], "columns": ["r0", "classification", "e_star"]}
+    rows = open(run_sweep(load_sweep(write_json(tmp_path / "sw.json", obj)),
+                          out_dir=str(tmp_path / "o"))).read().splitlines()
+    assert [r.split(",")[3] for r in rows[1:]] == ["absent", "absent", "LAS", "LAS"]
+    assert calls == {"_polish": 0, "from_params": 0}
+    run_scenario(load_scenario(ENDEMIC_DEMO), only="stability")
+    assert calls == {"_polish": 2, "from_params": 1}
 
 
 # ------------------------------------------------------------ CLI
