@@ -43,8 +43,12 @@ has Lyapunov on runs the Lyapunov section in one forked child: the limiting
 run, the trace and lyapunov.csv's text. This process runs the full system
 and formats trajectory.csv meanwhile. If the child sends back nothing, the
 section runs here at its place, so a failure is raised as a serial run
-raises it; report.txt and the CSVs are the same bytes as on one CPU. One
-helper, _fork, forks for both uses.
+raises it.
+
+Each hand-off has one form, forked or not. _fork, which forks for both
+uses, marshals what its call returns and _Child.result() loads it; every
+artifact is its text, a (file name, strings) pair that _write_out writes.
+So report.txt and the CSVs are the same bytes as on one CPU.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ PARAM_FIELDS = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv", "tau")
 _STAR_COLUMNS = ("s_h_star", "i_h_star", "s_v_star", "i_v_star")
 _TAIL_COLUMNS = tuple(f"tail_{c}_{b}" for c in COMPONENT_NAMES
                       for b in ("inf", "sup"))
+_NO_R0_COLUMNS = frozenset((*_TAIL_COLUMNS, "error_class"))  # read neither R0^2 nor E*
 _COLUMN_ALIASES = {
     "classification": ("classification_e0", "classification_e_star"),
     "e_star": _STAR_COLUMNS,
@@ -455,16 +460,16 @@ def _workers() -> int:
 
 
 class _Child:
-    """A forked child that sends back the bytes of one call (see _fork)."""
+    """A forked child that sends back the value of one call (see _fork)."""
 
     def __init__(self, pid: int, pipe: IO[bytes]):
         self._pid, self._pipe = pid, pipe
 
-    def result(self) -> bytes | None:
-        """Read the child's bytes and reap it. None if it exited nonzero, was
-        killed or sent nothing, or if its pipe or its exit status cannot be
-        read (where SIGCHLD is ignored, the kernel reaps the child itself);
-        it raises no OSError of its own."""
+    def result(self) -> Any:
+        """Read the child's marshalled value, reap the child and return the
+        value. None if it exited nonzero, was killed or sent nothing, or if
+        its pipe or its exit status cannot be read (where SIGCHLD is ignored,
+        the kernel reaps the child itself); it raises no OSError of its own."""
         try:
             with self._pipe as pipe:
                 data = pipe.read()
@@ -472,7 +477,7 @@ class _Child:
             status = os.waitpid(pid, 0)[1]
         except OSError:
             return None
-        return data if status == 0 and data else None
+        return marshal.loads(data) if status == 0 and data else None
 
     def stop(self) -> None:
         """Kill the child and reap it, unless result() has reaped it."""
@@ -484,13 +489,11 @@ class _Child:
                 os.waitpid(pid, 0)  # ChildProcessError where SIGCHLD is ignored
 
 
-_Artifact = tuple[str, Any]  # (path, its text's strings or an object with to_csv)
-
-
-def _fork(fn: Callable[..., bytes], *args: Any) -> _Child | None:
-    """Run fn(*args) in a forked child, which writes the bytes it returns to
-    a pipe and exits 0, or writes nothing and exits 1 if fn raises. Either
-    way it leaves by os._exit (no stdio flush, no atexit, no traceback).
+def _fork(fn: Callable[..., Any], *args: Any) -> _Child | None:
+    """Run fn(*args) in a forked child, which writes fn's value, marshalled,
+    to a pipe and exits 0, or writes nothing and exits 1 if fn raises (or
+    its value has no marshal form). Either way it leaves by os._exit (no
+    stdio flush, no atexit, no traceback); _Child.result() loads the value.
     None, with no descriptor left open, where this process has no os.fork
     or runs another thread (the child would copy none of that thread, and a
     lock it held would stay held), or where os.pipe or os.fork fails."""
@@ -507,7 +510,7 @@ def _fork(fn: Callable[..., bytes], *args: Any) -> _Child | None:
     if pid == 0:
         code = 1
         try:
-            data = fn(*args)
+            data = marshal.dumps(fn(*args))
             with open(w, "wb") as fh:
                 fh.write(data)
             code = 0
@@ -524,13 +527,6 @@ def _strings(obj: Any) -> list[str]:
     return parts
 
 
-def _section_bytes(section: Callable[[], tuple[list[str], Any]]) -> bytes:
-    """A forked child's result: the marshalled report lines of section() and
-    its CSV artifact's strings."""
-    lines, obj = section()
-    return marshal.dumps((lines, _strings(obj)))
-
-
 def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
                  only: str | None = None) -> list[str]:
     """Execute a scenario and return the report lines.
@@ -539,22 +535,22 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
     that section (persistence at DEFAULT_THETA if the scenario names no
     fraction) and writes no files. Otherwise report.txt and the CSVs go to
     out_dir (default: the scenario's output.dir) in one block after the last
-    analysis, so a run that fails writes nothing. Each distinct
-    IntegrationSpec is integrated once: simulate reads the scenario's spec,
-    persistence it with system FULL, Lyapunov with system LIMITING, once the
-    functional's divisors are checked.
+    analysis, so a run that fails writes nothing; each is kept as its
+    strings until then. Each distinct IntegrationSpec is integrated once:
+    simulate reads the scenario's spec, persistence it with system FULL,
+    Lyapunov with system LIMITING, once the functional's divisors are checked.
 
-    On two or more CPUs, where simulate runs the full system and Lyapunov is
-    on, the Lyapunov section (the divisor check, the limiting run,
-    trace_along and lyapunov.csv's text) runs in one forked child (_fork),
-    started once the history is built. This process meanwhile runs
-    simulate and formats trajectory.csv, then reads the child's report
-    lines and CSV at the section's place; persistence follows, as on one
-    CPU. If the child sends nothing (its section raised, it died, os.pipe
-    or os.fork failed, or SIGCHLD is ignored so its exit status is lost),
-    the section runs here at its place, so the first failure in section
-    order is raised as a serial run raises it. The child is killed and
-    reaped however the run ends.
+    The Lyapunov section returns its report lines and lyapunov.csv's strings
+    wherever it runs. On two or more CPUs, where simulate runs the full
+    system and Lyapunov is on, it (the divisor check, the limiting run,
+    trace_along and the CSV's strings) runs in one forked child (_fork),
+    started once the history is built. This process meanwhile runs simulate
+    and formats trajectory.csv, then takes the child's value at the
+    section's place; persistence follows, as on one CPU. If the child sends
+    nothing (its section raised, it died, os.pipe or os.fork failed, or
+    SIGCHLD is ignored so its exit status is lost), the section runs here at
+    its place, so the first failure in section order is raised as a serial
+    run raises it. The child is killed and reaped however the run ends.
     """
     _check_seed(seed)
     a = scn.analyses
@@ -567,13 +563,13 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
         target = None
     p = scn.params
     lines = _equilibria_lines(p)
-    artifacts: list[_Artifact] = []
+    files: list[tuple[str, list[str]]] = []
 
-    def artifact(key: str, data: Any) -> None:
-        """<key>.csv, written at the end from data (see _write_out)."""
+    def artifact(key: str, strings: list[str]) -> None:
+        """<key>.csv, written at the end from its strings (see _write_out)."""
         if target is not None:
-            artifacts.append((os.path.join(target, f"{key}.csv"), data))
-            lines.append(f"{key}.file = {artifacts[-1][0]}")
+            files.append((f"{key}.csv", strings))
+            lines.append(f"{key}.file = {os.path.join(target, files[-1][0])}")
 
     if a.stability:
         lines.extend(classify(p, EquilibriumKind.DISEASE_FREE).as_lines())
@@ -593,19 +589,20 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             runs[key] = integrate(p, phi, key)
         return runs[key]
 
-    def lyapunov() -> tuple[list[str], Any]:
-        """The Lyapunov section's report lines and its trace."""
+    def lyapunov() -> tuple[list[str], list[str]]:
+        """The Lyapunov section's report lines and lyapunov.csv's strings."""
         _require_divisors(p)  # before the limiting run
         trace = trace_along(p, run(spec._replace(system=SystemKind.LIMITING)))
+        csv = [] if target is None else _strings(trace)
         return [f"lyapunov.kind = {trace.kind.value}",
                 f"lyapunov.v_first = {_fmt(float(trace.values[0]))}",
                 f"lyapunov.v_last = {_fmt(float(trace.values[-1]))}",
                 f"lyapunov.max_increase = {_fmt(trace.max_increase)}",
-                f"lyapunov.descends = {str(trace.passes_descent()).lower()}"], trace
+                f"lyapunov.descends = {str(trace.passes_descent()).lower()}"], csv
 
     # the limiting run in a child while this process runs the full one
     fork = a.lyapunov and a.simulate and spec.system is SystemKind.FULL and _workers() >= 2
-    child = _fork(_section_bytes, lyapunov) if fork else None
+    child = _fork(lyapunov) if fork else None
     try:
         if a.simulate:
             traj = run(spec)
@@ -615,12 +612,10 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             for name in COMPONENT_NAMES:
                 lines.append(f"tail.{name}.inf = {_fmt(getattr(tail.inf, name))}")
                 lines.append(f"tail.{name}.sup = {_fmt(getattr(tail.sup, name))}")
-            # formatted here while the child runs; else when it is written
-            artifact("trajectory", traj if child is None else _strings(traj))
+            artifact("trajectory", _strings(traj))
 
         if a.lyapunov:
-            data = None if child is None else child.result()
-            section, csv = lyapunov() if data is None else marshal.loads(data)
+            section, csv = (child and child.result()) or lyapunov()
             lines.extend(section)
             artifact("lyapunov", csv)
 
@@ -630,36 +625,27 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             lines.extend(weak_persistence_check(p, full, theta).as_lines())
 
         if target is not None:
-            _write_out(target, artifacts, "report.txt", lines)
+            _write_out(target, [*files, ("report.txt", ["\n".join(lines), "\n"])])
     finally:
         if child is not None:
             child.stop()  # a no-op once result() has reaped it
     return lines
 
 
-def _write_out(target: str, artifacts: list[_Artifact], name: str,
-               lines: list[str]) -> str:
-    """Make target, write each artifact, then `lines` to target/name, and
-    return that path. An artifact is (path, data): data is the list of
-    strings of the file's text, or an object whose to_csv writes it. Each
-    file is written under a staged name, <path>.part, and all are renamed
-    into place only after the last write succeeds, so a failed write leaves
-    the earlier run's files as they were. An OSError in a write removes what
-    was staged and is SchemaError("output.dir")."""
-    path = os.path.join(target, name)
+def _write_out(target: str, files: list[tuple[str, list[str]]]) -> str:
+    """Make target, write each (name, strings) pair to target/name, the
+    strings in order, and return the last file's path. Each file is written
+    under a staged name, <name>.part, and all are renamed into place only
+    after the last write succeeds, so a failed write leaves the earlier
+    run's files as they were. An OSError in a write removes what was staged
+    and is SchemaError("output.dir")."""
     finals: list[str] = []  # each staged as final + ".part"
     try:
         os.makedirs(target, exist_ok=True)
-        for final, data in artifacts:
-            finals.append(final)
-            if isinstance(data, list):
-                with open(final + ".part", "w") as fh:
-                    fh.writelines(data)
-            else:
-                data.to_csv(final + ".part")
-        finals.append(path)
-        with open(path + ".part", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        for name, strings in files:
+            finals.append(os.path.join(target, name))
+            with open(finals[-1] + ".part", "w") as fh:
+                fh.writelines(strings)
         for final in finals:
             os.replace(final + ".part", final)
     except OSError as exc:
@@ -667,7 +653,7 @@ def _write_out(target: str, artifacts: list[_Artifact], name: str,
             with contextlib.suppress(OSError):
                 os.remove(final + ".part")
         raise SchemaError("output.dir", f"cannot write {target}: {exc}") from None
-    return path
+    return finals[-1]
 
 
 def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
@@ -675,8 +661,8 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
     p = scn.params._replace(**{sweep.axis: value})
     row: dict[str, str] = {}
     tail = None
-    r2 = r0_squared(p)
-    star = endemic_equilibrium(p)
+    if not _NO_R0_COLUMNS.issuperset(sweep.columns):
+        r2, star = r0_squared(p), endemic_equilibrium(p)
     for col in sweep.columns:
         if col == "r0":
             row[col] = _fmt(math.sqrt(r2))
@@ -715,9 +701,9 @@ def _row_line(sweep: SweepSpec, value: float, seed: int) -> str:
     return ",".join([_fmt(value), *(row.get(c, "") for c in sweep.columns), error])
 
 
-def _rows_bytes(sweep: SweepSpec, values: tuple[float, ...], seed: int) -> bytes:
-    """The marshalled list of the rows' lines: a forked worker's result."""
-    return marshal.dumps([_row_line(sweep, v, seed) for v in values])
+def _rows(sweep: SweepSpec, values: tuple[float, ...], seed: int) -> list[str]:
+    """The lines of the rows at values, in order; a forked worker's call too."""
+    return [_row_line(sweep, v, seed) for v in values]
 
 
 def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
@@ -732,30 +718,29 @@ def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
     values = sweep.values
     n = min(_workers(), len(values)) if set(_TAIL_COLUMNS) & set(sweep.columns) else 1
     if n < 2:
-        return [_row_line(sweep, v, seed) for v in values]
+        return _rows(sweep, values, seed)
     kids: list[_Child] = []
     try:
         for w in range(1, n):
-            kid = _fork(_rows_bytes, sweep, values[w::n], seed)
+            kid = _fork(_rows, sweep, values[w::n], seed)
             if kid is None:
                 break
             kids.append(kid)
         else:
             try:
-                mine = [_row_line(sweep, v, seed) for v in values[::n]]
+                mine = _rows(sweep, values[::n], seed)
             except Exception:  # the serial run below raises it, the first in row order
                 mine = None
-            parts = [None] if mine is None else [kid.result() for kid in kids]
+            parts = [None] if mine is None else [mine, *(kid.result() for kid in kids)]
             if None not in parts:
                 lines = [""] * len(values)
-                lines[::n] = mine
-                for w, part in enumerate(parts, 1):
-                    lines[w::n] = marshal.loads(part)
+                for w, part in enumerate(parts):
+                    lines[w::n] = part
                 return lines
     finally:
         for kid in kids:
             kid.stop()  # a no-op for a worker already read
-    return [_row_line(sweep, v, seed) for v in values]
+    return _rows(sweep, values, seed)
 
 
 def run_sweep(sweep: SweepSpec, out_dir: str | None = None, seed: int = 0) -> str:
@@ -769,4 +754,4 @@ def run_sweep(sweep: SweepSpec, out_dir: str | None = None, seed: int = 0) -> st
     lines = [",".join([sweep.axis, *sweep.columns, "error"]),
              *_sweep_lines(sweep, seed)]
     target = out_dir if out_dir is not None else sweep.base.out_dir
-    return _write_out(target, [], "sweep.csv", lines)
+    return _write_out(target, [("sweep.csv", ["\n".join(lines), "\n"])])

@@ -42,3 +42,83 @@ def test_no_module_level_name_is_bound_twice():
                 clashes.append(f"{path.name}: {name!r} at lines {seen[name]} and {line}")
             seen.setdefault(name, line)
     assert clashes == []
+
+
+def _dotted(node: ast.expr) -> str | None:
+    """`a.b.c` for a name or an attribute chain on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def _calls(func: ast.expr, name: str) -> bool:
+    """Whether a call of func calls `name`: a dotted name (`os.fork`) spelled
+    in full or by its last part alone (`fork`, as after a from-import); an
+    undotted one (`RateUnderflowError`) as a bare name or any attribute."""
+    last = name.rpartition(".")[2]
+    if isinstance(func, ast.Name):
+        return func.id == last
+    return (isinstance(func, ast.Attribute) and func.attr == last
+            and ("." not in name or _dotted(func) == name))
+
+
+def _call_sites(name: str) -> list[tuple[str, str | None]]:
+    """(module, qualified name of the innermost function or class) of each
+    call to `name` across the package."""
+    def sites(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where is None else f"{where}.{child.name}"
+                yield from sites(child, module, inner)
+                continue
+            if isinstance(child, ast.Call) and _calls(child.func, name):
+                yield module, where
+            yield from sites(child, module, where)
+
+    return [site for path in sorted(SRC.glob("*.py"))
+            for site in sites(ast.parse(path.read_text()), path.stem, None)]
+
+
+def test_one_fork():
+    # every forked run, the Lyapunov section and the sweep workers alike,
+    # goes through the one pipe, exit and reap code
+    assert _call_sites("os.fork") == [("scenario", "_fork")]
+
+
+def test_one_result_encoding():
+    # a forked call's value is marshalled by _fork and loaded by
+    # _Child.result, and no caller encodes or decodes a result of its own
+    assert _call_sites("marshal.dumps") == [("scenario", "_fork")]
+    assert _call_sites("marshal.loads") == [("scenario", "_Child.result")]
+
+
+def test_one_real_exponential():
+    # real G is evaluated in one place, the root polish
+    assert _call_sites("math.exp") == [("stability", "_polish")]
+
+
+def test_rate_underflow_error_is_raised_from_one_place():
+    # every rate-derived divisor is read through model._nonzero, the one call
+    # that builds RateUnderflowError, so each guarded quantity names itself
+    # alike and a new divisor cannot grow a check of its own
+    assert _call_sites("RateUnderflowError") == [("model", "_nonzero")]
+
+
+def test_no_numpy_scipy_or_dataclasses_import():
+    # the package has no runtime dependency, and its value types are named
+    # tuples
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names
+                      if n.split(".")[0] in ("numpy", "scipy", "dataclasses")]
+    assert found == []

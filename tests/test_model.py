@@ -1,8 +1,6 @@
 """Vector field, parameter validation, history segments."""
 
-import ast
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -69,28 +67,6 @@ def test_limiting_rhs_names_an_underflowing_s_v0():
         rhs(P_SV0_UNDERFLOW, s, s, SystemKind.LIMITING)
     assert err.value.product == "S_v0 = beta_v / mu_v"
     rhs(P_SV0_UNDERFLOW, s, s, SystemKind.FULL)  # the full system never divides by it
-
-
-def test_rate_underflow_error_is_raised_from_one_place():
-    # every rate-derived divisor is read through model._nonzero, the one call
-    # that builds RateUnderflowError, so each guarded quantity names itself
-    # alike and a new divisor cannot grow a check of its own
-    import malaria_dde
-
-    def sites(node, where):
-        """(module, innermost function) of each RateUnderflowError(...) call."""
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from sites(child, (where[0], child.name))
-                continue
-            if isinstance(child, ast.Call) and "RateUnderflowError" in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
-                yield where
-            yield from sites(child, where)
-
-    found = [site for path in sorted(pathlib.Path(malaria_dde.__file__).parent.glob("*.py"))
-             for site in sites(ast.parse(path.read_text()), (path.stem, None))]
-    assert found == [("model", "_nonzero")]
 
 
 def test_rhs_rejects_zero_vector_population():

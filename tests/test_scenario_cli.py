@@ -18,9 +18,9 @@ from malaria_dde import (
     HistorySegment,
     IntegrationSpec,
     InvalidSpecError,
-    LyapunovTrace,
     ModelParams,
     NumericalError,
+    RateUnderflowError,
     SchemaError,
     SystemKind,
     classify,
@@ -28,8 +28,10 @@ from malaria_dde import (
     integrate,
     load_scenario,
     load_sweep,
+    r0_squared,
     run_scenario,
     run_sweep,
+    tail_stats,
     trace_along,
     weak_persistence_check,
 )
@@ -291,6 +293,30 @@ def test_sweep_tail_columns(tmp_path):
     cells = dict(zip(header.split(","), row.split(",")))
     assert float(cells["tail_i_h_sup"]) > 0
     assert float(cells["tail_s_v_inf"]) <= float(cells["tail_s_v_sup"])
+
+
+def test_tail_only_sweep_rows_read_no_r0_where_it_underflows(tmp_path):
+    # R0^2's divisor mu_h^2 mu_v underflows to 0 at these rates, but no
+    # tail_* or error_class cell reads R0^2 or E*, so each row prints the
+    # tail that integrate returns and no error; both rows, one per process
+    base = {**BASE, "params": {"beta_h": 1, "beta_v": 1, "mu_h": 1e-110, "mu_v": 1e-110,
+                               "c_vh": 0.2, "c_hv": 0.1, "tau": 1},
+            "history": {"kind": "constant", "state": [1, 0.5, 1, 0.5]},
+            "integration": {"t_end": 10}}
+    obj = {"schema": 1, "base": base, "axis": "c_vh", "values": [0.2, 0.4],
+           "columns": ["tail", "error_class"]}
+    sw = load_sweep(write_json(tmp_path / "sw.json", obj))
+    with pytest.raises(RateUnderflowError):
+        r0_squared(sw.base.params)
+    header, *rows = open(run_sweep(sw, out_dir=str(tmp_path / "o"))).read().splitlines()
+    assert len(rows) == 2
+    for value, row in zip(sw.values, rows):
+        p = sw.base.params._replace(c_vh=value)
+        tail = tail_stats(integrate(p, sw.base.history.build(p, 0), sw.base.integration))
+        cells = [f"{getattr(b, c):.17g}" for c in ("s_h", "i_h", "s_v", "i_v")
+                 for b in (tail.inf, tail.sup)]
+        assert row.split(",") == [f"{value:.17g}", *cells, "", ""]
+    assert rows[0].split(",")[1] == "5.2674989708728797"
 
 
 def test_sweep_verdicts_match_classify_over_moderate_rates():
@@ -899,25 +925,42 @@ def test_unwritable_output_exits_1(tmp_path, capsys, command, out):
     assert (tmp_path / "taken").read_text() == "kept\n"
 
 
-def test_failing_write_keeps_an_earlier_run(tmp_path, capsys, monkeypatch):
-    # the disk fills part way through lyapunov.csv, after trajectory.csv of
-    # the second run is written: no file of the first run may change
+@pytest.mark.parametrize("command,failing", [
+    ("simulate", "trajectory.csv"), ("simulate", "lyapunov.csv"),
+    ("simulate", "report.txt"), ("sweep", "sweep.csv"),
+])
+def test_failing_write_keeps_an_earlier_run(tmp_path, capsys, monkeypatch, command,
+                                            failing):
+    # the disk fills part way through one file of the second run, after the
+    # files staged before it are written: no file of the first run may
+    # change, and no staged <name>.part file is left
+    import malaria_dde.scenario as scenario_mod
     out = tmp_path / "o"
-    first = scenario_file(tmp_path, "first.json", integration={"t_end": 10},
-                          analyses=LYAPUNOV_ON)
-    assert cli.main(["simulate", first, "--out", str(out), "--quiet"]) == 0
+
+    def run(t_end, columns):
+        path = (_sweep_file(tmp_path, columns) if command == "sweep"
+                else scenario_file(tmp_path, integration={"t_end": t_end},
+                                   analyses=LYAPUNOV_ON))
+        return cli.main([command, path, "--out", str(out), "--quiet"])
+
+    assert run(10, ["r0"]) == 0
     before = _tree(out)
-    assert sorted(before) == ["lyapunov.csv", "report.txt", "trajectory.csv"]
+    assert sorted(before) == (["sweep.csv"] if command == "sweep"
+                              else ["lyapunov.csv", "report.txt", "trajectory.csv"])
 
-    def disk_full(self, target):
-        with open(target, "w") as fh:
-            fh.write("t,V\n0,")
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), target)
+    def disk_full(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        if str(file) == str(out / f"{failing}.part"):
+            write = fh.write
 
-    monkeypatch.setattr(LyapunovTrace, "to_csv", disk_full)
-    second = scenario_file(tmp_path, "second.json", integration={"t_end": 12},
-                           analyses=LYAPUNOV_ON)
-    assert cli.main(["simulate", second, "--out", str(out), "--quiet"]) == 1
+            def full(data):
+                write("t,")  # a part, then no space left
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), file)
+            fh.write = fh.writelines = full
+        return fh
+
+    monkeypatch.setattr(scenario_mod, "open", disk_full, raising=False)
+    assert run(12, ["r0", "r0_squared"]) == 1
     assert capsys.readouterr().err.startswith("error: output.dir: cannot write ")
     assert _tree(out) == before
 

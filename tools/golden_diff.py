@@ -18,17 +18,20 @@ match):
 * `simulate` on limiting_endemic, endemic.json with `integration.system:
   limiting` (Lyapunov and persistence on, as there), which forks nothing:
   its Lyapunov section reads simulate's own run;
-* `sweep` on demos/scenarios/sweep_c_vh.json, and on four sweeps made from
-  it in the scratch directory (MADE_SWEEPS), the first three with the tail
-  columns: sweep_tau_tail, on a tau axis, whose 1e-7 row needs more than
-  MAX_STEPS steps, so an error cell is written too; sweep_tau_limiting, a
-  LIMITING run whose tail cut falls between two nodes at tau = 0 and 2 and
-  on a node at tau = 1, and whose tau = 146 row runs one step, so its tail
-  window holds one node and its error cell is an EmptyWindowError;
-  sweep_random_tail, on the c_vh axis from a `random` history, whose rows
-  run in forked workers on a machine with two or more CPUs; and
-  sweep_extreme, on the c_vh axis at rates up to 1e27, where G's root
-  polish fails but the verdict columns, read from G(0), do not;
+* `sweep` on demos/scenarios/sweep_c_vh.json, and on five sweeps made from
+  it in the scratch directory (MADE_SWEEPS), all but the last with the
+  tail columns: sweep_tau_tail, on a tau axis, whose 1e-7 row needs more
+  than MAX_STEPS steps, so an error cell is written too;
+  sweep_tau_limiting, a LIMITING run whose tail cut falls between two
+  nodes at tau = 0 and 2 and on a node at tau = 1, and whose tau = 146 row
+  runs one step, so its tail window holds one node and its error cell is
+  an EmptyWindowError; sweep_random_tail, on the c_vh axis from a `random`
+  history, whose rows run in forked workers on a machine with two or more
+  CPUs; sweep_tail_underflow, two forked c_vh rows with only tail and
+  error_class columns at rates where R0^2's divisor underflows, which
+  those rows never read; and sweep_extreme, on the c_vh axis at rates up
+  to 1e27, where G's root polish fails but the verdict columns, read from
+  G(0), do not;
 * `--help` of the CLI and of `simulate`, `report` and `sweep`;
 * `report`, and `report --only stability|lyapunov|persistence`, on each
   scenario;
@@ -76,6 +79,14 @@ MADE_SWEEPS = {
                            {"integration": {"system": "limiting", "t_end": 7.3}}),
     "sweep_random_tail": ({"values": [0.05, 0.2, 0.8], "columns": ["r0", "tail"]},
                           {"history": RANDOM, "integration": {"t_end": 50.0}}),
+    # mu_h^2 mu_v underflows to 0, so R0^2 raises RateUnderflowError, but a
+    # row of tail cells reads neither R0^2 nor E*
+    "sweep_tail_underflow": ({"values": [0.2, 0.4], "columns": ["tail", "error_class"]},
+                             {"params": {"beta_h": 1, "beta_v": 1, "mu_h": 1e-110,
+                                         "mu_v": 1e-110, "c_vh": 0.2, "c_hv": 0.1,
+                                         "tau": 1},
+                              "history": {"kind": "constant", "state": [1, 0.5, 1, 0.5]},
+                              "integration": {"t_end": 10}}),
     # R0 just below 1 at c_vh = 1e-21; G's root polish fails at E* from 1e24
     # and at E0 too at 1e27, while the verdicts read G(0) alone
     "sweep_extreme": ({"values": [1e-21, 1e-18, 1.0, 1e24, 1e27],
