@@ -31,7 +31,8 @@ def disease_free_equilibrium(p: ModelParams) -> State:
 
 
 def endemic_equilibrium(p: ModelParams) -> State | None:
-    """Closed-form endemic state, or None when R0 <= 1 (compared on R0^2)."""
+    """Closed-form endemic state, or None when R0 <= 1 (compared on R0^2).
+    NumericalError naming the first component that is not finite."""
     r2 = r0_squared(p)
     if r2 <= 1.0:
         return None
@@ -41,7 +42,11 @@ def endemic_equilibrium(p: ModelParams) -> State | None:
     s_h = p.beta_h * (p.c_hv * p.beta_h / p.mu_h + p.mu_v) / den_h
     s_v = p.beta_v * (p.c_vh + p.mu_h) / den_v
     i_v = p.beta_v * p.mu_h * (r2 - 1.0) / den_v
-    return State(s_h, i_h, s_v, i_v)
+    star = State(s_h, i_h, s_v, i_v)
+    for name, value in zip(star._fields, star):
+        if not math.isfinite(value):  # inf / inf, or a denominator that overflows
+            raise NumericalError(f"E* component {name} = {value!r} is not finite")
+    return star
 
 
 def _require_endemic(p: ModelParams) -> State:

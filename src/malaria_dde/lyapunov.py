@@ -9,20 +9,22 @@ and are built from the bridge x - 1 - ln x (nonnegative, zero only at 1):
   along the limiting system on windows with strictly positive current state
   and I_v * S_h > 0 throughout.
 
-Window integrals use the composite trapezoid rule on the window's own sample
-times. One formula per functional serves v_dfe / v_endemic (one window) and
+One formula per functional serves v_dfe / v_endemic (one window) and
 trace_along (every window of a limiting trajectory), where a max
 consecutive increase at rounding scale certifies monotone descent. R0 picks
 trace_along's functional: v_endemic where E* exists, v_dfe otherwise. One
 function per functional computes its constants once, reading each divisor
 through model._nonzero, before any pass.
 
-Each formula is one pass in plain floats over a flat node buffer (four floats
-a node, as `Trajectory.ys`) and its sample times. At node k it adds the
-panel 0.5 * (f[k] + f[k-1]) * (t[k] - t[k-1]) to a running sum cum[k] and,
-from k = m on, gives the point terms plus the window cum[k] - cum[k-m]
-(exactly 0.0 at m = 0). Every log is libm's math.log, so the values do not
-depend on the CPU's SIMD features, and no numpy is loaded.
+Each formula reads a flat node buffer (four floats a node, as
+`Trajectory.ys`) as columns ys[q::4], with its sample times, in plain floats
+and three steps: it checks its domain first, hands its integrand at every
+node to _windows, and adds its point terms at each node k >= m to that
+node's window. _windows is the one window rule, the composite trapezoid
+rule on the sample times: it sums the panels 0.5 * (f[k] + f[k-1]) *
+(t[k] - t[k-1]) in order into cum[k] and gives cum[k] - cum[k-m], exactly
+0.0 at m = 0. Every log is libm's math.log, so the values do not depend on
+the CPU's SIMD features, and no numpy is loaded.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import math
 import operator
 from array import array
 from collections import namedtuple
-from itertools import chain, islice
-from typing import IO, Callable, Sequence
+from itertools import accumulate, chain, repeat
+from typing import IO, Callable, Iterable, Sequence
 
 from . import defaults
 from .equilibria import _require_endemic, endemic_equilibrium
@@ -98,81 +100,54 @@ def _require_divisors(p: ModelParams) -> tuple[FunctionalKind, tuple[float, ...]
     return FunctionalKind.V_ENDEMIC, _endemic_constants(p)
 
 
+def _windows(f: Sequence[float], times: Sequence[float], m: int) -> Iterable[float]:
+    """The trapezoid integral of f over the window of the m intervals ending
+    at each node k >= m: cum[k] - cum[k - m], where cum[k] adds the panels
+    0.5 * (f[j] + f[j-1]) * (t[j] - t[j-1]) for j = 1..k in order. Exactly
+    0.0 at m = 0."""
+    if not m:
+        return repeat(0.0)
+    cum = [0.0, *accumulate([0.5 * (g + g0) * (t - t0)
+                             for g, g0, t, t0 in zip(f[1:], f, times[1:], times)])]
+    return map(operator.sub, cum[m:], cum)
+
+
 def _v_dfe(c: tuple[float, ...], ys: Sequence[float], times: Sequence[float], m: int,
            log: _Log) -> _Floats:
     """Disease-free functional at every node k >= m, each on the window of
     the m intervals ending at k, from _dfe_constants' c. Needs S_h > 0 and
     S_v > 0 there."""
     sh0, sv0, coef, coef_sv, rate = c
-    values, cum = _Floats("d"), [0.0]
-    lag = iter(cum)  # cum[k - m] at node k >= m
-    acc, f0, t0 = -0.0, 0.0, 0.0  # -0.0 + x is x, so cum[1] is the first panel itself
-    it = iter(ys)
-    nodes = zip(times, it, it, it, it)
-    for k, (t, a, b, c, d) in enumerate(islice(nodes, m)):  # before the first window's end
-        f = rate * d * a
-        if k:
-            acc += 0.5 * (f + f0) * (t - t0)
-            cum.append(acc)
-        f0, t0 = f, t
-    for t, a, b, c, d in nodes:
-        if not (a > 0.0 and c > 0.0):
-            raise OutsideOmega1Error()
-        f = rate * d * a
-        acc += 0.5 * (f + f0) * (t - t0)  # at m = 0 unread: the window is 0.0
-        cum.append(acc)
-        f0, t0 = f, t
-        x, y = a / sh0, c / sv0
-        values.append(sh0 * (x - 1.0 - log(x)) + b + coef_sv * (y - 1.0 - log(y))
-                      + coef * d + (acc - next(lag) if m else 0.0))
-    return values
-
-
-def _product_error(ys: Sequence[float], m: int, t: float) -> Exception:
-    """The error for I_v * S_h <= 0 at time t. A node k >= m outside Omega2
-    is reported first, wherever it lies."""
-    if not all(v > 0.0 for v in ys[4 * m:]):
-        return OutsideOmega2Error()
-    return NonPositiveProductError(t)
+    sh, ih, sv, iv = (ys[q::4] for q in range(4))
+    if [v for v in chain(sh[m:], sv[m:]) if not v > 0.0]:  # NaN fails too; faster than all()
+        raise OutsideOmega1Error()
+    windows = _windows([rate * d * a for a, d in zip(sh, iv)], times, m)
+    return _Floats("d", [sh0 * (x - 1.0 - log(x)) + b + coef_sv * (y - 1.0 - log(y))
+                         + coef * d + w
+                         for a, b, c, d, w in zip(sh[m:], ih[m:], sv[m:], iv[m:], windows)
+                         for x, y in [(a / sh0, c / sv0)]])
 
 
 def _v_endemic(c: tuple[float, ...], ys: Sequence[float], times: Sequence[float], m: int,
                log: _Log) -> _Floats:
     """Endemic functional at every node k >= m, as _v_dfe, from
     _endemic_constants' c. Needs strictly positive states at k >= m, and
-    I_v * S_h > 0 at every node."""
+    I_v * S_h > 0 at every node; a state outside Omega2 is reported first."""
     s_h, i_h, s_v, i_v, num, den, weight, scale = c
-    values, cum = _Floats("d"), [0.0]
-    lag = iter(cum)
-    acc, f0, t0 = -0.0, 0.0, 0.0
-    it = iter(ys)
-    nodes = zip(times, it, it, it, it)
-    for k, (t, a, b, c, d) in enumerate(islice(nodes, m)):
-        prod = d * a
-        if prod <= 0.0:
-            raise _product_error(ys, m, t)
-        x = num * prod / den
-        f = x - 1.0 - log(x)
-        if k:
-            acc += 0.5 * (f + f0) * (t - t0)
-            cum.append(acc)
-        f0, t0 = f, t
-    for t, a, b, c, d in nodes:
-        if not (a > 0.0 and b > 0.0 and c > 0.0 and d > 0.0):
-            raise OutsideOmega2Error()
-        prod = d * a
-        if prod <= 0.0:
-            raise _product_error(ys, m, t)
-        x = num * prod / den
-        f = x - 1.0 - log(x)
-        acc += 0.5 * (f + f0) * (t - t0)
-        cum.append(acc)
-        f0, t0 = f, t
-        values.append((a - s_h - s_h * log(a / s_h)) + (b - i_h - i_h * log(b / i_h))
-                      + weight * (c - s_v - s_v * log(c / s_v))
-                      + weight * (d - i_v - i_v * log(d / i_v))
-                      + scale * (acc - next(lag) if m else 0.0))
-    return values
+    sh, ih, sv, iv = (ys[q::4] for q in range(4))
+    if [v for v in ys[4 * m:] if not v > 0.0]:
+        raise OutsideOmega2Error()
+    prods = list(map(operator.mul, iv, sh))
+    failed = [t for t, prod in zip(times, prods) if prod <= 0.0]
+    if failed:
+        raise NonPositiveProductError(failed[0])
+    windows = _windows([x - 1.0 - log(x) for prod in prods for x in [num * prod / den]],
+                       times, m)
+    return _Floats("d", [(a - s_h - s_h * log(a / s_h)) + (b - i_h - i_h * log(b / i_h))
+                         + weight * (c - s_v - s_v * log(c / s_v))
+                         + weight * (d - i_v - i_v * log(d / i_v))
+                         + scale * w
+                         for a, b, c, d, w in zip(sh[m:], ih[m:], sv[m:], iv[m:], windows)])
 
 
 _FORMULAS = {FunctionalKind.V_DFE: _v_dfe, FunctionalKind.V_ENDEMIC: _v_endemic}

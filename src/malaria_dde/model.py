@@ -147,6 +147,12 @@ class State(namedtuple("State", "s_h i_h s_v i_v")):
 COMPONENT_NAMES = ("s_h", "i_h", "s_v", "i_v")
 
 
+def _fmt(x: float) -> str:
+    """A number as every report line and sweep cell prints it: 17
+    significant digits, enough to read the same float back."""
+    return f"{x:.17g}"
+
+
 class SystemKind(enum.Enum):
     FULL = "full"
     LIMITING = "limiting"

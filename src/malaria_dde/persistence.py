@@ -26,7 +26,7 @@ from .errors import (
 )
 from .integrator import SystemKind, Trajectory, tail_stats
 from .model import (_S_V0, COMPONENT_NAMES, HistorySegment, ModelParams, State,
-                    _finite_real, _nonzero)
+                    _finite_real, _fmt, _nonzero)
 
 
 class PersistenceBounds(namedtuple("PersistenceBounds", "theta s_v_bar s_h_bar")):
@@ -61,14 +61,12 @@ class PersistenceReport(namedtuple("PersistenceReport",
     def as_lines(self) -> list[str]:
         key = f"persistence.theta_{float(self.theta)!r}"
         lines = [
-            f"{key}.threshold = {self.threshold:.17g}",
-            f"{key}.i_h_tail_sup = {self.i_h_tail_sup:.17g}",
+            f"{key}.threshold = {_fmt(self.threshold)}",
+            f"{key}.i_h_tail_sup = {_fmt(self.i_h_tail_sup)}",
         ]
         for name in COMPONENT_NAMES:
-            lines.append(f"{key}.tail_inf.{name} = "
-                         f"{getattr(self.tail.inf, name):.17g}")
-            lines.append(f"{key}.tail_sup.{name} = "
-                         f"{getattr(self.tail.sup, name):.17g}")
+            lines.append(f"{key}.tail_inf.{name} = {_fmt(getattr(self.tail.inf, name))}")
+            lines.append(f"{key}.tail_sup.{name} = {_fmt(getattr(self.tail.sup, name))}")
         lines.append(f"{key}.passes = {str(self.passes).lower()}")
         return lines
 

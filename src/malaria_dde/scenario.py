@@ -69,7 +69,7 @@ from .equilibria import endemic_equilibrium, equilibrium_set, r0_squared
 from .errors import InvalidSpecError, ModelError, SchemaError, SubcriticalR0Error
 from .integrator import IntegrationSpec, SystemKind, Trajectory, _integrate, integrate, tail_stats
 from .lyapunov import _require_divisors, trace_along
-from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _spans
+from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _fmt, _spans
 from .persistence import _require_preconditions, weak_persistence_check
 from .stability import EquilibriumKind, _classification, _g0, classify
 
@@ -427,10 +427,6 @@ def load_sweep(path: str) -> SweepSpec:
 
 
 # ---------------------------------------------------------------- running
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
 
 def _equilibria_lines(p: ModelParams) -> list[str]:
     eq = equilibrium_set(p)

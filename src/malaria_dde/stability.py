@@ -58,7 +58,7 @@ from collections import namedtuple
 from . import defaults
 from .equilibria import _require_endemic, r0_squared
 from .errors import InvalidSpecError, RootPolishError, ValidationError
-from .model import ModelParams, _check_delay, _make_validated, _nonzero
+from .model import ModelParams, _check_delay, _fmt, _make_validated, _nonzero
 
 
 class CharCoeffs(namedtuple("CharCoeffs", "a1 a2 a3 tau g0")):
@@ -220,10 +220,10 @@ class StabilityReport(namedtuple("StabilityReport", "which classification rightm
         key = f"stability.{self.which.value.lower()}"
         return [
             f"{key}.classification = {self.classification.value}",
-            f"{key}.rightmost_real_root = {self.rightmost_real_root:.17g}",
+            f"{key}.rightmost_real_root = {_fmt(self.rightmost_real_root)}",
             f"{key}.imag_axis_root_exists = {str(self.imag_axis_root_exists).lower()}",
             f"{key}.routh_hurwitz_tau0 = {str(self.routh_hurwitz_tau0).lower()}",
-            f"{key}.factor_roots = {self.factor_roots[0]:.17g},{self.factor_roots[1]:.17g}",
+            f"{key}.factor_roots = {','.join(map(_fmt, self.factor_roots))}",
         ]
 
 

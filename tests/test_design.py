@@ -65,21 +65,26 @@ def _calls(func: ast.expr, name: str) -> bool:
             and ("." not in name or _dotted(func) == name))
 
 
-def _call_sites(name: str) -> list[tuple[str, str | None]]:
+def _sites(match) -> list[tuple[str, str | None]]:
     """(module, qualified name of the innermost function or class) of each
-    call to `name` across the package."""
+    node across the package for which match(node) holds."""
     def sites(node, module, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = child.name if where is None else f"{where}.{child.name}"
                 yield from sites(child, module, inner)
                 continue
-            if isinstance(child, ast.Call) and _calls(child.func, name):
+            if match(child):
                 yield module, where
             yield from sites(child, module, where)
 
     return [site for path in sorted(SRC.glob("*.py"))
             for site in sites(ast.parse(path.read_text()), path.stem, None)]
+
+
+def _call_sites(name: str) -> list[tuple[str, str | None]]:
+    """_sites of each call to `name`."""
+    return _sites(lambda node: isinstance(node, ast.Call) and _calls(node.func, name))
 
 
 def test_one_fork():
@@ -98,6 +103,15 @@ def test_one_result_encoding():
 def test_one_real_exponential():
     # real G is evaluated in one place, the root polish
     assert _call_sites("math.exp") == [("stability", "_polish")]
+
+
+def test_one_number_format():
+    # every report line and sweep cell prints its numbers through model._fmt,
+    # and every CSV row through the one row format of integrator._write_csv;
+    # an f-string's format spec is a string constant in the tree
+    assert _sites(lambda node: isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and ".17g" in node.value) == [
+        ("integrator", "_write_csv"), ("model", "_fmt")]
 
 
 def test_rate_underflow_error_is_raised_from_one_place():

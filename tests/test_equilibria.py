@@ -12,6 +12,7 @@ from scipy.optimize import fsolve
 from malaria_dde import (
     ModelParams,
     NonPositiveRateError,
+    NumericalError,
     RateUnderflowError,
     State,
     SystemKind,
@@ -97,6 +98,26 @@ def test_equilibrium_set_at_underflowing_rates():
     assert eq.r0 == basic_reproduction_number(P_SUPER)
     assert eq.e0.s_v == 5e-324 / P_SUPER.mu_v
     assert eq.e_star.s_h == endemic_equilibrium(P_SUPER).s_h
+
+
+# valid rates at which E*'s closed form gives inf / inf (S_h = NaN)
+P_STAR_NAN = ModelParams(beta_h=1.3310652524698147e+69, beta_v=7.521925569700577e-152,
+                         mu_h=3.698771195959083e+31, mu_v=2.704525289284165e+103,
+                         c_vh=4.652308886266356e-186, c_hv=1.6605361641466093e+294, tau=1.0)
+
+
+@pytest.mark.parametrize("p,message", [
+    (P_STAR_NAN, "E* component s_h = nan is not finite"),
+    # beta_h^2 overflows in S_h*'s numerator
+    (P_SUPER._replace(beta_h=1e200), "E* component s_h = inf is not finite"),
+], ids=["nan", "inf"])
+def test_a_non_finite_endemic_component_is_a_numerical_error(p, message):
+    # R0^2 is finite and above 1, so E* exists; its closed form breaks down
+    assert math.isfinite(r0_squared(p)) and r0_squared(p) > 1.0
+    for entry in (endemic_equilibrium, equilibrium_set):
+        with pytest.raises(NumericalError) as err:
+            entry(p)
+        assert type(err.value) is NumericalError and str(err.value) == message
 
 
 @pytest.mark.parametrize("entry", [r0_squared, basic_reproduction_number,

@@ -195,25 +195,65 @@ def test_v_endemic_positive_off_equilibrium(rng):
         assert v_endemic(P_SUPER, psi) > 0.0
 
 
-def test_v_endemic_domain_gates():
-    boundary = HistorySegment.constant((4.0, 0.0, 30.0, 10.0), 1.0)
-    with pytest.raises(OutsideOmega2Error):
-        v_endemic(P_SUPER, boundary)
+def test_v_endemic_needs_r0_above_one():
     with pytest.raises(SubcriticalR0Error):
         v_endemic(P_SUB, HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0))
-    # interior zero of i_v * s_h inside the window
-    pinched = HistorySegment.table(
-        (-1.0, -0.5, 0.0),
-        ((4.0, 1.0, 30.0, 10.0), (4.0, 1.0, 40.0, 0.0), (4.0, 1.0, 30.0, 10.0)))
-    with pytest.raises(NonPositiveProductError):
-        v_endemic(P_SUPER, pinched)
-    # a state outside Omega2 at the window's end is reported first, though
-    # the product fails at an earlier sample
-    pinched_and_outside = HistorySegment.table(
-        (-1.0, -0.5, 0.0),
-        ((4.0, 1.0, 30.0, 10.0), (4.0, 1.0, 40.0, 0.0), (4.0, 0.0, 30.0, 10.0)))
+
+
+def _on_window(p, edits):
+    """v_endemic where E* exists, v_dfe otherwise, on a three-sample window
+    over [-1, 0] (m = 2), each sample (4, 1, 30, 10) but for the edits
+    {(node, component): value}; node "before" is sample 1 (k < m) and
+    "end" sample 2. Returns the call and the time of each sample."""
+    times, nodes = (-1.0, -0.5, 0.0), {"before": 1, "end": 2}
+    states = [[4.0, 1.0, 30.0, 10.0] for _ in times]
+    for (node, q), value in edits.items():
+        states[nodes[node]][q] = value
+    psi = HistorySegment.table(times, states)
+    functional = v_dfe if endemic_equilibrium(p) is None else v_endemic
+    return (lambda: functional(p, psi)), times
+
+
+def _along_limiting_run(p, edits):
+    """trace_along on p's limiting run from (4, 1, 30, 10), its node buffer
+    edited as _on_window's samples: node "before" is node 1 (k < m) and
+    "end" node m, the first that ends a window."""
+    phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), p.tau)
+    traj = integrate(p, phi, IntegrationSpec(SystemKind.LIMITING, 5.0))
+    nodes, ys = {"before": 1, "end": traj.m}, array("d", traj.ys)
+    for (node, q), value in edits.items():
+        ys[4 * nodes[node] + q] = value
+    edited = _with_nodes(traj, ys)
+    return (lambda: trace_along(p, edited).values), [k * traj.h for k in range(traj.nodes)]
+
+
+S_H, I_H, I_V = 0, 1, 3
+
+
+@pytest.mark.parametrize("entry", [_on_window, _along_limiting_run],
+                         ids=["v_endemic", "trace_along"])
+def test_v_endemic_domain_gates(entry):
+    # every state from the window's end on must lie in Omega2, and I_v * S_h
+    # stay > 0 at every node; a node outside Omega2 is reported first,
+    # wherever the product fails
     with pytest.raises(OutsideOmega2Error):
-        v_endemic(P_SUPER, pinched_and_outside)
+        entry(P_SUPER, {("end", I_H): 0.0})[0]()
+    # a product failure alone, before the window's end
+    call, times = entry(P_SUPER, {("before", I_V): 0.0})
+    with pytest.raises(NonPositiveProductError) as err:
+        call()
+    assert err.value.theta == times[1]
+    # a product failure at an earlier node than one outside Omega2
+    with pytest.raises(OutsideOmega2Error):
+        entry(P_SUPER, {("before", I_V): 0.0, ("end", I_H): 0.0})[0]()
+    # a zero S_h before the window's end fails the product, while V_DFE,
+    # which needs S_h > 0 and S_v > 0 only from the window's end on, takes it
+    call, times = entry(P_SUPER, {("before", S_H): 0.0})
+    with pytest.raises(NonPositiveProductError) as err:
+        call()
+    assert err.value.theta == times[1]
+    values = entry(P_SUB, {("before", S_H): 0.0})[0]()
+    assert all(map(math.isfinite, np.atleast_1d(values)))
 
 
 def test_descend_check_gate_for_endemic_kind():

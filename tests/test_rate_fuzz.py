@@ -12,7 +12,9 @@ few seconds.
 A sweep row reads its verdicts from G(0) alone, so on the same draws its
 line must come back whatever the rates, with the verdict `classify` gives
 wherever `classify` returns, and a verdict (no error cell) where only the
-root polish or E*'s linearization weights fail.
+root polish or E*'s linearization weights fail. Where E* itself has a
+component that is not finite, the row is an error row of class
+NumericalError, as `endemic_equilibrium` raises there.
 """
 
 import numpy as np
@@ -23,10 +25,12 @@ from malaria_dde import (
     IntegrationSpec,
     ModelError,
     ModelParams,
+    NumericalError,
     RateUnderflowError,
     RootPolishError,
     SystemKind,
     classify,
+    endemic_equilibrium,
     equilibrium_set,
     persistence_bounds,
     rhs,
@@ -140,8 +144,15 @@ def _row_cells(scn: Scenario, seed: int) -> dict[str, str]:
 def _check_row_verdicts(scn: Scenario, seed: int) -> int:
     """Check the row's verdict cells against classify at both states, and
     return how many of the two classify calls raised RootPolishError. Such a
-    cell holds a verdict all the same, and the row no error cell."""
+    cell holds a verdict all the same, and the row no error cell. A row whose
+    E* has a component that is not finite is that error's row."""
     cells, polish_failures = _row_cells(scn, seed), 0
+    try:
+        endemic_equilibrium(scn.params)
+    except NumericalError as exc:
+        if "E* component" in str(exc):
+            assert cells["error_class"] == "NumericalError" and str(exc) in cells["error"]
+            return 0
     for col, which in VERDICTS.items():
         try:
             want = classify(scn.params, which).classification.value

@@ -103,6 +103,12 @@ def test_coefficients_reject_signs_the_bracket_cannot_take(a1, a2, a3, tau, erro
         assert type(err.value) is error
 
 
+# E* = (1e-278, 1e-64, 1e79, 1e52), every component finite, and R0^2 = 1e214;
+# the endemic weights m1, m2 and m3 overflow
+P_WEIGHTS_OVERFLOW = ModelParams(beta_h=1e-29, beta_v=1e-94, mu_h=1e35, mu_v=1e-173,
+                                 c_vh=1e276, c_hv=1e-136, tau=1.0)
+
+
 @pytest.mark.parametrize("p,cls,underflows", [
     # mu_h = mu_v and a3 underflows to -0.0
     (P_SUPER._replace(beta_h=5e-324, mu_h=0.0013254, mu_v=0.0013254, tau=0.0),
@@ -112,8 +118,8 @@ def test_coefficients_reject_signs_the_bracket_cannot_take(a1, a2, a3, tau, erro
     (P_SUPER._replace(mu_h=1e-160, mu_v=1e-160), DfeCharCoeffs, True),
     (P_SUPER._replace(mu_h=1e-170, mu_v=1e-170), DfeCharCoeffs, True),
     (P_SUPER._replace(beta_v=5e-324), DfeCharCoeffs, False),
-    # E*'s weights overflow: a1 = a2 = inf, a3 = -inf
-    (P_SUPER._replace(beta_h=1e200), EndemicCharCoeffs, False),
+    # E* is finite, but its weights overflow: a1 = a2 = inf, a3 = -inf
+    (P_WEIGHTS_OVERFLOW, EndemicCharCoeffs, False),
 ], ids=["a3-negative-zero", "a2-subnormal", "a2-zero", "beta_v-subnormal",
         "endemic-overflow"])
 def test_valid_rates_build_coefficients_even_when_rounding_degrades_them(p, cls,
@@ -138,7 +144,7 @@ def test_a_hand_built_record_accepts_a2_zero():
 def test_overflowing_endemic_coefficients_leave_as_root_polish_error():
     # G is inf - inf = NaN at 0, which the polish reports (CLI exit 2)
     with pytest.raises(RootPolishError, match="NaN"):
-        classify(P_SUPER._replace(beta_h=1e200), EquilibriumKind.ENDEMIC)
+        classify(P_WEIGHTS_OVERFLOW, EquilibriumKind.ENDEMIC)
 
 
 def test_both_constructors_build_one_coefficient_type():

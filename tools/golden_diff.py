@@ -18,8 +18,12 @@ match):
 * `simulate` on limiting_endemic, endemic.json with `integration.system:
   limiting` (Lyapunov and persistence on, as there), which forks nothing:
   its Lyapunov section reads simulate's own run;
-* `sweep` on demos/scenarios/sweep_c_vh.json, and on five sweeps made from
-  it in the scratch directory (MADE_SWEEPS), all but the last with the
+* `simulate` and `report --only lyapunov` on lyapunov_product, endemic.json
+  with the history (4, 0.5, 30, 0): I_v * S_h is 0 on the whole window, so
+  both exit 1 with NonPositiveProductError, and simulate's forked Lyapunov
+  section sends nothing back and runs again in its own process;
+* `sweep` on demos/scenarios/sweep_c_vh.json, and on six sweeps made from
+  it in the scratch directory (MADE_SWEEPS), the first three with the
   tail columns: sweep_tau_tail, on a tau axis, whose 1e-7 row needs more
   than MAX_STEPS steps, so an error cell is written too;
   sweep_tau_limiting, a LIMITING run whose tail cut falls between two
@@ -29,9 +33,10 @@ match):
   history, whose rows run in forked workers on a machine with two or more
   CPUs; sweep_tail_underflow, two forked c_vh rows with only tail and
   error_class columns at rates where R0^2's divisor underflows, which
-  those rows never read; and sweep_extreme, on the c_vh axis at rates up
+  those rows never read; sweep_extreme, on the c_vh axis at rates up
   to 1e27, where G's root polish fails but the verdict columns, read from
-  G(0), do not;
+  G(0), do not; and sweep_nonfinite_star, one row at valid rates where
+  E*'s closed form gives S_h = inf / inf, an error row;
 * `--help` of the CLI and of `simulate`, `report` and `sweep`;
 * `report`, and `report --only stability|lyapunov|persistence`, on each
   scenario;
@@ -93,6 +98,15 @@ MADE_SWEEPS = {
                        "columns": ["r0", "classification", "e_star", "error_class"]},
                       {"params": {"beta_h": 1e24, "beta_v": 1e20, "mu_h": 0.01, "mu_v": 1e6,
                                   "c_vh": 1.0, "c_hv": 0.1, "tau": 1e4}}),
+    # R0^2 is finite and above 1, but E*'s S_h is inf / inf = NaN
+    "sweep_nonfinite_star": ({"values": [4.652308886266356e-186],
+                              "columns": ["r0", "classification", "e_star", "error_class"]},
+                             {"params": {"beta_h": 1.3310652524698147e+69,
+                                         "beta_v": 7.521925569700577e-152,
+                                         "mu_h": 3.698771195959083e+31,
+                                         "mu_v": 2.704525289284165e+103,
+                                         "c_vh": 4.652308886266356e-186,
+                                         "c_hv": 1.6605361641466093e+294, "tau": 1}}),
 }
 
 
@@ -122,6 +136,11 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
     path = os.path.join("demos", "scenarios", "limiting_endemic.json")
     out.append(("simulate_limiting_endemic",
                 cli + ["simulate", path, "--out", "out/simulate_limiting_endemic"]))
+    path = os.path.join("demos", "scenarios", "lyapunov_product.json")
+    out.append(("simulate_lyapunov_product",
+                cli + ["simulate", path, "--out", "out/simulate_lyapunov_product"]))
+    out.append(("report_lyapunov_product_lyapunov",
+                cli + ["report", path, "--only", "lyapunov"]))
     for name in ("sweep_c_vh", *MADE_SWEEPS):
         out.append((name, cli + ["sweep", os.path.join("demos", "scenarios", f"{name}.json"),
                                  "--out", f"out/{name}"]))
@@ -150,7 +169,9 @@ def run_tree(tree: str, work: str, dest: str) -> None:
         endemic = json.load(fh)
     made = {"random_endemic": {**endemic, "history": RANDOM},
             "limiting_endemic": {**endemic, "integration": {**endemic["integration"],
-                                                            "system": "limiting"}}}
+                                                            "system": "limiting"}},
+            "lyapunov_product": {**endemic, "history": {"kind": "constant",
+                                                        "state": [4, 0.5, 30, 0]}}}
     for name, (keys, base) in MADE_SWEEPS.items():
         made[name] = {**c_vh, **keys, "base": {**c_vh["base"], **base}}
     for name, obj in made.items():
