@@ -31,8 +31,8 @@ def disease_free_equilibrium(p: ModelParams) -> State:
 
 
 def endemic_equilibrium(p: ModelParams) -> State | None:
-    """Closed-form endemic state, or None when R0 <= 1 (compared on R0^2).
-    NumericalError naming the first component that is not finite."""
+    """Closed-form endemic state, or None when R0 <= 1 (compared on R0^2);
+    its components go unchecked, so that it can be the existence test."""
     r2 = r0_squared(p)
     if r2 <= 1.0:
         return None
@@ -42,16 +42,20 @@ def endemic_equilibrium(p: ModelParams) -> State | None:
     s_h = p.beta_h * (p.c_hv * p.beta_h / p.mu_h + p.mu_v) / den_h
     s_v = p.beta_v * (p.c_vh + p.mu_h) / den_v
     i_v = p.beta_v * p.mu_h * (r2 - 1.0) / den_v
-    star = State(s_h, i_h, s_v, i_v)
-    for name, value in zip(star._fields, star):
+    return State(s_h, i_h, s_v, i_v)
+
+
+def _finite_star(star: State | None) -> State | None:
+    """star (None passes), or NumericalError naming its first non-finite component."""
+    for name, value in zip(State._fields, star or ()):
         if not math.isfinite(value):  # inf / inf, or a denominator that overflows
             raise NumericalError(f"E* component {name} = {value!r} is not finite")
     return star
 
 
 def _require_endemic(p: ModelParams) -> State:
-    """E* for whatever needs it; SubcriticalR0Error when R0 <= 1."""
-    star = endemic_equilibrium(p)
+    """Finite E* for whatever reads it; SubcriticalR0Error when R0 <= 1."""
+    star = _finite_star(endemic_equilibrium(p))
     if star is None:
         raise SubcriticalR0Error(basic_reproduction_number(p))
     return star
@@ -74,4 +78,4 @@ class EquilibriumSet(namedtuple("EquilibriumSet", "r0 e0 e_star")):
 def equilibrium_set(p: ModelParams) -> EquilibriumSet:
     return EquilibriumSet(r0=basic_reproduction_number(p),
                           e0=disease_free_equilibrium(p),
-                          e_star=endemic_equilibrium(p))
+                          e_star=_finite_star(endemic_equilibrium(p)))

@@ -138,9 +138,9 @@ def _v_endemic(c: tuple[float, ...], ys: Sequence[float], times: Sequence[float]
     if [v for v in ys[4 * m:] if not v > 0.0]:
         raise OutsideOmega2Error()
     prods = list(map(operator.mul, iv, sh))
-    failed = [t for t, prod in zip(times, prods) if prod <= 0.0]
-    if failed:
-        raise NonPositiveProductError(failed[0])
+    failed = next((t for t, prod in zip(times, prods) if prod <= 0.0), None)
+    if failed is not None:
+        raise NonPositiveProductError(failed)
     windows = _windows([x - 1.0 - log(x) for prod in prods for x in [num * prod / den]],
                        times, m)
     return _Floats("d", [(a - s_h - s_h * log(a / s_h)) + (b - i_h - i_h * log(b / i_h))

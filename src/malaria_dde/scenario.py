@@ -65,7 +65,7 @@ from collections import namedtuple
 from typing import IO, Any, Callable
 
 from . import defaults
-from .equilibria import endemic_equilibrium, equilibrium_set, r0_squared
+from .equilibria import _finite_star, endemic_equilibrium, equilibrium_set, r0_squared
 from .errors import InvalidSpecError, ModelError, SchemaError, SubcriticalR0Error
 from .integrator import IntegrationSpec, SystemKind, Trajectory, _integrate, integrate, tail_stats
 from .lyapunov import _require_divisors, trace_along
@@ -671,7 +671,7 @@ def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
                         _classification(_g0(p, EquilibriumKind.ENDEMIC, r2)).value)
         elif col in _STAR_COLUMNS:
             name = col[:-5]  # strip _star
-            row[col] = "" if star is None else _fmt(getattr(star, name))
+            row[col] = "" if star is None else _fmt(getattr(_finite_star(star), name))
         elif col in _TAIL_COLUMNS:
             if tail is None:  # integrate once, storing no node; fill all tail cells
                 phi = scn.history.build(p, seed)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
 from malaria_dde import (
+    EquilibriumKind,
     ModelParams,
     NonPositiveRateError,
     NumericalError,
@@ -17,10 +18,12 @@ from malaria_dde import (
     State,
     SystemKind,
     basic_reproduction_number,
+    classify,
     disease_free_equilibrium,
     endemic_equilibrium,
     equilibrium_residual,
     equilibrium_set,
+    persistence_bounds,
     r0_squared,
     rhs,
 )
@@ -111,10 +114,14 @@ P_STAR_NAN = ModelParams(beta_h=1.3310652524698147e+69, beta_v=7.521925569700577
     # beta_h^2 overflows in S_h*'s numerator
     (P_SUPER._replace(beta_h=1e200), "E* component s_h = inf is not finite"),
 ], ids=["nan", "inf"])
-def test_a_non_finite_endemic_component_is_a_numerical_error(p, message):
+def test_a_non_finite_endemic_component_is_a_numerical_error_where_it_is_read(p, message):
     # R0^2 is finite and above 1, so E* exists; its closed form breaks down
     assert math.isfinite(r0_squared(p)) and r0_squared(p) > 1.0
-    for entry in (endemic_equilibrium, equilibrium_set):
+    # the existence test still answers; each reader of E*'s components raises
+    star = endemic_equilibrium(p)
+    assert star is not None and not all(map(math.isfinite, star))
+    for entry in (equilibrium_set, lambda p: classify(p, EquilibriumKind.ENDEMIC),
+                  lambda p: persistence_bounds(p, 0.5)):
         with pytest.raises(NumericalError) as err:
             entry(p)
         assert type(err.value) is NumericalError and str(err.value) == message

@@ -12,10 +12,12 @@ few seconds.
 A sweep row reads its verdicts from G(0) alone, so on the same draws its
 line must come back whatever the rates, with the verdict `classify` gives
 wherever `classify` returns, and a verdict (no error cell) where only the
-root polish or E*'s linearization weights fail. Where E* itself has a
-component that is not finite, the row is an error row of class
-NumericalError, as `endemic_equilibrium` raises there.
+root polish or E*'s linearization weights fail. Those cells read E*'s
+existence alone, so a row that also has E*'s cells is the same row plus
+them, or a NumericalError row where a component of E* is not finite.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from malaria_dde import (
     IntegrationSpec,
     ModelError,
     ModelParams,
-    NumericalError,
     RateUnderflowError,
     RootPolishError,
     SystemKind,
@@ -39,6 +40,7 @@ from malaria_dde import (
     v_endemic,
 )
 from malaria_dde.scenario import (
+    _STAR_COLUMNS,
     _TAIL_COLUMNS,
     SWEEP_COLUMNS,
     Analyses,
@@ -55,6 +57,7 @@ RATES = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv")
 ONLY = (None, "stability", "lyapunov", "persistence")
 ALL_ANALYSES = Analyses(simulate=True, stability=True, lyapunov=True, persistence=(0.5,))
 ROW_COLUMNS = tuple(c for c in SWEEP_COLUMNS if c not in _TAIL_COLUMNS)
+VERDICT_COLUMNS = tuple(c for c in ROW_COLUMNS if c not in _STAR_COLUMNS)
 VERDICTS = {"classification_e0": EquilibriumKind.DISEASE_FREE,
             "classification_e_star": EquilibriumKind.ENDEMIC}
 
@@ -133,26 +136,21 @@ def test_extreme_rates_leave_every_entry_point_through_the_taxonomy(tmp_path):
                 raise AssertionError(f"draw {i}, {name}: {scn.params}") from exc
 
 
-def _row_cells(scn: Scenario, seed: int) -> dict[str, str]:
-    """The draw's sweep row with every column but the tail ones, by column,
-    the error cell under "error"; `_row_line` must return whatever the rates."""
+def _row_cells(scn: Scenario, seed: int,
+               columns: tuple[str, ...] = ROW_COLUMNS) -> dict[str, str]:
+    """The draw's sweep row with `columns` (default: every column but the
+    tail ones), by column, the error cell under "error"; `_row_line` must
+    return whatever the rates."""
     p = scn.params
-    line = _row_line(SweepSpec(scn, "tau", (p.tau,), ROW_COLUMNS), p.tau, seed)
-    return dict(zip(("tau", *ROW_COLUMNS, "error"), line.split(",", len(ROW_COLUMNS) + 1)))
+    line = _row_line(SweepSpec(scn, "tau", (p.tau,), columns), p.tau, seed)
+    return dict(zip(("tau", *columns, "error"), line.split(",", len(columns) + 1)))
 
 
 def _check_row_verdicts(scn: Scenario, seed: int) -> int:
     """Check the row's verdict cells against classify at both states, and
     return how many of the two classify calls raised RootPolishError. Such a
-    cell holds a verdict all the same, and the row no error cell. A row whose
-    E* has a component that is not finite is that error's row."""
-    cells, polish_failures = _row_cells(scn, seed), 0
-    try:
-        endemic_equilibrium(scn.params)
-    except NumericalError as exc:
-        if "E* component" in str(exc):
-            assert cells["error_class"] == "NumericalError" and str(exc) in cells["error"]
-            return 0
+    cell holds a verdict all the same, and the row no error cell."""
+    cells, polish_failures = _row_cells(scn, seed, VERDICT_COLUMNS), 0
     for col, which in VERDICTS.items():
         try:
             want = classify(scn.params, which).classification.value
@@ -174,6 +172,32 @@ def test_extreme_rate_sweep_rows_give_the_verdicts_classify_gives(tmp_path):
         except Exception as exc:
             raise AssertionError(f"draw {i}: {scn.params}") from exc
     assert failures > 0
+
+
+def _check_star_cells(scn: Scenario, seed: int) -> bool:
+    """Check the row with E*'s cells against the row without them, and
+    return whether E* exists with a component that is not finite."""
+    verdicts, cells = _row_cells(scn, seed, VERDICT_COLUMNS), _row_cells(scn, seed)
+    try:
+        star = endemic_equilibrium(scn.params)
+    except ModelError:
+        star = None
+    if verdicts["error"] == "" and star is not None and not all(map(math.isfinite, star)):
+        assert cells["error_class"] == "NumericalError"
+        assert cells["error"].startswith('"error: E* component ')
+        return True
+    assert {col: cells[col] for col in verdicts} == verdicts
+    return False
+
+
+def test_extreme_rate_rows_with_e_star_cells_fail_only_where_e_star_is_not_finite(tmp_path):
+    non_finite = 0
+    for i, scn in _draws(str(tmp_path / "out")):
+        try:
+            non_finite += _check_star_cells(scn, i)
+        except Exception as exc:
+            raise AssertionError(f"draw {i}: {scn.params}") from exc
+    assert non_finite > 0
 
 
 def test_sweep_rows_print_verdicts_where_the_root_polish_fails_within_1e30():

@@ -365,9 +365,18 @@ def test_sweep_verdicts_run_no_root_polish(tmp_path, monkeypatch):
     assert calls == {"_polish": 2, "from_params": 1}
 
 
-def test_a_sweep_row_whose_endemic_state_is_not_finite_is_an_error_row(tmp_path):
-    # at these valid rates E*'s closed form gives S_h = inf / inf; the row
-    # once printed nan E* cells with no error
+@pytest.mark.parametrize("columns,header,row", [
+    # E*'s cells read its components: an error row, where it once printed nan
+    (["r0", "classification", "e_star", "error_class"],
+     "s_h_star,i_h_star,s_v_star,i_v_star,error_class,error",
+     ',,,,,,,NumericalError,"error: E* component s_h = nan is not finite"'),
+    # the verdicts read G(0) and E*'s existence alone
+    (["r0", "classification", "error_class"],
+     "classification_e_star,error_class,error", "527175.38375614118,Unstable,LAS,,"),
+], ids=["e_star", "verdicts"])
+def test_a_non_finite_endemic_state_fails_only_the_rows_that_print_it(tmp_path, columns,
+                                                                       header, row):
+    # at these valid rates E*'s closed form gives S_h = inf / inf
     base = {**BASE, "params": {"beta_h": 1.3310652524698147e+69,
                                "beta_v": 7.521925569700577e-152,
                                "mu_h": 3.698771195959083e+31,
@@ -375,13 +384,12 @@ def test_a_sweep_row_whose_endemic_state_is_not_finite_is_an_error_row(tmp_path)
                                "c_vh": 4.652308886266356e-186,
                                "c_hv": 1.6605361641466093e+294, "tau": 1}}
     obj = {"schema": 1, "base": base, "axis": "c_vh", "values": [4.652308886266356e-186],
-           "columns": ["r0", "classification", "e_star", "error_class"]}
+           "columns": columns}
     path = write_json(tmp_path / "sw.json", obj)
     assert cli.main(["sweep", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
-    header, row = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
-    assert header.endswith("s_h_star,i_h_star,s_v_star,i_v_star,error_class,error")
-    assert row == ('4.6523088862663561e-186,,,,,,,,NumericalError,'
-                   '"error: E* component s_h = nan is not finite"')
+    lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    assert lines[0].endswith(header)
+    assert lines[1] == "4.6523088862663561e-186," + row
 
 
 # ------------------------------------------------------------ CLI
@@ -839,7 +847,8 @@ def test_tau_sweep_over_table_history_marks_rows(tmp_path):
 
 
 def test_cli_mesh_past_the_step_ceiling_exits_1(tmp_path, capsys, no_runs_at_tiny_delays):
-    # tau = 0 takes the default step 0.1 / max_rate = 1e-201; E* stays finite
+    # tau = 0 takes the default step 0.1 / max_rate = 1e-201; E* stays finite, as
+    # report.txt prints its components before the run
     path = scenario_file(tmp_path, params={**BASE["params"], "tau": 0, "c_vh": 1e200},
                          analyses={"simulate": True, "stability": False})
     assert cli.main(["simulate", path, "--out", str(tmp_path / "o"), "--quiet"]) == 1

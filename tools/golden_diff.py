@@ -22,7 +22,7 @@ match):
   with the history (4, 0.5, 30, 0): I_v * S_h is 0 on the whole window, so
   both exit 1 with NonPositiveProductError, and simulate's forked Lyapunov
   section sends nothing back and runs again in its own process;
-* `sweep` on demos/scenarios/sweep_c_vh.json, and on six sweeps made from
+* `sweep` on demos/scenarios/sweep_c_vh.json, and on seven sweeps made from
   it in the scratch directory (MADE_SWEEPS), the first three with the
   tail columns: sweep_tau_tail, on a tau axis, whose 1e-7 row needs more
   than MAX_STEPS steps, so an error cell is written too;
@@ -35,8 +35,10 @@ match):
   error_class columns at rates where R0^2's divisor underflows, which
   those rows never read; sweep_extreme, on the c_vh axis at rates up
   to 1e27, where G's root polish fails but the verdict columns, read from
-  G(0), do not; and sweep_nonfinite_star, one row at valid rates where
-  E*'s closed form gives S_h = inf / inf, an error row;
+  G(0), do not; sweep_nonfinite_star, one row at valid rates where
+  E*'s closed form gives S_h = inf / inf, an error row as it prints E*'s
+  cells; and sweep_nonfinite_verdicts, the same row with only the verdict
+  columns, which read E*'s existence alone and print;
 * `--help` of the CLI and of `simulate`, `report` and `sweep`;
 * `report`, and `report --only stability|lyapunov|persistence`, on each
   scenario;
@@ -73,6 +75,12 @@ STREAMS = "streams"
 RANDOM = {"kind": "random"}
 RANDOM_SEEDS = (0, 2**64 + 5)
 ONE_CPU = "simulate_endemic_one_cpu"
+NONFINITE_STAR = {"params": {"beta_h": 1.3310652524698147e+69,
+                             "beta_v": 7.521925569700577e-152,
+                             "mu_h": 3.698771195959083e+31,
+                             "mu_v": 2.704525289284165e+103,
+                             "c_vh": 4.652308886266356e-186,
+                             "c_hv": 1.6605361641466093e+294, "tau": 1}}
 # name -> (the keys that replace sweep_c_vh.json's, the keys that replace
 # its base's)
 MADE_SWEEPS = {
@@ -98,15 +106,14 @@ MADE_SWEEPS = {
                        "columns": ["r0", "classification", "e_star", "error_class"]},
                       {"params": {"beta_h": 1e24, "beta_v": 1e20, "mu_h": 0.01, "mu_v": 1e6,
                                   "c_vh": 1.0, "c_hv": 0.1, "tau": 1e4}}),
-    # R0^2 is finite and above 1, but E*'s S_h is inf / inf = NaN
+    # R0^2 is finite and above 1, but E*'s S_h is inf / inf = NaN: a row
+    # with E*'s cells is an error row, one with only the verdicts is not
     "sweep_nonfinite_star": ({"values": [4.652308886266356e-186],
                               "columns": ["r0", "classification", "e_star", "error_class"]},
-                             {"params": {"beta_h": 1.3310652524698147e+69,
-                                         "beta_v": 7.521925569700577e-152,
-                                         "mu_h": 3.698771195959083e+31,
-                                         "mu_v": 2.704525289284165e+103,
-                                         "c_vh": 4.652308886266356e-186,
-                                         "c_hv": 1.6605361641466093e+294, "tau": 1}}),
+                             NONFINITE_STAR),
+    "sweep_nonfinite_verdicts": ({"values": [4.652308886266356e-186],
+                                  "columns": ["r0", "classification", "error_class"]},
+                                 NONFINITE_STAR),
 }
 
 
