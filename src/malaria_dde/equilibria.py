@@ -30,10 +30,11 @@ def disease_free_equilibrium(p: ModelParams) -> State:
     return State(p.s_h0, 0.0, p.s_v0, 0.0)
 
 
-def endemic_equilibrium(p: ModelParams) -> State | None:
-    """Closed-form endemic state, or None when R0 <= 1 (compared on R0^2);
-    its components go unchecked, so that it can be the existence test."""
-    r2 = r0_squared(p)
+def endemic_equilibrium(p: ModelParams, r2: float | None = None) -> State | None:
+    """Closed-form endemic state, or None when R0 <= 1 (compared on R0^2, r2
+    if the caller has it): the one R0 threshold test. Its components go
+    unchecked, so that it can be the existence test."""
+    r2 = r0_squared(p) if r2 is None else r2
     if r2 <= 1.0:
         return None
     den_h = p.beta_h * p.c_hv + p.mu_v * p.mu_h * r2

@@ -110,7 +110,9 @@ def _nonzero(value: float, name: str) -> float:
 def _finite_real(x: object) -> bool:
     """The scenario loader's number rule: a real that is not a bool and is
     finite as a float."""
-    # float and int first: they skip the slower numbers.Real ABC check
+    if type(x) is float:  # the common case, ahead of every isinstance check
+        return math.isfinite(x)
+    # float subclasses and int next: they skip the slower numbers.Real ABC check
     if not isinstance(x, (float, int, numbers.Real)) or isinstance(x, bool):
         return False
     try:

@@ -652,49 +652,56 @@ def _write_out(target: str, files: list[tuple[str, list[str]]]) -> str:
     return finals[-1]
 
 
-def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> dict[str, str]:
+def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> list[str]:
+    """The row's cells in column order. R0^2 and E* are computed once unless
+    every column is a tail or error_class cell, E*'s finiteness is checked
+    at its first cell, and the run behind the tail cells at the first of them."""
     scn = sweep.base
-    p = scn.params._replace(**{sweep.axis: value})
-    row: dict[str, str] = {}
-    tail = None
+    fields = list(scn.params)
+    fields[PARAM_FIELDS.index(sweep.axis)] = value
+    p = ModelParams(*fields)
     if not _NO_R0_COLUMNS.issuperset(sweep.columns):
-        r2, star = r0_squared(p), endemic_equilibrium(p)
+        r2 = r0_squared(p)
+        star = endemic_equilibrium(p, r2)
+    cells: list[str] = []
+    tail, checked = None, False
     for col in sweep.columns:
         if col == "r0":
-            row[col] = _fmt(math.sqrt(r2))
+            cells.append(_fmt(math.sqrt(r2)))
         elif col == "r0_squared":
-            row[col] = _fmt(r2)
+            cells.append(_fmt(r2))
         elif col == "classification_e0":
-            row[col] = _classification(_g0(p, EquilibriumKind.DISEASE_FREE, r2)).value
+            cells.append(_classification(_g0(p, EquilibriumKind.DISEASE_FREE, r2)).value)
         elif col == "classification_e_star":
-            row[col] = ("absent" if star is None else
-                        _classification(_g0(p, EquilibriumKind.ENDEMIC, r2)).value)
+            cells.append("absent" if star is None else
+                         _classification(_g0(p, EquilibriumKind.ENDEMIC, r2)).value)
         elif col in _STAR_COLUMNS:
-            name = col[:-5]  # strip _star
-            row[col] = "" if star is None else _fmt(getattr(_finite_star(star), name))
+            if not checked:
+                star, checked = _finite_star(star), True
+            cells.append("" if star is None else _fmt(getattr(star, col[:-5])))  # strip _star
         elif col in _TAIL_COLUMNS:
-            if tail is None:  # integrate once, storing no node; fill all tail cells
+            if tail is None:  # integrate once, storing no node
                 phi = scn.history.build(p, seed)
                 tail = _integrate(p, phi, scn.integration, store=False).tail
-                for name in COMPONENT_NAMES:
-                    row[f"tail_{name}_inf"] = _fmt(getattr(tail.inf, name))
-                    row[f"tail_{name}_sup"] = _fmt(getattr(tail.sup, name))
+            # tail_<component>_<inf|sup>
+            cells.append(_fmt(getattr(getattr(tail, col[-3:]), col[5:-4])))
         elif col == "error_class":
-            row[col] = ""  # _row_line fills it on an error row
+            cells.append("")  # _row_line fills it on an error row
         else:  # pragma: no cover - column set is validated at load time
             raise SchemaError("sweep.columns", f"unknown column {col!r}")
-    return row
+    return cells
 
 
 def _row_line(sweep: SweepSpec, value: float, seed: int) -> str:
     """The row's CSV line; a ModelError or ArithmeticError is its error cell,
     and its class name the error_class cell."""
     try:
-        row, error = _sweep_row(sweep, value, seed), ""
+        cells, error = _sweep_row(sweep, value, seed), ""
     except (ModelError, ArithmeticError) as exc:  # e.g. rates that underflow
         text = f"error: {exc}".replace('"', '""')
-        row, error = {"error_class": type(exc).__name__}, f'"{text}"'
-    return ",".join([_fmt(value), *(row.get(c, "") for c in sweep.columns), error])
+        cells = [type(exc).__name__ if c == "error_class" else "" for c in sweep.columns]
+        error = f'"{text}"'
+    return ",".join([_fmt(value), *cells, error])
 
 
 def _rows(sweep: SweepSpec, values: tuple[float, ...], seed: int) -> list[str]:

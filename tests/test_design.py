@@ -136,3 +136,27 @@ def test_no_numpy_scipy_or_dataclasses_import():
             found += [f"{path.name}: {n}" for n in names
                       if n.split(".")[0] in ("numpy", "scipy", "dataclasses")]
     assert found == []
+
+
+_R0_NAMES = ("r0", "r2")  # the names that hold R0 or R0^2
+_R0_CALLS = ("r0_squared", "basic_reproduction_number")
+
+
+def _reads_r0_against_1(node: ast.AST) -> bool:
+    """Whether node is a comparison that reads R0 or R0^2 and the number 1,
+    on either side: `r2 <= 1.0`, `r0_squared(p) > 1` or `r2 - 1.0 > 0`."""
+    if not isinstance(node, ast.Compare):
+        return False
+    leaves = list(ast.walk(node))
+    return (any(isinstance(n, ast.Name) and n.id in _R0_NAMES
+                or isinstance(n, ast.Attribute) and n.attr in _R0_NAMES
+                or isinstance(n, ast.Call) and any(_calls(n.func, c) for c in _R0_CALLS)
+                for n in leaves)
+            and any(isinstance(n, ast.Constant) and type(n.value) in (int, float)
+                    and n.value == 1 for n in leaves))
+
+
+def test_one_r0_threshold():
+    # E* exists exactly when R0 > 1, and that is decided in one place, the
+    # closed form's own test on R0^2; every other reader asks it
+    assert _sites(_reads_r0_against_1) == [("equilibria", "endemic_equilibrium")]

@@ -1,6 +1,9 @@
 """Vector field, parameter validation, history segments."""
 
 import math
+import numbers
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from malaria_dde import (
     default_t_end,
     rhs,
 )
+from malaria_dde.model import _finite_real
+
 from conftest import P_SUPER, P_SV0_UNDERFLOW
 
 
@@ -95,6 +100,45 @@ def test_validate_delay():
         with pytest.raises(NegativeDelayError):
             HistorySegment.constant((4.0, 0.5, 30.0, 10.0), bad)
     assert P_SUPER._replace(tau=0.0).tau == 0.0
+
+
+def _finite_real_before_fast_path(x):
+    """The number rule as _finite_real read before exact floats skipped its
+    isinstance checks: the oracle for that fast path."""
+    if not isinstance(x, (float, int, numbers.Real)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+class _Float(float):
+    pass
+
+
+_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.1125369292536007e-308, 1.5, 1.7976931348623157e308,
+            _Float(2.5), _Float(math.nan), _Float(-math.inf), 0, -3, 10 ** 400, -10 ** 400,
+            True, False, Fraction(1, 3), Fraction(10 ** 400, 3), np.float64(1.5),
+            np.float64(np.nan), np.float64(-np.inf), np.int64(4), Decimal("1.5"),
+            Decimal("nan"), Decimal("inf"), None, "1.5", "nan")
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+def test_finite_real_fast_path_gives_the_old_answers(x):
+    # the fast path for exact floats answers as the isinstance chain did
+    assert _finite_real(x) is _finite_real_before_fast_path(x)
+
+
+@given(st.floats().map(_Float) | st.integers() | st.fractions() | st.decimals())
+def test_finite_real_answers_as_before_off_the_fast_path(x):
+    assert _finite_real(x) is _finite_real_before_fast_path(x)
+
+
+@pytest.mark.parametrize("x", _NUMBERS, ids=repr)
+def test_finite_real_gives_the_old_answer_on_every_kind_of_value(x):
+    assert _finite_real(x) is _finite_real_before_fast_path(x)
 
 
 def test_state_accessors():

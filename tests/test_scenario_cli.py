@@ -331,7 +331,7 @@ def test_sweep_verdicts_match_classify_over_moderate_rates():
         r0 = rng.uniform(0.3, 3.0)  # set by c_hv
         p = p._replace(c_hv=r0 * r0 * p.mu_h * p.mu_h * p.mu_v / (p.c_vh * p.beta_h))
         sweep = SweepSpec(Scenario(params=p, history=history), "tau", (p.tau,), tuple(kinds))
-        row = _sweep_row(sweep, p.tau, 0)
+        row = dict(zip(sweep.columns, _sweep_row(sweep, p.tau, 0)))  # cells in column order
         for col, which in kinds.items():
             absent = which is EquilibriumKind.ENDEMIC and endemic_equilibrium(p) is None
             assert row[col] == ("absent" if absent
@@ -363,6 +363,44 @@ def test_sweep_verdicts_run_no_root_polish(tmp_path, monkeypatch):
     assert calls == {"_polish": 0, "from_params": 0}
     run_scenario(load_scenario(ENDEMIC_DEMO), only="stability")
     assert calls == {"_polish": 2, "from_params": 1}
+
+
+def test_sweep_rows_compute_r0_squared_and_check_e_star_once(tmp_path, monkeypatch):
+    # the saving as a count: a row computes R0^2 once (endemic_equilibrium
+    # takes the row's), checks E*'s finiteness at most once however many of
+    # its cells print, and a row of tail and error_class cells does neither
+    import malaria_dde.equilibria as equilibria
+    import malaria_dde.scenario as scenario_mod
+    calls = {"r0_squared": 0, "_finite_star": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (equilibria, scenario_mod):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+    def sweep(columns, **base):
+        obj = {"schema": 1, "base": {**BASE, **base}, "axis": "c_vh",
+               "values": [0.05, 0.1, 0.2, 0.4], "columns": columns}  # R0^2 0.4 to 3.2
+        return load_sweep(write_json(tmp_path / "sw.json", obj))
+
+    every = sweep(["r0", "r0_squared", "classification", "e_star", "error_class"])
+    rows = []
+    for value in every.values:
+        calls.update(r0_squared=0, _finite_star=0)
+        rows.append(_sweep_row(every, value, 0))
+        assert calls["r0_squared"] == 1 and calls["_finite_star"] <= 1
+    assert [row[3] for row in rows] == ["absent", "absent", "LAS", "LAS"]
+    assert [row[4] == "" for row in rows] == [True, True, False, False]  # s_h_star
+    tails = sweep(["tail", "error_class"], integration={"t_end": 10})
+    calls.update(r0_squared=0, _finite_star=0)
+    for value in tails.values:
+        assert len(_sweep_row(tails, value, 0)) == 9
+    assert calls == {"r0_squared": 0, "_finite_star": 0}
 
 
 @pytest.mark.parametrize("columns,header,row", [

@@ -22,7 +22,7 @@ match):
   with the history (4, 0.5, 30, 0): I_v * S_h is 0 on the whole window, so
   both exit 1 with NonPositiveProductError, and simulate's forked Lyapunov
   section sends nothing back and runs again in its own process;
-* `sweep` on demos/scenarios/sweep_c_vh.json, and on seven sweeps made from
+* `sweep` on demos/scenarios/sweep_c_vh.json, and on eight sweeps made from
   it in the scratch directory (MADE_SWEEPS), the first three with the
   tail columns: sweep_tau_tail, on a tau axis, whose 1e-7 row needs more
   than MAX_STEPS steps, so an error cell is written too;
@@ -37,8 +37,13 @@ match):
   to 1e27, where G's root polish fails but the verdict columns, read from
   G(0), do not; sweep_nonfinite_star, one row at valid rates where
   E*'s closed form gives S_h = inf / inf, an error row as it prints E*'s
-  cells; and sweep_nonfinite_verdicts, the same row with only the verdict
-  columns, which read E*'s existence alone and print;
+  cells; sweep_nonfinite_verdicts, the same row with only the verdict
+  columns, which read E*'s existence alone and print; and
+  sweep_column_order, on the c_hv axis with its columns out of their
+  canonical order (error_class first, e_star before r0, r0_squared last),
+  R0 on both sides of 1, and at c_hv = 1e307 a finite R0^2 but an
+  infinite I_v*, an error row, so each row's cells, error row's included,
+  are checked in the order the file asks for;
 * `--help` of the CLI and of `simulate`, `report` and `sweep`;
 * `report`, and `report --only stability|lyapunov|persistence`, on each
   scenario;
@@ -114,6 +119,11 @@ MADE_SWEEPS = {
     "sweep_nonfinite_verdicts": ({"values": [4.652308886266356e-186],
                                   "columns": ["r0", "classification", "error_class"]},
                                  NONFINITE_STAR),
+    # columns out of their canonical order; R0 on both sides of 1, and at
+    # c_hv = 1e307 R0^2 = 1.6e308 is finite but E*'s I_v is inf: an error row
+    "sweep_column_order": ({"axis": "c_hv", "values": [0.02, 0.05, 0.1, 0.4, 1e307],
+                            "columns": ["error_class", "e_star", "r0", "classification",
+                                        "r0_squared"]}, {}),
 }
 
 
