@@ -118,40 +118,20 @@ class IntegrationSpec(namedtuple("IntegrationSpec", "system t_end steps_per_dela
     _make = classmethod(_make_validated)
 
 
-class Trajectory:
-    """Recorded mesh solution of `system` under `params`.
+class Trajectory(namedtuple("Trajectory", "ys steps history tau h system params m tail")):
+    """Recorded mesh solution of `system` under `params`, a named tuple.
 
     Node k is mesh step k, at time k * h, and node k - m (m = 0 at tau = 0)
     is its delayed node; `ys` holds the nodes' states, four floats each, and
-    `tail` the step loop's tail stats. `dense_eval` reads the solution at
+    `tail` the step loop's tail stats (None in the field when the tail
+    window holds fewer than two nodes). `dense_eval` reads the solution at
     any time, a node's state bit-exact.
-
-    Read-only like the named tuples, and equal to a trajectory of equal
-    fields, but a class of its own: its stored tail stats, which `tail`
-    guards, need a private name that a named tuple's field cannot have.
     """
 
-    __slots__ = ("ys", "steps", "history", "tau", "h", "system", "params", "m", "_tail")
-
-    def __init__(self, ys: array, steps: int, history: HistorySegment, tau: float,
-                 h: float, system: SystemKind, params: ModelParams, m: int,
-                 tail: TailStats | None):  # None: fewer than two tail nodes
-        for name, value in zip(self.__slots__,
-                               (ys, steps, history, tau, h, system, params, m, tail)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
-
-    __hash__ = None  # ys is an array, which has no hash
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__[1:-1])
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields[1:-1], self[1:-1]))
         return f"Trajectory({shown})"
 
     @property
@@ -165,9 +145,10 @@ class Trajectory:
     @property
     def tail(self) -> TailStats:
         """Tail inf/sup, kept by the step loop (see TailStats)."""
-        if self._tail is None:
+        tail = super().tail
+        if tail is None:
             raise EmptyWindowError()
-        return self._tail
+        return tail
 
     def to_csv(self, target: str | IO[str]) -> None:
         """One row per node, 17 significant digits."""
@@ -237,7 +218,8 @@ def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Tra
 
     Each argument checked its own domain on construction; here phi's span
     must match p.tau, and the mesh stay within MAX_STEPS. t_end is rounded
-    up to the nearest mesh multiple; the trajectory's times say what ran.
+    up to the nearest mesh multiple; `traj.t_end` and `traj.steps` say what
+    ran.
     """
     return _integrate(p, phi, spec, store=True)
 

@@ -38,7 +38,7 @@ from itertools import accumulate, chain, repeat
 from typing import IO, Callable, Iterable, Sequence
 
 from . import defaults
-from .equilibria import _require_endemic, endemic_equilibrium
+from .equilibria import _finite_star, _require_endemic, endemic_equilibrium
 from .errors import (
     EmptyWindowError,
     InvalidSpecError,
@@ -47,7 +47,7 @@ from .errors import (
     OutsideOmega2Error,
 )
 from .integrator import SystemKind, Trajectory, _write_csv
-from .model import _S_V0, HistorySegment, ModelParams, _nonzero
+from .model import _S_V0, HistorySegment, ModelParams, State, _nonzero
 
 _Log = Callable[[float], float]
 
@@ -80,11 +80,11 @@ def _dfe_constants(p: ModelParams) -> tuple[float, ...]:
     return sh0, sv0, coef, coef * sv0, (p.mu_v / p.beta_v) * p.c_vh
 
 
-def _endemic_constants(p: ModelParams) -> tuple[float, ...]:
+def _endemic_constants(p: ModelParams, star: State) -> tuple[float, ...]:
     """_v_endemic's constants (E*'s four components, num, den, weight,
-    scale), each divisor checked nonzero as it is computed;
-    SubcriticalR0Error when R0 <= 1."""
-    s_h, i_h, s_v, i_v = map(_nonzero, _require_endemic(p), ("S_h*", "I_h*", "S_v*", "I_v*"))
+    scale) from p's finite E* star, each divisor checked nonzero as it is
+    computed."""
+    s_h, i_h, s_v, i_v = map(_nonzero, star, ("S_h*", "I_h*", "S_v*", "I_v*"))
     weight = p.mu_h * i_h / _nonzero(p.mu_v * i_v, "mu_v * I_v*")
     den = _nonzero(p.beta_v * p.mu_h * i_h, "beta_v * mu_h * I_h*")
     return s_h, i_h, s_v, i_v, p.mu_v * p.c_vh, den, weight, p.mu_h * i_h
@@ -95,9 +95,10 @@ def _require_divisors(p: ModelParams) -> tuple[FunctionalKind, tuple[float, ...]
     V_DFE otherwise (R0 <= 1), with its constants, once its divisors are
     each checked nonzero; so a caller can raise RateUnderflowError before it
     integrates the limiting run."""
-    if endemic_equilibrium(p) is None:
+    star = _finite_star(endemic_equilibrium(p))
+    if star is None:
         return FunctionalKind.V_DFE, _dfe_constants(p)
-    return FunctionalKind.V_ENDEMIC, _endemic_constants(p)
+    return FunctionalKind.V_ENDEMIC, _endemic_constants(p, star)
 
 
 def _windows(f: Sequence[float], times: Sequence[float], m: int) -> Iterable[float]:
@@ -178,7 +179,8 @@ def v_dfe(p: ModelParams, psi: HistorySegment) -> float:
 def v_endemic(p: ModelParams, psi: HistorySegment) -> float:
     """Endemic functional on a window. Needs R0 > 1, psi(0) strictly positive
     componentwise, and I_v * S_h > 0 at every window sample."""
-    return _window_value(FunctionalKind.V_ENDEMIC, _endemic_constants(p), psi)
+    return _window_value(FunctionalKind.V_ENDEMIC, _endemic_constants(p, _require_endemic(p)),
+                         psi)
 
 
 class LyapunovTrace(namedtuple("LyapunovTrace", "kind times values max_increase")):

@@ -65,7 +65,7 @@ from collections import namedtuple
 from typing import IO, Any, Callable
 
 from . import defaults
-from .equilibria import _finite_star, endemic_equilibrium, equilibrium_set, r0_squared
+from .equilibria import _finite_star, disease_free_equilibrium, endemic_equilibrium, r0_squared
 from .errors import InvalidSpecError, ModelError, SchemaError, SubcriticalR0Error
 from .integrator import IntegrationSpec, SystemKind, Trajectory, _integrate, integrate, tail_stats
 from .lyapunov import _require_divisors, trace_along
@@ -429,17 +429,20 @@ def load_sweep(path: str) -> SweepSpec:
 # ---------------------------------------------------------------- running
 
 def _equilibria_lines(p: ModelParams) -> list[str]:
-    eq = equilibrium_set(p)
-    lines = [f"r0 = {_fmt(eq.r0)}",
-             f"r0_squared = {_fmt(r0_squared(p))}"]
-    for name in COMPONENT_NAMES:
-        lines.append(f"e0.{name} = {_fmt(getattr(eq.e0, name))}")
-    if eq.e_star is None:
+    """equilibrium_set's lines from one R0^2 (r0 is its sqrt, as
+    basic_reproduction_number takes it)."""
+    r2 = r0_squared(p)
+    star = _finite_star(endemic_equilibrium(p, r2))
+    lines = [f"r0 = {_fmt(math.sqrt(r2))}",
+             f"r0_squared = {_fmt(r2)}"]
+    for name, value in zip(COMPONENT_NAMES, disease_free_equilibrium(p)):
+        lines.append(f"e0.{name} = {_fmt(value)}")
+    if star is None:
         lines.append("e_star.exists = false")
     else:
         lines.append("e_star.exists = true")
-        for name in COMPONENT_NAMES:
-            lines.append(f"e_star.{name} = {_fmt(getattr(eq.e_star, name))}")
+        for name, value in zip(COMPONENT_NAMES, star):
+            lines.append(f"e_star.{name} = {_fmt(value)}")
     return lines
 
 

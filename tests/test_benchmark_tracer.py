@@ -9,13 +9,13 @@ perfbench suite.
 import importlib.util
 import os
 
-import malaria_dde.cli  # noqa: F401  (the tracer needs every layer imported)
-from malaria_dde import EquilibriumKind, stability
+import malaria_dde.cli as cli  # the tracer needs every layer imported
+from malaria_dde import EquilibriumKind, IntegrationSpec, SystemKind, integrator, stability
 
 from conftest import P_SUPER
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 
 
 def _load_tracing():
@@ -42,3 +42,26 @@ def test_tracer_labels_the_root_search_at_both_states():
     # each search is a child of its classify span
     parents = {s[tracing.SID]: s[tracing.NAME] for s in tracer.spans}
     assert [parents[s[tracing.PARENT]] for s in roots] == ["stability.classify"] * 2
+
+
+def test_tracer_times_a_simulate_ops_run_and_its_csv(tmp_path):
+    # Trajectory.to_csv is wrapped on the class by name, and
+    # integrate's info reads the trajectory's fields
+    tracing = _load_tracing()
+    original = integrator.Trajectory.__dict__["to_csv"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        path = os.path.join(ROOT, "demos", "scenarios", "fadeout.json")
+        assert cli.main(["simulate", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    finally:
+        tracer.uninstall()
+    assert integrator.Trajectory.__dict__["to_csv"] is original
+    names = [s[tracing.NAME] for s in tracer.spans]
+    assert names.count("integrator.Trajectory.to_csv") == 1
+    runs = [s for s in tracer.spans if s[tracing.NAME] == "integrator.integrate"]
+    assert all(s[tracing.EXC] is None for s in runs)
+    (full,) = [s[tracing.INFO] for s in runs if s[tracing.INFO][0] == "full"]
+    _, steps, (_, _, spec) = full
+    assert spec == IntegrationSpec(SystemKind.FULL, 300.0)
+    assert steps == 300 * 20  # t_end at h = tau / 20

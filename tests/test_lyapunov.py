@@ -20,7 +20,6 @@ from malaria_dde import (
     RateUnderflowError,
     SubcriticalR0Error,
     SystemKind,
-    Trajectory,
     classify,
     endemic_equilibrium,
     integrate,
@@ -94,11 +93,6 @@ def _tau0_limiting(p, t_end=1.0):
     return p, integrate(p, phi, IntegrationSpec(SystemKind.LIMITING, t_end))
 
 
-def _with_nodes(traj, ys):
-    """traj with its node buffer swapped for ys, every other field kept."""
-    return Trajectory(ys, *(getattr(traj, name) for name in Trajectory.__slots__[1:]))
-
-
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_max_increase_is_nan_wherever_a_nan_step_lies(where):
     # S_h / S_h0 underflows at two neighbouring nodes, so both values are
@@ -108,7 +102,7 @@ def test_max_increase_is_nan_wherever_a_nan_step_lies(where):
     j = {"first": 0, "middle": traj.nodes // 2, "last": traj.nodes - 2}[where]
     ys = array("d", traj.ys)
     ys[4 * j] = ys[4 * j + 4] = 5e-324
-    trace = trace_along(p, _with_nodes(traj, ys))
+    trace = trace_along(p, traj._replace(ys=ys))
     assert trace.values[j] == trace.values[j + 1] == math.inf
     assert math.isnan(trace.max_increase)
     with np.errstate(invalid="ignore"):
@@ -135,7 +129,7 @@ def test_tau0_trace_is_the_point_terms_bit_for_bit():
     w = p.mu_h * i_h / (p.mu_v * i_v)
     ys = array("d", traj.ys)
     ys[40], ys[43] = 0.1, 1e-322  # node 10: I_v * S_h = 1e-323
-    traj = _with_nodes(traj, ys)
+    traj = traj._replace(ys=ys)
     nodes = [traj.ys[4 * k:4 * k + 4] for k in range(traj.nodes)]
     endemic = [(a - s_h - s_h * log(a / s_h)) + (b - i_h - i_h * log(b / i_h))
                + w * (c - s_v - s_v * log(c / s_v)) + w * (d - i_v - i_v * log(d / i_v))
@@ -223,7 +217,7 @@ def _along_limiting_run(p, edits):
     nodes, ys = {"before": 1, "end": traj.m}, array("d", traj.ys)
     for (node, q), value in edits.items():
         ys[4 * nodes[node] + q] = value
-    edited = _with_nodes(traj, ys)
+    edited = traj._replace(ys=ys)
     return (lambda: trace_along(p, edited).values), [k * traj.h for k in range(traj.nodes)]
 
 

@@ -1,5 +1,6 @@
 """Vector field, parameter validation, history segments."""
 
+import enum
 import math
 import numbers
 from decimal import Decimal
@@ -338,3 +339,15 @@ def test_public_namespace_is_derived_and_unchanged():
     assert set(malaria_dde.__all__) == PUBLIC_NAMES
     for name in malaria_dde.__all__:
         assert getattr(malaria_dde, name) is not None
+
+
+def test_every_public_value_type_is_a_named_tuple():
+    # one kind of value type: only HistorySegment, whose array properties
+    # perfbench's tracer reads, is a class of its own
+    import malaria_dde
+
+    classes = [getattr(malaria_dde, name) for name in malaria_dde.__all__]
+    plain = {cls.__name__ for cls in classes
+             if isinstance(cls, type) and not issubclass(cls, (BaseException, enum.Enum))
+             and not issubclass(cls, tuple)}
+    assert plain == {"HistorySegment"}

@@ -403,6 +403,26 @@ def test_sweep_rows_compute_r0_squared_and_check_e_star_once(tmp_path, monkeypat
     assert calls == {"r0_squared": 0, "_finite_star": 0}
 
 
+@pytest.mark.parametrize("only,calls", [("stability", 4), ("lyapunov", 3)])
+def test_report_sections_compute_r0_squared_once_per_reader(only, calls, monkeypatch):
+    # the saving as a count: the equilibria lines compute R0^2 once and take
+    # E* from it, and each Lyapunov divisor check runs the threshold test
+    # once; the rest are the two G(0)s and E*'s weights (stability) and the
+    # check before the limiting run and trace_along's own (lyapunov)
+    import malaria_dde.equilibria as equilibria
+    import malaria_dde.scenario as scenario_mod
+    original, seen = equilibria.r0_squared, []
+
+    def counted(p):
+        seen.append(p)
+        return original(p)
+
+    for module in (equilibria, scenario_mod, stability):  # each binds r0_squared
+        monkeypatch.setattr(module, "r0_squared", counted)
+    run_scenario(load_scenario(ENDEMIC_DEMO), only=only)
+    assert len(seen) == calls
+
+
 @pytest.mark.parametrize("columns,header,row", [
     # E*'s cells read its components: an error row, where it once printed nan
     (["r0", "classification", "e_star", "error_class"],
