@@ -7,6 +7,8 @@ itself broke down; CLI exit code 2).
 
 from __future__ import annotations
 
+from .defaults import CLAMP_BAND
+
 
 class ModelError(Exception):
     """Base class for every error raised by this package."""
@@ -56,7 +58,7 @@ class NegativityBreachError(NumericalError):
         self.t = t
         self.component = component
         self.value = value
-        super().__init__(f"component {component} = {value:.3e} fell below -1e-9 "
+        super().__init__(f"component {component} = {value:.3e} fell below {-CLAMP_BAND:g} "
                          f"at t = {t:g}; step size too coarse for this problem")
 
 

@@ -244,7 +244,7 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
                                f"{defaults.MAX_STEPS} steps of h = {h!r}")
     n_exact = t_end / h
     n_steps = int(round(n_exact))
-    if abs(n_exact - n_steps) > 1e-9 * max(1.0, abs(n_exact)):
+    if abs(n_exact - n_steps) > defaults.MESH_BAND * max(1.0, abs(n_exact)):
         n_steps = int(math.ceil(n_exact))
     if n_steps < 1:
         raise InvalidSpecError("t_end must be at least one step h")
@@ -274,7 +274,7 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
     ys = array("d")
     # tail nodes: `first` on; strict < and > keep the first of equal values, as min/max do
     cut = defaults.TAIL_WINDOW * (n_steps * h)
-    first = _first_node_at(h, n_steps + 1, cut - 1e-12 * (1.0 + abs(cut)))
+    first = _first_node_at(h, n_steps + 1, cut - defaults.TAIL_CUT_BAND * (1.0 + abs(cut)))
 
     for i in range(n_steps + 1):
         # node i's derivative: its Hermite slope and the next step's k1
@@ -404,7 +404,7 @@ def dense_eval(traj: Trajectory, t: float) -> State:
     cubic Hermite interpolant of the bracketing mesh interval.
     """
     # below -tau only as far as the history's span rule reaches; NaN fails too
-    if not (t <= traj.t_end + 1e-9 * (1.0 + abs(traj.t_end))
+    if not (t <= traj.t_end + defaults.READ_BAND * (1.0 + abs(traj.t_end))
             and (-traj.tau <= t or _spans(traj.tau, -t))):
         raise OutOfRangeError(t, 0.0 - traj.tau, traj.t_end)
     if t < 0.0:

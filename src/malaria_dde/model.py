@@ -32,6 +32,7 @@ from collections import namedtuple
 from itertools import chain
 from typing import Iterable, Sequence
 
+from .defaults import HISTORY_END_BAND, SPAN_BAND
 from .errors import (
     InvalidHistoryError,
     NegativeDelayError,
@@ -128,8 +129,8 @@ def _check_delay(tau: object) -> None:
 
 
 def _spans(span: float, tau: float) -> bool:
-    """The one span rule: a history span (or a read below it) is tau to 1e-9 (1 + tau)."""
-    return abs(span - tau) <= 1e-9 * (1.0 + tau)
+    """The one span rule: a history span (or a read below it) is tau to SPAN_BAND (1 + tau)."""
+    return abs(span - tau) <= SPAN_BAND * (1.0 + tau)
 
 
 class State(namedtuple("State", "s_h i_h s_v i_v")):
@@ -248,7 +249,7 @@ class HistorySegment:
         """
         t, x = self._t, self._x
         lo = t[0]
-        if not (-math.inf < theta <= 1e-12 and (lo <= theta or _spans(-lo, -theta))):
+        if not (-math.inf < theta <= HISTORY_END_BAND and (lo <= theta or _spans(-lo, -theta))):
             raise OutOfRangeError(theta, 0.0 - self.tau, 0.0)
         j = bisect.bisect_right(t, theta) - 1
         if j < 0:

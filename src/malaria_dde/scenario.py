@@ -28,27 +28,25 @@ accepted only as the integer 1, as output.formats is only ["csv"].
 A sweep wraps a base scenario, an axis (one parameter name), the values to
 visit in order, and the derived columns to tabulate (no column twice, once
 the groups are expanded). Each value is checked at load by the rule of
-params.<axis>. The classification columns read G(0) alone (stability._g0):
-no root search. Rows are independent; a failing row records an error
-marker (and, if the opt-in error_class column is asked for, the
-exception's class name) and the sweep carries on. Rows that integrate
-(tail columns) run in forked workers on every CPU os.sched_getaffinity
-allows, and sweep.csv is the same bytes as a run on one CPU. If a worker
-returns no lines (a row raised, it died or never started) or a row of this
-process raises, every worker is reaped and all rows run again in this
-process, in row order, so a failure is raised as a serial run raises it.
+params.<axis>. One table (_GROUPS) gives each column its cell and its needs:
+R0^2 and E* (r0, r0_squared, classification and e_star), E*'s finiteness
+check (e_star) and the node-less run (tail); error_class needs none. A sweep
+plans its rows once: a row runs each need its columns ask for once, R0^2
+and E* first, the others in the order of the first column that asks for
+each, then reads its cells. Cells cannot raise, so a row raises as if each
+need ran at its first cell, and a row that asks for no need computes none.
+The classification cells read G(0) alone (stability._g0): no root search.
+A row that raises a ModelError or ArithmeticError records an error marker
+(and its class name in the opt-in error_class column) and the sweep
+carries on. A sweep whose plan needs the run splits its rows across forked
+workers (_sweep_lines), and sweep.csv is the same bytes as a run on one
+CPU.
 
-On two or more CPUs, a scenario run that simulates the full system and
-has Lyapunov on runs the Lyapunov section in one forked child: the limiting
-run, the trace and lyapunov.csv's text. This process runs the full system
-and formats trajectory.csv meanwhile. If the child sends back nothing, the
-section runs here at its place, so a failure is raised as a serial run
-raises it.
-
-Each hand-off has one form, forked or not. _fork, which forks for both
-uses, marshals what its call returns and _Child.result() loads it; every
-artifact is its text, a (file name, strings) pair that _write_out writes.
-So report.txt and the CSVs are the same bytes as on one CPU.
+A scenario run that simulates the full system with Lyapunov on runs the
+Lyapunov section in one forked child on two or more CPUs (run_scenario).
+Each hand-off has one form, forked or not: _fork marshals what its call
+returns, _Child.result() loads it, and every artifact is its text, a (file
+name, strings) pair that _write_out writes.
 """
 
 from __future__ import annotations
@@ -76,21 +74,6 @@ from .stability import EquilibriumKind, _classification, _g0, classify
 SCHEMA_VERSION = 1
 
 PARAM_FIELDS = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv", "tau")
-
-_STAR_COLUMNS = ("s_h_star", "i_h_star", "s_v_star", "i_v_star")
-_TAIL_COLUMNS = tuple(f"tail_{c}_{b}" for c in COMPONENT_NAMES
-                      for b in ("inf", "sup"))
-_NO_R0_COLUMNS = frozenset((*_TAIL_COLUMNS, "error_class"))  # read neither R0^2 nor E*
-_COLUMN_ALIASES = {
-    "classification": ("classification_e0", "classification_e_star"),
-    "e_star": _STAR_COLUMNS,
-    "tail": _TAIL_COLUMNS,
-}
-# error_class: the exception's class name on an error row, blank otherwise
-SWEEP_COLUMNS = (("r0", "r0_squared", "classification_e0", "classification_e_star")
-                 + _STAR_COLUMNS + _TAIL_COLUMNS + ("error_class",))
-DEFAULT_SWEEP_COLUMNS = ("r0", "classification_e0", "classification_e_star",
-                         "i_h_star")
 
 
 class HistorySpec(namedtuple("HistorySpec", "kind state times states",
@@ -655,44 +638,77 @@ def _write_out(target: str, files: list[tuple[str, list[str]]]) -> str:
     return finals[-1]
 
 
+# ---------------------------------------------------------------- sweeps
+
+class _Row:
+    """A row's params, base scenario and seed, and what its needs set: r0
+    sets r2 and star (R0^2 and E*), checked checks star's finiteness, and
+    run sets tail."""
+
+    __slots__ = ("p", "scn", "seed", "r2", "star", "tail")
+
+    def r0(self) -> None:
+        self.r2 = r0_squared(self.p)
+        self.star = endemic_equilibrium(self.p, self.r2)
+
+    def checked(self) -> None:
+        self.star = _finite_star(self.star)
+
+    def run(self) -> None:  # integrate once, storing no node
+        phi = self.scn.history.build(self.p, self.seed)
+        self.tail = _integrate(self.p, phi, self.scn.integration, store=False).tail
+
+    def verdict(self, which: EquilibriumKind) -> str:
+        return _classification(_g0(self.p, which, self.r2)).value
+
+
+# One table: group (a shorthand, or its one column) -> column -> (cell, needs).
+# A cell reads the row once its needs, drawn from _Row's three, have run.
+_GROUPS = {
+    "r0": {"r0": (lambda row: _fmt(math.sqrt(row.r2)), (_Row.r0,))},
+    "r0_squared": {"r0_squared": (lambda row: _fmt(row.r2), (_Row.r0,))},
+    "classification": {
+        "classification_e0": (lambda row: row.verdict(EquilibriumKind.DISEASE_FREE), (_Row.r0,)),
+        "classification_e_star": (lambda row: "absent" if row.star is None
+                                  else row.verdict(EquilibriumKind.ENDEMIC), (_Row.r0,))},
+    "e_star": {f"{c}_star": (lambda row, k=k: "" if row.star is None else _fmt(row.star[k]),
+                             (_Row.r0, _Row.checked)) for k, c in enumerate(COMPONENT_NAMES)},
+    "tail": {f"tail_{c}_{b}": (lambda row, k=k, b=b: _fmt(getattr(row.tail, b)[k]), (_Row.run,))
+             for k, c in enumerate(COMPONENT_NAMES) for b in ("inf", "sup")},
+    # the exception's class name on an error row (_row_line), blank otherwise
+    "error_class": {"error_class": (lambda row: "", ())},
+}
+_CELLS = {col: entry for group in _GROUPS.values() for col, entry in group.items()}
+SWEEP_COLUMNS = tuple(_CELLS)
+_COLUMN_ALIASES = {name: tuple(group) for name, group in _GROUPS.items()
+                   if tuple(group) != (name,)}
+DEFAULT_SWEEP_COLUMNS = ("r0", *_COLUMN_ALIASES["classification"], "i_h_star")
+_Plan = namedtuple("_Plan", (*SweepSpec._fields, "slot", "needs", "cells"))
+
+
+def _plan(sweep: SweepSpec) -> _Plan:
+    """The plan of sweep's rows: sweep's fields, the axis's slot, the needs
+    in the order the module docstring gives and the cells in column order;
+    sweep itself if it is a plan, so that _sweep_lines builds one a sweep."""
+    if isinstance(sweep, _Plan):
+        return sweep
+    entries = [_CELLS[c] for c in sweep.columns]
+    needs = dict.fromkeys(need for _, ns in entries for need in ns)
+    return _Plan(*sweep, PARAM_FIELDS.index(sweep.axis),
+                 tuple(sorted(needs, key=lambda need: need is not _Row.r0)),
+                 tuple(cell for cell, _ in entries))
+
+
 def _sweep_row(sweep: SweepSpec, value: float, seed: int) -> list[str]:
-    """The row's cells in column order. R0^2 and E* are computed once unless
-    every column is a tail or error_class cell, E*'s finiteness is checked
-    at its first cell, and the run behind the tail cells at the first of them."""
-    scn = sweep.base
-    fields = list(scn.params)
-    fields[PARAM_FIELDS.index(sweep.axis)] = value
-    p = ModelParams(*fields)
-    if not _NO_R0_COLUMNS.issuperset(sweep.columns):
-        r2 = r0_squared(p)
-        star = endemic_equilibrium(p, r2)
-    cells: list[str] = []
-    tail, checked = None, False
-    for col in sweep.columns:
-        if col == "r0":
-            cells.append(_fmt(math.sqrt(r2)))
-        elif col == "r0_squared":
-            cells.append(_fmt(r2))
-        elif col == "classification_e0":
-            cells.append(_classification(_g0(p, EquilibriumKind.DISEASE_FREE, r2)).value)
-        elif col == "classification_e_star":
-            cells.append("absent" if star is None else
-                         _classification(_g0(p, EquilibriumKind.ENDEMIC, r2)).value)
-        elif col in _STAR_COLUMNS:
-            if not checked:
-                star, checked = _finite_star(star), True
-            cells.append("" if star is None else _fmt(getattr(star, col[:-5])))  # strip _star
-        elif col in _TAIL_COLUMNS:
-            if tail is None:  # integrate once, storing no node
-                phi = scn.history.build(p, seed)
-                tail = _integrate(p, phi, scn.integration, store=False).tail
-            # tail_<component>_<inf|sup>
-            cells.append(_fmt(getattr(getattr(tail, col[-3:]), col[5:-4])))
-        elif col == "error_class":
-            cells.append("")  # _row_line fills it on an error row
-        else:  # pragma: no cover - column set is validated at load time
-            raise SchemaError("sweep.columns", f"unknown column {col!r}")
-    return cells
+    """The row's cells in column order, once its plan's needs have run."""
+    plan = _plan(sweep)
+    fields = list(plan.base.params)
+    fields[plan.slot] = value
+    row = _Row()
+    row.p, row.scn, row.seed = ModelParams(*fields), plan.base, seed
+    for need in plan.needs:
+        need(row)
+    return [cell(row) for cell in plan.cells]
 
 
 def _row_line(sweep: SweepSpec, value: float, seed: int) -> str:
@@ -713,7 +729,7 @@ def _rows(sweep: SweepSpec, values: tuple[float, ...], seed: int) -> list[str]:
 
 
 def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
-    """Every row's line, in row order. Rows that integrate (tail columns) are
+    """Every row's line, in row order. Where the plan needs a run, rows are
     split across n = min(_workers(), rows) processes: this one runs rows 0, n,
     2n, ..., and forked worker w (_fork) rows w, w + n, .... One failure
     rule: if a fork fails, a worker returns nothing (a row raised, or it
@@ -721,8 +737,9 @@ def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
     rows run here in row order, so the first failure in row order is raised
     as in a serial run. A row loads no module (numpy included) that this
     process has not, so nothing is preloaded before the fork."""
+    sweep = _plan(sweep)
     values = sweep.values
-    n = min(_workers(), len(values)) if set(_TAIL_COLUMNS) & set(sweep.columns) else 1
+    n = min(_workers(), len(values)) if _Row.run in sweep.needs else 1
     if n < 2:
         return _rows(sweep, values, seed)
     kids: list[_Child] = []
@@ -752,10 +769,9 @@ def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
 def run_sweep(sweep: SweepSpec, out_dir: str | None = None, seed: int = 0) -> str:
     """Run every row, then write <out>/sweep.csv and return its path. A row's
     ModelError or ArithmeticError is its error cell; any other failure writes
-    nothing and is raised as a serial run raises it. Rows with tail columns
-    run in forked workers on every CPU os.sched_getaffinity allows, with the
-    same output as on one CPU; if a fork fails, a worker returns nothing or
-    a row here raises, all rows run here in row order (_sweep_lines)."""
+    nothing and is raised as a serial run raises it. Rows run in forked
+    workers where the plan needs a run, with the same output as on one CPU
+    (_sweep_lines)."""
     _check_seed(seed)
     lines = [",".join([sweep.axis, *sweep.columns, "error"]),
              *_sweep_lines(sweep, seed)]

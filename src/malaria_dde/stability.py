@@ -146,7 +146,7 @@ def _polish(coeffs: CharCoeffs, lo: float, hi: float, far: float | None = None) 
     x, step = lo, None  # step is None at lo and inf at an upper end, the first iterate
     for _ in range(101):
         e = -x * tau
-        if e > 700.0:  # exp would overflow; the a3-term (a3 <= 0) dominates
+        if e > defaults.EXP_LIMIT:  # exp would overflow; the a3-term (a3 <= 0) dominates
             g, slope = -math.inf, 0.0
         else:
             a3e = a3 * math.exp(e)

@@ -160,3 +160,15 @@ def test_one_r0_threshold():
     # E* exists exactly when R0 > 1, and that is decided in one place, the
     # closed form's own test on R0^2; every other reader asks it
     assert _sites(_reads_r0_against_1) == [("equilibria", "endemic_equilibrium")]
+
+
+def test_every_guard_band_is_named_in_defaults():
+    # defaults.py is the one home of every numeric guard band, so a band that
+    # moves moves in its table row; a float below 1e-6 or the exp-overflow
+    # exponent 700.0 written as a literal elsewhere is a band outside it
+    found = [f"{path.name}:{node.lineno}: {node.value!r}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "defaults.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and (0 < abs(node.value) < 1e-6 or node.value == 700.0)]
+    assert found == []

@@ -426,6 +426,22 @@ def test_integrate_validates_params():
         integrate(P_SUPER._replace(beta_h=-1.0), _phi(P_SUPER), spec_full(10.0))
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.0])
+def test_a_table_history_spans_tau_to_the_band(tau):
+    # the span rule's band is 1e-9 (1 + tau): 0.8 of it off is accepted,
+    # 1.2 of it off refused
+    p = P_SUPER._replace(tau=tau)
+
+    def run(off):
+        times = [-(tau + off * 1e-9 * (1.0 + tau)), 0.0]
+        return integrate(p, HistorySegment.table(times, [list(X0)] * 2), spec_full(2.0))
+
+    exact = integrate(p, HistorySegment.constant(X0, tau), spec_full(2.0))
+    assert run(0.8).nodes == exact.nodes
+    with pytest.raises(InvalidHistoryError):
+        run(1.2)
+
+
 def test_delay_within_the_span_tolerance_reads_the_history():
     # the span rule accepts a delay 1e-10 past this table's span, and the
     # first delayed read, at -tau, once failed a 1e-12 range check

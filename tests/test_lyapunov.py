@@ -327,6 +327,28 @@ def test_trace_along_needs_a_horizon_past_tau():
         trace_along(p, traj)
 
 
+def test_trace_along_needs_two_nodes_past_tau_and_no_more():
+    # m + 2 nodes put two past tau, the fewest a trace reads; m + 1 put one
+    phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), P_SUB.tau)
+    m = IntegrationSpec().steps_per_delay
+    h = P_SUB.tau / m
+    two, one = (integrate(P_SUB, phi, IntegrationSpec(SystemKind.LIMITING, steps * h))
+                for steps in (m + 1, m))
+    assert (two.nodes, one.nodes) == (m + 2, m + 1)
+    trace = trace_along(P_SUB, two)
+    assert len(trace.values) == len(trace.times) == 2
+    with pytest.raises(EmptyWindowError):
+        trace_along(P_SUB, one)
+
+
+def test_descent_slack_is_scaled_by_the_first_value():
+    # 1e-7 (1 + |V at the first node|) is 1e-7 here, far below the 0.01
+    # increase; scaled by the last value, 1e6, it would let it pass
+    phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)
+    trace = limiting_trace(P_SUB, phi, FunctionalKind.V_DFE, 5.0)
+    assert not trace._replace(values=array("d", [0.0, 1e6]), max_increase=0.01).passes_descent()
+
+
 def test_trace_along_rejects_a_full_system_trajectory():
     # the functionals descend along the limiting system only
     phi = HistorySegment.constant((4.0, 1.0, 30.0, 10.0), 1.0)

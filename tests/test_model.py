@@ -266,6 +266,11 @@ def test_history_value_out_of_range():
     assert h.value_at(-1.0 - 1e-10) == h.value_at(-1.0)
     with pytest.raises(OutOfRangeError):
         h.value_at(-1.0 - 3e-9)
+    # above 0, a read is in range up to 1e-12, and reads the last sample
+    assert HistorySegment.constant((1.0, 0.5, 30.0, 10.0), 1.0).value_at(1e-12) == (
+        1.0, 0.5, 30.0, 10.0)
+    with pytest.raises(OutOfRangeError):
+        h.value_at(2e-12)
     # at tau = 0 the lower bound prints as 0, not -0
     with pytest.raises(OutOfRangeError,
                        match=r"^t = -1e-08 outside the computed range \[0, 0\]$"):

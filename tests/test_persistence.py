@@ -15,7 +15,9 @@ from malaria_dde import (
     NumericalError,
     RateUnderflowError,
     SubcriticalR0Error,
+    State,
     SystemKind,
+    TailStats,
     ThetaOutOfRangeError,
     endemic_equilibrium,
     integrate,
@@ -135,6 +137,24 @@ def test_report_lines_carry_theta_key():
                        (np.float64(0.5), "0.5")]:
         line = weak_persistence_check(P_SUPER, traj, theta).as_lines()[0]
         assert line.startswith(f"persistence.theta_{key}.threshold = "), line
+
+
+def test_check_fails_at_the_threshold_and_at_each_zero_sup():
+    # every comparison is strict: a tail sup of I_h equal to theta I_h*, or
+    # any component's tail sup at 0, fails the check
+    phi = HistorySegment.constant((3.0, 1.0, 30.0, 10.0), P_SUPER.tau)
+    traj = full_run(P_SUPER, phi, t_end=20.0)
+    tail = traj.tail
+    report = weak_persistence_check(P_SUPER, traj, 0.5)
+    assert report.passes
+
+    def check(sup: State) -> bool:
+        edited = traj._replace(tail=TailStats(tail.t_start, tail.inf, sup))
+        return weak_persistence_check(P_SUPER, edited, 0.5).passes
+
+    assert not check(tail.sup._replace(i_h=report.threshold))
+    for name in State._fields:
+        assert not check(tail.sup._replace(**{name: 0.0})), name
 
 
 def test_check_subcritical_rejected():

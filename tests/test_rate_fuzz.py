@@ -40,8 +40,7 @@ from malaria_dde import (
     v_endemic,
 )
 from malaria_dde.scenario import (
-    _STAR_COLUMNS,
-    _TAIL_COLUMNS,
+    _COLUMN_ALIASES,
     SWEEP_COLUMNS,
     Analyses,
     HistorySpec,
@@ -56,8 +55,8 @@ DRAWS = 2000
 RATES = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv")
 ONLY = (None, "stability", "lyapunov", "persistence")
 ALL_ANALYSES = Analyses(simulate=True, stability=True, lyapunov=True, persistence=(0.5,))
-ROW_COLUMNS = tuple(c for c in SWEEP_COLUMNS if c not in _TAIL_COLUMNS)
-VERDICT_COLUMNS = tuple(c for c in ROW_COLUMNS if c not in _STAR_COLUMNS)
+ROW_COLUMNS = tuple(c for c in SWEEP_COLUMNS if c not in _COLUMN_ALIASES["tail"])
+VERDICT_COLUMNS = tuple(c for c in ROW_COLUMNS if c not in _COLUMN_ALIASES["e_star"])
 VERDICTS = {"classification_e0": EquilibriumKind.DISEASE_FREE,
             "classification_e_star": EquilibriumKind.ENDEMIC}
 

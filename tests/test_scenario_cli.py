@@ -37,6 +37,7 @@ from malaria_dde import (
 )
 from malaria_dde.scenario import (
     DEFAULT_SWEEP_COLUMNS,
+    SWEEP_COLUMNS,
     HistorySpec,
     Scenario,
     SweepSpec,
@@ -1142,13 +1143,13 @@ def assert_no_child_processes():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _forked_sweep(tmp_path, workers, monkeypatch, name):
+def _forked_sweep(tmp_path, workers, monkeypatch, name, columns=("r0", "tail")):
     import malaria_dde.scenario as scenario_mod
     monkeypatch.setattr(scenario_mod, "_workers", lambda: workers)
     obj = {"schema": 1,
            "base": {**BASE, "history": {"kind": "random"}, "integration": {"t_end": 10}},
            "axis": "tau", "values": [0.5, 1e-300, 1.0, 2.0, 1.5],
-           "columns": ["r0", "tail"]}
+           "columns": list(columns)}
     sw = load_sweep(write_json(tmp_path / "sw.json", obj))
     run_sweep(sw, out_dir=str(tmp_path / name), seed=4)
     data = (tmp_path / name / "sweep.csv").read_bytes()
@@ -1156,14 +1157,20 @@ def _forked_sweep(tmp_path, workers, monkeypatch, name):
     return data
 
 
+@pytest.mark.parametrize("columns", [
+    ("r0", "tail"),
+    SWEEP_COLUMNS,
+    ("error_class", "tail", "e_star", "r0", "classification", "r0_squared"),
+], ids=["r0-tail", "every-column", "out-of-order"])
 def test_forked_sweep_is_the_serial_bytes(tmp_path, monkeypatch, no_runs_at_tiny_delays,
-                                          fails_rather_than_hangs):
+                                          fails_rather_than_hangs, columns):
     # 5 rows split unevenly across 2 and 3 processes; the second row is past
-    # the step ceiling, so its error cell comes back from a worker
-    serial = _forked_sweep(tmp_path, 1, monkeypatch, "o1")
+    # the step ceiling, so its error cell comes back from a worker; whatever
+    # the columns and their order, a plan that needs the run forks
+    serial = _forked_sweep(tmp_path, 1, monkeypatch, "o1", columns)
     assert b"steps of h" in serial.splitlines()[2]
     for n in (2, 3):
-        assert _forked_sweep(tmp_path, n, monkeypatch, f"o{n}") == serial
+        assert _forked_sweep(tmp_path, n, monkeypatch, f"o{n}", columns) == serial
 
 
 def test_rows_of_a_worker_that_dies_run_in_process(tmp_path, monkeypatch,

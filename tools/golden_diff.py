@@ -44,6 +44,10 @@ match):
   R0 on both sides of 1, and at c_hv = 1e307 a finite R0^2 but an
   infinite I_v*, an error row, so each row's cells, error row's included,
   are checked in the order the file asks for;
+* `sweep` again on each of the four made sweeps with tail columns
+  (TAIL_SWEEPS), allowed one CPU as ONE_CPU is, as <name>_one_cpu: its rows
+  run in this process, where the runs above fork on a machine with two or
+  more CPUs, so sweep.csv from the serial row path is compared too;
 * `--help` of the CLI and of `simulate`, `report` and `sweep`;
 * `report`, and `report --only stability|lyapunov|persistence`, on each
   scenario;
@@ -79,7 +83,8 @@ SECTIONS = ("stability", "lyapunov", "persistence")
 STREAMS = "streams"
 RANDOM = {"kind": "random"}
 RANDOM_SEEDS = (0, 2**64 + 5)
-ONE_CPU = "simulate_endemic_one_cpu"
+ONE_CPU_SUFFIX = "_one_cpu"  # a command whose label ends so runs on one CPU
+ONE_CPU = f"simulate_endemic{ONE_CPU_SUFFIX}"
 NONFINITE_STAR = {"params": {"beta_h": 1.3310652524698147e+69,
                              "beta_v": 7.521925569700577e-152,
                              "mu_h": 3.698771195959083e+31,
@@ -125,6 +130,9 @@ MADE_SWEEPS = {
                             "columns": ["error_class", "e_star", "r0", "classification",
                                         "r0_squared"]}, {}),
 }
+# the made sweeps with tail columns, run again on one CPU (ONE_CPU_SUFFIX)
+TAIL_SWEEPS = tuple(name for name, (keys, _) in MADE_SWEEPS.items()
+                    if "tail" in keys["columns"])
 
 
 def commands(tree: str) -> list[tuple[str, list[str]]]:
@@ -161,6 +169,10 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
     for name in ("sweep_c_vh", *MADE_SWEEPS):
         out.append((name, cli + ["sweep", os.path.join("demos", "scenarios", f"{name}.json"),
                                  "--out", f"out/{name}"]))
+    for name in TAIL_SWEEPS:
+        label = f"{name}{ONE_CPU_SUFFIX}"
+        out.append((label, cli + ["sweep", os.path.join("demos", "scenarios", f"{name}.json"),
+                                  "--out", f"out/{label}"]))
     for sub in ([], ["simulate"], ["report"], ["sweep"]):
         out.append((f"help_{''.join(sub) or 'cli'}", cli + sub + ["--help"]))
     for f in sorted(os.listdir(os.path.join(tree, "demos"))):
@@ -199,7 +211,7 @@ def run_tree(tree: str, work: str, dest: str) -> None:
                PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
     for label, argv in commands(tree):
         proc = subprocess.run(argv, cwd=work, env=env, capture_output=True,
-                              preexec_fn=_one_cpu if label == ONE_CPU else None)
+                              preexec_fn=_one_cpu if label.endswith(ONE_CPU_SUFFIX) else None)
         for ext, data in (("stdout", proc.stdout), ("stderr", proc.stderr),
                           ("exit", f"{proc.returncode}\n".encode())):
             with open(os.path.join(work, STREAMS, f"{label}.{ext}"), "wb") as fh:
