@@ -15,7 +15,11 @@ class ModelError(Exception):
 
 
 class ValidationError(ModelError):
-    """Input, domain, or schema violation detected before/while computing."""
+    """Input, domain, or schema violation; `name` is the record field it names, if any."""
+
+    def __init__(self, *args: object, name: str | None = None):
+        super().__init__(*args)
+        self.name = name
 
 
 class NumericalError(ModelError):
@@ -24,15 +28,14 @@ class NumericalError(ModelError):
 
 class NonPositiveRateError(ValidationError):
     def __init__(self, name: str, value: float):
-        self.name = name
         self.value = value
-        super().__init__(f"rate {name} must be a finite number > 0, got {value!r}")
+        super().__init__(f"rate {name} must be a finite number > 0, got {value!r}", name=name)
 
 
 class NegativeDelayError(ValidationError):
     def __init__(self, value: float):
         self.value = value
-        super().__init__(f"delay tau must be a finite number >= 0, got {value!r}")
+        super().__init__(f"delay tau must be a finite number >= 0, got {value!r}", name="tau")
 
 
 class InvalidHistoryError(ValidationError):

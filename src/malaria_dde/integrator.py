@@ -62,7 +62,6 @@ from typing import IO, Iterable, Sequence
 from . import defaults
 from .errors import (
     EmptyWindowError,
-    InvalidHistoryError,
     InvalidSpecError,
     NegativityBreachError,
     NonFiniteStateError,
@@ -78,6 +77,7 @@ from .model import (
     SystemKind,
     _finite_real,
     _make_validated,
+    _require_span,
     _spans,
     rhs,
 )
@@ -96,8 +96,8 @@ class IntegrationSpec(namedtuple("IntegrationSpec", "system t_end steps_per_dela
     integrate, so one spec gives each parameter set its own default horizon.
     steps_per_delay fixes h = tau / m when tau > 0; step fixes h directly
     when tau = 0 (None picks min(0.05, 0.1/max_rate)). Construction (and
-    `_replace`) holds each field to its scenario-loader rule
-    (InvalidSpecError).
+    `_replace`) holds each field to its domain, the one rule for it that the
+    scenario loader applies too: InvalidSpecError naming the field.
     """
 
     __slots__ = ()
@@ -105,14 +105,16 @@ class IntegrationSpec(namedtuple("IntegrationSpec", "system t_end steps_per_dela
     def __new__(cls, *args: object, **kwargs: object) -> "IntegrationSpec":
         self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.system, SystemKind):
-            raise InvalidSpecError(f"system must be a SystemKind, got {self.system!r}")
+            raise InvalidSpecError(f"system must be a SystemKind, got {self.system!r}",
+                                   name="system")
         for name in ("t_end", "step"):
             v = getattr(self, name)
             if not (v is None or (_finite_real(v) and v > 0)):
-                raise InvalidSpecError(f"{name} must be positive and finite, got {v!r}")
+                raise InvalidSpecError(f"{name} must be positive and finite, got {v!r}", name=name)
         n = self.steps_per_delay
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise InvalidSpecError("steps_per_delay must be an integer >= 1")
+            raise InvalidSpecError(f"steps_per_delay must be an integer >= 1, got {n!r}",
+                                   name="steps_per_delay")
         return self
 
     _make = classmethod(_make_validated)
@@ -229,9 +231,7 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
     """integrate; with store False no node is kept, so the run allocates O(m),
     not O(steps), and only the trajectory's mesh and tail can be read."""
     tau = p.tau
-    if not _spans(phi.tau, tau):
-        raise InvalidHistoryError(f"history spans tau = {phi.tau!r} but params "
-                                  f"have tau = {tau!r}")
+    _require_span(phi, tau)
     t_end = defaults.default_t_end(p.mu_h, p.mu_v) if spec.t_end is None else spec.t_end
 
     if tau > 0:

@@ -167,8 +167,8 @@ def _values(kind: FunctionalKind, c: tuple[float, ...], ys: Sequence[float],
 
 def _window_value(kind: FunctionalKind, c: tuple[float, ...], psi: HistorySegment) -> float:
     """The functional on psi's one window, which ends at its last sample."""
-    ys = tuple(chain.from_iterable(psi._x))
-    return _values(kind, c, ys, psi._t, len(psi._t) - 1)[0]
+    times = psi.times
+    return _values(kind, c, psi.states, times, len(times) - 1)[0]
 
 
 def v_dfe(p: ModelParams, psi: HistorySegment) -> float:

@@ -45,8 +45,6 @@ from .errors import (
 
 Deriv = tuple[float, float, float, float]
 
-_RATE_FIELDS = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv")
-
 
 def _make_validated(cls: type, iterable: Iterable[object]) -> tuple:
     """A validating value type's `_make`: its constructor, so that `_replace`
@@ -97,6 +95,7 @@ class ModelParams(namedtuple("ModelParams", "beta_h beta_v mu_h mu_v c_vh c_hv t
                    self.c_vh, self.c_hv)
 
 
+_RATE_FIELDS = ModelParams._fields[:-1]  # every field but tau
 _S_V0 = "S_v0 = beta_v / mu_v"
 
 
@@ -133,6 +132,13 @@ def _spans(span: float, tau: float) -> bool:
     return abs(span - tau) <= SPAN_BAND * (1.0 + tau)
 
 
+def _require_span(phi: HistorySegment, tau: float) -> None:
+    """phi fits the delay tau by _spans, else InvalidHistoryError naming its times."""
+    if not _spans(phi.tau, tau):
+        raise InvalidHistoryError(f"history spans tau = {phi.tau!r} but params "
+                                  f"have tau = {tau!r}", name="times")
+
+
 class State(namedtuple("State", "s_h i_h s_v i_v")):
     """Compartment sizes at one instant, a 4-tuple. Derivatives reuse the
     same shape as plain tuples, since they may be negative."""
@@ -147,7 +153,7 @@ class State(namedtuple("State", "s_h i_h s_v i_v")):
         return tuple(self)
 
 
-COMPONENT_NAMES = ("s_h", "i_h", "s_v", "i_v")
+COMPONENT_NAMES = State._fields
 
 
 def _fmt(x: float) -> str:
@@ -222,8 +228,8 @@ class HistorySegment:
     @classmethod
     def constant(cls, state: Sequence[float], tau: float) -> "HistorySegment":
         _check_delay(tau)
-        times = [-float(tau), 0.0] if tau > 0 else [0.0]
-        return cls.table(times, [state] * len(times))
+        times = (-float(tau), 0.0) if tau > 0 else (0.0,)
+        return cls(times, [state] * len(times), 0.0 - times[0])
 
     @classmethod
     def table(cls, times: Sequence[float], states: Sequence[Sequence[float]]) -> "HistorySegment":

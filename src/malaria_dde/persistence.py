@@ -97,7 +97,7 @@ def weak_persistence_check(p: ModelParams, traj: Trajectory,
     tail = tail_stats(traj)
     threshold = theta * star.i_h
     sup = tail.sup
-    passes = (sup.i_h > threshold
-              and sup.s_h > 0 and sup.i_h > 0 and sup.s_v > 0 and sup.i_v > 0)
+    # threshold = theta * I_h* >= 0, so the first test also holds sup.i_h > 0
+    passes = sup.i_h > threshold and sup.s_h > 0 and sup.s_v > 0 and sup.i_v > 0
     return PersistenceReport(theta=theta, threshold=threshold,
                              i_h_tail_sup=sup.i_h, tail=tail, passes=passes)

@@ -18,16 +18,16 @@ or "random" (constant history drawn once from the seeded generator:
 S-components uniform in [0.2, 2] x the disease-free pool, I-components
 uniform in [0.01, 1] x the same scale). schema, params and history are
 required; an omitted key keeps its Scenario / IntegrationSpec / Analyses
-default. Unknown keys are rejected so typos surface as SchemaError instead
-of silently running defaults. Numbers must be finite (Python's json accepts
-NaN and Infinity), the six rates strictly positive, tau >= 0, persistence
-fractions strictly inside (0, 1) and distinct, and a table history must span
-params.tau. Every mesh node is recorded, so integration.record_stride is
-accepted only as the integer 1, as output.formats is only ["csv"].
+default. At load the loader checks form (unknown keys, so typos surface as
+SchemaError; JSON types and shapes; finite numbers, as Python's json accepts
+NaN and Infinity); the records check meaning, at the field each error names:
+ModelParams, IntegrationSpec, _require_theta, and HistorySegment and its span
+rule for a constant or table history (a random one is drawn at run time).
+As every mesh node is recorded, record_stride is only 1; formats only ["csv"].
 
 A sweep wraps a base scenario, an axis (one parameter name), the values to
 visit in order, and the derived columns to tabulate (no column twice, once
-the groups are expanded). Each value is checked at load by the rule of
+the groups are expanded). Each value is checked at load by ModelParams as
 params.<axis>. One table (_GROUPS) gives each column its cell and its needs:
 R0^2 and E* (r0, r0_squared, classification and e_star), E*'s finiteness
 check (e_star) and the node-less run (tail); error_class needs none. A sweep
@@ -64,16 +64,16 @@ from typing import IO, Any, Callable
 
 from . import defaults
 from .equilibria import _finite_star, disease_free_equilibrium, endemic_equilibrium, r0_squared
-from .errors import InvalidSpecError, ModelError, SchemaError, SubcriticalR0Error
+from .errors import InvalidSpecError, ModelError, SchemaError, SubcriticalR0Error, ValidationError
 from .integrator import IntegrationSpec, SystemKind, Trajectory, _integrate, integrate, tail_stats
 from .lyapunov import _require_divisors, trace_along
-from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _fmt, _spans
-from .persistence import _require_preconditions, weak_persistence_check
+from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _fmt, _require_span
+from .persistence import _require_preconditions, _require_theta, weak_persistence_check
 from .stability import EquilibriumKind, _classification, _g0, classify
 
 SCHEMA_VERSION = 1
 
-PARAM_FIELDS = ("beta_h", "beta_v", "mu_h", "mu_v", "c_vh", "c_hv", "tau")
+PARAM_FIELDS = ModelParams._fields
 
 
 class HistorySpec(namedtuple("HistorySpec", "kind state times states",
@@ -174,9 +174,9 @@ class SweepSpec(namedtuple("SweepSpec", "base axis values columns")):
 
 # ---------------------------------------------------------------- loading
 #
-# One table, _FIELDS: section -> key -> rule. A rule takes (value, field path)
-# and returns the value to keep or raises SchemaError at that field, so every
-# JSON value is checked once, at load. A key left out is not passed on.
+# One table, _FIELDS: section -> key -> rule. A rule takes (value, field path),
+# checks its form, and returns the value to keep or raises SchemaError there;
+# its record checks its meaning (_judged). A key left out is not passed on.
 
 _Rule = Callable[[Any, str], Any]
 
@@ -191,19 +191,12 @@ def _finite(v: Any, field: str) -> float:
     return float(v)
 
 
-def _finite_where(test: Callable[[float], bool], msg: str) -> _Rule:
-    def rule(v: Any, field: str) -> float:
-        x = _finite(v, field)
-        if not test(x):
-            raise SchemaError(field, f"{msg}, got {x!r}")
-        return x
-
-    return rule
-
-
-_positive = _finite_where(lambda x: x > 0, "must be strictly positive")
-_nonnegative = _finite_where(lambda x: x >= 0, "must be >= 0")
-_theta = _finite_where(lambda x: 0 < x < 1, "theta must lie strictly inside (0, 1)")
+def _judged(field: str, record: Callable[..., Any], *args: Any, **kw: Any) -> Any:
+    """record(*args, **kw); a ValidationError is a SchemaError at field.<its name>, or field."""
+    try:
+        return record(*args, **kw)
+    except ValidationError as exc:
+        raise SchemaError(f"{field}.{exc.name}" if exc.name else field, str(exc)) from None
 
 
 def _distinct(items: tuple, field: str) -> tuple:
@@ -212,12 +205,6 @@ def _distinct(items: tuple, field: str) -> tuple:
         if x in items[:i]:
             raise SchemaError(field, f"{x!r} is given twice")
     return items
-
-
-def _count(v: Any, field: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise SchemaError(field, f"expected an integer >= 1, got {v!r}")
-    return v
 
 
 def _boolean(v: Any, field: str) -> bool:
@@ -299,8 +286,8 @@ def _columns(v: Any, field: str) -> tuple[str, ...]:
 
 
 def _object(name: str, build: Callable[..., Any] = dict) -> _Rule:
-    """A nested section, built from its checked keys."""
-    return lambda v, field: build(**_section(v, name, field))
+    """A nested section, built by its record from its checked keys."""
+    return lambda v, field: _judged(field, build, **_section(v, name, field))
 
 
 def _history(v: Any, field: str) -> HistorySpec:
@@ -311,10 +298,7 @@ def _history(v: Any, field: str) -> HistorySpec:
     if kind not in ("constant", "table", "random"):
         raise SchemaError(f"{field}.kind",
                           f"expected constant|table|random, got {kind!r}")
-    spec = HistorySpec(**_section(v, f"history.{kind}", field))
-    if kind == "table" and len(spec.states) != len(spec.times):
-        raise SchemaError(f"{field}.states", "expected len(times) rows of 4")
-    return spec
+    return HistorySpec(**_section(v, f"history.{kind}", field))
 
 
 _FIELDS: dict[str, dict[str, _Rule]] = {
@@ -323,19 +307,18 @@ _FIELDS: dict[str, dict[str, _Rule]] = {
                  "integration": _object("integration", _integration),
                  "analyses": _object("analyses", Analyses),
                  "output": _object("output")},
-    "params": {**dict.fromkeys(PARAM_FIELDS[:-1], _positive), "tau": _nonnegative},
+    "params": dict.fromkeys(PARAM_FIELDS, _finite),
     "history.constant": {"kind": _any, "state": _array(_finite, 4)},
     "history.table": {"kind": _any, "times": _array(_finite, nonempty=True),
                       "states": _array(_array(_finite, 4))},
     "history.random": {"kind": _any},
-    "integration": {"system": _system, "t_end": _positive,
-                    "steps_per_delay": _count, "step": _positive,
-                    "record_stride": _one},
-    "analyses": {"simulate": _boolean, "stability": _boolean,
-                 "lyapunov": _boolean,
-                 "persistence": lambda v, f: _distinct(_array(_theta)(v, f), f)},
+    "integration": {"system": _system, "t_end": _finite, "steps_per_delay": _any,
+                    "step": _finite, "record_stride": _one},
+    "analyses": {"simulate": _boolean, "stability": _boolean, "lyapunov": _boolean,
+                 "persistence": lambda v, f: _judged(
+                     f, tuple, map(_require_theta, _distinct(_array(_finite)(v, f), f)))},
     "output": {"dir": _text, "formats": _formats},
-    # each value is checked by the rule of params.<axis> once the axis is known
+    # the values are checked as params.<axis> once the axis is known
     "sweep": {"schema": _version,
               "base": lambda v, field: _scenario(v, "sweep.base", field),
               "axis": _axis, "values": _array(_any, nonempty=True),
@@ -374,12 +357,8 @@ def _section(obj: Any, name: str, path: str) -> dict[str, Any]:
 def _scenario(obj: Any, name: str, path: str) -> Scenario:
     s = _section(obj, name, path)
     params, history = s["params"], s["history"]
-    if history.kind == "table":
-        span = -history.times[0]
-        if not _spans(span, params.tau):
-            raise SchemaError(f"{path}.history.times",
-                              f"span {span!r} differs from params.tau = "
-                              f"{params.tau!r}")
+    if history.kind != "random":  # a random one's draws are valid by construction
+        _judged(f"{path}.history", lambda: _require_span(history.build(params, 0), params.tau))
     default = Scenario._field_defaults
     return Scenario(params=params, history=history,
                     integration=s.get("integration", default["integration"]),
@@ -402,10 +381,22 @@ def load_scenario(path: str) -> Scenario:
 
 
 def load_sweep(path: str) -> SweepSpec:
+    """The sweep. params.<axis> holds above a bound (rate > 0, tau >= 0), so the values
+    are scanned for the first bad one only if one is not finite or the least fails."""
     s = _section(_load_json(path, "sweep"), "sweep", "sweep")
-    rule = _FIELDS["params"][s["axis"]]
-    values = tuple(rule(v, f"sweep.values[{i}]") for i, v in enumerate(s["values"]))
-    return SweepSpec(base=s["base"], axis=s["axis"], values=values,
+    params, axis, raw = s["base"].params, s["axis"], s["values"]
+    values = tuple(map(float, raw)) if all(map(_finite_real, raw)) else ()
+    try:
+        params._replace(**{axis: min(values, default=math.nan)})
+    except ValidationError:
+        for i, v in enumerate(raw):
+            field = f"sweep.values[{i}]"
+            x = _finite(v, field)
+            try:
+                params._replace(**{axis: x})
+            except ValidationError as exc:
+                raise SchemaError(field, str(exc)) from None
+    return SweepSpec(base=s["base"], axis=axis, values=values,
                      columns=s.get("columns", DEFAULT_SWEEP_COLUMNS))
 
 

@@ -145,6 +145,17 @@ def test_dense_eval_range_and_history():
         dense_eval(traj, math.nan)
 
 
+def test_dense_eval_reads_past_t_end_to_the_read_band():
+    # the band is READ_BAND (1 + |t_end|), 2e-9 at t_end = 1: 0.9 of it past
+    # t_end is read, 1.1 of it refused
+    traj = integrate(P_SUPER, _phi(P_SUPER), spec_full(1.0))
+    assert traj.t_end == 1.0
+    band = defaults.READ_BAND
+    assert dense_eval(traj, 1.0 + 1.8 * band) == dense_eval(traj, 1.0)
+    with pytest.raises(OutOfRangeError):
+        dense_eval(traj, 1.0 + 2.2 * band)
+
+
 def test_dense_eval_below_the_history_follows_the_span_rule():
     # below -tau a read is in range only as far as the history's span rule,
     # 1e-9 (1 + tau), reaches. It once admitted 1e-9 (1 + t_end), passed the
@@ -174,6 +185,17 @@ def test_tail_stats_bounds_and_window_validation():
     block = states_of(traj)[times_of(traj) >= tail.t_start]
     assert tail.inf.as_tuple() == tuple(block.min(axis=0))
     assert tail.sup.as_tuple() == tuple(block.max(axis=0))
+
+
+def test_the_tail_cut_band_at_a_step_near_it():
+    # at TAIL_WINDOW = 1/2 the cut n h / 2 is a node or h / 2 from one, so
+    # the cut's band, 1e-12 (1 + |cut|), shows only at a step near 1e-12:
+    # here the cut is 2e-12, node 4 of 8, and the band reaches node 2. At
+    # such a step the tail starts before the run's midpoint
+    p = P_SUPER._replace(tau=0.0)
+    traj = integrate(p, _phi(p), IntegrationSpec(t_end=4e-12, step=5e-13))
+    assert traj.steps == 8 and traj.h == 5e-13
+    assert traj.tail.t_start == 1e-12
 
 
 @pytest.mark.parametrize("system,tau", [(SystemKind.FULL, 1.0),

@@ -115,6 +115,20 @@ def test_bounds_rounded_onto_the_endemic_state_leave_as_numerical_error():
         persistence_bounds(P_SUPER, theta)
 
 
+def test_s_v_bar_rounded_onto_s_v_star_alone_leaves_as_numerical_error():
+    # at 1 - 2^-53 these rates round s_v_bar onto S_v*, while s_h_bar still
+    # clears S_h*: the strict s_v_bar > S_v* alone refuses the bounds
+    p = ModelParams(beta_h=1.5, beta_v=1.0, mu_h=0.3125, mu_v=1.0, c_vh=0.375,
+                    c_hv=1.5, tau=1.0)
+    theta = 1.0 - 2.0 ** -53
+    star = endemic_equilibrium(p)
+    s_v_bar = p.beta_v / (theta * p.c_hv * star.i_h + p.mu_v)
+    s_h_bar = p.beta_h / (p.c_vh * (1.0 - s_v_bar / p.s_v0) + p.mu_h)
+    assert s_v_bar == star.s_v and s_h_bar > star.s_h
+    with pytest.raises(NumericalError, match=re.escape(f"theta = {theta!r}")):
+        persistence_bounds(p, theta)
+
+
 def test_bounds_name_an_underflowing_s_v0():
     # R0^2 = 66.7, so E* exists, but S_v0 = beta_v / mu_v underflows to 0 and
     # s_h_bar divides by it; this once raised a bare ZeroDivisionError

@@ -883,6 +883,46 @@ def test_table_history_span_must_match_tau(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# each rejected by HistorySegment; the load once passed every one, and only
+# simulate failed, at no field
+INVALID_HISTORIES = {
+    "negative-sample": {"kind": "constant", "state": [4, -0.5, 30, 10]},
+    "no-mosquitoes": {"kind": "constant", "state": [4, 0.5, 0, 0]},
+    "times-fall": {"kind": "table", "times": [-1.0, -0.25, -0.5, 0.0],
+                   "states": [[4, 0.5, 30, 10]] * 4},
+    "times-end-before-0": {"kind": "table", "times": [-1.0, -0.5],
+                           "states": [[4, 0.5, 30, 10]] * 2},
+    "rows-differ": {**TABLE_HISTORY, "states": TABLE_HISTORY["states"][:2]},
+}
+
+
+@pytest.mark.parametrize("history", INVALID_HISTORIES.values(), ids=INVALID_HISTORIES)
+def test_an_invalid_history_fails_the_load_at_the_history(tmp_path, capsys, history):
+    path = scenario_file(tmp_path, history=history)
+    with pytest.raises(SchemaError) as err:
+        load_scenario(path)
+    assert err.value.field == "scenario.history"
+    base = {k: v for k, v in BASE.items() if k != "schema"}
+    sweeps = [write_json(tmp_path / f"sweep{i}.json",
+                         {"schema": 1, "base": {**base, "history": history},
+                          "axis": "c_vh", "values": [0.1, 0.2], "columns": columns})
+              for i, columns in enumerate((["r0", "classification"], ["tail"]))]
+    for sweep in sweeps:
+        with pytest.raises(SchemaError) as err:
+            load_sweep(sweep)
+        assert err.value.field == "sweep.base.history"
+    capsys.readouterr()
+    out = tmp_path / "o"
+    for argv in (["report", path], ["simulate", path, "--out", str(out)],
+                 *(["sweep", sweep, "--out", str(out)] for sweep in sweeps)):
+        assert cli.main(argv) == 1
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith(("error: scenario.history: ",
+                                   "error: sweep.base.history: "))
+    assert not out.exists()
+
+
 def test_table_history_within_the_span_tolerance_runs(tmp_path, capsys):
     # the loader accepts a span 1e-10 short of tau; the run once exited 1
     # with "t = -1 outside the computed range [-1, 0]"

@@ -5,9 +5,9 @@ an arbitrary JSON value, and the file goes through the CLI in-process.
 but integrate nothing, so each case is cheap. Whatever the value, the call
 must return 0, 1 or 2: every failure leaves through the error taxonomy.
 
-The same values check that ModelParams and IntegrationSpec, which validate
-themselves on construction, reject exactly what the loader's field rules
-reject.
+The same values check that the loader, which checks a file's form and hands
+each value to the record that owns it, fails at a params or integration
+field exactly when ModelParams or IntegrationSpec rejects the value there.
 """
 
 import copy
@@ -22,16 +22,13 @@ from hypothesis import strategies as st
 import malaria_dde.cli as cli
 from malaria_dde import (
     IntegrationSpec,
-    InvalidSpecError,
     ModelParams,
-    NegativeDelayError,
-    NonPositiveRateError,
     SchemaError,
     SystemKind,
+    ValidationError,
     load_scenario,
     load_sweep,
 )
-from malaria_dde.scenario import _FIELDS
 
 SCENARIO = {
     "schema": 1,
@@ -230,42 +227,63 @@ def test_an_underflowing_s_v0_exits_2_naming_it(tmp_path, capsys):
                    "for admissible but extreme rates\n")
 
 
-# ------------------------------------------------ records agree with the loader
+# ------------------------------------------------ the loader defers to the records
 
-RECORD_FIELDS = ([("params", name) for name in SCENARIO["params"]]
+RECORD_FIELDS = ([("params", name) for name in ModelParams._fields]
                  + [("integration", f) for f in IntegrationSpec._fields])
 
 
-def assert_record_agrees_with_loader(section, field, value):
-    """The record raises on `value` exactly when the loader's rule for
-    section.field raises SchemaError. The loader reads `system` from JSON
-    text, so the record gets what that rule keeps; every other field gets
-    the value as drawn. None is not drawn: it is the record's "unset", which
-    a scenario expresses by leaving the key out."""
+def assert_loader_fails_where_the_record_does(tmp_path, section, field, value):
+    """`value` at section.field of a scenario file fails load_scenario, with
+    a SchemaError at that field, exactly when the record's constructor raises
+    on it; for a params field, a sweep of that axis whose second value is
+    `value` fails load_sweep at sweep.values[1] exactly then too. The loader
+    reads `system` from JSON text, so the record gets the SystemKind that the
+    text names. None is not drawn: it is the record's "unset", which a file
+    expresses by leaving the key out."""
     if section == "params":
         record, others = ModelParams, SCENARIO["params"]
-        error = NegativeDelayError if field == "tau" else NonPositiveRateError
     else:
-        record, others, error = IntegrationSpec, {}, InvalidSpecError
+        record, others = IntegrationSpec, {}
+    if field == "system":
+        value_for_record = next((k for k in SystemKind if k.value == value), value)
+    else:
+        value_for_record = value
     try:
-        kept = _FIELDS[section][field](value, f"{section}.{field}")
-    except SchemaError:
-        with pytest.raises(error) as err:
-            record(**{**others, field: value})
-        if error is NonPositiveRateError:
-            assert err.value.name == field
-    else:
-        record(**{**others, field: kept if field == "system" else value})
+        record(**{**others, field: value_for_record})
+        rejected = False
+    except ValidationError as exc:
+        rejected = True
+        assert exc.name == field
+    docs = [(load_scenario, replaced(SCENARIO, (section, field), value),
+             f"scenario.{section}.{field}")]
+    if section == "params":
+        docs.append((load_sweep, {**SWEEP, "axis": field,
+                                  "values": [SCENARIO["params"][field], value]},
+                     "sweep.values[1]"))
+    for load, doc, where in docs:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        if rejected:
+            with pytest.raises(SchemaError) as err:
+                load(str(path))
+            assert err.value.field == where
+            # the field is named once, as the prefix
+            assert str(err.value).startswith(f"{where}: ")
+            assert where not in str(err.value)[len(where):]
+        else:
+            load(str(path))
 
 
 @pytest.mark.parametrize("section,field", RECORD_FIELDS)
-def test_records_reject_the_extremes_the_loader_rejects(section, field):
-    for value in (*EXTREMES, "limiting", *SystemKind, True, False):
-        assert_record_agrees_with_loader(section, field, value)
+def test_records_reject_the_extremes_the_loader_rejects(tmp_path, section, field):
+    for value in (*EXTREMES, "limiting", True, False):
+        assert_loader_fails_where_the_record_does(tmp_path, section, field, value)
 
 
 @settings(max_examples=300)
 @given(case=st.sampled_from(RECORD_FIELDS),
        value=st.floats() | st.integers() | st.booleans() | st.text(max_size=8))
-def test_records_reject_what_the_loader_rejects(case, value):
-    assert_record_agrees_with_loader(*case, value)
+def test_records_reject_what_the_loader_rejects(tmp_path_factory, case, value):
+    assert_loader_fails_where_the_record_does(tmp_path_factory.mktemp("record"), *case,
+                                              value)

@@ -22,7 +22,10 @@ match):
   with the history (4, 0.5, 30, 0): I_v * S_h is 0 on the whole window, so
   both exit 1 with NonPositiveProductError, and simulate's forked Lyapunov
   section sends nothing back and runs again in its own process;
-* `sweep` on demos/scenarios/sweep_c_vh.json, and on eight sweeps made from
+* `report` on negative_history, endemic.json with the constant history
+  (4, -0.5, 30, 10), which HistorySegment rejects: the load fails at
+  scenario.history and the command exits 1, printing only its error;
+* `sweep` on demos/scenarios/sweep_c_vh.json, and on nine sweeps made from
   it in the scratch directory (MADE_SWEEPS), the first three with the
   tail columns: sweep_tau_tail, on a tau axis, whose 1e-7 row needs more
   than MAX_STEPS steps, so an error cell is written too;
@@ -43,7 +46,9 @@ match):
   canonical order (error_class first, e_star before r0, r0_squared last),
   R0 on both sides of 1, and at c_hv = 1e307 a finite R0^2 but an
   infinite I_v*, an error row, so each row's cells, error row's included,
-  are checked in the order the file asks for;
+  are checked in the order the file asks for; and sweep_negative_history,
+  verdict columns only over negative_history's history, whose load fails
+  at sweep.base.history, so it exits 1 and writes no sweep.csv;
 * `sweep` again on each of the four made sweeps with tail columns
   (TAIL_SWEEPS), allowed one CPU as ONE_CPU is, as <name>_one_cpu: its rows
   run in this process, where the runs above fork on a machine with two or
@@ -82,6 +87,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECTIONS = ("stability", "lyapunov", "persistence")
 STREAMS = "streams"
 RANDOM = {"kind": "random"}
+NEGATIVE_HISTORY = {"kind": "constant", "state": [4, -0.5, 30, 10]}
 RANDOM_SEEDS = (0, 2**64 + 5)
 ONE_CPU_SUFFIX = "_one_cpu"  # a command whose label ends so runs on one CPU
 ONE_CPU = f"simulate_endemic{ONE_CPU_SUFFIX}"
@@ -129,6 +135,8 @@ MADE_SWEEPS = {
     "sweep_column_order": ({"axis": "c_hv", "values": [0.02, 0.05, 0.1, 0.4, 1e307],
                             "columns": ["error_class", "e_star", "r0", "classification",
                                         "r0_squared"]}, {}),
+    "sweep_negative_history": ({"columns": ["r0", "classification"]},
+                               {"history": NEGATIVE_HISTORY}),
 }
 # the made sweeps with tail columns, run again on one CPU (ONE_CPU_SUFFIX)
 TAIL_SWEEPS = tuple(name for name, (keys, _) in MADE_SWEEPS.items()
@@ -166,6 +174,8 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
                 cli + ["simulate", path, "--out", "out/simulate_lyapunov_product"]))
     out.append(("report_lyapunov_product_lyapunov",
                 cli + ["report", path, "--only", "lyapunov"]))
+    out.append(("report_negative_history",
+                cli + ["report", os.path.join("demos", "scenarios", "negative_history.json")]))
     for name in ("sweep_c_vh", *MADE_SWEEPS):
         out.append((name, cli + ["sweep", os.path.join("demos", "scenarios", f"{name}.json"),
                                  "--out", f"out/{name}"]))
@@ -200,7 +210,8 @@ def run_tree(tree: str, work: str, dest: str) -> None:
             "limiting_endemic": {**endemic, "integration": {**endemic["integration"],
                                                             "system": "limiting"}},
             "lyapunov_product": {**endemic, "history": {"kind": "constant",
-                                                        "state": [4, 0.5, 30, 0]}}}
+                                                        "state": [4, 0.5, 30, 0]}},
+            "negative_history": {**endemic, "history": NEGATIVE_HISTORY}}
     for name, (keys, base) in MADE_SWEEPS.items():
         made[name] = {**c_vh, **keys, "base": {**c_vh["base"], **base}}
     for name, obj in made.items():
