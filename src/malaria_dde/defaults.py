@@ -24,7 +24,7 @@ EXP_LIMIT               700.0      real-root polish: G's exp(-lam tau) read as
 In a band's row, b is its value.
 
 t_end and the tau = 0 step size depend on the parameters, so they are
-functions here rather than constants. integrate resolves both when its
+functions here rather than constants. integrator.mesh resolves both when its
 IntegrationSpec leaves them as None.
 """
 

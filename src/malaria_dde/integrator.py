@@ -32,8 +32,9 @@ sweep row, which reads only those, stores no node and runs in O(m) memory.
 Node k's time is k * h, and its derivative is computed with `model.rhs`
 when read (`_node_deriv`), so neither is stored.
 
-A run needs t_end / h steps; more than defaults.MAX_STEPS is rejected before
-anything is allocated.
+`mesh` is the one mesh rule (h, t_end / h steps rounded up, at most
+defaults.MAX_STEPS, and the tail window's first node), read before a run
+starts: integrate reads it first, so a mesh it rejects allocates nothing.
 
 Committed node states are clamped to 0 when a component undershoots within
 -1e-9 (integration noise near an extinct compartment) and abort with
@@ -218,18 +219,25 @@ def _history_incidence(phi: HistorySegment, offsets: Iterable[float], c_vh: floa
 def integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Trajectory:
     """March the system from history phi to spec.t_end.
 
-    Each argument checked its own domain on construction; here phi's span
-    must match p.tau, and the mesh stay within MAX_STEPS. t_end is rounded
-    up to the nearest mesh multiple; `traj.t_end` and `traj.steps` say what
-    ran.
+    Each argument checked its own domain on construction; the run is on
+    `mesh`'s mesh, its t_end rounded up to a mesh multiple: `traj.t_end`
+    and `traj.steps` say what ran.
     """
     return _integrate(p, phi, spec, store=True)
 
 
-def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
-               store: bool) -> Trajectory:
-    """integrate; with store False no node is kept, so the run allocates O(m),
-    not O(steps), and only the trajectory's mesh and tail can be read."""
+class Mesh(namedtuple("Mesh", "m h steps first_tail")):
+    """A run's mesh (see mesh): m steps a delay (0 at tau = 0), step h, and
+    `steps` steps; node k is at k * h. The tail window is nodes first_tail
+    to steps, empty (fewer than two nodes) where first_tail == steps."""
+
+    __slots__ = ()
+
+
+def mesh(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Mesh:
+    """The mesh integrate runs on: phi's span must match p.tau, t_end is
+    rounded up to a mesh multiple (MESH_BAND), from one step to MAX_STEPS,
+    and the tail starts at TAIL_WINDOW * t_end, less TAIL_CUT_BAND (1 + |cut|)."""
     tau = p.tau
     _require_span(phi, tau)
     t_end = defaults.default_t_end(p.mu_h, p.mu_v) if spec.t_end is None else spec.t_end
@@ -248,6 +256,17 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
         n_steps = int(math.ceil(n_exact))
     if n_steps < 1:
         raise InvalidSpecError("t_end must be at least one step h")
+    cut = defaults.TAIL_WINDOW * (n_steps * h)
+    return Mesh(m, h, n_steps,
+                _first_node_at(h, n_steps + 1, cut - defaults.TAIL_CUT_BAND * (1.0 + abs(cut))))
+
+
+def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
+               store: bool) -> Trajectory:
+    """integrate; with store False no node is kept, so the run allocates O(m),
+    not O(steps), and only the trajectory's mesh and tail can be read."""
+    m, h, n_steps, first = mesh(p, phi, spec)
+    tau = p.tau
 
     # the model as model.rhs writes it; lam is an incidence
     # c_vh * (I_v / N_v) * S_h, with 1 / N_v fixed at inv_nv if limiting
@@ -273,9 +292,6 @@ def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,
               maxlen=m)
     ys = array("d")
     # tail nodes: `first` on; strict < and > keep the first of equal values, as min/max do
-    cut = defaults.TAIL_WINDOW * (n_steps * h)
-    first = _first_node_at(h, n_steps + 1, cut - defaults.TAIL_CUT_BAND * (1.0 + abs(cut)))
-
     for i in range(n_steps + 1):
         # node i's derivative: its Hermite slope and the next step's k1
         lam = c_vh * (d / (c + d)) * a if full else c_vh * (d * inv_nv) * a

@@ -46,7 +46,7 @@ from .errors import (
     OutsideOmega1Error,
     OutsideOmega2Error,
 )
-from .integrator import SystemKind, Trajectory, _write_csv
+from .integrator import Mesh, SystemKind, Trajectory, _write_csv
 from .model import _S_V0, HistorySegment, ModelParams, State, _nonzero
 
 _Log = Callable[[float], float]
@@ -197,6 +197,11 @@ class LyapunovTrace(namedtuple("LyapunovTrace", "kind times values max_increase"
         _write_csv(target, "t,V", (self.times, self.values))
 
 
+def _traceable(run: Mesh | Trajectory) -> bool:
+    """The window rule: a trace needs two nodes past tau, nodes m to steps."""
+    return run.steps > run.m
+
+
 def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:
     """The regime's functional along a limiting trajectory:
     V_ENDEMIC where E* exists (R0 > 1), V_DFE otherwise (R0 <= 1)."""
@@ -204,10 +209,10 @@ def trace_along(p: ModelParams, traj: Trajectory) -> LyapunovTrace:
         raise InvalidSpecError(f"the functionals descend along the limiting "
                                f"system, got a {traj.system.value} trajectory")
     kind, c = _require_divisors(p)
-    nodes, m, h = traj.nodes, traj.m, traj.h
-    if nodes - m < 2:
+    if not _traceable(traj):
         raise EmptyWindowError("horizon too short: need at least two nodes past tau")
-    times = [k * h for k in range(nodes)]
+    m, h = traj.m, traj.h
+    times = [k * h for k in range(traj.nodes)]
     values = _values(kind, c, traj.ys, times, m)
     steps = list(map(operator.sub, values[1:], values))
     # max skips a NaN after the first item; the largest increase is NaN then

@@ -65,8 +65,9 @@ from typing import IO, Any, Callable
 from . import defaults
 from .equilibria import _finite_star, disease_free_equilibrium, endemic_equilibrium, r0_squared
 from .errors import InvalidSpecError, ModelError, SchemaError, SubcriticalR0Error, ValidationError
-from .integrator import IntegrationSpec, SystemKind, Trajectory, _integrate, integrate, tail_stats
-from .lyapunov import _require_divisors, trace_along
+from .integrator import (IntegrationSpec, SystemKind, Trajectory, _integrate, integrate, mesh,
+                         tail_stats)
+from .lyapunov import _require_divisors, _traceable, trace_along
 from .model import COMPONENT_NAMES, HistorySegment, ModelParams, _finite_real, _fmt, _require_span
 from .persistence import _require_preconditions, _require_theta, weak_persistence_check
 from .stability import EquilibriumKind, _classification, _g0, classify
@@ -433,27 +434,23 @@ def _workers() -> int:
 
 
 class _Child:
-    """A forked child that sends back the value of one call (see _fork)."""
+    """A forked child whose value is the message it sends (see _fork)."""
 
     def __init__(self, pid: int, pipe: IO[bytes]):
         self._pid, self._pipe = pid, pipe
 
     def result(self) -> Any:
-        """Read the child's marshalled value, reap the child and return the
-        value. None if it exited nonzero, was killed or sent nothing, or if
-        its pipe or its exit status cannot be read (where SIGCHLD is ignored,
-        the kernel reaps the child itself); it raises no OSError of its own."""
+        """The child's value, loaded from its message; None where no complete
+        marshalled value arrives (its call raised, it died, or its pipe cannot
+        be read). It raises no OSError of its own, and reaps nothing."""
         try:
             with self._pipe as pipe:
-                data = pipe.read()
-            pid, self._pid = self._pid, 0  # stop() no longer signals it
-            status = os.waitpid(pid, 0)[1]
-        except OSError:
+                return marshal.loads(pipe.read())
+        except (OSError, EOFError, ValueError, TypeError):  # marshal's three
             return None
-        return marshal.loads(data) if status == 0 and data else None
 
     def stop(self) -> None:
-        """Kill the child and reap it, unless result() has reaped it."""
+        """Kill the child and reap it: the one reap, run on every child."""
         self._pipe.close()
         pid, self._pid = self._pid, 0
         if pid:
@@ -464,9 +461,9 @@ class _Child:
 
 def _fork(fn: Callable[..., Any], *args: Any) -> _Child | None:
     """Run fn(*args) in a forked child, which writes fn's value, marshalled,
-    to a pipe and exits 0, or writes nothing and exits 1 if fn raises (or
-    its value has no marshal form). Either way it leaves by os._exit (no
-    stdio flush, no atexit, no traceback); _Child.result() loads the value.
+    to a pipe, or writes nothing if fn raises (or its value has no marshal
+    form). Either way it leaves by os._exit(0) (no stdio flush, no atexit,
+    no traceback); _Child.result() loads the value and _Child.stop() reaps.
     None, with no descriptor left open, where this process has no os.fork
     or runs another thread (the child would copy none of that thread, and a
     lock it held would stay held), or where os.pipe or os.fork fails."""
@@ -481,14 +478,12 @@ def _fork(fn: Callable[..., Any], *args: Any) -> _Child | None:
             os.close(end)
         return None
     if pid == 0:
-        code = 1
         try:
             data = marshal.dumps(fn(*args))
             with open(w, "wb") as fh:
                 fh.write(data)
-            code = 0
         finally:
-            os._exit(code)
+            os._exit(0)
     os.close(w)  # open only in the child, so its death reads as EOF
     return _Child(pid, open(r, "rb"))
 
@@ -517,13 +512,14 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
     wherever it runs. On two or more CPUs, where simulate runs the full
     system and Lyapunov is on, it (the divisor check, the limiting run,
     trace_along and the CSV's strings) runs in one forked child (_fork),
-    started once the history is built. This process meanwhile runs simulate
-    and formats trajectory.csv, then takes the child's value at the
-    section's place; persistence follows, as on one CPU. If the child sends
-    nothing (its section raised, it died, os.pipe or os.fork failed, or
-    SIGCHLD is ignored so its exit status is lost), the section runs here at
-    its place, so the first failure in section order is raised as a serial
-    run raises it. The child is killed and reaped however the run ends.
+    started once the history is built, where the scenario's mesh (one for
+    every system, integrator.mesh) is valid and leaves a window to trace.
+    This process meanwhile runs simulate and formats trajectory.csv, then
+    takes the child's value at the section's place; persistence follows, as
+    on one CPU. If the child sends nothing (its section raised, it died, or
+    os.pipe or os.fork failed), the section runs here at its place, so the
+    first failure in section order is raised as a serial run raises it. The
+    child is killed and reaped however the run ends.
     """
     _check_seed(seed)
     a = scn.analyses
@@ -573,9 +569,11 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
                 f"lyapunov.max_increase = {_fmt(trace.max_increase)}",
                 f"lyapunov.descends = {str(trace.passes_descent()).lower()}"], csv
 
-    # the limiting run in a child while this process runs the full one
+    # the limiting run in a child while this process runs the full one, if
+    # it has a window to trace; the runs share one mesh, and a mesh error is
+    # raised here as simulate's run(spec) would raise it
     fork = a.lyapunov and a.simulate and spec.system is SystemKind.FULL and _workers() >= 2
-    child = _fork(lyapunov) if fork else None
+    child = _fork(lyapunov) if fork and _traceable(mesh(p, phi, spec)) else None
     try:
         if a.simulate:
             traj = run(spec)
@@ -601,7 +599,7 @@ def run_scenario(scn: Scenario, out_dir: str | None = None, seed: int = 0,
             _write_out(target, [*files, ("report.txt", ["\n".join(lines), "\n"])])
     finally:
         if child is not None:
-            child.stop()  # a no-op once result() has reaped it
+            child.stop()
     return lines
 
 
@@ -753,7 +751,7 @@ def _sweep_lines(sweep: SweepSpec, seed: int) -> list[str]:
                 return lines
     finally:
         for kid in kids:
-            kid.stop()  # a no-op for a worker already read
+            kid.stop()
     return _rows(sweep, values, seed)
 
 

@@ -474,10 +474,9 @@ def test_delay_within_the_span_tolerance_reads_the_history():
     assert float(np.max(np.abs(states_of(near) - states_of(exact)))) < 1e-8
 
 
-@pytest.mark.parametrize("tau,kw", [
-    # explicit ids, frozen at the positional ones pytest first gave these
-    # cases, so removing or inserting a case renames no other; a new case
-    # takes a new id
+# explicit ids, frozen at the positional ones pytest first gave these cases,
+# so removing or inserting a case renames no other; a new case takes a new id
+SPEC_ERRORS = [
     pytest.param(1.0, dict(t_end=0.0), id="1.0-kw0"),
     pytest.param(1.0, dict(t_end=1.0, steps_per_delay=0), id="1.0-kw1"),
     pytest.param(1.0, dict(t_end=1.0, steps_per_delay=-1), id="1.0-kw2"),
@@ -508,12 +507,71 @@ def test_delay_within_the_span_tolerance_reads_the_history():
     pytest.param(5e-324, dict(t_end=1.0), id="5e-324-kw19"),
     pytest.param(0.0, dict(t_end=(defaults.MAX_STEPS + 1) * 0.05, step=0.05),
                  id="0.0-kw20"),
-])
+]
+
+
+@pytest.mark.parametrize("tau,kw", SPEC_ERRORS)
 def test_integrate_spec_errors_are_validation_errors(no_runs_at_tiny_delays, tau, kw):
     p = P_SUPER._replace(tau=tau)
     with pytest.raises(InvalidSpecError) as info:
         integrate(p, _phi(p), IntegrationSpec(**kw))
     assert isinstance(info.value, ValidationError)
+
+
+def _mesh_cases():
+    """(params, spec) pairs: tau = 0 with and without a step, the default
+    t_end, a t_end rounded up, m = 1, a one-step run, and seeded draws."""
+    ode = P_SUPER._replace(tau=0.0)
+    cases = [(ode, spec_full(3.0)), (ode, spec_full(3.0, step=0.07)),
+             (P_SUPER, IntegrationSpec()), (P_SUPER, spec_full(2.001)),
+             (P_SUPER, spec_full(3.3, steps_per_delay=1)), (P_SUPER, spec_full(0.05))]
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        tau = float(rng.uniform(0.1, 3.0)) if rng.random() < 0.7 else 0.0
+        step = float(rng.uniform(0.01, 0.2)) if tau == 0.0 and rng.random() < 0.5 else None
+        spec = spec_full(float(rng.uniform(0.01, 10.0)),
+                         steps_per_delay=int(rng.integers(1, 26)), step=step)
+        cases.append((P_SUPER._replace(tau=tau), spec))
+    return cases
+
+
+def test_mesh_is_the_mesh_integrate_runs_on():
+    # the step, the step count and the tail's first node, decided before the
+    # run; the tail is empty exactly where it starts at the last node
+    empty = 0
+    for p, spec in _mesh_cases():
+        mesh = integrator.mesh(p, _phi(p), spec)
+        traj = integrate(p, _phi(p), spec)
+        assert (traj.m, traj.h, traj.steps) == (mesh.m, mesh.h, mesh.steps)
+        if mesh.first_tail == mesh.steps:
+            empty += 1
+            with pytest.raises(EmptyWindowError):
+                traj.tail
+        else:
+            assert traj.tail.t_start == mesh.first_tail * mesh.h
+    assert empty
+
+
+def _error(call):
+    """The class and message of the ValidationError that call raises."""
+    with pytest.raises(ValidationError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("tau,kw", SPEC_ERRORS)
+def test_mesh_raises_what_integrate_raises(no_runs_at_tiny_delays, tau, kw):
+    p = P_SUPER._replace(tau=tau)
+    assert (_error(lambda: integrator.mesh(p, _phi(p), IntegrationSpec(**kw)))
+            == _error(lambda: integrate(p, _phi(p), IntegrationSpec(**kw))))
+
+
+def test_mesh_checks_the_history_span_first():
+    # a span that misses tau is reported before a t_end that rounds to no step
+    phi, spec = HistorySegment.constant(X0, 2.0), spec_full(1e-12)
+    error = _error(lambda: integrator.mesh(P_SUPER, phi, spec))
+    assert error == _error(lambda: integrate(P_SUPER, phi, spec))
+    assert error[0] is InvalidHistoryError
 
 
 def test_stage_undershoot_is_a_negativity_breach():

@@ -995,6 +995,15 @@ LATE_FAILURES = {
         "integration": {"t_end": 20}},
 }
 
+# exit code -> a scenario whose Lyapunov section fails in its forked child,
+# after its mesh leaves a window to trace: at 1, I_v * S_h is 0 on the whole
+# window, a NonPositiveProductError in the trace. LATE_FAILURES[1] forks no
+# child, as its mesh leaves no window
+FORKED_FAILURES = {
+    1: {"history": {"kind": "constant", "state": [4, 0.5, 30, 0]}},
+    2: LATE_FAILURES[2],
+}
+
 
 def _tree(top):
     return {f: (top / f).read_bytes() for f in sorted(os.listdir(top))}
@@ -1368,19 +1377,22 @@ def sigchld_ignored():
 
 
 def test_children_the_kernel_reaps_leave_the_same_bytes(tmp_path, monkeypatch, fork_calls,
-                                                        sigchld_ignored):
-    # os.waitpid raises ChildProcessError: the Lyapunov section runs here
+                                                        sigchld_ignored, integrate_spy):
+    # the child's value is its message, read without its exit status, which
+    # the kernel discards: the Lyapunov section runs in the child alone
     serial = _simulate(tmp_path, monkeypatch, 1)
+    integrate_spy()
     assert _simulate(tmp_path, monkeypatch, 2) == serial
     assert fork_calls == ["fork"]
+    assert sorted(c.system.value for c in integrate_spy()) == ["full", "limiting"]
 
 
-@pytest.mark.parametrize("code", sorted(LATE_FAILURES))
+@pytest.mark.parametrize("code", sorted(FORKED_FAILURES))
 def test_a_failing_run_whose_children_the_kernel_reaps_keeps_its_error(
         tmp_path, capsys, monkeypatch, code, fork_calls, sigchld_ignored):
     import malaria_dde.scenario as scenario_mod
     monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
-    path = scenario_file(tmp_path, **LATE_FAILURES[code], analyses=LYAPUNOV_ON)
+    path = scenario_file(tmp_path, **FORKED_FAILURES[code], analyses=LYAPUNOV_ON)
     out = tmp_path / "fresh"
     assert cli.main(["simulate", path, "--out", str(out), "--quiet"]) == code
     assert fork_calls == ["fork"]
@@ -1422,13 +1434,13 @@ def test_an_artifact_with_no_child_bytes_is_formatted_here(tmp_path, monkeypatch
     assert len(fork_calls) == (1 if call == "child" else 0)
 
 
-@pytest.mark.parametrize("code", sorted(LATE_FAILURES))
+@pytest.mark.parametrize("code", sorted(FORKED_FAILURES))
 def test_a_run_that_fails_after_simulate_leaves_no_child(tmp_path, capsys, monkeypatch,
                                                          code, fork_calls):
     # the Lyapunov section fails in the child, then again here at its place
     import malaria_dde.scenario as scenario_mod
     monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
-    path = scenario_file(tmp_path, **LATE_FAILURES[code], analyses=LYAPUNOV_ON)
+    path = scenario_file(tmp_path, **FORKED_FAILURES[code], analyses=LYAPUNOV_ON)
     out = tmp_path / "fresh"
     assert cli.main(["simulate", path, "--out", str(out), "--quiet"]) == code
     assert fork_calls == ["fork"]
@@ -1461,19 +1473,48 @@ def test_a_persistence_failure_follows_the_lyapunov_section(
         tmp_path, capsys, monkeypatch, fork_calls, lyapunov_fails):
     # persistence (I_h(0) = 0) would fail after the Lyapunov section. Where
     # that section, earlier in section order, fails in the child and again
-    # here, its error is raised; where it passes in the child, persistence
-    # raises its own: the errors of a serial run
+    # here (I_v(0) = 0 too, so the state past tau leaves Omega2), its error
+    # is raised; where it passes in the child, persistence raises its own:
+    # the errors of a serial run
     import malaria_dde.scenario as scenario_mod
     monkeypatch.setattr(scenario_mod, "_workers", lambda: 2)
-    path = scenario_file(tmp_path, **(LATE_FAILURES[1] if lyapunov_fails else {}),
-                         history={"kind": "constant", "state": [4, 0, 30, 10]},
+    path = scenario_file(tmp_path,
+                         history={"kind": "constant",
+                                  "state": [4, 0, 30, 0 if lyapunov_fails else 10]},
                          analyses={**LYAPUNOV_ON, "persistence": [0.5]})
     assert cli.main(["simulate", path, "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert fork_calls == ["fork"]
     assert_no_child_processes()
     err = capsys.readouterr().err
-    assert ("horizon too short" in err) is lyapunov_fails
+    assert ("window not admissible" in err) is lyapunov_fails
     assert ("needs I_h(0) > 0" in err) is not lyapunov_fails
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("t_end,message,runs", [
+    (0.5, "horizon too short", ["full", "limiting"]),  # 10 steps, under one delay
+    (1e9, "steps of h", []),  # past MAX_STEPS
+], ids=["short-horizon", "past-ceiling"])
+def test_a_run_whose_mesh_dooms_its_lyapunov_section_forks_nothing(
+        tmp_path, capsys, monkeypatch, fork_calls, integrate_spy, t_end, message, runs):
+    # the mesh, read before the fork, leaves the Lyapunov section no window
+    # or is past the step ceiling: no child is forked, the section runs here
+    # at its place as on one CPU, and the limiting run is made at most once
+    import malaria_dde.scenario as scenario_mod
+    with open(ENDEMIC_DEMO) as fh:
+        obj = json.load(fh)
+    path = write_json(tmp_path / "endemic.json",
+                      {**obj, "integration": {**obj["integration"], "t_end": t_end}})
+    errs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(scenario_mod, "_workers", lambda: workers)
+        integrate_spy()
+        assert cli.main(["simulate", path, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        errs.append(capsys.readouterr().err)
+    assert fork_calls == []
+    assert [c.system.value for c in integrate_spy()] == runs
+    assert errs[0] == errs[1] and message in errs[1]
+    assert_no_child_processes()
     assert not (tmp_path / "o").exists()
 
 

@@ -22,6 +22,11 @@ match):
   with the history (4, 0.5, 30, 0): I_v * S_h is 0 on the whole window, so
   both exit 1 with NonPositiveProductError, and simulate's forked Lyapunov
   section sends nothing back and runs again in its own process;
+* `simulate` on short_horizon, endemic.json with `t_end: 0.5` (10 steps,
+  under one delay), whose Lyapunov window is empty, and on past_ceiling,
+  endemic.json with `t_end: 1e9`, past MAX_STEPS: both exit 1 and write no
+  file, and on a machine with two or more CPUs neither forks, as each
+  mesh is read before the fork;
 * `report` on negative_history, endemic.json with the constant history
   (4, -0.5, 30, 10), which HistorySegment rejects: the load fails at
   scenario.history and the command exits 1, printing only its error;
@@ -60,11 +65,11 @@ match):
 
 Every file written (report.txt, trajectory.csv, lyapunov.csv, sweep.csv and
 the demos' own files) and every command's stdout, stderr and exit code is
-compared byte for byte, and each differing file is listed with every line
-that differs. A differing line that reads `<key> = <float>` on both sides
-(leading spaces stripped) has |a - b| printed beside it; the summary gives
-the largest such difference and counts the differing lines of any other
-form. The line count of src/**/*.py in both trees and the net
+compared byte for byte (166 files), and each differing file is listed with
+every line that differs. A differing line that reads `<key> = <float>` on
+both sides (leading spaces stripped) has |a - b| printed beside it; the
+summary gives the largest such difference and counts the differing lines of
+any other form. The line count of src/**/*.py in both trees and the net
 difference are printed last. Exit status 0 when all are identical, 1
 otherwise.
 REV is exported with `git archive`, so no worktree is registered. Standard
@@ -89,6 +94,9 @@ STREAMS = "streams"
 RANDOM = {"kind": "random"}
 NEGATIVE_HISTORY = {"kind": "constant", "state": [4, -0.5, 30, 10]}
 RANDOM_SEEDS = (0, 2**64 + 5)
+# name -> the t_end that replaces endemic.json's: an empty Lyapunov window,
+# and a mesh past MAX_STEPS
+DOOMED_MESHES = {"short_horizon": 0.5, "past_ceiling": 1e9}
 ONE_CPU_SUFFIX = "_one_cpu"  # a command whose label ends so runs on one CPU
 ONE_CPU = f"simulate_endemic{ONE_CPU_SUFFIX}"
 NONFINITE_STAR = {"params": {"beta_h": 1.3310652524698147e+69,
@@ -174,6 +182,10 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
                 cli + ["simulate", path, "--out", "out/simulate_lyapunov_product"]))
     out.append(("report_lyapunov_product_lyapunov",
                 cli + ["report", path, "--only", "lyapunov"]))
+    for name in DOOMED_MESHES:
+        out.append((f"simulate_{name}",
+                    cli + ["simulate", os.path.join("demos", "scenarios", f"{name}.json"),
+                           "--out", f"out/simulate_{name}"]))
     out.append(("report_negative_history",
                 cli + ["report", os.path.join("demos", "scenarios", "negative_history.json")]))
     for name in ("sweep_c_vh", *MADE_SWEEPS):
@@ -212,6 +224,8 @@ def run_tree(tree: str, work: str, dest: str) -> None:
             "lyapunov_product": {**endemic, "history": {"kind": "constant",
                                                         "state": [4, 0.5, 30, 0]}},
             "negative_history": {**endemic, "history": NEGATIVE_HISTORY}}
+    for name, t_end in DOOMED_MESHES.items():
+        made[name] = {**endemic, "integration": {**endemic["integration"], "t_end": t_end}}
     for name, (keys, base) in MADE_SWEEPS.items():
         made[name] = {**c_vh, **keys, "base": {**c_vh["base"], **base}}
     for name, obj in made.items():
