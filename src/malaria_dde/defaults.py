@@ -12,7 +12,7 @@ DEFAULT_THETA           0.5        persistence fraction
 MAX_STEPS               1_000_000  ceiling on RK4 steps per integrate
 MESH_BAND               1e-9       t_end / h within b max(1, t_end / h) of an
                                    integer takes it as the step count
-TAIL_CUT_BAND           1e-12      tail window from its cut c less b (1 + |c|)
+TAIL_CUT_BAND           1e-12      tail window from its cut c (>= 0) less b c
 READ_BAND               1e-9       dense_eval up to t_end + b (1 + |t_end|)
 SPAN_BAND               1e-9       history span (model._spans): tau to
                                    b (1 + tau)

@@ -237,7 +237,7 @@ class Mesh(namedtuple("Mesh", "m h steps first_tail")):
 def mesh(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Mesh:
     """The mesh integrate runs on: phi's span must match p.tau, t_end is
     rounded up to a mesh multiple (MESH_BAND), from one step to MAX_STEPS,
-    and the tail starts at TAIL_WINDOW * t_end, less TAIL_CUT_BAND (1 + |cut|)."""
+    and the tail starts at the cut TAIL_WINDOW * t_end, less TAIL_CUT_BAND * cut."""
     tau = p.tau
     _require_span(phi, tau)
     t_end = defaults.default_t_end(p.mu_h, p.mu_v) if spec.t_end is None else spec.t_end
@@ -258,7 +258,7 @@ def mesh(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec) -> Mesh:
         raise InvalidSpecError("t_end must be at least one step h")
     cut = defaults.TAIL_WINDOW * (n_steps * h)
     return Mesh(m, h, n_steps,
-                _first_node_at(h, n_steps + 1, cut - defaults.TAIL_CUT_BAND * (1.0 + abs(cut))))
+                _first_node_at(h, n_steps + 1, cut - defaults.TAIL_CUT_BAND * cut))
 
 
 def _integrate(p: ModelParams, phi: HistorySegment, spec: IntegrationSpec,

@@ -18,7 +18,8 @@ frozen at S_v0. Long-run analysis (Lyapunov certificates) is done on the
 limiting system; simulation defaults to the full one.
 
 Every layer keeps its numbers in floats, tuples and `array('d')` buffers,
-so the package needs nothing beyond the standard library.
+so the package needs nothing beyond the standard library. The value types
+are validated named tuples, whose numbers one rule judges, `_finite_real`.
 """
 
 from __future__ import annotations
@@ -190,40 +191,45 @@ def rhs(p: ModelParams, now: State, delayed: State, system: SystemKind) -> Deriv
     )
 
 
-class HistorySegment:
+class HistorySegment(namedtuple("HistorySegment", "sample_times samples tau")):
     """Initial data on [-tau, 0]: either a constant state or a sampled table
     interpolated piecewise-linearly.
 
-    The samples are kept as float tuples; `times` and `states` copy them
-    into fresh flat `array('d')` buffers, the states four floats a sample.
-    Invariants, enforced at construction: one 4-vector of reals per time,
-    finite sample times strictly increasing from -tau to 0, every sample
-    finite and componentwise >= 0, and S_v + I_v > 0 at every sample.
+    A named tuple of the sample times, the samples (a 4-tuple each), both as
+    floats, and tau: it unpacks, compares and hashes as a tuple. Construction
+    (and `_replace`) raises InvalidHistoryError unless there is one 4-vector
+    of finite reals (`_finite_real`) per finite time, the times rise strictly
+    from -tau (by `_spans`, tau a finite real) to exactly 0, every sample is
+    componentwise >= 0, and S_v + I_v > 0 at every sample. `times` and
+    `states` copy the samples into fresh flat `array('d')` buffers.
     """
 
-    def __init__(self, times: Sequence[float], states: Sequence[Sequence[float]],
-                 tau: float):
-        self._t = t = _reals(times)
+    __slots__ = ()
+
+    def __new__(cls, sample_times: Sequence[float], samples: Sequence[Sequence[float]],
+                tau: float) -> "HistorySegment":
+        t = _reals(sample_times)
         try:
-            self._x = x = tuple(_reals(row, 4) for row in states)
-        except TypeError:  # states is not a sequence
+            x = tuple(_reals(row, 4) for row in samples)
+        except TypeError:  # samples is not a sequence
             raise InvalidHistoryError(_NOT_NUMERIC) from None
-        self.tau = tau
         if not t or len(x) != len(t):
             raise InvalidHistoryError(f"history needs one 4-vector sample per "
                                       f"time, got {len(x)} for {len(t)} times")
-        if not (all(map(math.isfinite, t))
-                and all(math.isfinite(v) for row in x for v in row)):
-            raise InvalidHistoryError("history times and samples must be finite")
+        if t[-1] != 0.0:
+            raise InvalidHistoryError("last sample time must be exactly 0")
         if any(b <= a for a, b in zip(t, t[1:])):
             raise InvalidHistoryError("sample times must be strictly increasing")
-        if not _spans(-t[0], tau):
+        if not (_finite_real(tau) and _spans(-t[0], tau)):
             raise InvalidHistoryError("first sample time must equal -tau")
         if any(v < 0 for row in x for v in row):
             raise InvalidHistoryError("history samples must be componentwise >= 0")
         if any(row[2] + row[3] <= 0 for row in x):
             raise InvalidHistoryError("S_v + I_v must stay strictly positive "
                                       "on the history interval")
+        return tuple.__new__(cls, (t, x, float(tau)))
+
+    _make = classmethod(_make_validated)
 
     @classmethod
     def constant(cls, state: Sequence[float], tau: float) -> "HistorySegment":
@@ -234,17 +240,15 @@ class HistorySegment:
     @classmethod
     def table(cls, times: Sequence[float], states: Sequence[Sequence[float]]) -> "HistorySegment":
         t = _reals(times)
-        if not t or t[-1] != 0.0:
-            raise InvalidHistoryError("last sample time must be exactly 0")
-        return cls(t, states, 0.0 - t[0])  # tau = 0, not -0.0, from times [0]
+        return cls(t, states, 0.0 - t[0] if t else 0.0)  # tau = 0, not -0.0, from times [0]
 
     @property
     def times(self) -> array:
-        return array("d", self._t)
+        return array("d", self.sample_times)
 
     @property
     def states(self) -> array:
-        return array("d", chain.from_iterable(self._x))
+        return array("d", chain.from_iterable(self.samples))
 
     def value_at(self, theta: float) -> tuple[float, float, float, float]:
         """Piecewise-linear evaluation at offset theta in [-tau, 0] (-tau by `_spans`).
@@ -253,10 +257,10 @@ class HistorySegment:
         first time, the last one from the last time on, a sample at its own
         time, and between two samples slope * (theta - t_j) + y_j.
         """
-        t, x = self._t, self._x
+        t, x, tau = self
         lo = t[0]
         if not (-math.inf < theta <= HISTORY_END_BAND and (lo <= theta or _spans(-lo, -theta))):
-            raise OutOfRangeError(theta, 0.0 - self.tau, 0.0)
+            raise OutOfRangeError(theta, 0.0 - tau, 0.0)
         j = bisect.bisect_right(t, theta) - 1
         if j < 0:
             return x[0]
@@ -272,21 +276,16 @@ class HistorySegment:
         return State(*self.value_at(theta))
 
 
-_NOT_NUMERIC = "history needs numeric times and 4-vector samples"
+_NOT_NUMERIC = "history needs finite numeric times and 4-vector samples"
 
 
 def _reals(values: object, size: int | None = None) -> tuple[float, ...]:
-    """values as a tuple of floats: a sequence of reals that are not bools,
-    of `size` items if given; InvalidHistoryError otherwise."""
+    """values as a tuple of floats: a sequence of `size` items if given, each
+    a finite real by `_finite_real`; InvalidHistoryError otherwise."""
     try:
         items = tuple(values)
-        if (size is None or len(items) == size) and all(
-                isinstance(v, (float, int, numbers.Real)) and not isinstance(v, bool)
-                for v in items):
-            return tuple(map(float, items))
     except TypeError:  # a scalar
-        pass
-    except OverflowError:  # an integer beyond the float range
-        raise InvalidHistoryError("history times and samples must be finite") from None
+        raise InvalidHistoryError(_NOT_NUMERIC) from None
+    if (size is None or len(items) == size) and all(map(_finite_real, items)):
+        return tuple(map(float, items))
     raise InvalidHistoryError(_NOT_NUMERIC)
-

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from malaria_dde import (
+    STEPS_PER_DELAY,
     HistorySegment,
     IntegrationSpec,
     ModelParams,
@@ -107,6 +108,28 @@ def constant_history(p: ModelParams, rng, infected_floor: float = 0.01
         rng.uniform(infected_floor, 1.0) * p.s_h0,
         rng.uniform(0.2, 2.0) * p.s_v0,
         rng.uniform(0.01, 1.0) * p.s_v0), p.tau)
+
+
+def table_history(p: ModelParams, rng, infected_floor: float = 0.01) -> HistorySegment:
+    """Piecewise-linear table history on [-tau, 0], for tau > 0.
+
+    3 to 17 samples, each component drawn as constant_history draws it. The
+    inner sample times fall in distinct cells of the m = 20 mesh on
+    [-tau, 0], 0.1 to 0.9 of a step past a node, so none sits on a node. In
+    half the draws I_h or I_v is 0 from -tau to an inner sample (a whole
+    piece) and positive at 0.
+    """
+    n = int(rng.integers(3, 18))
+    m = STEPS_PER_DELAY
+    cells = np.sort(rng.choice(m, n - 2, replace=False))
+    inner = -p.tau + (cells + rng.uniform(0.1, 0.9, n - 2)) * (p.tau / m)
+    rows = np.column_stack([rng.uniform(0.2, 2.0, n) * p.s_h0,
+                            rng.uniform(infected_floor, 1.0, n) * p.s_h0,
+                            rng.uniform(0.2, 2.0, n) * p.s_v0,
+                            rng.uniform(0.01, 1.0, n) * p.s_v0])
+    if rng.random() < 0.5:
+        rows[:rng.integers(2, n), rng.choice((1, 3))] = 0.0
+    return HistorySegment.table([-p.tau, *inner.tolist(), 0.0], rows.tolist())
 
 
 def limiting_trace(p, phi, kind, t_end):

@@ -43,6 +43,7 @@ from conftest import (
     draw_supercritical,
     limiting_trace,
     states_of,
+    table_history,
     times_of,
 )
 
@@ -172,13 +173,22 @@ def test_c4_componentwise_nonnegativity_is_preserved():
 
 # ---------------------------------------------------------------- criterion 5
 
-def test_c5_subcritical_trajectories_reach_the_disease_free_state():
-    rng = np.random.default_rng(505)
-    t_end = 40.0 / min(P_SUB.mu_h, P_SUB.mu_v)
-    target = disease_free_equilibrium(P_SUB)
+def _reach(p, target, history, seed, **kw):
+    """Ten histories of p drawn by `history` each end within 1e-3 of target
+    at t_end = 40 / min(mu)."""
+    rng = np.random.default_rng(seed)
+    t_end = 40.0 / min(p.mu_h, p.mu_v)
     for _ in range(10):
-        phi = constant_history(P_SUB, rng, infected_floor=0.0)
-        assert final_distance(P_SUB, phi, target, t_end) < 1e-3
+        phi = history(p, rng, **kw)
+        assert final_distance(p, phi, target, t_end) < 1e-3
+
+
+def test_c5_subcritical_trajectories_reach_the_disease_free_state():
+    _reach(P_SUB, disease_free_equilibrium(P_SUB), constant_history, 505, infected_floor=0.0)
+
+
+def test_c5_subcritical_table_histories_reach_the_disease_free_state():
+    _reach(P_SUB, disease_free_equilibrium(P_SUB), table_history, 515, infected_floor=0.0)
 
 
 def test_c5_threshold_trajectories_reach_the_disease_free_state():
@@ -197,41 +207,66 @@ def test_c5_threshold_trajectories_reach_the_disease_free_state():
 
 
 def test_c5_supercritical_trajectories_reach_the_endemic_state():
-    rng = np.random.default_rng(507)
-    t_end = 40.0 / min(P_SUPER.mu_h, P_SUPER.mu_v)
-    target = endemic_equilibrium(P_SUPER)
-    for _ in range(10):
-        phi = constant_history(P_SUPER, rng)  # seeded infection
-        assert final_distance(P_SUPER, phi, target, t_end) < 1e-3
+    # the histories seed the infection
+    _reach(P_SUPER, endemic_equilibrium(P_SUPER), constant_history, 507)
+
+
+def test_c5_supercritical_table_histories_reach_the_endemic_state():
+    _reach(P_SUPER, endemic_equilibrium(P_SUPER), table_history, 517)
 
 
 # ---------------------------------------------------------------- criterion 6
 
-@pytest.mark.parametrize("p,kind", [
-    (P_SUB, FunctionalKind.V_DFE),
-    (P_SUPER, FunctionalKind.V_ENDEMIC),
-], ids=["disease_free", "endemic"])
-def test_c6_lyapunov_descent(p, kind):
-    rng = np.random.default_rng(606)
+def _descend(p, kind, history, seed):
+    """Along the limiting runs from twenty histories of p drawn by `history`,
+    the regime's functional never rises by more than its slack and ends
+    below 1e-3."""
+    rng = np.random.default_rng(seed)
     t_end = 40.0 / min(p.mu_h, p.mu_v)
     for _ in range(20):
-        phi = constant_history(p, rng)
+        phi = history(p, rng)
         trace = limiting_trace(p, phi, kind, t_end)
         slack = 1e-7 * (1.0 + abs(float(trace.values[0])))
         assert trace.max_increase <= slack
         assert float(trace.values[-1]) < 1e-3
 
 
+REGIMES = pytest.mark.parametrize("p,kind", [
+    (P_SUB, FunctionalKind.V_DFE),
+    (P_SUPER, FunctionalKind.V_ENDEMIC),
+], ids=["disease_free", "endemic"])
+
+
+@REGIMES
+def test_c6_lyapunov_descent(p, kind):
+    _descend(p, kind, constant_history, 606)
+
+
+@REGIMES
+def test_c6_lyapunov_descent_from_table_histories(p, kind):
+    _descend(p, kind, table_history, 616)
+
+
 # ---------------------------------------------------------------- criterion 7
 
-def test_c7_weak_persistence_holds_at_every_tested_fraction():
-    rng = np.random.default_rng(707)
+def _persist(history, seed):
+    """Runs from ten histories of P_SUPER drawn by `history` pass weak
+    persistence at every tested fraction."""
+    rng = np.random.default_rng(seed)
     t_end = 40.0 / min(P_SUPER.mu_h, P_SUPER.mu_v)
-    runs = [integrate(P_SUPER, constant_history(P_SUPER, rng), full_spec(t_end))
+    runs = [integrate(P_SUPER, history(P_SUPER, rng), full_spec(t_end))
             for _ in range(10)]
     for theta in (0.1, 0.5, 0.9):
         for traj in runs:
             assert weak_persistence_check(P_SUPER, traj, theta).passes
+
+
+def test_c7_weak_persistence_holds_at_every_tested_fraction():
+    _persist(constant_history, 707)
+
+
+def test_c7_weak_persistence_holds_from_table_histories():
+    _persist(table_history, 717)
 
 
 def test_c7_susceptible_bounds_dominate_the_endemic_state():

@@ -172,3 +172,13 @@ def test_every_guard_band_is_named_in_defaults():
              if isinstance(node, ast.Constant) and type(node.value) is float
              and (0 < abs(node.value) < 1e-6 or node.value == 700.0)]
     assert found == []
+
+
+def test_one_number_rule():
+    # model._finite_real is the one rule for what counts as a number: every
+    # record and the loader judge their numbers by it, so no other code
+    # names numbers.Real or imports from numbers
+    assert _sites(lambda node: isinstance(node, ast.Attribute)
+                  and _dotted(node) == "numbers.Real"
+                  or isinstance(node, ast.ImportFrom) and node.module == "numbers") == [
+        ("model", "_finite_real")]

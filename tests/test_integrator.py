@@ -188,14 +188,17 @@ def test_tail_stats_bounds_and_window_validation():
 
 
 def test_the_tail_cut_band_at_a_step_near_it():
-    # at TAIL_WINDOW = 1/2 the cut n h / 2 is a node or h / 2 from one, so
-    # the cut's band, 1e-12 (1 + |cut|), shows only at a step near 1e-12:
-    # here the cut is 2e-12, node 4 of 8, and the band reaches node 2. At
-    # such a step the tail starts before the run's midpoint
+    # at TAIL_WINDOW = 1/2 the cut n h / 2 is a node or h / 2 from one. The
+    # cut's band, 1e-12 cut, is relative, so at a step near 1e-12 the tail
+    # still starts at the run's midpoint: here the cut is 2e-12, node 4 of 8.
+    # A band of 1e-12 (1 + |cut|) once reached node 2
     p = P_SUPER._replace(tau=0.0)
     traj = integrate(p, _phi(p), IntegrationSpec(t_end=4e-12, step=5e-13))
     assert traj.steps == 8 and traj.h == 5e-13
-    assert traj.tail.t_start == 1e-12
+    assert traj.tail.t_start == 2e-12
+    # a one-step run has a one-node tail at a step near 1e-12 too
+    with pytest.raises(EmptyWindowError):
+        integrate(p, _phi(p), IntegrationSpec(t_end=1e-13, step=1e-13)).tail
 
 
 @pytest.mark.parametrize("system,tau", [(SystemKind.FULL, 1.0),
@@ -211,7 +214,7 @@ def test_tail_stats_is_the_numpy_mask_min_max(system, tau):
         traj = integrate(p, _phi(p), IntegrationSpec(system=system, t_end=t_end))
         cut = defaults.TAIL_WINDOW * traj.t_end
         times = times_of(traj)
-        mask = times >= cut - 1e-12 * (1.0 + abs(cut))
+        mask = times >= cut - 1e-12 * cut
         block = states_of(traj)[mask]
         tail = tail_stats(traj)
         assert traj.t_end == float(times[-1]) and traj.nodes == times.size
@@ -250,7 +253,7 @@ def _strided_tail(traj):
     builtin min and max of each component's column from the first node at
     or past the cut."""
     cut = defaults.TAIL_WINDOW * traj.t_end
-    cut -= 1e-12 * (1.0 + abs(cut))
+    cut -= 1e-12 * cut
     first = next(k for k in range(traj.nodes) if k * traj.h >= cut)
     columns = [traj.ys[4 * first + q::4] for q in range(4)]
     return TailStats(first * traj.h, State(*map(min, columns)), State(*map(max, columns)))
@@ -318,13 +321,16 @@ def test_tail_sets_a_new_sup_then_a_new_inf_on_one_component(system, tau):
 
 
 def test_tail_keeps_the_first_of_equal_zeros():
-    # one step of 1e-13 puts the cut below node 0, so the tail is nodes 0
-    # and 1; I_h is -0.0 at node 0 and 0.0 at node 1, and min and max both
-    # keep the first, -0.0
+    # I_h = -0.0 at node 0 is +0.0 at node 1 (-0.0 + 0.0), so only a tail
+    # that holds node 0 sees both zeros. One step of 5e-324 puts the cut,
+    # TAIL_WINDOW * 5e-324, at 0.0, so the window [0, 5e-324] truly holds
+    # nodes 0 and 1; I_h is -0.0 at node 0 and 0.0 at node 1, and min and
+    # max both keep the first, -0.0
     p = P_SUPER._replace(tau=0.0)
     phi = HistorySegment.constant((4.0, -0.0, 30.0, 0.0), 0.0)
-    spec = IntegrationSpec(SystemKind.FULL, 1e-13, step=1e-13)
+    spec = IntegrationSpec(SystemKind.FULL, 5e-324, step=5e-324)
     traj = integrate(p, phi, spec)
+    assert defaults.TAIL_WINDOW * traj.t_end == 0.0
     assert traj.nodes == 2 and traj.ys[1::4].tobytes() == array("d", [-0.0, 0.0]).tobytes()
     expected = _bits(_strided_tail(traj))
     assert math.copysign(1.0, traj.tail.inf.i_h) == math.copysign(1.0, traj.tail.sup.i_h) == -1.0

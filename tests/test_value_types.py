@@ -15,6 +15,7 @@ from malaria_dde import (
     EquilibriumKind,
     HistorySegment,
     IntegrationSpec,
+    InvalidHistoryError,
     InvalidSpecError,
     NonPositiveRateError,
     SystemKind,
@@ -34,6 +35,8 @@ from conftest import P_SUPER
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "demos", "scenarios")
 PHI = HistorySegment.constant((3.0, 1.0, 40.0, 10.0), P_SUPER.tau)
+TABLE = HistorySegment.table((-1.0, -0.35, 0.0), [(3.0, 0.0, 40.0, 0.0), (2.5, 0.5, 38.0, 4.0),
+                                                  (3.0, 1.0, 40.0, 10.0)])
 
 
 def _trajectory(system=SystemKind.FULL, t_end=5.0):
@@ -44,7 +47,7 @@ def _values():
     """One value of each public value type."""
     traj = _trajectory()
     values = [
-        P_SUPER, IntegrationSpec(SystemKind.FULL, 5.0), traj, traj.tail, traj.tail.inf,
+        P_SUPER, TABLE, IntegrationSpec(SystemKind.FULL, 5.0), traj, traj.tail, traj.tail.inf,
         CharCoeffs(1.0, 2.0, -0.5, 1.0, 1.5), DfeCharCoeffs.from_params(P_SUPER),
         EndemicCharCoeffs.from_params(P_SUPER), equilibrium_set(P_SUPER),
         classify(P_SUPER, EquilibriumKind.DISEASE_FREE),
@@ -86,12 +89,37 @@ def test_equal_fields_compare_equal(name):
     (P_SUPER, "mu_h", 0.0, NonPositiveRateError),
     (IntegrationSpec(SystemKind.FULL, 5.0), "steps_per_delay", 0, InvalidSpecError),
     (CharCoeffs(1.0, 2.0, -0.5, 1.0, 1.5), "a3", 0.5, ValidationError),
+    (PHI, "tau", 2.0, InvalidHistoryError),
+    (TABLE, "samples", TABLE.samples[:2], InvalidHistoryError),
+    (TABLE, "sample_times", (-1.0, -0.35, -0.1), InvalidHistoryError),
+    (TABLE, "tau", float("inf"), InvalidHistoryError),
+    (TABLE, "tau", "1.0", InvalidHistoryError),
 ])
 def test_replace_raises_the_constructors_error(value, field, bad, error):
     with pytest.raises(error):
         type(value)(**{**value._asdict(), field: bad})
     with pytest.raises(error):
         value._replace(**{field: bad})
+
+
+def test_histories_compare_and_hash_by_value():
+    state = (3.0, 1.0, 40.0, 10.0)
+    again = HistorySegment.constant(list(state), 1)
+    table = HistorySegment.table([-1, 0], [state, state])
+    assert again == table == PHI and hash(again) == hash(table) == hash(PHI)
+    assert again.sample_times == (-1.0, 0.0) and again.samples == (state, state)
+    assert HistorySegment.constant(state, 0.5) != PHI
+
+
+def test_history_times_and_states_are_fresh_float_arrays():
+    for seg in (PHI, TABLE):
+        times, states = seg.times, seg.states
+        assert times.typecode == states.typecode == "d"
+        assert times is not seg.times and states is not seg.states
+        assert times.tolist() == list(seg.sample_times)
+        assert states.tolist() == [v for row in seg.samples for v in row]
+        times[0] = states[0] = -5.0  # a copy: the history keeps its samples
+        assert seg.times[0] == -1.0 and seg.states[0] == 3.0
 
 
 def test_trajectory_replace_keeps_every_other_field():

@@ -27,12 +27,16 @@ match):
   endemic.json with `t_end: 1e9`, past MAX_STEPS: both exit 1 and write no
   file, and on a machine with two or more CPUs neither forks, as each
   mesh is read before the fork;
+* `simulate` on table_endemic, endemic.json with a `table` history of five
+  samples (TABLE_HISTORY) at times off the mesh nodes, whose I_v is 0 at
+  two of its three inner samples (-0.63 and -0.11) but 10 at 0, so the
+  delayed reads before t = tau interpolate the table;
 * `report` on negative_history, endemic.json with the constant history
   (4, -0.5, 30, 10), which HistorySegment rejects: the load fails at
   scenario.history and the command exits 1, printing only its error;
-* `sweep` on demos/scenarios/sweep_c_vh.json, and on nine sweeps made from
-  it in the scratch directory (MADE_SWEEPS), the first three with the
-  tail columns: sweep_tau_tail, on a tau axis, whose 1e-7 row needs more
+* `sweep` on demos/scenarios/sweep_c_vh.json, and on ten sweeps made from
+  it in the scratch directory (MADE_SWEEPS), five with the tail
+  columns: sweep_tau_tail, on a tau axis, whose 1e-7 row needs more
   than MAX_STEPS steps, so an error cell is written too;
   sweep_tau_limiting, a LIMITING run whose tail cut falls between two
   nodes at tau = 0 and 2 and on a node at tau = 1, and whose tau = 146 row
@@ -51,10 +55,12 @@ match):
   canonical order (error_class first, e_star before r0, r0_squared last),
   R0 on both sides of 1, and at c_hv = 1e307 a finite R0^2 but an
   infinite I_v*, an error row, so each row's cells, error row's included,
-  are checked in the order the file asks for; and sweep_negative_history,
+  are checked in the order the file asks for; sweep_table_tail, on the
+  c_vh axis with tail columns from TABLE_HISTORY, whose rows fork on a
+  machine with two or more CPUs; and sweep_negative_history,
   verdict columns only over negative_history's history, whose load fails
   at sweep.base.history, so it exits 1 and writes no sweep.csv;
-* `sweep` again on each of the four made sweeps with tail columns
+* `sweep` again on each of the five made sweeps with tail columns
   (TAIL_SWEEPS), allowed one CPU as ONE_CPU is, as <name>_one_cpu: its rows
   run in this process, where the runs above fork on a machine with two or
   more CPUs, so sweep.csv from the serial row path is compared too;
@@ -65,7 +71,7 @@ match):
 
 Every file written (report.txt, trajectory.csv, lyapunov.csv, sweep.csv and
 the demos' own files) and every command's stdout, stderr and exit code is
-compared byte for byte (166 files), and each differing file is listed with
+compared byte for byte (180 files), and each differing file is listed with
 every line that differs. A differing line that reads `<key> = <float>` on
 both sides (leading spaces stripped) has |a - b| printed beside it; the
 summary gives the largest such difference and counts the differing lines of
@@ -93,6 +99,9 @@ SECTIONS = ("stability", "lyapunov", "persistence")
 STREAMS = "streams"
 RANDOM = {"kind": "random"}
 NEGATIVE_HISTORY = {"kind": "constant", "state": [4, -0.5, 30, 10]}
+TABLE_HISTORY = {"kind": "table", "times": [-1, -0.63, -0.37, -0.11, 0],
+                 "states": [[4, 0.5, 30, 10], [3.5, 0.2, 28, 0], [4.2, 0.8, 31, 3],
+                            [3.9, 0.4, 29, 0], [4, 0.5, 30, 10]]}
 RANDOM_SEEDS = (0, 2**64 + 5)
 # name -> the t_end that replaces endemic.json's: an empty Lyapunov window,
 # and a mesh past MAX_STEPS
@@ -143,6 +152,9 @@ MADE_SWEEPS = {
     "sweep_column_order": ({"axis": "c_hv", "values": [0.02, 0.05, 0.1, 0.4, 1e307],
                             "columns": ["error_class", "e_star", "r0", "classification",
                                         "r0_squared"]}, {}),
+    "sweep_table_tail": ({"values": [0.05, 0.2, 0.8], "columns": ["r0", "classification",
+                                                                  "tail"]},
+                         {"history": TABLE_HISTORY}),
     "sweep_negative_history": ({"columns": ["r0", "classification"]},
                                {"history": NEGATIVE_HISTORY}),
 }
@@ -186,6 +198,9 @@ def commands(tree: str) -> list[tuple[str, list[str]]]:
         out.append((f"simulate_{name}",
                     cli + ["simulate", os.path.join("demos", "scenarios", f"{name}.json"),
                            "--out", f"out/simulate_{name}"]))
+    path = os.path.join("demos", "scenarios", "table_endemic.json")
+    out.append(("simulate_table_endemic",
+                cli + ["simulate", path, "--out", "out/simulate_table_endemic"]))
     out.append(("report_negative_history",
                 cli + ["report", os.path.join("demos", "scenarios", "negative_history.json")]))
     for name in ("sweep_c_vh", *MADE_SWEEPS):
@@ -223,7 +238,8 @@ def run_tree(tree: str, work: str, dest: str) -> None:
                                                             "system": "limiting"}},
             "lyapunov_product": {**endemic, "history": {"kind": "constant",
                                                         "state": [4, 0.5, 30, 0]}},
-            "negative_history": {**endemic, "history": NEGATIVE_HISTORY}}
+            "negative_history": {**endemic, "history": NEGATIVE_HISTORY},
+            "table_endemic": {**endemic, "history": TABLE_HISTORY}}
     for name, t_end in DOOMED_MESHES.items():
         made[name] = {**endemic, "integration": {**endemic["integration"], "t_end": t_end}}
     for name, (keys, base) in MADE_SWEEPS.items():
